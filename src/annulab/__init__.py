@@ -52,7 +52,6 @@ from .hardy import (
     column_zero_recover,
     find_n0_hardy,
     semicommutator_residual_annulus,
-    toeplitz_entry,
     zero_product_experiment_hardy,
 )
 from .reduction import (

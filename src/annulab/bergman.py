@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import CONSISTENT, UNCONSTRAINED, VIOLATION, TruncatedOperator, _span_residual
+from .hardy import (
+    CONSISTENT,
+    UNCONSTRAINED,
+    VIOLATION,
+    TruncatedOperator,
+    _coeff_vector,
+    _span_residual,
+)
 from .mellin import mellin_transform, mellin_zero_locate
 from .symbols import PolarSymbol, PolyProfile, RadialProfile
 
@@ -83,14 +90,24 @@ def build_bergman_toeplitz(
     """
     lo, hi = _clamp_window(window)
     size = hi - lo + 1
+    t = np.array([bergman_norm_const(n, R) for n in range(lo, hi + 1)])
     ent = np.zeros((size, size), dtype=complex)
     placed = False
-    for col, n in enumerate(range(lo, hi + 1)):
-        tn = bergman_norm_const(n, R)
-        for deg, coeff in apply_polar_to_monomial(f, n, R, geo).items():
-            if lo <= deg <= hi:
-                ent[deg - lo, col] += coeff * tn / bergman_norm_const(deg, R)
-                placed = True
+    for k in f.live_bands():
+        # band k fills diagonal k (column b meets row b + k) with the
+        # operations of quasi_homogeneous_apply and the t_n / t_m rescaling
+        # in their order, so the entries match them bit for bit
+        cols = np.arange(max(0, -k), min(size, size - k))
+        rows = cols + k
+        coeff = (t[rows] * t[rows]) * mellin_transform(
+            f.bands[k], k + 2 * (lo + cols) + 2, R, geo
+        )
+        placed = placed or bool(np.any(coeff != 0.0))
+        val = coeff * t[cols]
+        # numpy divides complex by real through a reciprocal; divide each part
+        val.real /= t[rows]
+        val.imag /= t[rows]
+        ent[rows, cols] += val
     if not placed and not f.is_zero():
         raise WindowTooSmallError(
             f"window [{lo},{hi}] holds no image of any band of the symbol"
@@ -196,14 +213,6 @@ class BergmanZeroProductReport:
     verdict: str = CONSISTENT
 
 
-def _vec(table: dict[int, complex], lo: int, hi: int) -> np.ndarray:
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    for deg, c in table.items():
-        if lo <= deg <= hi:
-            out[deg - lo] = c
-    return out
-
-
 def zero_product_experiment_bergman(
     f: PolarSymbol,
     g: PolarSymbol,
@@ -268,14 +277,13 @@ def zero_product_experiment_bergman(
         top_band_g=N,
     )
 
+    win = (lo, hi)
     image_cols = [
-        _vec(apply_polar_to_monomial(g, n0_eff + lp, R), lo, hi) for lp in range(L + 1)
+        _coeff_vector(apply_polar_to_monomial(g, n0_eff + lp, R), win) for lp in range(L + 1)
     ]
-    base_cols = [
-        _vec({m: 1.0 + 0.0j}, lo, hi) for m in range(lo, n0_eff + N)
-    ]
+    base_cols = [_coeff_vector({m: 1.0 + 0.0j}, win) for m in range(lo, n0_eff + N)]
     for l in range(L + 1):
-        target = _vec({n0_eff + N + l: 1.0 + 0.0j}, lo, hi)
+        target = _coeff_vector({n0_eff + N + l: 1.0 + 0.0j}, win)
         report.ladder_residuals.append(
             _span_residual(target, base_cols + image_cols[: l + 1])
         )

@@ -24,7 +24,6 @@ from .errors import IllConditionedError
 from .plotting import emit_plot
 from .symbols import (
     ExactSymbol,
-    PolarSymbol,
     PolyProfile,
     constant_symbol,
     pullback_symbols,
@@ -58,6 +57,8 @@ TRIAL_PROFILE_DEGREE = 3
 RECONSTRUCT_Z_START = -10.5
 RECONSTRUCT_Z_STEP = 4.0
 RECONSTRUCT_DEGREE = 6
+#: section size of the identities experiment's transfer diagram
+DIAGRAM_SIZE = 12
 
 
 class ConfigError(ValueError):
@@ -178,30 +179,29 @@ def load_config(path, experiment: str, out_override: str | None = None) -> LabCo
         raise ConfigError(str(exc)) from exc
 
 
+def _reference_count(cfg: LabConfig) -> int:
+    """Table length covering every index the run reads: a decay sweep reads
+    down to ``-(2 max(sizes) - 1)``, a windowed section to ``-(width - 1)``."""
+    if cfg.experiment == "hankel-decay":
+        return 2 * max(cfg.sizes)
+    width = cfg.window[1] - cfg.window[0] + 1
+    # the identities diagram also reads its own disc Hankel section
+    return max(width, 2 * DIAGRAM_SIZE) if cfg.experiment == "identities" else width
+
+
 def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
     if ref is None:
         return fallback()
     if ref.startswith("builtin:"):
         try:
-            return reference.reference_symbol(ref[len("builtin:"):], cfg.R)
+            return reference.reference_symbol(
+                ref[len("builtin:"):], cfg.R, _reference_count(cfg)
+            )
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
     sym, R_file = read_symbol(ref)
     if not isinstance(sym, ExactSymbol):
         raise ConfigError(f"symbol file {ref!r} does not hold a two-circle symbol")
-    if abs(R_file - cfg.R) > 1e-12:
-        raise ConfigError(
-            f"symbol file {ref!r} was written for R={R_file}, config has R={cfg.R}"
-        )
-    return sym
-
-
-def _resolve_polar(ref: str | None, cfg: LabConfig, fallback) -> PolarSymbol:
-    if ref is None:
-        return fallback()
-    sym, R_file = read_symbol(ref)
-    if not isinstance(sym, PolarSymbol):
-        raise ConfigError(f"symbol file {ref!r} does not hold a banded polar symbol")
     if abs(R_file - cfg.R) > 1e-12:
         raise ConfigError(
             f"symbol file {ref!r} was written for R={R_file}, config has R={cfg.R}"
@@ -273,7 +273,7 @@ def _run_identities(cfg: LabConfig, outdir: Path):
         )
     )
     rows.append(report.info_check("identities", "semicommutator_margin", margin))
-    size = 12
+    size = DIAGRAM_SIZE
     rows.append(
         report.residual_check(
             "identities", "diagram_residual",

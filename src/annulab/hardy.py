@@ -22,7 +22,9 @@ from .geometry import (
 from .symbols import (
     BoundarySymbol,
     ExactSymbol,
+    conjugate_symbol,
     fourier_pair,
+    multiply_symbols,
     sample_symbol,
 )
 
@@ -85,38 +87,54 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def toeplitz_entry(f: BoundarySymbol, j: int, k: int, R: float) -> complex:
-    """Single entry coupling column power index ``k`` to row index ``j``.
+def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
+    """Square Toeplitz or Hankel layout of ``2 size - 1`` coefficients.
 
-    Combines the two circle coefficients of offset ``j - k`` with the
-    weight ``R^(j+k)`` on the inner-circle term and the two norm
-    constants.
+    The Toeplitz layout is ``M[a, b] = values[size - 1 - a + b]``, so with
+    ``values[i]`` the coefficient of offset ``size - 1 - i`` the entry
+    carries offset ``a - b``; the Hankel layout is ``M[a, b] = values[a + b]``.
+    The layout is a strided copy of a sliding window, so no index array is
+    formed.
     """
-    fC, fC0 = fourier_pair(f, j - k)
-    num = fC + R ** (j + k) * fC0
-    return num / (hardy_norm_const(j, R) * hardy_norm_const(k, R))
+    size = (len(values) + 1) // 2
+    win = np.lib.stride_tricks.sliding_window_view(values, size)
+    return (win if hankel else win[::-1]).copy()
+
+
+def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
+    """Window, weights ``B = 1/norm_j`` and ``A = R^j/norm_j``, and both
+    circles' coefficients, one ``fourier_pair`` call per offset from
+    ``hi - lo`` down to ``lo - hi`` (columns: unit circle, inner circle)."""
+    lo, hi = _check_window(window)
+    idx = np.arange(lo, hi + 1)
+    # only R^|j| is raised, so both weights stay in [0, 1]
+    p = R ** np.abs(idx).astype(float)
+    s = np.sqrt(1.0 + p * p)
+    B = np.where(idx < 0, p, 1.0) / s
+    A = np.where(idx < 0, 1.0, p) / s
+    pairs = [fourier_pair(f, off) for off in range(hi - lo, lo - hi - 1, -1)]
+    return (lo, hi), B, A, np.array(pairs, dtype=complex)
 
 
 def build_toeplitz_hardy(
     f: BoundarySymbol, window: tuple[int, int], R: float
 ) -> TruncatedOperator:
-    """Section of the compression of multiplication by ``f`` to the power family."""
-    lo, hi = _check_window(window)
-    n = hi - lo + 1
-    idx = np.arange(lo, hi + 1)
-    norms = np.sqrt(1.0 + R ** (2.0 * idx))
-    ent = np.zeros((n, n), dtype=complex)
-    offsets = {}
-    for a, j in enumerate(idx):
-        for b, k in enumerate(idx):
-            off = j - k
-            if off not in offsets:
-                offsets[off] = fourier_pair(f, off)
-            fC, fC0 = offsets[off]
-            if fC == 0.0 and fC0 == 0.0:
-                continue
-            ent[a, b] = (fC + R ** (j + k) * fC0) / (norms[a] * norms[b])
-    return TruncatedOperator(ent, (lo, hi), (lo, hi), "hardy", "hardy")
+    """Section of the compression of multiplication by ``f`` to the power family.
+
+    The entry is ``(fhat_C(j-k) + R^(j+k) fhat_C0(j-k)) / (norm_j norm_k)``
+    with ``norm_j = sqrt(1 + R^(2j))``.  It is formed as
+    ``T = B Toep(fhat_C) B + A Toep(fhat_C0) A`` with the diagonal weights
+    ``B = 1/norm_j`` and ``A = R^j/norm_j``: for ``j >= 0`` these are
+    ``b_j`` and ``a_j``, for ``j < 0`` they are ``a_|j|`` and ``b_|j|``,
+    where ``a_j = R^j / sqrt(1 + R^(2j))`` and ``b_j = 1 / sqrt(1 + R^(2j))``.
+    Each weight lies in [0, 1].  Raising ``R^(j+k)`` and ``norm_j``
+    directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
+    window +-160), and the entries turn into ``nan`` or collapse to zero.
+    """
+    win, B, A, pairs = _bounded_pairs(f, window, R)
+    ent = _gather(pairs[:, 0]) * np.outer(B, B)
+    ent += _gather(pairs[:, 1]) * np.outer(A, A)
+    return TruncatedOperator(ent, win, win, "hardy", "hardy")
 
 
 def build_hankel_annulus(
@@ -126,28 +144,16 @@ def build_hankel_annulus(
 
     Row ``j`` lives in the complement family, column ``k`` in the power
     family; the entry is
-    ``(R^j fhat_C(j-k) - R^k fhat_C0(j-k)) / (norm_j norm_k)``.
-    Symbols that are traces of a single Laurent polynomial give the zero
-    matrix.
+    ``(R^j fhat_C(j-k) - R^k fhat_C0(j-k)) / (norm_j norm_k)``, formed as
+    ``H = A Toep(fhat_C) B - B Toep(fhat_C0) A`` with the bounded weights
+    of :func:`build_toeplitz_hardy`, which keep it finite for the same
+    reason.  Symbols that are traces of a single Laurent polynomial give
+    the zero matrix.
     """
-    lo, hi = _check_window(window)
-    n = hi - lo + 1
-    idx = np.arange(lo, hi + 1)
-    norms = np.sqrt(1.0 + R ** (2.0 * idx))
-    ent = np.zeros((n, n), dtype=complex)
-    offsets = {}
-    for a, j in enumerate(idx):
-        for b, k in enumerate(idx):
-            off = j - k
-            if off not in offsets:
-                offsets[off] = fourier_pair(f, off)
-            fC, fC0 = offsets[off]
-            if fC == 0.0 and fC0 == 0.0:
-                continue
-            ent[a, b] = (R ** float(j) * fC - R ** float(k) * fC0) / (
-                norms[a] * norms[b]
-            )
-    return TruncatedOperator(ent, (lo, hi), (lo, hi), "complement", "hardy")
+    win, B, A, pairs = _bounded_pairs(f, window, R)
+    ent = _gather(pairs[:, 0]) * np.outer(A, B)
+    ent -= _gather(pairs[:, 1]) * np.outer(B, A)
+    return TruncatedOperator(ent, win, win, "complement", "hardy")
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +294,6 @@ def semicommutator_residual_annulus(
     product symbol equals the product of sections plus the adjoint-Hankel
     times Hankel correction.  Returns ``(residual, margin)``.
     """
-    from .symbols import conjugate_symbol, multiply_symbols
-
     lo, hi = _check_window(window)
     margin = phi.bandwidth() + psi.bandwidth()
     if hi - lo + 1 <= 2 * margin:

@@ -58,8 +58,11 @@ def mellin_transform(profile: RadialProfile, z, R: float, geo: AnnulusGeometry |
         )
     r, w = geo.radial_nodes()
     z = np.asarray(z)
-    zz = z.reshape(z.shape + (1,))
-    vals = np.sum(w * profile.values * r ** (zz - 1.0), axis=-1)
+    # one power row per z: on a 2-D broadcast numpy switches to a vector
+    # pow kernel that rounds unlike the one a single z gets, and array
+    # calls must agree with scalar ones bit for bit
+    powers = np.array([r ** (zi - 1.0) for zi in z.reshape(-1, 1)])
+    vals = np.sum(w * profile.values * powers.reshape(z.shape + r.shape), axis=-1)
     return vals if vals.ndim else complex(vals[()])
 
 

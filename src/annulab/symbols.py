@@ -162,16 +162,6 @@ def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex
     return {n: c for n, c in out.items() if c != 0.0}
 
 
-def conjugate_symbol(sym: BoundarySymbol) -> BoundarySymbol:
-    """Complex conjugate symbol; coefficients reflect and conjugate."""
-    if isinstance(sym, ExactSymbol):
-        return ExactSymbol(
-            {-n: np.conj(c) for n, c in sym.coeffs_C.items()},
-            {-n: np.conj(c) for n, c in sym.coeffs_C0.items()},
-        )
-    return SampledSymbol(np.conj(sym.on_C), np.conj(sym.on_C0))
-
-
 # ---------------------------------------------------------------------------
 # circle symbols (for the disc-space operators)
 
@@ -210,10 +200,22 @@ class SampledCircle:
 CircleSymbol = ExactCircle | SampledCircle
 
 
-def conjugate_circle(phi: CircleSymbol) -> CircleSymbol:
-    if isinstance(phi, ExactCircle):
-        return ExactCircle({-n: np.conj(c) for n, c in phi.coeffs.items()})
-    return SampledCircle(np.conj(phi.values))
+def _reflect_conj(coeffs: dict[int, complex]) -> dict[int, complex]:
+    return {-n: np.conj(c) for n, c in coeffs.items()}
+
+
+def conjugate_symbol(sym: BoundarySymbol | CircleSymbol) -> BoundarySymbol | CircleSymbol:
+    """Complex conjugate of a boundary or circle symbol.
+
+    Coefficient tables reflect and conjugate; grid samples conjugate.
+    """
+    if isinstance(sym, ExactSymbol):
+        return ExactSymbol(_reflect_conj(sym.coeffs_C), _reflect_conj(sym.coeffs_C0))
+    if isinstance(sym, ExactCircle):
+        return ExactCircle(_reflect_conj(sym.coeffs))
+    if isinstance(sym, SampledCircle):
+        return SampledCircle(np.conj(sym.values))
+    return SampledSymbol(np.conj(sym.on_C), np.conj(sym.on_C0))
 
 
 def pullback_symbols(sym: BoundarySymbol) -> tuple[CircleSymbol, CircleSymbol]:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from annulab.cli import main
+from annulab.cli import _resolve_boundary, load_config, main, run
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.report import read_decay_csv
 from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
@@ -225,3 +225,23 @@ def test_out_flag_overrides_config_out(tmp_path):
     assert main(["gram", "--config", str(cfg), "--out", str(override)]) == 0
     assert (override / "results.csv").exists()
     assert not (tmp_path / "from-config").exists()
+
+
+def test_reference_table_covers_the_deepest_decay_read(tmp_path):
+    """The size-1024 sweep reads index -2047; a fixed 1025-entry table
+    would read zeros there and report tail 15 instead of 18."""
+    doc = {
+        "R": 0.5,
+        "seed": 1,
+        "sizes": [128, 256, 512, 1024],
+        "symbol": "builtin:conjugated-singular-inner",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path, "hankel-decay", str(tmp_path / "out"))
+    table = _resolve_boundary(cfg.symbol, cfg, None).coeffs_C
+    assert min(table) <= -(2 * max(cfg.sizes) - 1)
+    result = run(cfg)
+    tails = {r.name: r.value for r in result.rows}
+    assert tails["tail_C_1024"] == 18
+    assert result.extra["verdict"] == "NoDecay"

@@ -27,7 +27,6 @@ from annulab.reduction import (
     conjugate_reflection_residual,
     diagram_residual,
     hankel_compactness_indicator,
-    multiply_circle,
     semicommutator_residual_disc,
     split_relation_residual,
     t_diag,
@@ -127,12 +126,6 @@ def test_disc_semicommutator_rejects_thin_sections():
     phi = ExactCircle({3: 1.0 + 0.0j, -3: 1.0 + 0.0j})
     with pytest.raises(ValueError):
         semicommutator_residual_disc(phi, phi, 6)
-
-
-def test_multiply_circle_requires_exact_tables():
-    a = ExactCircle({1: 2.0 + 0.0j})
-    out = multiply_circle(a, a)
-    assert out.coeffs == {2: 4.0 + 0.0j}
 
 
 # ---------------------------------------------------------------------------

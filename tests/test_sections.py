@@ -1,0 +1,151 @@
+"""The closed-form section builders against per-entry loops and mpmath.
+
+The builders lay out one coefficient vector per circle by a strided
+gather.  Disc and area sections must equal the per-entry loop bit for
+bit; the two-circle sections use bounded weights and must stay finite
+and accurate where the unweighted formula overflows.
+"""
+
+import json
+
+import mpmath
+import numpy as np
+import pytest
+
+from annulab.bergman import apply_polar_to_monomial, build_bergman_toeplitz
+from annulab.cli import main
+from annulab.geometry import AnnulusGeometry, bergman_norm_const
+from annulab.hardy import build_hankel_annulus, build_toeplitz_hardy
+from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.reduction import build_disc_hankel, build_disc_toeplitz
+from annulab.symbols import (
+    ExactSymbol,
+    PolarSymbol,
+    PolyProfile,
+    SampledCircle,
+    SampledProfile,
+    pullback_symbols,
+)
+
+SIZES = (1, 2, 7, 64)
+
+
+# ---------------------------------------------------------------------------
+# per-entry reference loops
+
+
+def loop_disc_toeplitz(phi, size):
+    ent = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        for k in range(size):
+            ent[j, k] = phi.hat(j - k)
+    return ent
+
+
+def loop_disc_hankel(phi, size):
+    ent = np.zeros((size, size), dtype=complex)
+    for j in range(size):
+        for k in range(size):
+            ent[j, k] = phi.hat(-(j + 1) - k)
+    return ent
+
+
+def loop_bergman(f, lo, hi, R, geo=None):
+    ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
+    for col, n in enumerate(range(lo, hi + 1)):
+        tn = bergman_norm_const(n, R)
+        for deg, coeff in apply_polar_to_monomial(f, n, R, geo).items():
+            if lo <= deg <= hi:
+                ent[deg - lo, col] += coeff * tn / bergman_norm_const(deg, R)
+    return ent
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def circles():
+    sym = random_boundary_symbol(Lcg(21), 40)
+    exact = pullback_symbols(sym)[0]
+    return {"exact": exact, "sampled": SampledCircle(exact.sample(256))}
+
+
+# ---------------------------------------------------------------------------
+# gather equals the loop
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled"])
+@pytest.mark.parametrize("size", SIZES)
+def test_disc_toeplitz_gather_matches_loop(kind, size):
+    phi = circles()[kind]
+    assert same_bytes(build_disc_toeplitz(phi, size).entries, loop_disc_toeplitz(phi, size))
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled"])
+@pytest.mark.parametrize("size", SIZES)
+def test_disc_hankel_gather_matches_loop(kind, size):
+    phi = circles()[kind]
+    assert same_bytes(build_disc_hankel(phi, size).entries, loop_disc_hankel(phi, size))
+
+
+def polar_symbol(rng, geo):
+    bands = {
+        k: PolyProfile({d: rng.coefficient() for d in range(3)}) for k in (-3, -1, 0, 2, 5)
+    }
+    r, _ = geo.radial_nodes()
+    bands[1] = SampledProfile(PolyProfile({0: rng.coefficient(), 2: 1.0}).eval(r))
+    return PolarSymbol(bands)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("lo", [-1, 4])
+def test_bergman_section_matches_loop(size, lo):
+    geo = AnnulusGeometry(R=0.4, m_circle=64, m_radial=48)
+    f = polar_symbol(Lcg(size + lo), geo)
+    hi = lo + size - 1
+    got = build_bergman_toeplitz(f, (lo, hi), geo.R, geo).entries
+    assert same_bytes(got, loop_bergman(f, lo, hi, geo.R, geo))
+
+
+# ---------------------------------------------------------------------------
+# small-R / wide-window two-circle sections
+
+
+def dense_symbol(reach):
+    """Coefficients at every offset a window of half-width reach/2 reads."""
+    ns = range(-reach, reach + 1)
+    return ExactSymbol(
+        {n: 0.99 ** abs(n) * np.exp(1j * n) for n in ns},
+        {n: 0.5 * 0.99 ** abs(n) * np.exp(-2j * n) for n in ns},
+    )
+
+
+def exact_entries(sym, j, k, R):
+    """(Toeplitz, Hankel) entry at row j, column k in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        fC, fC0 = (mpmath.mpc(c) for c in sym.pair(j - k))
+        R = mpmath.mpf(R)
+        norms = mpmath.sqrt(1 + R ** (2 * j)) * mpmath.sqrt(1 + R ** (2 * k))
+        return (fC + R ** (j + k) * fC0) / norms, (R**j * fC - R**k * fC0) / norms
+
+
+@pytest.mark.parametrize("R, half", [(0.1, 160), (0.5, 600)])
+def test_wide_window_sections_are_finite_and_exact(R, half):
+    sym = dense_symbol(2 * half)
+    window = (-half, half)
+    T = build_toeplitz_hardy(sym, window, R)
+    H = build_hankel_annulus(sym, window, R)
+    assert np.all(np.isfinite(T.entries))
+    assert np.all(np.isfinite(H.entries))
+    for j in window:
+        for k in window:
+            for sec, want in zip((T, H), exact_entries(sym, j, k, R)):
+                rel = abs(mpmath.mpc(sec.at(j, k)) - want) / abs(want)
+                assert rel <= 1e-13, (sec.row_basis, j, k, float(rel))
+
+
+def test_semicommutator_passes_on_thin_annulus_wide_window(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 0.1, "seed": 1, "window": [-160, 160]}))
+    code = main(["semicommutator", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0

@@ -6,10 +6,13 @@ from annulab.errors import AliasingError
 from annulab.geometry import AnnulusGeometry
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.symbols import (
+    ExactCircle,
     ExactSymbol,
     PolarSymbol,
     PolyProfile,
+    SampledCircle,
     SampledSymbol,
+    _convolve,
     conjugate_symbol,
     fourier_pair,
     laurent_symbol,
@@ -117,6 +120,19 @@ def test_conjugate_symbol_reflects():
     conj = conjugate_symbol(sym)
     assert conj.coeffs_C[-2] == 1 - 1j
     assert conj.coeffs_C0[1] == -2j
+
+
+def test_conjugate_symbol_on_circles():
+    exact = conjugate_symbol(ExactCircle({3: 1 - 2j}))
+    assert exact.coeffs == {-3: 1 + 2j}
+    values = np.array([1 + 1j, 2 - 3j, -1j])
+    sampled = conjugate_symbol(SampledCircle(values))
+    assert np.array_equal(sampled.values, np.conj(values))
+
+
+def test_convolve_exact_circle_tables():
+    a = ExactCircle({1: 2.0 + 0.0j})
+    assert _convolve(a.coeffs, a.coeffs) == {2: 4.0 + 0.0j}
 
 
 def test_polar_symbol_bands():
