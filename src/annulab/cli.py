@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, geometry, hardy, mellin, randgen, reduction, reference, report
-from .errors import IllConditionedError
+from .errors import AliasingError, IllConditionedError, WindowTooSmallError
 from .plotting import emit_plot
 from .symbols import (
     ExactSymbol,
@@ -63,6 +63,11 @@ DIAGRAM_SIZE = 12
 
 class ConfigError(ValueError):
     """Raised for malformed configuration files; message names the field."""
+
+
+#: configurations the computation cannot serve; like a malformed config
+#: they exit 2 with one line, while any other exception is a program fault
+DOMAIN_ERRORS = (WindowTooSmallError, AliasingError, IllConditionedError)
 
 
 @dataclass
@@ -496,7 +501,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.experiment, args.out)
         result = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, *DOMAIN_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for r in result.rows:

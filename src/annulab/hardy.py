@@ -17,7 +17,6 @@ from .geometry import (
     AnnulusGeometry,
     complement_basis_eval,
     hardy_basis_eval,
-    hardy_norm_const,
 )
 from .symbols import (
     BoundarySymbol,
@@ -101,17 +100,21 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     return (win if hankel else win[::-1]).copy()
 
 
-def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
-    """Window, weights ``B = 1/norm_j`` and ``A = R^j/norm_j``, and both
-    circles' coefficients, one ``fourier_pair`` call per offset from
-    ``hi - lo`` down to ``lo - hi`` (columns: unit circle, inner circle)."""
-    lo, hi = _check_window(window)
-    idx = np.arange(lo, hi + 1)
+def _bounded_weights(idx, R: float):
+    """Weights ``B = 1/norm_j`` and ``A = R^j/norm_j`` at the indices ``idx``."""
+    idx = np.asarray(idx)
     # only R^|j| is raised, so both weights stay in [0, 1]
     p = R ** np.abs(idx).astype(float)
     s = np.sqrt(1.0 + p * p)
-    B = np.where(idx < 0, p, 1.0) / s
-    A = np.where(idx < 0, 1.0, p) / s
+    return np.where(idx < 0, p, 1.0) / s, np.where(idx < 0, 1.0, p) / s
+
+
+def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
+    """Window, weights ``B`` and ``A`` of :func:`_bounded_weights`, and both
+    circles' coefficients, one ``fourier_pair`` call per offset from
+    ``hi - lo`` down to ``lo - hi`` (columns: unit circle, inner circle)."""
+    lo, hi = _check_window(window)
+    B, A = _bounded_weights(np.arange(lo, hi + 1), R)
     pairs = [fourier_pair(f, off) for off in range(hi - lo, lo - hi - 1, -1)]
     return (lo, hi), B, A, np.array(pairs, dtype=complex)
 
@@ -232,28 +235,52 @@ def column_zero_recover(
     """Recover coefficient pairs of the symbol from two section columns.
 
     For each offset ``n`` with both rows ``r + n`` and ``s + n`` inside the
-    window, undo the norm constants and solve the 2x2 system pairing
-    ``(1, R^(2r+n))`` and ``(1, R^(2s+n))``; the system is nonsingular
-    whenever ``r != s``.  Columns that are identically zero recover the
-    zero pair at every offset.
+    window, entry ``(c + n, c)`` of column ``c`` is
+    ``b fhat_C(n) + a fhat_C0(n)`` with the bounded weights
+    ``b = B_(c+n) B_c`` and ``a = A_(c+n) A_c`` of
+    :func:`build_toeplitz_hardy`, and ``a / b = R^(2c+n)``.  Each row is
+    divided by its larger weight and each unknown by its larger
+    coefficient, which leaves a 2x2 system with determinant
+    ``1 - R^(2|s-r|)`` at every offset: it is nonsingular whenever
+    ``r != s``, and no weight is inverted, so nothing overflows.  Columns
+    that are identically zero recover the zero pair at every offset where
+    both coefficients are determined.
 
-    Accuracy degrades like ``eps * R^(-min(2r+n, 2s+n))`` when both
-    weights are far below one, so prefer columns of modest index.
+    Accuracy: with ``r < s``, ``fhat_C0`` enters both rows at most
+    ``R^(2r+n)`` times as strongly as ``fhat_C`` and is recovered only to
+    about ``eps * R^-(2r+n)`` when that exponent is positive; ``fhat_C``
+    is recovered only to about ``eps * R^(2s+n)`` when ``2s + n`` is
+    negative.  A coefficient whose weight falls below ``eps`` leaves no
+    digit in the section and comes back as ``nan``: at R = 0.1, columns
+    -150 and -149 of a +-160 window give ``fhat_C0`` to rounding at every
+    offset and ``fhat_C`` as ``nan`` at every offset below 283.  Prefer
+    columns of modest index.
     """
     if r == s:
         raise ValueError("need two distinct columns")
+    r, s = sorted((r, s))
     lo, hi = section.row_window
-    out: dict[int, tuple[complex, complex]] = {}
-    for n in range(lo - min(r, s), hi - max(r, s) + 1):
-        m, t = r + n, s + n
-        b1 = section.at(m, r) * hardy_norm_const(m, R) * hardy_norm_const(r, R)
-        b2 = section.at(t, s) * hardy_norm_const(t, R) * hardy_norm_const(s, R)
-        e1 = R ** (m + r)
-        e2 = R ** (t + s)
-        fC0 = (b2 - b1) / (e2 - e1)
-        fC = b1 - e1 * fC0
-        out[n] = (fC, fC0)
-    return out
+    ns = np.arange(lo - r, hi - s + 1)
+    rows = []
+    for c in (r, s):
+        Bm, Am = _bounded_weights(c + ns, R)
+        Bc, Ac = _bounded_weights(c, R)
+        vals = section.entries[c + ns - lo, section.col_index(c)]
+        rows.append(vals / np.maximum(Bm * Bc, Am * Ac))
+    x1, x2 = 2 * r + ns, 2 * s + ns
+    # the scaled system is [[R^e1, 1], [1, R^e2]] with e1 + e2 = 2 (s - r)
+    e1 = np.maximum(-x1, 0) - np.maximum(-x2, 0)
+    e2 = np.maximum(x2, 0) - np.maximum(x1, 0)
+    det = 1.0 - R ** (2 * (s - r))
+    yC = (rows[1] - R**e2 * rows[0]) / det
+    y0 = (rows[0] - R**e1 * rows[1]) / det
+    # undo each unknown's largest weight; below eps it left no digit
+    eps = np.finfo(float).eps
+    pair = [
+        np.where(scale > eps, y / np.maximum(scale, eps), np.nan)
+        for y, scale in ((yC, R ** np.maximum(-x2, 0)), (y0, R ** np.maximum(x1, 0)))
+    ]
+    return {int(n): (complex(c), complex(c0)) for n, c, c0 in zip(ns, *pair)}
 
 
 # ---------------------------------------------------------------------------

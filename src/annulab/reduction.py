@@ -54,13 +54,18 @@ def build_disc_toeplitz(phi: CircleSymbol, size: int) -> TruncatedOperator:
     return TruncatedOperator(ent, (0, size - 1), (0, size - 1), "disc-hardy", "disc-hardy")
 
 
+def _hankel_hats(phi: CircleSymbol, size: int) -> np.ndarray:
+    """``phihat(-1), ..., phihat(-(2 size - 1))``: every coefficient a
+    size-``size`` disc Hankel section reads, in Hankel gather order."""
+    return np.array([phi.hat(idx) for idx in range(-1, -2 * size, -1)], dtype=complex)
+
+
 def build_disc_hankel(phi: CircleSymbol, size: int) -> TruncatedOperator:
     """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
     coefficient on ``z^-(j+1)``."""
     if size < 1:
         raise ValueError("section size must be positive")
-    hats = [phi.hat(idx) for idx in range(-1, -2 * size, -1)]
-    ent = _gather(np.array(hats, dtype=complex), hankel=True)
+    ent = _gather(_hankel_hats(phi, size), hankel=True)
     return TruncatedOperator(
         ent, (0, size - 1), (0, size - 1), "disc-complement", "disc-hardy"
     )
@@ -294,12 +299,42 @@ def decay_profile_for(
     epsilon: float = TAIL_EPSILON,
     top: int | None = None,
 ) -> DecayProfile:
+    """Singular values of the disc Hankel sections of ``phi_circle``, one
+    set per size, each decomposed only on its live corner.
+
+    The entry ``(j, k)`` is ``phihat(-(j+1) - k)``, so it depends only on
+    ``j + k``.  Let the live reach ``r`` be one plus the position of the
+    last nonzero among ``phihat(-1), ..., phihat(-(2 max(sizes) - 1))``,
+    the coefficients the largest section reads.  Every entry with
+    ``j + k >= r`` is then exactly zero, and the size-``s`` section is
+    ``[[B, 0], [0, 0]]`` with ``B`` its leading ``L x L`` block,
+    ``L = min(s, r)``.  Its singular values are those of ``B`` followed by
+    ``s - L`` zeros, so only ``B`` is decomposed and the zeros are exact;
+    an empty table (``L = 0``) takes no SVD at all.  Since an entry depends
+    only on ``j + k``, the blocks of all sizes are the leading blocks of
+    one section built at the largest ``L``.
+
+    Where ``L = s`` (a table reaching the whole section, or a sampled
+    circle) the SVD sees the same matrix as a full-section SVD, and the
+    output is byte-identical to it.  Where ``L < s`` the two agree in exact
+    arithmetic and differ only by rounding.
+    """
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
         raise ValueError("need at least one section size")
+    if sizes[0] < 1:
+        raise ValueError("section size must be positive")
     profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=epsilon)
+    hats = _hankel_hats(phi_circle, sizes[-1])
+    live = np.flatnonzero(hats)
+    reach = int(live[-1]) + 1 if live.size else 0
+    corner = min(sizes[-1], reach)
+    block = build_disc_hankel(phi_circle, corner).entries if corner else None
     for s in sizes:
-        sig = np.linalg.svd(build_disc_hankel(phi_circle, s).entries, compute_uv=False)
+        L = min(s, reach)
+        sig = np.zeros(s)
+        if L:
+            sig[:L] = np.linalg.svd(block[:L, :L], compute_uv=False)
         profile.tail_indices[s] = tail_index(sig, epsilon)
         keep = sig if top is None else sig[: min(top, len(sig))]
         profile.singular_values[s] = [float(x) for x in keep]

@@ -1,10 +1,15 @@
 """End-to-end runs of the ``lab`` command through its Python entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import annulab
 from annulab.cli import _resolve_boundary, load_config, main, run
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.report import read_decay_csv
@@ -188,6 +193,34 @@ def test_bad_json_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["gram", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def run_lab_process(tmp_path, experiment, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(annulab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "annulab.cli", experiment, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        # the margin is the bandwidth sum, larger than any window the table fits
+        ("semicommutator", {"symbol": "builtin:conjugated-singular-inner"}),
+        # the ladder reaches index 12, past the window top
+        ("zero-product-hardy", {"window": [-4, 4]}),
+    ],
+)
+def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
+    proc = run_lab_process(tmp_path, experiment, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
 def test_unknown_experiment_is_an_argparse_error(tmp_path):

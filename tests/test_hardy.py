@@ -172,6 +172,18 @@ def test_recover_zeroed_columns_certify_zero():
         assert pair == (0.0, 0.0)
 
 
+def test_recover_deep_columns_at_small_radius():
+    """Weights near R^300 overflowed the old rescaling; the inner circle is
+    still determined there, the unit circle leaves no digit."""
+    sym = random_boundary_symbol(Lcg(1), 4)
+    sec = build_toeplitz_hardy(sym, (-160, 160), 0.1)
+    rec = column_zero_recover(sec, -150, -149, 0.1)
+    for n, (got_c, got_c0) in rec.items():
+        assert abs(got_c0 - sym.coeffs_C0.get(n, 0.0)) <= 1e-15
+        assert np.isnan(got_c) or abs(got_c - sym.coeffs_C.get(n, 0.0)) <= 1e-15
+    assert np.isnan(rec[0][0])
+
+
 def test_recover_needs_distinct_columns():
     sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R)
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from annulab.reduction import (
     classify_decay,
     conjugate_basis_coeffs,
     conjugate_reflection_residual,
+    decay_profile_for,
     diagram_residual,
     hankel_compactness_indicator,
     semicommutator_residual_disc,
@@ -36,6 +37,7 @@ from annulab.reduction import (
 from annulab.symbols import (
     ExactCircle,
     ExactSymbol,
+    SampledCircle,
     conjugate_symbol,
     laurent_symbol,
     pullback_symbols,
@@ -314,6 +316,57 @@ def test_indicator_algebraic_symbols_decay():
         assert verdict == DECAY_OBSERVED
         for p in profiles:
             assert all(t == 0 for t in p.tail_indices.values())
+
+
+def full_svd(phi, size):
+    return np.linalg.svd(build_disc_hankel(phi, size).entries, compute_uv=False)
+
+
+def test_live_block_profile_matches_full_svd():
+    """Reach 20 with a gap at -7: sizes below, at and above the reach."""
+    rng = Lcg(5)
+    table = {-n: 3.0 * rng.coefficient() / n for n in range(1, 21) if n != 7}
+    table.update({n: rng.coefficient() for n in range(0, 6)})
+    phi = ExactCircle(table)
+    sizes = (7, 19, 20, 21, 64)
+    profile = decay_profile_for(phi, sizes, "C")
+    for s in sizes:
+        want = full_svd(phi, s)
+        got = np.array(profile.singular_values[s])
+        assert got.shape == (s,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        assert profile.tail_indices[s] == tail_index(want, 0.5)
+    assert max(profile.tail_indices.values()) >= 2
+    assert np.all(np.array(profile.singular_values[64][20:]) == 0.0)
+
+
+def test_empty_table_takes_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    inner = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 256))[1]
+    for phi in (inner, ExactCircle({0: 1.0, 3: 2.0})):
+        profile = decay_profile_for(phi, (16, 64, 128), "C0")
+        for s in profile.sizes:
+            assert profile.singular_values[s] == [0.0] * s
+            assert profile.tail_indices[s] == 0
+    assert calls == []
+
+
+def test_full_reach_profile_is_byte_identical():
+    rng = Lcg(9)
+    values = np.array([rng.coefficient() for _ in range(256)])
+    outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 256))[0]
+    for phi, sizes in ((SampledCircle(values), (16, 40, 63)), (outer, (32, 64, 128))):
+        profile = decay_profile_for(phi, sizes, "C")
+        for s in sizes:
+            want = full_svd(phi, s)
+            assert np.array(profile.singular_values[s]).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
