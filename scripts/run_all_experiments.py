@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run every experiment with its shipped config and summarize exit codes.
 
-Outputs land in ``<outdir>/<experiment name>/``; the script exits nonzero
+Each ``configs/<name>.json`` names its experiment in its ``experiment``
+field; outputs land in ``<outdir>/<name>/``.  The script exits nonzero
 if any run fails, mirroring the per-run exit contract.  The hankel-decay
 config uses the conjugated singular inner reference on purpose: its
 NoDecay verdict is a recorded result, not a failure.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -16,42 +18,27 @@ from annulab.cli import main as lab_main
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE.parent / "configs"
 
-RUNS = [
-    "gram",
-    "toeplitz-build",
-    "hankel-decay",
-    "hankel-decay-smooth",
-    "identities",
-    "mellin",
-    "zero-product-hardy",
-    "zero-product-bergman",
-    "semicommutator",
-]
-
-
-def experiment_of(config_name: str) -> str:
-    # the smooth decay sweep reuses the hankel-decay experiment
-    return "hankel-decay" if config_name.startswith("hankel-decay") else config_name
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="lab-out", help="root output directory")
     args = parser.parse_args()
 
+    configs = sorted(CONFIGS.glob("*.json"))
     failures = []
-    for name in RUNS:
-        config = CONFIGS / f"{name}.json"
+    for config in configs:
+        name = config.stem
+        experiment = json.loads(config.read_text(encoding="utf-8"))["experiment"]
         out = Path(args.outdir) / name
         print(f"== {name} -> {out}")
-        code = lab_main([experiment_of(name), "--config", str(config), "--out", str(out)])
+        code = lab_main([experiment, "--config", str(config), "--out", str(out)])
         if code != 0:
             failures.append((name, code))
     if failures:
         for name, code in failures:
             print(f"FAILED {name} (exit {code})", file=sys.stderr)
         return 1
-    print(f"all {len(RUNS)} runs passed")
+    print(f"all {len(configs)} runs passed")
     return 0
 
 

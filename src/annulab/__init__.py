@@ -11,10 +11,10 @@ from .errors import (
 from .geometry import (
     AnnulusGeometry,
     BoundaryData,
+    basis_weights,
     bergman_norm_const,
     boundary_inner_product,
     gram_matrix,
-    hardy_norm_const,
 )
 from .symbols import (
     ExactCircle,
@@ -32,7 +32,6 @@ from .symbols import (
     pullback_symbols,
     read_symbol,
     sample_symbol,
-    single_band,
     write_symbol,
 )
 from .mellin import (

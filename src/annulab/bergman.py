@@ -22,6 +22,7 @@ from .hardy import (
     VIOLATION,
     TruncatedOperator,
     _coeff_vector,
+    _column_norms,
     _span_residual,
 )
 from .mellin import mellin_transform, mellin_zero_locate
@@ -241,11 +242,10 @@ def zero_product_experiment_bergman(
     if f.is_zero() or g.is_zero():
         # a zero factor settles the conclusion; no nonvanishing top band
         # exists to anchor the ladder, so only the product section is run
-        prod = (
+        norms = _column_norms(
             build_bergman_toeplitz(f, (lo, hi), R).entries
             @ build_bergman_toeplitz(g, (lo, hi), R).entries
         )
-        norms = [float(np.linalg.norm(prod[:, b])) for b in range(prod.shape[1])]
         return BergmanZeroProductReport(
             n0=UNCONSTRAINED,
             n0_effective=lo,
@@ -299,9 +299,7 @@ def zero_product_experiment_bergman(
         raise WindowTooSmallError(
             f"window [{lo},{hi}] has no interior columns at margin {margin}"
         )
-    norms = [
-        float(np.linalg.norm(prod[:, b])) for b in range(bottom, size - margin)
-    ]
+    norms = _column_norms(prod, range(bottom, size - margin))
     report.product_column_norms = norms
     report.min_product_column_norm = min(norms)
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +28,6 @@ from .symbols import (
     constant_symbol,
     pullback_symbols,
     read_symbol,
-)
-
-EXPERIMENTS = (
-    "gram",
-    "toeplitz-build",
-    "hankel-decay",
-    "identities",
-    "mellin",
-    "zero-product-hardy",
-    "zero-product-bergman",
-    "semicommutator",
 )
 
 #: fixed harness constants (documented, not configurable)
@@ -88,79 +77,56 @@ class LabConfig:
         return geometry.AnnulusGeometry(self.R, self.m_circle, self.m_radial)
 
 
-def _want(doc, key, kinds, check=None):
-    if key not in doc:
-        return None
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, kinds):
-        raise ConfigError(f"config field '{key}' has the wrong type")
-    if check is not None and not check(v):
-        raise ConfigError(f"config field '{key}' is out of range")
-    return v
+def _window(w) -> tuple[int, int]:
+    lo, hi = w
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in w) or not lo < hi:
+        raise ConfigError("config field 'window' must be two integers [lo, hi]")
+    return lo, hi
+
+
+def _sizes(v) -> tuple[int, ...]:
+    if any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in v):
+        raise ConfigError("config field 'sizes' must hold positive integers")
+    return tuple(v)
+
+
+#: per ``LabConfig`` field: accepted JSON types (``bool`` never counts as a
+#: number), range check and conversion to the stored value (None: none)
+_FIELDS = {
+    "R": ((int, float), lambda x: 0.0 < x < 1.0, float),
+    "window": (list, lambda w: len(w) == 2, _window),
+    "m_circle": (int, lambda x: x >= 8, None),
+    "m_radial": (int, lambda x: x >= 1, None),
+    "seed": (int, lambda x: x >= 0, None),
+    "tolerance": ((int, float), lambda x: x > 0, float),
+    "experiment": (str, None, None),
+    "symbol": (str, None, None),
+    "symbol2": (str, None, None),
+    "sizes": (list, lambda s: len(s) >= 1, _sizes),
+    "out": (str, None, None),
+}
 
 
 def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabConfig:
-    known = {
-        "R",
-        "window",
-        "m_circle",
-        "m_radial",
-        "seed",
-        "tolerance",
-        "experiment",
-        "symbol",
-        "symbol2",
-        "sizes",
-        "out",
-    }
+    names = [f.name for f in fields(LabConfig)]
     for key in doc:
-        if key not in known:
+        if key not in names:
             raise ConfigError(f"unknown config field '{key}'")
     cfg = LabConfig(experiment=experiment)
-    v = _want(doc, "R", (int, float), lambda x: 0.0 < x < 1.0)
-    if v is not None:
-        cfg.R = float(v)
-    v = _want(doc, "window", list, lambda w: len(w) == 2)
-    if v is not None:
-        lo, hi = v
-        if isinstance(lo, bool) or isinstance(hi, bool) or not (
-            isinstance(lo, int) and isinstance(hi, int) and lo < hi
-        ):
-            raise ConfigError("config field 'window' must be two integers [lo, hi]")
-        cfg.window = (lo, hi)
-    v = _want(doc, "m_circle", int, lambda x: x >= 8)
-    if v is not None:
-        cfg.m_circle = v
-    v = _want(doc, "m_radial", int, lambda x: x >= 1)
-    if v is not None:
-        cfg.m_radial = v
-    v = _want(doc, "seed", int, lambda x: x >= 0)
-    if v is not None:
-        cfg.seed = v
-    v = _want(doc, "tolerance", (int, float), lambda x: x > 0)
-    if v is not None:
-        cfg.tolerance = float(v)
-    v = _want(doc, "experiment", str)
-    if v is not None:
-        if v != experiment:
+    for key in names:
+        if key not in doc:
+            continue
+        kinds, in_range, convert = _FIELDS[key]
+        v = doc[key]
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ConfigError(f"config field '{key}' has the wrong type")
+        if in_range is not None and not in_range(v):
+            raise ConfigError(f"config field '{key}' is out of range")
+        if key == "experiment" and v != experiment:
             raise ConfigError(
                 f"config field 'experiment' ({v!r}) disagrees with the subcommand"
             )
-    v = _want(doc, "symbol", str)
-    if v is not None:
-        cfg.symbol = v
-    v = _want(doc, "symbol2", str)
-    if v is not None:
-        cfg.symbol2 = v
-    v = _want(doc, "sizes", list, lambda s: len(s) >= 1)
-    if v is not None:
-        for s in v:
-            if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-                raise ConfigError("config field 'sizes' must hold positive integers")
-        cfg.sizes = tuple(v)
-    v = _want(doc, "out", str)
-    if v is not None:
-        cfg.out = v
+        setattr(cfg, key, v if convert is None else convert(v))
     if out_override is not None:
         cfg.out = out_override
     cfg.geometry()  # validates R / m_circle / m_radial jointly
@@ -348,17 +314,43 @@ def _run_mellin(cfg: LabConfig, outdir: Path):
     return rows, [], {}
 
 
-def _harness_rows(check: str, reports, tolerance: float):
-    rows = []
-    worst_ladder = 0.0
-    smallest_norm = float("inf")
-    for t, rep in enumerate(reports):
+#: per harness: the probe, then the seeded draws of ``f`` and ``g``
+_HARNESSES = {
+    "zero-product-hardy": (
+        hardy.zero_product_experiment_hardy,
+        lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
+        lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
+    ),
+    "zero-product-bergman": (
+        bergman.zero_product_experiment_bergman,
+        lambda rng: randgen.random_polar_symbol(rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE),
+        lambda rng: randgen.random_polar_symbol(
+            rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE, monomial_top=True
+        ),
+    ),
+}
+
+
+def _run_zero_product(cfg: LabConfig, outdir: Path):
+    probe, draw_f, draw_g = _HARNESSES[cfg.experiment]
+    check, tol = cfg.experiment, cfg.tolerance
+    rng = randgen.Lcg(cfg.seed)
+    rows, verdicts = [], []
+    worst_ladder, smallest_norm = 0.0, float("inf")
+    for t in range(TRIALS):
+        f = draw_f(rng)
+        g = draw_g(rng)
+        rep = probe(
+            f, g, cfg.window, cfg.R,
+            ladder_length=LADDER_LENGTH,
+            zero_divisor_floor=ZERO_DIVISOR_FLOOR,
+        )
         lad = max(rep.ladder_residuals)
         worst_ladder = max(worst_ladder, lad)
         smallest_norm = min(smallest_norm, rep.min_product_column_norm)
+        verdicts.append(rep.verdict)
         rows.append(
-            report.residual_check(check, f"trial{t:02d}_max_ladder_residual", lad,
-                                  tolerance)
+            report.residual_check(check, f"trial{t:02d}_max_ladder_residual", lad, tol)
         )
         rows.append(
             report.floor_check(
@@ -366,56 +358,13 @@ def _harness_rows(check: str, reports, tolerance: float):
                 rep.min_product_column_norm, ZERO_DIVISOR_FLOOR,
             )
         )
-    rows.append(
-        report.residual_check(check, "worst_ladder_residual", worst_ladder, tolerance)
-    )
+    rows.append(report.residual_check(check, "worst_ladder_residual", worst_ladder, tol))
     rows.append(
         report.floor_check(
             check, "smallest_product_column_norm", smallest_norm, ZERO_DIVISOR_FLOOR
         )
     )
-    return rows
-
-
-def _run_zero_product_hardy(cfg: LabConfig, outdir: Path):
-    rng = randgen.Lcg(cfg.seed)
-    reports = []
-    for _ in range(TRIALS):
-        f = randgen.random_boundary_symbol(rng, TRIAL_REACH)
-        g = randgen.random_boundary_symbol(rng, TRIAL_REACH)
-        reports.append(
-            hardy.zero_product_experiment_hardy(
-                f, g, cfg.window, cfg.R,
-                ladder_length=LADDER_LENGTH,
-                zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-            )
-        )
-    rows = _harness_rows("zero-product-hardy", reports, cfg.tolerance)
-    extra = {"verdicts": [rep.verdict for rep in reports]}
-    return rows, [], extra
-
-
-def _run_zero_product_bergman(cfg: LabConfig, outdir: Path):
-    rng = randgen.Lcg(cfg.seed)
-    reports = []
-    for _ in range(TRIALS):
-        f = randgen.random_polar_symbol(
-            rng, TRIAL_BANDS[0], TRIAL_BANDS[1], TRIAL_PROFILE_DEGREE
-        )
-        g = randgen.random_polar_symbol(
-            rng, TRIAL_BANDS[0], TRIAL_BANDS[1], TRIAL_PROFILE_DEGREE,
-            monomial_top=True,
-        )
-        reports.append(
-            bergman.zero_product_experiment_bergman(
-                f, g, cfg.window, cfg.R,
-                ladder_length=LADDER_LENGTH,
-                zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-            )
-        )
-    rows = _harness_rows("zero-product-bergman", reports, cfg.tolerance)
-    extra = {"verdicts": [rep.verdict for rep in reports]}
-    return rows, [], extra
+    return rows, [], {"verdicts": verdicts}
 
 
 def _run_semicommutator(cfg: LabConfig, outdir: Path):
@@ -453,10 +402,11 @@ _RUNNERS = {
     "hankel-decay": _run_hankel_decay,
     "identities": _run_identities,
     "mellin": _run_mellin,
-    "zero-product-hardy": _run_zero_product_hardy,
-    "zero-product-bergman": _run_zero_product_bergman,
+    "zero-product-hardy": _run_zero_product,
+    "zero-product-bergman": _run_zero_product,
     "semicommutator": _run_semicommutator,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 @dataclass

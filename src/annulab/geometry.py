@@ -74,11 +74,6 @@ class BoundaryData(NamedTuple):
     on_C0: np.ndarray
 
 
-def circle_average(values: np.ndarray) -> complex:
-    """Trapezoid average over one full circle (exact for band-limited data)."""
-    return complex(np.mean(values))
-
-
 def boundary_inner_product(f: BoundaryData, g: BoundaryData, geo: AnnulusGeometry) -> complex:
     """Inner product on the two-circle boundary.
 
@@ -97,12 +92,35 @@ def boundary_inner_product(f: BoundaryData, g: BoundaryData, geo: AnnulusGeometr
     return complex(top + bottom)
 
 
-def hardy_norm_const(n: int, R: float) -> float:
-    """Normalizer ``sqrt(1 + R^(2n))`` so that ``z^n / const`` has unit norm."""
-    return float(np.sqrt(1.0 + R ** (2 * n)))
+def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``B = 1/sqrt(1 + R^(2n))`` and ``A = R^n B`` at the integer
+    ``n`` (scalar or array): the n-th power basis function is ``B exp(i n t)``
+    on the unit circle and ``A exp(i n t)`` on the inner one.
+
+    Only ``R^|n|`` is raised, so both weights lie in [0, 1] at every index
+    (``R^(2n)`` leaves the float range at R = 0.1, n = -155).  No other
+    module computes this normalization; the basis definition it encodes is
+    certified separately by the orthonormality check (``gram``, criterion 01).
+    """
+    n = np.asarray(n)
+    # an array power even for one index: numpy's scalar power can round
+    # differently, and a row must not depend on how it was asked for
+    p = (R ** np.abs(np.atleast_1d(n)).astype(float)).reshape(n.shape)
+    s = np.sqrt(1.0 + p * p)
+    return np.where(n < 0, p, 1.0) / s, np.where(n < 0, 1.0, p) / s
 
 
-def hardy_basis_eval(n: int, component: str, angles: np.ndarray, R: float) -> np.ndarray:
+def _on_circle(n, component: str, angles, on_C, on_C0) -> np.ndarray:
+    """``exp(i n t)`` times the weight of ``component``; an array ``n``
+    gives one row per degree."""
+    if component not in COMPONENTS:
+        raise ValueError(f"unknown boundary component {component!r}")
+    n, t = np.asarray(n), np.asarray(angles, dtype=float)
+    w = np.reshape(on_C if component == "C" else on_C0, n.shape + (1,) * t.ndim)
+    return np.exp(1j * np.multiply.outer(n, t)) * w
+
+
+def hardy_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndarray:
     """Evaluate the n-th normalized power basis function on one boundary circle.
 
     The function is ``z^n / sqrt(1 + R^(2n))``; on the inner circle the
@@ -110,8 +128,8 @@ def hardy_basis_eval(n: int, component: str, angles: np.ndarray, R: float) -> np
 
     Parameters
     ----------
-    n : int
-        Fourier degree (any integer).
+    n : int or ndarray of int
+        Fourier degree (any integer); an array gives one row per degree.
     component : str
         ``"C"`` for the unit circle or ``"C0"`` for the inner circle.
     angles : ndarray
@@ -119,46 +137,21 @@ def hardy_basis_eval(n: int, component: str, angles: np.ndarray, R: float) -> np
     R : float
         Inner radius.
     """
-    c = hardy_norm_const(n, R)
-    phase = np.exp(1j * n * np.asarray(angles, dtype=float))
-    if component == "C":
-        return phase / c
-    if component == "C0":
-        return (R**n) * phase / c
-    raise ValueError(f"unknown boundary component {component!r}")
+    B, A = basis_weights(n, R)
+    return _on_circle(n, component, angles, B, A)
 
 
-def complement_basis_eval(n: int, component: str, angles: np.ndarray, R: float) -> np.ndarray:
+def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndarray:
     """Evaluate the n-th basis function of the orthogonal complement.
 
     On the unit circle this is ``R^n z^n / sqrt(1 + R^(2n))``; on the inner
     circle it is ``-z^n / (R^n sqrt(1 + R^(2n)))``, where ``z^n`` carries
-    the factor ``R^n`` from ``z = R exp(it)``, leaving a bare phase.
-    Together with the functions from :func:`hardy_basis_eval` these form an
-    orthonormal basis of boundary L2.
+    the factor ``R^n`` from ``z = R exp(it)``, leaving a bare phase: the
+    weights are ``A`` and ``-B``.  Together with the functions from
+    :func:`hardy_basis_eval` these form an orthonormal basis of boundary L2.
     """
-    c = hardy_norm_const(n, R)
-    phase = np.exp(1j * n * np.asarray(angles, dtype=float))
-    if component == "C":
-        return (R**n) * phase / c
-    if component == "C0":
-        return -phase / c
-    raise ValueError(f"unknown boundary component {component!r}")
-
-
-def hardy_basis_data(n: int, geo: AnnulusGeometry) -> BoundaryData:
-    t = geo.angles()
-    return BoundaryData(
-        hardy_basis_eval(n, "C", t, geo.R), hardy_basis_eval(n, "C0", t, geo.R)
-    )
-
-
-def complement_basis_data(n: int, geo: AnnulusGeometry) -> BoundaryData:
-    t = geo.angles()
-    return BoundaryData(
-        complement_basis_eval(n, "C", t, geo.R),
-        complement_basis_eval(n, "C0", t, geo.R),
-    )
+    B, A = basis_weights(n, R)
+    return _on_circle(n, component, angles, A, -B)
 
 
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
@@ -176,13 +169,13 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
             f"half_window {W} too large for m_circle={geo.m_circle}; need <= m_circle/4"
         )
     t = geo.angles()
-    ns = range(-W, W + 1)
-    rows_C = [hardy_basis_eval(n, "C", t, geo.R) for n in ns]
-    rows_C += [complement_basis_eval(n, "C", t, geo.R) for n in ns]
-    rows_C0 = [hardy_basis_eval(n, "C0", t, geo.R) for n in ns]
-    rows_C0 += [complement_basis_eval(n, "C0", t, geo.R) for n in ns]
-    A = np.asarray(rows_C)
-    B = np.asarray(rows_C0)
+    ns = np.arange(-W, W + 1)
+    A = np.concatenate(
+        (hardy_basis_eval(ns, "C", t, geo.R), complement_basis_eval(ns, "C", t, geo.R))
+    )
+    B = np.concatenate(
+        (hardy_basis_eval(ns, "C0", t, geo.R), complement_basis_eval(ns, "C0", t, geo.R))
+    )
     return (A @ A.conj().T + B @ B.conj().T) / geo.m_circle
 
 

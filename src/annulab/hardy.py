@@ -15,6 +15,7 @@ import numpy as np
 from .errors import WindowTooSmallError
 from .geometry import (
     AnnulusGeometry,
+    basis_weights,
     complement_basis_eval,
     hardy_basis_eval,
 )
@@ -64,21 +65,6 @@ class TruncatedOperator:
         return complex(self.entries[self.row_index(j), self.col_index(k)])
 
 
-def compose(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """Matrix product of two sections sharing the middle window."""
-    if a.col_window != b.row_window or a.col_basis != b.row_basis:
-        raise ValueError("sections are not composable: middle windows differ")
-    return TruncatedOperator(
-        a.entries @ b.entries, a.row_window, b.col_window, a.row_basis, b.col_basis
-    )
-
-
-def adjoint(a: TruncatedOperator) -> TruncatedOperator:
-    return TruncatedOperator(
-        a.entries.conj().T, a.col_window, a.row_window, a.col_basis, a.row_basis
-    )
-
-
 def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -100,21 +86,12 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     return (win if hankel else win[::-1]).copy()
 
 
-def _bounded_weights(idx, R: float):
-    """Weights ``B = 1/norm_j`` and ``A = R^j/norm_j`` at the indices ``idx``."""
-    idx = np.asarray(idx)
-    # only R^|j| is raised, so both weights stay in [0, 1]
-    p = R ** np.abs(idx).astype(float)
-    s = np.sqrt(1.0 + p * p)
-    return np.where(idx < 0, p, 1.0) / s, np.where(idx < 0, 1.0, p) / s
-
-
 def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
-    """Window, weights ``B`` and ``A`` of :func:`_bounded_weights`, and both
+    """Window, weights ``B`` and ``A`` of :func:`basis_weights`, and both
     circles' coefficients, one ``fourier_pair`` call per offset from
     ``hi - lo`` down to ``lo - hi`` (columns: unit circle, inner circle)."""
     lo, hi = _check_window(window)
-    B, A = _bounded_weights(np.arange(lo, hi + 1), R)
+    B, A = basis_weights(np.arange(lo, hi + 1), R)
     pairs = [fourier_pair(f, off) for off in range(hi - lo, lo - hi - 1, -1)]
     return (lo, hi), B, A, np.array(pairs, dtype=complex)
 
@@ -127,10 +104,8 @@ def build_toeplitz_hardy(
     The entry is ``(fhat_C(j-k) + R^(j+k) fhat_C0(j-k)) / (norm_j norm_k)``
     with ``norm_j = sqrt(1 + R^(2j))``.  It is formed as
     ``T = B Toep(fhat_C) B + A Toep(fhat_C0) A`` with the diagonal weights
-    ``B = 1/norm_j`` and ``A = R^j/norm_j``: for ``j >= 0`` these are
-    ``b_j`` and ``a_j``, for ``j < 0`` they are ``a_|j|`` and ``b_|j|``,
-    where ``a_j = R^j / sqrt(1 + R^(2j))`` and ``b_j = 1 / sqrt(1 + R^(2j))``.
-    Each weight lies in [0, 1].  Raising ``R^(j+k)`` and ``norm_j``
+    ``B = 1/norm_j`` and ``A = R^j/norm_j`` of :func:`basis_weights`,
+    each in [0, 1].  Raising ``R^(j+k)`` and ``norm_j``
     directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
@@ -163,15 +138,6 @@ def build_hankel_annulus(
 # quadrature-assembled sections (independent oracle route)
 
 
-def _basis_matrices(geo: AnnulusGeometry, window: tuple[int, int], family: str):
-    lo, hi = window
-    t = geo.angles()
-    ev = hardy_basis_eval if family == "hardy" else complement_basis_eval
-    E_C = np.asarray([ev(n, "C", t, geo.R) for n in range(lo, hi + 1)])
-    E_C0 = np.asarray([ev(n, "C0", t, geo.R) for n in range(lo, hi + 1)])
-    return E_C, E_C0
-
-
 def build_section_quadrature(
     f: BoundarySymbol,
     window: tuple[int, int],
@@ -186,11 +152,15 @@ def build_section_quadrature(
     """
     lo, hi = _check_window(window)
     fv = sample_symbol(f, geo)
-    E_C, E_C0 = _basis_matrices(geo, window, "hardy")
-    R_C, R_C0 = _basis_matrices(geo, window, row_family)
-    top = (R_C.conj() * fv.on_C) @ E_C.T / geo.m_circle
-    bot = (R_C0.conj() * fv.on_C0) @ E_C0.T / geo.m_circle
-    return TruncatedOperator(top + bot, (lo, hi), (lo, hi), row_family, "hardy")
+    ns, t = np.arange(lo, hi + 1), geo.angles()
+    rows = hardy_basis_eval if row_family == "hardy" else complement_basis_eval
+
+    def circle(comp: str, values: np.ndarray) -> np.ndarray:
+        cols = hardy_basis_eval(ns, comp, t, geo.R)
+        return (rows(ns, comp, t, geo.R).conj() * values) @ cols.T / geo.m_circle
+
+    ent = circle("C", fv.on_C) + circle("C0", fv.on_C0)
+    return TruncatedOperator(ent, (lo, hi), (lo, hi), row_family, "hardy")
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +172,18 @@ def apply_multiplier_coeffs(f: ExactSymbol, n: int, R: float) -> dict[int, compl
 
     Returns the finitely supported map ``n + k -> coefficient`` given by
     ``(fhat_C(k) + R^(2n+k) fhat_C0(k)) / (1 + R^(2(n+k)))``.  This is the
-    exact action in monomial coordinates; no window is involved.
+    exact action in monomial coordinates; no window is involved.  When
+    ``n + k < 0`` both parts are multiplied by ``R^(-2(n+k)) <= 1``, so the
+    quotient is formed without raising ``R^(2(n+k))`` past the float range.
     """
     out: dict[int, complex] = {}
     for k in f.support():
         fC, fC0 = f.pair(k)
-        c = (fC + R ** (2 * n + k) * fC0) / (1.0 + R ** (2 * (n + k)))
+        if n + k >= 0:
+            c = (fC + R ** (2 * n + k) * fC0) / (1.0 + R ** (2 * (n + k)))
+        else:
+            w = R ** (-2 * (n + k))
+            c = (w * fC + R ** (-k) * fC0) / (w + 1.0)
         if c != 0.0:
             out[n + k] = out.get(n + k, 0.0) + c
     return out
@@ -263,8 +239,8 @@ def column_zero_recover(
     ns = np.arange(lo - r, hi - s + 1)
     rows = []
     for c in (r, s):
-        Bm, Am = _bounded_weights(c + ns, R)
-        Bc, Ac = _bounded_weights(c, R)
+        Bm, Am = basis_weights(c + ns, R)
+        Bc, Ac = basis_weights(c, R)
         vals = section.entries[c + ns - lo, section.col_index(c)]
         rows.append(vals / np.maximum(Bm * Bc, Am * Ac))
     x1, x2 = 2 * r + ns, 2 * s + ns
@@ -321,6 +297,13 @@ def semicommutator_residual_annulus(
     product symbol equals the product of sections plus the adjoint-Hankel
     times Hankel correction.  Returns ``(residual, margin)``.
     """
+    return _semicommutator_terms(phi, psi, window, R)[:2]
+
+
+def _semicommutator_terms(
+    phi: ExactSymbol, psi: ExactSymbol, window: tuple[int, int], R: float
+):
+    """Residual, margin and the product of sections ``T_phi T_psi``."""
     lo, hi = _check_window(window)
     margin = phi.bandwidth() + psi.bandwidth()
     if hi - lo + 1 <= 2 * margin:
@@ -333,10 +316,10 @@ def semicommutator_residual_annulus(
     t_psi = build_toeplitz_hardy(psi, window, R)
     h_phibar = build_hankel_annulus(conjugate_symbol(phi), window, R)
     h_psi = build_hankel_annulus(psi, window, R)
-    combined = t_phi.entries @ t_psi.entries + h_phibar.entries.conj().T @ h_psi.entries
-    delta = t_prod.entries - combined
+    prod = t_phi.entries @ t_psi.entries
+    delta = t_prod.entries - (prod + h_phibar.entries.conj().T @ h_psi.entries)
     sl = slice(margin, hi - lo + 1 - margin)
-    return float(np.max(np.abs(delta[sl, sl]))), margin
+    return float(np.max(np.abs(delta[sl, sl]))), margin, prod
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +360,13 @@ def _coeff_vector(vec: dict[int, complex], window: tuple[int, int]) -> np.ndarra
         if lo <= n <= hi:
             out[n - lo] = c
     return out
+
+
+def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
+    """Norms of the columns ``cols`` (all by default) of a product section,
+    one ``np.linalg.norm`` per column."""
+    cols = range(prod.shape[1]) if cols is None else cols
+    return [float(np.linalg.norm(prod[:, b])) for b in cols]
 
 
 def _span_residual(target: np.ndarray, columns: list[np.ndarray]) -> float:
@@ -422,10 +412,10 @@ def zero_product_experiment_hardy(
     if f.is_zero() or g.is_zero():
         # a zero factor satisfies the dichotomy outright; no ladder exists
         # because the nonvanishing hypothesis has no top degree to anchor to
-        t_f = build_toeplitz_hardy(f, window, R)
-        t_g = build_toeplitz_hardy(g, window, R)
-        prod = t_f.entries @ t_g.entries
-        norms = [float(np.linalg.norm(prod[:, b])) for b in range(prod.shape[1])]
+        norms = _column_norms(
+            build_toeplitz_hardy(f, window, R).entries
+            @ build_toeplitz_hardy(g, window, R).entries
+        )
         return HardyZeroProductReport(
             n0=UNCONSTRAINED,
             n0_effective=lo,
@@ -468,18 +458,15 @@ def zero_product_experiment_hardy(
         ladder.append(_span_residual(target, base_cols + product_cols))
         restricted.append(_span_residual(target, base_cols))
 
-    t_f = build_toeplitz_hardy(f, win, R)
-    t_g = build_toeplitz_hardy(g, win, R)
     margin = f.bandwidth() + g.bandwidth()
     if hi - lo + 1 <= 2 * margin:
         raise WindowTooSmallError(
             f"window [{lo}, {hi}] cannot hold interior margin {margin}"
         )
-    prod = t_f.entries @ t_g.entries
-    norms = [
-        float(np.linalg.norm(prod[:, b]))
-        for b in range(margin, hi - lo + 1 - margin)
-    ]
+    norms = _column_norms(
+        build_toeplitz_hardy(f, win, R).entries @ build_toeplitz_hardy(g, win, R).entries,
+        range(margin, hi - lo + 1 - margin),
+    )
 
     sup_f = f.support()
     report = HardyZeroProductReport(

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AnnulusGeometry, complement_basis_eval, hardy_basis_eval
+from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
 from .hardy import CONSISTENT, VIOLATION, TruncatedOperator, _gather, build_toeplitz_hardy
-from .hardy import semicommutator_residual_annulus
+from .hardy import _column_norms, _semicommutator_terms
 from .symbols import (
     BoundarySymbol,
     CircleSymbol,
@@ -246,26 +246,20 @@ def split_relation_residual(
     res1 = 0.0
     res2 = 0.0
     js = np.arange(1, J + 1)
-    norm_j = np.sqrt(1.0 + R ** (2.0 * js))
-    alpha = np.array([conjugate_basis_coeffs(-j, R)[0] for j in js])
-    beta = np.array([conjugate_basis_coeffs(-j, R)[1] for j in js])
+    B, _ = basis_weights(js, R)
+    alpha, beta = np.array([conjugate_basis_coeffs(-j, R) for j in js]).T
     tvals = np.array([t_diag(-j, R) for j in js])
     for k in range(size):
         u = vals * np.exp(-1j * k * t)
         c = np.array([np.mean(u * np.exp(-1j * j * t)) for j in js])
         y2 = np.exp(1j * np.outer(t, js)) @ c
         # complement-family coordinates of the anti-holomorphic part, quadrature route
-        lhs = np.array(
-            [-np.mean(y2 * np.exp(-1j * j * t)) / nj for j, nj in zip(js, norm_j)]
-        )
-        rhs = np.array(
-            [-fourier_pair(phi, k + j)[1] / nj for j, nj in zip(js, norm_j)]
-        )
+        proj = np.array([np.mean(y2 * np.exp(-1j * j * t)) for j in js])
+        lhs = -proj * B
+        rhs = -np.array([fourier_pair(phi, k + j)[1] for j in js]) * B
         res1 = max(res1, float(np.max(np.abs(lhs - rhs))))
         # conjugate-basis expansion: holomorphic side vs transfer of complement side
-        gamma = (1.0 / np.sqrt(1.0 + R ** (2.0 * js))) * np.array(
-            [np.mean(y2 * np.exp(-1j * j * t)) for j in js]
-        )
+        gamma = B * proj
         res2 = max(res2, float(np.max(np.abs(gamma * alpha - tvals * (gamma * beta)))))
     return res1, res2
 
@@ -421,12 +415,10 @@ def zero_product_experiment_reduced(
     if phi.is_zero() or psi.is_zero():
         # with a zero factor the conclusion holds trivially and there is
         # no compactness hypothesis left to check
-        lo, hi = window
-        prod = (
+        norms = _column_norms(
             build_toeplitz_hardy(phi, window, R).entries
             @ build_toeplitz_hardy(psi, window, R).entries
         )
-        norms = [float(np.linalg.norm(prod[:, b])) for b in range(prod.shape[1])]
         return ReducedZeroProductReport(
             indicator_psi=None,
             indicator_phibar=None,
@@ -444,15 +436,9 @@ def zero_product_experiment_reduced(
             "decay precondition failed: neither the second symbol nor the "
             "conjugated first symbol shows a compact complement side"
         )
-    residual, margin = semicommutator_residual_annulus(phi, psi, window, R)
+    residual, margin, prod = _semicommutator_terms(phi, psi, window, R)
     lo, hi = window
-    prod = (
-        build_toeplitz_hardy(phi, window, R).entries
-        @ build_toeplitz_hardy(psi, window, R).entries
-    )
-    norms = [
-        float(np.linalg.norm(prod[:, b])) for b in range(margin, hi - lo + 1 - margin)
-    ]
+    norms = _column_norms(prod, range(margin, hi - lo + 1 - margin))
     report = ReducedZeroProductReport(
         indicator_psi=verdict_psi,
         indicator_phibar=verdict_phibar,

@@ -178,9 +178,6 @@ class ExactCircle:
     def bandwidth(self) -> int:
         return max((abs(n) for n, c in self.coeffs.items() if c != 0.0), default=0)
 
-    def sample(self, m: int) -> np.ndarray:
-        return _synthesize(self.coeffs, m)
-
 
 @dataclass(frozen=True)
 class SampledCircle:
@@ -190,11 +187,6 @@ class SampledCircle:
 
     def hat(self, n: int) -> complex:
         return _analyze(self.values, n)
-
-    def sample(self, m: int) -> np.ndarray:
-        if len(self.values) != m:
-            raise GridMismatchError(f"have {len(self.values)} samples, want {m}")
-        return np.asarray(self.values)
 
 
 CircleSymbol = ExactCircle | SampledCircle
@@ -248,21 +240,12 @@ class PolyProfile:
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs.values())
 
-    def degree(self) -> int:
-        live = [m for m, c in self.coeffs.items() if c != 0.0]
-        if not live:
-            raise ValueError("zero profile has no degree")
-        return max(live)
-
     def eval(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r, dtype=complex)
         for m, c in self.coeffs.items():
             out += c * r ** float(m)
         return out
-
-    def is_monomial(self) -> bool:
-        return len([c for c in self.coeffs.values() if c != 0.0]) == 1
 
 
 @dataclass(frozen=True)
@@ -308,10 +291,6 @@ class PolarSymbol:
     def neg_reach(self) -> int:
         lb = self.live_bands()
         return max(0, -lb[0]) if lb else 0
-
-
-def single_band(k: int, profile: RadialProfile) -> PolarSymbol:
-    return PolarSymbol({k: profile})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import annulab
-from annulab.cli import _resolve_boundary, load_config, main, run
+from annulab.cli import ConfigError, LabConfig, _resolve_boundary, load_config, main, run
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.report import read_decay_csv
 from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
@@ -57,6 +58,27 @@ def test_zero_product_hardy_runs_clean(tmp_path):
 
 def test_zero_product_bergman_runs_clean(tmp_path):
     code, _ = run_lab(tmp_path, "zero-product-bergman", {"R": 0.5, "seed": 1})
+    assert code == 0
+
+
+@pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])
+def test_small_radius_wide_window_runs_clean(tmp_path, capsys, experiment):
+    """At R = 0.1 on [-160, 160] the basis norms sqrt(1 + R^(2n)) leave the
+    float range; the bounded weights keep every row finite."""
+    doc = {"R": 0.1, "window": [-160, 160], "m_circle": 1024}
+    code, _ = run_lab(tmp_path, experiment, doc)
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("note")]
+    assert code == 0
+    assert lines and all(ln.startswith("PASS ") for ln in lines)
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_config_runs_clean(tmp_path, config):
+    experiment = json.loads(config.read_text())["experiment"]
+    code = main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 0
 
 
@@ -182,6 +204,45 @@ def test_bad_window_exits_2(tmp_path):
     assert code == 2
     code, _ = run_lab(tmp_path, "gram", {"R": 0.5, "window": [0.5, 2]})
     assert code == 2
+
+
+def _field_cases():
+    """(field, value, message) for a wrong type, an out-of-range value and
+    ``True`` in every config field."""
+    wrong_type = "config field '{}' has the wrong type"
+    out_of_range = "config field '{}' is out of range"
+    window = "config field 'window' must be two integers [lo, hi]"
+    sizes = "config field 'sizes' must hold positive integers"
+    cases = [
+        ("R", "0.5", wrong_type), ("R", 1.5, out_of_range), ("R", 0, out_of_range),
+        ("window", "[-3, 3]", wrong_type), ("window", [1, 2, 3], out_of_range),
+        ("window", [3, 1], window), ("window", [0.5, 2], window),
+        ("window", [True, 2], window),
+        ("m_circle", 512.0, wrong_type), ("m_circle", 4, out_of_range),
+        ("m_circle", 100, "m_circle must be a power of two >= 8, got 100"),
+        ("m_radial", "64", wrong_type), ("m_radial", 0, out_of_range),
+        ("seed", 1.5, wrong_type), ("seed", -1, out_of_range),
+        ("tolerance", "1e-10", wrong_type), ("tolerance", 0.0, out_of_range),
+        ("experiment", 3, wrong_type),
+        ("experiment", "mellin",
+         "config field 'experiment' ('mellin') disagrees with the subcommand"),
+        ("symbol", 3, wrong_type), ("symbol2", [], wrong_type),
+        ("sizes", 64, wrong_type), ("sizes", [], out_of_range), ("sizes", [0], sizes),
+        ("sizes", [64, True], sizes),
+        ("out", 1, wrong_type),
+    ]
+    cases += [(f.name, True, wrong_type) for f in fields(LabConfig)]
+    return [(f, v, msg.format(f)) for f, v, msg in cases]
+
+
+@pytest.mark.parametrize("field, value, message", _field_cases())
+def test_bad_config_field_names_the_field(tmp_path, field, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg, "gram")
+    assert str(exc.value) == message
+    assert field in message
 
 
 def test_bad_json_exits_2(tmp_path, capsys):

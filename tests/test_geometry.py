@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,19 +9,21 @@ from annulab.errors import GridMismatchError
 from annulab.geometry import (
     AnnulusGeometry,
     BoundaryData,
+    basis_weights,
     bergman_monomial_norm_quadrature,
     bergman_norm_const,
     boundary_inner_product,
-    circle_average,
-    complement_basis_data,
     complement_basis_eval,
     gram_matrix,
-    hardy_basis_data,
     hardy_basis_eval,
-    hardy_norm_const,
 )
 
 R = 0.5
+
+
+def boundary(ev, n, geo):
+    t = geo.angles()
+    return BoundaryData(ev(n, "C", t, geo.R), ev(n, "C0", t, geo.R))
 
 
 def test_geometry_validation():
@@ -68,14 +71,14 @@ def test_gram_window_guard(small_geo):
 
 def test_cross_family_orthogonality(small_geo):
     for n in (-5, 0, 3):
-        fn = complement_basis_data(n, small_geo)
+        fn = boundary(complement_basis_eval, n, small_geo)
         for m in (-5, 0, 3):
-            em = hardy_basis_data(m, small_geo)
+            em = boundary(hardy_basis_eval, m, small_geo)
             assert abs(boundary_inner_product(fn, em, small_geo)) <= 1e-12
 
 
 def test_inner_product_normalization(geo):
-    e0 = hardy_basis_data(0, geo)
+    e0 = boundary(hardy_basis_eval, 0, geo)
     assert boundary_inner_product(e0, e0, geo) == pytest.approx(1.0)
 
 
@@ -87,17 +90,17 @@ def test_inner_product_outer_circle_mass(geo):
 
 
 def test_inner_product_grid_mismatch(geo, small_geo):
-    f = hardy_basis_data(0, geo)
+    f = boundary(hardy_basis_eval, 0, geo)
     with pytest.raises(GridMismatchError):
-        boundary_inner_product(f, hardy_basis_data(0, small_geo), geo)
+        boundary_inner_product(f, boundary(hardy_basis_eval, 0, small_geo), geo)
 
 
 def test_trapezoid_exact_on_trig_polynomials():
     geo = AnnulusGeometry(m_circle=16)
     th = geo.angles()
     for k in range(1, 8):
-        assert abs(circle_average(np.exp(1j * k * th))) <= 1e-15
-    assert circle_average(np.exp(0j * th)) == pytest.approx(1.0)
+        assert abs(np.mean(np.exp(1j * k * th))) <= 1e-15
+    assert np.mean(np.exp(0j * th)) == pytest.approx(1.0)
 
 
 def test_bergman_norm_log_case():
@@ -124,5 +127,33 @@ def test_norm_constant_square_identity(n, r):
 
 
 @given(st.integers(min_value=-40, max_value=40))
-def test_hardy_norm_const_even(n):
-    assert hardy_norm_const(n, R) == pytest.approx(math.sqrt(1 + R ** (2 * n)))
+def test_basis_weight_is_the_hardy_norm(n):
+    B, A = basis_weights(n, R)
+    assert 1.0 / B == pytest.approx(math.sqrt(1 + R ** (2 * n)))
+    assert A / B == pytest.approx(R**n)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [0, 1, -1, 154, -154, 155, -155, 600, -600, 2000, -2000])
+def test_basis_weights_match_high_precision(n, r):
+    B, A = basis_weights(n, r)
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(50):
+        rr = mpmath.mpf(r)
+        norm = mpmath.sqrt(1 + rr ** (2 * n))
+        for got, want in ((B, 1 / norm), (A, rr**n / norm)):
+            assert np.isfinite(got) and 0.0 <= got <= 1.0
+            err = abs(mpmath.mpf(float(got)) - want)
+            # below the normal range only an absolute bound is representable
+            assert err <= 1e-15 * want if want >= tiny else err <= tiny
+
+
+@pytest.mark.parametrize("ev", [hardy_basis_eval, complement_basis_eval])
+@pytest.mark.parametrize("comp", ["C", "C0"])
+def test_array_degrees_give_the_scalar_rows(ev, comp, small_geo):
+    ns = np.arange(-170, 171, 17)
+    t = small_geo.angles()
+    table = ev(ns, comp, t, 0.1)
+    assert table.shape == (len(ns), len(t))
+    for row, n in zip(table, ns):
+        assert np.array_equal(row, ev(int(n), comp, t, 0.1))

@@ -25,6 +25,7 @@ from annulab.symbols import (
     SampledCircle,
     SampledProfile,
     pullback_symbols,
+    sample_symbol,
 )
 
 SIZES = (1, 2, 7, 64)
@@ -67,7 +68,8 @@ def same_bytes(a, b):
 def circles():
     sym = random_boundary_symbol(Lcg(21), 40)
     exact = pullback_symbols(sym)[0]
-    return {"exact": exact, "sampled": SampledCircle(exact.sample(256))}
+    on_C = sample_symbol(sym, AnnulusGeometry(m_circle=256)).on_C
+    return {"exact": exact, "sampled": SampledCircle(on_C)}
 
 
 # ---------------------------------------------------------------------------

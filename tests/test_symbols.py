@@ -20,7 +20,6 @@ from annulab.symbols import (
     pullback_symbols,
     read_symbol,
     sample_symbol,
-    single_band,
     symbol_from_json,
     write_symbol,
 )
@@ -141,7 +140,7 @@ def test_polar_symbol_bands():
     assert pol.top_band() == 2
     assert pol.bandwidth() == 2
     assert pol.neg_reach() == 1
-    assert single_band(3, PolyProfile({0: 1.0})).live_bands() == [3]
+    assert PolarSymbol({3: PolyProfile({0: 1.0})}).live_bands() == [3]
 
 
 def test_boundary_json_roundtrip(tmp_path):
