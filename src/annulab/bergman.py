@@ -26,7 +26,7 @@ from .hardy import (
     _span_residual,
 )
 from .mellin import mellin_transform, mellin_zero_locate
-from .symbols import PolarSymbol, PolyProfile, RadialProfile
+from .symbols import PolarSymbol, PolyProfile, RadialProfile, _analyze
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,6 @@ def build_bergman_toeplitz(
 # quadrature oracle on the two-dimensional grid
 
 
-def bergman_inner_product_quadrature(u, v, geo: AnnulusGeometry) -> complex:
-    """Angular-mean times radial Gauss approximation of the area pairing.
-
-    ``u`` and ``v`` are arrays of shape (radial nodes, angular nodes); the
-    weight ``r`` of the area element is included here.
-    """
-    r, w = geo.radial_nodes()
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (geo.m_radial, geo.m_circle) or v.shape != u.shape:
-        raise ValueError("grid values must have shape (m_radial, m_circle)")
-    angular = np.mean(u * np.conj(v), axis=1)
-    return complex(np.sum(w * r * angular))
-
-
 def polar_symbol_grid(f: PolarSymbol, geo: AnnulusGeometry) -> np.ndarray:
     """Evaluate the banded symbol on the (radial, angular) grid."""
     t = geo.angles()
@@ -150,21 +135,20 @@ def polar_symbol_grid(f: PolarSymbol, geo: AnnulusGeometry) -> np.ndarray:
 def build_bergman_section_quadrature(
     f: PolarSymbol, window: tuple[int, int], geo: AnnulusGeometry
 ) -> np.ndarray:
-    """Independent assembly of the section entries from the area pairing."""
+    """Independent assembly of the section entries from the area pairing.
+
+    Entry (m, n) pairs the symbol times ``t_n z^n`` with ``t_m z^m``: at
+    each radial node the angular trapezoid sum of the symbol's grid samples
+    at index ``m - n`` (one FFT per node and a gather), then the Gauss sum
+    with weight ``r^(1 + n + m)``.  Only grid samples are read.
+    """
     lo, hi = _clamp_window(window)
-    t = geo.angles()
     r, w = geo.radial_nodes()
-    vals = polar_symbol_grid(f, geo)
-    size = hi - lo + 1
-    ent = np.zeros((size, size), dtype=complex)
-    for col, n in enumerate(range(lo, hi + 1)):
-        tn = bergman_norm_const(n, geo.R)
-        u = vals * np.outer(r**n, np.exp(1j * n * t)) * tn
-        for row, m in enumerate(range(lo, hi + 1)):
-            tm = bergman_norm_const(m, geo.R)
-            basis = np.outer(r**m, np.exp(1j * m * t)) * tm
-            ent[row, col] = bergman_inner_product_quadrature(u, basis, geo)
-    return ent
+    ns = np.arange(lo, hi + 1)
+    angular = _analyze(polar_symbol_grid(f, geo), np.subtract.outer(ns, ns))
+    radial = w[:, None, None] * r[:, None, None] ** (1 + np.add.outer(ns, ns))
+    t = np.array([bergman_norm_const(n, geo.R) for n in ns])
+    return np.outer(t, t) * np.sum(radial * angular, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import AliasingError, GridMismatchError
 
 COMPONENTS = ("C", "C0")
 
@@ -165,7 +165,7 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     """
     W = int(half_window)
     if W > geo.m_circle // 4:
-        raise ValueError(
+        raise AliasingError(
             f"half_window {W} too large for m_circle={geo.m_circle}; need <= m_circle/4"
         )
     t = geo.angles()

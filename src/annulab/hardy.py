@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WindowTooSmallError
+from .errors import AliasingError, WindowTooSmallError
 from .geometry import (
     AnnulusGeometry,
     basis_weights,
@@ -88,12 +88,12 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
 
 def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
     """Window, weights ``B`` and ``A`` of :func:`basis_weights`, and both
-    circles' coefficients, one ``fourier_pair`` call per offset from
-    ``hi - lo`` down to ``lo - hi`` (columns: unit circle, inner circle)."""
+    circles' coefficients at the offsets ``hi - lo`` down to ``lo - hi``
+    (unit circle, inner circle), read by one ``fourier_pair`` call."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    pairs = [fourier_pair(f, off) for off in range(hi - lo, lo - hi - 1, -1)]
-    return (lo, hi), B, A, np.array(pairs, dtype=complex)
+    fC, fC0 = fourier_pair(f, np.arange(hi - lo, lo - hi - 1, -1))
+    return (lo, hi), B, A, fC, fC0
 
 
 def build_toeplitz_hardy(
@@ -109,9 +109,9 @@ def build_toeplitz_hardy(
     directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
-    win, B, A, pairs = _bounded_pairs(f, window, R)
-    ent = _gather(pairs[:, 0]) * np.outer(B, B)
-    ent += _gather(pairs[:, 1]) * np.outer(A, A)
+    win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
+    ent = _gather(fC) * np.outer(B, B)
+    ent += _gather(fC0) * np.outer(A, A)
     return TruncatedOperator(ent, win, win, "hardy", "hardy")
 
 
@@ -128,9 +128,9 @@ def build_hankel_annulus(
     reason.  Symbols that are traces of a single Laurent polynomial give
     the zero matrix.
     """
-    win, B, A, pairs = _bounded_pairs(f, window, R)
-    ent = _gather(pairs[:, 0]) * np.outer(A, B)
-    ent -= _gather(pairs[:, 1]) * np.outer(B, A)
+    win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
+    ent = _gather(fC) * np.outer(A, B)
+    ent -= _gather(fC0) * np.outer(B, A)
     return TruncatedOperator(ent, win, win, "complement", "hardy")
 
 
@@ -148,9 +148,17 @@ def build_section_quadrature(
 
     Row family "hardy" reproduces :func:`build_toeplitz_hardy`; row family
     "complement" reproduces :func:`build_hankel_annulus`.  Used as the
-    independent check of the closed-form entries.
+    independent check of the closed-form entries.  Refused with
+    :class:`AliasingError` when the frequencies an entry sums, up to
+    ``(hi - lo)`` plus the symbol's reach, would fold on the grid.
     """
     lo, hi = _check_window(window)
+    reach = f.bandwidth() if isinstance(f, ExactSymbol) else geo.m_circle // 2
+    if (hi - lo) + reach >= geo.m_circle:
+        raise AliasingError(
+            f"window [{lo}, {hi}] with band reach {reach} is not resolved by "
+            f"m_circle={geo.m_circle}"
+        )
     fv = sample_symbol(f, geo)
     ns, t = np.arange(lo, hi + 1), geo.angles()
     rows = hardy_basis_eval if row_family == "hardy" else complement_basis_eval

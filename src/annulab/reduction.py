@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
 from .hardy import CONSISTENT, VIOLATION, TruncatedOperator, _gather, build_toeplitz_hardy
 from .hardy import _column_norms, _semicommutator_terms
@@ -22,7 +23,9 @@ from .symbols import (
     CircleSymbol,
     ExactCircle,
     ExactSymbol,
+    _analyze,
     _convolve,
+    _flip,
     conjugate_symbol,
     fourier_pair,
     pullback_symbols,
@@ -49,15 +52,8 @@ def build_disc_toeplitz(phi: CircleSymbol, size: int) -> TruncatedOperator:
     """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
     if size < 1:
         raise ValueError("section size must be positive")
-    hats = [phi.hat(off) for off in range(size - 1, -size, -1)]
-    ent = _gather(np.array(hats, dtype=complex))
+    ent = _gather(phi.hat(np.arange(size - 1, -size, -1)))
     return TruncatedOperator(ent, (0, size - 1), (0, size - 1), "disc-hardy", "disc-hardy")
-
-
-def _hankel_hats(phi: CircleSymbol, size: int) -> np.ndarray:
-    """``phihat(-1), ..., phihat(-(2 size - 1))``: every coefficient a
-    size-``size`` disc Hankel section reads, in Hankel gather order."""
-    return np.array([phi.hat(idx) for idx in range(-1, -2 * size, -1)], dtype=complex)
 
 
 def build_disc_hankel(phi: CircleSymbol, size: int) -> TruncatedOperator:
@@ -65,7 +61,7 @@ def build_disc_hankel(phi: CircleSymbol, size: int) -> TruncatedOperator:
     coefficient on ``z^-(j+1)``."""
     if size < 1:
         raise ValueError("section size must be positive")
-    ent = _gather(_hankel_hats(phi, size), hankel=True)
+    ent = _gather(phi.hat(np.arange(-1, -2 * size, -1)), hankel=True)
     return TruncatedOperator(
         ent, (0, size - 1), (0, size - 1), "disc-complement", "disc-hardy"
     )
@@ -145,11 +141,22 @@ def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
 # the transfer diagram, assembled from quadrature on both legs
 
 
-def _c0_band_reach(phi: BoundarySymbol, geo: AnnulusGeometry) -> int:
+def _resolved_c0_reach(
+    phi: BoundarySymbol, size: int, geo: AnnulusGeometry, copies: int
+) -> int:
+    """Reach of the inner-circle table (``m_circle // 4`` when sampled); a
+    run reading index ``2 size + copies * reach`` or past ``m_circle / 2``
+    is refused with :class:`AliasingError`."""
     if isinstance(phi, ExactSymbol):
         live = [abs(n) for n, c in phi.coeffs_C0.items() if c != 0.0]
-        return max(live, default=0)
-    return geo.m_circle // 4
+        reach = max(live, default=0)
+    else:
+        reach = geo.m_circle // 4
+    if 2 * size + copies * reach >= geo.m_circle // 2:
+        raise AliasingError(
+            f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
+        )
+    return reach
 
 
 def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
@@ -160,21 +167,15 @@ def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
     they are numerically identity matrices, and the quadrature assembly
     certifies that.  Returns ``(U0, P0)`` where ``U0`` couples the
     complement-side families and ``P0`` the holomorphic-side families.
+    Each entry is the trapezoid sum of the transplanted column's grid
+    samples against the row, computed with one FFT per column and a
+    gather at the row indices; only grid samples are read.
     """
     t = geo.angles()
-    m = geo.m_circle
-
-    def compose_flip(values: np.ndarray) -> np.ndarray:
-        return np.concatenate((values[:1], values[:0:-1]))
-
-    U0 = np.zeros((size, size), dtype=complex)
-    P0 = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        transplanted = compose_flip(np.exp(-1j * col * t))
-        neg_transplanted = compose_flip(np.exp(1j * (col + 1) * t))
-        for row in range(size):
-            P0[row, col] = np.mean(transplanted * np.exp(-1j * row * t))
-            U0[row, col] = np.mean(neg_transplanted * np.exp(1j * (row + 1) * t))
+    ks = np.arange(size)
+    # columns exp(-i k t) meet rows exp(-i j t); exp(i (k+1) t) meet exp(i (j+1) t)
+    P0 = _analyze(_flip(np.exp(-1j * np.multiply.outer(ks, t))), ks).T
+    U0 = _analyze(_flip(np.exp(1j * np.multiply.outer(ks + 1, t))), -(ks + 1)).T
     return U0, P0
 
 
@@ -185,16 +186,13 @@ def inner_hankel_quadrature(
 
     Column ``k`` holds the coefficients of the product of the symbol with
     the k-th inner holomorphic basis function against the inner
-    anti-holomorphic family; only the symbol's inner-circle values enter.
+    anti-holomorphic family.  Entry ``(j, k)`` is the trapezoid sum of the
+    symbol's inner-circle grid samples (the only values read) at index
+    ``j + 1 + k``, computed with one FFT and a gather.
     """
-    t = geo.angles()
     vals = sample_symbol(phi, geo).on_C0
-    H = np.zeros((size, size), dtype=complex)
-    for k in range(size):
-        prod = vals * np.exp(-1j * k * t)
-        for j in range(size):
-            H[j, k] = np.mean(prod * np.exp(-1j * (j + 1) * t))
-    return H
+    ks = np.arange(size)
+    return _analyze(vals, np.add.outer(ks + 1, ks))
 
 
 def diagram_residual(phi: BoundarySymbol, size: int, geo: AnnulusGeometry) -> float:
@@ -206,11 +204,7 @@ def diagram_residual(phi: BoundarySymbol, size: int, geo: AnnulusGeometry) -> fl
     restriction from exact coefficients.  The deviation certifies the
     unitary equivalence at this truncation.
     """
-    reach = _c0_band_reach(phi, geo)
-    if 2 * size + reach >= geo.m_circle // 2:
-        raise ValueError(
-            f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
-        )
+    _resolved_c0_reach(phi, size, geo, copies=1)
     U0, P0 = assemble_transfer_unitaries(size, geo)
     H = inner_hankel_quadrature(phi, size, geo)
     left = U0 @ H @ np.linalg.inv(P0)
@@ -233,34 +227,27 @@ def split_relation_residual(
     deviation checks that the holomorphic-family coordinates obtained
     through the conjugate-basis expansion equal the diagonal transfer
     applied to the complement-family coordinates from the same expansion.
+    Both projections are trapezoid sums over grid samples (of the symbol at
+    index ``k + j``, then of the resynthesized part), each computed with
+    one FFT and a gather; only grid samples of the symbol are read.
     """
     R = geo.R
-    t = geo.angles()
     vals = sample_symbol(phi, geo).on_C0
-    reach = _c0_band_reach(phi, geo)
-    J = size + reach
-    if 2 * J >= geo.m_circle // 2:
-        raise ValueError(
-            f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
-        )
-    res1 = 0.0
-    res2 = 0.0
-    js = np.arange(1, J + 1)
+    js = np.arange(1, size + _resolved_c0_reach(phi, size, geo, copies=2) + 1)
+    offsets = np.add.outer(np.arange(size), js)
+    c = _analyze(vals, offsets)
+    y2 = c @ np.exp(1j * np.multiply.outer(js, geo.angles()))
+    # complement-family coordinates of the anti-holomorphic part, quadrature route
+    proj = _analyze(y2, js)
     B, _ = basis_weights(js, R)
+    lhs = -proj * B
+    rhs = -fourier_pair(phi, offsets)[1] * B
+    res1 = float(np.max(np.abs(lhs - rhs)))
+    # conjugate-basis expansion: holomorphic side vs transfer of complement side
     alpha, beta = np.array([conjugate_basis_coeffs(-j, R) for j in js]).T
     tvals = np.array([t_diag(-j, R) for j in js])
-    for k in range(size):
-        u = vals * np.exp(-1j * k * t)
-        c = np.array([np.mean(u * np.exp(-1j * j * t)) for j in js])
-        y2 = np.exp(1j * np.outer(t, js)) @ c
-        # complement-family coordinates of the anti-holomorphic part, quadrature route
-        proj = np.array([np.mean(y2 * np.exp(-1j * j * t)) for j in js])
-        lhs = -proj * B
-        rhs = -np.array([fourier_pair(phi, k + j)[1] for j in js]) * B
-        res1 = max(res1, float(np.max(np.abs(lhs - rhs))))
-        # conjugate-basis expansion: holomorphic side vs transfer of complement side
-        gamma = B * proj
-        res2 = max(res2, float(np.max(np.abs(gamma * alpha - tvals * (gamma * beta)))))
+    gamma = B * proj
+    res2 = float(np.max(np.abs(gamma * alpha - tvals * (gamma * beta))))
     return res1, res2
 
 
@@ -319,7 +306,7 @@ def decay_profile_for(
     if sizes[0] < 1:
         raise ValueError("section size must be positive")
     profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=epsilon)
-    hats = _hankel_hats(phi_circle, sizes[-1])
+    hats = phi_circle.hat(np.arange(-1, -2 * sizes[-1], -1))
     live = np.flatnonzero(hats)
     reach = int(live[-1]) + 1 if live.size else 0
     corner = min(sizes[-1], reach)

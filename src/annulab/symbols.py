@@ -118,24 +118,38 @@ def _synthesize(coeffs: dict[int, complex], m: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * m
 
 
-def _analyze(values: np.ndarray, n: int) -> complex:
-    m = len(values)
-    if abs(n) >= m // 2:
-        raise AliasingError(f"Fourier index {n} is aliased on a grid of {m} nodes")
-    phase = np.exp(-2j * np.pi * n * np.arange(m) / m)
-    return complex(np.mean(values * phase))
+def _read(table: dict[int, complex], n):
+    """Table read at the integer ``n`` (scalar or array), zero off the table."""
+    n = np.asarray(n)
+    flat = [table.get(k, 0.0) for k in n.ravel().tolist()]
+    return np.array(flat, dtype=complex).reshape(n.shape)[()]
 
 
-def fourier_pair(sym: BoundarySymbol, n: int) -> tuple[complex, complex]:
+def _analyze(values: np.ndarray, n):
+    """The one route from grid samples to coefficients: the trapezoid sums
+    ``mean(values * exp(-i n t))`` over the last axis, by one FFT divided by
+    ``m`` and a gather at the integer ``n`` (scalar or array, same bits).
+    Raises :class:`AliasingError` when any ``|n| >= m / 2``."""
+    values = np.asarray(values)
+    m = values.shape[-1]
+    n = np.asarray(n)
+    if n.size and np.max(np.abs(n)) >= m // 2:
+        worst = int(n.flat[np.argmax(np.abs(n))])
+        raise AliasingError(f"Fourier index {worst} is aliased on a grid of {m} nodes")
+    return np.take(np.fft.fft(values, axis=-1) / m, n % m, axis=-1)
+
+
+def fourier_pair(sym: BoundarySymbol, n) -> tuple:
     """The pair of n-th Fourier coefficients (unit circle, inner circle).
 
-    Exact symbols answer from their tables; sampled symbols use the
-    discrete Fourier sum, raising :class:`AliasingError` when ``|n|`` is
-    not resolved by the grid.
+    ``n`` is an integer or an integer array, which each member then
+    shapes.  Exact symbols answer from their tables; sampled symbols use
+    one :func:`_analyze` call, raising :class:`AliasingError` when some
+    ``|n|`` is not resolved by the grid.
     """
-    if isinstance(sym, ExactSymbol):
-        return sym.pair(n)
-    return _analyze(sym.on_C, n), _analyze(sym.on_C0, n)
+    if isinstance(sym, SampledSymbol):
+        return tuple(_analyze(np.stack((sym.on_C, sym.on_C0)), n))
+    return _read(sym.coeffs_C, n), _read(sym.coeffs_C0, n)
 
 
 def multiply_symbols(a: BoundarySymbol, b: BoundarySymbol, geo: AnnulusGeometry | None = None) -> BoundarySymbol:
@@ -172,8 +186,8 @@ class ExactCircle:
 
     coeffs: dict[int, complex] = field(default_factory=dict)
 
-    def hat(self, n: int) -> complex:
-        return complex(self.coeffs.get(n, 0.0))
+    def hat(self, n):
+        return _read(self.coeffs, n)
 
     def bandwidth(self) -> int:
         return max((abs(n) for n, c in self.coeffs.items() if c != 0.0), default=0)
@@ -185,7 +199,7 @@ class SampledCircle:
 
     values: np.ndarray
 
-    def hat(self, n: int) -> complex:
+    def hat(self, n):
         return _analyze(self.values, n)
 
 
@@ -223,8 +237,13 @@ def pullback_symbols(sym: BoundarySymbol) -> tuple[CircleSymbol, CircleSymbol]:
             ExactCircle(dict(sym.coeffs_C)),
             ExactCircle({-n: c for n, c in sym.coeffs_C0.items()}),
         )
-    flipped = np.concatenate((sym.on_C0[:1], sym.on_C0[:0:-1]))
-    return SampledCircle(np.asarray(sym.on_C)), SampledCircle(flipped)
+    return SampledCircle(np.asarray(sym.on_C)), SampledCircle(_flip(np.asarray(sym.on_C0)))
+
+
+def _flip(values: np.ndarray) -> np.ndarray:
+    """Grid samples composed with ``t -> -t``: node ``j`` takes the value at
+    node ``-j mod m`` of the last axis."""
+    return np.concatenate((values[..., :1], values[..., :0:-1]), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,12 @@ def run_lab_process(tmp_path, experiment, doc):
         ("semicommutator", {"symbol": "builtin:conjugated-singular-inner"}),
         # the ladder reaches index 12, past the window top
         ("zero-product-hardy", {"window": [-4, 4]}),
+        # the size-12 transfer diagram needs 2 * 12 < m_circle / 2
+        ("identities", {"m_circle": 32}),
+        # half-window 24 needs m_circle >= 96
+        ("gram", {"m_circle": 64}),
+        # row, column and symbol frequencies reach 60 + 4 = m_circle
+        ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
     ],
 )
 def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
@@ -282,6 +288,16 @@ def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("half, code", [(29, 0), (30, 2)])
+def test_toeplitz_build_refuses_the_first_aliased_window(tmp_path, capsys, half, code):
+    """At m_circle 64 and symbol reach 4, window +-29 is resolved and
+    passes; at +-30 the frequencies reach 64 and would fold on the grid."""
+    doc = {"R": 0.5, "seed": 1, "m_circle": 64, "window": [-half, half]}
+    assert run_lab(tmp_path, "toeplitz-build", doc)[0] == code
+    if code == 0:
+        assert "PASS toeplitz-build/closed_form_vs_quadrature" in capsys.readouterr().out
 
 
 def test_unknown_experiment_is_an_argparse_error(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annulab.errors import GridMismatchError
+from annulab.errors import AliasingError, GridMismatchError
 from annulab.geometry import (
     AnnulusGeometry,
     BoundaryData,
@@ -65,7 +65,7 @@ def test_gram_identity(geo):
 
 
 def test_gram_window_guard(small_geo):
-    with pytest.raises(ValueError):
+    with pytest.raises(AliasingError):
         gram_matrix(small_geo, small_geo.m_circle // 4 + 1)
 
 

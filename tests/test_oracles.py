@@ -1,0 +1,154 @@
+"""The quadrature oracles against the trapezoid sums written per entry.
+
+Each oracle computes its trapezoid sums with one FFT of grid samples and
+an index gather.  The loops below are those sums written out entry by
+entry, one ``mean(values * exp(...))`` per entry; the oracles must agree
+with them to rounding.  The last test runs the oracles at the sizes the
+FFT route makes affordable.
+"""
+
+import numpy as np
+import pytest
+
+from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
+from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const
+from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
+from annulab.reduction import (
+    assemble_transfer_unitaries,
+    conjugate_basis_coeffs,
+    diagram_residual,
+    inner_hankel_quadrature,
+    split_relation_residual,
+    t_diag,
+)
+from annulab.symbols import SampledSymbol, fourier_pair, sample_symbol
+
+R = 0.5
+SIZE = 8
+BOUND = 1e-14
+
+
+def grid():
+    return AnnulusGeometry(R=R, m_circle=64)
+
+
+def symbols():
+    exact = random_boundary_symbol(Lcg(17), 4)
+    data = sample_symbol(exact, grid())
+    return {"exact": exact, "sampled": SampledSymbol(data.on_C, data.on_C0)}
+
+
+# ---------------------------------------------------------------------------
+# per-entry trapezoid sums
+
+
+def loop_unitaries(size, geo):
+    t = geo.angles()
+    U0 = np.zeros((size, size), dtype=complex)
+    P0 = np.zeros((size, size), dtype=complex)
+    for col in range(size):
+        # the transplant samples each column at the negated angle
+        transplanted = np.exp(-1j * col * -t)
+        neg_transplanted = np.exp(1j * (col + 1) * -t)
+        for row in range(size):
+            P0[row, col] = np.mean(transplanted * np.exp(-1j * row * t))
+            U0[row, col] = np.mean(neg_transplanted * np.exp(1j * (row + 1) * t))
+    return U0, P0
+
+
+def loop_inner_hankel(phi, size, geo):
+    t = geo.angles()
+    vals = sample_symbol(phi, geo).on_C0
+    H = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        prod = vals * np.exp(-1j * k * t)
+        for j in range(size):
+            H[j, k] = np.mean(prod * np.exp(-1j * (j + 1) * t))
+    return H
+
+
+def loop_split(phi, size, reach, geo):
+    t = geo.angles()
+    vals = sample_symbol(phi, geo).on_C0
+    js = np.arange(1, size + reach + 1)
+    B, _ = basis_weights(js, geo.R)
+    alpha, beta = np.array([conjugate_basis_coeffs(-j, geo.R) for j in js]).T
+    tvals = np.array([t_diag(-j, geo.R) for j in js])
+    res1 = res2 = 0.0
+    for k in range(size):
+        u = vals * np.exp(-1j * k * t)
+        c = np.array([np.mean(u * np.exp(-1j * j * t)) for j in js])
+        y2 = np.exp(1j * np.outer(t, js)) @ c
+        proj = np.array([np.mean(y2 * np.exp(-1j * j * t)) for j in js])
+        lhs = -proj * B
+        rhs = -np.array([fourier_pair(phi, k + j)[1] for j in js]) * B
+        res1 = max(res1, float(np.max(np.abs(lhs - rhs))))
+        gamma = B * proj
+        res2 = max(res2, float(np.max(np.abs(gamma * alpha - tvals * (gamma * beta)))))
+    return res1, res2
+
+
+def loop_bergman(f, lo, hi, geo):
+    t = geo.angles()
+    r, w = geo.radial_nodes()
+    vals = sum(
+        np.outer(f.bands[k].eval(r), np.exp(1j * k * t)) for k in f.live_bands()
+    )
+    ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
+    for col, n in enumerate(range(lo, hi + 1)):
+        u = vals * np.outer(r**n, np.exp(1j * n * t)) * bergman_norm_const(n, geo.R)
+        for row, m in enumerate(range(lo, hi + 1)):
+            v = np.outer(r**m, np.exp(1j * m * t)) * bergman_norm_const(m, geo.R)
+            ent[row, col] = np.sum(w * r * np.mean(u * np.conj(v), axis=1))
+    return ent
+
+
+# ---------------------------------------------------------------------------
+# FFT route equals the per-entry sums
+
+
+def test_transfer_unitaries_match_loop():
+    U0, P0 = assemble_transfer_unitaries(SIZE, grid())
+    U0_loop, P0_loop = loop_unitaries(SIZE, grid())
+    assert np.max(np.abs(U0 - U0_loop)) <= BOUND
+    assert np.max(np.abs(P0 - P0_loop)) <= BOUND
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled"])
+def test_inner_hankel_matches_loop(kind):
+    phi = symbols()[kind]
+    got = inner_hankel_quadrature(phi, SIZE, grid())
+    assert np.max(np.abs(got - loop_inner_hankel(phi, SIZE, grid()))) <= BOUND
+
+
+def test_split_relations_match_loop():
+    # a sampled symbol counts as reach m_circle/4, which no size resolves,
+    # so the split relations only ever run on exact symbols
+    phi = symbols()["exact"]
+    got = split_relation_residual(phi, SIZE, grid())
+    want = loop_split(phi, SIZE, max(map(abs, phi.coeffs_C0)), grid())
+    assert max(abs(a - b) for a, b in zip(got, want)) <= BOUND
+
+
+@pytest.mark.parametrize("lo", [-1, 3])
+def test_bergman_quadrature_matches_loop(lo):
+    geo = AnnulusGeometry(R=R, m_circle=64, m_radial=16)
+    f = random_polar_symbol(Lcg(29), -2, 3, 3)
+    hi = lo + SIZE - 1
+    got = build_bergman_section_quadrature(f, (lo, hi), geo)
+    assert np.max(np.abs(got - loop_bergman(f, lo, hi, geo))) <= BOUND
+
+
+# ---------------------------------------------------------------------------
+# sizes the per-entry loops could not afford
+
+
+def test_oracles_at_size_256():
+    geo = AnnulusGeometry(R=R, m_circle=4096)
+    phi = random_boundary_symbol(Lcg(1), 4)
+    assert diagram_residual(phi, 256, geo) <= 1e-10
+    assert max(split_relation_residual(phi, 256, geo)) <= 1e-10
+    f = random_polar_symbol(Lcg(1), -2, 2, 6)
+    quad = build_bergman_section_quadrature(f, (-64, 64), AnnulusGeometry())
+    sec = build_bergman_toeplitz(f, (-64, 64), R).entries
+    assert np.max(np.abs(sec - quad)) <= 1e-10

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulab.errors import AliasingError
 from annulab.geometry import AnnulusGeometry
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reference import (
@@ -214,7 +215,7 @@ def test_diagram_random_inner_bands(small_geo):
 
 def test_diagram_rejects_unresolved_sizes():
     geo = AnnulusGeometry(R=R, m_circle=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(AliasingError):
         diagram_residual(laurent_symbol({0: 1.0}, R), 20, geo)
 
 
@@ -243,7 +244,7 @@ def test_split_relations_random_symbols(small_geo):
 
 def test_split_relations_reject_unresolved_sizes():
     geo = AnnulusGeometry(R=R, m_circle=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(AliasingError):
         split_relation_residual(laurent_symbol({0: 1.0}, R), 20, geo)
 
 

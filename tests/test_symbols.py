@@ -61,6 +61,43 @@ def test_sampled_aliasing_guard(small_geo):
         fourier_pair(sampled, small_geo.m_circle // 2)
 
 
+def index_readers(geo):
+    """Each way of reading coefficients at an integer or an integer array,
+    on a symbol of each representation."""
+    sym = random_boundary_symbol(Lcg(9), 6)
+    data = sample_symbol(sym, geo)
+    sampled = SampledSymbol(data.on_C, data.on_C0)
+    return {
+        "exact-pair": lambda n: fourier_pair(sym, n),
+        "sampled-pair": lambda n: fourier_pair(sampled, n),
+        "exact-circle": pullback_symbols(sym)[1].hat,
+        "sampled-circle": pullback_symbols(sampled)[1].hat,
+    }
+
+
+@pytest.mark.parametrize(
+    "reader", ["exact-pair", "sampled-pair", "exact-circle", "sampled-circle"]
+)
+def test_scalar_and_array_reads_agree_bit_for_bit(small_geo, reader):
+    read = index_readers(small_geo)[reader]
+    half = small_geo.m_circle // 2
+    ns = np.arange(-half + 1, half).reshape(3, -1)
+    whole = np.asarray(read(ns))
+    for idx, n in np.ndenumerate(ns):
+        one = np.asarray(read(int(n)), dtype=complex)
+        assert one.tobytes() == whole[(...,) + idx].astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("reader", ["sampled-pair", "sampled-circle"])
+@pytest.mark.parametrize("bad", [1, -1])
+def test_array_read_refuses_any_aliased_index(small_geo, reader, bad):
+    read = index_readers(small_geo)[reader]
+    ns = np.arange(-5, 6)
+    ns[3] = bad * (small_geo.m_circle // 2)
+    with pytest.raises(AliasingError, match=str(ns[3])):
+        read(ns)
+
+
 def test_exact_helpers():
     sym = ExactSymbol({3: 1.0, -2: 0.5}, {1: 2.0})
     assert sym.top_degree() == 3
