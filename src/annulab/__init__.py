@@ -21,9 +21,6 @@ from .symbols import (
     ExactSymbol,
     PolarSymbol,
     PolyProfile,
-    SampledCircle,
-    SampledProfile,
-    SampledSymbol,
     conjugate_symbol,
     constant_symbol,
     fourier_pair,

@@ -24,9 +24,10 @@ from .hardy import (
     _coeff_vector,
     _column_norms,
     _span_residual,
+    _zero_factor_norms,
 )
 from .mellin import mellin_transform, mellin_zero_locate
-from .symbols import PolarSymbol, PolyProfile, RadialProfile, _analyze
+from .symbols import PolarSymbol, PolyProfile, _analyze
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class BergmanOperatorSection(TruncatedOperator):
 
 
 def quasi_homogeneous_apply(
-    p: int, f1: RadialProfile, n: int, R: float, geo: AnnulusGeometry | None = None
+    p: int, f1: PolyProfile, n: int, R: float
 ) -> tuple[complex, int]:
     """Image coefficient of the n-th monomial under one band.
 
@@ -55,7 +56,7 @@ def quasi_homogeneous_apply(
     if f1.is_zero():
         return 0.0 + 0.0j, out
     t = bergman_norm_const(out, R)
-    return complex(t * t * mellin_transform(f1, p + 2 * n + 2, R, geo)), out
+    return complex(t * t * mellin_transform(f1, p + 2 * n + 2, R)), out
 
 
 def _clamp_window(window: tuple[int, int]) -> tuple[int, int]:
@@ -65,20 +66,18 @@ def _clamp_window(window: tuple[int, int]) -> tuple[int, int]:
     return max(lo, -1), hi
 
 
-def apply_polar_to_monomial(
-    f: PolarSymbol, n: int, R: float, geo: AnnulusGeometry | None = None
-) -> dict[int, complex]:
+def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, complex]:
     """Exact image of ``z**n`` as a coefficient table over monomial degrees."""
     out: dict[int, complex] = {}
     for k in f.live_bands():
-        coeff, deg = quasi_homogeneous_apply(k, f.bands[k], n, R, geo)
+        coeff, deg = quasi_homogeneous_apply(k, f.bands[k], n, R)
         if coeff != 0.0:
             out[deg] = out.get(deg, 0.0 + 0.0j) + coeff
     return out
 
 
 def build_bergman_toeplitz(
-    f: PolarSymbol, window: tuple[int, int], R: float, geo: AnnulusGeometry | None = None
+    f: PolarSymbol, window: tuple[int, int], R: float
 ) -> BergmanOperatorSection:
     """Section of the symbol's action over the window's monomial degrees.
 
@@ -101,7 +100,7 @@ def build_bergman_toeplitz(
         cols = np.arange(max(0, -k), min(size, size - k))
         rows = cols + k
         coeff = (t[rows] * t[rows]) * mellin_transform(
-            f.bands[k], k + 2 * (lo + cols) + 2, R, geo
+            f.bands[k], k + 2 * (lo + cols) + 2, R
         )
         placed = placed or bool(np.any(coeff != 0.0))
         val = coeff * t[cols]
@@ -181,7 +180,7 @@ def find_n0_bergman(
 
 @dataclass
 class BergmanZeroProductReport:
-    """Ladder, product-section, and forced-moment diagnostics for one pair."""
+    """Ladder and product-section diagnostics for one pair."""
 
     n0: int | str
     n0_effective: int
@@ -191,10 +190,6 @@ class BergmanZeroProductReport:
     ladder_residuals: list[float] = field(default_factory=list)
     product_column_norms: list[float] = field(default_factory=list)
     min_product_column_norm: float = float("nan")
-    recovered_band_transform_values: dict[tuple[int, int], complex] = field(
-        default_factory=dict
-    )
-    g_top_mellin_values: dict[int, complex] = field(default_factory=dict)
     verdict: str = CONSISTENT
 
 
@@ -210,26 +205,14 @@ def zero_product_experiment_bergman(
 
     The ladder checks that each monomial of degree n0+N+l is spanned by the
     images of the first l+1 ladder monomials under the second symbol
-    together with all lower-degree monomials; the product section supplies
-    interior column norms; and the report tabulates the Mellin moments of
-    the first symbol's bands at the arguments a vanishing product would
-    force to zero (with the nonvanishing top-band certificates of the
-    second symbol alongside).  Verdict semantics match the two-circle
+    together with all lower-degree monomials, and the product section
+    supplies interior column norms.  Verdict semantics match the two-circle
     harness: a violation needs every interior product column below the
     floor while the ladder stays tight.
     """
-    for sym in (f, g):
-        for k in sym.live_bands():
-            if not isinstance(sym.bands[k], PolyProfile):
-                raise ValueError("probe needs exact polynomial radial profiles")
     lo, hi = _clamp_window(window)
-    if f.is_zero() or g.is_zero():
-        # a zero factor settles the conclusion; no nonvanishing top band
-        # exists to anchor the ladder, so only the product section is run
-        norms = _column_norms(
-            build_bergman_toeplitz(f, (lo, hi), R).entries
-            @ build_bergman_toeplitz(g, (lo, hi), R).entries
-        )
+    norms = _zero_factor_norms(build_bergman_toeplitz, f, g, (lo, hi), R)
+    if norms is not None:
         return BergmanZeroProductReport(
             n0=UNCONSTRAINED,
             n0_effective=lo,
@@ -240,7 +223,6 @@ def zero_product_experiment_bergman(
             min_product_column_norm=min(norms),
         )
     N = g.top_band()
-    M = f.top_band()
     L = int(ladder_length)
     n0 = find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi))
     if isinstance(n0, str):
@@ -257,7 +239,7 @@ def zero_product_experiment_bergman(
         n0=n0,
         n0_effective=n0_eff,
         n0_negative=negative,
-        top_band_f=M,
+        top_band_f=f.top_band(),
         top_band_g=N,
     )
 
@@ -286,17 +268,6 @@ def zero_product_experiment_bergman(
     norms = _column_norms(prod, range(bottom, size - margin))
     report.product_column_norms = norms
     report.min_product_column_norm = min(norms)
-
-    for k in f.live_bands():
-        lk = max(M - k, 0)
-        for l in range(L + 1):
-            z = k + 2 * (n0_eff + N + lk + l) + 2
-            report.recovered_band_transform_values[(k, z)] = complex(
-                mellin_transform(f.bands[k], z, R)
-            )
-    for l in range(L + 1):
-        z = 2 * (n0_eff + l) + N + 2
-        report.g_top_mellin_values[z] = complex(mellin_transform(g.bands[N], z, R))
 
     if max(norms) < zero_divisor_floor:
         report.verdict = VIOLATION

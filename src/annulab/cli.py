@@ -422,11 +422,24 @@ class ExperimentReport:
 
 
 def run(cfg: LabConfig) -> ExperimentReport:
-    """Execute the configured experiment and write its artifacts."""
+    """Execute the configured experiment and write its artifacts.
+
+    A run refused with one of ``DOMAIN_ERRORS`` removes the directories it
+    created, deepest first and only while they are empty; a directory
+    that existed before the run is never removed.
+    """
     outdir = Path(cfg.out)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
-    rows, files, extra = _RUNNERS[cfg.experiment](cfg, outdir)
+    try:
+        rows, files, extra = _RUNNERS[cfg.experiment](cfg, outdir)
+    except DOMAIN_ERRORS:
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     duration = time.monotonic() - start
     files = files + ["results.csv"]
     echo = asdict(cfg)

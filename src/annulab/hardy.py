@@ -20,7 +20,6 @@ from .geometry import (
     hardy_basis_eval,
 )
 from .symbols import (
-    BoundarySymbol,
     ExactSymbol,
     conjugate_symbol,
     fourier_pair,
@@ -86,7 +85,7 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     return (win if hankel else win[::-1]).copy()
 
 
-def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
+def _bounded_pairs(f: ExactSymbol, window: tuple[int, int], R: float):
     """Window, weights ``B`` and ``A`` of :func:`basis_weights`, and both
     circles' coefficients at the offsets ``hi - lo`` down to ``lo - hi``
     (unit circle, inner circle), read by one ``fourier_pair`` call."""
@@ -97,7 +96,7 @@ def _bounded_pairs(f: BoundarySymbol, window: tuple[int, int], R: float):
 
 
 def build_toeplitz_hardy(
-    f: BoundarySymbol, window: tuple[int, int], R: float
+    f: ExactSymbol, window: tuple[int, int], R: float
 ) -> TruncatedOperator:
     """Section of the compression of multiplication by ``f`` to the power family.
 
@@ -116,7 +115,7 @@ def build_toeplitz_hardy(
 
 
 def build_hankel_annulus(
-    f: BoundarySymbol, window: tuple[int, int], R: float
+    f: ExactSymbol, window: tuple[int, int], R: float
 ) -> TruncatedOperator:
     """Section of the complement-side compression of multiplication by ``f``.
 
@@ -139,7 +138,7 @@ def build_hankel_annulus(
 
 
 def build_section_quadrature(
-    f: BoundarySymbol,
+    f: ExactSymbol,
     window: tuple[int, int],
     geo: AnnulusGeometry,
     row_family: str = "hardy",
@@ -153,7 +152,7 @@ def build_section_quadrature(
     ``(hi - lo)`` plus the symbol's reach, would fold on the grid.
     """
     lo, hi = _check_window(window)
-    reach = f.bandwidth() if isinstance(f, ExactSymbol) else geo.m_circle // 2
+    reach = f.bandwidth()
     if (hi - lo) + reach >= geo.m_circle:
         raise AliasingError(
             f"window [{lo}, {hi}] with band reach {reach} is not resolved by "
@@ -377,14 +376,32 @@ def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
     return [float(np.linalg.norm(prod[:, b])) for b in cols]
 
 
+def _zero_factor_norms(build, f, g, window, R) -> list[float] | None:
+    """Column norms of the product of the ``build`` sections of ``f`` and
+    ``g`` when either factor is zero, else ``None``.
+
+    A zero factor satisfies the dichotomy outright, and no ladder exists
+    because the nonvanishing hypothesis has no top degree to anchor to, so
+    the harnesses report only these norms.
+    """
+    if not (f.is_zero() or g.is_zero()):
+        return None
+    return _column_norms(build(f, window, R).entries @ build(g, window, R).entries)
+
+
 def _span_residual(target: np.ndarray, columns: list[np.ndarray]) -> float:
     """Backward-relative distance from ``target`` to the span of ``columns``.
 
-    The least-squares misfit is scaled by the size of the representation
-    actually used (``norm(target) + norm(A) * norm(coef)``), so a value
-    near machine epsilon certifies the inclusion for data this size even
-    when the spanning certificate needs large coefficients; a target far
-    outside the span stays O(1).
+    The misfit is the part of ``target`` that a Householder QR ``A = Q Rf``
+    of the normalized columns leaves outside ``range(Q)``, formed without
+    solving for the certificate ``coef = Rf^-1 Q^H target``.  A ladder's
+    columns grow ill-conditioned (1e15 at rung 8 of a Bergman ladder);
+    a least-squares misfit there loses a true inclusion, while the
+    projection keeps it to rounding.  The misfit is scaled by the size of
+    the representation (``norm(target) + norm(A) * norm(coef)``), so a
+    value near machine epsilon certifies the inclusion for data this size
+    even when the spanning certificate needs large coefficients; a target
+    far outside the span stays O(1).
     """
     tn = float(np.linalg.norm(target))
     if tn == 0.0:
@@ -394,8 +411,10 @@ def _span_residual(target: np.ndarray, columns: list[np.ndarray]) -> float:
         return 1.0
     A = np.stack(cols, axis=1)
     A = A / np.linalg.norm(A, axis=0, keepdims=True)
-    coef, *_ = np.linalg.lstsq(A, target, rcond=None)
-    misfit = float(np.linalg.norm(target - A @ coef))
+    Q, Rf = np.linalg.qr(A)
+    qt = Q.conj().T @ target
+    misfit = float(np.linalg.norm(target - Q @ qt))
+    coef = np.linalg.solve(Rf, qt)
     scale = tn + float(np.linalg.norm(A)) * float(np.linalg.norm(coef))
     return misfit / scale
 
@@ -417,13 +436,8 @@ def zero_product_experiment_hardy(
     ``zero_divisor_floor``.
     """
     lo, hi = _check_window(window)
-    if f.is_zero() or g.is_zero():
-        # a zero factor satisfies the dichotomy outright; no ladder exists
-        # because the nonvanishing hypothesis has no top degree to anchor to
-        norms = _column_norms(
-            build_toeplitz_hardy(f, window, R).entries
-            @ build_toeplitz_hardy(g, window, R).entries
-        )
+    norms = _zero_factor_norms(build_toeplitz_hardy, f, g, window, R)
+    if norms is not None:
         return HardyZeroProductReport(
             n0=UNCONSTRAINED,
             n0_effective=lo,

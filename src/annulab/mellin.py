@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError, IllConditionedError, ZeroProfileError
+from .errors import IllConditionedError, ZeroProfileError
 from .geometry import AnnulusGeometry
-from .symbols import PolyProfile, RadialProfile, SampledProfile
+from .symbols import PolyProfile
 
 #: refuse reconstruction when the moment matrix is worse conditioned than this
 RECONSTRUCT_COND_LIMIT = 1e12
@@ -38,38 +38,17 @@ def monomial_moment(s, R: float):
     return out if out.ndim else out[()]
 
 
-def mellin_transform(profile: RadialProfile, z, R: float, geo: AnnulusGeometry | None = None):
-    """Transform value(s) at ``z``.
-
-    Polynomial profiles use the closed form per monomial; sampled profiles
-    integrate on the radial Gauss grid of ``geo`` (required in that case).
-    """
-    if isinstance(profile, PolyProfile):
-        z = np.asarray(z)
-        out = np.zeros(z.shape, dtype=complex)
-        for m, c in profile.coeffs.items():
-            out += c * monomial_moment(z + m, R)
-        return out if out.ndim else complex(out[()])
-    if geo is None:
-        raise GridMismatchError("sampled profiles need a geometry for quadrature")
-    if len(profile.values) != geo.m_radial:
-        raise GridMismatchError(
-            f"profile has {len(profile.values)} values, geometry has {geo.m_radial} nodes"
-        )
-    r, w = geo.radial_nodes()
+def mellin_transform(profile: PolyProfile, z, R: float):
+    """Transform value(s) at ``z`` by the closed form per monomial."""
     z = np.asarray(z)
-    # one power row per z: on a 2-D broadcast numpy switches to a vector
-    # pow kernel that rounds unlike the one a single z gets, and array
-    # calls must agree with scalar ones bit for bit
-    powers = np.array([r ** (zi - 1.0) for zi in z.reshape(-1, 1)])
-    vals = np.sum(w * profile.values * powers.reshape(z.shape + r.shape), axis=-1)
-    return vals if vals.ndim else complex(vals[()])
+    out = np.zeros(z.shape, dtype=complex)
+    for m, c in profile.coeffs.items():
+        out += c * monomial_moment(z + m, R)
+    return out if out.ndim else complex(out[()])
 
 
-def mellin_quadrature(profile: RadialProfile, z, geo: AnnulusGeometry):
+def mellin_quadrature(profile: PolyProfile, z, geo: AnnulusGeometry):
     """Gauss-grid evaluation of the transform, used as an independent oracle."""
-    if isinstance(profile, SampledProfile):
-        return mellin_transform(profile, z, geo.R, geo)
     r, w = geo.radial_nodes()
     z = np.asarray(z)
     zz = z.reshape(z.shape + (1,))
@@ -108,8 +87,8 @@ def mellin_zero_locate(
     imaginary parts separately and keeping locations where the full value
     vanishes.  Zeros without a sign change are outside the contract.
     """
-    if not isinstance(profile, PolyProfile) or profile.is_zero():
-        raise ZeroProfileError("zero (or non-polynomial) profile has no located zeros")
+    if profile.is_zero():
+        raise ZeroProfileError("zero profile has no located zeros")
     grid = np.arange(lo, hi + 0.5 * step, step)
     if len(grid) < 2:
         return []

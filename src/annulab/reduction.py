@@ -17,10 +17,8 @@ import numpy as np
 from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
 from .hardy import CONSISTENT, VIOLATION, TruncatedOperator, _gather, build_toeplitz_hardy
-from .hardy import _column_norms, _semicommutator_terms
+from .hardy import _column_norms, _semicommutator_terms, _zero_factor_norms
 from .symbols import (
-    BoundarySymbol,
-    CircleSymbol,
     ExactCircle,
     ExactSymbol,
     _analyze,
@@ -48,7 +46,7 @@ NO_DECAY_MIN_TAIL = 4
 # disc-space sections
 
 
-def build_disc_toeplitz(phi: CircleSymbol, size: int) -> TruncatedOperator:
+def build_disc_toeplitz(phi: ExactCircle, size: int) -> TruncatedOperator:
     """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
     if size < 1:
         raise ValueError("section size must be positive")
@@ -56,7 +54,7 @@ def build_disc_toeplitz(phi: CircleSymbol, size: int) -> TruncatedOperator:
     return TruncatedOperator(ent, (0, size - 1), (0, size - 1), "disc-hardy", "disc-hardy")
 
 
-def build_disc_hankel(phi: CircleSymbol, size: int) -> TruncatedOperator:
+def build_disc_hankel(phi: ExactCircle, size: int) -> TruncatedOperator:
     """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
     coefficient on ``z^-(j+1)``."""
     if size < 1:
@@ -142,16 +140,12 @@ def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
 
 
 def _resolved_c0_reach(
-    phi: BoundarySymbol, size: int, geo: AnnulusGeometry, copies: int
+    phi: ExactSymbol, size: int, geo: AnnulusGeometry, copies: int
 ) -> int:
-    """Reach of the inner-circle table (``m_circle // 4`` when sampled); a
-    run reading index ``2 size + copies * reach`` or past ``m_circle / 2``
-    is refused with :class:`AliasingError`."""
-    if isinstance(phi, ExactSymbol):
-        live = [abs(n) for n, c in phi.coeffs_C0.items() if c != 0.0]
-        reach = max(live, default=0)
-    else:
-        reach = geo.m_circle // 4
+    """Reach of the inner-circle table; a run reading index
+    ``2 size + copies * reach`` or past ``m_circle / 2`` is refused with
+    :class:`AliasingError`."""
+    reach = max((abs(n) for n, c in phi.coeffs_C0.items() if c != 0.0), default=0)
     if 2 * size + copies * reach >= geo.m_circle // 2:
         raise AliasingError(
             f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
@@ -180,7 +174,7 @@ def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
 
 
 def inner_hankel_quadrature(
-    phi: BoundarySymbol, size: int, geo: AnnulusGeometry
+    phi: ExactSymbol, size: int, geo: AnnulusGeometry
 ) -> np.ndarray:
     """Inner-circle Hankel compression assembled on the inner angular grid.
 
@@ -195,7 +189,7 @@ def inner_hankel_quadrature(
     return _analyze(vals, np.add.outer(ks + 1, ks))
 
 
-def diagram_residual(phi: BoundarySymbol, size: int, geo: AnnulusGeometry) -> float:
+def diagram_residual(phi: ExactSymbol, size: int, geo: AnnulusGeometry) -> float:
     """Max deviation between the transplanted inner Hankel and its disc form.
 
     The left route assembles the inner-circle Hankel compression and the
@@ -214,7 +208,7 @@ def diagram_residual(phi: BoundarySymbol, size: int, geo: AnnulusGeometry) -> fl
 
 
 def split_relation_residual(
-    phi: BoundarySymbol, size: int, geo: AnnulusGeometry
+    phi: ExactSymbol, size: int, geo: AnnulusGeometry
 ) -> tuple[float, float]:
     """Deviations of the two split identities for the inner-circle compression.
 
@@ -274,7 +268,7 @@ def tail_index(sigmas, epsilon: float) -> int:
 
 
 def decay_profile_for(
-    phi_circle: CircleSymbol,
+    phi_circle: ExactCircle,
     sizes,
     pullback: str,
     epsilon: float = TAIL_EPSILON,
@@ -295,9 +289,9 @@ def decay_profile_for(
     only on ``j + k``, the blocks of all sizes are the leading blocks of
     one section built at the largest ``L``.
 
-    Where ``L = s`` (a table reaching the whole section, or a sampled
-    circle) the SVD sees the same matrix as a full-section SVD, and the
-    output is byte-identical to it.  Where ``L < s`` the two agree in exact
+    Where ``L = s`` (a table reaching the whole section) the SVD sees the
+    same matrix as a full-section SVD, and the output is byte-identical to
+    it.  Where ``L < s`` the two agree in exact
     arithmetic and differ only by rounding.
     """
     sizes = sorted(int(s) for s in sizes)
@@ -348,7 +342,7 @@ def classify_decay(profiles: list[DecayProfile]) -> str:
 
 
 def hankel_compactness_indicator(
-    phi: BoundarySymbol,
+    phi: ExactSymbol,
     sizes,
     epsilon: float = TAIL_EPSILON,
     top: int | None = None,
@@ -399,13 +393,9 @@ def zero_product_experiment_reduced(
     three-term product identity on the annulus window and the interior
     product column norms; the verdict mirrors the band-limited harness.
     """
-    if phi.is_zero() or psi.is_zero():
-        # with a zero factor the conclusion holds trivially and there is
-        # no compactness hypothesis left to check
-        norms = _column_norms(
-            build_toeplitz_hardy(phi, window, R).entries
-            @ build_toeplitz_hardy(psi, window, R).entries
-        )
+    norms = _zero_factor_norms(build_toeplitz_hardy, phi, psi, window, R)
+    if norms is not None:
+        # no compactness hypothesis is left to check
         return ReducedZeroProductReport(
             indicator_psi=None,
             indicator_phibar=None,

@@ -1,10 +1,12 @@
 """Symbols on the annulus boundary and in polar form, plus their transforms.
 
 A boundary symbol carries one Fourier coefficient sequence per boundary
-circle; the two sequences are independent.  ``ExactSymbol`` stores finite
-coefficient dictionaries, ``SampledSymbol`` stores grid samples.  Polar
-symbols for the area (Bergman) theory are finite sums of angular bands,
-each with its own radial profile.
+circle; the two sequences are independent, and ``ExactSymbol`` stores
+each as a finite coefficient dictionary.  Polar symbols for the area
+(Bergman) theory are finite sums of angular bands, each with a
+polynomial radial profile.  Grid samples are made only for the
+quadrature oracles (:func:`sample_symbol`), and :func:`_analyze` is the
+one route from grid samples back to coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, GridMismatchError
+from .errors import AliasingError
 from .geometry import AnnulusGeometry, BoundaryData
 
 
@@ -63,21 +65,6 @@ class ExactSymbol:
         return max(0, -sup[0]) if sup else 0
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Boundary symbol given by samples on the two standard angular grids."""
-
-    on_C: np.ndarray
-    on_C0: np.ndarray
-
-    def __post_init__(self):
-        if len(self.on_C) != len(self.on_C0):
-            raise GridMismatchError("the two circles must use the same grid size")
-
-
-BoundarySymbol = ExactSymbol | SampledSymbol
-
-
 def laurent_symbol(coeffs: dict[int, complex], R: float) -> ExactSymbol:
     """Boundary trace of a single Laurent polynomial ``sum c_n z^n``.
 
@@ -95,14 +82,8 @@ def constant_symbol(value_C: complex, value_C0: complex) -> ExactSymbol:
     return ExactSymbol({0: complex(value_C)}, {0: complex(value_C0)})
 
 
-def sample_symbol(sym: BoundarySymbol, geo: AnnulusGeometry) -> BoundaryData:
-    """Boundary grid samples of a symbol (exact synthesis or passthrough)."""
-    if isinstance(sym, SampledSymbol):
-        if len(sym.on_C) != geo.m_circle:
-            raise GridMismatchError(
-                f"sampled symbol has {len(sym.on_C)} nodes, geometry wants {geo.m_circle}"
-            )
-        return BoundaryData(np.asarray(sym.on_C), np.asarray(sym.on_C0))
+def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
+    """Boundary grid samples of a symbol, synthesized from its tables."""
     return BoundaryData(
         _synthesize(sym.coeffs_C, geo.m_circle),
         _synthesize(sym.coeffs_C0, geo.m_circle),
@@ -139,33 +120,18 @@ def _analyze(values: np.ndarray, n):
     return np.take(np.fft.fft(values, axis=-1) / m, n % m, axis=-1)
 
 
-def fourier_pair(sym: BoundarySymbol, n) -> tuple:
-    """The pair of n-th Fourier coefficients (unit circle, inner circle).
-
-    ``n`` is an integer or an integer array, which each member then
-    shapes.  Exact symbols answer from their tables; sampled symbols use
-    one :func:`_analyze` call, raising :class:`AliasingError` when some
-    ``|n|`` is not resolved by the grid.
-    """
-    if isinstance(sym, SampledSymbol):
-        return tuple(_analyze(np.stack((sym.on_C, sym.on_C0)), n))
+def fourier_pair(sym: ExactSymbol, n) -> tuple:
+    """The pair of n-th Fourier coefficients (unit circle, inner circle),
+    read from the tables at the integer or integer array ``n``."""
     return _read(sym.coeffs_C, n), _read(sym.coeffs_C0, n)
 
 
-def multiply_symbols(a: BoundarySymbol, b: BoundarySymbol, geo: AnnulusGeometry | None = None) -> BoundarySymbol:
-    """Pointwise product of two boundary symbols.
-
-    Exact inputs convolve coefficient tables per circle and stay exact;
-    any sampled input forces sampling (which needs ``geo``).
-    """
-    if isinstance(a, ExactSymbol) and isinstance(b, ExactSymbol):
-        return ExactSymbol(
-            _convolve(a.coeffs_C, b.coeffs_C), _convolve(a.coeffs_C0, b.coeffs_C0)
-        )
-    if geo is None:
-        raise ValueError("sampled multiplication requires a geometry")
-    fa, fb = sample_symbol(a, geo), sample_symbol(b, geo)
-    return SampledSymbol(fa.on_C * fb.on_C, fa.on_C0 * fb.on_C0)
+def multiply_symbols(a: ExactSymbol, b: ExactSymbol) -> ExactSymbol:
+    """Pointwise product of two boundary symbols: the coefficient tables
+    convolve per circle."""
+    return ExactSymbol(
+        _convolve(a.coeffs_C, b.coeffs_C), _convolve(a.coeffs_C0, b.coeffs_C0)
+    )
 
 
 def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
@@ -193,51 +159,31 @@ class ExactCircle:
         return max((abs(n) for n, c in self.coeffs.items() if c != 0.0), default=0)
 
 
-@dataclass(frozen=True)
-class SampledCircle:
-    """Function on the unit circle given by uniform grid samples."""
-
-    values: np.ndarray
-
-    def hat(self, n):
-        return _analyze(self.values, n)
-
-
-CircleSymbol = ExactCircle | SampledCircle
-
-
 def _reflect_conj(coeffs: dict[int, complex]) -> dict[int, complex]:
     return {-n: np.conj(c) for n, c in coeffs.items()}
 
 
-def conjugate_symbol(sym: BoundarySymbol | CircleSymbol) -> BoundarySymbol | CircleSymbol:
-    """Complex conjugate of a boundary or circle symbol.
-
-    Coefficient tables reflect and conjugate; grid samples conjugate.
-    """
-    if isinstance(sym, ExactSymbol):
-        return ExactSymbol(_reflect_conj(sym.coeffs_C), _reflect_conj(sym.coeffs_C0))
+def conjugate_symbol(sym: ExactSymbol | ExactCircle) -> ExactSymbol | ExactCircle:
+    """Complex conjugate of a boundary or circle symbol: each coefficient
+    table reflects and conjugates."""
     if isinstance(sym, ExactCircle):
         return ExactCircle(_reflect_conj(sym.coeffs))
-    if isinstance(sym, SampledCircle):
-        return SampledCircle(np.conj(sym.values))
-    return SampledSymbol(np.conj(sym.on_C), np.conj(sym.on_C0))
+    return ExactSymbol(_reflect_conj(sym.coeffs_C), _reflect_conj(sym.coeffs_C0))
 
 
-def pullback_symbols(sym: BoundarySymbol) -> tuple[CircleSymbol, CircleSymbol]:
+def pullback_symbols(sym: ExactSymbol) -> tuple[ExactCircle, ExactCircle]:
     """Transplant both boundary restrictions to the unit circle.
 
     The unit-circle restriction is kept as is.  The inner-circle
     restriction is composed with ``theta -> R / z`` viewed on angles,
     i.e. the angle is negated: coefficient index ``n`` of the inner table
-    lands at index ``-n`` of the transplanted circle function.
+    lands at index ``-n`` of the transplanted circle function (on grid
+    samples this is :func:`_flip`).
     """
-    if isinstance(sym, ExactSymbol):
-        return (
-            ExactCircle(dict(sym.coeffs_C)),
-            ExactCircle({-n: c for n, c in sym.coeffs_C0.items()}),
-        )
-    return SampledCircle(np.asarray(sym.on_C)), SampledCircle(_flip(np.asarray(sym.on_C0)))
+    return (
+        ExactCircle(dict(sym.coeffs_C)),
+        ExactCircle({-n: c for n, c in sym.coeffs_C0.items()}),
+    )
 
 
 def _flip(values: np.ndarray) -> np.ndarray:
@@ -268,28 +214,10 @@ class PolyProfile:
 
 
 @dataclass(frozen=True)
-class SampledProfile:
-    """Radial profile given by values at the geometry's radial nodes."""
-
-    values: np.ndarray
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
-
-    def eval(self, r: np.ndarray) -> np.ndarray:
-        raise GridMismatchError(
-            "sampled profiles are bound to their quadrature nodes and cannot be re-evaluated"
-        )
-
-
-RadialProfile = PolyProfile | SampledProfile
-
-
-@dataclass(frozen=True)
 class PolarSymbol:
     """Finite sum of angular bands ``f_k(r) exp(i k theta)``."""
 
-    bands: dict[int, RadialProfile] = field(default_factory=dict)
+    bands: dict[int, PolyProfile] = field(default_factory=dict)
 
     def live_bands(self) -> list[int]:
         return sorted(k for k, p in self.bands.items() if not p.is_zero())
@@ -341,12 +269,7 @@ def boundary_symbol_to_json(sym: ExactSymbol, R: float) -> dict:
 
 
 def polar_symbol_to_json(sym: PolarSymbol, R: float) -> dict:
-    bands = []
-    for k in sorted(sym.bands):
-        profile = sym.bands[k]
-        if not isinstance(profile, PolyProfile):
-            raise ValueError("only polynomial radial profiles have a file form")
-        bands.append([int(k), _coeff_rows(profile.coeffs)])
+    bands = [[int(k), _coeff_rows(sym.bands[k].coeffs)] for k in sorted(sym.bands)]
     return {"repr": "polar", "R": float(R), "bands": bands}
 
 

@@ -1,5 +1,6 @@
 """Bergman-space sections driven by banded polar symbols."""
 
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from annulab.bergman import (
     quasi_homogeneous_apply,
     zero_product_experiment_bergman,
 )
+from annulab.cli import _HARNESSES, main
 from annulab.errors import WindowTooSmallError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry, bergman_norm_const
+from annulab.hardy import _coeff_vector, _span_residual
 from annulab.randgen import Lcg, random_polar_symbol
 from annulab.symbols import PolarSymbol, PolyProfile
 
@@ -235,21 +238,46 @@ def test_probe_seeded_pair_reports_certificates():
     assert report.verdict == "ConsistentWithTheorem"
     assert max(report.ladder_residuals) <= 1e-10
     assert report.min_product_column_norm > 1e-6
-    assert report.g_top_mellin_values
-    assert all(abs(v) > 0.0 for v in report.g_top_mellin_values.values())
-    assert report.recovered_band_transform_values
-    for (k, z), v in report.recovered_band_transform_values.items():
-        assert k in f.live_bands()
-        assert isinstance(z, int)
-        assert np.isfinite(abs(v))
 
 
-def test_probe_rejects_sampled_profiles():
-    from annulab.symbols import SampledProfile
+def cli_trial(seed, trial):
+    """The ``f``, ``g`` that ``lab zero-product-bergman`` draws at ``trial``."""
+    _, draw_f, draw_g = _HARNESSES["zero-product-bergman"]
+    rng = Lcg(seed)
+    for _ in range(trial + 1):
+        f, g = draw_f(rng), draw_g(rng)
+    return f, g
 
-    bad = PolarSymbol({0: SampledProfile(values=np.ones(4))})
-    with pytest.raises(ValueError):
-        zero_product_experiment_bergman(bad, PolarSymbol({1: one}), (-1, 12), R)
+
+def test_ill_conditioned_ladder_keeps_its_inclusions():
+    # seed 2, trial 9: the ladder columns reach condition 1e15, where a
+    # least-squares certificate gave residual 0.83 for a true inclusion
+    f, g = cli_trial(2, 9)
+    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    assert max(report.ladder_residuals) <= 1e-10
+
+
+def test_ladder_without_its_image_column_stays_far():
+    """Negative control: the image column of ``z^(n0+l)`` is the first to
+    reach degree ``n0+N+l``; without it the target is outside the span."""
+    f, g = cli_trial(2, 9)
+    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    lo, hi, n0, N = -1, 24, report.n0_effective, report.top_band_g
+    image = [
+        _coeff_vector(apply_polar_to_monomial(g, n0 + l, R), (lo, hi)) for l in range(9)
+    ]
+    base = [_coeff_vector({m: 1.0}, (lo, hi)) for m in range(lo, n0 + N)]
+    for l in range(9):
+        target = _coeff_vector({n0 + N + l: 1.0}, (lo, hi))
+        assert _span_residual(target, base + image[:l]) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [2, 9, 26])
+def test_bergman_harness_passes_where_the_ladder_degenerates(tmp_path, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 0.5, "seed": seed}))
+    out = tmp_path / "out"
+    assert main(["zero-product-bergman", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_probe_rejects_short_ladder_window():

@@ -300,6 +300,26 @@ def test_toeplitz_build_refuses_the_first_aliased_window(tmp_path, capsys, half,
         assert "PASS toeplitz-build/closed_form_vs_quadrature" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
+        ("identities", {"m_circle": 32}),
+    ],
+)
+def test_refused_run_leaves_no_directory(tmp_path, experiment, doc):
+    code, outdir = run_lab(tmp_path, experiment, doc, out="out/nested")
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_run_keeps_a_directory_it_did_not_create(tmp_path):
+    (tmp_path / "out").mkdir()
+    code, outdir = run_lab(tmp_path, "identities", {"m_circle": 32})
+    assert code == 2
+    assert outdir.is_dir()
+
+
 def test_unknown_experiment_is_an_argparse_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")

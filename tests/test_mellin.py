@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulab.errors import IllConditionedError, ZeroProfileError
-from annulab.geometry import AnnulusGeometry
 from annulab.mellin import (
     mellin_poly_reconstruct,
     mellin_quadrature,
@@ -14,7 +13,7 @@ from annulab.mellin import (
     monomial_moment,
 )
 from annulab.randgen import Lcg
-from annulab.symbols import PolyProfile, SampledProfile
+from annulab.symbols import PolyProfile
 
 R = 0.5
 
@@ -45,15 +44,6 @@ def test_closed_form_vs_quadrature_sweep(geo):
         closed = mellin_transform(prof, float(z), R)
         quad = mellin_quadrature(prof, float(z), geo)
         assert abs(closed - quad) <= 1e-10
-
-
-def test_sampled_profile_path(geo):
-    prof = PolyProfile({1: 1.0, 0: 0.5})
-    r, _ = geo.radial_nodes()
-    sampled = SampledProfile(prof.eval(r))
-    a = mellin_transform(prof, 2.5, R)
-    b = mellin_transform(sampled, 2.5, R, geo)
-    assert abs(a - b) <= 1e-12
 
 
 def test_moment_complex_series_branch_is_continuous():

@@ -3,15 +3,19 @@
 Each oracle computes its trapezoid sums with one FFT of grid samples and
 an index gather.  The loops below are those sums written out entry by
 entry, one ``mean(values * exp(...))`` per entry; the oracles must agree
-with them to rounding.  The last test runs the oracles at the sizes the
+with them to rounding.  The oracles must also read a symbol only through
+its grid samples: handed a stand-in that refuses every other read, they
+must give the same bits.  The last test runs the oracles at the sizes the
 FFT route makes affordable.
 """
 
 import numpy as np
 import pytest
 
+from annulab import bergman, hardy, reduction
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
 from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const
+from annulab.hardy import build_section_quadrature
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import (
     assemble_transfer_unitaries,
@@ -21,7 +25,7 @@ from annulab.reduction import (
     split_relation_residual,
     t_diag,
 )
-from annulab.symbols import SampledSymbol, fourier_pair, sample_symbol
+from annulab.symbols import fourier_pair, sample_symbol
 
 R = 0.5
 SIZE = 8
@@ -32,10 +36,30 @@ def grid():
     return AnnulusGeometry(R=R, m_circle=64)
 
 
-def symbols():
-    exact = random_boundary_symbol(Lcg(17), 4)
-    data = sample_symbol(exact, grid())
-    return {"exact": exact, "sampled": SampledSymbol(data.on_C, data.on_C0)}
+def symbol():
+    return random_boundary_symbol(Lcg(17), 4)
+
+
+class SamplesOnly:
+    """Stands in for a symbol whose grid samples a patched sampler hands
+    the oracle.  Any read of the stand-in itself raises, except
+    ``bandwidth()``, which the aliasing guard of the Hardy section needs."""
+
+    def __init__(self, bandwidth):
+        self._bandwidth = bandwidth
+
+    def __getattribute__(self, name):
+        if name == "bandwidth":
+            return lambda: object.__getattribute__(self, "_bandwidth")
+        raise AssertionError(f"the oracle read {name!r} of the symbol")
+
+
+def samples_only(monkeypatch, module, sampler, sym, geo):
+    """A stand-in for ``sym`` whose grid samples ``module.sampler`` returns,
+    precomputed from the real symbol."""
+    values = getattr(module, sampler)(sym, geo)
+    monkeypatch.setattr(module, sampler, lambda *_: values)
+    return SamplesOnly(sym.bandwidth())
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +139,17 @@ def test_transfer_unitaries_match_loop():
 
 
 @pytest.mark.parametrize("kind", ["exact", "sampled"])
-def test_inner_hankel_matches_loop(kind):
-    phi = symbols()[kind]
-    got = inner_hankel_quadrature(phi, SIZE, grid())
-    assert np.max(np.abs(got - loop_inner_hankel(phi, SIZE, grid()))) <= BOUND
+def test_inner_hankel_matches_loop(monkeypatch, kind):
+    phi, geo = symbol(), grid()
+    want = loop_inner_hankel(phi, SIZE, geo)
+    if kind == "sampled":
+        phi = samples_only(monkeypatch, reduction, "sample_symbol", phi, geo)
+    got = inner_hankel_quadrature(phi, SIZE, geo)
+    assert np.max(np.abs(got - want)) <= BOUND
 
 
 def test_split_relations_match_loop():
-    # a sampled symbol counts as reach m_circle/4, which no size resolves,
-    # so the split relations only ever run on exact symbols
-    phi = symbols()["exact"]
+    phi = symbol()
     got = split_relation_residual(phi, SIZE, grid())
     want = loop_split(phi, SIZE, max(map(abs, phi.coeffs_C0)), grid())
     assert max(abs(a - b) for a, b in zip(got, want)) <= BOUND
@@ -137,6 +162,40 @@ def test_bergman_quadrature_matches_loop(lo):
     hi = lo + SIZE - 1
     got = build_bergman_section_quadrature(f, (lo, hi), geo)
     assert np.max(np.abs(got - loop_bergman(f, lo, hi, geo))) <= BOUND
+
+
+# ---------------------------------------------------------------------------
+# the oracles read nothing but grid samples
+
+
+def inner_oracle(f, geo):
+    return inner_hankel_quadrature(f, SIZE, geo)
+
+
+def section_oracle(f, geo):
+    return build_section_quadrature(f, (-6, 6), geo).entries
+
+
+def area_oracle(f, geo):
+    return build_bergman_section_quadrature(f, (-1, 6), geo)
+
+
+@pytest.mark.parametrize(
+    "oracle, module, sampler, make",
+    [
+        (inner_oracle, reduction, "sample_symbol", symbol),
+        (section_oracle, hardy, "sample_symbol", symbol),
+        (area_oracle, bergman, "polar_symbol_grid",
+         lambda: random_polar_symbol(Lcg(29), -2, 3, 3)),
+    ],
+    ids=["inner-hankel", "hardy-section", "bergman-section"],
+)
+def test_oracle_reads_only_grid_samples(monkeypatch, oracle, module, sampler, make):
+    geo = AnnulusGeometry(R=R, m_circle=64, m_radial=16)
+    f = make()
+    want = oracle(f, geo)
+    got = oracle(samples_only(monkeypatch, module, sampler, f, geo), geo)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

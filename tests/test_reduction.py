@@ -38,7 +38,6 @@ from annulab.reduction import (
 from annulab.symbols import (
     ExactCircle,
     ExactSymbol,
-    SampledCircle,
     conjugate_symbol,
     laurent_symbol,
     pullback_symbols,
@@ -361,9 +360,9 @@ def test_empty_table_takes_no_svd(monkeypatch):
 
 def test_full_reach_profile_is_byte_identical():
     rng = Lcg(9)
-    values = np.array([rng.coefficient() for _ in range(256)])
+    dense = ExactCircle({n: rng.coefficient() for n in range(-127, 128)})
     outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 256))[0]
-    for phi, sizes in ((SampledCircle(values), (16, 40, 63)), (outer, (32, 64, 128))):
+    for phi, sizes in ((dense, (16, 40, 63)), (outer, (32, 64, 128))):
         profile = decay_profile_for(phi, sizes, "C")
         for s in sizes:
             want = full_svd(phi, s)

@@ -19,11 +19,11 @@ from annulab.hardy import build_hankel_annulus, build_toeplitz_hardy
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import build_disc_hankel, build_disc_toeplitz
 from annulab.symbols import (
+    ExactCircle,
     ExactSymbol,
     PolarSymbol,
     PolyProfile,
-    SampledCircle,
-    SampledProfile,
+    _analyze,
     pullback_symbols,
     sample_symbol,
 )
@@ -51,11 +51,11 @@ def loop_disc_hankel(phi, size):
     return ent
 
 
-def loop_bergman(f, lo, hi, R, geo=None):
+def loop_bergman(f, lo, hi, R):
     ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
     for col, n in enumerate(range(lo, hi + 1)):
         tn = bergman_norm_const(n, R)
-        for deg, coeff in apply_polar_to_monomial(f, n, R, geo).items():
+        for deg, coeff in apply_polar_to_monomial(f, n, R).items():
             if lo <= deg <= hi:
                 ent[deg - lo, col] += coeff * tn / bergman_norm_const(deg, R)
     return ent
@@ -66,10 +66,14 @@ def same_bytes(a, b):
 
 
 def circles():
+    """A sparse table, and a dense one analyzed from grid samples, which
+    holds a rounding-level coefficient at every index the grid resolves."""
     sym = random_boundary_symbol(Lcg(21), 40)
     exact = pullback_symbols(sym)[0]
     on_C = sample_symbol(sym, AnnulusGeometry(m_circle=256)).on_C
-    return {"exact": exact, "sampled": SampledCircle(on_C)}
+    ns = np.arange(-127, 128)
+    dense = ExactCircle(dict(zip(ns.tolist(), _analyze(on_C, ns))))
+    return {"exact": exact, "sampled": dense}
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +94,22 @@ def test_disc_hankel_gather_matches_loop(kind, size):
     assert same_bytes(build_disc_hankel(phi, size).entries, loop_disc_hankel(phi, size))
 
 
-def polar_symbol(rng, geo):
+def polar_symbol(rng):
     bands = {
         k: PolyProfile({d: rng.coefficient() for d in range(3)}) for k in (-3, -1, 0, 2, 5)
     }
-    r, _ = geo.radial_nodes()
-    bands[1] = SampledProfile(PolyProfile({0: rng.coefficient(), 2: 1.0}).eval(r))
+    bands[1] = PolyProfile({0: rng.coefficient(), 2: 1.0})
     return PolarSymbol(bands)
 
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("lo", [-1, 4])
 def test_bergman_section_matches_loop(size, lo):
-    geo = AnnulusGeometry(R=0.4, m_circle=64, m_radial=48)
-    f = polar_symbol(Lcg(size + lo), geo)
+    R = 0.4
+    f = polar_symbol(Lcg(size + lo))
     hi = lo + size - 1
-    got = build_bergman_toeplitz(f, (lo, hi), geo.R, geo).entries
-    assert same_bytes(got, loop_bergman(f, lo, hi, geo.R, geo))
+    got = build_bergman_toeplitz(f, (lo, hi), R).entries
+    assert same_bytes(got, loop_bergman(f, lo, hi, R))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulab.errors import AliasingError
-from annulab.geometry import AnnulusGeometry
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.symbols import (
     ExactCircle,
     ExactSymbol,
     PolarSymbol,
     PolyProfile,
-    SampledCircle,
-    SampledSymbol,
+    _analyze,
     _convolve,
+    _flip,
     conjugate_symbol,
     fourier_pair,
     laurent_symbol,
@@ -42,36 +41,38 @@ def test_fourier_pair_outer_indicator():
     assert fourier_pair(sym, 0) == (1.0, 0.0)
 
 
+def samples(sym, geo):
+    """Both circles' grid samples, stacked on the leading axis."""
+    data = sample_symbol(sym, geo)
+    return np.stack((data.on_C, data.on_C0))
+
+
 def test_sampled_roundtrip(small_geo):
     rng = Lcg(7)
     sym = random_boundary_symbol(rng, 10)
-    data = sample_symbol(sym, small_geo)
-    sampled = SampledSymbol(data.on_C, data.on_C0)
+    grid = samples(sym, small_geo)
     for n in range(-10, 11):
         a = fourier_pair(sym, n)
-        b = fourier_pair(sampled, n)
+        b = _analyze(grid, n)
         assert abs(a[0] - b[0]) <= 1e-12
         assert abs(a[1] - b[1]) <= 1e-12
 
 
 def test_sampled_aliasing_guard(small_geo):
-    data = sample_symbol(z_symbol(), small_geo)
-    sampled = SampledSymbol(data.on_C, data.on_C0)
     with pytest.raises(AliasingError):
-        fourier_pair(sampled, small_geo.m_circle // 2)
+        _analyze(samples(z_symbol(), small_geo), small_geo.m_circle // 2)
 
 
 def index_readers(geo):
-    """Each way of reading coefficients at an integer or an integer array,
-    on a symbol of each representation."""
+    """Each way of reading coefficients at an integer or an integer array:
+    from the tables, and from grid samples through the one FFT route."""
     sym = random_boundary_symbol(Lcg(9), 6)
-    data = sample_symbol(sym, geo)
-    sampled = SampledSymbol(data.on_C, data.on_C0)
+    grid = samples(sym, geo)
     return {
         "exact-pair": lambda n: fourier_pair(sym, n),
-        "sampled-pair": lambda n: fourier_pair(sampled, n),
+        "sampled-pair": lambda n: tuple(_analyze(grid, n)),
         "exact-circle": pullback_symbols(sym)[1].hat,
-        "sampled-circle": pullback_symbols(sampled)[1].hat,
+        "sampled-circle": lambda n: _analyze(_flip(grid[1]), n),
     }
 
 
@@ -130,14 +131,14 @@ def test_pullback_of_z_plus_conjugate():
 
 
 def test_pullback_consistency_exact_vs_sampled(small_geo):
+    # the table pullback and the angle flip of the grid samples agree
     rng = Lcg(3)
     sym = random_boundary_symbol(rng, 6)
     pc_e, p0_e = pullback_symbols(sym)
-    data = sample_symbol(sym, small_geo)
-    pc_s, p0_s = pullback_symbols(SampledSymbol(data.on_C, data.on_C0))
+    grid = samples(sym, small_geo)
     for n in range(-6, 7):
-        assert abs(pc_e.hat(n) - pc_s.hat(n)) <= 1e-12
-        assert abs(p0_e.hat(n) - p0_s.hat(n)) <= 1e-12
+        assert abs(pc_e.hat(n) - _analyze(grid[0], n)) <= 1e-12
+        assert abs(p0_e.hat(n) - _analyze(_flip(grid[1]), n)) <= 1e-12
 
 
 def test_multiply_exact_matches_sampled(small_geo):
@@ -161,9 +162,6 @@ def test_conjugate_symbol_reflects():
 def test_conjugate_symbol_on_circles():
     exact = conjugate_symbol(ExactCircle({3: 1 - 2j}))
     assert exact.coeffs == {-3: 1 + 2j}
-    values = np.array([1 + 1j, 2 - 3j, -1j])
-    sampled = conjugate_symbol(SampledCircle(values))
-    assert np.array_equal(sampled.values, np.conj(values))
 
 
 def test_convolve_exact_circle_tables():
