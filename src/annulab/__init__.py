@@ -41,7 +41,6 @@ from .mellin import (
 from .hardy import (
     HardyZeroProductReport,
     TruncatedOperator,
-    apply_multiplier_coeffs,
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
@@ -68,7 +67,6 @@ from .bergman import (
     BergmanZeroProductReport,
     build_bergman_toeplitz,
     find_n0_bergman,
-    quasi_homogeneous_apply,
     zero_product_experiment_bergman,
 )
 from .randgen import Lcg, random_boundary_symbol, random_polar_symbol

@@ -3,8 +3,9 @@
 The monomials z^n, n >= -1, form an orthogonal basis; a symbol that is a
 finite sum of quasi-homogeneous bands (angular frequency times a radial
 profile) acts band by band, sending each monomial to weighted monomials
-whose weights are radial Mellin moments.  Everything here is exact in
-coefficient space except the quadrature cross-checks.
+whose weights are radial Mellin moments.  Sections are assembled from
+these moments in the orthonormal basis; the quadrature cross-checks
+read only grid samples.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .hardy import (
     UNCONSTRAINED,
     VIOLATION,
     TruncatedOperator,
-    _coeff_vector,
     _column_norms,
-    _span_residual,
+    _ladder,
     _zero_factor_norms,
 )
 from .mellin import mellin_transform, mellin_zero_locate
@@ -35,6 +35,10 @@ class BergmanOperatorSection(TruncatedOperator):
     """Finite section together with the set of band offsets it carries."""
 
     band_offsets: frozenset = frozenset()
+
+
+# quasi_homogeneous_apply and apply_polar_to_monomial: no harness reads them;
+# the benchmark's per-layer metric list still names both (ROADMAP item 5)
 
 
 def quasi_homogeneous_apply(
@@ -83,7 +87,10 @@ def build_bergman_toeplitz(
 
     Entries are taken in the orthonormal basis (unit monomial multiples),
     so sections compose as matrices: the entry at (row m, column n) is the
-    monomial-action coefficient rescaled by ``t_n / t_m``.  The lower edge
+    monomial-action coefficient rescaled by ``t_n / t_m``.  Band ``k``
+    sends ``z^n`` to ``c z^(n+k)`` with ``c = t_(n+k)^2`` times the Mellin
+    moment of its profile at ``k + 2n + 2``, ``t`` the reciprocal monomial
+    norms of :func:`bergman_norm_const`.  The lower edge
     is clamped to -1, the smallest degree in the basis.  A radial symbol
     (single band at offset zero) gives a diagonal section; a single
     positive band gives a weighted shift.
@@ -94,9 +101,9 @@ def build_bergman_toeplitz(
     ent = np.zeros((size, size), dtype=complex)
     placed = False
     for k in f.live_bands():
-        # band k fills diagonal k (column b meets row b + k) with the
-        # operations of quasi_homogeneous_apply and the t_n / t_m rescaling
-        # in their order, so the entries match them bit for bit
+        # band k fills diagonal k (column b meets row b + k); the operation
+        # order is that of the per-entry reference loop in the tests, so the
+        # entries match it bit for bit
         cols = np.arange(max(0, -k), min(size, size - k))
         rows = cols + k
         coeff = (t[rows] * t[rows]) * mellin_transform(
@@ -184,10 +191,10 @@ class BergmanZeroProductReport:
 
     n0: int | str
     n0_effective: int
-    n0_negative: bool
     top_band_f: int
     top_band_g: int
     ladder_residuals: list[float] = field(default_factory=list)
+    min_relative_pivot: float = float("nan")
     product_column_norms: list[float] = field(default_factory=list)
     min_product_column_norm: float = float("nan")
     verdict: str = CONSISTENT
@@ -203,12 +210,13 @@ def zero_product_experiment_bergman(
 ) -> BergmanZeroProductReport:
     """Probe a banded pair for the zero-product mechanism.
 
-    The ladder checks that each monomial of degree n0+N+l is spanned by the
-    images of the first l+1 ladder monomials under the second symbol
-    together with all lower-degree monomials, and the product section
-    supplies interior column norms.  Verdict semantics match the two-circle
-    harness: a violation needs every interior product column below the
-    floor while the ladder stays tight.
+    The ladder (:func:`annulab.hardy._ladder` with ``S = I`` and
+    ``P = T_g``) checks that each basis vector of degree n0+N+l is spanned
+    by the images of the first l+1 ladder vectors under the second symbol
+    together with all lower-degree basis vectors, and the product section
+    supplies interior column norms.  Verdict semantics match the
+    two-circle harness: a violation needs every interior product column
+    below the floor while the ladder stays tight.
     """
     lo, hi = _clamp_window(window)
     norms = _zero_factor_norms(build_bergman_toeplitz, f, g, (lo, hi), R)
@@ -216,7 +224,6 @@ def zero_product_experiment_bergman(
         return BergmanZeroProductReport(
             n0=UNCONSTRAINED,
             n0_effective=lo,
-            n0_negative=False,
             top_band_f=None if f.is_zero() else f.top_band(),
             top_band_g=None if g.is_zero() else g.top_band(),
             product_column_norms=norms,
@@ -225,39 +232,11 @@ def zero_product_experiment_bergman(
     N = g.top_band()
     L = int(ladder_length)
     n0 = find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi))
-    if isinstance(n0, str):
-        n0_eff = lo
-        negative = False
-    else:
-        n0_eff = max(n0, lo)
-        negative = n0 < 0
+    n0_eff = lo if isinstance(n0, str) else max(n0, lo)
     if n0_eff + N + L > hi:
         raise WindowTooSmallError(
             f"ladder top {n0_eff + N + L} exceeds window top {hi}"
         )
-    report = BergmanZeroProductReport(
-        n0=n0,
-        n0_effective=n0_eff,
-        n0_negative=negative,
-        top_band_f=f.top_band(),
-        top_band_g=N,
-    )
-
-    win = (lo, hi)
-    image_cols = [
-        _coeff_vector(apply_polar_to_monomial(g, n0_eff + lp, R), win) for lp in range(L + 1)
-    ]
-    base_cols = [_coeff_vector({m: 1.0 + 0.0j}, win) for m in range(lo, n0_eff + N)]
-    for l in range(L + 1):
-        target = _coeff_vector({n0_eff + N + l: 1.0 + 0.0j}, win)
-        report.ladder_residuals.append(
-            _span_residual(target, base_cols + image_cols[: l + 1])
-        )
-
-    prod = (
-        build_bergman_toeplitz(f, (lo, hi), R).entries
-        @ build_bergman_toeplitz(g, (lo, hi), R).entries
-    )
     margin = f.bandwidth() + g.bandwidth()
     size = hi - lo + 1
     bottom = 0 if lo == -1 else margin
@@ -265,10 +244,21 @@ def zero_product_experiment_bergman(
         raise WindowTooSmallError(
             f"window [{lo},{hi}] has no interior columns at margin {margin}"
         )
-    norms = _column_norms(prod, range(bottom, size - margin))
-    report.product_column_norms = norms
-    report.min_product_column_norm = min(norms)
 
+    tf = build_bergman_toeplitz(f, (lo, hi), R).entries
+    tg = build_bergman_toeplitz(g, (lo, hi), R).entries
+    ladder, pivot = _ladder(np.eye(size), tg, tg, n0_eff - lo, N, L)
+    norms = _column_norms(tf @ tg, range(bottom, size - margin))
+    report = BergmanZeroProductReport(
+        n0=n0,
+        n0_effective=n0_eff,
+        top_band_f=f.top_band(),
+        top_band_g=N,
+        ladder_residuals=ladder,
+        min_relative_pivot=pivot,
+        product_column_norms=norms,
+        min_product_column_norm=min(norms),
+    )
     if max(norms) < zero_divisor_floor:
         report.verdict = VIOLATION
     return report

@@ -314,15 +314,17 @@ def _run_mellin(cfg: LabConfig, outdir: Path):
     return rows, [], {}
 
 
-#: per harness: the probe, then the seeded draws of ``f`` and ``g``
+#: per harness: the module and name of the probe, looked up at each run so
+#: a rebound module attribute (a tracer, a test double) is the one called,
+#: then the seeded draws of ``f`` and ``g``
 _HARNESSES = {
     "zero-product-hardy": (
-        hardy.zero_product_experiment_hardy,
+        hardy, "zero_product_experiment_hardy",
         lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
         lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
     ),
     "zero-product-bergman": (
-        bergman.zero_product_experiment_bergman,
+        bergman, "zero_product_experiment_bergman",
         lambda rng: randgen.random_polar_symbol(rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE),
         lambda rng: randgen.random_polar_symbol(
             rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE, monomial_top=True
@@ -332,7 +334,8 @@ _HARNESSES = {
 
 
 def _run_zero_product(cfg: LabConfig, outdir: Path):
-    probe, draw_f, draw_g = _HARNESSES[cfg.experiment]
+    module, name, draw_f, draw_g = _HARNESSES[cfg.experiment]
+    probe = getattr(module, name)
     check, tol = cfg.experiment, cfg.tolerance
     rng = randgen.Lcg(cfg.seed)
     rows, verdicts = [], []
@@ -356,6 +359,11 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
             report.floor_check(
                 check, f"trial{t:02d}_min_product_column_norm",
                 rep.min_product_column_norm, ZERO_DIVISOR_FLOOR,
+            )
+        )
+        rows.append(
+            report.info_check(
+                check, f"trial{t:02d}_min_relative_pivot", rep.min_relative_pivot
             )
         )
     rows.append(report.residual_check(check, "worst_ladder_residual", worst_ladder, tol))

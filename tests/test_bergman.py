@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from annulab.bergman import (
-    apply_polar_to_monomial,
     build_bergman_section_quadrature,
     build_bergman_toeplitz,
     find_n0_bergman,
     polar_symbol_grid,
-    quasi_homogeneous_apply,
     zero_product_experiment_bergman,
 )
 from annulab.cli import _HARNESSES, main
 from annulab.errors import WindowTooSmallError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry, bergman_norm_const
-from annulab.hardy import _coeff_vector, _span_residual
+from annulab.hardy import _ladder
 from annulab.randgen import Lcg, random_polar_symbol
 from annulab.symbols import PolarSymbol, PolyProfile
 
@@ -50,22 +48,28 @@ def coeff_by_quadrature(p, profile, n, geo):
 
 
 # ---------------------------------------------------------------------------
-# single-band action
+# single-band action, read from section entries
+
+
+def monomial_coeff(p, profile, n, R):
+    """Coefficient of ``z^(p+n)`` in the image of ``z^n`` under one band:
+    the section entry at (row p+n, column n) rescaled by ``t_(p+n) / t_n``
+    out of the orthonormal basis."""
+    m = p + n
+    lo = -1
+    sec = build_bergman_toeplitz(PolarSymbol({p: profile}), (lo, max(m, n)), R)
+    return sec.entries[m - lo, n - lo] * bergman_norm_const(m, R) / bergman_norm_const(n, R)
 
 
 def test_radial_constant_band_cancels_to_one():
+    sec = build_bergman_toeplitz(PolarSymbol({0: one}), (-1, 7), R)
     for n in (-1, 0, 3, 7):
-        coeff, deg = quasi_homogeneous_apply(0, one, n, R)
-        assert deg == n
-        assert coeff == pytest.approx(1.0, abs=1e-14)
+        assert sec.entries[n + 1, n + 1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_band_action_frozen_values():
-    coeff, deg = quasi_homogeneous_apply(1, one, 0, R)
-    assert deg == 1
-    assert coeff == pytest.approx(1.2444444444444442, abs=1e-13)
-    coeff, deg = quasi_homogeneous_apply(-2, one, 1, R)
-    assert deg == -1
+    assert monomial_coeff(1, one, 0, R) == pytest.approx(1.2444444444444442, abs=1e-13)
+    coeff = monomial_coeff(-2, one, 1, R)
     assert coeff == pytest.approx(0.5410106403333612, abs=1e-13)
     assert coeff == pytest.approx((1.0 - R**2) / (2.0 * math.log(2.0)), abs=1e-13)
 
@@ -78,26 +82,29 @@ def test_band_action_matches_area_quadrature():
         (2, PolyProfile({2: 1.0 + 0.0j}), 3),
         (0, PolyProfile({1: 0.5 + 0.0j}), -1),
     ]:
-        coeff, _ = quasi_homogeneous_apply(p, profile, n, R)
+        coeff = monomial_coeff(p, profile, n, R)
         assert coeff == pytest.approx(coeff_by_quadrature(p, profile, n, geo), abs=1e-10)
 
 
 def test_band_action_annihilates_below_basis():
-    coeff, deg = quasi_homogeneous_apply(-3, one, 0, R)
-    assert coeff == 0.0
-    assert deg == -3
+    # z^0 would go to z^-3, below the basis: its column is empty, while
+    # z^2 lands on z^-1
+    sec = build_bergman_toeplitz(PolarSymbol({-3: one}), (-1, 6), R)
+    assert np.all(sec.entries[:, 0 + 1] == 0.0)
+    assert sec.entries[-1 + 1, 2 + 1] != 0.0
 
 
 def test_band_action_rejects_degrees_below_basis():
     with pytest.raises(ValueError):
-        quasi_homogeneous_apply(1, one, -2, R)
+        build_bergman_toeplitz(PolarSymbol({1: one}), (-6, -2), R)
 
 
 def test_apply_polar_collects_band_images():
     sym = PolarSymbol({0: one, 2: PolyProfile({1: 1.0 + 0.0j})})
-    table = apply_polar_to_monomial(sym, 1, R)
-    assert set(table) == {1, 3}
-    assert table[1] == pytest.approx(1.0, abs=1e-14)
+    sec = build_bergman_toeplitz(sym, (-1, 6), R)
+    column = sec.entries[:, 1 + 1]
+    assert set(np.flatnonzero(column) - 1) == {1, 3}
+    assert column[1 + 1] == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +249,7 @@ def test_probe_seeded_pair_reports_certificates():
 
 def cli_trial(seed, trial):
     """The ``f``, ``g`` that ``lab zero-product-bergman`` draws at ``trial``."""
-    _, draw_f, draw_g = _HARNESSES["zero-product-bergman"]
+    *_, draw_f, draw_g = _HARNESSES["zero-product-bergman"]
     rng = Lcg(seed)
     for _ in range(trial + 1):
         f, g = draw_f(rng), draw_g(rng)
@@ -263,13 +270,21 @@ def test_ladder_without_its_image_column_stays_far():
     f, g = cli_trial(2, 9)
     report = zero_product_experiment_bergman(f, g, (-24, 24), R)
     lo, hi, n0, N = -1, 24, report.n0_effective, report.top_band_g
-    image = [
-        _coeff_vector(apply_polar_to_monomial(g, n0 + l, R), (lo, hi)) for l in range(9)
-    ]
-    base = [_coeff_vector({m: 1.0}, (lo, hi)) for m in range(lo, n0 + N)]
-    for l in range(9):
-        target = _coeff_vector({n0 + N + l: 1.0}, (lo, hi))
-        assert _span_residual(target, base + image[:l]) > 1e-3
+    tg = build_bergman_toeplitz(g, (lo, hi), R).entries
+    # rung l reads the images of z^(n0) .. z^(n0+l-1): one column behind
+    first = n0 - lo
+    behind = np.zeros_like(tg)
+    behind[:, first + 1 :] = tg[:, first:-1]
+    restricted, _ = _ladder(np.eye(hi - lo + 1), behind, tg, first, N, 8)
+    assert min(restricted) > 1e-3
+
+
+def test_smallest_relative_pivot_of_the_degenerate_ladder():
+    """Seed 2, trial 9: the top-degree entry of each ladder image is only
+    about 1% of its column, the factor the certificate grows by."""
+    f, g = cli_trial(2, 9)
+    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    assert report.min_relative_pivot == pytest.approx(1.23e-2, rel=5e-3)
 
 
 @pytest.mark.parametrize("seed", [2, 9, 26])

@@ -61,6 +61,22 @@ def test_zero_product_bergman_runs_clean(tmp_path):
     assert code == 0
 
 
+def test_zero_product_calls_the_probe_bound_at_run_time(tmp_path, monkeypatch):
+    """A probe rebound on its module after import (as the benchmark's
+    tracer does) is the one the harness calls."""
+    probe = annulab.hardy.zero_product_experiment_hardy
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(annulab.hardy, "zero_product_experiment_hardy", spy)
+    code, _ = run_lab(tmp_path, "zero-product-hardy", {"R": 0.5, "seed": 1})
+    assert code == 0
+    assert calls == [(-24, 24)] * 20
+
+
 @pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])
 def test_small_radius_wide_window_runs_clean(tmp_path, capsys, experiment):
     """At R = 0.1 on [-160, 160] the basis norms sqrt(1 + R^(2n)) leave the

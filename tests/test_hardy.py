@@ -10,7 +10,7 @@ from annulab.hardy import (
     CONSISTENT,
     UNCONSTRAINED,
     VIOLATION,
-    apply_multiplier_coeffs,
+    _ladder,
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
@@ -29,7 +29,8 @@ split_sign = ExactSymbol({0: 1.0}, {0: -1.0})
 
 def toeplitz_entry(f, j, k, R):
     """Entry at row ``j``, column ``k`` of the closed-form section."""
-    return build_toeplitz_hardy(f, (min(j, k), max(j, k)), R).at(j, k)
+    lo = min(j, k)
+    return build_toeplitz_hardy(f, (lo, max(j, k)), R).entries[j - lo, k - lo]
 
 
 def test_constant_symbol_gives_identity_entries():
@@ -96,7 +97,7 @@ def test_adjoint_matches_conjugate_symbol():
 
 def test_truncated_operator_indexing():
     sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-3, 3), R)
-    assert sec.at(1, 0) == pytest.approx(
+    assert sec.entries[1 + 3, 0 + 3] == pytest.approx(
         toeplitz_entry(laurent_symbol({1: 1.0}, R), 1, 0, R), rel=1e-13
     )
     assert sec.row_window == (-3, 3) and sec.col_window == (-3, 3)
@@ -243,7 +244,11 @@ def test_harness_ladder_is_tight():
     assert rep.verdict == CONSISTENT
     assert max(rep.ladder_residuals) <= 1e-10
     # without the product columns the same targets are far from the span
-    assert min(rep.restricted_ladder_residuals) > 1e-3
+    tf = build_toeplitz_hardy(f, (-20, 20), R).entries
+    tg = build_toeplitz_hardy(g, (-20, 20), R).entries
+    first = rep.n0_effective + 20
+    restricted, _ = _ladder(tf, np.zeros_like(tf), tg, first, g.top_degree(), 8)
+    assert min(restricted) > 1e-3
 
 
 def test_harness_window_guard():
@@ -282,13 +287,18 @@ def test_entry_formula_splits_by_offset(j, k):
 
 @pytest.mark.parametrize("r, n", [(0.5, -1100), (0.1, -160), (0.9, -40), (0.5, -3), (0.5, 6)])
 def test_multiplier_coeffs_stay_finite_at_deep_indices(r, n):
-    """``R^(2(n+k))`` overflows at R = 0.5, n = -1100 and at R = 0.1,
-    n = -160; the coefficients themselves are of modest size."""
+    """Column ``n`` of the section holds the compressed multiplier's
+    coefficients of basis vector ``n``.  ``R^(2(n+k))`` overflows at
+    R = 0.5, n = -1100 and at R = 0.1, n = -160; the entries themselves are
+    of modest size."""
     f = random_boundary_symbol(Lcg(5), 4)
-    out = apply_multiplier_coeffs(f, n, r)
+    lo = n - 4
+    column = build_toeplitz_hardy(f, (lo, n + 4), r).entries[:, n - lo]
     with mpmath.workdps(50):
         rr = mpmath.mpf(r)
         for k in f.support():
             fC, fC0 = f.pair(k)
-            want = (fC + rr ** (2 * n + k) * fC0) / (1 + rr ** (2 * (n + k)))
-            assert abs(mpmath.mpc(out[n + k]) - want) <= 1e-14 * abs(want)
+            want = (fC + rr ** (2 * n + k) * fC0) / mpmath.sqrt(
+                (1 + rr ** (2 * (n + k))) * (1 + rr ** (2 * n))
+            )
+            assert abs(mpmath.mpc(column[n + k - lo]) - want) <= 1e-14 * abs(want)

@@ -74,10 +74,10 @@ def test_disc_sections_match_grid_quadrature():
         for k in range(size):
             toe = np.mean(vals * np.exp(-1j * (j - k) * t))
             han = np.mean(vals * np.exp(1j * ((j + 1) + k) * t))
-            assert build_disc_toeplitz(phi, size).at(j, k) == pytest.approx(
+            assert build_disc_toeplitz(phi, size).entries[j, k] == pytest.approx(
                 toe, abs=1e-12
             )
-            assert build_disc_hankel(phi, size).at(j, k) == pytest.approx(
+            assert build_disc_hankel(phi, size).entries[j, k] == pytest.approx(
                 han, abs=1e-12
             )
 
