@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -87,6 +88,8 @@ def _window(w) -> tuple[int, int]:
 def _sizes(v) -> tuple[int, ...]:
     if any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in v):
         raise ConfigError("config field 'sizes' must hold positive integers")
+    if len(set(v)) < len(v):
+        raise ConfigError("config field 'sizes' must not repeat a size")
     return tuple(v)
 
 
@@ -130,7 +133,21 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
     if out_override is not None:
         cfg.out = out_override
     cfg.geometry()  # validates R / m_circle / m_radial jointly
+    if cfg.experiment == "hankel-decay":
+        _check_section_memory(max(cfg.sizes))
     return cfg
+
+
+def _check_section_memory(size: int) -> None:
+    """Refuse a decay sweep whose largest dense complex section,
+    ``16 size^2`` bytes, exceeds the host's physical memory."""
+    need = 16 * size**2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"config field 'sizes': a {size}x{size} section needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def load_config(path, experiment: str, out_override: str | None = None) -> LabConfig:
@@ -217,19 +234,34 @@ def _run_hankel_decay(cfg: LabConfig, outdir: Path):
         cfg.symbol, cfg, reference.smooth_decay_symbol
     )
     verdict, profiles = reduction.hankel_compactness_indicator(sym, cfg.sizes)
+    check = "hankel-decay"
     rows = []
     for p in profiles:
         for s in p.sizes:
             rows.append(
-                report.info_check(
-                    "hankel-decay", f"tail_{p.pullback}_{s}", p.tail_indices[s]
-                )
+                report.info_check(check, f"tail_{p.pullback}_{s}", p.tail_indices[s])
             )
+    for p in profiles:
+        rows.append(report.info_check(check, f"rank_bound_{p.pullback}", p.rank_bound))
+        rows.append(report.info_check(check, f"l1_tail_k_{p.pullback}", p.l1_tail_k))
+        rows.append(
+            report.residual_check(
+                check, f"tail_within_certificate_{p.pullback}",
+                max(p.tail_indices.values()), p.certified_tail,
+            )
+        )
     report.write_decay_csv(outdir / "decay.csv", profiles)
     emit_plot(profiles[0], outdir / "decay.svg")
     emit_plot(profiles[1], outdir / "decay-inner.svg")
     files = ["decay.csv", "decay.svg", "decay-inner.svg"]
-    return rows, files, {"verdict": verdict}
+    extra = {"verdict": verdict}
+    if cfg.symbol in [f"builtin:{name}" for name in reference.TRUNCATED]:
+        # the certificate sums the table the run reads, not the infinite one
+        extra["l1_tail_table"] = (
+            f"truncated to {_reference_count(cfg)} coefficients; "
+            "l1_tail_k bounds the sections of the truncation only"
+        )
+    return rows, files, extra
 
 
 def _run_identities(cfg: LabConfig, outdir: Path):

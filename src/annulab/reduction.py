@@ -251,13 +251,20 @@ def split_relation_residual(
 
 @dataclass
 class DecayProfile:
-    """Singular values of one pullback's disc Hankel sections across sizes."""
+    """Singular values of one pullback's disc Hankel sections across sizes,
+    with the two size-independent bounds on their tail indices: the live
+    reach ``rank_bound`` (Kronecker) and the l1 tail index ``l1_tail_k``,
+    and the count ``certified_tail`` that the tail indices may not exceed
+    once rounding is allowed for (see :func:`l1_tail_certificate`)."""
 
     pullback: str
     sizes: list[int]
     epsilon: float
     singular_values: dict[int, list[float]] = field(default_factory=dict)
     tail_indices: dict[int, int] = field(default_factory=dict)
+    rank_bound: int = 0
+    l1_tail_k: int = 0
+    certified_tail: int = 0
 
     def tail_fraction(self, size: int) -> float:
         return self.tail_indices[size] / size
@@ -265,6 +272,54 @@ class DecayProfile:
 
 def tail_index(sigmas, epsilon: float) -> int:
     return int(np.sum(np.asarray(sigmas) > epsilon))
+
+
+def l1_tail_certificate(
+    hats: np.ndarray, epsilon: float, reach: int
+) -> tuple[int, int]:
+    """``(k*, certified)`` for the Hankel sections read from ``hats``, where
+    ``hats[i]`` is ``phihat(-(i+1))`` and ``reach`` is the live reach.
+
+    With ``T_k = sum_{n>k} |phihat(-n)|`` over the ``N`` coefficients read,
+    ``k* = min{k : T_k <= epsilon}``.  Every section ``H_s`` that reads no
+    more than these coefficients is ``sum_n phihat(-n) J_n`` with ``J_n``
+    the 0/1 antidiagonal ``j + k + 1 = n``, of norm at most 1.  The terms
+    ``n <= k`` live in the leading ``k x k`` block (rank at most ``k``), so
+    by Weyl ``sigma_(k+1)(H_s) <= T_k``: in exact arithmetic no size's tail
+    index exceeds ``k*``.
+
+    The rounding slack is ``delta = 2 N eps T_0`` (``eps`` the machine
+    epsilon, ``2u``).  Summing ``N`` nonnegative moduli, each within ``2u``
+    of exact, leaves ``T_k`` within ``(N + 1) u T_0``.  The decomposition
+    is backward stable: the computed singular values (or eigenvalue
+    moduli, a 1-Lipschitz map after sorting) are exact for ``H + E`` with
+    ``||E|| <= p(L) u ||H||``, and ``||H|| <= T_0`` by the sum above; the
+    remaining ``(3N - 1) u T_0`` covers ``p(L)`` up to ``6L - 4`` for the
+    ``L x L`` live block (``N >= 2L - 1``), above the linear growth of a
+    Householder reduction.  So a computed tail index exceeds no ``k`` with
+    computed ``T_k + delta <= epsilon``, and ``certified`` is the least such
+    ``k``.  Where none qualifies it is ``reach``: only the live block is
+    decomposed, so a tail index never exceeds it.
+    """
+    tails = np.append(np.cumsum(np.abs(hats)[::-1])[::-1], 0.0)
+    k_star = int(np.argmax(tails <= epsilon))
+    slack = 2 * hats.size * np.finfo(float).eps * tails[0]
+    ok = np.flatnonzero(tails + slack <= epsilon)
+    return k_star, int(ok[0]) if ok.size else reach
+
+
+def hankel_singular_values(block: np.ndarray) -> np.ndarray:
+    """Descending singular values of a square disc Hankel block.
+
+    A complex block takes the SVD.  A real block is real symmetric, since
+    each entry ``(j, k)`` is gathered from ``phihat(-(j+1) - k)`` and so
+    equals entry ``(k, j)`` bit for bit; its singular values are the moduli
+    of its eigenvalues, which ``eigvalsh`` computes from one triangle by a
+    real tridiagonal reduction, several times faster than the SVD.
+    """
+    if np.isrealobj(block):
+        return np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
+    return np.linalg.svd(block, compute_uv=False)
 
 
 def decay_profile_for(
@@ -285,14 +340,17 @@ def decay_profile_for(
     ``[[B, 0], [0, 0]]`` with ``B`` its leading ``L x L`` block,
     ``L = min(s, r)``.  Its singular values are those of ``B`` followed by
     ``s - L`` zeros, so only ``B`` is decomposed and the zeros are exact;
-    an empty table (``L = 0``) takes no SVD at all.  Since an entry depends
-    only on ``j + k``, the blocks of all sizes are the leading blocks of
-    one section built at the largest ``L``.
+    an empty table (``L = 0``) is not decomposed at all.  Since an entry
+    depends only on ``j + k``, the blocks of all sizes are the leading
+    blocks of one section built at the largest ``L``.
 
-    Where ``L = s`` (a table reaching the whole section) the SVD sees the
-    same matrix as a full-section SVD, and the output is byte-identical to
-    it.  Where ``L < s`` the two agree in exact
-    arithmetic and differ only by rounding.
+    When no coefficient read has a nonzero imaginary part (an exact test),
+    the blocks are decomposed as real symmetric matrices by
+    :func:`hankel_singular_values`; they agree with the SVD to rounding.
+    A complex table takes the SVD: where ``L = s`` (a table reaching the
+    whole section) it sees the same matrix as a full-section SVD and the
+    output is byte-identical to it, and where ``L < s`` the two agree in
+    exact arithmetic and differ only by rounding.
     """
     sizes = sorted(int(s) for s in sizes)
     if not sizes:
@@ -303,13 +361,17 @@ def decay_profile_for(
     hats = phi_circle.hat(np.arange(-1, -2 * sizes[-1], -1))
     live = np.flatnonzero(hats)
     reach = int(live[-1]) + 1 if live.size else 0
+    profile.rank_bound = reach
+    profile.l1_tail_k, profile.certified_tail = l1_tail_certificate(hats, epsilon, reach)
     corner = min(sizes[-1], reach)
     block = build_disc_hankel(phi_circle, corner).entries if corner else None
+    if corner and not hats.imag.any():
+        block = block.real
     for s in sizes:
         L = min(s, reach)
         sig = np.zeros(s)
         if L:
-            sig[:L] = np.linalg.svd(block[:L, :L], compute_uv=False)
+            sig[:L] = hankel_singular_values(block[:L, :L])
         profile.tail_indices[s] = tail_index(sig, epsilon)
         keep = sig if top is None else sig[: min(top, len(sig))]
         profile.singular_values[s] = [float(x) for x in keep]

@@ -71,6 +71,10 @@ def analytic_square_symbol(R: float) -> ExactSymbol:
     return laurent_symbol({2: 1.0 + 0.0j}, R)
 
 
+#: references whose table truncates an infinite one to ``count`` coefficients
+TRUNCATED = ("conjugated-singular-inner",)
+
+
 def reference_symbol(name: str, R: float, count: int = 1025) -> ExactSymbol:
     """Look up a built-in symbol by its registry name."""
     if name == "conjugated-singular-inner":

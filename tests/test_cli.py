@@ -245,6 +245,7 @@ def _field_cases():
         ("symbol", 3, wrong_type), ("symbol2", [], wrong_type),
         ("sizes", 64, wrong_type), ("sizes", [], out_of_range), ("sizes", [0], sizes),
         ("sizes", [64, True], sizes),
+        ("sizes", [64, 64, 32], "config field 'sizes' must not repeat a size"),
         ("out", 1, wrong_type),
     ]
     cases += [(f.name, True, wrong_type) for f in fields(LabConfig)]
@@ -296,6 +297,8 @@ def run_lab_process(tmp_path, experiment, doc):
         ("gram", {"m_circle": 64}),
         # row, column and symbol frequencies reach 60 + 4 = m_circle
         ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
+        # a repeated size would write its rows and blocks twice
+        ("hankel-decay", {"sizes": [64, 64, 32]}),
     ],
 )
 def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
@@ -334,6 +337,72 @@ def test_refused_run_keeps_a_directory_it_did_not_create(tmp_path):
     code, outdir = run_lab(tmp_path, "identities", {"m_circle": 32})
     assert code == 2
     assert outdir.is_dir()
+
+
+def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    """A 2**22 section needs 256 TiB; the refusal comes before the table,
+    the section or the output directory exists."""
+    from annulab import reduction, reference
+
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated past the preflight")
+
+    monkeypatch.setattr(reference, "reference_symbol", boom)
+    monkeypatch.setattr(reduction, "build_disc_hankel", boom)
+    doc = {"sizes": [64, 2**22], "symbol": "builtin:conjugated-singular-inner"}
+    code, outdir = run_lab(tmp_path, "hankel-decay", doc)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config field 'sizes'")
+    assert "physical memory" in err[0]
+    # the rule belongs to the decay sweep; other experiments ignore sizes
+    assert load_config(tmp_path / "cfg.json", "gram").sizes == (64, 2**22)
+
+
+def _results(outdir):
+    rows = (outdir / "results.csv").read_text().strip().split("\n")[1:]
+    return {r.split(",")[1]: r.split(",")[2:] for r in rows}
+
+
+def test_hankel_decay_certificate_rows(tmp_path, capsys):
+    doc = {"sizes": [32, 64], "symbol": "builtin:conjugated-singular-inner"}
+    code, outdir = run_lab(tmp_path, "hankel-decay", doc)
+    assert code == 0
+    rows = _results(outdir)
+    names = list(rows)
+    assert names[:4] == ["tail_C_32", "tail_C_64", "tail_C0_32", "tail_C0_64"]
+    assert rows["rank_bound_C"] == ["127", "inf", "true"]
+    assert rows["rank_bound_C0"] == ["0", "inf", "true"]
+    assert rows["l1_tail_k_C0"] == ["0", "inf", "true"]
+    k_star = int(rows["l1_tail_k_C"][0])
+    assert 0 < k_star <= 127
+    tail = rows["tail_C_64"][0]
+    assert rows["tail_within_certificate_C"] == [tail, str(k_star), "true"]
+    assert rows["tail_within_certificate_C0"] == ["0", "0", "true"]
+    extra = json.loads((outdir / "report.json").read_text())["extra"]
+    assert "truncated to 128 coefficients" in extra["l1_tail_table"]
+    assert "note l1_tail_table: truncated" in capsys.readouterr().out
+    code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]}, out="smooth")
+    assert code == 0
+    extra = json.loads((outdir / "report.json").read_text())["extra"]
+    assert "l1_tail_table" not in extra
+
+
+def test_hankel_decay_certificate_catches_a_wrong_section(tmp_path, monkeypatch):
+    """A Toeplitz section in place of the Hankel one keeps a tail that
+    grows with the size, past the l1 tail bound of the table it reads,
+    and the run exits 1 on the certificate rows."""
+    from annulab import reduction
+
+    monkeypatch.setattr(reduction, "build_disc_hankel", reduction.build_disc_toeplitz)
+    code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]})
+    assert code == 1
+    rows = _results(outdir)
+    failing = sorted(n for n, (_, _, ok) in rows.items() if ok == "false")
+    assert failing == ["tail_within_certificate_C", "tail_within_certificate_C0"]
 
 
 def test_unknown_experiment_is_an_argparse_error(tmp_path):

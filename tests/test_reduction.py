@@ -29,6 +29,7 @@ from annulab.reduction import (
     decay_profile_for,
     diagram_residual,
     hankel_compactness_indicator,
+    l1_tail_certificate,
     semicommutator_residual_disc,
     split_relation_residual,
     t_diag,
@@ -342,13 +343,16 @@ def test_live_block_profile_matches_full_svd():
 
 def test_empty_table_takes_no_svd(monkeypatch):
     calls = []
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return svd(*args, **kwargs)
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     inner = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 256))[1]
     for phi in (inner, ExactCircle({0: 1.0, 3: 2.0})):
         profile = decay_profile_for(phi, (16, 64, 128), "C0")
@@ -359,14 +363,105 @@ def test_empty_table_takes_no_svd(monkeypatch):
 
 
 def test_full_reach_profile_is_byte_identical():
+    """The complex table takes the SVD and matches it bit for bit; the real
+    singular-inner table takes the symmetric eigensolver and matches it to
+    rounding, with the same tail count."""
     rng = Lcg(9)
     dense = ExactCircle({n: rng.coefficient() for n in range(-127, 128)})
+    profile = decay_profile_for(dense, (16, 40, 63), "C")
+    for s in profile.sizes:
+        want = full_svd(dense, s)
+        assert np.array(profile.singular_values[s]).tobytes() == want.tobytes()
     outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 256))[0]
-    for phi, sizes in ((dense, (16, 40, 63)), (outer, (32, 64, 128))):
-        profile = decay_profile_for(phi, sizes, "C")
-        for s in sizes:
-            want = full_svd(phi, s)
-            assert np.array(profile.singular_values[s]).tobytes() == want.tobytes()
+    profile = decay_profile_for(outer, (32, 64, 128), "C")
+    for s in profile.sizes:
+        want = full_svd(outer, s)
+        got = np.array(profile.singular_values[s])
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        assert profile.tail_indices[s] == tail_index(want, 0.5)
+
+
+def _real_table(seed, reach, gap=None):
+    rng = Lcg(seed)
+    table = {
+        -n: 3.0 * rng.coefficient().real / n for n in range(1, reach + 1) if n != gap
+    }
+    table.update({n: rng.coefficient() for n in range(0, 4)})
+    return ExactCircle(table)
+
+
+@pytest.mark.parametrize("seed, reach, gap", [(3, 20, 7), (4, 64, None), (8, 200, 150)])
+def test_real_table_eigen_path_matches_svd(seed, reach, gap):
+    """Sizes below, at and above the reach; a real Hankel block has
+    eigenvalues of both signs, and only their moduli are singular values."""
+    phi = _real_table(seed, reach, gap)
+    assert not phi.hat(np.arange(-1, -2 * 128, -1)).imag.any()
+    sizes = sorted({7, reach - 1, reach, reach + 1, 128})
+    profile = decay_profile_for(phi, sizes, "C")
+    for s in sizes:
+        want = full_svd(phi, s)
+        got = np.array(profile.singular_values[s])
+        assert got.shape == (s,)
+        assert np.all(np.diff(got) <= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        assert profile.tail_indices[s] == tail_index(want, 0.5)
+    L = min(reach, 128)
+    eig = np.linalg.eigvalsh(build_disc_hankel(phi, L).entries.real)
+    assert eig.min() < -0.5 and eig.max() > 0.5
+    assert max(profile.tail_indices.values()) >= 2
+
+
+def test_complex_table_keeps_the_svd_bit_for_bit():
+    """One coefficient with an imaginary part of 1e-300 is enough to keep
+    a table on the SVD: the selection is an exact test, not a tolerance."""
+    table = dict(_real_table(5, 40).coeffs)
+    table[-11] = table[-11] + 1e-300j
+    phi = ExactCircle(table)
+    profile = decay_profile_for(phi, (16, 40, 64), "C")
+    for s in profile.sizes:
+        want = full_svd(phi, s)
+        assert np.array(profile.singular_values[s]).tobytes() == want.tobytes()
+
+
+def test_disc_hankel_blocks_are_exactly_symmetric():
+    rng = Lcg(12)
+    phi = ExactCircle({n: rng.coefficient() for n in range(-90, 10)})
+    for size in (1, 7, 45, 64):
+        B = build_disc_hankel(phi, size).entries
+        assert np.array_equal(B, B.T)
+
+
+def test_l1_tail_certificate_counts():
+    hats = np.array([0.5, 0.25, 0.125, 0.125, 0.0], dtype=complex)
+    # tail sums T_0..T_5 = 1, 0.5, 0.25, 0.125, 0, 0 (exact in binary);
+    # a tail sum equal to epsilon certifies k* but not under the slack
+    assert l1_tail_certificate(hats, 0.5, 4) == (1, 2)
+    assert l1_tail_certificate(hats, 0.3, 4) == (2, 2)
+    assert l1_tail_certificate(hats, 0.25, 4) == (2, 3)
+    assert l1_tail_certificate(hats, 2.0, 4) == (0, 0)
+    # no tail sum clears the slack: only Kronecker's bound is left
+    huge = np.array([1e300, 0.25], dtype=complex)
+    assert l1_tail_certificate(huge, 0.5, 2) == (1, 2)
+
+
+def test_certificate_bounds_every_tail():
+    """Kronecker and the l1 tail bound hold on every reference table."""
+    outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 512))[0]
+    cases = [
+        (outer, 392),
+        (pullback_symbols(reference_symbol("smooth-decay", R))[0], 7),
+        (pullback_symbols(reference_symbol("smooth-decay", R))[1], 4),
+        (_real_table(3, 20, 7), None),
+        (ExactCircle({n: Lcg(9).coefficient() for n in range(-127, 128)}), None),
+    ]
+    for phi, k_star in cases:
+        profile = decay_profile_for(phi, (16, 64, 256), "C")
+        live = np.flatnonzero(phi.hat(np.arange(-1, -512, -1)))
+        assert profile.rank_bound == live[-1] + 1
+        assert profile.l1_tail_k <= profile.certified_tail <= profile.rank_bound
+        assert max(profile.tail_indices.values()) <= profile.certified_tail
+        if k_star is not None:
+            assert profile.l1_tail_k == k_star
 
 
 # ---------------------------------------------------------------------------
