@@ -18,7 +18,7 @@ from annulab.report import write_decay_csv
 NAMES = ("analytic-square", "split-sign", "smooth-decay", "conjugated-singular-inner")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--radius", type=float, default=0.5, help="inner radius R")
     parser.add_argument(
@@ -26,12 +26,13 @@ def main() -> int:
         help="section sizes for the sweep",
     )
     parser.add_argument("--outdir", default="decay-gallery", help="output directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in NAMES:
-        sym = reference_symbol(name, args.radius)
+        # the largest section reads down to index -(2 max(sizes) - 1)
+        sym = reference_symbol(name, args.radius, 2 * max(args.sizes))
         verdict, profiles = hankel_compactness_indicator(sym, args.sizes)
         tails = {p.pullback: [p.tail_indices[s] for s in p.sizes] for p in profiles}
         print(f"{name:28s} {verdict:14s} tails C={tails['C']} C0={tails['C0']}")

@@ -3,7 +3,6 @@ Hardy and Bergman spaces of a concentric annulus."""
 
 from .errors import (
     AliasingError,
-    GridMismatchError,
     IllConditionedError,
     WindowTooSmallError,
     ZeroProfileError,
@@ -13,7 +12,6 @@ from .geometry import (
     BoundaryData,
     basis_weights,
     bergman_norm_const,
-    boundary_inner_product,
     gram_matrix,
 )
 from .symbols import (
@@ -39,8 +37,8 @@ from .mellin import (
     monomial_moment,
 )
 from .hardy import (
-    HardyZeroProductReport,
     TruncatedOperator,
+    ZeroProductReport,
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
@@ -51,7 +49,6 @@ from .hardy import (
 )
 from .reduction import (
     DecayProfile,
-    ReducedZeroProductReport,
     build_disc_hankel,
     build_disc_toeplitz,
     conjugate_basis_coeffs,
@@ -60,11 +57,9 @@ from .reduction import (
     semicommutator_residual_disc,
     split_relation_residual,
     t_diag,
-    zero_product_experiment_reduced,
 )
 from .bergman import (
     BergmanOperatorSection,
-    BergmanZeroProductReport,
     build_bergman_toeplitz,
     find_n0_bergman,
     zero_product_experiment_bergman,

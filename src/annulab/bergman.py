@@ -11,7 +11,7 @@ read only grid samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .hardy import (
     UNCONSTRAINED,
     VIOLATION,
     TruncatedOperator,
+    ZeroProductReport,
     _column_norms,
     _ladder,
     _zero_factor_norms,
@@ -66,7 +67,7 @@ def quasi_homogeneous_apply(
 def _clamp_window(window: tuple[int, int]) -> tuple[int, int]:
     lo, hi = int(window[0]), int(window[1])
     if hi < -1:
-        raise ValueError("window must reach index -1 or above")
+        raise WindowTooSmallError("window must reach index -1 or above")
     return max(lo, -1), hi
 
 
@@ -185,21 +186,6 @@ def find_n0_bergman(
 # the zero-product probe
 
 
-@dataclass
-class BergmanZeroProductReport:
-    """Ladder and product-section diagnostics for one pair."""
-
-    n0: int | str
-    n0_effective: int
-    top_band_f: int
-    top_band_g: int
-    ladder_residuals: list[float] = field(default_factory=list)
-    min_relative_pivot: float = float("nan")
-    product_column_norms: list[float] = field(default_factory=list)
-    min_product_column_norm: float = float("nan")
-    verdict: str = CONSISTENT
-
-
 def zero_product_experiment_bergman(
     f: PolarSymbol,
     g: PolarSymbol,
@@ -207,32 +193,26 @@ def zero_product_experiment_bergman(
     R: float,
     ladder_length: int = 8,
     zero_divisor_floor: float = 1e-6,
-) -> BergmanZeroProductReport:
+) -> ZeroProductReport:
     """Probe a banded pair for the zero-product mechanism.
 
     The ladder (:func:`annulab.hardy._ladder` with ``S = I`` and
     ``P = T_g``) checks that each basis vector of degree n0+N+l is spanned
     by the images of the first l+1 ladder vectors under the second symbol
     together with all lower-degree basis vectors, and the product section
-    supplies interior column norms.  Verdict semantics match the
-    two-circle harness: a violation needs every interior product column
-    below the floor while the ladder stays tight.
+    supplies interior column norms.  The report and its verdict are those
+    of the two-circle harness (:class:`annulab.hardy.ZeroProductReport`).
     """
     lo, hi = _clamp_window(window)
     norms = _zero_factor_norms(build_bergman_toeplitz, f, g, (lo, hi), R)
     if norms is not None:
-        return BergmanZeroProductReport(
-            n0=UNCONSTRAINED,
-            n0_effective=lo,
-            top_band_f=None if f.is_zero() else f.top_band(),
-            top_band_g=None if g.is_zero() else g.top_band(),
-            product_column_norms=norms,
-            min_product_column_norm=min(norms),
+        return ZeroProductReport(
+            UNCONSTRAINED, lo, None if g.is_zero() else g.top_band(), norms
         )
     N = g.top_band()
     L = int(ladder_length)
     n0 = find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi))
-    n0_eff = lo if isinstance(n0, str) else max(n0, lo)
+    n0_eff = lo if n0 == UNCONSTRAINED else max(n0, lo)
     if n0_eff + N + L > hi:
         raise WindowTooSmallError(
             f"ladder top {n0_eff + N + L} exceeds window top {hi}"
@@ -249,16 +229,7 @@ def zero_product_experiment_bergman(
     tg = build_bergman_toeplitz(g, (lo, hi), R).entries
     ladder, pivot = _ladder(np.eye(size), tg, tg, n0_eff - lo, N, L)
     norms = _column_norms(tf @ tg, range(bottom, size - margin))
-    report = BergmanZeroProductReport(
-        n0=n0,
-        n0_effective=n0_eff,
-        top_band_f=f.top_band(),
-        top_band_g=N,
-        ladder_residuals=ladder,
-        min_relative_pivot=pivot,
-        product_column_norms=norms,
-        min_product_column_norm=min(norms),
+    return ZeroProductReport(
+        n0, n0_eff, N, norms, ladder, pivot,
+        VIOLATION if max(norms) < zero_divisor_floor else CONSISTENT,
     )
-    if max(norms) < zero_divisor_floor:
-        report.verdict = VIOLATION
-    return report

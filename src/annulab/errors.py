@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class GridMismatchError(ValueError):
-    """Sampled data does not match the quadrature grid it is paired with."""
-
-
 class AliasingError(ValueError):
     """A Fourier index is out of range for the sampling grid in use."""
 

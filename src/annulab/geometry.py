@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AliasingError, GridMismatchError
+from .errors import AliasingError
 
 COMPONENTS = ("C", "C0")
 
@@ -72,24 +72,6 @@ class BoundaryData(NamedTuple):
 
     on_C: np.ndarray
     on_C0: np.ndarray
-
-
-def boundary_inner_product(f: BoundaryData, g: BoundaryData, geo: AnnulusGeometry) -> complex:
-    """Inner product on the two-circle boundary.
-
-    Computes ``avg_C(f conj(g)) + avg_C0(f conj(g))`` by the trapezoid rule
-    on each circle, which is the normalized boundary measure of total mass
-    two.  Raises :class:`GridMismatchError` if any sample array does not
-    match ``geo.m_circle``.
-    """
-    for arr in (f.on_C, f.on_C0, g.on_C, g.on_C0):
-        if len(arr) != geo.m_circle:
-            raise GridMismatchError(
-                f"sample length {len(arr)} does not match m_circle={geo.m_circle}"
-            )
-    top = np.mean(f.on_C * np.conj(g.on_C))
-    bottom = np.mean(f.on_C0 * np.conj(g.on_C0))
-    return complex(top + bottom)
 
 
 def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:

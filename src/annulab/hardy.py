@@ -296,13 +296,6 @@ def semicommutator_residual_annulus(
     product symbol equals the product of sections plus the adjoint-Hankel
     times Hankel correction.  Returns ``(residual, margin)``.
     """
-    return _semicommutator_terms(phi, psi, window, R)[:2]
-
-
-def _semicommutator_terms(
-    phi: ExactSymbol, psi: ExactSymbol, window: tuple[int, int], R: float
-):
-    """Residual, margin and the product of sections ``T_phi T_psi``."""
     lo, hi = _check_window(window)
     margin = phi.bandwidth() + psi.bandwidth()
     if hi - lo + 1 <= 2 * margin:
@@ -318,35 +311,37 @@ def _semicommutator_terms(
     prod = t_phi.entries @ t_psi.entries
     delta = t_prod.entries - (prod + h_phibar.entries.conj().T @ h_psi.entries)
     sl = slice(margin, hi - lo + 1 - margin)
-    return float(np.max(np.abs(delta[sl, sl]))), margin, prod
+    return float(np.max(np.abs(delta[sl, sl]))), margin
 
 
 # ---------------------------------------------------------------------------
 # zero-product falsification harness
 
 
-@dataclass
-class HardyZeroProductReport:
-    """Outcome of one falsification run on a pair of band-limited symbols.
+@dataclass(frozen=True)
+class ZeroProductReport:
+    """Outcome of one zero-product probe on a pair of symbols, Hardy or
+    Bergman.
 
-    ``ladder_residuals`` are the span-inclusion residuals of
-    :func:`_ladder` with ``S = T_f`` and ``P = T_f T_g``; they hold for
-    every admissible pair: the image of the basis vector ``n0+N+l`` under
-    ``T_f`` lies in the span of the images of the lower basis vectors
-    together with the product-operator images of ``n0 .. n0+l``.  Under a
-    genuinely zero product the latter drop out and the inclusion reduces
-    to the one the proof iterates.  ``min_relative_pivot`` is the
-    smallest relative pivot of the same ladder.
+    ``top_degree`` is the top degree (Hardy) or top band (Bergman) of
+    ``g``, ``None`` for a zero ``g``.  ``ladder_residuals`` are the
+    span-inclusion residuals of :func:`_ladder`, whose smallest relative
+    pivot is ``min_relative_pivot``; a zero factor has no ladder.  The
+    verdict is ``Violation`` only when every interior product column norm
+    falls below the probe's floor.
     """
 
-    n0: object
+    n0: int | str
     n0_effective: int
+    top_degree: int | None
+    product_column_norms: list[float]
     ladder_residuals: list[float] = field(default_factory=list)
     min_relative_pivot: float = float("nan")
-    product_column_norms: list[float] = field(default_factory=list)
-    min_product_column_norm: float = float("nan")
     verdict: str = CONSISTENT
-    top_degree_g: int = 0
+
+    @property
+    def min_product_column_norm(self) -> float:
+        return min(self.product_column_norms)
 
 
 def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
@@ -439,24 +434,25 @@ def zero_product_experiment_hardy(
     R: float,
     ladder_length: int = 8,
     zero_divisor_floor: float = 1e-6,
-) -> HardyZeroProductReport:
+) -> ZeroProductReport:
     """Probe a symbol pair for a finite-window zero-divisor signature.
 
     Builds the sections ``T_f``, ``T_g`` and their product, reads the
     proof ladder of span inclusions from their columns (:func:`_ladder`)
-    and takes the interior column norms of the product.  The verdict is
+    and takes the interior column norms of the product.  Rung ``l`` holds
+    for every admissible pair: the image of basis vector ``n0+N+l`` under
+    ``T_f`` lies in the span of the images of the lower basis vectors and
+    the product images of ``n0 .. n0+l``; under a genuinely zero product
+    the latter drop out, leaving the inclusion the proof iterates.  The
+    verdict is
     ``Violation`` only when both symbols are nonzero yet every
     safe-interior product column norm falls below ``zero_divisor_floor``.
     """
     lo, hi = _check_window(window)
     norms = _zero_factor_norms(build_toeplitz_hardy, f, g, window, R)
     if norms is not None:
-        return HardyZeroProductReport(
-            n0=UNCONSTRAINED,
-            n0_effective=lo,
-            product_column_norms=norms,
-            min_product_column_norm=min(norms),
-            top_degree_g=None if g.is_zero() else g.top_degree(),
+        return ZeroProductReport(
+            UNCONSTRAINED, lo, None if g.is_zero() else g.top_degree(), norms
         )
     N = g.top_degree()
     n0 = find_n0_hardy(g, N, R)
@@ -481,15 +477,7 @@ def zero_product_experiment_hardy(
     prod = tf @ tg
     ladder, pivot = _ladder(tf, prod, tg, n0_eff - lo, N, L)
     norms = _column_norms(prod, range(margin, hi - lo + 1 - margin))
-    report = HardyZeroProductReport(
-        n0=n0,
-        n0_effective=n0_eff,
-        ladder_residuals=ladder,
-        min_relative_pivot=pivot,
-        product_column_norms=norms,
-        min_product_column_norm=min(norms),
-        top_degree_g=N,
+    return ZeroProductReport(
+        n0, n0_eff, N, norms, ladder, pivot,
+        VIOLATION if max(norms) < zero_divisor_floor else CONSISTENT,
     )
-    if max(norms) < zero_divisor_floor:
-        report.verdict = VIOLATION
-    return report

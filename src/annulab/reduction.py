@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import CONSISTENT, VIOLATION, TruncatedOperator, _gather, build_toeplitz_hardy
-from .hardy import _column_norms, _semicommutator_terms, _zero_factor_norms
+from .hardy import TruncatedOperator, _gather
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -322,13 +321,7 @@ def hankel_singular_values(block: np.ndarray) -> np.ndarray:
     return np.linalg.svd(block, compute_uv=False)
 
 
-def decay_profile_for(
-    phi_circle: ExactCircle,
-    sizes,
-    pullback: str,
-    epsilon: float = TAIL_EPSILON,
-    top: int | None = None,
-) -> DecayProfile:
+def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayProfile:
     """Singular values of the disc Hankel sections of ``phi_circle``, one
     set per size, each decomposed only on its live corner.
 
@@ -357,12 +350,14 @@ def decay_profile_for(
         raise ValueError("need at least one section size")
     if sizes[0] < 1:
         raise ValueError("section size must be positive")
-    profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=epsilon)
+    profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=TAIL_EPSILON)
     hats = phi_circle.hat(np.arange(-1, -2 * sizes[-1], -1))
     live = np.flatnonzero(hats)
     reach = int(live[-1]) + 1 if live.size else 0
     profile.rank_bound = reach
-    profile.l1_tail_k, profile.certified_tail = l1_tail_certificate(hats, epsilon, reach)
+    profile.l1_tail_k, profile.certified_tail = l1_tail_certificate(
+        hats, TAIL_EPSILON, reach
+    )
     corner = min(sizes[-1], reach)
     block = build_disc_hankel(phi_circle, corner).entries if corner else None
     if corner and not hats.imag.any():
@@ -372,9 +367,8 @@ def decay_profile_for(
         sig = np.zeros(s)
         if L:
             sig[:L] = hankel_singular_values(block[:L, :L])
-        profile.tail_indices[s] = tail_index(sig, epsilon)
-        keep = sig if top is None else sig[: min(top, len(sig))]
-        profile.singular_values[s] = [float(x) for x in keep]
+        profile.tail_indices[s] = tail_index(sig, TAIL_EPSILON)
+        profile.singular_values[s] = [float(x) for x in sig]
     return profile
 
 
@@ -404,87 +398,17 @@ def classify_decay(profiles: list[DecayProfile]) -> str:
 
 
 def hankel_compactness_indicator(
-    phi: ExactSymbol,
-    sizes,
-    epsilon: float = TAIL_EPSILON,
-    top: int | None = None,
+    phi: ExactSymbol, sizes
 ) -> tuple[str, list[DecayProfile]]:
     """Decay verdict for the disc Hankel sections of both pullbacks.
 
     This is a finite-size indicator, not a decision procedure: it reports
-    how the count of singular values above ``epsilon`` moves with the
+    how the count of singular values above ``TAIL_EPSILON`` moves with the
     section size for the outer and (transplanted) inner restrictions.
     """
     phi_C, phi_C0 = pullback_symbols(phi)
     profiles = [
-        decay_profile_for(phi_C, sizes, "C", epsilon, top),
-        decay_profile_for(phi_C0, sizes, "C0", epsilon, top),
+        decay_profile_for(phi_C, sizes, "C"),
+        decay_profile_for(phi_C0, sizes, "C0"),
     ]
     return classify_decay(profiles), profiles
-
-
-# ---------------------------------------------------------------------------
-# zero-product probe under a compact complement side
-
-
-@dataclass
-class ReducedZeroProductReport:
-    """Outcome of the product probe run under the decay precondition."""
-
-    indicator_psi: str
-    indicator_phibar: str
-    identity_residual: float
-    margin: int
-    product_column_norms: list[float] = field(default_factory=list)
-    min_product_column_norm: float = float("nan")
-    verdict: str = "ConsistentWithTheorem"
-
-
-def zero_product_experiment_reduced(
-    phi: ExactSymbol,
-    psi: ExactSymbol,
-    window: tuple[int, int],
-    R: float,
-    indicator_sizes=(32, 64, 128),
-    zero_divisor_floor: float = 1e-6,
-) -> ReducedZeroProductReport:
-    """Probe a pair whose complement sides are compact for a zero product.
-
-    Requires the decay indicator to accept either the second symbol or the
-    conjugate of the first (both are checked and reported).  Assembles the
-    three-term product identity on the annulus window and the interior
-    product column norms; the verdict mirrors the band-limited harness.
-    """
-    norms = _zero_factor_norms(build_toeplitz_hardy, phi, psi, window, R)
-    if norms is not None:
-        # no compactness hypothesis is left to check
-        return ReducedZeroProductReport(
-            indicator_psi=None,
-            indicator_phibar=None,
-            identity_residual=0.0,
-            margin=0,
-            product_column_norms=norms,
-            min_product_column_norm=min(norms),
-        )
-    verdict_psi, _ = hankel_compactness_indicator(psi, indicator_sizes)
-    verdict_phibar, _ = hankel_compactness_indicator(
-        conjugate_symbol(phi), indicator_sizes
-    )
-    if DECAY_OBSERVED not in (verdict_psi, verdict_phibar):
-        raise ValueError(
-            "decay precondition failed: neither the second symbol nor the "
-            "conjugated first symbol shows a compact complement side"
-        )
-    residual, margin, prod = _semicommutator_terms(phi, psi, window, R)
-    lo, hi = window
-    norms = _column_norms(prod, range(margin, hi - lo + 1 - margin))
-    report = ReducedZeroProductReport(
-        indicator_psi=verdict_psi,
-        indicator_phibar=verdict_phibar,
-        identity_residual=residual,
-        margin=margin,
-        product_column_norms=norms,
-        min_product_column_norm=min(norms),
-    )
-    report.verdict = VIOLATION if max(norms) < zero_divisor_floor else CONSISTENT
-    return report

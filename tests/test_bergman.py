@@ -221,8 +221,7 @@ def test_probe_zero_factor_is_trivially_consistent():
     g = PolarSymbol({1: one})
     report = zero_product_experiment_bergman(PolarSymbol({}), g, (-1, 12), R)
     assert report.verdict == "ConsistentWithTheorem"
-    assert report.top_band_f is None
-    assert report.top_band_g == 1
+    assert report.top_degree == 1
     assert report.min_product_column_norm == 0.0
 
 
@@ -269,7 +268,7 @@ def test_ladder_without_its_image_column_stays_far():
     reach degree ``n0+N+l``; without it the target is outside the span."""
     f, g = cli_trial(2, 9)
     report = zero_product_experiment_bergman(f, g, (-24, 24), R)
-    lo, hi, n0, N = -1, 24, report.n0_effective, report.top_band_g
+    lo, hi, n0, N = -1, 24, report.n0_effective, report.top_degree
     tg = build_bergman_toeplitz(g, (lo, hi), R).entries
     # rung l reads the images of z^(n0) .. z^(n0+l-1): one column behind
     first = n0 - lo

@@ -299,6 +299,8 @@ def run_lab_process(tmp_path, experiment, doc):
         ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
         # a repeated size would write its rows and blocks twice
         ("hankel-decay", {"sizes": [64, 64, 32]}),
+        # the Bergman basis starts at degree -1, above the whole window
+        ("zero-product-bergman", {"window": [-30, -5]}),
     ],
 )
 def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):

@@ -5,25 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annulab.errors import AliasingError, GridMismatchError
+from annulab.errors import AliasingError
 from annulab.geometry import (
     AnnulusGeometry,
-    BoundaryData,
     basis_weights,
     bergman_monomial_norm_quadrature,
     bergman_norm_const,
-    boundary_inner_product,
     complement_basis_eval,
     gram_matrix,
     hardy_basis_eval,
 )
 
 R = 0.5
-
-
-def boundary(ev, n, geo):
-    t = geo.angles()
-    return BoundaryData(ev(n, "C", t, geo.R), ev(n, "C0", t, geo.R))
 
 
 def test_geometry_validation():
@@ -67,32 +60,6 @@ def test_gram_identity(geo):
 def test_gram_window_guard(small_geo):
     with pytest.raises(AliasingError):
         gram_matrix(small_geo, small_geo.m_circle // 4 + 1)
-
-
-def test_cross_family_orthogonality(small_geo):
-    for n in (-5, 0, 3):
-        fn = boundary(complement_basis_eval, n, small_geo)
-        for m in (-5, 0, 3):
-            em = boundary(hardy_basis_eval, m, small_geo)
-            assert abs(boundary_inner_product(fn, em, small_geo)) <= 1e-12
-
-
-def test_inner_product_normalization(geo):
-    e0 = boundary(hardy_basis_eval, 0, geo)
-    assert boundary_inner_product(e0, e0, geo) == pytest.approx(1.0)
-
-
-def test_inner_product_outer_circle_mass(geo):
-    ones = np.ones(geo.m_circle)
-    chi = BoundaryData(ones, np.zeros(geo.m_circle))
-    both = BoundaryData(ones, ones)
-    assert boundary_inner_product(chi, both, geo) == pytest.approx(1.0)
-
-
-def test_inner_product_grid_mismatch(geo, small_geo):
-    f = boundary(hardy_basis_eval, 0, geo)
-    with pytest.raises(GridMismatchError):
-        boundary_inner_product(f, boundary(hardy_basis_eval, 0, small_geo), geo)
 
 
 def test_trapezoid_exact_on_trig_polynomials():

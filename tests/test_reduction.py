@@ -34,12 +34,10 @@ from annulab.reduction import (
     split_relation_residual,
     t_diag,
     tail_index,
-    zero_product_experiment_reduced,
 )
 from annulab.symbols import (
     ExactCircle,
     ExactSymbol,
-    conjugate_symbol,
     laurent_symbol,
     pullback_symbols,
 )
@@ -462,35 +460,6 @@ def test_certificate_bounds_every_tail():
         assert max(profile.tail_indices.values()) <= profile.certified_tail
         if k_star is not None:
             assert profile.l1_tail_k == k_star
-
-
-# ---------------------------------------------------------------------------
-# reduced zero-product probe
-
-
-def test_reduced_probe_zero_factor_is_trivially_consistent():
-    report = zero_product_experiment_reduced(
-        ExactSymbol({}, {}), laurent_symbol({1: 1.0}, R), (-8, 8), R
-    )
-    assert report.verdict == "ConsistentWithTheorem"
-    assert report.indicator_psi is None
-    assert report.min_product_column_norm == 0.0
-
-
-def test_reduced_probe_analytic_pair():
-    phi = laurent_symbol({1: 1.0}, R)
-    report = zero_product_experiment_reduced(phi, phi, (-12, 12), R)
-    assert report.indicator_psi == DECAY_OBSERVED
-    assert report.identity_residual <= 1e-10
-    assert report.margin == 2
-    assert report.min_product_column_norm > 1e-6
-    assert report.verdict == "ConsistentWithTheorem"
-
-
-def test_reduced_probe_requires_some_decay():
-    bad = reference_symbol("conjugated-singular-inner", R)
-    with pytest.raises(ValueError):
-        zero_product_experiment_reduced(conjugate_symbol(bad), bad, (-8, 8), R)
 
 
 # ---------------------------------------------------------------------------
