@@ -444,8 +444,7 @@ def zero_product_experiment_hardy(
     ``T_f`` lies in the span of the images of the lower basis vectors and
     the product images of ``n0 .. n0+l``; under a genuinely zero product
     the latter drop out, leaving the inclusion the proof iterates.  The
-    verdict is
-    ``Violation`` only when both symbols are nonzero yet every
+    verdict is ``Violation`` only when both symbols are nonzero yet every
     safe-interior product column norm falls below ``zero_divisor_floor``.
     """
     lo, hi = _check_window(window)
