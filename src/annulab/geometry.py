@@ -136,6 +136,10 @@ def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np
     return _on_circle(n, component, angles, A, -B)
 
 
+#: angles per block of the Gram oracle, which bounds its sample buffers
+_GRAM_BLOCK = 1024
+
+
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     """Quadrature Gram matrix of the combined basis over ``|n| <= half_window``.
 
@@ -144,6 +148,12 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     result is the identity up to quadrature rounding; callers assert the
     deviation.  Requires ``half_window <= m_circle / 4`` so no products
     alias on the grid.
+
+    The trapezoid sums run over blocks of ``_GRAM_BLOCK`` angles per circle,
+    as real symmetric rank-k products: with ``F`` a block of samples,
+    ``Re(F F^H)`` is ``V V^T`` for ``V`` the interleaved real and imaginary
+    parts, and ``Im(F F^H)`` is ``K - K^T`` with ``K = Im(F) Re(F)^T``.
+    The result is exactly Hermitian.
     """
     W = int(half_window)
     if W > geo.m_circle // 4:
@@ -152,13 +162,22 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
         )
     t = geo.angles()
     ns = np.arange(-W, W + 1)
-    A = np.concatenate(
-        (hardy_basis_eval(ns, "C", t, geo.R), complement_basis_eval(ns, "C", t, geo.R))
-    )
-    B = np.concatenate(
-        (hardy_basis_eval(ns, "C0", t, geo.R), complement_basis_eval(ns, "C0", t, geo.R))
-    )
-    return (A @ A.conj().T + B @ B.conj().T) / geo.m_circle
+    re = np.zeros((2 * len(ns), 2 * len(ns)))
+    im = np.zeros_like(re)
+    for comp in COMPONENTS:
+        for start in range(0, len(t), _GRAM_BLOCK):
+            tb = t[start : start + _GRAM_BLOCK]
+            F = np.concatenate(
+                (
+                    hardy_basis_eval(ns, comp, tb, geo.R),
+                    complement_basis_eval(ns, comp, tb, geo.R),
+                )
+            )
+            V = F.view(np.float64)
+            re += V @ V.T
+            K = np.ascontiguousarray(F.imag) @ np.ascontiguousarray(F.real).T
+            im += K - K.T
+    return (re + 1j * im) / geo.m_circle
 
 
 def bergman_norm_const(n: int, R: float) -> float:

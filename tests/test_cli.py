@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import annulab
@@ -101,6 +102,23 @@ def test_shipped_config_runs_clean(tmp_path, config):
 def test_mellin_runs_clean_on_thin_annulus(tmp_path):
     code, _ = run_lab(tmp_path, "mellin", {"R": 0.1, "seed": 1})
     assert code == 0
+
+
+def test_mellin_nan_quadrature_fails_the_sweep(tmp_path, monkeypatch):
+    """A NaN at one z of the sweep must reach the row, not be dropped by
+    the running maximum."""
+    quadrature = annulab.mellin.mellin_quadrature
+
+    def nan_at_half(profile, z, geo):
+        vals = np.asarray(quadrature(profile, z, geo))
+        return np.where(np.asarray(z) == 0.5, np.nan, vals)
+
+    monkeypatch.setattr(annulab.mellin, "mellin_quadrature", nan_at_half)
+    code, outdir = run_lab(tmp_path, "mellin", {"R": 0.1, "seed": 1})
+    assert code == 1
+    rows = (outdir / "results.csv").read_text().strip().split("\n")[1:]
+    table = {line.split(",")[1]: line.split(",")[2:] for line in rows}
+    assert table["closed_form_vs_quadrature"] == ["nan", "1e-10", "false"]
 
 
 def test_mellin_fails_honestly_on_thick_annulus(tmp_path):

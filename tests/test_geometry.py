@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from annulab import geometry
 from annulab.errors import AliasingError
 from annulab.geometry import (
     AnnulusGeometry,
@@ -55,6 +56,60 @@ def test_gram_identity(geo):
     G = gram_matrix(geo, 20)
     dev = np.max(np.abs(G - np.eye(G.shape[0])))
     assert dev <= 1e-12
+
+
+def _swapped_complement(n, component, angles, R_):
+    B, A = geometry.basis_weights(n, R_)
+    return geometry._on_circle(n, component, angles, -B, A)
+
+
+def _hardy_c0_shifted(n, component, angles, R_):
+    shift = np.pi / 180 if component == "C0" else 0.0
+    return hardy_basis_eval(n, component, np.asarray(angles) + shift, R_)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
+    """m_circle 2048 spans two angle blocks; the loop pairs one function's
+    samples with another's, per circle, as the trapezoid rule reads them.
+    The shifted system is not orthonormal, so the loop also checks
+    off-diagonal entries well away from zero in both parts."""
+    if shifted:
+        monkeypatch.setattr(geometry, "hardy_basis_eval", _hardy_c0_shifted)
+    g = AnnulusGeometry(R=R, m_circle=2048)
+    t = g.angles()
+    ns = range(-20, 21)
+    rows = {
+        comp: [geometry.hardy_basis_eval(n, comp, t, R) for n in ns]
+        + [complement_basis_eval(n, comp, t, R) for n in ns]
+        for comp in ("C", "C0")
+    }
+    size = 2 * len(ns)
+    ref = np.empty((size, size), dtype=complex)
+    for j in range(size):
+        for k in range(size):
+            ref[j, k] = sum(
+                np.sum(rows[c][j] * np.conj(rows[c][k])) for c in ("C", "C0")
+            ) / g.m_circle
+    G = gram_matrix(g, 20)
+    assert np.max(np.abs(G - ref)) <= 1e-14
+    assert np.array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [
+        ("complement_basis_eval", _swapped_complement),
+        ("hardy_basis_eval", _hardy_c0_shifted),
+    ],
+)
+def test_gram_sees_a_planted_basis_defect(monkeypatch, name, defect):
+    # at R 0.5 the one-degree shift moves G by only 8.2e-3, so the
+    # threshold is read at R 0.8, where it moves G by 2.6e-2
+    g = AnnulusGeometry(R=0.8, m_circle=2048)
+    monkeypatch.setattr(geometry, name, defect)
+    G = gram_matrix(g, 20)
+    assert np.max(np.abs(G - np.eye(G.shape[0]))) > 1e-2
 
 
 def test_gram_window_guard(small_geo):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annulab import reduction
 from annulab.errors import AliasingError
 from annulab.geometry import AnnulusGeometry
 from annulab.randgen import Lcg, random_boundary_symbol
@@ -156,6 +157,18 @@ def test_conjugate_reflection_identity_on_grid():
     geo = AnnulusGeometry(R=R, m_circle=128)
     for n in range(-10, 11):
         assert conjugate_reflection_residual(n, geo) <= 1e-12
+
+
+def test_conjugate_reflection_nan_on_the_inner_circle_is_reported(monkeypatch):
+    evaluate = reduction.hardy_basis_eval
+
+    def nan_on_c0(n, component, angles, R_):
+        vals = evaluate(n, component, angles, R_)
+        return vals * np.nan if component == "C0" else vals
+
+    monkeypatch.setattr(reduction, "hardy_basis_eval", nan_on_c0)
+    geo = AnnulusGeometry(R=R, m_circle=128)
+    assert math.isnan(conjugate_reflection_residual(3, geo))
 
 
 def test_transfer_weight_values_and_decay():
