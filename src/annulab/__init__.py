@@ -59,7 +59,6 @@ from .reduction import (
     t_diag,
 )
 from .bergman import (
-    BergmanOperatorSection,
     build_bergman_toeplitz,
     find_n0_bergman,
     zero_product_experiment_bergman,

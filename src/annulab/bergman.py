@@ -11,31 +11,14 @@ read only grid samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import (
-    CONSISTENT,
-    UNCONSTRAINED,
-    VIOLATION,
-    TruncatedOperator,
-    ZeroProductReport,
-    _column_norms,
-    _ladder,
-    _zero_factor_norms,
-)
+from .hardy import UNCONSTRAINED, TruncatedOperator, ZeroProductReport, _probe
 from .mellin import mellin_transform, mellin_zero_locate
 from .symbols import PolarSymbol, PolyProfile, _analyze
-
-
-@dataclass(frozen=True)
-class BergmanOperatorSection(TruncatedOperator):
-    """Finite section together with the set of band offsets it carries."""
-
-    band_offsets: frozenset = frozenset()
 
 
 # quasi_homogeneous_apply and apply_polar_to_monomial: no harness reads them;
@@ -83,7 +66,7 @@ def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, compl
 
 def build_bergman_toeplitz(
     f: PolarSymbol, window: tuple[int, int], R: float
-) -> BergmanOperatorSection:
+) -> TruncatedOperator:
     """Section of the symbol's action over the window's monomial degrees.
 
     Entries are taken in the orthonormal basis (unit monomial multiples),
@@ -120,9 +103,7 @@ def build_bergman_toeplitz(
         raise WindowTooSmallError(
             f"window [{lo},{hi}] holds no image of any band of the symbol"
         )
-    return BergmanOperatorSection(
-        ent, (lo, hi), (lo, hi), "bergman", "bergman", frozenset(f.live_bands())
-    )
+    return TruncatedOperator(ent, (lo, hi), (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +177,16 @@ def zero_product_experiment_bergman(
 ) -> ZeroProductReport:
     """Probe a banded pair for the zero-product mechanism.
 
-    The ladder (:func:`annulab.hardy._ladder` with ``S = I`` and
-    ``P = T_g``) checks that each basis vector of degree n0+N+l is spanned
-    by the images of the first l+1 ladder vectors under the second symbol
-    together with all lower-degree basis vectors, and the product section
-    supplies interior column norms.  The report and its verdict are those
-    of the two-circle harness (:class:`annulab.hardy.ZeroProductReport`).
+    The protocol of :func:`annulab.hardy._probe` on the Bergman sections,
+    with the ladder read in the domain of ``T_g``: each basis vector of
+    degree n0+N+l is spanned by the images of the first l+1 ladder vectors
+    under the second symbol together with all lower-degree basis vectors.
+    A window clamped to the basis floor -1 truncates no image there.
     """
     lo, hi = _clamp_window(window)
-    norms = _zero_factor_norms(build_bergman_toeplitz, f, g, (lo, hi), R)
-    if norms is not None:
-        return ZeroProductReport(
-            UNCONSTRAINED, lo, None if g.is_zero() else g.top_band(), norms
-        )
-    N = g.top_band()
-    L = int(ladder_length)
-    n0 = find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi))
-    n0_eff = lo if n0 == UNCONSTRAINED else max(n0, lo)
-    if n0_eff + N + L > hi:
-        raise WindowTooSmallError(
-            f"ladder top {n0_eff + N + L} exceeds window top {hi}"
-        )
-    margin = f.bandwidth() + g.bandwidth()
-    size = hi - lo + 1
-    bottom = 0 if lo == -1 else margin
-    if bottom >= size - margin:
-        raise WindowTooSmallError(
-            f"window [{lo},{hi}] has no interior columns at margin {margin}"
-        )
-
-    tf = build_bergman_toeplitz(f, (lo, hi), R).entries
-    tg = build_bergman_toeplitz(g, (lo, hi), R).entries
-    ladder, pivot = _ladder(np.eye(size), tg, tg, n0_eff - lo, N, L)
-    norms = _column_norms(tf @ tg, range(bottom, size - margin))
-    return ZeroProductReport(
-        n0, n0_eff, N, norms, ladder, pivot,
-        VIOLATION if max(norms) < zero_divisor_floor else CONSISTENT,
+    return _probe(
+        f, g, lo, hi, R, ladder_length, zero_divisor_floor,
+        build=build_bergman_toeplitz, first_rung=lo, through_f=False,
+        n0_of=lambda N: find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi)),
+        edge_free=lo == -1,
     )

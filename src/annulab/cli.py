@@ -373,8 +373,7 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
     probe = getattr(module, name)
     check, tol = cfg.experiment, cfg.tolerance
     rng = randgen.Lcg(cfg.seed)
-    rows, verdicts = [], []
-    worst_ladder, smallest_norm = 0.0, float("inf")
+    rows, verdicts, ladders, norms = [], [], [], []
     for t in range(TRIALS):
         f = draw_f(rng)
         g = draw_g(rng)
@@ -383,9 +382,10 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
             ladder_length=LADDER_LENGTH,
             zero_divisor_floor=ZERO_DIVISOR_FLOOR,
         )
-        lad = max(rep.ladder_residuals)
-        worst_ladder = max(worst_ladder, lad)
-        smallest_norm = min(smallest_norm, rep.min_product_column_norm)
+        # np.max/np.min keep a NaN, which the built-in max/min would drop
+        lad = np.max(rep.ladder_residuals)
+        ladders.append(lad)
+        norms.append(rep.min_product_column_norm)
         verdicts.append(rep.verdict)
         rows.append(
             report.residual_check(check, f"trial{t:02d}_max_ladder_residual", lad, tol)
@@ -401,10 +401,12 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
                 check, f"trial{t:02d}_min_relative_pivot", rep.min_relative_pivot
             )
         )
-    rows.append(report.residual_check(check, "worst_ladder_residual", worst_ladder, tol))
+    rows.append(
+        report.residual_check(check, "worst_ladder_residual", np.max(ladders), tol)
+    )
     rows.append(
         report.floor_check(
-            check, "smallest_product_column_norm", smallest_norm, ZERO_DIVISOR_FLOOR
+            check, "smallest_product_column_norm", np.min(norms), ZERO_DIVISOR_FLOOR
         )
     )
     return rows, [], {"verdicts": verdicts}

@@ -37,16 +37,12 @@ class TruncatedOperator:
     """A dense finite section with explicit index windows.
 
     ``entries[a, b]`` couples row basis index ``row_window[0] + a`` to
-    column basis index ``col_window[0] + b``.  ``row_basis``/``col_basis``
-    name the orthonormal family ("hardy", "complement", "disc-hardy",
-    "disc-complement", "bergman").
+    column basis index ``col_window[0] + b``.
     """
 
     entries: np.ndarray
     row_window: tuple[int, int]
     col_window: tuple[int, int]
-    row_basis: str = "hardy"
-    col_basis: str = "hardy"
 
     def col_index(self, k: int) -> int:
         lo, hi = self.col_window
@@ -102,7 +98,7 @@ def build_toeplitz_hardy(
     win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
     ent = _gather(fC) * np.outer(B, B)
     ent += _gather(fC0) * np.outer(A, A)
-    return TruncatedOperator(ent, win, win, "hardy", "hardy")
+    return TruncatedOperator(ent, win, win)
 
 
 def build_hankel_annulus(
@@ -121,7 +117,7 @@ def build_hankel_annulus(
     win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
     ent = _gather(fC) * np.outer(A, B)
     ent -= _gather(fC0) * np.outer(B, A)
-    return TruncatedOperator(ent, win, win, "complement", "hardy")
+    return TruncatedOperator(ent, win, win)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def build_section_quadrature(
         return (rows(ns, comp, t, geo.R).conj() * values) @ cols.T / geo.m_circle
 
     ent = circle("C", fv.on_C) + circle("C0", fv.on_C0)
-    return TruncatedOperator(ent, (lo, hi), (lo, hi), row_family, "hardy")
+    return TruncatedOperator(ent, (lo, hi), (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +319,8 @@ class ZeroProductReport:
     """Outcome of one zero-product probe on a pair of symbols, Hardy or
     Bergman.
 
-    ``top_degree`` is the top degree (Hardy) or top band (Bergman) of
-    ``g``, ``None`` for a zero ``g``.  ``ladder_residuals`` are the
+    ``top_degree`` is the top degree of ``g`` (its top band on the
+    Bergman side), ``None`` for a zero ``g``.  ``ladder_residuals`` are the
     span-inclusion residuals of :func:`_ladder`, whose smallest relative
     pivot is ``min_relative_pivot``; a zero factor has no ladder.  The
     verdict is ``Violation`` only when every interior product column norm
@@ -341,7 +337,7 @@ class ZeroProductReport:
 
     @property
     def min_product_column_norm(self) -> float:
-        return min(self.product_column_norms)
+        return float(np.min(self.product_column_norms))
 
 
 def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
@@ -349,19 +345,6 @@ def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
     one ``np.linalg.norm`` per column."""
     cols = range(prod.shape[1]) if cols is None else cols
     return [float(np.linalg.norm(prod[:, b])) for b in cols]
-
-
-def _zero_factor_norms(build, f, g, window, R) -> list[float] | None:
-    """Column norms of the product of the ``build`` sections of ``f`` and
-    ``g`` when either factor is zero, else ``None``.
-
-    A zero factor satisfies the dichotomy outright, and no ladder exists
-    because the nonvanishing hypothesis has no top degree to anchor to, so
-    the harnesses report only these norms.
-    """
-    if not (f.is_zero() or g.is_zero()):
-        return None
-    return _column_norms(build(f, window, R).entries @ build(g, window, R).entries)
 
 
 def _span_residual(target: np.ndarray, columns: np.ndarray) -> float:
@@ -427,6 +410,54 @@ def _ladder(
     return ladder, float(np.min(pivots))
 
 
+def _probe(
+    f, g, lo: int, hi: int, R: float, ladder_length: int, floor: float,
+    *, build, n0_of, first_rung: int, through_f: bool, edge_free: bool,
+) -> ZeroProductReport:
+    """The zero-product protocol of both harnesses over the window ``[lo, hi]``.
+
+    A zero factor satisfies the dichotomy outright, and no ladder exists
+    because the nonvanishing hypothesis has no top degree to anchor to, so
+    only the column norms of the product of the ``build`` sections are
+    reported.  Otherwise the ladder (:func:`_ladder`) starts at the larger
+    of ``n0_of(N)``, for the top degree ``N`` of ``g``, and ``first_rung``,
+    the lowest column whose image under ``T_g`` stays inside the window.
+    It is read through ``T_f`` (``S = T_f``, ``P = T_f T_g``) when
+    ``through_f``, else in the domain of ``T_g`` (``S = I``, ``P = T_g``).
+    The interior product columns keep the margin ``f.bandwidth() +
+    g.bandwidth()`` from each window edge but an ``edge_free`` lower one.
+    The verdict is ``Violation`` only when every interior column norm falls
+    below ``floor``.
+    """
+    if f.is_zero() or g.is_zero():
+        prod = build(f, (lo, hi), R).entries @ build(g, (lo, hi), R).entries
+        N = None if g.is_zero() else g.top_degree()
+        return ZeroProductReport(UNCONSTRAINED, lo, N, _column_norms(prod))
+    N, L = g.top_degree(), int(ladder_length)
+    n0 = n0_of(N)
+    n0_eff = first_rung if n0 == UNCONSTRAINED else max(int(n0), first_rung)
+    if n0_eff + N + L > hi:
+        raise WindowTooSmallError(
+            f"window top {hi} below ladder top {n0_eff + N + L}; "
+            f"raise the window or shorten the ladder"
+        )
+    size, margin = hi - lo + 1, f.bandwidth() + g.bandwidth()
+    bottom = 0 if edge_free else margin
+    if bottom >= size - margin:
+        raise WindowTooSmallError(
+            f"window [{lo}, {hi}] has no interior columns at margin {margin}"
+        )
+
+    tf = build(f, (lo, hi), R).entries
+    tg = build(g, (lo, hi), R).entries
+    prod = tf @ tg
+    S, P = (tf, prod) if through_f else (np.eye(size), tg)
+    ladder, pivot = _ladder(S, P, tg, n0_eff - lo, N, L)
+    norms = _column_norms(prod, range(bottom, size - margin))
+    verdict = VIOLATION if np.max(norms) < floor else CONSISTENT
+    return ZeroProductReport(n0, n0_eff, N, norms, ladder, pivot, verdict)
+
+
 def zero_product_experiment_hardy(
     f: ExactSymbol,
     g: ExactSymbol,
@@ -437,46 +468,17 @@ def zero_product_experiment_hardy(
 ) -> ZeroProductReport:
     """Probe a symbol pair for a finite-window zero-divisor signature.
 
-    Builds the sections ``T_f``, ``T_g`` and their product, reads the
-    proof ladder of span inclusions from their columns (:func:`_ladder`)
-    and takes the interior column norms of the product.  Rung ``l`` holds
-    for every admissible pair: the image of basis vector ``n0+N+l`` under
-    ``T_f`` lies in the span of the images of the lower basis vectors and
-    the product images of ``n0 .. n0+l``; under a genuinely zero product
-    the latter drop out, leaving the inclusion the proof iterates.  The
-    verdict is ``Violation`` only when both symbols are nonzero yet every
-    safe-interior product column norm falls below ``zero_divisor_floor``.
+    The protocol of :func:`_probe` with the ladder read through ``T_f``.
+    Rung ``l`` holds for every admissible pair: the image of basis vector
+    ``n0+N+l`` under ``T_f`` lies in the span of the images of the lower
+    basis vectors and the product images of ``n0 .. n0+l``; under a
+    genuinely zero product the latter drop out, leaving the inclusion the
+    proof iterates.  The ladder starts ``g.neg_reach()`` above the window
+    floor, so the image of every rung under ``T_g`` stays in the window.
     """
     lo, hi = _check_window(window)
-    norms = _zero_factor_norms(build_toeplitz_hardy, f, g, window, R)
-    if norms is not None:
-        return ZeroProductReport(
-            UNCONSTRAINED, lo, None if g.is_zero() else g.top_degree(), norms
-        )
-    N = g.top_degree()
-    n0 = find_n0_hardy(g, N, R)
-    # the ladder starts far enough above the window floor that the image of
-    # every rung under T_g stays inside the window (the condition of _ladder)
-    floor_n = lo + g.neg_reach()
-    n0_eff = floor_n if n0 == UNCONSTRAINED else max(int(n0), floor_n)
-    L = ladder_length
-    if n0_eff + N + L > hi:
-        raise WindowTooSmallError(
-            f"window top {hi} below ladder top {n0_eff + N + L}; "
-            f"raise the window or shorten the ladder"
-        )
-    margin = f.bandwidth() + g.bandwidth()
-    if hi - lo + 1 <= 2 * margin:
-        raise WindowTooSmallError(
-            f"window [{lo}, {hi}] cannot hold interior margin {margin}"
-        )
-
-    tf = build_toeplitz_hardy(f, (lo, hi), R).entries
-    tg = build_toeplitz_hardy(g, (lo, hi), R).entries
-    prod = tf @ tg
-    ladder, pivot = _ladder(tf, prod, tg, n0_eff - lo, N, L)
-    norms = _column_norms(prod, range(margin, hi - lo + 1 - margin))
-    return ZeroProductReport(
-        n0, n0_eff, N, norms, ladder, pivot,
-        VIOLATION if max(norms) < zero_divisor_floor else CONSISTENT,
+    return _probe(
+        f, g, lo, hi, R, ladder_length, zero_divisor_floor,
+        build=build_toeplitz_hardy, n0_of=lambda N: find_n0_hardy(g, N, R),
+        first_rung=lo + g.neg_reach(), through_f=True, edge_free=False,
     )

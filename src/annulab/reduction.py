@@ -50,7 +50,7 @@ def build_disc_toeplitz(phi: ExactCircle, size: int) -> TruncatedOperator:
     if size < 1:
         raise ValueError("section size must be positive")
     ent = _gather(phi.hat(np.arange(size - 1, -size, -1)))
-    return TruncatedOperator(ent, (0, size - 1), (0, size - 1), "disc-hardy", "disc-hardy")
+    return TruncatedOperator(ent, (0, size - 1), (0, size - 1))
 
 
 def build_disc_hankel(phi: ExactCircle, size: int) -> TruncatedOperator:
@@ -59,9 +59,7 @@ def build_disc_hankel(phi: ExactCircle, size: int) -> TruncatedOperator:
     if size < 1:
         raise ValueError("section size must be positive")
     ent = _gather(phi.hat(np.arange(-1, -2 * size, -1)), hankel=True)
-    return TruncatedOperator(
-        ent, (0, size - 1), (0, size - 1), "disc-complement", "disc-hardy"
-    )
+    return TruncatedOperator(ent, (0, size - 1), (0, size - 1))
 
 
 def semicommutator_residual_disc(

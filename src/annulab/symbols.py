@@ -225,7 +225,7 @@ class PolarSymbol:
     def is_zero(self) -> bool:
         return not self.live_bands()
 
-    def top_band(self) -> int:
+    def top_degree(self) -> int:
         lb = self.live_bands()
         if not lb:
             raise ValueError("zero polar symbol has no top band")

@@ -1,5 +1,6 @@
 """End-to-end runs of the ``lab`` command through its Python entry point."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -76,6 +77,41 @@ def test_zero_product_calls_the_probe_bound_at_run_time(tmp_path, monkeypatch):
     code, _ = run_lab(tmp_path, "zero-product-hardy", {"R": 0.5, "seed": 1})
     assert code == 0
     assert calls == [(-24, 24)] * 20
+
+
+def _poison(values):
+    """The list with its second entry replaced by NaN."""
+    return [values[0], float("nan"), *values[2:]]
+
+
+#: per report field: the trial row and the aggregate row that read it
+NAN_ROWS = {
+    "ladder_residuals": ["trial00_max_ladder_residual", "worst_ladder_residual"],
+    "product_column_norms": [
+        "trial00_min_product_column_norm_floor",
+        "smallest_product_column_norm_floor",
+    ],
+}
+
+
+@pytest.mark.parametrize("field", sorted(NAN_ROWS))
+def test_zero_product_nan_fails_the_rows(tmp_path, monkeypatch, field):
+    """A NaN in one trial's ladder or product norms must reach the trial
+    row and the aggregate row, not be dropped by a running max or min."""
+    probe = annulab.hardy.zero_product_experiment_hardy
+
+    def poisoned(*args, **kwargs):
+        rep = probe(*args, **kwargs)
+        return dataclasses.replace(rep, **{field: _poison(getattr(rep, field))})
+
+    monkeypatch.setattr(annulab.hardy, "zero_product_experiment_hardy", poisoned)
+    doc = {"R": 0.5, "seed": 1, "window": [-24, 24]}
+    code, outdir = run_lab(tmp_path, "zero-product-hardy", doc)
+    assert code == 1
+    lines = (outdir / "results.csv").read_text().strip().split("\n")[1:]
+    table = {line.split(",")[1]: line.split(",")[2:] for line in lines}
+    for name in NAN_ROWS[field]:
+        assert table[name][0] == "nan" and table[name][2] == "false", name
 
 
 @pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulab.bergman import zero_product_experiment_bergman
 from annulab.errors import WindowTooSmallError
 from annulab.hardy import (
     CONSISTENT,
@@ -20,7 +21,14 @@ from annulab.hardy import (
     zero_product_experiment_hardy,
 )
 from annulab.randgen import Lcg, random_boundary_symbol
-from annulab.symbols import ExactSymbol, conjugate_symbol, laurent_symbol, multiply_symbols
+from annulab.symbols import (
+    ExactSymbol,
+    PolarSymbol,
+    PolyProfile,
+    conjugate_symbol,
+    laurent_symbol,
+    multiply_symbols,
+)
 
 R = 0.5
 
@@ -259,16 +267,60 @@ def test_harness_window_guard():
         zero_product_experiment_hardy(f, g, (-3, 3), R)
 
 
+one = PolyProfile({0: 1.0 + 0.0j})
+
+#: per harness: its probe and a nonzero analytic pair, on a window that
+#: holds the default ladder
+NONZERO_PAIRS = {
+    "hardy": (
+        zero_product_experiment_hardy,
+        laurent_symbol({1: 1.0}, R), laurent_symbol({1: 1.0}, R), (-10, 10),
+    ),
+    "bergman": (
+        zero_product_experiment_bergman,
+        PolarSymbol({0: one}), PolarSymbol({1: one}), (-1, 10),
+    ),
+}
+
+
 def test_fabricated_zero_product_flags_violation():
-    """Feeding the verdict rule an all-zero product section must trip it."""
-    rep = zero_product_experiment_hardy(
-        laurent_symbol({1: 1.0}, R),
-        laurent_symbol({1: 1.0}, R),
-        (-10, 10),
-        R,
-        zero_divisor_floor=1e9,
-    )
-    assert rep.verdict == VIOLATION
+    """A floor above every product column norm must trip the verdict rule
+    of both harnesses."""
+    for probe, f, g, window in NONZERO_PAIRS.values():
+        assert probe(f, g, window, R).verdict == CONSISTENT
+        rep = probe(f, g, window, R, zero_divisor_floor=1e9)
+        assert rep.verdict == VIOLATION
+
+
+@pytest.mark.parametrize("harness", sorted(NONZERO_PAIRS))
+def test_probe_refuses_a_ladder_above_the_window(harness):
+    probe, f, g, window = NONZERO_PAIRS[harness]
+    with pytest.raises(WindowTooSmallError, match="ladder top"):
+        probe(f, g, window, R, ladder_length=30)
+
+
+_rng = Lcg(1)
+
+#: per harness: a pair, window and ladder length whose ladder fits but
+#: whose interior margin, ``f.bandwidth() + g.bandwidth()`` from each
+#: truncated edge, leaves no product column
+MARGIN_PAIRS = {
+    "hardy": (
+        zero_product_experiment_hardy,
+        random_boundary_symbol(_rng, 4), random_boundary_symbol(_rng, 4), (-7, 8), 1,
+    ),
+    "bergman": (
+        zero_product_experiment_bergman,
+        PolarSymbol({-3: one, 0: one}), PolarSymbol({3: one}), (0, 11), 8,
+    ),
+}
+
+
+@pytest.mark.parametrize("harness", sorted(MARGIN_PAIRS))
+def test_probe_refuses_a_window_without_interior_columns(harness):
+    probe, f, g, window, ladder = MARGIN_PAIRS[harness]
+    with pytest.raises(WindowTooSmallError, match="no interior columns"):
+        probe(f, g, window, R, ladder_length=ladder)
 
 
 entry_offsets = st.integers(min_value=-6, max_value=6)

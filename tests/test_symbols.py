@@ -172,7 +172,7 @@ def test_convolve_exact_circle_tables():
 def test_polar_symbol_bands():
     pol = PolarSymbol({2: PolyProfile({1: 1.0}), -1: PolyProfile({0: 3.0})})
     assert pol.live_bands() == [-1, 2]
-    assert pol.top_band() == 2
+    assert pol.top_degree() == 2
     assert pol.bandwidth() == 2
     assert pol.neg_reach() == 1
     assert PolarSymbol({3: PolyProfile({0: 1.0})}).live_bands() == [3]
