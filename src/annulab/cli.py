@@ -401,6 +401,11 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
                 check, f"trial{t:02d}_min_relative_pivot", rep.min_relative_pivot
             )
         )
+        rows.append(
+            report.residual_check(
+                check, f"trial{t:02d}_ladder_band_leak", rep.ladder_band_leak, 0.0
+            )
+        )
     rows.append(
         report.residual_check(check, "worst_ladder_residual", np.max(ladders), tol)
     )

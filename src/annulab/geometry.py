@@ -193,8 +193,3 @@ def bergman_norm_const(n: int, R: float) -> float:
     k = 2 * (n + 1)
     return float(np.sqrt(k / (1.0 - R**k)))
 
-
-def bergman_monomial_norm_quadrature(n: int, geo: AnnulusGeometry) -> float:
-    """Quadrature value of the squared Bergman norm of ``z^n`` (radial moment)."""
-    r, w = geo.radial_nodes()
-    return float(np.sum(w * r ** (2 * n + 1)))

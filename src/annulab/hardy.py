@@ -29,6 +29,7 @@ from .symbols import (
 
 CONSISTENT = "ConsistentWithTheorem"
 VIOLATION = "Violation"
+INCONCLUSIVE = "Inconclusive"
 UNCONSTRAINED = "unconstrained"
 
 
@@ -322,9 +323,10 @@ class ZeroProductReport:
     ``top_degree`` is the top degree of ``g`` (its top band on the
     Bergman side), ``None`` for a zero ``g``.  ``ladder_residuals`` are the
     span-inclusion residuals of :func:`_ladder`, whose smallest relative
-    pivot is ``min_relative_pivot``; a zero factor has no ladder.  The
-    verdict is ``Violation`` only when every interior product column norm
-    falls below the probe's floor.
+    pivot is ``min_relative_pivot`` and whose band leak is
+    ``ladder_band_leak``; a zero factor has no ladder.  The verdict is
+    ``Violation`` only when every interior product column norm falls below
+    the probe's floor, and ``Inconclusive`` when one of them is not finite.
     """
 
     n0: int | str
@@ -333,6 +335,7 @@ class ZeroProductReport:
     product_column_norms: list[float]
     ladder_residuals: list[float] = field(default_factory=list)
     min_relative_pivot: float = float("nan")
+    ladder_band_leak: float = float("nan")
     verdict: str = CONSISTENT
 
     @property
@@ -341,57 +344,44 @@ class ZeroProductReport:
 
 
 def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
-    """Norms of the columns ``cols`` (all by default) of a product section,
-    one ``np.linalg.norm`` per column."""
-    cols = range(prod.shape[1]) if cols is None else cols
-    return [float(np.linalg.norm(prod[:, b])) for b in cols]
-
-
-def _span_residual(target: np.ndarray, columns: np.ndarray) -> float:
-    """Backward-relative distance from ``target`` to the span of the
-    nonzero columns of ``columns``.
-
-    The misfit is the part of ``target`` that a Householder QR ``A = Q Rf``
-    of the normalized columns leaves outside ``range(Q)``, formed without
-    solving for the certificate ``coef = Rf^-1 Q^H target``.  A ladder's
-    columns grow ill-conditioned (1e15 at rung 8 of a Bergman ladder);
-    a least-squares misfit there loses a true inclusion, while the
-    projection keeps it to rounding.  The misfit is scaled by the size of
-    the representation (``norm(target) + norm(A) * norm(coef)``), so a
-    value near machine epsilon certifies the inclusion for data this size
-    even when the spanning certificate needs large coefficients; a target
-    far outside the span stays O(1).
-    """
-    tn = float(np.linalg.norm(target))
-    if tn == 0.0:
-        return 0.0
-    norms = np.linalg.norm(columns, axis=0)
-    live = norms > 0.0
-    if not live.any():
-        return 1.0
-    A = columns[:, live] / norms[live]
-    Q, Rf = np.linalg.qr(A)
-    qt = Q.conj().T @ target
-    misfit = float(np.linalg.norm(target - Q @ qt))
-    coef = np.linalg.solve(Rf, qt)
-    scale = tn + float(np.linalg.norm(A)) * float(np.linalg.norm(coef))
-    return misfit / scale
+    """Norms of the columns ``cols`` (all by default) of a product section."""
+    sel = prod if cols is None else prod[:, cols.start : cols.stop]
+    return np.linalg.norm(sel, axis=0).tolist()
 
 
 def _ladder(
     S: np.ndarray, P: np.ndarray, G: np.ndarray, first: int, N: int, L: int
-) -> tuple[list[float], float]:
-    """Residuals and smallest relative pivot of the proof ladder, read
-    from the columns of square sections over one window.
+) -> tuple[list[float], float, float]:
+    """Residuals, smallest relative pivot and band leak of the proof
+    ladder, read from the columns of square sections over one window.
 
     ``first`` is the column position of the ladder's first rung and ``N``
-    the top degree of ``G``.  Rung ``l`` is the :func:`_span_residual` of
-    the target ``S[:, first+N+l]`` against the base columns
-    ``S[:, :first+N]`` and the rung columns ``P[:, first:first+l+1]``.
-    Its pivot is ``|G[first+N+l, first+l]| / norm(G[:, first+l])``: the
-    top-degree entry of the rung's image under ``G``, which the harness's
-    ``n0`` keeps away from zero, over the image's norm.  Rungs
-    ``l = 0 .. L`` are read.
+    the top degree of ``G``.  Rung ``l`` measures how far the target
+    ``t = S[:, first+N+l]`` lies from the span of the nonzero columns among
+    the base ``S[:, :first+N]`` and the rung columns ``P[:, first:first+l+1]``.
+    Each rung's set is the previous one's plus one column, so one
+    Householder QR ``A = Q Rf`` of the last rung's normalized nonzero
+    columns serves every rung: rung ``l`` reads the leading ``k`` columns,
+    ``k`` the nonzero ones among its set.  The misfit is the part of ``t``
+    outside ``range(Q[:, :k])``, formed without the certificate
+    ``coef = Rf[:k, :k]^-1 (Q^H t)[:k]``: a ladder's columns grow
+    ill-conditioned (1e15 at rung 8 of a Bergman ladder), where a
+    least-squares misfit loses a true inclusion and the projection keeps
+    it to rounding.  The misfit is scaled by the size of the representation,
+    ``norm(t) + norm(A[:, :k]) * norm(coef)``, so a value near machine
+    epsilon certifies the inclusion for data this size even when the
+    certificate needs large coefficients; a target far outside the span
+    stays O(1).  A zero target reads 0, one with nothing to span it 1.
+
+    The pivot of rung ``l`` is ``|G[c+N, c]| / norm(G[:, c])`` at its
+    column ``c = first + l``: the top-degree entry of the rung's image
+    under ``G``, which the harness's ``n0`` keeps away from zero, over the
+    image's norm.  The band leak is the largest ``|G[c+N+1:, c]|`` over
+    the rung columns, or ``inf`` when a pivot is exactly zero.  A leak of
+    exactly 0 means every rung column has a nonzero top entry and nothing
+    below it, so with ``P = S G`` back-substitution writes each target in
+    its span: the inclusion holds exactly, not only to a tolerance.
+    Rungs ``l = 0 .. L`` are read.
 
     The columns stand for the operators' exact images only while those
     images stay inside the window.  When ``P`` is a product ``S G`` of
@@ -401,13 +391,27 @@ def _ladder(
     diagonal, and ``first + N + L`` at most the last position.
     """
     top = first + N
-    ladder = [
-        _span_residual(S[:, top + l], np.hstack((S[:, :top], P[:, first : first + l + 1])))
-        for l in range(L + 1)
-    ]
+    cols = np.hstack((S[:, :top], P[:, first : first + L + 1]))
+    norms = np.linalg.norm(cols, axis=0)
+    live = norms != 0.0  # a NaN column stays, so its NaN reaches the rows
+    k = np.cumsum(live)[top:]
+    A = cols[:, live] / norms[live]
+    Q, Rf = np.linalg.qr(A)
+    T = S[:, top : top + L + 1]
+    # rung l keeps the first k[l] coordinates of Q^H t; as Rf is upper
+    # triangular, one solve gives every rung's leading-block certificate
+    qt = np.where(np.arange(A.shape[1])[:, None] < k, Q.conj().T @ T, 0.0)
+    misfit = np.linalg.norm(T - Q @ qt, axis=0)
+    coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=0)
+    a_norm = np.sqrt(np.cumsum(np.r_[0.0, np.linalg.norm(A, axis=0) ** 2]))[k]
+    scale = np.linalg.norm(T, axis=0) + a_norm * coef
+    ladder = misfit / np.where(scale == 0.0, 1.0, scale)  # a zero target: 0 / 1
     rungs = np.arange(first, first + L + 1)
-    pivots = np.abs(G[rungs + N, rungs]) / np.linalg.norm(G[:, rungs], axis=0)
-    return ladder, float(np.min(pivots))
+    piv = G[rungs + N, rungs]
+    pivots = np.abs(piv) / np.linalg.norm(G[:, rungs], axis=0)
+    below = np.arange(G.shape[0])[:, None] > rungs + N
+    leak = float(np.max(np.where(below, np.abs(G[:, rungs]), 0.0), initial=0.0))
+    return ladder.tolist(), float(np.min(pivots)), np.inf if np.any(piv == 0) else leak
 
 
 def _probe(
@@ -426,8 +430,8 @@ def _probe(
     ``through_f``, else in the domain of ``T_g`` (``S = I``, ``P = T_g``).
     The interior product columns keep the margin ``f.bandwidth() +
     g.bandwidth()`` from each window edge but an ``edge_free`` lower one.
-    The verdict is ``Violation`` only when every interior column norm falls
-    below ``floor``.
+    The verdict is ``Inconclusive`` when an interior column norm is not
+    finite, else ``Violation`` only when every one falls below ``floor``.
     """
     if f.is_zero() or g.is_zero():
         prod = build(f, (lo, hi), R).entries @ build(g, (lo, hi), R).entries
@@ -452,10 +456,13 @@ def _probe(
     tg = build(g, (lo, hi), R).entries
     prod = tf @ tg
     S, P = (tf, prod) if through_f else (np.eye(size), tg)
-    ladder, pivot = _ladder(S, P, tg, n0_eff - lo, N, L)
+    ladder, pivot, leak = _ladder(S, P, tg, n0_eff - lo, N, L)
     norms = _column_norms(prod, range(bottom, size - margin))
-    verdict = VIOLATION if np.max(norms) < floor else CONSISTENT
-    return ZeroProductReport(n0, n0_eff, N, norms, ladder, pivot, verdict)
+    if not np.all(np.isfinite(norms)):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = VIOLATION if np.max(norms) < floor else CONSISTENT
+    return ZeroProductReport(n0, n0_eff, N, norms, ladder, pivot, leak, verdict)
 
 
 def zero_product_experiment_hardy(

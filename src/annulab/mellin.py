@@ -109,13 +109,15 @@ def mellin_zero_locate(
         if np.all(p == 0.0):
             continue
         fn = lambda x: float(part(np.asarray(mellin_transform(profile, x, R))))
-        for i in range(len(grid) - 1):
-            if p[i] == 0.0:
+        # grid point i is an exact zero, or brackets a sign change with i + 1
+        zero = p == 0.0
+        marks = zero.copy()
+        marks[:-1] |= (p[:-1] < 0) != (p[1:] < 0)
+        for i in np.flatnonzero(marks):
+            if zero[i]:
                 add(float(grid[i]))
-            elif (p[i] < 0) != (p[i + 1] < 0):
+            else:
                 add(_bisect(fn, float(grid[i]), float(grid[i + 1]), tol))
-        if p[-1] == 0.0:
-            add(float(grid[-1]))
     return sorted(roots)
 
 
@@ -125,7 +127,7 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     ``values[j]`` must be the transform at ``z_j = z_start + z_step * j``.
     Solves the square moment system; raises :class:`IllConditionedError`
     (with the condition estimate attached) when the system is numerically
-    singular.
+    singular or its moments leave the float range.
     """
     values = np.asarray(values, dtype=complex)
     d = len(values) - 1
@@ -135,6 +137,9 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     A = np.empty((d + 1, d + 1), dtype=complex)
     for m in range(d + 1):
         A[:, m] = monomial_moment(zs + m, R)
+    if not np.all(np.isfinite(A)):
+        # moments past the float range (tiny R) leave nothing to condition
+        raise IllConditionedError("moment system is not finite", float("inf"))
     # rows where R^z dominates are huge in norm without being any less
     # informative, so both the guard and the solve use the row-scaled system
     row = np.max(np.abs(A), axis=1)

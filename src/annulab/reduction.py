@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import TruncatedOperator, _gather
+from .hardy import INCONCLUSIVE, TruncatedOperator, _gather
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -31,7 +31,6 @@ from .symbols import (
 
 DECAY_OBSERVED = "DecayObserved"
 NO_DECAY = "NoDecay"
-INCONCLUSIVE = "Inconclusive"
 
 #: singular values above this threshold count toward the tail index
 TAIL_EPSILON = 0.5

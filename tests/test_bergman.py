@@ -272,8 +272,35 @@ def test_ladder_without_its_image_column_stays_far():
     first = n0 - lo
     behind = np.zeros_like(tg)
     behind[:, first + 1 :] = tg[:, first:-1]
-    restricted, _ = _ladder(np.eye(hi - lo + 1), behind, tg, first, N, 8)
+    restricted, _, _ = _ladder(np.eye(hi - lo + 1), behind, tg, first, N, 8)
     assert min(restricted) > 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_out_of_span_target_breaks_the_band_certificate():
+    """Seed 2, trial 9, with each image of ``z^(n0+l)`` as the target
+    against the unit base and the images of rungs 0 .. l-1: about 1.8% of
+    each target lies outside that span, yet the scaled residual falls
+    below the tolerance by rung 8.  The operator ``G`` with ``P = S G`` on
+    the rung columns then has no top-degree entry (condition (b)), so the
+    band leak reads inf where the harness's own ladder reads 0."""
+    f, g = cli_trial(2, 9)
+    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    assert report.ladder_band_leak == 0.0
+    lo, hi, n0, N, L = -1, 24, report.n0_effective, report.top_degree, 8
+    tg = build_bergman_toeplitz(g, (lo, hi), R).entries
+    first, size = n0 - lo, hi - lo + 1
+    rungs = np.arange(first, first + L + 1)
+    S = np.eye(size, dtype=complex)
+    S[:, rungs + N] = tg[:, rungs]
+    P = np.zeros_like(tg)
+    P[:, rungs[1:]] = tg[:, rungs[:-1]]
+    G = np.zeros((size, size))
+    G[rungs[1:] + N - 1, rungs[1:]] = 1.0
+    assert np.array_equal(P[:, rungs], (S @ G)[:, rungs])
+    residuals, _, leak = _ladder(S, P, G, first, N, L)
+    assert residuals[-1] <= 1e-10
+    assert leak == np.inf
 
 
 def test_smallest_relative_pivot_of_the_degenerate_ladder():

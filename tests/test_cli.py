@@ -114,6 +114,55 @@ def test_zero_product_nan_fails_the_rows(tmp_path, monkeypatch, field):
         assert table[name][0] == "nan" and table[name][2] == "false", name
 
 
+def _top_band_one_row_lower(build):
+    """``build`` with the top band of every section moved one row down."""
+
+    def shifted(sym, window, R):
+        op = build(sym, window, R)
+        N, size = sym.top_degree(), op.entries.shape[0]
+        cols = np.arange(max(0, -N), size - N - 1)
+        op.entries[cols + N + 1, cols] = op.entries[cols + N, cols]
+        op.entries[cols + N, cols] = 0.0
+        return op
+
+    return shifted
+
+
+#: per harness: the module and name of the section builder its probe calls
+SECTION_BUILDERS = {
+    "zero-product-hardy": (annulab.hardy, "build_toeplitz_hardy"),
+    "zero-product-bergman": (annulab.bergman, "build_bergman_toeplitz"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SECTION_BUILDERS))
+def test_band_one_row_off_fails_the_band_leak_rows(tmp_path, monkeypatch, experiment):
+    """Every ladder column of a correct section ends at its top-degree
+    entry, so each trial's band leak reads 0; a builder that places the
+    top band one row low fails every such row."""
+    doc = {"R": 0.5, "seed": 1}
+    names = [f"trial{t:02d}_ladder_band_leak" for t in range(20)]
+    code, outdir = run_lab(tmp_path, experiment, doc, out="clean")
+    rows = _results(outdir)
+    assert code == 0
+    assert [rows[n] for n in names] == [["0", "0", "true"]] * 20
+    module, name = SECTION_BUILDERS[experiment]
+    monkeypatch.setattr(module, name, _top_band_one_row_lower(getattr(module, name)))
+    code, outdir = run_lab(tmp_path, experiment, doc, out="shifted")
+    rows = _results(outdir)
+    assert code == 1
+    assert all(rows[n][2] == "false" for n in names)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mellin_at_a_tiny_radius_fails_rows_without_a_traceback(tmp_path):
+    """At R = 1e-40 the reconstruction's moments overflow; the refusal
+    becomes a failing row, not an escaping exception."""
+    code, outdir = run_lab(tmp_path, "mellin", {"R": 1e-40})
+    assert code == 1
+    assert _results(outdir)["poly_reconstruct_roundtrip"][::2] == ["inf", "false"]
+
+
 @pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])
 def test_small_radius_wide_window_runs_clean(tmp_path, capsys, experiment):
     """At R = 0.1 on [-160, 160] the basis norms sqrt(1 + R^(2n)) leave the

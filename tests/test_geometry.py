@@ -10,7 +10,6 @@ from annulab.errors import AliasingError
 from annulab.geometry import (
     AnnulusGeometry,
     basis_weights,
-    bergman_monomial_norm_quadrature,
     bergman_norm_const,
     complement_basis_eval,
     gram_matrix,
@@ -131,6 +130,12 @@ def test_bergman_norm_log_case():
 
 def test_bergman_norm_constant_term():
     assert bergman_norm_const(0, R) == pytest.approx(math.sqrt(8.0 / 3.0))
+
+
+def bergman_monomial_norm_quadrature(n: int, geo: AnnulusGeometry) -> float:
+    """Quadrature value of the squared Bergman norm of ``z^n`` (radial moment)."""
+    r, w = geo.radial_nodes()
+    return float(np.sum(w * r ** (2 * n + 1)))
 
 
 def test_bergman_monomial_norms_quadrature(geo):

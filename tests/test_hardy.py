@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulab import bergman, hardy
 from annulab.bergman import zero_product_experiment_bergman
+from annulab.cli import _HARNESSES, LADDER_LENGTH, TRIALS
 from annulab.errors import WindowTooSmallError
 from annulab.hardy import (
     CONSISTENT,
+    INCONCLUSIVE,
     UNCONSTRAINED,
     VIOLATION,
     _ladder,
@@ -244,6 +247,28 @@ def test_analytic_pair_product_is_composition():
     assert np.max(np.abs(prod[inner, inner] - direct.entries[inner, inner])) <= 1e-12
 
 
+def per_rung_ladder(S, P, first, N, L):
+    """Reference ladder residuals: one Householder QR per rung, of that
+    rung's own normalized nonzero columns."""
+    top, out = first + N, []
+    for l in range(L + 1):
+        target = S[:, top + l]
+        columns = np.hstack((S[:, :top], P[:, first : first + l + 1]))
+        tn = float(np.linalg.norm(target))
+        norms = np.linalg.norm(columns, axis=0)
+        live = norms > 0.0
+        if tn == 0.0 or not live.any():
+            out.append(0.0 if tn == 0.0 else 1.0)
+            continue
+        A = columns[:, live] / norms[live]
+        Q, Rf = np.linalg.qr(A)
+        qt = Q.conj().T @ target
+        misfit = float(np.linalg.norm(target - Q @ qt))
+        coef = np.linalg.solve(Rf, qt)
+        out.append(misfit / (tn + float(np.linalg.norm(A)) * float(np.linalg.norm(coef))))
+    return out
+
+
 def test_harness_ladder_is_tight():
     rng = Lcg(1)
     f = random_boundary_symbol(rng, 2)
@@ -251,12 +276,41 @@ def test_harness_ladder_is_tight():
     rep = zero_product_experiment_hardy(f, g, (-20, 20), R)
     assert rep.verdict == CONSISTENT
     assert max(rep.ladder_residuals) <= 1e-10
-    # without the product columns the same targets are far from the span
+    # without the product columns, or with each one a column behind, the
+    # same targets are far from the span; the per-rung reference agrees
     tf = build_toeplitz_hardy(f, (-20, 20), R).entries
     tg = build_toeplitz_hardy(g, (-20, 20), R).entries
-    first = rep.n0_effective + 20
-    restricted, _ = _ladder(tf, np.zeros_like(tf), tg, first, g.top_degree(), 8)
-    assert min(restricted) > 1e-3
+    first, N = rep.n0_effective + 20, g.top_degree()
+    behind = np.zeros_like(tf)
+    behind[:, first + 1 :] = (tf @ tg)[:, first:-1]
+    for P in (np.zeros_like(tf), behind):
+        restricted, _, _ = _ladder(tf, P, tg, first, N, 8)
+        assert min(restricted) > 1e-3
+        reference = per_rung_ladder(tf, P, first, N, 8)
+        assert np.max(np.abs(np.subtract(restricted, reference))) <= 1e-15
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+def test_shared_qr_ladder_matches_per_rung_qr(experiment, monkeypatch):
+    """Every rung read from a leading block of the one factorization agrees
+    with its own QR, over the trials `lab` draws at seeds 0-40."""
+    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    ladder, worst = hardy._ladder, []
+
+    def compare(S, P, G, first, N, L):
+        out = ladder(S, P, G, first, N, L)
+        ref = per_rung_ladder(S, P, first, N, L)
+        worst.append(float(np.max(np.abs(np.subtract(out[0], ref)))))
+        return out
+
+    monkeypatch.setattr(hardy, "_ladder", compare)
+    for seed in range(41):
+        rng = Lcg(seed)
+        for _ in range(TRIALS):
+            f, g = draw_f(rng), draw_g(rng)
+            getattr(module, name)(f, g, (-24, 24), R, ladder_length=LADDER_LENGTH)
+    assert len(worst) == 41 * TRIALS
+    assert max(worst) <= 1e-15
 
 
 def test_harness_window_guard():
@@ -290,6 +344,35 @@ def test_fabricated_zero_product_flags_violation():
         assert probe(f, g, window, R).verdict == CONSISTENT
         rep = probe(f, g, window, R, zero_divisor_floor=1e9)
         assert rep.verdict == VIOLATION
+
+
+#: per harness: the module whose section builder the probe looks up
+BUILDERS = {
+    "hardy": (hardy, "build_toeplitz_hardy"),
+    "bergman": (bergman, "build_bergman_toeplitz"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("harness", sorted(NONZERO_PAIRS))
+def test_nan_section_entry_reads_inconclusive(harness, monkeypatch):
+    """A NaN interior product norm is no evidence either way: the pair that
+    reads Violation under a floor above every norm must then read
+    Inconclusive, not ConsistentWithTheorem."""
+    probe, f, g, window = NONZERO_PAIRS[harness]
+    module, name = BUILDERS[harness]
+    build = getattr(module, name)
+
+    def poisoned(sym, win, R):
+        op = build(sym, win, R)
+        op.entries[5, 5] = np.nan
+        return op
+
+    monkeypatch.setattr(module, name, poisoned)
+    rep = probe(f, g, window, R, zero_divisor_floor=1e9)
+    assert np.isnan(rep.min_product_column_norm)
+    assert np.isnan(np.max(rep.ladder_residuals))
+    assert rep.verdict == INCONCLUSIVE
 
 
 @pytest.mark.parametrize("harness", sorted(NONZERO_PAIRS))

@@ -134,6 +134,15 @@ def test_reconstruct_rejects_singular_progression():
     assert err.value.cond > 1e12 or not math.isfinite(err.value.cond)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_reconstruct_refuses_moments_past_the_float_range():
+    # the progression of `lab mellin`: at R = 1e-40 the moment at z = -10.5
+    # is about 1e420, so the matrix holds inf and has no condition number
+    with pytest.raises(IllConditionedError, match="not finite") as err:
+        mellin_poly_reconstruct([1.0] * 7, -10.5, 4.0, 1e-40)
+    assert err.value.cond == math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-20.0, 20.0, allow_nan=False))
 def test_moment_satisfies_defining_relation(s):
