@@ -343,12 +343,6 @@ class ZeroProductReport:
         return float(np.min(self.product_column_norms))
 
 
-def _column_norms(prod: np.ndarray, cols: range | None = None) -> list[float]:
-    """Norms of the columns ``cols`` (all by default) of a product section."""
-    sel = prod if cols is None else prod[:, cols.start : cols.stop]
-    return np.linalg.norm(sel, axis=0).tolist()
-
-
 def _ladder(
     S: np.ndarray, P: np.ndarray, G: np.ndarray, first: int, N: int, L: int
 ) -> tuple[list[float], float, float]:
@@ -403,8 +397,8 @@ def _ladder(
     qt = np.where(np.arange(A.shape[1])[:, None] < k, Q.conj().T @ T, 0.0)
     misfit = np.linalg.norm(T - Q @ qt, axis=0)
     coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=0)
-    a_norm = np.sqrt(np.cumsum(np.r_[0.0, np.linalg.norm(A, axis=0) ** 2]))[k]
-    scale = np.linalg.norm(T, axis=0) + a_norm * coef
+    # the columns of A are unit vectors, so norm(A[:, :k]) is sqrt(k)
+    scale = np.linalg.norm(T, axis=0) + np.sqrt(k) * coef
     ladder = misfit / np.where(scale == 0.0, 1.0, scale)  # a zero target: 0 / 1
     rungs = np.arange(first, first + L + 1)
     piv = G[rungs + N, rungs]
@@ -436,7 +430,8 @@ def _probe(
     if f.is_zero() or g.is_zero():
         prod = build(f, (lo, hi), R).entries @ build(g, (lo, hi), R).entries
         N = None if g.is_zero() else g.top_degree()
-        return ZeroProductReport(UNCONSTRAINED, lo, N, _column_norms(prod))
+        norms = np.linalg.norm(prod, axis=0).tolist()
+        return ZeroProductReport(UNCONSTRAINED, lo, N, norms)
     N, L = g.top_degree(), int(ladder_length)
     n0 = n0_of(N)
     n0_eff = first_rung if n0 == UNCONSTRAINED else max(int(n0), first_rung)
@@ -457,7 +452,7 @@ def _probe(
     prod = tf @ tg
     S, P = (tf, prod) if through_f else (np.eye(size), tg)
     ladder, pivot, leak = _ladder(S, P, tg, n0_eff - lo, N, L)
-    norms = _column_norms(prod, range(bottom, size - margin))
+    norms = np.linalg.norm(prod[:, bottom : size - margin], axis=0).tolist()
     if not np.all(np.isfinite(norms)):
         verdict = INCONCLUSIVE
     else:
