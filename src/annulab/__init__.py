@@ -37,7 +37,6 @@ from .mellin import (
     monomial_moment,
 )
 from .hardy import (
-    TruncatedOperator,
     ZeroProductReport,
     build_hankel_annulus,
     build_section_quadrature,

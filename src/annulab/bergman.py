@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, TruncatedOperator, ZeroProductReport, _probe
+from .hardy import UNCONSTRAINED, ZeroProductReport, _probe
 from .mellin import mellin_transform, mellin_zero_locate
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
@@ -66,7 +66,7 @@ def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, compl
 
 def build_bergman_toeplitz(
     f: PolarSymbol, window: tuple[int, int], R: float
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Section of the symbol's action over the window's monomial degrees.
 
     Entries are taken in the orthonormal basis (unit monomial multiples),
@@ -75,7 +75,8 @@ def build_bergman_toeplitz(
     sends ``z^n`` to ``c z^(n+k)`` with ``c = t_(n+k)^2`` times the Mellin
     moment of its profile at ``k + 2n + 2``, ``t`` the reciprocal monomial
     norms of :func:`bergman_norm_const`.  The lower edge
-    is clamped to -1, the smallest degree in the basis.  A radial symbol
+    is clamped to -1, the smallest degree in the basis, so the section
+    over ``[lo, hi]`` has side ``hi - max(lo, -1) + 1``.  A radial symbol
     (single band at offset zero) gives a diagonal section; a single
     positive band gives a weighted shift.
     """
@@ -103,7 +104,7 @@ def build_bergman_toeplitz(
         raise WindowTooSmallError(
             f"window [{lo},{hi}] holds no image of any band of the symbol"
         )
-    return TruncatedOperator(ent, (lo, hi), (lo, hi))
+    return ent
 
 
 # ---------------------------------------------------------------------------

@@ -33,25 +33,6 @@ INCONCLUSIVE = "Inconclusive"
 UNCONSTRAINED = "unconstrained"
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A dense finite section with explicit index windows.
-
-    ``entries[a, b]`` couples row basis index ``row_window[0] + a`` to
-    column basis index ``col_window[0] + b``.
-    """
-
-    entries: np.ndarray
-    row_window: tuple[int, int]
-    col_window: tuple[int, int]
-
-    def col_index(self, k: int) -> int:
-        lo, hi = self.col_window
-        if not lo <= k <= hi:
-            raise IndexError(f"column {k} outside window [{lo}, {hi}]")
-        return k - lo
-
-
 def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     lo, hi = int(window[0]), int(window[1])
     if hi < lo:
@@ -74,18 +55,18 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
 
 
 def _bounded_pairs(f: ExactSymbol, window: tuple[int, int], R: float):
-    """Window, weights ``B`` and ``A`` of :func:`basis_weights`, and both
-    circles' coefficients at the offsets ``hi - lo`` down to ``lo - hi``
+    """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
+    both circles' coefficients at the offsets ``hi - lo`` down to ``lo - hi``
     (unit circle, inner circle), read by one ``fourier_pair`` call."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
     fC, fC0 = fourier_pair(f, np.arange(hi - lo, lo - hi - 1, -1))
-    return (lo, hi), B, A, fC, fC0
+    return B, A, fC, fC0
 
 
 def build_toeplitz_hardy(
     f: ExactSymbol, window: tuple[int, int], R: float
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Section of the compression of multiplication by ``f`` to the power family.
 
     The entry is ``(fhat_C(j-k) + R^(j+k) fhat_C0(j-k)) / (norm_j norm_k)``
@@ -96,15 +77,13 @@ def build_toeplitz_hardy(
     directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
-    win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
-    ent = _gather(fC) * np.outer(B, B)
-    ent += _gather(fC0) * np.outer(A, A)
-    return TruncatedOperator(ent, win, win)
+    B, A, fC, fC0 = _bounded_pairs(f, window, R)
+    return _gather(fC) * np.outer(B, B) + _gather(fC0) * np.outer(A, A)
 
 
 def build_hankel_annulus(
     f: ExactSymbol, window: tuple[int, int], R: float
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Section of the complement-side compression of multiplication by ``f``.
 
     Row ``j`` lives in the complement family, column ``k`` in the power
@@ -115,10 +94,8 @@ def build_hankel_annulus(
     reason.  Symbols that are traces of a single Laurent polynomial give
     the zero matrix.
     """
-    win, B, A, fC, fC0 = _bounded_pairs(f, window, R)
-    ent = _gather(fC) * np.outer(A, B)
-    ent -= _gather(fC0) * np.outer(B, A)
-    return TruncatedOperator(ent, win, win)
+    B, A, fC, fC0 = _bounded_pairs(f, window, R)
+    return _gather(fC) * np.outer(A, B) - _gather(fC0) * np.outer(B, A)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +107,7 @@ def build_section_quadrature(
     window: tuple[int, int],
     geo: AnnulusGeometry,
     row_family: str = "hardy",
-) -> TruncatedOperator:
+) -> np.ndarray:
     """Assemble a section entirely from boundary-grid inner products.
 
     Row family "hardy" reproduces :func:`build_toeplitz_hardy`; row family
@@ -154,8 +131,7 @@ def build_section_quadrature(
         cols = hardy_basis_eval(ns, comp, t, geo.R)
         return (rows(ns, comp, t, geo.R).conj() * values) @ cols.T / geo.m_circle
 
-    ent = circle("C", fv.on_C) + circle("C0", fv.on_C0)
-    return TruncatedOperator(ent, (lo, hi), (lo, hi))
+    return circle("C", fv.on_C) + circle("C0", fv.on_C0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +178,14 @@ def apply_multiplier_to_coeffs(
 
 
 def column_zero_recover(
-    section: TruncatedOperator, r: int, s: int, R: float
+    section: np.ndarray, lo: int, r: int, s: int, R: float
 ) -> dict[int, tuple[complex, complex]]:
     """Recover coefficient pairs of the symbol from two section columns.
 
-    For each offset ``n`` with both rows ``r + n`` and ``s + n`` inside the
-    window, entry ``(c + n, c)`` of column ``c`` is
+    ``section`` is a square section of :func:`build_toeplitz_hardy` over the
+    window ``[lo, lo + size - 1]``; a column outside it raises
+    :class:`IndexError`.  For each offset ``n`` with both rows ``r + n``
+    and ``s + n`` inside the window, entry ``(c + n, c)`` of column ``c`` is
     ``b fhat_C(n) + a fhat_C0(n)`` with the bounded weights
     ``b = B_(c+n) B_c`` and ``a = A_(c+n) A_c`` of
     :func:`build_toeplitz_hardy`, and ``a / b = R^(2c+n)``.  Each row is
@@ -231,13 +209,15 @@ def column_zero_recover(
     if r == s:
         raise ValueError("need two distinct columns")
     r, s = sorted((r, s))
-    lo, hi = section.row_window
+    hi = lo + section.shape[0] - 1
     ns = np.arange(lo - r, hi - s + 1)
     rows = []
     for c in (r, s):
+        if not lo <= c <= hi:
+            raise IndexError(f"column {c} outside window [{lo}, {hi}]")
         Bm, Am = basis_weights(c + ns, R)
         Bc, Ac = basis_weights(c, R)
-        vals = section.entries[c + ns - lo, section.col_index(c)]
+        vals = section[c + ns - lo, c - lo]
         rows.append(vals / np.maximum(Bm * Bc, Am * Ac))
     x1, x2 = 2 * r + ns, 2 * s + ns
     # the scaled system is [[R^e1, 1], [1, R^e2]] with e1 + e2 = 2 (s - r)
@@ -305,8 +285,8 @@ def semicommutator_residual_annulus(
     t_psi = build_toeplitz_hardy(psi, window, R)
     h_phibar = build_hankel_annulus(conjugate_symbol(phi), window, R)
     h_psi = build_hankel_annulus(psi, window, R)
-    prod = t_phi.entries @ t_psi.entries
-    delta = t_prod.entries - (prod + h_phibar.entries.conj().T @ h_psi.entries)
+    prod = t_phi @ t_psi
+    delta = t_prod - (prod + h_phibar.conj().T @ h_psi)
     sl = slice(margin, hi - lo + 1 - margin)
     return float(np.max(np.abs(delta[sl, sl]))), margin
 
@@ -428,7 +408,7 @@ def _probe(
     finite, else ``Violation`` only when every one falls below ``floor``.
     """
     if f.is_zero() or g.is_zero():
-        prod = build(f, (lo, hi), R).entries @ build(g, (lo, hi), R).entries
+        prod = build(f, (lo, hi), R) @ build(g, (lo, hi), R)
         N = None if g.is_zero() else g.top_degree()
         norms = np.linalg.norm(prod, axis=0).tolist()
         return ZeroProductReport(UNCONSTRAINED, lo, N, norms)
@@ -447,8 +427,8 @@ def _probe(
             f"window [{lo}, {hi}] has no interior columns at margin {margin}"
         )
 
-    tf = build(f, (lo, hi), R).entries
-    tg = build(g, (lo, hi), R).entries
+    tf = build(f, (lo, hi), R)
+    tg = build(g, (lo, hi), R)
     prod = tf @ tg
     S, P = (tf, prod) if through_f else (np.eye(size), tg)
     ladder, pivot, leak = _ladder(S, P, tg, n0_eff - lo, N, L)

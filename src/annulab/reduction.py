@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, TruncatedOperator, _gather
+from .hardy import INCONCLUSIVE, _gather
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -44,21 +44,19 @@ NO_DECAY_MIN_TAIL = 4
 # disc-space sections
 
 
-def build_disc_toeplitz(phi: ExactCircle, size: int) -> TruncatedOperator:
+def build_disc_toeplitz(phi: ExactCircle, size: int) -> np.ndarray:
     """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
     if size < 1:
         raise ValueError("section size must be positive")
-    ent = _gather(phi.hat(np.arange(size - 1, -size, -1)))
-    return TruncatedOperator(ent, (0, size - 1), (0, size - 1))
+    return _gather(phi.hat(np.arange(size - 1, -size, -1)))
 
 
-def build_disc_hankel(phi: ExactCircle, size: int) -> TruncatedOperator:
+def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
     """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
     coefficient on ``z^-(j+1)``."""
     if size < 1:
         raise ValueError("section size must be positive")
-    ent = _gather(phi.hat(np.arange(-1, -2 * size, -1)), hankel=True)
-    return TruncatedOperator(ent, (0, size - 1), (0, size - 1))
+    return _gather(phi.hat(np.arange(-1, -2 * size, -1)), hankel=True)
 
 
 def semicommutator_residual_disc(
@@ -70,11 +68,11 @@ def semicommutator_residual_disc(
         raise ValueError(f"section size {size} must exceed bandwidth sum {margin}")
     t_prod = build_disc_toeplitz(ExactCircle(_convolve(phi.coeffs, psi.coeffs)), size)
     combined = (
-        build_disc_toeplitz(phi, size).entries @ build_disc_toeplitz(psi, size).entries
-        + build_disc_hankel(conjugate_symbol(phi), size).entries.conj().T
-        @ build_disc_hankel(psi, size).entries
+        build_disc_toeplitz(phi, size) @ build_disc_toeplitz(psi, size)
+        + build_disc_hankel(conjugate_symbol(phi), size).conj().T
+        @ build_disc_hankel(psi, size)
     )
-    delta = np.abs(t_prod.entries - combined)
+    delta = np.abs(t_prod - combined)
     sl = slice(0, size - margin)
     return float(np.max(delta[sl, sl])), margin
 
@@ -200,7 +198,7 @@ def diagram_residual(phi: ExactSymbol, size: int, geo: AnnulusGeometry) -> float
     H = inner_hankel_quadrature(phi, size, geo)
     left = U0 @ H @ np.linalg.inv(P0)
     _, phi_inner = pullback_symbols(phi)
-    right = build_disc_hankel(phi_inner, size).entries
+    right = build_disc_hankel(phi_inner, size)
     return float(np.max(np.abs(left - right)))
 
 
@@ -357,7 +355,7 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
         hats, TAIL_EPSILON, reach
     )
     corner = min(sizes[-1], reach)
-    block = build_disc_hankel(phi_circle, corner).entries if corner else None
+    block = build_disc_hankel(phi_circle, corner) if corner else None
     if corner and not hats.imag.any():
         block = block.real
     for s in sizes:

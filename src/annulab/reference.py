@@ -47,6 +47,19 @@ def conjugated_singular_inner_symbol(count: int = 1025) -> ExactSymbol:
     return ExactSymbol(coeffs_C=table, coeffs_C0={})
 
 
+def hilbert_symbol(count: int = 1025) -> ExactSymbol:
+    """Boundary symbol whose outer pullback's disc Hankel sections are the
+    Hilbert matrix ``[1 / (j + k + 1)]``.
+
+    The outer-circle table holds ``1/n`` at index ``-n`` for
+    ``n = 1 .. count - 1``; the inner circle is zero.  The infinite matrix
+    is bounded with norm pi and not compact (Magnus), while every
+    truncation of the table gives compact sections.
+    """
+    table = {-n: complex(1.0 / n) for n in range(1, count)}
+    return ExactSymbol(coeffs_C=table, coeffs_C0={})
+
+
 def smooth_decay_symbol(ratio: float = 0.75, reach: int = 25) -> ExactSymbol:
     """Two-sided symbol with geometrically shrinking coefficient tables.
 
@@ -72,13 +85,15 @@ def analytic_square_symbol(R: float) -> ExactSymbol:
 
 
 #: references whose table truncates an infinite one to ``count`` coefficients
-TRUNCATED = ("conjugated-singular-inner",)
+TRUNCATED = ("conjugated-singular-inner", "hilbert")
 
 
 def reference_symbol(name: str, R: float, count: int = 1025) -> ExactSymbol:
     """Look up a built-in symbol by its registry name."""
     if name == "conjugated-singular-inner":
         return conjugated_singular_inner_symbol(count)
+    if name == "hilbert":
+        return hilbert_symbol(count)
     if name == "smooth-decay":
         return smooth_decay_symbol()
     if name == "split-sign":

@@ -86,15 +86,14 @@ def read_decay_csv(path):
     return [(s, out[s]) for s in order]
 
 
-def write_section_csv(path, entries, row_window, col_window) -> None:
-    """Matrix dump with header ``j,k,re,im`` over the window indices."""
+def write_section_csv(path, entries, lo: int) -> None:
+    """Dump of a square section over the window starting at ``lo``, with
+    header ``j,k,re,im`` and the window indices in the first two columns."""
     lines = ["j,k,re,im"]
-    rlo = row_window[0]
-    clo = col_window[0]
     for j in range(entries.shape[0]):
         for k in range(entries.shape[1]):
             v = entries[j, k]
-            lines.append(f"{rlo + j},{clo + k},{_fmt(v.real)},{_fmt(v.imag)}")
+            lines.append(f"{lo + j},{lo + k},{_fmt(v.real)},{_fmt(v.imag)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -96,7 +96,7 @@ def test_criterion_02_entry_formula_fidelity(request, geo):
             sym = random_boundary_symbol(rng, 6)
             sec = build_toeplitz_hardy(sym, (-8, 8), R)
             quad = build_section_quadrature(sym, (-8, 8), geo)
-            worst = max(worst, float(np.max(np.abs(sec.entries - quad.entries))))
+            worst = max(worst, float(np.max(np.abs(sec - quad))))
         ok = worst <= 1e-10
         detail = f"worst closed-vs-quadrature deviation {worst:.3e}, tolerance 1e-10"
     finally:
@@ -108,11 +108,11 @@ def test_criterion_03_unit_symbol_identity(request):
     ok, detail = False, "no measurement"
     try:
         hardy_sec = build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-32, 32), R)
-        dev_h = float(np.max(np.abs(hardy_sec.entries - np.eye(65))))
+        dev_h = float(np.max(np.abs(hardy_sec - np.eye(65))))
         berg_sec = build_bergman_toeplitz(
             PolarSymbol({0: PolyProfile({0: 1.0 + 0.0j})}), (-1, 32), R
         )
-        dev_b = float(np.max(np.abs(berg_sec.entries - np.eye(34))))
+        dev_b = float(np.max(np.abs(berg_sec - np.eye(34))))
         ok = dev_h <= 1e-12 and dev_b <= 1e-12
         detail = (
             f"two-circle deviation {dev_h:.3e}, area deviation {dev_b:.3e}, "
@@ -195,16 +195,15 @@ def test_criterion_07_two_column_recovery(request):
         for _ in range(5):
             sym = random_boundary_symbol(rng, 6)
             sec = build_toeplitz_hardy(sym, (-9, 9), R)
-            pairs = column_zero_recover(sec, -2, 3, R)
+            pairs = column_zero_recover(sec, -9, -2, 3, R)
             for n in range(-6, 7):
                 fC, fC0 = fourier_pair(sym, n)
                 gC, gC0 = pairs[n]
                 worst = max(worst, abs(fC - gC), abs(fC0 - gC0))
-            ent = sec.entries.copy()
-            ent[:, sec.col_index(-2)] = 0.0
-            ent[:, sec.col_index(3)] = 0.0
-            zeroed = type(sec)(ent, sec.row_window, sec.col_window)
-            wiped = column_zero_recover(zeroed, -2, 3, R)
+            ent = sec.copy()
+            ent[:, -2 + 9] = 0.0
+            ent[:, 3 + 9] = 0.0
+            wiped = column_zero_recover(ent, -9, -2, 3, R)
             clean = clean and all(v == (0.0, 0.0) for v in wiped.values())
         ok = worst <= 1e-10 and clean
         detail = (
@@ -263,14 +262,14 @@ def test_criterion_09_bergman_structure(request, geo):
         for a, m in enumerate(range(-1, 9)):
             for b, n in enumerate(range(-1, 9)):
                 if m - n != 3:
-                    single = single and band.entries[a, b] == 0.0
+                    single = single and band[a, b] == 0.0
                 else:
-                    single = single and abs(band.entries[a, b]) > 0.0
+                    single = single and abs(band[a, b]) > 0.0
         rng = Lcg(SEED)
         sym = random_polar_symbol(rng, -2, 2, 6)
         sec = build_bergman_toeplitz(sym, (-8, 8), R)
         quad = build_bergman_section_quadrature(sym, (-8, 8), geo)
-        dev = float(np.max(np.abs(sec.entries - quad)))
+        dev = float(np.max(np.abs(sec - quad)))
         f = build_bergman_toeplitz(
             PolarSymbol({0: PolyProfile({1: 1.0 + 0.0j})}), (-1, 10), R
         )
@@ -278,7 +277,7 @@ def test_criterion_09_bergman_structure(request, geo):
             PolarSymbol({0: PolyProfile({0: 0.5 + 0.0j, 3: 1.0 + 0.0j})}), (-1, 10), R
         )
         commute = bool(
-            np.array_equal(f.entries @ g.entries, g.entries @ f.entries)
+            np.array_equal(f @ g, g @ f)
         )
         ok = single and dev <= 1e-10 and commute
         detail = (

@@ -119,10 +119,10 @@ def _top_band_one_row_lower(build):
 
     def shifted(sym, window, R):
         op = build(sym, window, R)
-        N, size = sym.top_degree(), op.entries.shape[0]
+        N, size = sym.top_degree(), op.shape[0]
         cols = np.arange(max(0, -N), size - N - 1)
-        op.entries[cols + N + 1, cols] = op.entries[cols + N, cols]
-        op.entries[cols + N, cols] = 0.0
+        op[cols + N + 1, cols] = op[cols + N, cols]
+        op[cols + N, cols] = 0.0
         return op
 
     return shifted
@@ -204,6 +204,37 @@ def test_mellin_nan_quadrature_fails_the_sweep(tmp_path, monkeypatch):
     rows = (outdir / "results.csv").read_text().strip().split("\n")[1:]
     table = {line.split(",")[1]: line.split(",")[2:] for line in rows}
     assert table["closed_form_vs_quadrature"] == ["nan", "1e-10", "false"]
+
+
+def test_mellin_nan_reconstruction_fails_its_row(tmp_path, monkeypatch):
+    """A NaN coefficient past the first degree must reach the round-trip
+    row, not be dropped by the built-in max."""
+    reconstruct = annulab.mellin.mellin_poly_reconstruct
+
+    def nan_top(*args, **kwargs):
+        rec = reconstruct(*args, **kwargs)
+        return PolyProfile({**rec.coeffs, 6: float("nan")})
+
+    monkeypatch.setattr(annulab.mellin, "mellin_poly_reconstruct", nan_top)
+    code, outdir = run_lab(tmp_path, "mellin", {"R": 0.1, "seed": 1})
+    assert code == 1
+    assert _results(outdir)["poly_reconstruct_roundtrip"][::2] == ["nan", "false"]
+
+
+def test_identities_nan_transfer_map_fails_its_row(tmp_path, monkeypatch):
+    """A NaN in the second transfer map must reach the unitarity row, not
+    be dropped by the built-in max of the two maps' defects."""
+    assemble = annulab.reduction.assemble_transfer_unitaries
+
+    def nan_in_p0(size, geo):
+        U0, P0 = assemble(size, geo)
+        P0[0, 0] = np.nan
+        return U0, P0
+
+    monkeypatch.setattr(annulab.reduction, "assemble_transfer_unitaries", nan_in_p0)
+    code, outdir = run_lab(tmp_path, "identities", FAST)
+    assert code == 1
+    assert _results(outdir)["transfer_unitarity"][::2] == ["nan", "false"]
 
 
 def test_mellin_fails_honestly_on_thick_annulus(tmp_path):
@@ -490,10 +521,30 @@ def test_hankel_decay_certificate_rows(tmp_path, capsys):
     extra = json.loads((outdir / "report.json").read_text())["extra"]
     assert "truncated to 128 coefficients" in extra["l1_tail_table"]
     assert "note l1_tail_table: truncated" in capsys.readouterr().out
+    # an Inconclusive verdict claims nothing: the certificate is recorded only
+    assert extra["verdict"] == "Inconclusive"
+    assert rows["decay_claim_certified"][1:] == ["inf", "true"]
     code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]}, out="smooth")
     assert code == 0
     extra = json.loads((outdir / "report.json").read_text())["extra"]
     assert "l1_tail_table" not in extra
+    assert extra["verdict"] == "DecayObserved"
+    assert _results(outdir)["decay_claim_certified"] == ["7", "31", "true"]
+
+
+def test_hilbert_decay_claim_is_not_certified(tmp_path):
+    """The Hilbert matrix is bounded and not compact, yet its tails read
+    2, 2, 2, 2 and the frozen rule says DecayObserved; the l1 certificate
+    (621 against the smallest size 64) refuses to back that claim."""
+    code, outdir = run_lab(tmp_path, "hankel-decay", {"symbol": "builtin:hilbert"})
+    assert code == 1
+    extra = json.loads((outdir / "report.json").read_text())["extra"]
+    assert extra["verdict"] == "DecayObserved"
+    rows = _results(outdir)
+    assert rows["decay_claim_certified"] == ["621", "63", "false"]
+    assert [n for n, (_, _, ok) in rows.items() if ok == "false"] == [
+        "decay_claim_certified"
+    ]
 
 
 def test_hankel_decay_certificate_catches_a_wrong_section(tmp_path, monkeypatch):

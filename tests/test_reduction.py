@@ -52,7 +52,7 @@ R = 0.5
 
 def test_disc_toeplitz_of_constant_is_identity():
     sec = build_disc_toeplitz(ExactCircle({0: 1.0 + 0.0j}), 6)
-    assert np.array_equal(sec.entries, np.eye(6))
+    assert np.array_equal(sec, np.eye(6))
 
 
 def test_disc_toeplitz_shift_is_subdiagonal():
@@ -60,7 +60,7 @@ def test_disc_toeplitz_shift_is_subdiagonal():
     want = np.zeros((5, 5), dtype=complex)
     for j in range(1, 5):
         want[j, j - 1] = 1.0
-    assert np.array_equal(sec.entries, want)
+    assert np.array_equal(sec, want)
 
 
 def test_disc_sections_match_grid_quadrature():
@@ -74,22 +74,22 @@ def test_disc_sections_match_grid_quadrature():
         for k in range(size):
             toe = np.mean(vals * np.exp(-1j * (j - k) * t))
             han = np.mean(vals * np.exp(1j * ((j + 1) + k) * t))
-            assert build_disc_toeplitz(phi, size).entries[j, k] == pytest.approx(
+            assert build_disc_toeplitz(phi, size)[j, k] == pytest.approx(
                 toe, abs=1e-12
             )
-            assert build_disc_hankel(phi, size).entries[j, k] == pytest.approx(
+            assert build_disc_hankel(phi, size)[j, k] == pytest.approx(
                 han, abs=1e-12
             )
 
 
 def test_disc_hankel_of_analytic_power_vanishes():
     sec = build_disc_hankel(ExactCircle({5: 1.0 + 0.0j}), 8)
-    assert np.max(np.abs(sec.entries)) == 0.0
+    assert np.max(np.abs(sec)) == 0.0
 
 
 def test_disc_hankel_of_single_negative_power_has_rank_one():
     sec = build_disc_hankel(ExactCircle({-1: 1.0 + 0.0j}), 8)
-    sig = np.linalg.svd(sec.entries, compute_uv=False)
+    sig = np.linalg.svd(sec, compute_uv=False)
     assert sig[0] == pytest.approx(1.0, abs=1e-14)
     assert sig[1] <= 1e-14
 
@@ -97,7 +97,7 @@ def test_disc_hankel_of_single_negative_power_has_rank_one():
 def test_disc_hankel_rank_counts_negative_powers():
     for m in range(1, 6):
         sec = build_disc_hankel(ExactCircle({-m: 1.0 + 0.0j}), 8)
-        assert np.linalg.matrix_rank(sec.entries) == m
+        assert np.linalg.matrix_rank(sec) == m
 
 
 def test_hilbert_type_hankel_entries_and_norm():
@@ -109,8 +109,8 @@ def test_hilbert_type_hankel_entries_and_norm():
         sec = build_disc_hankel(phi, size)
         for j in range(size):
             for k in range(size):
-                assert sec.entries[j, k] == pytest.approx(1.0 / (j + k + 1))
-        top = float(np.linalg.svd(sec.entries, compute_uv=False)[0])
+                assert sec[j, k] == pytest.approx(1.0 / (j + k + 1))
+        top = float(np.linalg.svd(sec, compute_uv=False)[0])
         assert prev < top < math.pi
         prev = top
 
@@ -213,7 +213,7 @@ def test_diagram_inner_power_becomes_disc_hankel():
     geo = AnnulusGeometry(R=R, m_circle=256)
     phi = ExactSymbol({}, {1: 1.0 + 0.0j})
     right = build_disc_hankel(pullback_symbols(phi)[1], 32)
-    assert right.entries[0, 0] == 1.0
+    assert right[0, 0] == 1.0
     assert diagram_residual(phi, 32, geo) <= 1e-12
 
 
@@ -331,7 +331,7 @@ def test_indicator_algebraic_symbols_decay():
 
 
 def full_svd(phi, size):
-    return np.linalg.svd(build_disc_hankel(phi, size).entries, compute_uv=False)
+    return np.linalg.svd(build_disc_hankel(phi, size), compute_uv=False)
 
 
 def test_live_block_profile_matches_full_svd():
@@ -417,7 +417,7 @@ def test_real_table_eigen_path_matches_svd(seed, reach, gap):
         assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
         assert profile.tail_indices[s] == tail_index(want, 0.5)
     L = min(reach, 128)
-    eig = np.linalg.eigvalsh(build_disc_hankel(phi, L).entries.real)
+    eig = np.linalg.eigvalsh(build_disc_hankel(phi, L).real)
     assert eig.min() < -0.5 and eig.max() > 0.5
     assert max(profile.tail_indices.values()) >= 2
 
@@ -438,7 +438,7 @@ def test_disc_hankel_blocks_are_exactly_symmetric():
     rng = Lcg(12)
     phi = ExactCircle({n: rng.coefficient() for n in range(-90, 10)})
     for size in (1, 7, 45, 64):
-        B = build_disc_hankel(phi, size).entries
+        B = build_disc_hankel(phi, size)
         assert np.array_equal(B, B.T)
 
 

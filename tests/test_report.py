@@ -89,11 +89,12 @@ def test_decay_csv_rejects_foreign_tables(tmp_path):
 def test_section_csv_carries_window_indices(tmp_path):
     ent = np.array([[1.0 + 2.0j, 0.0], [0.0, -1.0 + 0.0j]])
     path = tmp_path / "section.csv"
-    write_section_csv(path, ent, (-1, 0), (3, 4))
+    write_section_csv(path, ent, -1)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "j,k,re,im"
-    assert lines[1].startswith("-1,3,1,2")
-    assert lines[4].startswith("0,4,-1,")
+    assert lines[1].startswith("-1,-1,1,2")
+    assert lines[2].startswith("-1,0,0,0")
+    assert lines[4].startswith("0,0,-1,")
 
 
 def test_report_json_shape(tmp_path):

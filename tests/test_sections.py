@@ -12,10 +12,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from annulab.bergman import build_bergman_toeplitz
+from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
 from annulab.cli import main
 from annulab.geometry import AnnulusGeometry, bergman_norm_const
-from annulab.hardy import build_hankel_annulus, build_toeplitz_hardy
+from annulab.hardy import (
+    build_hankel_annulus,
+    build_section_quadrature,
+    build_toeplitz_hardy,
+)
 from annulab.mellin import mellin_transform
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import build_disc_hankel, build_disc_toeplitz
@@ -91,14 +95,14 @@ def circles():
 @pytest.mark.parametrize("size", SIZES)
 def test_disc_toeplitz_gather_matches_loop(kind, size):
     phi = circles()[kind]
-    assert same_bytes(build_disc_toeplitz(phi, size).entries, loop_disc_toeplitz(phi, size))
+    assert same_bytes(build_disc_toeplitz(phi, size), loop_disc_toeplitz(phi, size))
 
 
 @pytest.mark.parametrize("kind", ["exact", "sampled"])
 @pytest.mark.parametrize("size", SIZES)
 def test_disc_hankel_gather_matches_loop(kind, size):
     phi = circles()[kind]
-    assert same_bytes(build_disc_hankel(phi, size).entries, loop_disc_hankel(phi, size))
+    assert same_bytes(build_disc_hankel(phi, size), loop_disc_hankel(phi, size))
 
 
 def polar_symbol(rng):
@@ -115,8 +119,37 @@ def test_bergman_section_matches_loop(size, lo):
     R = 0.4
     f = polar_symbol(Lcg(size + lo))
     hi = lo + size - 1
-    got = build_bergman_toeplitz(f, (lo, hi), R).entries
+    got = build_bergman_toeplitz(f, (lo, hi), R)
     assert same_bytes(got, loop_bergman(f, lo, hi, R))
+
+
+# ---------------------------------------------------------------------------
+# the section contract: a plain square array over the caller's window
+
+
+def contract_sections():
+    """Per builder: its section over the window (-6, 6), or of size 13 on
+    the disc, and the side it must have; the Bergman basis starts at -1."""
+    f, p = random_boundary_symbol(Lcg(5), 3), polar_symbol(Lcg(5))
+    geo = AnnulusGeometry(R=0.5, m_circle=64, m_radial=48)
+    return {
+        "build_toeplitz_hardy": (build_toeplitz_hardy(f, (-6, 6), 0.5), 13),
+        "build_hankel_annulus": (build_hankel_annulus(f, (-6, 6), 0.5), 13),
+        "build_section_quadrature": (build_section_quadrature(f, (-6, 6), geo), 13),
+        "build_disc_toeplitz": (build_disc_toeplitz(pullback_symbols(f)[0], 13), 13),
+        "build_disc_hankel": (build_disc_hankel(pullback_symbols(f)[1], 13), 13),
+        "build_bergman_toeplitz": (build_bergman_toeplitz(p, (-6, 6), 0.5), 8),
+        "build_bergman_section_quadrature": (
+            build_bergman_section_quadrature(p, (-6, 6), geo), 8
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(contract_sections()))
+def test_builders_return_square_complex_arrays(name):
+    sec, side = contract_sections()[name]
+    assert type(sec) is np.ndarray
+    assert sec.shape == (side, side) and sec.dtype == complex
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +180,12 @@ def test_wide_window_sections_are_finite_and_exact(R, half):
     window = (-half, half)
     T = build_toeplitz_hardy(sym, window, R)
     H = build_hankel_annulus(sym, window, R)
-    assert np.all(np.isfinite(T.entries))
-    assert np.all(np.isfinite(H.entries))
+    assert np.all(np.isfinite(T))
+    assert np.all(np.isfinite(H))
     for j in window:
         for k in window:
             for sec, want in zip((T, H), exact_entries(sym, j, k, R)):
-                rel = abs(mpmath.mpc(sec.entries[j + half, k + half]) - want) / abs(want)
+                rel = abs(mpmath.mpc(sec[j + half, k + half]) - want) / abs(want)
                 assert rel <= 1e-13, (j, k, float(rel))
 
 
