@@ -10,6 +10,7 @@ read only grid samples.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
 from .hardy import UNCONSTRAINED, ZeroProductReport, _probe
-from .mellin import mellin_transform, mellin_zero_locate
+from .mellin import mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
 
@@ -57,11 +58,19 @@ def _clamp_window(window: tuple[int, int]) -> tuple[int, int]:
 def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, complex]:
     """Exact image of ``z**n`` as a coefficient table over monomial degrees."""
     out: dict[int, complex] = {}
-    for k in f.live_bands():
+    for k in f.live_bands:
         coeff, deg = quasi_homogeneous_apply(k, f.bands[k], n, R)
         if coeff != 0.0:
             out[deg] = out.get(deg, 0.0 + 0.0j) + coeff
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _norm_consts(lo: int, hi: int, R: float) -> np.ndarray:
+    """Read-only reciprocal monomial norms ``t`` over the degrees ``lo..hi``."""
+    t = np.array([bergman_norm_const(n, R) for n in range(lo, hi + 1)])
+    t.flags.writeable = False
+    return t
 
 
 def build_bergman_toeplitz(
@@ -79,28 +88,37 @@ def build_bergman_toeplitz(
     over ``[lo, hi]`` has side ``hi - max(lo, -1) + 1``.  A radial symbol
     (single band at offset zero) gives a diagonal section; a single
     positive band gives a weighted shift.
+
+    Operation order: every moment the section reads comes from one
+    :func:`monomial_moment` call over a ``[band, degree, column]`` array of
+    arguments, each band's profile is summed over its table in the table's
+    own order, and each entry is formed as in the per-entry loop
+    ``t_m^2 M_k(k + 2n + 2) t_n / t_m``, so the section matches that loop
+    bit for bit whatever the order of the bands and degrees.
     """
     lo, hi = _clamp_window(window)
-    size = hi - lo + 1
-    t = np.array([bergman_norm_const(n, R) for n in range(lo, hi + 1)])
-    ent = np.zeros((size, size), dtype=complex)
-    placed = False
-    for k in f.live_bands():
-        # band k fills diagonal k (column b meets row b + k); the operation
-        # order is that of the per-entry reference loop in the tests, so the
-        # entries match it bit for bit
-        cols = np.arange(max(0, -k), min(size, size - k))
-        rows = cols + k
-        coeff = (t[rows] * t[rows]) * mellin_transform(
-            f.bands[k], k + 2 * (lo + cols) + 2, R
-        )
-        placed = placed or bool(np.any(coeff != 0.0))
-        val = coeff * t[cols]
-        # numpy divides complex by real through a reciprocal; divide each part
-        val.real /= t[rows]
-        val.imag /= t[rows]
-        ent[rows, cols] += val
-    if not placed and not f.is_zero():
+    t = _norm_consts(lo, hi, R)
+    tables = [f.bands[k].coeffs for k in f.live_bands]
+    width = max(map(len, tables), default=0)
+    degree = [list(d) + [0] * (width - len(d)) for d in tables]
+    band, n = np.array(f.live_bands, dtype=int)[:, None], np.arange(lo, hi + 1)
+    # band k sends column n to row n + k; one sent outside reads argument 0
+    inside = (n + band >= lo) & (n + band <= hi)
+    arg = (band + 2 * n + 2)[:, None] + np.array(degree, dtype=int)[..., None]
+    moments = monomial_moment(np.where(inside[:, None], arg, 0), R)
+    profile = np.zeros(inside.shape, dtype=complex)
+    for p, table, moment in zip(profile, tables, moments):
+        for c, mom in zip(table.values(), moment):
+            p += c * mom
+    rows = np.where(inside, n - lo + band, 0)
+    coeff = (t[rows] * t[rows]) * profile
+    val = coeff * t
+    # numpy divides complex by real through a reciprocal; divide each part
+    val.real /= t[rows]
+    val.imag /= t[rows]
+    ent = np.zeros((len(n), len(n)), dtype=complex)
+    ent[rows[inside], np.nonzero(inside)[1]] += val[inside]
+    if not np.any(coeff[inside] != 0.0) and not f.is_zero():
         raise WindowTooSmallError(
             f"window [{lo},{hi}] holds no image of any band of the symbol"
         )
@@ -116,7 +134,7 @@ def polar_symbol_grid(f: PolarSymbol, geo: AnnulusGeometry) -> np.ndarray:
     t = geo.angles()
     r, _ = geo.radial_nodes()
     vals = np.zeros((geo.m_radial, geo.m_circle), dtype=complex)
-    for k in f.live_bands():
+    for k in f.live_bands:
         vals += np.outer(f.bands[k].eval(r), np.exp(1j * k * t))
     return vals
 

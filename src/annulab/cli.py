@@ -261,7 +261,7 @@ def _run_hankel_decay(cfg: LabConfig, outdir: Path):
     emit_plot(profiles[0], outdir / "decay.svg")
     emit_plot(profiles[1], outdir / "decay-inner.svg")
     files = ["decay.csv", "decay.svg", "decay-inner.svg"]
-    extra = {"verdict": verdict}
+    extra = {"verdict": verdict, "verdict_basis": reduction.decay_basis(profiles)}
     if cfg.symbol in [f"builtin:{name}" for name in reference.TRUNCATED]:
         # the certificate sums the table the run reads, not the infinite one
         extra["l1_tail_table"] = (
@@ -352,7 +352,7 @@ def _run_mellin(cfg: LabConfig, outdir: Path):
     c = 6.0 * (1.0 - cfg.R**5) / (5.0 * (1.0 - cfg.R**6))
     witness = PolyProfile({0: 1.0, 1: -c})
     roots = mellin.mellin_zero_locate(witness, -10.0, 20.0, cfg.R)
-    dev = min((abs(r - 5.0) for r in roots), default=float("inf"))
+    dev = np.min([abs(r - 5.0) for r in roots], initial=np.inf)
     rows.append(report.residual_check("mellin", "zero_locate_at_5", dev, 1e-8))
     return rows, [], {}
 

@@ -49,19 +49,19 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     The layout is a strided copy of a sliding window, so no index array is
     formed.
     """
-    size = (len(values) + 1) // 2
-    win = np.lib.stride_tricks.sliding_window_view(values, size)
+    size, step = (len(values) + 1) // 2, values.strides[0]
+    win = np.lib.stride_tricks.as_strided(values, (size, size), (step, step))
     return (win if hankel else win[::-1]).copy()
 
 
 def _bounded_pairs(f: ExactSymbol, window: tuple[int, int], R: float):
     """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
-    both circles' coefficients at the offsets ``hi - lo`` down to ``lo - hi``
-    (unit circle, inner circle), read by one ``fourier_pair`` call."""
+    the :func:`_gather` layouts of both circles' coefficients at the offsets
+    ``hi - lo`` down to ``lo - hi``: fresh arrays, weighted and summed in place."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    fC, fC0 = fourier_pair(f, np.arange(hi - lo, lo - hi - 1, -1))
-    return B, A, fC, fC0
+    TC, TC0 = map(_gather, fourier_pair(f, np.arange(hi - lo, lo - hi - 1, -1)))
+    return B, A, TC, TC0
 
 
 def build_toeplitz_hardy(
@@ -77,8 +77,10 @@ def build_toeplitz_hardy(
     directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
-    B, A, fC, fC0 = _bounded_pairs(f, window, R)
-    return _gather(fC) * np.outer(B, B) + _gather(fC0) * np.outer(A, A)
+    B, A, T, TC0 = _bounded_pairs(f, window, R)
+    T *= np.outer(B, B)
+    TC0 *= np.outer(A, A)
+    return np.add(T, TC0, out=T)
 
 
 def build_hankel_annulus(
@@ -94,8 +96,10 @@ def build_hankel_annulus(
     reason.  Symbols that are traces of a single Laurent polynomial give
     the zero matrix.
     """
-    B, A, fC, fC0 = _bounded_pairs(f, window, R)
-    return _gather(fC) * np.outer(A, B) - _gather(fC0) * np.outer(B, A)
+    B, A, H, TC0 = _bounded_pairs(f, window, R)
+    H *= np.outer(A, B)
+    TC0 *= np.outer(B, A)
+    return np.subtract(H, TC0, out=H)
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +129,11 @@ def build_section_quadrature(
         )
     fv = sample_symbol(f, geo)
     ns, t = np.arange(lo, hi + 1), geo.angles()
-    rows = hardy_basis_eval if row_family == "hardy" else complement_basis_eval
 
     def circle(comp: str, values: np.ndarray) -> np.ndarray:
         cols = hardy_basis_eval(ns, comp, t, geo.R)
-        return (rows(ns, comp, t, geo.R).conj() * values) @ cols.T / geo.m_circle
+        rows = cols if row_family == "hardy" else complement_basis_eval(ns, comp, t, geo.R)
+        return (rows.conj() * values) @ cols.T / geo.m_circle
 
     return circle("C", fv.on_C) + circle("C0", fv.on_C0)
 
@@ -149,7 +153,7 @@ def apply_multiplier_coeffs(f: ExactSymbol, n: int, R: float) -> dict[int, compl
     quotient is formed without raising ``R^(2(n+k))`` past the float range.
     """
     out: dict[int, complex] = {}
-    for k in f.support():
+    for k in f.support:
         fC, fC0 = f.pair(k)
         if n + k >= 0:
             c = (fC + R ** (2 * n + k) * fC0) / (1.0 + R ** (2 * (n + k)))

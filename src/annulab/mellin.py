@@ -39,11 +39,13 @@ def monomial_moment(s, R: float):
 
 
 def mellin_transform(profile: PolyProfile, z, R: float):
-    """Transform value(s) at ``z`` by the closed form per monomial."""
+    """Transform value(s) at ``z`` by the closed form per monomial, from one
+    :func:`monomial_moment` call summed over the table in its own order."""
     z = np.asarray(z)
+    moments = monomial_moment(np.add.outer(list(profile.coeffs), z), R)
     out = np.zeros(z.shape, dtype=complex)
-    for m, c in profile.coeffs.items():
-        out += c * monomial_moment(z + m, R)
+    for c, moment in zip(profile.coeffs.values(), moments):
+        out += c * moment
     return out if out.ndim else complex(out[()])
 
 

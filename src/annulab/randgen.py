@@ -21,6 +21,7 @@ from .symbols import ExactSymbol, PolarSymbol, PolyProfile
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+_UNIT = float(1 << 53)
 
 
 @dataclass
@@ -32,18 +33,16 @@ class Lcg:
     def __post_init__(self):
         self.state &= _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state * _MULT + _INC) & _MASK
-        return self.state
-
     def uniform(self) -> float:
         """One draw in [-1, 1) from the top 53 bits of the next state."""
-        return 2.0 * ((self.next_u64() >> 11) / float(1 << 53)) - 1.0
+        self.state = (self.state * _MULT + _INC) & _MASK
+        return 2.0 * ((self.state >> 11) / _UNIT) - 1.0
 
     def coefficient(self) -> complex:
-        re = self.uniform()
-        im = self.uniform()
-        return complex(re, im)
+        """Two draws, real part first (:meth:`uniform` twice, inlined)."""
+        re = self.state = (self.state * _MULT + _INC) & _MASK
+        im = self.state = (re * _MULT + _INC) & _MASK
+        return complex(2.0 * ((re >> 11) / _UNIT) - 1.0, 2.0 * ((im >> 11) / _UNIT) - 1.0)
 
 
 def random_boundary_symbol(rng: Lcg, reach: int) -> ExactSymbol:

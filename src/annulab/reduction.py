@@ -368,29 +368,35 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     return profile
 
 
-def classify_decay(profiles: list[DecayProfile]) -> str:
-    """Frozen verdict rule over one or more size sweeps.
+def decay_basis(profiles: list[DecayProfile]) -> dict:
+    """The clause of the frozen verdict rule that decides, with the tail
+    indices it read per pullback (in size order).
 
     A sweep signals growth when the largest-size tail index is at least
     ``NO_DECAY_GROWTH`` times the smallest-size one and reaches
-    ``NO_DECAY_MIN_TAIL``; any growing sweep yields ``NoDecay``.  A sweep
+    ``NO_DECAY_MIN_TAIL``; any growing sweep decides ``"growth"``.  A sweep
     decays when its tail indices never increase and the tail fraction
     shrinks to a smaller value (or the tail is empty); all sweeps decaying
-    yields ``DecayObserved``.  Everything else is ``Inconclusive``.
+    decides ``"decay"``.  Everything else is ``"neither"``.
     """
-    grows, decays = [], []
+    grows, decays, read = [], [], {}
     for p in profiles:
-        tails = [p.tail_indices[s] for s in p.sizes]
+        tails = read[p.pullback] = [p.tail_indices[s] for s in p.sizes]
         first, last = tails[0], tails[-1]
         grows.append(last >= NO_DECAY_GROWTH * first and last >= NO_DECAY_MIN_TAIL)
         nonincreasing = all(a >= b for a, b in zip(tails, tails[1:]))
         shrinks = last == 0 or p.tail_fraction(p.sizes[-1]) < p.tail_fraction(p.sizes[0])
         decays.append(nonincreasing and shrinks)
-    if any(grows):
-        return NO_DECAY
-    if all(decays):
-        return DECAY_OBSERVED
-    return INCONCLUSIVE
+    clause = "growth" if any(grows) else "decay" if all(decays) else "neither"
+    return {"clause": clause, "tails": read}
+
+
+def classify_decay(profiles: list[DecayProfile]) -> str:
+    """Frozen verdict rule over one or more size sweeps: ``NoDecay`` on
+    growth, ``DecayObserved`` on decay, else ``Inconclusive``
+    (:func:`decay_basis` gives the clause)."""
+    clause = decay_basis(profiles)["clause"]
+    return {"growth": NO_DECAY, "decay": DECAY_OBSERVED}.get(clause, INCONCLUSIVE)
 
 
 def hankel_compactness_indicator(

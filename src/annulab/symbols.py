@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,29 @@ from .geometry import AnnulusGeometry, BoundaryData
 # boundary symbols
 
 
+class _Degrees:
+    """Degree queries over a symbol's sorted live degrees ``_live``: the
+    support of a boundary symbol, the live bands of a polar one.  No code
+    mutates a table after construction, so each symbol computes them once."""
+
+    def is_zero(self) -> bool:
+        return not self._live
+
+    def top_degree(self) -> int:
+        if not self._live:
+            raise ValueError("zero symbol has no top degree")
+        return self._live[-1]
+
+    def bandwidth(self) -> int:
+        return max((abs(n) for n in self._live), default=0)
+
+    def neg_reach(self) -> int:
+        """How far below zero the degrees extend (0 for analytic-type support)."""
+        return max(0, -self._live[0]) if self._live else 0
+
+
 @dataclass(frozen=True)
-class ExactSymbol:
+class ExactSymbol(_Degrees):
     """Boundary symbol given by finite coefficient tables, one per circle.
 
     ``coeffs_C[n]`` is the coefficient of ``exp(i n t)`` for the values on
@@ -36,33 +58,18 @@ class ExactSymbol:
     coeffs_C: dict[int, complex] = field(default_factory=dict)
     coeffs_C0: dict[int, complex] = field(default_factory=dict)
 
+    @cached_property
     def support(self) -> list[int]:
         keys = set(self.coeffs_C) | set(self.coeffs_C0)
         return sorted(k for k in keys if self.pair(k) != (0.0, 0.0))
+
+    _live = property(lambda self: self.support)
 
     def pair(self, n: int) -> tuple[complex, complex]:
         return (
             complex(self.coeffs_C.get(n, 0.0)),
             complex(self.coeffs_C0.get(n, 0.0)),
         )
-
-    def is_zero(self) -> bool:
-        return not self.support()
-
-    def top_degree(self) -> int:
-        sup = self.support()
-        if not sup:
-            raise ValueError("zero symbol has no top degree")
-        return sup[-1]
-
-    def bandwidth(self) -> int:
-        sup = self.support()
-        return max((abs(n) for n in sup), default=0)
-
-    def neg_reach(self) -> int:
-        """How far below zero the support extends (0 for analytic-type support)."""
-        sup = self.support()
-        return max(0, -sup[0]) if sup else 0
 
 
 def laurent_symbol(coeffs: dict[int, complex], R: float) -> ExactSymbol:
@@ -100,10 +107,14 @@ def _synthesize(coeffs: dict[int, complex], m: int) -> np.ndarray:
 
 
 def _read(table: dict[int, complex], n):
-    """Table read at the integer ``n`` (scalar or array), zero off the table."""
-    n = np.asarray(n)
-    flat = [table.get(k, 0.0) for k in n.ravel().tolist()]
-    return np.array(flat, dtype=complex).reshape(n.shape)[()]
+    """Table read at the integer ``n`` (scalar or array), zero off the table:
+    a gather over the sorted keys, so no Python step runs per index."""
+    keys = np.array(sorted(table), dtype=int)
+    vals = np.array([table[k] for k in keys.tolist()] + [0.0], dtype=complex)
+    at = np.searchsorted(keys, n)
+    # an index off the table reads the appended zero
+    at = np.where(np.append(keys, 0)[at] == n, at, len(keys))
+    return vals[at][()]
 
 
 def _analyze(values: np.ndarray, n):
@@ -214,30 +225,16 @@ class PolyProfile:
 
 
 @dataclass(frozen=True)
-class PolarSymbol:
+class PolarSymbol(_Degrees):
     """Finite sum of angular bands ``f_k(r) exp(i k theta)``."""
 
     bands: dict[int, PolyProfile] = field(default_factory=dict)
 
+    @cached_property
     def live_bands(self) -> list[int]:
         return sorted(k for k, p in self.bands.items() if not p.is_zero())
 
-    def is_zero(self) -> bool:
-        return not self.live_bands()
-
-    def top_degree(self) -> int:
-        lb = self.live_bands()
-        if not lb:
-            raise ValueError("zero polar symbol has no top band")
-        return lb[-1]
-
-    def bandwidth(self) -> int:
-        lb = self.live_bands()
-        return max((abs(k) for k in lb), default=0)
-
-    def neg_reach(self) -> int:
-        lb = self.live_bands()
-        return max(0, -lb[0]) if lb else 0
+    _live = property(lambda self: self.live_bands)
 
 
 # ---------------------------------------------------------------------------

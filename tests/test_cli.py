@@ -616,3 +616,47 @@ def test_reference_table_covers_the_deepest_decay_read(tmp_path):
     tails = {r.name: r.value for r in result.rows}
     assert tails["tail_C_1024"] == 18
     assert result.extra["verdict"] == "NoDecay"
+
+
+def test_mellin_nan_root_fails_zero_locate(tmp_path, monkeypatch):
+    """A NaN among the located roots must reach the zero_locate_at_5 row,
+    not be dropped by the reduction over the roots."""
+    locate = annulab.mellin.mellin_zero_locate
+
+    def nan_root(*args, **kwargs):
+        return locate(*args, **kwargs) + [float("nan")]
+
+    monkeypatch.setattr(annulab.mellin, "mellin_zero_locate", nan_root)
+    code, outdir = run_lab(tmp_path, "mellin", {"R": 0.1, "seed": 1})
+    assert code == 1
+    rows = _results(outdir)
+    assert rows["zero_locate_at_5"] == ["nan", "1e-08", "false"]
+    assert [n for n, (_, _, ok) in rows.items() if ok == "false"] == ["zero_locate_at_5"]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "config, basis",
+    [
+        ({"symbol": "builtin:hilbert"},
+         {"clause": "decay", "tails": {"C": [2, 2, 2, 2], "C0": [0, 0, 0, 0]}}),
+        ("hankel-decay.json",
+         {"clause": "growth", "tails": {"C": [5, 7, 9, 13], "C0": [0, 0, 0, 0]}}),
+        ("hankel-decay-smooth.json",
+         {"clause": "decay", "tails": {"C": [1, 1, 1, 1], "C0": [1, 1, 1, 1]}}),
+        ({"sizes": [32, 64], "symbol": "builtin:conjugated-singular-inner"},
+         {"clause": "neither", "tails": {"C": [3, 5], "C0": [0, 0]}}),
+    ],
+)
+def test_hankel_decay_records_the_verdict_basis(tmp_path, config, basis):
+    """report.json names the clause of the frozen rule that decided and the
+    tail indices it read per pullback, in size order."""
+    if isinstance(config, str):
+        config = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    run_lab(tmp_path, "hankel-decay", config)
+    extra = json.loads((tmp_path / "out" / "report.json").read_text())["extra"]
+    assert extra["verdict_basis"] == basis
+    verdict = {"growth": "NoDecay", "decay": "DecayObserved", "neither": "Inconclusive"}
+    assert extra["verdict"] == verdict[basis["clause"]]

@@ -437,7 +437,7 @@ def test_multiplier_coeffs_stay_finite_at_deep_indices(r, n):
     column = build_toeplitz_hardy(f, (lo, n + 4), r)[:, n - lo]
     with mpmath.workdps(50):
         rr = mpmath.mpf(r)
-        for k in f.support():
+        for k in f.support:
             fC, fC0 = f.pair(k)
             want = (fC + rr ** (2 * n + k) * fC0) / mpmath.sqrt(
                 (1 + rr ** (2 * (n + k))) * (1 + rr ** (2 * n))

@@ -19,6 +19,21 @@ from annulab.symbols import PolyProfile
 R = 0.5
 
 
+def test_transform_matches_the_per_monomial_sum_bit_for_bit():
+    """One moment call over every (point, degree) pair gives the bits of a
+    sum of one moment call per monomial, in the table's order."""
+    rng = Lcg(4)
+    profile = PolyProfile({3: rng.coefficient(), 0: 1.5, 7: rng.coefficient(), 1: 2})
+    for z in (2.0, -3, np.arange(-6.0, 6.0, 0.75), np.arange(-4, 5).reshape(3, 3),
+              np.linspace(-2, 2, 9) * (1 + 0.5j), 1e-6j):
+        want = np.zeros(np.shape(z), dtype=complex)
+        for m, c in profile.coeffs.items():
+            want += c * monomial_moment(np.asarray(z) + m, R)
+        got = mellin_transform(profile, z, R)
+        assert np.asarray(got).tobytes() == want.tobytes()
+    assert mellin_transform(PolyProfile({}), np.arange(3.0), R).tolist() == [0j] * 3
+
+
 def test_constant_profile_closed_form():
     assert mellin_transform(PolyProfile({0: 1.0}), 2.0, R) == pytest.approx(0.375)
 

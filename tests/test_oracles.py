@@ -116,7 +116,7 @@ def loop_bergman(f, lo, hi, geo):
     t = geo.angles()
     r, w = geo.radial_nodes()
     vals = sum(
-        np.outer(f.bands[k].eval(r), np.exp(1j * k * t)) for k in f.live_bands()
+        np.outer(f.bands[k].eval(r), np.exp(1j * k * t)) for k in f.live_bands
     )
     ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
     for col, n in enumerate(range(lo, hi + 1)):
@@ -196,6 +196,30 @@ def test_oracle_reads_only_grid_samples(monkeypatch, oracle, module, sampler, ma
     want = oracle(f, geo)
     got = oracle(samples_only(monkeypatch, module, sampler, f, geo), geo)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row_family, calls", [("hardy", (2, 0)), ("complement", (2, 2))])
+def test_section_oracle_evaluates_each_basis_once_per_circle(
+    monkeypatch, row_family, calls
+):
+    """Hardy rows reuse the column evaluation: one ``hardy_basis_eval`` per
+    circle, and complement rows add one ``complement_basis_eval`` each."""
+    counts = {"hardy_basis_eval": 0, "complement_basis_eval": 0}
+
+    def counting(name):
+        evaluate = getattr(hardy, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return evaluate(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(hardy, name, counting(name))
+    geo = AnnulusGeometry(R=R, m_circle=64)
+    build_section_quadrature(symbol(), (-6, 6), geo, row_family=row_family)
+    assert (counts["hardy_basis_eval"], counts["complement_basis_eval"]) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from annulab.reduction import (
     build_disc_hankel,
     build_disc_toeplitz,
     classify_decay,
+    decay_basis,
     conjugate_basis_coeffs,
     conjugate_reflection_residual,
     decay_profile_for,
@@ -292,6 +293,21 @@ def test_classify_decay_paths():
     # a single size cannot witness decay unless its tail is already empty
     assert classify_decay([_profile((16,), (5,))]) == INCONCLUSIVE
     assert classify_decay([_profile((16,), (0,))]) == DECAY_OBSERVED
+
+
+def test_decay_basis_names_the_deciding_clause():
+    verdict = {"growth": NO_DECAY, "decay": DECAY_OBSERVED, "neither": INCONCLUSIVE}
+    for sizes, tails in [
+        ((16, 32, 64), (2, 5, 8)),
+        ((16, 32, 64), (1, 2, 3)),
+        ((8, 16, 32), (3, 3, 3)),
+        ((16,), (0,)),
+        ((16, 32, 64), (2, 3, 2)),
+    ]:
+        profiles = [_profile(sizes, tails)]
+        basis = decay_basis(profiles)
+        assert basis["tails"] == {"C": list(tails)}
+        assert verdict[basis["clause"]] == classify_decay(profiles)
 
 
 def test_classify_growth_wins_over_decay():

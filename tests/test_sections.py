@@ -20,7 +20,7 @@ from annulab.hardy import (
     build_section_quadrature,
     build_toeplitz_hardy,
 )
-from annulab.mellin import mellin_transform
+from annulab.mellin import monomial_moment
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import build_disc_hankel, build_disc_toeplitz
 from annulab.symbols import (
@@ -56,6 +56,15 @@ def loop_disc_hankel(phi, size):
     return ent
 
 
+def loop_moment(profile, z, R):
+    """The profile's Mellin moment at the integer ``z``: one monomial moment
+    call per table entry, summed in the table's order."""
+    out = np.zeros((), dtype=complex)
+    for m, c in profile.coeffs.items():
+        out += c * monomial_moment(z + m, R)
+    return complex(out)
+
+
 def loop_bergman(f, lo, hi, R):
     """Band ``k`` sends ``z^n`` to ``t_m^2 M_k(k + 2n + 2) z^m``, ``m = n + k``,
     rescaled by ``t_n / t_m`` into the orthonormal basis; degrees outside
@@ -63,11 +72,11 @@ def loop_bergman(f, lo, hi, R):
     ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
     for col, n in enumerate(range(lo, hi + 1)):
         tn = bergman_norm_const(n, R)
-        for k in f.live_bands():
+        for k in f.live_bands:
             m = n + k
             if lo <= m <= hi:
                 tm = bergman_norm_const(m, R)
-                coeff = complex(tm * tm * mellin_transform(f.bands[k], k + 2 * n + 2, R))
+                coeff = complex(tm * tm * loop_moment(f.bands[k], k + 2 * n + 2, R))
                 ent[m - lo, col] += coeff * tn / tm
     return ent
 
@@ -121,6 +130,29 @@ def test_bergman_section_matches_loop(size, lo):
     hi = lo + size - 1
     got = build_bergman_toeplitz(f, (lo, hi), R)
     assert same_bytes(got, loop_bergman(f, lo, hi, R))
+
+
+def ragged_symbol(rng):
+    """Bands inserted in descending order, each with its own degree set in
+    non-ascending order, float and complex coefficients, a zero coefficient
+    inside a live band, and one zero band."""
+    return PolarSymbol({
+        4: PolyProfile({3: rng.coefficient(), 0: 0.5}),
+        2: PolyProfile({1: 0j, 0: 0.0}),
+        0: PolyProfile({5: rng.coefficient(), 1: rng.coefficient(), 2: 1.5, 0: 2}),
+        -2: PolyProfile({1: 2.0}),
+        -3: PolyProfile({0: 0.0, 2: rng.coefficient()}),
+    })
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("lo", [-1, 3])
+@pytest.mark.parametrize("R", [0.4, 1e-3])
+def test_bergman_section_matches_loop_on_ragged_tables(size, lo, R):
+    f = ragged_symbol(Lcg(size + lo))
+    assert f.live_bands == [-3, -2, 0, 4]
+    hi = lo + size - 1
+    assert same_bytes(build_bergman_toeplitz(f, (lo, hi), R), loop_bergman(f, lo, hi, R))
 
 
 # ---------------------------------------------------------------------------

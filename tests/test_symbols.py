@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annulab.errors import AliasingError
 from annulab.randgen import Lcg, random_boundary_symbol
@@ -11,6 +11,7 @@ from annulab.symbols import (
     PolyProfile,
     _analyze,
     _convolve,
+    _read,
     _flip,
     conjugate_symbol,
     fourier_pair,
@@ -169,13 +170,63 @@ def test_convolve_exact_circle_tables():
     assert _convolve(a.coeffs, a.coeffs) == {2: 4.0 + 0.0j}
 
 
+def dict_read(table, n):
+    """The per-index dictionary read that the array gather replaced."""
+    n = np.asarray(n)
+    flat = [table.get(k, 0.0) for k in n.ravel().tolist()]
+    return np.array(flat, dtype=complex).reshape(n.shape)[()]
+
+
+table_values = st.one_of(
+    st.integers(-9, 9),
+    st.floats(-1e6, 1e6),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=st.dictionaries(st.integers(-30, 30), table_values, max_size=12),
+    n=st.one_of(
+        st.integers(-45, 45),
+        st.lists(st.integers(-45, 45), max_size=16),
+        st.lists(st.integers(-45, 45), min_size=6, max_size=6).map(
+            lambda v: np.reshape(v, (2, 3))
+        ),
+    ),
+)
+@example(table={}, n=3)
+@example(table={}, n=[])
+@example(table={4: 1j, -2: 3, 0: 0.5}, n=[[-2, 4], [5, -7]])
+def test_array_read_matches_dict_read(table, n):
+    """The gather over sorted keys reads the dictionary's bits for scalar
+    and array indices, in and off the table, whatever the insertion order."""
+    got, want = _read(table, n), dict_read(table, n)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_support_and_live_bands_are_computed_once():
+    sym = ExactSymbol({3: 1.0, -2: 0.0, 0: 2j}, {-2: 0.5, 5: 0.0})
+    first = sym.support
+    assert first == [-2, 0, 3]
+    assert sym.support is first
+    pol = PolarSymbol(
+        {2: PolyProfile({1: 1.0}), 0: PolyProfile({1: 0.0}), -1: PolyProfile({0: 3.0})}
+    )
+    first = pol.live_bands
+    assert first == [-1, 2]
+    assert pol.live_bands is first
+
+
 def test_polar_symbol_bands():
     pol = PolarSymbol({2: PolyProfile({1: 1.0}), -1: PolyProfile({0: 3.0})})
-    assert pol.live_bands() == [-1, 2]
+    assert pol.live_bands == [-1, 2]
     assert pol.top_degree() == 2
     assert pol.bandwidth() == 2
     assert pol.neg_reach() == 1
-    assert PolarSymbol({3: PolyProfile({0: 1.0})}).live_bands() == [3]
+    assert PolarSymbol({3: PolyProfile({0: 1.0})}).live_bands == [3]
 
 
 def test_boundary_json_roundtrip(tmp_path):
