@@ -11,8 +11,8 @@ from annulab.symbols import (
     PolyProfile,
     _analyze,
     _convolve,
-    _read,
     _flip,
+    _read,
     conjugate_symbol,
     fourier_pair,
     laurent_symbol,
