@@ -217,13 +217,15 @@ def _run_toeplitz_build(cfg: LabConfig, outdir: Path):
         cfg.symbol, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
     )
     sec = hardy.build_toeplitz_hardy(sym, cfg.window, cfg.R)
-    quad = hardy.build_section_quadrature(sym, cfg.window, geo, "hardy")
-    dev = float(np.max(np.abs(sec - quad)))
-    rows = [
-        report.residual_check(
-            "toeplitz-build", "closed_form_vs_quadrature", dev, cfg.tolerance
-        )
-    ]
+    hankel = hardy.build_hankel_annulus(sym, cfg.window, cfg.R)
+    rows = []
+    for name, closed, family in (
+        ("closed_form_vs_quadrature", sec, "hardy"),
+        ("complement_closed_form_vs_quadrature", hankel, "complement"),
+    ):
+        quad = hardy.build_section_quadrature(sym, cfg.window, geo, family)
+        dev = np.max(np.abs(closed - quad))
+        rows.append(report.residual_check("toeplitz-build", name, dev, cfg.tolerance))
     report.write_section_csv(outdir / "section.csv", sec, cfg.window[0])
     return rows, ["section.csv"], {}
 

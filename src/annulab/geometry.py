@@ -94,12 +94,16 @@ def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _on_circle(n, component: str, angles, on_C, on_C0) -> np.ndarray:
     """``exp(i n t)`` times the weight of ``component``; an array ``n``
-    gives one row per degree."""
+    gives one row per degree.  ``exp(i |n| t)`` is taken once per ``|n|`` and
+    conjugated for ``n < 0``: ``(-n) t = -(n t)`` exactly, so the bits agree."""
     if component not in COMPONENTS:
         raise ValueError(f"unknown boundary component {component!r}")
     n, t = np.asarray(n), np.asarray(angles, dtype=float)
     w = np.reshape(on_C if component == "C" else on_C0, n.shape + (1,) * t.ndim)
-    return np.exp(1j * np.multiply.outer(n, t)) * w
+    a, inv = np.unique(np.abs(n), return_inverse=True)
+    e = np.exp(1j * np.multiply.outer(a, t))[inv.reshape(-1)].reshape(n.shape + t.shape)
+    np.negative(e.imag, out=e.imag, where=n.reshape(w.shape) < 0)
+    return np.multiply(e, w, out=e)[()]
 
 
 def hardy_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndarray:
@@ -136,8 +140,8 @@ def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np
     return _on_circle(n, component, angles, A, -B)
 
 
-#: angles per block of the Gram oracle, which bounds its sample buffers
-_GRAM_BLOCK = 1024
+#: degrees per Gram evaluation block, bounding its buffers; even, to hold both signs of |n|
+_GRAM_BLOCK = 256
 
 
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
@@ -149,35 +153,43 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     deviation.  Requires ``half_window <= m_circle / 4`` so no products
     alias on the grid.
 
-    The trapezoid sums run over blocks of ``_GRAM_BLOCK`` angles per circle,
-    as real symmetric rank-k products: with ``F`` a block of samples,
-    ``Re(F F^H)`` is ``V V^T`` for ``V`` the interleaved real and imaginary
-    parts, and ``Im(F F^H)`` is ``K - K^T`` with ``K = Im(F) Re(F)^T``.
-    The result is exactly Hermitian.
+    The trapezoid sums are taken by Parseval: per circle, one FFT divided
+    by ``m = m_circle`` turns each function's samples into coefficients with
+    ``mean(f_j conj(f_k)) = sum_b c_j[b] conj(c_k[b])`` over the ``m`` bins.
+    A bin is dropped only when all its coefficients have ``|c| <= tau =
+    sqrt(eps / m)``, ``eps`` the machine epsilon (a NaN keeps its bin).  By
+    Cauchy-Schwarz a dropped set ``D`` moves an entry by at most
+    ``(sum_D |c_j|^2 sum_D |c_k|^2)^(1/2) <= |D| tau^2 <= eps`` per circle.
+    The kept bins of both circles meet in one real product: for
+    ``V = [Re(C), Im(C)]``, ``Re(C C^H) = V V^T`` and ``Im(C C^H) = K - K^T``
+    with ``K = Im(C) Re(C)^T``, so the result is exactly Hermitian.
     """
     W = int(half_window)
     if W > geo.m_circle // 4:
         raise AliasingError(
             f"half_window {W} too large for m_circle={geo.m_circle}; need <= m_circle/4"
         )
-    t = geo.angles()
-    ns = np.arange(-W, W + 1)
-    re = np.zeros((2 * len(ns), 2 * len(ns)))
-    im = np.zeros_like(re)
+    t, m, ns = geo.angles(), geo.m_circle, np.arange(-W, W + 1)
+    N, order = len(ns), np.argsort(abs(ns), kind="stable")  # 0, -1, 1, -2, 2, ...
+    rows = np.argsort(np.concatenate((order, N + order)))  # where row r is evaluated
+    edges = [0, *range(_GRAM_BLOCK + 1, N, _GRAM_BLOCK), N]
+    c = np.empty((2 * N, m), dtype=complex)
+    kept = []
     for comp in COMPONENTS:
-        for start in range(0, len(t), _GRAM_BLOCK):
-            tb = t[start : start + _GRAM_BLOCK]
-            F = np.concatenate(
-                (
-                    hardy_basis_eval(ns, comp, tb, geo.R),
-                    complement_basis_eval(ns, comp, tb, geo.R),
-                )
-            )
-            V = F.view(np.float64)
-            re += V @ V.T
-            K = np.ascontiguousarray(F.imag) @ np.ascontiguousarray(F.real).T
-            im += K - K.T
-    return (re + 1j * im) / geo.m_circle
+        drop = np.ones(m, dtype=bool)
+        for lo, hi in zip(edges, edges[1:]):
+            for at, ev in ((0, hardy_basis_eval), (N, complement_basis_eval)):
+                block = c[at + lo : at + hi]
+                np.fft.fft(ev(ns[order[lo:hi]], comp, t, geo.R), norm="forward", out=block)
+                drop &= np.all(np.abs(block) <= np.sqrt(np.finfo(float).eps / m), axis=0)
+        kept.append(c[np.ix_(rows, np.flatnonzero(~drop))])
+    del c, block
+    V = np.concatenate([k.real for k in kept] + [k.imag for k in kept], axis=1)
+    del kept
+    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
+    G = (V @ V.T).astype(complex)
+    np.subtract(K, K.T, out=G.imag)
+    return G
 
 
 def bergman_norm_const(n: int, R: float) -> float:

@@ -160,11 +160,11 @@ def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
     samples against the row, computed with one FFT per column and a
     gather at the row indices; only grid samples are read.
     """
-    t = geo.angles()
     ks = np.arange(size)
-    # columns exp(-i k t) meet rows exp(-i j t); exp(i (k+1) t) meet exp(i (j+1) t)
-    P0 = _analyze(_flip(np.exp(-1j * np.multiply.outer(ks, t))), ks).T
-    U0 = _analyze(_flip(np.exp(1j * np.multiply.outer(ks + 1, t))), -(ks + 1)).T
+    # columns exp(-i k t) = conj(e[k]) meet rows exp(-i j t); e[k+1] meet exp(i (j+1) t)
+    e = np.exp(1j * np.multiply.outer(np.arange(size + 1), geo.angles()))
+    P0 = _analyze(_flip(e[:size].conj()), ks).T
+    U0 = _analyze(_flip(e[1:]), -(ks + 1)).T
     return U0, P0
 
 

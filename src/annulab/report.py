@@ -117,7 +117,8 @@ def write_report_json(path, config: dict, rows: list[CheckRow], files: list[str]
     if extra:
         doc["extra"] = extra
     Path(path).write_text(
-        json.dumps(doc, indent=1, sort_keys=True, default=_json_default) + "\n",
+        # no indent: with one, json falls back to its pure-Python encoder
+        json.dumps(doc, sort_keys=True, default=_json_default) + "\n",
         encoding="ascii",
     )
 

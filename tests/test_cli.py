@@ -41,6 +41,10 @@ def test_toeplitz_build_runs_clean(tmp_path):
     code, outdir = run_lab(tmp_path, "toeplitz-build", FAST)
     assert code == 0
     assert (outdir / "section.csv").exists()
+    rows = (outdir / "results.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[1] for r in rows] == [
+        "closed_form_vs_quadrature", "complement_closed_form_vs_quadrature"
+    ]
 
 
 def test_identities_runs_clean(tmp_path):
@@ -235,6 +239,37 @@ def test_identities_nan_transfer_map_fails_its_row(tmp_path, monkeypatch):
     code, outdir = run_lab(tmp_path, "identities", FAST)
     assert code == 1
     assert _results(outdir)["transfer_unitarity"][::2] == ["nan", "false"]
+
+
+def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
+    """One NaN sample of one basis function must reach the Gram row: its
+    coefficients are NaN in every bin, and a NaN never drops a bin."""
+    evaluate = annulab.geometry.hardy_basis_eval
+
+    def nan_sample(n, component, angles, R):
+        vals = evaluate(n, component, angles, R)
+        if component == "C0":
+            vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
+        return vals
+
+    monkeypatch.setattr(annulab.geometry, "hardy_basis_eval", nan_sample)
+    code, outdir = run_lab(tmp_path, "gram", FAST)
+    assert code == 1
+    assert _results(outdir)["max_abs_deviation"][::2] == ["nan", "false"]
+
+
+def test_toeplitz_build_sees_a_negated_hankel(tmp_path, monkeypatch):
+    """The shipped config's complement row compares the closed-form Hankel
+    section with its quadrature twin, so a sign error in the closed form
+    exits 1; the Toeplitz row is untouched."""
+    build = annulab.hardy.build_hankel_annulus
+    monkeypatch.setattr(annulab.hardy, "build_hankel_annulus", lambda *a: -build(*a))
+    config = Path(__file__).resolve().parents[1] / "configs" / "toeplitz-build.json"
+    outdir = tmp_path / "out"
+    assert main(["toeplitz-build", "--config", str(config), "--out", str(outdir)]) == 1
+    table = _results(outdir)
+    assert table["complement_closed_form_vs_quadrature"][2] == "false"
+    assert table["closed_form_vs_quadrature"][2] == "true"
 
 
 def test_mellin_fails_honestly_on_thick_annulus(tmp_path):

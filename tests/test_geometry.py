@@ -67,20 +67,11 @@ def _hardy_c0_shifted(n, component, angles, R_):
     return hardy_basis_eval(n, component, np.asarray(angles) + shift, R_)
 
 
-@pytest.mark.parametrize("shifted", [False, True])
-def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
-    """m_circle 2048 spans two angle blocks; the loop pairs one function's
-    samples with another's, per circle, as the trapezoid rule reads them.
-    The shifted system is not orthonormal, so the loop also checks
-    off-diagonal entries well away from zero in both parts."""
-    if shifted:
-        monkeypatch.setattr(geometry, "hardy_basis_eval", _hardy_c0_shifted)
-    g = AnnulusGeometry(R=R, m_circle=2048)
+def _per_pair_gram(g, ns):
     t = g.angles()
-    ns = range(-20, 21)
     rows = {
-        comp: [geometry.hardy_basis_eval(n, comp, t, R) for n in ns]
-        + [complement_basis_eval(n, comp, t, R) for n in ns]
+        comp: [geometry.hardy_basis_eval(n, comp, t, g.R) for n in ns]
+        + [geometry.complement_basis_eval(n, comp, t, g.R) for n in ns]
         for comp in ("C", "C0")
     }
     size = 2 * len(ns)
@@ -90,9 +81,76 @@ def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
             ref[j, k] = sum(
                 np.sum(rows[c][j] * np.conj(rows[c][k])) for c in ("C", "C0")
             ) / g.m_circle
+    return ref
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
+    """The loop pairs one function's samples with another's, per circle,
+    as the trapezoid rule reads them.  The shifted system is not
+    orthonormal, so the loop also checks off-diagonal entries well away
+    from zero in both parts."""
+    if shifted:
+        monkeypatch.setattr(geometry, "hardy_basis_eval", _hardy_c0_shifted)
+    g = AnnulusGeometry(R=R, m_circle=2048)
     G = gram_matrix(g, 20)
-    assert np.max(np.abs(G - ref)) <= 1e-14
+    assert np.max(np.abs(G - _per_pair_gram(g, range(-20, 21)))) <= 1e-14
     assert np.array_equal(G, G.conj().T)
+
+
+def _hardy_spread(n, component, angles, R_):
+    """Every sample scaled by 1 + noise/100: each bin of every row holds a
+    coefficient far above the drop threshold, so no bin may be dropped."""
+    noise = np.random.default_rng(7).standard_normal(np.shape(angles))
+    return hardy_basis_eval(n, component, angles, R_) * (1.0 + noise / 100)
+
+
+@pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread])
+def test_gram_matches_the_loop_across_row_blocks(monkeypatch, defect):
+    """Six degrees per block split -20..20 into seven blocks, the last one
+    short; the Parseval sums over the kept bins must give the trapezoid
+    sums of the loop, for the basis, a shifted inner circle and a defect
+    whose spectrum fills every bin."""
+    if defect is not None:
+        monkeypatch.setattr(geometry, "hardy_basis_eval", defect)
+    monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
+    g = AnnulusGeometry(R=R, m_circle=256)
+    if defect is _hardy_spread:
+        coef = np.fft.fft(defect(np.arange(-20, 21), "C", g.angles(), R), norm="forward")
+        assert np.all(np.abs(coef).max(axis=0) > np.sqrt(np.finfo(float).eps / 256))
+    G = gram_matrix(g, 20)
+    assert np.max(np.abs(G - _per_pair_gram(g, range(-20, 21)))) <= 1e-14
+    assert np.array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize(
+    "n, t",
+    [
+        (np.arange(-256, 257), AnnulusGeometry(m_circle=2048).angles()),
+        (np.array([5, -3, 0, -7, 7, 2, -2, -9]), AnnulusGeometry(m_circle=64).angles()),
+        (np.arange(-300, 40), np.random.default_rng(3).uniform(-50.0, 50.0, 999)),
+        (np.array([[1, -1], [2, -5]]), np.random.default_rng(4).uniform(-3.0, 3.0, (3, 4))),
+        (-4, AnnulusGeometry(m_circle=16).angles()),
+        (-3, 0.0),
+        (7, -0.7),
+        (0, 2.5),
+        (np.arange(-5, 6), np.array([0.0, -0.0, np.pi, -np.pi, 1e300, 1e-310])),
+    ],
+    ids=["window", "mixed", "asymmetric-offgrid", "2d", "scalar-n", "scalar-zero",
+         "scalar-negative-t", "scalar-zero-degree", "edge-angles"],
+)
+def test_on_circle_has_the_bits_of_the_direct_exp(n, t):
+    """One exp per |n|, conjugated for negative n, must give the bits of
+    exp(i n t) itself; if a platform's exp breaks the symmetry this fails
+    instead of rows moving silently."""
+    w = np.random.default_rng(5).uniform(-1.0, 1.0, (2,) + np.shape(n))
+    for comp, weights in (("C", w[0]), ("C0", w[1])):
+        got = geometry._on_circle(n, comp, t, w[0], w[1])
+        want = np.exp(1j * np.multiply.outer(n, t)) * np.reshape(
+            weights, np.shape(n) + (1,) * np.ndim(t)
+        )
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -123,3 +123,26 @@ def test_report_json_rejects_unknown_objects(tmp_path):
         write_report_json(
             tmp_path / "r.json", {}, [], [], 0.0, extra={"bad": object()}
         )
+
+
+def test_report_json_keeps_the_indented_content(tmp_path, monkeypatch):
+    """report.json is one sorted line from json's C encoder; a
+    zero-product-hardy report parses to what its indent=1 text held."""
+    from annulab import cli, report
+
+    dumps, indented = json.dumps, []
+
+    def spy(doc, **kwargs):
+        if isinstance(doc, dict) and "checks" in doc:
+            indented.append(dumps(doc, indent=1, sort_keys=True, default=report._json_default))
+        return dumps(doc, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    config = tmp_path / "cfg.json"
+    config.write_text(dumps({"R": 0.5, "seed": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["zero-product-hardy", "--config", str(config), "--out", str(out)]) == 0
+    text = (out / "report.json").read_text(encoding="ascii")
+    assert len(indented) == 1
+    assert json.loads(text) == json.loads(indented[0])
+    assert text == dumps(json.loads(text), sort_keys=True) + "\n"
