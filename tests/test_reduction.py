@@ -199,6 +199,19 @@ def test_transfer_unitaries_are_identities():
     assert np.max(np.abs(P0 - np.eye(12))) <= 1e-12
 
 
+@pytest.mark.parametrize("size, m", [(12, 16384), (12, 64), (40, 256), (1, 16)])
+def test_transfer_unitaries_have_the_bits_of_two_exp_tables(size, m):
+    """One table over degrees 0..size, conjugated for P0, must give the
+    bits of the two tables exp(-i k t) and exp(i (k+1) t) themselves."""
+    geo = AnnulusGeometry(R=R, m_circle=m)
+    ks, t = np.arange(size), geo.angles()
+    analyze = reduction._analyze
+    P0 = analyze(reduction._flip(np.exp(-1j * np.multiply.outer(ks, t))), ks).T
+    U0 = analyze(reduction._flip(np.exp(1j * np.multiply.outer(ks + 1, t))), -(ks + 1)).T
+    got = assemble_transfer_unitaries(size, geo)
+    assert [a.tobytes() for a in got] == [U0.tobytes(), P0.tobytes()]
+
+
 # ---------------------------------------------------------------------------
 # diagram and split relations
 
