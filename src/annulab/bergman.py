@@ -23,7 +23,7 @@ from .symbols import PolarSymbol, PolyProfile, _analyze
 
 
 # quasi_homogeneous_apply and apply_polar_to_monomial: no harness reads them;
-# the benchmark's per-layer metric list still names both (ROADMAP item 5)
+# the benchmark's per-layer metric list still names both (ROADMAP item 9)
 
 
 def quasi_homogeneous_apply(

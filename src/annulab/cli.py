@@ -219,11 +219,11 @@ def _run_toeplitz_build(cfg: LabConfig, outdir: Path):
     sec = hardy.build_toeplitz_hardy(sym, cfg.window, cfg.R)
     hankel = hardy.build_hankel_annulus(sym, cfg.window, cfg.R)
     rows = []
-    for name, closed, family in (
-        ("closed_form_vs_quadrature", sec, "hardy"),
-        ("complement_closed_form_vs_quadrature", hankel, "complement"),
+    for name, closed, quad in zip(
+        ("closed_form_vs_quadrature", "complement_closed_form_vs_quadrature"),
+        (sec, hankel),
+        hardy.build_section_quadrature(sym, cfg.window, geo),
     ):
-        quad = hardy.build_section_quadrature(sym, cfg.window, geo, family)
         dev = np.max(np.abs(closed - quad))
         rows.append(report.residual_check("toeplitz-build", name, dev, cfg.tolerance))
     report.write_section_csv(outdir / "section.csv", sec, cfg.window[0])
@@ -286,16 +286,16 @@ def _run_identities(cfg: LabConfig, outdir: Path):
     )
     rows.append(report.info_check("identities", "semicommutator_margin", margin))
     size = DIAGRAM_SIZE
+    U0, P0 = reduction.assemble_transfer_unitaries(size, geo)
     rows.append(
         report.residual_check(
             "identities", "diagram_residual",
-            reduction.diagram_residual(phi, size, geo), cfg.tolerance,
+            reduction._diagram_residual(phi, geo, U0, P0), cfg.tolerance,
         )
     )
     r1, r2 = reduction.split_relation_residual(phi, 10, geo)
     rows.append(report.residual_check("identities", "split_relation_1", r1, cfg.tolerance))
     rows.append(report.residual_check("identities", "split_relation_2", r2, cfg.tolerance))
-    U0, P0 = reduction.assemble_transfer_unitaries(size, geo)
     # np.max keeps a NaN in either map, which the built-in max would drop
     unit = np.max([
         np.max(np.abs(U0.conj().T @ U0 - np.eye(size))),

@@ -140,8 +140,74 @@ def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np
     return _on_circle(n, component, angles, A, -B)
 
 
-#: degrees per Gram evaluation block, bounding its buffers; even, to hold both signs of |n|
+#: degrees per row block of the pairing kernel, bounding its sample buffers;
+#: even, so a block holds both signs of |n|
 _GRAM_BLOCK = 256
+
+
+def _pair_on_grid(geo: AnnulusGeometry, ns: np.ndarray, weight: BoundaryData | None = None):
+    """Trapezoid pairings of the two basis families over the degrees ``ns``.
+
+    Every sum is the mean over one circle's grid, added over both circles.
+    With ``f`` running over the hardy family at ``ns`` followed by the
+    complement family at ``ns``, and ``N = len(ns)``:
+
+    - no ``weight``: the ``2N x 2N`` Gram ``G[j, k] = sum mean(f_j conj(f_k))``;
+    - a sampled ``weight`` ``w``: the ``2N x N`` pairings
+      ``P[j, k] = sum mean(w h_k conj(f_j))`` of the weighted hardy columns
+      ``w h_k`` against both row families.
+
+    Samples are read only through the module-level ``hardy_basis_eval`` and
+    ``complement_basis_eval``, once per family, block of degrees and
+    circle; a block holds ``_GRAM_BLOCK`` degrees in the order 0, -1, 1,
+    -2, 2, ..., which bounds the sample buffers.  The hardy block is
+    multiplied by ``w`` in place once its own spectrum is taken.
+
+    Parseval: the FFT of a row divided by ``m = m_circle`` gives
+    coefficients with ``mean(a conj(b)) = sum_q A[q] conj(B[q])`` over the
+    ``m`` bins ``q``, exactly, on any samples.  A bin is dropped only when every
+    coefficient in it, of every row and of every weighted column, has
+    ``|c| <= tau = sqrt(eps / m)``, ``eps`` the machine epsilon (a NaN keeps
+    its bin).  A dropped set ``D`` then moves an entry by at most
+    ``sum_D |A[q]| |B[q]| <= |D| tau^2 <= eps`` per circle.  Both sides must
+    be small: a rule on the rows alone leaves ``|A[q]|`` free, and
+    Cauchy-Schwarz then bounds the move only by ``sqrt(eps) ||w h_k||``.
+    The kept bins of both circles meet in one product.  For the Gram it is
+    real: with ``V = [Re(C), Im(C)]``, ``Re(C C^H) = V V^T`` and
+    ``Im(C C^H) = K - K^T`` for ``K = Im(C) Re(C)^T``, so ``G`` is exactly
+    Hermitian.
+    """
+    t, m, N = geo.angles(), geo.m_circle, len(ns)
+    order = np.argsort(abs(ns), kind="stable")
+    # hardy, complement and weighted hardy spectra, each in evaluation order
+    c = np.empty((2 if weight is None else 3, N, m), dtype=complex)
+    rows = np.argsort((order + N * np.arange(len(c))[:, None]).ravel())
+    edges = [0, *range(_GRAM_BLOCK + 1, N, _GRAM_BLOCK), N]
+    tau = np.sqrt(np.finfo(float).eps / m)
+    kept = []
+    for comp, w in zip(COMPONENTS, weight or (None, None)):
+        for lo, hi in zip(edges, edges[1:]):
+            for i, ev in enumerate((hardy_basis_eval, complement_basis_eval)):
+                f = ev(ns[order[lo:hi]], comp, t, geo.R)
+                np.fft.fft(f, norm="forward", out=c[i, lo:hi])
+                if i == 0 and w is not None:
+                    np.fft.fft(np.multiply(f, w, out=f), norm="forward", out=c[2, lo:hi])
+                del f
+        flat = c.reshape(-1, m)
+        drop = np.ones(m, dtype=bool)
+        for lo in range(0, len(flat), _GRAM_BLOCK):
+            drop &= np.all(np.abs(flat[lo : lo + _GRAM_BLOCK]) <= tau, axis=0)
+        kept.append(flat[np.ix_(rows, np.flatnonzero(~drop))])
+    del c, flat
+    if weight is not None:
+        C = np.concatenate(kept, axis=1)
+        return C[: 2 * N].conj() @ C[2 * N :].T
+    V = np.concatenate([k.real for k in kept] + [k.imag for k in kept], axis=1)
+    del kept
+    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
+    G = (V @ V.T).astype(complex)
+    np.subtract(K, K.T, out=G.imag)
+    return G
 
 
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
@@ -151,45 +217,15 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     the complement family for n = -W..W.  For an orthonormal system the
     result is the identity up to quadrature rounding; callers assert the
     deviation.  Requires ``half_window <= m_circle / 4`` so no products
-    alias on the grid.
-
-    The trapezoid sums are taken by Parseval: per circle, one FFT divided
-    by ``m = m_circle`` turns each function's samples into coefficients with
-    ``mean(f_j conj(f_k)) = sum_b c_j[b] conj(c_k[b])`` over the ``m`` bins.
-    A bin is dropped only when all its coefficients have ``|c| <= tau =
-    sqrt(eps / m)``, ``eps`` the machine epsilon (a NaN keeps its bin).  By
-    Cauchy-Schwarz a dropped set ``D`` moves an entry by at most
-    ``(sum_D |c_j|^2 sum_D |c_k|^2)^(1/2) <= |D| tau^2 <= eps`` per circle.
-    The kept bins of both circles meet in one real product: for
-    ``V = [Re(C), Im(C)]``, ``Re(C C^H) = V V^T`` and ``Im(C C^H) = K - K^T``
-    with ``K = Im(C) Re(C)^T``, so the result is exactly Hermitian.
+    alias on the grid.  The sums are the unweighted call of the pairing
+    kernel :func:`_pair_on_grid`, so the result is exactly Hermitian.
     """
     W = int(half_window)
     if W > geo.m_circle // 4:
         raise AliasingError(
             f"half_window {W} too large for m_circle={geo.m_circle}; need <= m_circle/4"
         )
-    t, m, ns = geo.angles(), geo.m_circle, np.arange(-W, W + 1)
-    N, order = len(ns), np.argsort(abs(ns), kind="stable")  # 0, -1, 1, -2, 2, ...
-    rows = np.argsort(np.concatenate((order, N + order)))  # where row r is evaluated
-    edges = [0, *range(_GRAM_BLOCK + 1, N, _GRAM_BLOCK), N]
-    c = np.empty((2 * N, m), dtype=complex)
-    kept = []
-    for comp in COMPONENTS:
-        drop = np.ones(m, dtype=bool)
-        for lo, hi in zip(edges, edges[1:]):
-            for at, ev in ((0, hardy_basis_eval), (N, complement_basis_eval)):
-                block = c[at + lo : at + hi]
-                np.fft.fft(ev(ns[order[lo:hi]], comp, t, geo.R), norm="forward", out=block)
-                drop &= np.all(np.abs(block) <= np.sqrt(np.finfo(float).eps / m), axis=0)
-        kept.append(c[np.ix_(rows, np.flatnonzero(~drop))])
-    del c, block
-    V = np.concatenate([k.real for k in kept] + [k.imag for k in kept], axis=1)
-    del kept
-    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
-    G = (V @ V.T).astype(complex)
-    np.subtract(K, K.T, out=G.imag)
-    return G
+    return _pair_on_grid(geo, np.arange(-W, W + 1))
 
 
 def bergman_norm_const(n: int, R: float) -> float:

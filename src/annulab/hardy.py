@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, WindowTooSmallError
-from .geometry import (
-    AnnulusGeometry,
-    basis_weights,
-    complement_basis_eval,
-    hardy_basis_eval,
-)
+from .geometry import AnnulusGeometry, _pair_on_grid, basis_weights
 from .symbols import (
     ExactSymbol,
     conjugate_symbol,
@@ -107,16 +102,16 @@ def build_hankel_annulus(
 
 
 def build_section_quadrature(
-    f: ExactSymbol,
-    window: tuple[int, int],
-    geo: AnnulusGeometry,
-    row_family: str = "hardy",
-) -> np.ndarray:
-    """Assemble a section entirely from boundary-grid inner products.
+    f: ExactSymbol, window: tuple[int, int], geo: AnnulusGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble both sections entirely from boundary-grid inner products.
 
-    Row family "hardy" reproduces :func:`build_toeplitz_hardy`; row family
-    "complement" reproduces :func:`build_hankel_annulus`.  Used as the
-    independent check of the closed-form entries.  Refused with
+    Returns ``(toeplitz, hankel)``: the hardy rows reproduce
+    :func:`build_toeplitz_hardy`, the complement rows
+    :func:`build_hankel_annulus`.  Used as the independent check of the
+    closed-form entries.  Both come from one call of the pairing kernel
+    :func:`geometry._pair_on_grid` on the symbol's grid samples, which
+    evaluates the hardy columns once per circle.  Refused with
     :class:`AliasingError` when the frequencies an entry sums, up to
     ``(hi - lo)`` plus the symbol's reach, would fold on the grid.
     """
@@ -127,20 +122,13 @@ def build_section_quadrature(
             f"window [{lo}, {hi}] with band reach {reach} is not resolved by "
             f"m_circle={geo.m_circle}"
         )
-    fv = sample_symbol(f, geo)
-    ns, t = np.arange(lo, hi + 1), geo.angles()
-
-    def circle(comp: str, values: np.ndarray) -> np.ndarray:
-        cols = hardy_basis_eval(ns, comp, t, geo.R)
-        rows = cols if row_family == "hardy" else complement_basis_eval(ns, comp, t, geo.R)
-        return (rows.conj() * values) @ cols.T / geo.m_circle
-
-    return circle("C", fv.on_C) + circle("C0", fv.on_C0)
+    P = _pair_on_grid(geo, np.arange(lo, hi + 1), sample_symbol(f, geo))
+    return P[: hi - lo + 1], P[hi - lo + 1 :]
 
 
 # ---------------------------------------------------------------------------
 # exact coefficient-space action: no harness reads it; the benchmark's
-# per-layer metric list still names both functions (ROADMAP item 5)
+# per-layer metric list still names both functions (ROADMAP item 9)
 
 
 def apply_multiplier_coeffs(f: ExactSymbol, n: int, R: float) -> dict[int, complex]:

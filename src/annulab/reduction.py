@@ -193,8 +193,13 @@ def diagram_residual(phi: ExactSymbol, size: int, geo: AnnulusGeometry) -> float
     restriction from exact coefficients.  The deviation certifies the
     unitary equivalence at this truncation.
     """
+    return _diagram_residual(phi, geo, *assemble_transfer_unitaries(size, geo))
+
+
+def _diagram_residual(phi: ExactSymbol, geo: AnnulusGeometry, U0, P0) -> float:
+    """:func:`diagram_residual` on transfer unitaries the caller already holds."""
+    size = len(P0)
     _resolved_c0_reach(phi, size, geo, copies=1)
-    U0, P0 = assemble_transfer_unitaries(size, geo)
     H = inner_hankel_quadrature(phi, size, geo)
     left = U0 @ H @ np.linalg.inv(P0)
     _, phi_inner = pullback_symbols(phi)

@@ -95,7 +95,7 @@ def test_criterion_02_entry_formula_fidelity(request, geo):
         for _ in range(20):
             sym = random_boundary_symbol(rng, 6)
             sec = build_toeplitz_hardy(sym, (-8, 8), R)
-            quad = build_section_quadrature(sym, (-8, 8), geo)
+            quad = build_section_quadrature(sym, (-8, 8), geo)[0]
             worst = max(worst, float(np.max(np.abs(sec - quad))))
         ok = worst <= 1e-10
         detail = f"worst closed-vs-quadrature deviation {worst:.3e}, tolerance 1e-10"

@@ -258,6 +258,36 @@ def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
     assert _results(outdir)["max_abs_deviation"][::2] == ["nan", "false"]
 
 
+@pytest.mark.parametrize(
+    "name, failed",
+    [
+        ("complement_basis_eval", ["complement_closed_form_vs_quadrature"]),
+        ("hardy_basis_eval",
+         ["closed_form_vs_quadrature", "complement_closed_form_vs_quadrature"]),
+    ],
+)
+def test_toeplitz_build_nan_sample_fails_the_rows_it_reaches(
+    tmp_path, monkeypatch, name, failed
+):
+    """One NaN sample of one inner-circle basis function: a complement row
+    reaches only the Hankel section, a hardy function is both a row of the
+    Toeplitz section and, weighted, a column of both sections."""
+    evaluate = getattr(annulab.geometry, name)
+
+    def nan_sample(n, component, angles, R):
+        vals = evaluate(n, component, angles, R)
+        if component == "C0":
+            vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
+        return vals
+
+    monkeypatch.setattr(annulab.geometry, name, nan_sample)
+    code, outdir = run_lab(tmp_path, "toeplitz-build", FAST)
+    assert code == 1
+    rows = _results(outdir)
+    assert sorted(k for k, v in rows.items() if v[2] == "false") == sorted(failed)
+    assert all(rows[k][0] == "nan" for k in failed)
+
+
 def test_toeplitz_build_sees_a_negated_hankel(tmp_path, monkeypatch):
     """The shipped config's complement row compares the closed-form Hankel
     section with its quadrature twin, so a sign error in the closed form

@@ -15,6 +15,9 @@ from annulab.geometry import (
     gram_matrix,
     hardy_basis_eval,
 )
+from annulab.hardy import build_section_quadrature
+from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.symbols import sample_symbol
 
 R = 0.5
 
@@ -121,6 +124,60 @@ def test_gram_matches_the_loop_across_row_blocks(monkeypatch, defect):
     G = gram_matrix(g, 20)
     assert np.max(np.abs(G - _per_pair_gram(g, range(-20, 21)))) <= 1e-14
     assert np.array_equal(G, G.conj().T)
+
+
+def test_gram_is_the_real_product_of_the_unblocked_spectra(monkeypatch):
+    """Row blocks bound the buffers and change no bit: the Gram is the real
+    ``V V^T`` plus ``K - K^T`` product of all rows' kept bins at once."""
+    monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
+    g, ns = AnnulusGeometry(R=R, m_circle=256), np.arange(-20, 21)
+    kept = []
+    for comp in ("C", "C0"):
+        rows = [ev(ns, comp, g.angles(), R) for ev in (hardy_basis_eval, complement_basis_eval)]
+        c = np.fft.fft(np.concatenate(rows), norm="forward")
+        keep = ~np.all(np.abs(c) <= np.sqrt(np.finfo(float).eps / 256), axis=0)
+        kept.append(c[:, keep])
+    # C order, as the kernel's gather gives it: BLAS rounds by layout
+    V = np.ascontiguousarray(np.concatenate([k.real for k in kept] + [k.imag for k in kept], 1))
+    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
+    want = (V @ V.T).astype(complex)
+    want.imag = K - K.T
+    assert gram_matrix(g, 20).tobytes() == want.tobytes()
+
+
+def _per_entry_sections(f, lo, hi, g):
+    """Toeplitz and Hankel sections as one trapezoid mean per entry and
+    circle: the symbol times hardy column ``k`` against row ``j`` of the
+    hardy or the complement family."""
+    t, size = g.angles(), hi - lo + 1
+    T, H = np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=complex)
+    for comp, vals in zip(("C", "C0"), sample_symbol(f, g)):
+        for col, k in enumerate(range(lo, hi + 1)):
+            u = vals * geometry.hardy_basis_eval(k, comp, t, g.R)
+            for row, j in enumerate(range(lo, hi + 1)):
+                T[row, col] += np.mean(u * np.conj(geometry.hardy_basis_eval(j, comp, t, g.R)))
+                H[row, col] += np.mean(
+                    u * np.conj(geometry.complement_basis_eval(j, comp, t, g.R))
+                )
+    return T, H
+
+
+@pytest.mark.parametrize("block", [256, 6])
+@pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread])
+def test_sections_match_the_per_entry_loop(monkeypatch, defect, block):
+    """Both quadrature sections equal the per-entry trapezoid means on an
+    asymmetric window, in one row block or in three, for the basis, a
+    shifted inner circle and a defect whose spectrum keeps every bin."""
+    if defect is not None:
+        monkeypatch.setattr(geometry, "hardy_basis_eval", defect)
+    monkeypatch.setattr(geometry, "_GRAM_BLOCK", block)
+    g, f = AnnulusGeometry(R=R, m_circle=64), random_boundary_symbol(Lcg(17), 4)
+    if defect is _hardy_spread:
+        coef = np.fft.fft(defect(np.arange(-5, 10), "C", g.angles(), R), norm="forward")
+        assert np.all(np.abs(coef).max(axis=0) > np.sqrt(np.finfo(float).eps / 64))
+    got = build_section_quadrature(f, (-5, 9), g)
+    for section, want in zip(got, _per_entry_sections(f, -5, 9, g)):
+        assert np.max(np.abs(section - want)) <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,14 @@ must give the same bits.  The last test runs the oracles at the sizes the
 FFT route makes affordable.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from annulab import bergman, hardy, reduction
+from annulab import bergman, geometry, hardy, reduction
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
-from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const
+from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const, gram_matrix
 from annulab.hardy import build_section_quadrature
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import (
@@ -173,7 +175,7 @@ def inner_oracle(f, geo):
 
 
 def section_oracle(f, geo):
-    return build_section_quadrature(f, (-6, 6), geo)
+    return np.stack(build_section_quadrature(f, (-6, 6), geo))
 
 
 def area_oracle(f, geo):
@@ -198,16 +200,14 @@ def test_oracle_reads_only_grid_samples(monkeypatch, oracle, module, sampler, ma
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("row_family, calls", [("hardy", (2, 0)), ("complement", (2, 2))])
-def test_section_oracle_evaluates_each_basis_once_per_circle(
-    monkeypatch, row_family, calls
-):
-    """Hardy rows reuse the column evaluation: one ``hardy_basis_eval`` per
-    circle, and complement rows add one ``complement_basis_eval`` each."""
+def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch):
+    """Both sections come from one evaluation of each family per circle:
+    the hardy columns serve as the Toeplitz rows and, weighted, as the
+    columns of both sections."""
     counts = {"hardy_basis_eval": 0, "complement_basis_eval": 0}
 
     def counting(name):
-        evaluate = getattr(hardy, name)
+        evaluate = getattr(geometry, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
@@ -216,10 +216,29 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(
         return counted
 
     for name in counts:
-        monkeypatch.setattr(hardy, name, counting(name))
+        monkeypatch.setattr(geometry, name, counting(name))
     geo = AnnulusGeometry(R=R, m_circle=64)
-    build_section_quadrature(symbol(), (-6, 6), geo, row_family=row_family)
-    assert (counts["hardy_basis_eval"], counts["complement_basis_eval"]) == calls
+    build_section_quadrature(symbol(), (-6, 6), geo)
+    assert (counts["hardy_basis_eval"], counts["complement_basis_eval"]) == (2, 2)
+
+
+def test_pairing_kernel_memory_stays_bounded():
+    """The kernel's row blocks bound its sample buffers: the Gram at
+    W = 256, m = 2048 peaks at 52.3 MiB traced (64.2 MiB with all rows in
+    one block), and the section pair at the benchmark's toeplitz-build
+    config stays below the same cap."""
+    f = symbol()
+    tracemalloc.start()
+    try:
+        gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        build_section_quadrature(f, (-64, 64), AnnulusGeometry(R=R, m_circle=4096))
+        pair_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram_peak <= 56 * 2**20
+    assert pair_peak < 56 * 2**20
 
 
 # ---------------------------------------------------------------------------

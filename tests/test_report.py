@@ -97,6 +97,24 @@ def test_section_csv_carries_window_indices(tmp_path):
     assert lines[4].startswith("0,0,-1,")
 
 
+def test_section_csv_has_the_bytes_of_the_per_entry_form(tmp_path):
+    """Formatting Python complexes gives the bytes of formatting each
+    numpy scalar, also for NaN, both infinities and a negative zero."""
+    re = np.array([[np.nan, -0.0, 1 / 3], [np.inf, -np.inf, 5e-324], [0.1, -2.5, 1e300]])
+    ent = np.empty((3, 3), dtype=complex)
+    ent.real, ent.imag = re, re[::-1].T
+    want = ["j,k,re,im"] + [
+        f"{j - 4},{k - 4},{'%.17g' % ent[j, k].real},{'%.17g' % ent[j, k].imag}"
+        for j in range(3)
+        for k in range(3)
+    ]
+    path = tmp_path / "section.csv"
+    write_section_csv(path, ent, -4)
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+    assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
+    assert b",-0," in path.read_bytes()
+
+
 def test_report_json_shape(tmp_path):
     path = tmp_path / "report.json"
     rows = [residual_check("c", "r", 0.0, 1.0)]
