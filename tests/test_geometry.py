@@ -145,6 +145,14 @@ def test_gram_is_the_real_product_of_the_unblocked_spectra(monkeypatch):
     assert gram_matrix(g, 20).tobytes() == want.tobytes()
 
 
+def _hardy_faint_tone(n, component, angles, R_):
+    """Every row gains a tone at degree 12, far below the drop threshold.
+    The weighted columns are large in that bin, so a drop rule that read
+    the rows alone would lose about 1e-10 times their coefficient."""
+    tone = 1e-10 * np.exp(12j * np.asarray(angles))
+    return hardy_basis_eval(n, component, angles, R_) + tone
+
+
 def _per_entry_sections(f, lo, hi, g):
     """Toeplitz and Hankel sections as one trapezoid mean per entry and
     circle: the symbol times hardy column ``k`` against row ``j`` of the
@@ -163,11 +171,12 @@ def _per_entry_sections(f, lo, hi, g):
 
 
 @pytest.mark.parametrize("block", [256, 6])
-@pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread])
+@pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread, _hardy_faint_tone])
 def test_sections_match_the_per_entry_loop(monkeypatch, defect, block):
     """Both quadrature sections equal the per-entry trapezoid means on an
     asymmetric window, in one row block or in three, for the basis, a
-    shifted inner circle and a defect whose spectrum keeps every bin."""
+    shifted inner circle, a defect whose spectrum keeps every bin and one
+    whose rows are faint where the weighted columns are not."""
     if defect is not None:
         monkeypatch.setattr(geometry, "hardy_basis_eval", defect)
     monkeypatch.setattr(geometry, "_GRAM_BLOCK", block)
