@@ -200,26 +200,29 @@ def test_oracle_reads_only_grid_samples(monkeypatch, oracle, module, sampler, ma
     assert got.tobytes() == want.tobytes()
 
 
-def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch):
+@pytest.mark.parametrize(
+    "family, calls",
+    [("hardy", {"hardy_basis_eval": 2}), ("complement", {"complement_basis_eval": 2})],
+)
+def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family, calls):
     """Both sections come from one evaluation of each family per circle:
     the hardy columns serve as the Toeplitz rows and, weighted, as the
-    columns of both sections."""
-    counts = {"hardy_basis_eval": 0, "complement_basis_eval": 0}
-
-    def counting(name):
-        evaluate = getattr(geometry, name)
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return evaluate(*args, **kwargs)
-
-        return counted
-
-    for name in counts:
-        monkeypatch.setattr(geometry, name, counting(name))
+    columns of both sections, and the complement family is evaluated
+    once per circle for the Hankel rows."""
     geo = AnnulusGeometry(R=R, m_circle=64)
-    build_section_quadrature(symbol(), (-6, 6), geo)
-    assert (counts["hardy_basis_eval"], counts["complement_basis_eval"]) == (2, 2)
+    want = build_section_quadrature(symbol(), (-6, 6), geo)
+    counts = dict.fromkeys(calls, 0)
+    name = f"{family}_basis_eval"
+    evaluate = getattr(geometry, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, name, counted)
+    got = build_section_quadrature(symbol(), (-6, 6), geo)
+    assert counts == calls
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
 
 
 def test_pairing_kernel_memory_stays_bounded():
