@@ -1,7 +1,9 @@
 """Toeplitz sections on the annulus Bergman space.
 
-The monomials z^n, n >= -1, form an orthogonal basis; a symbol that is a
-finite sum of quasi-homogeneous bands (angular frequency times a radial
+Every monomial z^n, n in Z, lies in the Bergman space of the annulus.
+The sections here compress to the span of z^n, n >= -1, a proper
+subspace (ROADMAP item 1 lifts that clamp).  A symbol that is a finite
+sum of quasi-homogeneous bands (angular frequency times a radial
 profile) acts band by band, sending each monomial to weighted monomials
 whose weights are radial Mellin moments.  Sections are assembled from
 these moments in the orthonormal basis; the quadrature cross-checks
@@ -10,7 +12,6 @@ read only grid samples.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -34,8 +35,8 @@ def quasi_homogeneous_apply(
     A band with angular frequency ``p`` and radial profile ``f1`` sends
     ``z**n`` to ``coeff * z**(p+n)`` where the coefficient is the squared
     reciprocal monomial norm at ``p+n`` times the Mellin moment of the
-    profile at ``p + 2n + 2``.  Output indices below -1 are annihilated by
-    the projection and return a zero coefficient.
+    profile at ``p + 2n + 2``.  Output indices below -1 lie outside the
+    span of the sections (degrees >= -1) and return a zero coefficient.
     """
     if n < -1:
         raise ValueError("domain index must be at least -1")
@@ -65,14 +66,6 @@ def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, compl
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _norm_consts(lo: int, hi: int, R: float) -> np.ndarray:
-    """Read-only reciprocal monomial norms ``t`` over the degrees ``lo..hi``."""
-    t = np.array([bergman_norm_const(n, R) for n in range(lo, hi + 1)])
-    t.flags.writeable = False
-    return t
-
-
 def build_bergman_toeplitz(
     f: PolarSymbol, window: tuple[int, int], R: float
 ) -> np.ndarray:
@@ -83,9 +76,9 @@ def build_bergman_toeplitz(
     monomial-action coefficient rescaled by ``t_n / t_m``.  Band ``k``
     sends ``z^n`` to ``c z^(n+k)`` with ``c = t_(n+k)^2`` times the Mellin
     moment of its profile at ``k + 2n + 2``, ``t`` the reciprocal monomial
-    norms of :func:`bergman_norm_const`.  The lower edge
-    is clamped to -1, the smallest degree in the basis, so the section
-    over ``[lo, hi]`` has side ``hi - max(lo, -1) + 1``.  A radial symbol
+    norms of :func:`bergman_norm_const`.  The lower edge is clamped to
+    -1, so the section compresses to the proper subspace of degrees >= -1,
+    with side ``hi - max(lo, -1) + 1`` over ``[lo, hi]``.  A radial symbol
     (single band at offset zero) gives a diagonal section; a single
     positive band gives a weighted shift.
 
@@ -97,7 +90,7 @@ def build_bergman_toeplitz(
     bit for bit whatever the order of the bands and degrees.
     """
     lo, hi = _clamp_window(window)
-    t = _norm_consts(lo, hi, R)
+    t = bergman_norm_const(np.arange(lo, hi + 1), R)
     tables = [f.bands[k].coeffs for k in f.live_bands]
     width = max(map(len, tables), default=0)
     degree = [list(d) + [0] * (width - len(d)) for d in tables]
@@ -154,7 +147,7 @@ def build_bergman_section_quadrature(
     ns = np.arange(lo, hi + 1)
     angular = _analyze(polar_symbol_grid(f, geo), np.subtract.outer(ns, ns))
     radial = w[:, None, None] * r[:, None, None] ** (1 + np.add.outer(ns, ns))
-    t = np.array([bergman_norm_const(n, geo.R) for n in ns])
+    t = bergman_norm_const(ns, geo.R)
     return np.outer(t, t) * np.sum(radial * angular, axis=0)
 
 
@@ -200,7 +193,8 @@ def zero_product_experiment_bergman(
     with the ladder read in the domain of ``T_g``: each basis vector of
     degree n0+N+l is spanned by the images of the first l+1 ladder vectors
     under the second symbol together with all lower-degree basis vectors.
-    A window clamped to the basis floor -1 truncates no image there.
+    Sections compress to degrees >= -1: a window clamped there reads no
+    lower-edge margin, though ``T_g`` sends images below it (ROADMAP item 1).
     """
     lo, hi = _clamp_window(window)
     return _probe(

@@ -101,7 +101,7 @@ _FIELDS = {
     "m_circle": (int, lambda x: x >= 8, None),
     "m_radial": (int, lambda x: x >= 1, None),
     "seed": (int, lambda x: x >= 0, None),
-    "tolerance": ((int, float), lambda x: x > 0, float),
+    "tolerance": ((int, float), lambda x: 0 < x <= sys.float_info.max, float),
     "experiment": (str, None, None),
     "symbol": (str, None, None),
     "symbol2": (str, None, None),
@@ -133,21 +133,32 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
     if out_override is not None:
         cfg.out = out_override
     cfg.geometry()  # validates R / m_circle / m_radial jointly
-    if cfg.experiment == "hankel-decay":
-        _check_section_memory(max(cfg.sizes))
-    return cfg
-
-
-def _check_section_memory(size: int) -> None:
-    """Refuse a decay sweep whose largest dense complex section,
-    ``16 size^2`` bytes, exceeds the host's physical memory."""
-    need = 16 * size**2
+    key, need = _largest_array(cfg)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
-            f"config field 'sizes': a {size}x{size} section needs {need} bytes, "
-            f"more than the {have} bytes of physical memory"
+            f"config field '{key}': the largest array of {cfg.experiment} needs "
+            f"{need} bytes, more than the {have} bytes of physical memory"
         )
+    return cfg
+
+
+def _largest_array(cfg: LabConfig) -> tuple[str, int]:
+    """``(field, bytes)`` of the largest dense array the experiment builds,
+    from the fields it reads: mellin's Gauss-Legendre companion matrix,
+    ``8 m_radial^2``; else the complex section, ``16 side^2`` (``side`` the
+    window width, ``2(2W+1)`` for gram, ``max(sizes)`` for hankel-decay),
+    and the ``side x m_circle`` sample buffers of gram, toeplitz-build and
+    identities.  The Bergman sections start at degree -1."""
+    (lo, hi), exp = cfg.window, cfg.experiment
+    if exp == "mellin":
+        return "m_radial", 8 * cfg.m_radial**2
+    if exp == "hankel-decay":
+        return "sizes", 16 * max(cfg.sizes) ** 2
+    lo = max(lo, -1) if exp == "zero-product-bergman" else lo
+    side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else hi - lo + 1
+    buffers = 16 * side * cfg.m_circle * (exp in ("gram", "toeplitz-build", "identities"))
+    return max(("window", 16 * side**2), ("m_circle", buffers), key=lambda c: c[1])
 
 
 def load_config(path, experiment: str, out_override: str | None = None) -> LabConfig:
@@ -330,10 +341,8 @@ def _run_mellin(cfg: LabConfig, outdir: Path):
         )
     ]
     target = PolyProfile({d: rng.coefficient() for d in range(RECONSTRUCT_DEGREE + 1)})
-    values = [
-        mellin.mellin_transform(target, RECONSTRUCT_Z_START + RECONSTRUCT_Z_STEP * j, cfg.R)
-        for j in range(RECONSTRUCT_DEGREE + 1)
-    ]
+    zr = RECONSTRUCT_Z_START + RECONSTRUCT_Z_STEP * np.arange(RECONSTRUCT_DEGREE + 1)
+    values = mellin.mellin_transform(target, zr, cfg.R)
     try:
         rec = mellin.mellin_poly_reconstruct(
             values, RECONSTRUCT_Z_START, RECONSTRUCT_Z_STEP, cfg.R

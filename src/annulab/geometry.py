@@ -228,16 +228,16 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     return _pair_on_grid(geo, np.arange(-W, W + 1))
 
 
-def bergman_norm_const(n: int, R: float) -> float:
-    """Normalizer making ``const * z^n`` a unit vector in the Bergman space.
+def bergman_norm_const(n, R: float):
+    """Normalizer making ``const * z^n`` a unit vector in the Bergman space,
+    at the integer ``n`` (scalar or array).
 
     The area measure is normalized so the squared monomial norm is the
     radial moment ``integral_R^1 r^(2n+1) dr``; the closed form for its
     inverse square root is ``sqrt(2(n+1) / (1 - R^(2(n+1))))`` with the
-    logarithmic limit at ``n = -1``.
+    logarithmic limit at ``n = -1`` (``k = 0``, where the quotient is 0/0).
+    ``np.float_power`` gives the bits of Python's scalar ``**``.
     """
-    if n == -1:
-        return float(1.0 / np.sqrt(np.log(1.0 / R)))
-    k = 2 * (n + 1)
-    return float(np.sqrt(k / (1.0 - R**k)))
-
+    k = 2.0 * (n + 1)
+    q = k / np.where(k == 0, 1.0, 1.0 - np.float_power(R, k))
+    return np.where(k == 0, 1.0 / np.sqrt(np.log(1.0 / R)), np.sqrt(q))[()]

@@ -136,9 +136,8 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     if d < 0:
         raise ValueError("need at least one transform value")
     zs = z_start + z_step * np.arange(d + 1)
-    A = np.empty((d + 1, d + 1), dtype=complex)
-    for m in range(d + 1):
-        A[:, m] = monomial_moment(zs + m, R)
+    # complex: a real matrix would be scaled and solved with other roundings
+    A = monomial_moment(np.add.outer(zs, np.arange(d + 1)), R).astype(complex)
     if not np.all(np.isfinite(A)):
         # moments past the float range (tiny R) leave nothing to condition
         raise IllConditionedError("moment system is not finite", float("inf"))

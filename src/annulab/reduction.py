@@ -81,25 +81,27 @@ def semicommutator_residual_disc(
 # conjugate-basis bridge and the diagonal transfer
 
 
-def conjugate_basis_coeffs(n: int, R: float) -> tuple[float, float]:
-    """Coefficients expanding the conjugated power basis function.
+def conjugate_basis_coeffs(n, R: float):
+    """Coefficients expanding the conjugated power basis function, at the
+    integer ``n`` (scalar or array).
 
     The conjugate of the n-th power basis function equals
     ``alpha * e_(-n) + beta * f_(-n)`` with
     ``alpha = 2 R^n / (1 + R^(2n))`` and
     ``beta = (1 - R^(2n)) / (1 + R^(2n))``; the pair satisfies
-    ``alpha^2 + beta^2 = 1`` identically.
+    ``alpha^2 + beta^2 = 1`` identically.  Both are written through
+    ``R^|n|`` so large negative indices stay finite: alpha is even, beta
+    odd.  ``np.float_power`` calls the C ``pow`` per element, the bits of
+    Python's scalar ``**``; ``np.power``'s vector loop, or squaring
+    ``R^|n|``, can round one ulp away.
     """
-    if n < 0:
-        # rewrite through R^|n| so large negative indices stay finite
-        w = R ** (-2 * n)
-        return 2.0 * R ** (-n) / (1.0 + w), (w - 1.0) / (w + 1.0)
-    w = R ** (2 * n)
-    return 2.0 * R**n / (1.0 + w), (1.0 - w) / (1.0 + w)
+    p, w = np.float_power(R, np.abs(n)), np.float_power(R, 2 * np.abs(n))
+    return 2.0 * p / (1.0 + w), np.sign(n) * ((1.0 - w) / (1.0 + w))
 
 
-def t_diag(n: int, R: float) -> float:
-    """Diagonal transfer weight ``2 R^n / (1 - R^(2n))`` (zero at ``n = 0``).
+def t_diag(n, R: float):
+    """Diagonal transfer weight ``2 R^n / (1 - R^(2n))``, odd in the integer
+    ``n`` (scalar or array) and zero at ``n = 0``.
 
     Maps the complement function of index ``-n`` to the power function of
     index ``-n`` with this weight; the value decays like ``2 R^|n|`` in
@@ -108,11 +110,8 @@ def t_diag(n: int, R: float) -> float:
     whose ``n = 0`` coordinate vanishes (the beta coefficient above is
     zero there), so the removable case never contributes.
     """
-    if n == 0:
-        return 0.0
-    if n < 0:
-        return -2.0 * R ** (-n) / (1.0 - R ** (-2 * n))
-    return 2.0 * R**n / (1.0 - R ** (2 * n))
+    p, w = np.float_power(R, np.abs(n)), np.float_power(R, 2 * np.abs(n))
+    return np.sign(n) * 2.0 * p / np.where(n == 0, 1.0, 1.0 - w)
 
 
 def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
@@ -140,7 +139,7 @@ def _resolved_c0_reach(
     """Reach of the inner-circle table; a run reading index
     ``2 size + copies * reach`` or past ``m_circle / 2`` is refused with
     :class:`AliasingError`."""
-    reach = max((abs(n) for n, c in phi.coeffs_C0.items() if c != 0.0), default=0)
+    reach = ExactCircle(phi.coeffs_C0).bandwidth()
     if 2 * size + copies * reach >= geo.m_circle // 2:
         raise AliasingError(
             f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
@@ -238,10 +237,9 @@ def split_relation_residual(
     rhs = -fourier_pair(phi, offsets)[1] * B
     res1 = float(np.max(np.abs(lhs - rhs)))
     # conjugate-basis expansion: holomorphic side vs transfer of complement side
-    alpha, beta = np.array([conjugate_basis_coeffs(-j, R) for j in js]).T
-    tvals = np.array([t_diag(-j, R) for j in js])
+    alpha, beta = conjugate_basis_coeffs(-js, R)
     gamma = B * proj
-    res2 = float(np.max(np.abs(gamma * alpha - tvals * (gamma * beta))))
+    res2 = float(np.max(np.abs(gamma * alpha - t_diag(-js, R) * (gamma * beta))))
     return res1, res2
 
 

@@ -158,16 +158,15 @@ def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex
 
 
 @dataclass(frozen=True)
-class ExactCircle:
+class ExactCircle(_Degrees):
     """Function on the unit circle with a finite Fourier table."""
 
     coeffs: dict[int, complex] = field(default_factory=dict)
 
+    _live = property(lambda self: sorted(n for n, c in self.coeffs.items() if c != 0.0))
+
     def hat(self, n):
         return _read(self.coeffs, n)
-
-    def bandwidth(self) -> int:
-        return max((abs(n) for n, c in self.coeffs.items() if c != 0.0), default=0)
 
 
 def _reflect_conj(coeffs: dict[int, complex]) -> dict[int, complex]:

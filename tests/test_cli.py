@@ -446,6 +446,8 @@ def _field_cases():
         ("sizes", [64, True], sizes),
         ("sizes", [64, 64, 32], "config field 'sizes' must not repeat a size"),
         ("out", 1, wrong_type),
+        # last, so the generated ids of the cases above keep their indices
+        ("tolerance", float("inf"), out_of_range),
     ]
     cases += [(f.name, True, wrong_type) for f in fields(LabConfig)]
     return [(f, v, msg.format(f)) for f, v, msg in cases]
@@ -561,6 +563,48 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
     assert "physical memory" in err[0]
     # the rule belongs to the decay sweep; other experiments ignore sizes
     assert load_config(tmp_path / "cfg.json", "gram").sizes == (64, 2**22)
+
+
+@pytest.mark.parametrize(
+    "experiment, doc, field",
+    [
+        # a 200001-wide section: 596 GiB
+        ("semicommutator", {"window": [-100000, 100000]}, "window"),
+        ("zero-product-hardy", {"window": [-100000, 100000]}, "window"),
+        # 2**40 samples per degree row: the angular grid alone is 8 TiB
+        ("gram", {"m_circle": 2**40}, "m_circle"),
+        # the Gauss-Legendre companion matrix: 7.28 TiB
+        ("mellin", {"m_radial": 10**6}, "m_radial"),
+    ],
+)
+def test_arrays_past_physical_memory_exit_2_before_any_work(
+    tmp_path, capsys, experiment, doc, field
+):
+    code, outdir = run_lab(tmp_path, experiment, doc)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: config field '{field}'")
+    assert "physical memory" in err[0]
+
+
+def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
+    """A window or grid no section of the experiment reaches is not counted."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_circle": 2**40, "m_radial": 10**6}))
+    assert load_config(cfg, "zero-product-hardy").m_circle == 2**40
+    cfg.write_text(json.dumps({"window": [-100000, 10], "m_radial": 10**6}))
+    assert load_config(cfg, "zero-product-bergman").window == (-100000, 10)
+
+
+def test_infinite_tolerance_exits_2(tmp_path, capsys):
+    """json reads 1e400 as inf, and inf <= inf would pass any residual."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"R": 0.5, "tolerance": 1e400}')
+    assert main(["gram", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: config field 'tolerance' is out of range"]
 
 
 def _results(outdir):

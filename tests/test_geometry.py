@@ -153,6 +153,15 @@ def _hardy_faint_tone(n, component, angles, R_):
     return hardy_basis_eval(n, component, angles, R_) + tone
 
 
+def _hardy_mid_tone(n, component, angles, R_):
+    """Every row gains a tone of amplitude 5e-7 at degree 20, so rows and
+    weighted columns both hold coefficients between the drop threshold
+    ``sqrt(eps / 64)`` (about 1.9e-9) and 1e-6 there.  The pairs of such
+    bins add about 1e-13 to an entry: a threshold of 1e-6 drops them."""
+    tone = 5e-7 * np.exp(20j * np.asarray(angles))
+    return hardy_basis_eval(n, component, angles, R_) + tone
+
+
 def _per_entry_sections(f, lo, hi, g):
     """Toeplitz and Hankel sections as one trapezoid mean per entry and
     circle: the symbol times hardy column ``k`` against row ``j`` of the
@@ -171,12 +180,15 @@ def _per_entry_sections(f, lo, hi, g):
 
 
 @pytest.mark.parametrize("block", [256, 6])
-@pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread, _hardy_faint_tone])
+@pytest.mark.parametrize(
+    "defect", [None, _hardy_c0_shifted, _hardy_spread, _hardy_faint_tone, _hardy_mid_tone]
+)
 def test_sections_match_the_per_entry_loop(monkeypatch, defect, block):
     """Both quadrature sections equal the per-entry trapezoid means on an
     asymmetric window, in one row block or in three, for the basis, a
-    shifted inner circle, a defect whose spectrum keeps every bin and one
-    whose rows are faint where the weighted columns are not."""
+    shifted inner circle, a defect whose spectrum keeps every bin, one
+    whose rows are faint where the weighted columns are not, and one that
+    is faint on both sides but above the drop threshold."""
     if defect is not None:
         monkeypatch.setattr(geometry, "hardy_basis_eval", defect)
     monkeypatch.setattr(geometry, "_GRAM_BLOCK", block)
@@ -254,6 +266,26 @@ def test_bergman_norm_log_case():
 
 def test_bergman_norm_constant_term():
     assert bergman_norm_const(0, R) == pytest.approx(math.sqrt(8.0 / 3.0))
+
+
+def _scalar_bergman_norm(n, R_):
+    """The per-index closed form, kept as the reference."""
+    if n == -1:
+        return float(1.0 / np.sqrt(np.log(1.0 / R_)))
+    k = 2 * (n + 1)
+    return float(np.sqrt(k / (1.0 - R_**k)))
+
+
+@pytest.mark.parametrize("R_", [0.05, 0.1, 0.5, 0.9])
+def test_bergman_norm_array_has_the_bits_of_the_scalar_form(R_):
+    """One array call, the logarithmic limit included, gives the scalar
+    form's bits at every degree, and a scalar call gives one number."""
+    ns = np.arange(-1, 401)
+    want = np.array([_scalar_bergman_norm(int(n), R_) for n in ns])
+    assert bergman_norm_const(ns, R_).tobytes() == want.tobytes()
+    for n in (-1, 0, 7, 400):
+        got = bergman_norm_const(n, R_)
+        assert np.ndim(got) == 0 and got == _scalar_bergman_norm(n, R_)
 
 
 def bergman_monomial_norm_quadrature(n: int, geo: AnnulusGeometry) -> float:

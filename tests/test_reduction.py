@@ -192,6 +192,39 @@ def test_transfer_weight_bound_and_oddness(n, R_):
     assert t_diag(-n, R_) == pytest.approx(-t_diag(n, R_), rel=1e-12)
 
 
+def _scalar_conjugate_coeffs(n, R_):
+    """The per-index closed forms with sign branches, kept as the reference."""
+    if n < 0:
+        w = R_ ** (-2 * n)
+        return 2.0 * R_ ** (-n) / (1.0 + w), (w - 1.0) / (w + 1.0)
+    w = R_ ** (2 * n)
+    return 2.0 * R_**n / (1.0 + w), (1.0 - w) / (1.0 + w)
+
+
+def _scalar_t_diag(n, R_):
+    if n == 0:
+        return 0.0
+    if n < 0:
+        return -2.0 * R_ ** (-n) / (1.0 - R_ ** (-2 * n))
+    return 2.0 * R_**n / (1.0 - R_ ** (2 * n))
+
+
+@pytest.mark.parametrize("R_", [0.05, 0.1, 0.5, 0.9])
+def test_array_closed_forms_have_the_bits_of_the_scalar_branches(R_):
+    """One array call gives, bit for bit, what the scalar forms give per
+    index, and a scalar call gives one number with the same bits.  Squaring
+    ``R^|n|`` in place of raising ``R^(2|n|)``, or numpy's vector power,
+    moves some of these bits."""
+    ns = np.arange(-200, 201)
+    want = np.array([_scalar_conjugate_coeffs(int(n), R_) for n in ns]).T
+    assert np.asarray(conjugate_basis_coeffs(ns, R_)).tobytes() == want.tobytes()
+    want_t = np.array([_scalar_t_diag(int(n), R_) for n in ns])
+    assert t_diag(ns, R_).tobytes() == want_t.tobytes()
+    for n in (-200, -7, -1, 0, 1, 13, 200):
+        assert conjugate_basis_coeffs(n, R_) == _scalar_conjugate_coeffs(n, R_)
+        assert np.ndim(t_diag(n, R_)) == 0 and t_diag(n, R_) == _scalar_t_diag(n, R_)
+
+
 def test_transfer_unitaries_are_identities():
     geo = AnnulusGeometry(R=R, m_circle=128)
     U0, P0 = assemble_transfer_unitaries(12, geo)
