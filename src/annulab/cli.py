@@ -1,9 +1,9 @@
 """Batch experiment runner behind the ``lab`` command.
 
-Each experiment composes module operations into check rows, writes
-``results.csv`` and ``report.json`` (plus experiment-specific CSV/SVG
-files) into the output directory, and the process exits 0 exactly when
-every check passes.  All numeric parameters live in the JSON config; the
+Each experiment composes module operations into check rows; then ``run``
+writes ``results.csv`` and ``report.json`` (plus experiment-specific
+CSV/SVG files) into the output directory, and the process exits 0 exactly
+when every check passes.  All numeric parameters live in the JSON config; the
 trial count and ladder length of the falsification harnesses are fixed
 constants so reports stay comparable across configurations.
 """
@@ -198,10 +198,13 @@ def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
             )
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
-    sym, R_file = read_symbol(ref)
+    try:
+        sym, R_file = read_symbol(ref)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"symbol file {ref!r}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(sym, ExactSymbol):
         raise ConfigError(f"symbol file {ref!r} does not hold a two-circle symbol")
-    if abs(R_file - cfg.R) > 1e-12:
+    if not abs(R_file - cfg.R) <= 1e-12:  # a NaN radius matches nothing
         raise ConfigError(
             f"symbol file {ref!r} was written for R={R_file}, config has R={cfg.R}"
         )
@@ -209,19 +212,19 @@ def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (rows, files, extra)
+# experiment bodies: each returns (rows, {file name: writer(path)}, extra)
 
 
-def _run_gram(cfg: LabConfig, outdir: Path):
+def _run_gram(cfg: LabConfig):
     geo = cfg.geometry()
     half = max(-cfg.window[0], cfg.window[1])
     G = geometry.gram_matrix(geo, half)
     dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
     rows = [report.residual_check("gram", "max_abs_deviation", dev, cfg.tolerance)]
-    return rows, [], {}
+    return rows, {}, {}
 
 
-def _run_toeplitz_build(cfg: LabConfig, outdir: Path):
+def _run_toeplitz_build(cfg: LabConfig):
     geo = cfg.geometry()
     rng = randgen.Lcg(cfg.seed)
     sym = _resolve_boundary(
@@ -237,11 +240,13 @@ def _run_toeplitz_build(cfg: LabConfig, outdir: Path):
     ):
         dev = np.max(np.abs(closed - quad))
         rows.append(report.residual_check("toeplitz-build", name, dev, cfg.tolerance))
-    report.write_section_csv(outdir / "section.csv", sec, cfg.window[0])
-    return rows, ["section.csv"], {}
+    artifacts = {
+        "section.csv": lambda path: report.write_section_csv(path, sec, cfg.window[0])
+    }
+    return rows, artifacts, {}
 
 
-def _run_hankel_decay(cfg: LabConfig, outdir: Path):
+def _run_hankel_decay(cfg: LabConfig):
     sym = _resolve_boundary(
         cfg.symbol, cfg, reference.smooth_decay_symbol
     )
@@ -270,10 +275,11 @@ def _run_hankel_decay(cfg: LabConfig, outdir: Path):
         if verdict == reduction.DECAY_OBSERVED
         else report.info_check(check, name, claim)
     )
-    report.write_decay_csv(outdir / "decay.csv", profiles)
-    emit_plot(profiles[0], outdir / "decay.svg")
-    emit_plot(profiles[1], outdir / "decay-inner.svg")
-    files = ["decay.csv", "decay.svg", "decay-inner.svg"]
+    artifacts = {
+        "decay.csv": lambda path: report.write_decay_csv(path, profiles),
+        "decay.svg": lambda path: emit_plot(profiles[0], path),
+        "decay-inner.svg": lambda path: emit_plot(profiles[1], path),
+    }
     extra = {"verdict": verdict, "verdict_basis": reduction.decay_basis(profiles)}
     if cfg.symbol in [f"builtin:{name}" for name in reference.TRUNCATED]:
         # the certificate sums the table the run reads, not the infinite one
@@ -281,10 +287,10 @@ def _run_hankel_decay(cfg: LabConfig, outdir: Path):
             f"truncated to {_reference_count(cfg)} coefficients; "
             "l1_tail_k bounds the sections of the truncation only"
         )
-    return rows, files, extra
+    return rows, artifacts, extra
 
 
-def _run_identities(cfg: LabConfig, outdir: Path):
+def _run_identities(cfg: LabConfig):
     geo = cfg.geometry()
     phi = _resolve_boundary(cfg.symbol, cfg, lambda: constant_symbol(1.0, 1.0))
     psi = _resolve_boundary(cfg.symbol2, cfg, lambda: phi)
@@ -319,10 +325,10 @@ def _run_identities(cfg: LabConfig, outdir: Path):
             reduction.conjugate_reflection_residual(7, geo), cfg.tolerance,
         )
     )
-    return rows, [], {}
+    return rows, {}, {}
 
 
-def _run_mellin(cfg: LabConfig, outdir: Path):
+def _run_mellin(cfg: LabConfig):
     geo = cfg.geometry()
     rng = randgen.Lcg(cfg.seed)
     profile = PolyProfile({d: rng.coefficient() for d in range(11)})
@@ -365,7 +371,7 @@ def _run_mellin(cfg: LabConfig, outdir: Path):
     roots = mellin.mellin_zero_locate(witness, -10.0, 20.0, cfg.R)
     dev = np.min([abs(r - 5.0) for r in roots], initial=np.inf)
     rows.append(report.residual_check("mellin", "zero_locate_at_5", dev, 1e-8))
-    return rows, [], {}
+    return rows, {}, {}
 
 
 #: per harness: the module and name of the probe, looked up at each run so
@@ -387,7 +393,7 @@ _HARNESSES = {
 }
 
 
-def _run_zero_product(cfg: LabConfig, outdir: Path):
+def _run_zero_product(cfg: LabConfig):
     module, name, draw_f, draw_g = _HARNESSES[cfg.experiment]
     probe = getattr(module, name)
     check, tol = cfg.experiment, cfg.tolerance
@@ -433,10 +439,10 @@ def _run_zero_product(cfg: LabConfig, outdir: Path):
             check, "smallest_product_column_norm", np.min(norms), ZERO_DIVISOR_FLOOR
         )
     )
-    return rows, [], {"verdicts": verdicts}
+    return rows, {}, {"verdicts": verdicts}
 
 
-def _run_semicommutator(cfg: LabConfig, outdir: Path):
+def _run_semicommutator(cfg: LabConfig):
     rng = randgen.Lcg(cfg.seed)
     phi = _resolve_boundary(
         cfg.symbol, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
@@ -462,7 +468,7 @@ def _run_semicommutator(cfg: LabConfig, outdir: Path):
         )
     )
     rows.append(report.info_check("semicommutator", "disc_margin", margin_d))
-    return rows, [], {}
+    return rows, {}, {}
 
 
 _RUNNERS = {
@@ -491,33 +497,24 @@ class ExperimentReport:
 
 
 def run(cfg: LabConfig) -> ExperimentReport:
-    """Execute the configured experiment and write its artifacts.
+    """Execute the configured experiment, then write its artifacts.
 
-    A run refused with one of ``DOMAIN_ERRORS`` removes the directories it
-    created, deepest first and only while they are empty; a directory
-    that existed before the run is never removed.
+    Nothing is written before the experiment returns, so a refused run
+    (``ConfigError`` or one of ``DOMAIN_ERRORS``) creates no directory.
     """
-    outdir = Path(cfg.out)
-    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
-    try:
-        rows, files, extra = _RUNNERS[cfg.experiment](cfg, outdir)
-    except DOMAIN_ERRORS:
-        for d in created:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        raise
+    rows, artifacts, extra = _RUNNERS[cfg.experiment](cfg)
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, write in artifacts.items():
+        write(outdir / name)
     duration = time.monotonic() - start
-    files = files + ["results.csv"]
+    files = [*artifacts, "results.csv"]
     echo = asdict(cfg)
     echo["window"] = list(cfg.window)
     echo["sizes"] = list(cfg.sizes)
     report.write_results_csv(outdir / "results.csv", rows)
-    report.write_report_json(
-        outdir / "report.json", echo, rows, files, duration, extra or None
-    )
+    report.write_report_json(outdir / "report.json", echo, rows, files, duration, extra)
     return ExperimentReport(echo, rows, files, duration, extra)
 
 
@@ -539,7 +536,7 @@ def main(argv=None) -> int:
     for r in result.rows:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check}/{r.name} value={r.value:.6g} tol={r.tolerance:.6g}")
-    for key, val in (result.extra or {}).items():
+    for key, val in result.extra.items():
         print(f"note {key}: {val}")
     return 0 if result.all_pass() else 1
 

@@ -83,11 +83,10 @@ def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
     (``R^(2n)`` leaves the float range at R = 0.1, n = -155).  No other
     module computes this normalization; the basis definition it encodes is
     certified separately by the orthonormality check (``gram``, criterion 01).
+    ``np.float_power`` gives the bits of Python's scalar ``**``.
     """
     n = np.asarray(n)
-    # an array power even for one index: numpy's scalar power can round
-    # differently, and a row must not depend on how it was asked for
-    p = (R ** np.abs(np.atleast_1d(n)).astype(float)).reshape(n.shape)
+    p = np.float_power(R, np.abs(n))
     s = np.sqrt(1.0 + p * p)
     return np.where(n < 0, p, 1.0) / s, np.where(n < 0, 1.0, p) / s
 

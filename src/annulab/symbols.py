@@ -271,6 +271,8 @@ def polar_symbol_to_json(sym: PolarSymbol, R: float) -> dict:
 
 def symbol_from_json(doc: dict):
     """Parse a symbol document; returns ``(symbol, R)``."""
+    if not isinstance(doc, dict):
+        raise ValueError("a symbol document must be a JSON object")
     kind = doc.get("repr")
     if kind == "exact":
         return (

@@ -391,11 +391,48 @@ def test_symbol_file_round_trip_and_R_mismatch(tmp_path):
     assert code == 2
 
 
+def test_symbol_file_with_a_nan_radius_exits_2(tmp_path, capsys):
+    """NaN compares false both ways, so it must not pass the radius check."""
+    path = tmp_path / "sym.json"
+    path.write_text('{"repr": "exact", "R": NaN, "coeffs_C": [[0, 1, 0]]}')
+    code, outdir = run_lab(tmp_path, "toeplitz-build", dict(FAST, symbol=str(path)))
+    assert code == 2
+    assert not outdir.exists()
+    assert "was written for R=nan" in capsys.readouterr().err
+
+
 def test_wrong_symbol_kind_exits_2(tmp_path):
     path = tmp_path / "polar.json"
     write_symbol(path, PolarSymbol({0: PolyProfile({0: 1.0 + 0.0j})}), 0.5)
     code, _ = run_lab(tmp_path, "toeplitz-build", dict(FAST, symbol=str(path)))
     assert code == 2
+
+
+#: symbol files ``read_symbol`` cannot parse (None: no such file; "": a directory)
+UNREADABLE_SYMBOLS = {
+    "missing": None,
+    "directory": "",
+    "no-radius": '{"repr": "exact"}',
+    "non-numeric-row": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1, "x", 0]]}',
+    "short-row": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1, 2]]}',
+    "list": "[1]",
+    "invalid-json": "{not json",
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_SYMBOLS.values(), ids=UNREADABLE_SYMBOLS)
+def test_unreadable_symbol_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "sym.json"
+    if text == "":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    code, outdir = run_lab(tmp_path, "toeplitz-build", dict(FAST, symbol=str(path)))
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert f"symbol file {str(path)!r}" in err[0]
 
 
 def test_unknown_config_field_exits_2(tmp_path, capsys):
@@ -533,6 +570,28 @@ def test_refused_run_leaves_no_directory(tmp_path, experiment, doc):
     code, outdir = run_lab(tmp_path, experiment, doc, out="out/nested")
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, doc",
+    [
+        ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
+        ("identities", {"m_circle": 32}),
+    ],
+)
+def test_refused_run_never_creates_its_directory(tmp_path, monkeypatch, experiment, doc):
+    """The refusal comes before any directory exists, not after a clean-up."""
+    made = []
+    mkdir = Path.mkdir
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", spy)
+    code, _ = run_lab(tmp_path, experiment, doc, out="out/nested")
+    assert code == 2
+    assert made == []
 
 
 def test_refused_run_keeps_a_directory_it_did_not_create(tmp_path):

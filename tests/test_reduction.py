@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from annulab import reduction
 from annulab.errors import AliasingError
-from annulab.geometry import AnnulusGeometry
+from annulab.geometry import AnnulusGeometry, basis_weights
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reference import (
     reference_symbol,
@@ -223,6 +223,25 @@ def test_array_closed_forms_have_the_bits_of_the_scalar_branches(R_):
     for n in (-200, -7, -1, 0, 1, 13, 200):
         assert conjugate_basis_coeffs(n, R_) == _scalar_conjugate_coeffs(n, R_)
         assert np.ndim(t_diag(n, R_)) == 0 and t_diag(n, R_) == _scalar_t_diag(n, R_)
+
+
+def _scalar_basis_weights(n, R_):
+    p = pow(R_, abs(n))
+    s = math.sqrt(1.0 + p * p)
+    return (p if n < 0 else 1.0) / s, (1.0 if n < 0 else p) / s
+
+
+@pytest.mark.parametrize("R_", [0.05, 0.1, 0.3, 0.7, 0.9, 0.99])
+def test_basis_weights_have_the_bits_of_the_scalar_power(R_):
+    """The Hardy weights raise ``R^|n|`` with the scalar ``pow`` bits at
+    every index, in one array call and in a scalar call alike, so they do
+    not depend on which vector loop the host's numpy picks for its power."""
+    ns = np.arange(-400, 401)
+    want = np.array([_scalar_basis_weights(int(n), R_) for n in ns]).T
+    assert np.asarray(basis_weights(ns, R_)).tobytes() == want.tobytes()
+    for n in (-400, -7, -1, 0, 1, 13, 400):
+        got = basis_weights(n, R_)
+        assert np.ndim(got[0]) == 0 and tuple(got) == _scalar_basis_weights(n, R_)
 
 
 def test_transfer_unitaries_are_identities():
