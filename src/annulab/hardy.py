@@ -142,7 +142,7 @@ def apply_multiplier_coeffs(f: ExactSymbol, n: int, R: float) -> dict[int, compl
     """
     out: dict[int, complex] = {}
     for k in f.support:
-        fC, fC0 = f.pair(k)
+        fC, fC0 = complex(f.coeffs_C.get(k, 0.0)), complex(f.coeffs_C0.get(k, 0.0))
         if n + k >= 0:
             c = (fC + R ** (2 * n + k) * fC0) / (1.0 + R ** (2 * (n + k)))
         else:
@@ -240,7 +240,7 @@ def find_n0_hardy(g: ExactSymbol, N: int, R: float):
     ``"unconstrained"`` otherwise (callers substitute their window's lower
     bound).  Raises ``ValueError`` if both top coefficients vanish.
     """
-    gC, gC0 = g.pair(N)
+    gC, gC0 = complex(g.coeffs_C.get(N, 0.0)), complex(g.coeffs_C0.get(N, 0.0))
     if gC == 0.0 and gC0 == 0.0:
         raise ValueError(f"degree {N} is not the top degree of the symbol")
     if gC0 == 0.0:

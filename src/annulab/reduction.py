@@ -183,20 +183,15 @@ def inner_hankel_quadrature(
     return _analyze(vals, np.add.outer(ks + 1, ks))
 
 
-def diagram_residual(phi: ExactSymbol, size: int, geo: AnnulusGeometry) -> float:
+def diagram_residual(phi: ExactSymbol, geo: AnnulusGeometry, U0, P0) -> float:
     """Max deviation between the transplanted inner Hankel and its disc form.
 
-    The left route assembles the inner-circle Hankel compression and the
-    two relabeling unitaries by grid quadrature, then conjugates; the
-    right route builds the disc Hankel of the transplanted inner
-    restriction from exact coefficients.  The deviation certifies the
-    unitary equivalence at this truncation.
+    The left route assembles the inner-circle Hankel compression by grid
+    quadrature and conjugates it with the relabeling unitaries ``U0, P0`` of
+    :func:`assemble_transfer_unitaries`; the right route builds the disc
+    Hankel of the transplanted inner restriction from exact coefficients.
+    The deviation certifies the unitary equivalence at their size.
     """
-    return _diagram_residual(phi, geo, *assemble_transfer_unitaries(size, geo))
-
-
-def _diagram_residual(phi: ExactSymbol, geo: AnnulusGeometry, U0, P0) -> float:
-    """:func:`diagram_residual` on transfer unitaries the caller already holds."""
     size = len(P0)
     _resolved_c0_reach(phi, size, geo, copies=1)
     H = inner_hankel_quadrature(phi, size, geo)

@@ -60,16 +60,10 @@ class ExactSymbol(_Degrees):
 
     @cached_property
     def support(self) -> list[int]:
-        keys = set(self.coeffs_C) | set(self.coeffs_C0)
-        return sorted(k for k in keys if self.pair(k) != (0.0, 0.0))
+        tables = (self.coeffs_C, self.coeffs_C0)
+        return sorted({n for t in tables for n, c in t.items() if c != 0.0})
 
     _live = property(lambda self: self.support)
-
-    def pair(self, n: int) -> tuple[complex, complex]:
-        return (
-            complex(self.coeffs_C.get(n, 0.0)),
-            complex(self.coeffs_C0.get(n, 0.0)),
-        )
 
 
 def laurent_symbol(coeffs: dict[int, complex], R: float) -> ExactSymbol:
@@ -251,7 +245,9 @@ def _coeff_rows(coeffs: dict[int, complex]) -> list[list]:
 def _rows_to_coeffs(rows) -> dict[int, complex]:
     out: dict[int, complex] = {}
     for n, re, im in rows:
-        out[int(n)] = complex(float(re), float(im))
+        out[int(n)] = c = complex(float(re), float(im))
+        if not np.isfinite(c):
+            raise ValueError(f"coefficient {int(n)} is not finite")
     return out
 
 
@@ -275,13 +271,11 @@ def symbol_from_json(doc: dict):
         raise ValueError("a symbol document must be a JSON object")
     kind = doc.get("repr")
     if kind == "exact":
-        return (
-            ExactSymbol(
-                _rows_to_coeffs(doc.get("coeffs_C", [])),
-                _rows_to_coeffs(doc.get("coeffs_C0", [])),
-            ),
-            float(doc["R"]),
-        )
+        tables = [_rows_to_coeffs(doc.get(k, [])) for k in ("coeffs_C", "coeffs_C0")]
+        # the absolute sum bounds every grid sample of the circle
+        if not all(np.isfinite(sum(map(abs, t.values()))) for t in tables):
+            raise ValueError("a circle's absolute coefficient sum is not finite")
+        return ExactSymbol(*tables), float(doc["R"])
     if kind == "polar":
         bands = {
             int(k): PolyProfile(_rows_to_coeffs(rows)) for k, rows in doc.get("bands", [])

@@ -42,6 +42,7 @@ from annulab.reduction import (
     DECAY_OBSERVED,
     NO_DECAY,
     DecayProfile,
+    assemble_transfer_unitaries,
     classify_decay,
     conjugate_basis_coeffs,
     conjugate_reflection_residual,
@@ -174,9 +175,10 @@ def test_criterion_06_reduction_diagram_and_splits(request, small_geo):
     try:
         rng = Lcg(SEED)
         worst = 0.0
+        unitaries = assemble_transfer_unitaries(24, small_geo)
         for _ in range(10):
             phi = random_boundary_symbol(rng, TRIAL_REACH)
-            worst = max(worst, diagram_residual(phi, 24, small_geo))
+            worst = max(worst, diagram_residual(phi, small_geo, *unitaries))
             r1, r2 = split_relation_residual(phi, 24, small_geo)
             worst = max(worst, r1, r2)
         ok = worst <= 1e-10

@@ -241,6 +241,15 @@ def test_identities_nan_transfer_map_fails_its_row(tmp_path, monkeypatch):
     assert _results(outdir)["transfer_unitarity"][::2] == ["nan", "false"]
 
 
+def test_identities_reads_the_diagram_row_from_diagram_residual(tmp_path, monkeypatch):
+    """The diagram row is the value of ``reduction.diagram_residual``, the
+    function the tests check, not of a second route."""
+    monkeypatch.setattr(annulab.reduction, "diagram_residual", lambda *a: float("nan"))
+    code, outdir = run_lab(tmp_path, "identities", FAST)
+    assert code == 1
+    assert _results(outdir)["diagram_residual"][::2] == ["nan", "false"]
+
+
 def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
     """One NaN sample of one basis function must reach the Gram row: its
     coefficients are NaN in every bin, and a NaN never drops a bin."""
@@ -408,13 +417,18 @@ def test_wrong_symbol_kind_exits_2(tmp_path):
     assert code == 2
 
 
-#: symbol files ``read_symbol`` cannot parse (None: no such file; "": a directory)
+#: symbol files ``read_symbol`` cannot parse or refuses (None: no such file;
+#: "": a directory); a table that is not finite would sample to NaN or inf
 UNREADABLE_SYMBOLS = {
     "missing": None,
     "directory": "",
     "no-radius": '{"repr": "exact"}',
     "non-numeric-row": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1, "x", 0]]}',
     "short-row": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1, 2]]}',
+    "nan-part": '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, NaN, 0]]}',
+    "infinite-part": '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, Infinity, 0]]}',
+    "overflowing-sum":
+        '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, 1e308, 0], [1, 1e308, 0]]}',
     "list": "[1]",
     "invalid-json": "{not json",
 }

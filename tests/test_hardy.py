@@ -29,6 +29,7 @@ from annulab.symbols import (
     PolarSymbol,
     PolyProfile,
     conjugate_symbol,
+    fourier_pair,
     laurent_symbol,
     multiply_symbols,
 )
@@ -438,7 +439,7 @@ def test_multiplier_coeffs_stay_finite_at_deep_indices(r, n):
     with mpmath.workdps(50):
         rr = mpmath.mpf(r)
         for k in f.support:
-            fC, fC0 = f.pair(k)
+            fC, fC0 = (mpmath.mpc(c) for c in fourier_pair(f, k))
             want = (fC + rr ** (2 * n + k) * fC0) / mpmath.sqrt(
                 (1 + rr ** (2 * (n + k))) * (1 + rr ** (2 * n))
             )

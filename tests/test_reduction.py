@@ -270,7 +270,8 @@ def test_transfer_unitaries_have_the_bits_of_two_exp_tables(size, m):
 
 def test_diagram_constant_symbol():
     geo = AnnulusGeometry(R=R, m_circle=256)
-    assert diagram_residual(laurent_symbol({0: 1.0}, R), 16, geo) <= 1e-13
+    one = laurent_symbol({0: 1.0}, R)
+    assert diagram_residual(one, geo, *assemble_transfer_unitaries(16, geo)) <= 1e-13
 
 
 def test_diagram_inner_power_becomes_disc_hankel():
@@ -280,20 +281,23 @@ def test_diagram_inner_power_becomes_disc_hankel():
     phi = ExactSymbol({}, {1: 1.0 + 0.0j})
     right = build_disc_hankel(pullback_symbols(phi)[1], 32)
     assert right[0, 0] == 1.0
-    assert diagram_residual(phi, 32, geo) <= 1e-12
+    assert diagram_residual(phi, geo, *assemble_transfer_unitaries(32, geo)) <= 1e-12
 
 
 def test_diagram_random_inner_bands(small_geo):
     rng = Lcg(37)
     for _ in range(5):
         phi = random_boundary_symbol(rng, 4)
-        assert diagram_residual(phi, 24, small_geo) <= 1e-10
+        assert diagram_residual(
+            phi, small_geo, *assemble_transfer_unitaries(24, small_geo)
+        ) <= 1e-10
 
 
 def test_diagram_rejects_unresolved_sizes():
     geo = AnnulusGeometry(R=R, m_circle=64)
+    U0, P0 = assemble_transfer_unitaries(20, geo)
     with pytest.raises(AliasingError):
-        diagram_residual(laurent_symbol({0: 1.0}, R), 20, geo)
+        diagram_residual(laurent_symbol({0: 1.0}, R), geo, U0, P0)
 
 
 def test_split_relations_constant_symbol():

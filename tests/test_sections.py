@@ -29,6 +29,7 @@ from annulab.symbols import (
     PolarSymbol,
     PolyProfile,
     _analyze,
+    fourier_pair,
     pullback_symbols,
     sample_symbol,
 )
@@ -203,7 +204,7 @@ def dense_symbol(reach):
 def exact_entries(sym, j, k, R):
     """(Toeplitz, Hankel) entry at row j, column k in 50-digit arithmetic."""
     with mpmath.workdps(50):
-        fC, fC0 = (mpmath.mpc(c) for c in sym.pair(j - k))
+        fC, fC0 = (mpmath.mpc(c) for c in fourier_pair(sym, j - k))
         R = mpmath.mpf(R)
         norms = mpmath.sqrt(1 + R ** (2 * j)) * mpmath.sqrt(1 + R ** (2 * k))
         return (fC + R ** (j + k) * fC0) / norms, (R**j * fC - R**k * fC0) / norms
