@@ -245,9 +245,10 @@ def _coeff_rows(coeffs: dict[int, complex]) -> list[list]:
 def _rows_to_coeffs(rows) -> dict[int, complex]:
     out: dict[int, complex] = {}
     for n, re, im in rows:
-        out[int(n)] = c = complex(float(re), float(im))
-        if not np.isfinite(c):
-            raise ValueError(f"coefficient {int(n)} is not finite")
+        out[int(n)] = complex(float(re), float(im))
+    # bounds every grid sample; a NaN or infinite part makes it non-finite too
+    if not np.isfinite(sum(abs(c.real) + abs(c.imag) for c in out.values())):
+        raise ValueError("the absolute coefficient sum is not finite")
     return out
 
 
@@ -271,11 +272,13 @@ def symbol_from_json(doc: dict):
         raise ValueError("a symbol document must be a JSON object")
     kind = doc.get("repr")
     if kind == "exact":
-        tables = [_rows_to_coeffs(doc.get(k, [])) for k in ("coeffs_C", "coeffs_C0")]
-        # the absolute sum bounds every grid sample of the circle
-        if not all(np.isfinite(sum(map(abs, t.values()))) for t in tables):
-            raise ValueError("a circle's absolute coefficient sum is not finite")
-        return ExactSymbol(*tables), float(doc["R"])
+        return (
+            ExactSymbol(
+                _rows_to_coeffs(doc.get("coeffs_C", [])),
+                _rows_to_coeffs(doc.get("coeffs_C0", [])),
+            ),
+            float(doc["R"]),
+        )
     if kind == "polar":
         bands = {
             int(k): PolyProfile(_rows_to_coeffs(rows)) for k, rows in doc.get("bands", [])

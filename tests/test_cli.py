@@ -429,6 +429,7 @@ UNREADABLE_SYMBOLS = {
     "infinite-part": '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, Infinity, 0]]}',
     "overflowing-sum":
         '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, 1e308, 0], [1, 1e308, 0]]}',
+    "overflowing-part": '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, 1e308, 1e308]]}',
     "list": "[1]",
     "invalid-json": "{not json",
 }
