@@ -486,9 +486,6 @@ class ExperimentReport:
     duration: float
     extra: dict
 
-    def all_pass(self) -> bool:
-        return report.all_pass(self.rows)
-
 
 def run(cfg: LabConfig) -> ExperimentReport:
     """Execute the configured experiment, then write its artifacts.
@@ -532,7 +529,7 @@ def main(argv=None) -> int:
         print(f"{status} {r.check}/{r.name} value={r.value:.6g} tol={r.tolerance:.6g}")
     for key, val in result.extra.items():
         print(f"note {key}: {val}")
-    return 0 if result.all_pass() else 1
+    return 0 if report.all_pass(result.rows) else 1
 
 
 if __name__ == "__main__":

@@ -21,20 +21,12 @@ RECONSTRUCT_COND_LIMIT = 1e12
 def monomial_moment(s, R: float):
     """Entire continuation of ``(1 - R^s) / s`` with value ``-log(R)`` at 0.
 
-    Accepts scalars or arrays, real or complex.  Real input goes through
-    ``expm1`` (uniformly accurate); complex input switches to a short
-    series below ``|s| = 1e-4``.
+    Accepts scalars or arrays, real or complex; ``expm1`` keeps the
+    value accurate near 0 for both.
     """
     L = np.log(R)
     s = np.asarray(s)
-    if np.isrealobj(s):
-        out = np.where(s == 0.0, -L, -np.expm1(s * L) / np.where(s == 0.0, 1.0, s))
-    else:
-        small = np.abs(s) < 1e-4
-        safe = np.where(small, 1.0, s)
-        direct = (1.0 - np.exp(safe * L)) / safe
-        series = -L * (1.0 + s * L / 2.0 + s**2 * L**2 / 6.0 + s**3 * L**3 / 24.0)
-        out = np.where(small, series, direct)
+    out = np.where(s == 0, -L, -np.expm1(s * L) / np.where(s == 0, 1, s))
     return out if out.ndim else out[()]
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
 from .hardy import INCONCLUSIVE, _gather
 from .symbols import (
@@ -133,20 +132,6 @@ def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
 # the transfer diagram, assembled from quadrature on both legs
 
 
-def _resolved_c0_reach(
-    phi: ExactSymbol, size: int, geo: AnnulusGeometry, copies: int
-) -> int:
-    """Reach of the inner-circle table; a run reading index
-    ``2 size + copies * reach`` or past ``m_circle / 2`` is refused with
-    :class:`AliasingError`."""
-    reach = ExactCircle(phi.coeffs_C0).bandwidth()
-    if 2 * size + copies * reach >= geo.m_circle // 2:
-        raise AliasingError(
-            f"size {size} with band reach {reach} is not resolved by m_circle={geo.m_circle}"
-        )
-    return reach
-
-
 def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
     """Grid-quadrature matrices of the two relabeling unitaries.
 
@@ -193,7 +178,6 @@ def diagram_residual(phi: ExactSymbol, geo: AnnulusGeometry, U0, P0) -> float:
     The deviation certifies the unitary equivalence at their size.
     """
     size = len(P0)
-    _resolved_c0_reach(phi, size, geo, copies=1)
     H = inner_hankel_quadrature(phi, size, geo)
     left = U0 @ H @ np.linalg.inv(P0)
     _, phi_inner = pullback_symbols(phi)
@@ -217,11 +201,12 @@ def split_relation_residual(
     applied to the complement-family coordinates from the same expansion.
     Both projections are trapezoid sums over grid samples (of the symbol at
     index ``k + j``, then of the resynthesized part), each computed with
-    one FFT and a gather; only grid samples of the symbol are read.
+    one FFT and a gather; only grid samples of the symbol are read, and
+    :func:`_analyze` refuses an index ``k + j`` at or past ``m_circle / 2``.
     """
     R = geo.R
     vals = sample_symbol(phi, geo).on_C0
-    js = np.arange(1, size + _resolved_c0_reach(phi, size, geo, copies=2) + 1)
+    js = np.arange(1, size + ExactCircle(phi.coeffs_C0).bandwidth() + 1)
     offsets = np.add.outer(np.arange(size), js)
     c = _analyze(vals, offsets)
     y2 = c @ np.exp(1j * np.multiply.outer(js, geo.angles()))

@@ -120,15 +120,9 @@ def write_report_json(path, config: dict, rows: list[CheckRow], files: list[str]
         doc["extra"] = extra
     Path(path).write_text(
         # no indent: with one, json falls back to its pure-Python encoder
-        json.dumps(doc, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(doc, sort_keys=True) + "\n",
         encoding="ascii",
     )
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def all_pass(rows: list[CheckRow]) -> bool:

@@ -14,6 +14,7 @@ import pytest
 
 import annulab
 from annulab.cli import ConfigError, LabConfig, _resolve_boundary, load_config, main, run
+from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.report import read_decay_csv
 from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
@@ -544,7 +545,7 @@ def run_lab_process(tmp_path, experiment, doc):
         ("semicommutator", {"symbol": "builtin:conjugated-singular-inner"}),
         # the ladder reaches index 12, past the window top
         ("zero-product-hardy", {"window": [-4, 4]}),
-        # the size-12 transfer diagram needs 2 * 12 < m_circle / 2
+        # the size-12 transfer diagram reads index 23, past m_circle / 2
         ("identities", {"m_circle": 32}),
         # half-window 24 needs m_circle >= 96
         ("gram", {"m_circle": 64}),
@@ -572,6 +573,29 @@ def test_toeplitz_build_refuses_the_first_aliased_window(tmp_path, capsys, half,
     assert run_lab(tmp_path, "toeplitz-build", doc)[0] == code
     if code == 0:
         assert "PASS toeplitz-build/closed_form_vs_quadrature" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("reach", [12, 13])
+def test_identities_refuses_the_first_aliased_read(tmp_path, capsys, reach):
+    """At m_circle 64 the split relations read the inner table up to index
+    2 * 10 + reach - 1: reach 12 reads 31 and passes, reach 13 reads 32
+    and the grid analysis refuses it before any directory exists."""
+    path = tmp_path / "sym.json"
+    write_symbol(path, random_boundary_symbol(Lcg(7), reach), 0.5)
+    doc = {"R": 0.5, "m_circle": 64, "window": [-120, 120], "symbol": str(path)}
+    code, outdir = run_lab(tmp_path, "identities", doc)
+    if reach == 12:
+        assert code == 0
+        rows = {r.split(",")[1]: float(r.split(",")[2])
+                for r in (outdir / "results.csv").read_text().splitlines()[1:]}
+        for name in ("diagram_residual", "split_relation_1", "split_relation_2"):
+            assert rows[name] <= 1e-13
+    else:
+        assert code == 2
+        assert not outdir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "index 32 " in err[0]
 
 
 @pytest.mark.parametrize(

@@ -124,13 +124,13 @@ def test_report_json_shape(tmp_path):
         rows,
         ["results.csv"],
         1.5,
-        extra={"witness": 1.0 + 2.0j},
+        extra={"verdict": "NoDecay"},
     )
     doc = json.loads(path.read_text())
     assert set(doc) == {"checks", "config", "duration_seconds", "extra", "files"}
     assert doc["config"] == {"R": 0.5, "seed": 1}
     assert doc["checks"][0]["pass"] is True
-    assert doc["extra"]["witness"] == [1.0, 2.0]
+    assert doc["extra"] == {"verdict": "NoDecay"}
     # keys are emitted sorted so reruns diff cleanly
     text = path.read_text()
     assert text.index('"checks"') < text.index('"config"') < text.index('"files"')
@@ -146,13 +146,13 @@ def test_report_json_rejects_unknown_objects(tmp_path):
 def test_report_json_keeps_the_indented_content(tmp_path, monkeypatch):
     """report.json is one sorted line from json's C encoder; a
     zero-product-hardy report parses to what its indent=1 text held."""
-    from annulab import cli, report
+    from annulab import cli
 
     dumps, indented = json.dumps, []
 
     def spy(doc, **kwargs):
         if isinstance(doc, dict) and "checks" in doc:
-            indented.append(dumps(doc, indent=1, sort_keys=True, default=report._json_default))
+            indented.append(dumps(doc, indent=1, sort_keys=True))
         return dumps(doc, **kwargs)
 
     monkeypatch.setattr(json, "dumps", spy)
