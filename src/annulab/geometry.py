@@ -144,7 +144,10 @@ def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np
 _GRAM_BLOCK = 256
 
 
-def _pair_on_grid(geo: AnnulusGeometry, ns: np.ndarray, weight: BoundaryData | None = None):
+def _pair_on_grid(
+    geo: AnnulusGeometry, ns: np.ndarray, weight: BoundaryData | None = None,
+    reach: int = 0,
+):
     """Trapezoid pairings of the two basis families over the degrees ``ns``.
 
     Every sum is the mean over one circle's grid, added over both circles.
@@ -155,6 +158,12 @@ def _pair_on_grid(geo: AnnulusGeometry, ns: np.ndarray, weight: BoundaryData | N
     - a sampled ``weight`` ``w``: the ``2N x N`` pairings
       ``P[j, k] = sum mean(w h_k conj(f_j))`` of the weighted hardy columns
       ``w h_k`` against both row families.
+
+    Aliasing: an entry is the mean of products of frequency ``k + q - j``,
+    with ``|k - j| <= max(ns) - min(ns)`` and ``|q| <= reach``, the band
+    reach of ``w`` (0 without one).  The trapezoid rule on ``m_circle``
+    nodes is exact for ``|n| < m_circle``, so a span plus reach that
+    reaches ``m_circle`` is refused with :class:`AliasingError`.
 
     Samples are read only through the module-level ``hardy_basis_eval`` and
     ``complement_basis_eval``, once per family, block of degrees and
@@ -177,6 +186,11 @@ def _pair_on_grid(geo: AnnulusGeometry, ns: np.ndarray, weight: BoundaryData | N
     Hermitian.
     """
     t, m, N = geo.angles(), geo.m_circle, len(ns)
+    if np.ptp(ns) + reach >= m:
+        raise AliasingError(
+            f"degrees {ns.min()}..{ns.max()} with band reach {reach} are not "
+            f"resolved by m_circle={m}"
+        )
     order = np.argsort(abs(ns), kind="stable")
     # hardy, complement and weighted hardy spectra, each in evaluation order
     c = np.empty((2 if weight is None else 3, N, m), dtype=complex)
@@ -215,15 +229,11 @@ def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:
     Rows/columns are ordered as the hardy family for n = -W..W followed by
     the complement family for n = -W..W.  For an orthonormal system the
     result is the identity up to quadrature rounding; callers assert the
-    deviation.  Requires ``half_window <= m_circle / 4`` so no products
-    alias on the grid.  The sums are the unweighted call of the pairing
-    kernel :func:`_pair_on_grid`, so the result is exactly Hermitian.
+    deviation.  The sums are the unweighted call of the pairing kernel
+    :func:`_pair_on_grid`, so the result is exactly Hermitian, and its
+    aliasing rule refuses ``2 half_window >= m_circle``.
     """
     W = int(half_window)
-    if W > geo.m_circle // 4:
-        raise AliasingError(
-            f"half_window {W} too large for m_circle={geo.m_circle}; need <= m_circle/4"
-        )
     return _pair_on_grid(geo, np.arange(-W, W + 1))
 
 

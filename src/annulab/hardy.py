@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, WindowTooSmallError
+from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, _pair_on_grid, basis_weights
 from .symbols import (
     ExactSymbol,
@@ -111,18 +111,12 @@ def build_section_quadrature(
     :func:`build_hankel_annulus`.  Used as the independent check of the
     closed-form entries.  Both come from one call of the pairing kernel
     :func:`geometry._pair_on_grid` on the symbol's grid samples, which
-    evaluates the hardy columns once per circle.  Refused with
-    :class:`AliasingError` when the frequencies an entry sums, up to
-    ``(hi - lo)`` plus the symbol's reach, would fold on the grid.
+    evaluates the hardy columns once per circle and refuses, with
+    :class:`AliasingError`, a window whose products would fold on the grid:
+    ``(hi - lo)`` plus the symbol's reach must stay below ``m_circle``.
     """
     lo, hi = _check_window(window)
-    reach = f.bandwidth()
-    if (hi - lo) + reach >= geo.m_circle:
-        raise AliasingError(
-            f"window [{lo}, {hi}] with band reach {reach} is not resolved by "
-            f"m_circle={geo.m_circle}"
-        )
-    P = _pair_on_grid(geo, np.arange(lo, hi + 1), sample_symbol(f, geo))
+    P = _pair_on_grid(geo, np.arange(lo, hi + 1), sample_symbol(f, geo), f.bandwidth())
     return P[: hi - lo + 1], P[hi - lo + 1 :]
 
 

@@ -14,8 +14,11 @@ from .errors import IllConditionedError, ZeroProfileError
 from .geometry import AnnulusGeometry
 from .symbols import PolyProfile
 
-#: refuse reconstruction when the moment matrix is worse conditioned than this
-RECONSTRUCT_COND_LIMIT = 1e12
+#: largest coefficient error of a reconstruction, and the round-trip row's tolerance
+RECONSTRUCT_TOLERANCE = 1e-8
+#: scan step and bisection tolerance of :func:`mellin_zero_locate`
+ZERO_SCAN_STEP = 0.25
+ZERO_BISECT_TOL = 1e-10
 
 
 def monomial_moment(s, R: float):
@@ -50,11 +53,11 @@ def mellin_quadrature(profile: PolyProfile, z, geo: AnnulusGeometry):
     return vals if vals.ndim else complex(vals[()])
 
 
-def _bisect(fn, a: float, b: float, tol: float) -> float:
+def _bisect(fn, a: float, b: float) -> float:
     fa = fn(a)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if b - a <= tol:
+        if b - a <= ZERO_BISECT_TOL:
             return mid
         fm = fn(mid)
         if fm == 0.0:
@@ -66,24 +69,18 @@ def _bisect(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mellin_zero_locate(
-    profile: PolyProfile,
-    lo: float,
-    hi: float,
-    R: float,
-    step: float = 0.25,
-    tol: float = 1e-10,
-) -> list[float]:
+def mellin_zero_locate(profile: PolyProfile, lo: float, hi: float, R: float) -> list[float]:
     """Real zeros of the transform on ``[lo, hi]``.
 
-    Scans a uniform grid for sign changes and refines each by bisection.
-    Complex coefficient tables are handled by scanning the real and
-    imaginary parts separately and keeping locations where the full value
-    vanishes.  Zeros without a sign change are outside the contract.
+    Scans a grid of step ``ZERO_SCAN_STEP`` for sign changes and refines
+    each by bisection to ``ZERO_BISECT_TOL``.  Complex coefficient tables
+    are handled by scanning the real and imaginary parts separately and
+    keeping locations where the full value vanishes.  Zeros without a sign
+    change are outside the contract.
     """
     if profile.is_zero():
         raise ZeroProfileError("zero profile has no located zeros")
-    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid = np.arange(lo, hi + 0.5 * ZERO_SCAN_STEP, ZERO_SCAN_STEP)
     if len(grid) < 2:
         return []
     vals = np.asarray(mellin_transform(profile, grid, R))
@@ -94,7 +91,7 @@ def mellin_zero_locate(
 
     def add(root: float) -> None:
         if abs(complex(mellin_transform(profile, root, R))) <= 1e-8 * scale and not any(
-            abs(root - r) <= 10 * tol for r in roots
+            abs(root - r) <= 10 * ZERO_BISECT_TOL for r in roots
         ):
             roots.append(root)
 
@@ -111,7 +108,7 @@ def mellin_zero_locate(
             if zero[i]:
                 add(float(grid[i]))
             else:
-                add(_bisect(fn, float(grid[i]), float(grid[i + 1]), tol))
+                add(_bisect(fn, float(grid[i]), float(grid[i + 1])))
     return sorted(roots)
 
 
@@ -119,9 +116,12 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     """Recover a degree ``d`` polynomial profile from ``d + 1`` transform values.
 
     ``values[j]`` must be the transform at ``z_j = z_start + z_step * j``.
-    Solves the square moment system; raises :class:`IllConditionedError`
-    (with the condition estimate attached) when the system is numerically
-    singular or its moments leave the float range.
+    Solves the row-scaled square moment system ``A c = v``.  To first
+    order, a backward-stable solve of data rounded to relative ``eps`` has
+    relative error up to about ``kappa(A) eps``, so :class:`IllConditionedError`
+    (condition attached) refuses ``kappa(A) eps > RECONSTRUCT_TOLERANCE``,
+    and moments past the float range.  The estimate is an upper one: it
+    can refuse a system whose actual error would have passed.
     """
     values = np.asarray(values, dtype=complex)
     d = len(values) - 1
@@ -138,9 +138,10 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     row = np.max(np.abs(A), axis=1)
     A = A / row[:, None]
     cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > RECONSTRUCT_COND_LIMIT:
+    if not cond * np.finfo(float).eps <= RECONSTRUCT_TOLERANCE:  # NaN refuses
         raise IllConditionedError(
-            f"moment system condition {cond:.3e} exceeds {RECONSTRUCT_COND_LIMIT:.1e}",
+            f"moment system condition {cond:.3e} times eps exceeds the "
+            f"reconstruction tolerance {RECONSTRUCT_TOLERANCE:.0e}",
             cond,
         )
     coeffs = np.linalg.solve(A, values / row)

@@ -67,25 +67,6 @@ def write_decay_csv(path, profiles) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_decay_csv(path):
-    """Inverse of the writer: list of (size, [sigma blocks]) in file order."""
-    lines = Path(path).read_text(encoding="ascii").strip().split("\n")
-    if lines[0] != "size,index,sigma":
-        raise ValueError("not a decay table")
-    out: dict[int, list[list[float]]] = {}
-    order: list[int] = []
-    for line in lines[1:]:
-        s_str, i_str, sig_str = line.split(",")
-        s, i, sig = int(s_str), int(i_str), float(sig_str)
-        if s not in out:
-            out[s] = []
-            order.append(s)
-        if i == 0:
-            out[s].append([])
-        out[s][-1].append(sig)
-    return [(s, out[s]) for s in order]
-
-
 def write_section_csv(path, entries, lo: int) -> None:
     """Dump of a square section over the window starting at ``lo``, with
     header ``j,k,re,im`` and the window indices in the first two columns."""

@@ -7,6 +7,7 @@ stdout) before asserting, so a red run still reports every verdict.
 
 import numpy as np
 import pytest
+from conftest import read_decay_csv
 
 from annulab.bergman import (
     build_bergman_section_quadrature,
@@ -53,7 +54,7 @@ from annulab.reduction import (
     tail_index,
 )
 from annulab.reference import reference_symbol
-from annulab.report import read_decay_csv, write_decay_csv
+from annulab.report import write_decay_csv
 from annulab.symbols import (
     PolarSymbol,
     PolyProfile,

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_decay_csv
 
 import annulab
-from annulab.cli import ConfigError, LabConfig, _resolve_boundary, load_config, main, run
+from annulab.cli import (
+    EXPERIMENTS, ConfigError, LabConfig, _resolve_boundary, load_config, main, run,
+)
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
-from annulab.report import read_decay_csv
 from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
 
 FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "m_radial": 64, "window": [-10, 10]}
@@ -160,12 +162,15 @@ def test_band_one_row_off_fails_the_band_leak_rows(tmp_path, monkeypatch, experi
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_mellin_at_a_tiny_radius_fails_rows_without_a_traceback(tmp_path):
+def test_mellin_at_a_tiny_radius_is_refused_without_a_traceback(tmp_path, capsys):
     """At R = 1e-40 the reconstruction's moments overflow; the refusal
-    becomes a failing row, not an escaping exception."""
+    exits 2 with one line before any directory exists, not with a
+    traceback.  (The overflow warning itself is ROADMAP item 3's.)"""
     code, outdir = run_lab(tmp_path, "mellin", {"R": 1e-40})
-    assert code == 1
-    assert _results(outdir)["poly_reconstruct_roundtrip"][::2] == ["inf", "false"]
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not finite" in err[0]
 
 
 @pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])
@@ -312,15 +317,26 @@ def test_toeplitz_build_sees_a_negated_hankel(tmp_path, monkeypatch):
     assert table["closed_form_vs_quadrature"][2] == "true"
 
 
-def test_mellin_fails_honestly_on_thick_annulus(tmp_path):
+def test_mellin_fails_honestly_on_thick_annulus(tmp_path, capsys):
     """Rounding the degree-6 moment samples at R = 0.5 already costs more
-    than the round-trip tolerance, so the run must report the failure."""
+    than the round-trip tolerance (condition times eps is 1.1e-6), so the
+    reconstruction refuses the system and the run exits 2 with one line."""
     code, outdir = run_lab(tmp_path, "mellin", {"R": 0.5, "seed": 1})
-    assert code == 1
-    rows = (outdir / "results.csv").read_text().strip().split("\n")[1:]
-    table = {line.split(",")[1]: line.split(",")[4] for line in rows}
-    assert table["poly_reconstruct_roundtrip"] == "false"
-    assert table["closed_form_vs_quadrature"] == "true"
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "reconstruction tolerance 1e-08" in err[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R, code", [(0.3, 0), (0.35, 2), (0.99, 2)])
+def test_mellin_round_trip_runs_only_where_its_tolerance_is_reachable(tmp_path, R, code):
+    """Condition times eps is 9.1e-9 at R = 0.3, below the round trip's
+    1e-8, and 2.6e-8 at R = 0.35: the first is run and passes, the others
+    are refused before any directory exists."""
+    got, outdir = run_lab(tmp_path, "mellin", {"R": R})
+    assert got == code
+    assert outdir.exists() == (code == 0)
 
 
 def test_hankel_decay_runs_and_emits_files(tmp_path):
@@ -547,8 +563,8 @@ def run_lab_process(tmp_path, experiment, doc):
         ("zero-product-hardy", {"window": [-4, 4]}),
         # the size-12 transfer diagram reads index 23, past m_circle / 2
         ("identities", {"m_circle": 32}),
-        # half-window 24 needs m_circle >= 96
-        ("gram", {"m_circle": 64}),
+        # half-window 24 spans 48 frequencies, not below m_circle 32
+        ("gram", {"m_circle": 32}),
         # row, column and symbol frequencies reach 60 + 4 = m_circle
         ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
         # a repeated size would write its rows and blocks twice
@@ -673,6 +689,8 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
         ("gram", {"m_circle": 2**40}, "m_circle"),
         # the Gauss-Legendre companion matrix: 7.28 TiB
         ("mellin", {"m_radial": 10**6}, "m_radial"),
+        # the 13 x 2**40 transfer table: 208 TiB
+        ("identities", {"m_circle": 2**40}, "m_circle"),
     ],
 )
 def test_arrays_past_physical_memory_exit_2_before_any_work(
@@ -693,6 +711,47 @@ def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
     assert load_config(cfg, "zero-product-hardy").m_circle == 2**40
     cfg.write_text(json.dumps({"window": [-100000, 10], "m_radial": 10**6}))
     assert load_config(cfg, "zero-product-bergman").window == (-100000, 10)
+
+
+def test_identities_reads_no_window(tmp_path):
+    """The identities rows are the size-12 diagram, the split relations and
+    the transfer maps; none reads the window, so a window of two million
+    degrees is neither sized nor refused."""
+    code, outdir = run_lab(tmp_path, "identities", {"window": [-10**6, 10**6]})
+    assert code == 0
+    assert list(_results(outdir)) == [
+        "diagram_residual", "split_relation_1", "split_relation_2",
+        "transfer_unitarity", "conjugate_reflection_residual",
+    ]
+
+
+@pytest.mark.parametrize("half, code", [(31, 0), (32, 2)])
+def test_gram_refuses_the_first_aliased_window(tmp_path, capsys, half, code):
+    """The Gram is the pairing kernel's unweighted call, under its one rule:
+    at m_circle 64 the degrees of +-31 span 62 and pass, those of +-32 span
+    64 and would fold on the grid."""
+    doc = {"R": 0.5, "m_circle": 64, "window": [-half, half]}
+    got, outdir = run_lab(tmp_path, "gram", doc)
+    assert got == code
+    if code == 0:
+        assert float(_results(outdir)["max_abs_deviation"][0]) <= 1e-13
+    else:
+        assert not outdir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_empty_config_exits_0_or_2(tmp_path, capsys, experiment):
+    """Every experiment's defaults either run clean or are refused with one
+    line before any directory exists; none ends in a failing row."""
+    code, outdir = run_lab(tmp_path, experiment, {})
+    assert code in (0, 2)
+    if code == 2:
+        assert not outdir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_infinite_tolerance_exits_2(tmp_path, capsys):

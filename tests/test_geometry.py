@@ -248,8 +248,13 @@ def test_gram_sees_a_planted_basis_defect(monkeypatch, name, defect):
 
 
 def test_gram_window_guard(small_geo):
-    with pytest.raises(AliasingError):
-        gram_matrix(small_geo, small_geo.m_circle // 4 + 1)
+    # the pairing kernel's rule with reach 0: degrees -W..W span 2W, exact
+    # below m_circle and refused at it (the trapezoid sum of exp(i m t) is 1)
+    W = small_geo.m_circle // 2
+    G = gram_matrix(small_geo, W - 1)
+    assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-13
+    with pytest.raises(AliasingError, match="not resolved"):
+        gram_matrix(small_geo, W)
 
 
 def test_trapezoid_exact_on_trig_polynomials():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from annulab.errors import IllConditionedError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry
 from annulab.mellin import (
+    RECONSTRUCT_TOLERANCE,
     mellin_poly_reconstruct,
     mellin_quadrature,
     mellin_transform,
@@ -114,7 +115,10 @@ def test_zero_locate_rejects_zero_profile():
 
 
 def test_reconstruct_zero_values_gives_zero_polynomial():
-    rec = mellin_poly_reconstruct([0.0] * 5, 4.0, 2.0, R)
+    # the lab's degree-6 progression on the thin annulus, which the
+    # round-trip rule admits (condition times eps 4.0e-10)
+    rec = mellin_poly_reconstruct([0.0] * 7, -10.5, 4.0, 0.1)
+    assert len(rec.coeffs) == 7
     assert all(c == 0.0 for c in rec.coeffs.values())
 
 
@@ -143,14 +147,14 @@ def test_reconstruct_degree_six_on_thin_annulus():
 
 def test_reconstruct_degree_six_thick_annulus_loses_digits():
     # at R=0.5 every arithmetic progression leaves the degree-6 system
-    # too ill conditioned for eight digits; rounding the transform values
-    # to doubles already costs about five
+    # too ill conditioned for eight digits; here condition times eps is
+    # 2.0e-4, so the solve is refused instead of returning a lossy profile
     rng = Lcg(2)
     prof = PolyProfile({d: rng.coefficient() for d in range(7)})
     values = [mellin_transform(prof, 3.0 + 2.0 * j, R) for j in range(7)]
-    rec = mellin_poly_reconstruct(values, 3.0, 2.0, R)
-    worst = max(abs(rec.coeffs[d] - prof.coeffs[d]) for d in range(7))
-    assert 1e-8 < worst < 1e-2
+    with pytest.raises(IllConditionedError, match="reconstruction tolerance") as err:
+        mellin_poly_reconstruct(values, 3.0, 2.0, R)
+    assert err.value.cond * np.finfo(float).eps > RECONSTRUCT_TOLERANCE
 
 
 def test_reconstruct_rejects_singular_progression():

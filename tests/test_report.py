@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import read_decay_csv
 
 from annulab.reduction import DecayProfile
 from annulab.report import (
     all_pass,
     floor_check,
     info_check,
-    read_decay_csv,
     residual_check,
     write_decay_csv,
     write_report_json,
