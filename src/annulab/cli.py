@@ -148,7 +148,9 @@ def _largest_array(cfg: LabConfig) -> tuple[str, int]:
     """``(field, bytes)`` of the largest dense array the experiment builds,
     from the fields it reads: mellin's Gauss-Legendre companion matrix,
     ``8 m_radial^2``; the identities transfer table, ``16 (DIAGRAM_SIZE + 1)
-    m_circle``; else the complex section, ``16 side^2`` (``side`` the window
+    m_circle``, which also bounds the split relations' largest arrays,
+    ``16 size m_circle`` at their ``size`` 10, whatever the symbol's reach;
+    else the complex section, ``16 side^2`` (``side`` the window
     width, ``2(2W+1)`` for gram, ``max(sizes)`` for hankel-decay), and the
     ``side x m_circle`` sample buffers of gram and toeplitz-build.  The
     Bergman sections start at degree -1."""

@@ -91,16 +91,31 @@ def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(n < 0, p, 1.0) / s, np.where(n < 0, 1.0, p) / s
 
 
+#: the last phase table and its key: dtype, shape and bytes of ``a`` and
+#: ``t``, not their values (``0.0 == -0.0``, but ``sin(-0.0)`` is ``-0.0``)
+_PHASE_SLOT: list = [None, None]
+
+
+def _phases(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Read-only ``exp(i a t)`` over ``np.multiply.outer(a, t)``, built once per key."""
+    key = tuple((x.dtype.str, x.shape, x.tobytes()) for x in (a, t))
+    if _PHASE_SLOT[0] != key:
+        _PHASE_SLOT[:] = key, np.exp(1j * np.multiply.outer(a, t))
+        _PHASE_SLOT[1].flags.writeable = False
+    return _PHASE_SLOT[1]
+
+
 def _on_circle(n, component: str, angles, on_C, on_C0) -> np.ndarray:
     """``exp(i n t)`` times the weight of ``component``; an array ``n``
     gives one row per degree.  ``exp(i |n| t)`` is taken once per ``|n|`` and
-    conjugated for ``n < 0``: ``(-n) t = -(n t)`` exactly, so the bits agree."""
+    conjugated for ``n < 0``: ``(-n) t = -(n t)`` exactly, so the bits agree.
+    Calls for the same ``|n|`` and angles share one :func:`_phases` table."""
     if component not in COMPONENTS:
         raise ValueError(f"unknown boundary component {component!r}")
     n, t = np.asarray(n), np.asarray(angles, dtype=float)
     w = np.reshape(on_C if component == "C" else on_C0, n.shape + (1,) * t.ndim)
     a, inv = np.unique(np.abs(n), return_inverse=True)
-    e = np.exp(1j * np.multiply.outer(a, t))[inv.reshape(-1)].reshape(n.shape + t.shape)
+    e = _phases(a, t)[inv.reshape(-1)].reshape(n.shape + t.shape)
     np.negative(e.imag, out=e.imag, where=n.reshape(w.shape) < 0)
     return np.multiply(e, w, out=e)[()]
 
@@ -167,8 +182,11 @@ def _pair_on_grid(
 
     Samples are read only through the module-level ``hardy_basis_eval`` and
     ``complement_basis_eval``, once per family, block of degrees and
-    circle; a block holds ``_GRAM_BLOCK`` degrees in the order 0, -1, 1,
-    -2, 2, ..., which bounds the sample buffers.  The hardy block is
+    circle.  In the order 0, -1, 1, -2, 2, ... the first block holds
+    ``_GRAM_BLOCK + 1`` degrees and each later one at most ``_GRAM_BLOCK``,
+    which bounds the sample buffers.  No block splits a pair ``n, -n``:
+    every block's ``|n|`` set is closed under sign, so both families on
+    both circles of a block share one phase table.  The hardy block is
     multiplied by ``w`` in place once its own spectrum is taken.
 
     Parseval: the FFT of a row divided by ``m = m_circle`` gives

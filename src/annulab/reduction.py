@@ -201,15 +201,18 @@ def split_relation_residual(
     applied to the complement-family coordinates from the same expansion.
     Both projections are trapezoid sums over grid samples (of the symbol at
     index ``k + j``, then of the resynthesized part), each computed with
-    one FFT and a gather; only grid samples of the symbol are read, and
-    :func:`_analyze` refuses an index ``k + j`` at or past ``m_circle / 2``.
+    one FFT and a gather, and the part is resynthesized by one inverse FFT
+    per row, so no array outgrows ``size x m_circle``; only grid samples of
+    the symbol are read, and :func:`_analyze` refuses an index ``k + j`` at
+    or past ``m_circle / 2``.
     """
     R = geo.R
     vals = sample_symbol(phi, geo).on_C0
     js = np.arange(1, size + ExactCircle(phi.coeffs_C0).bandwidth() + 1)
     offsets = np.add.outer(np.arange(size), js)
-    c = _analyze(vals, offsets)
-    y2 = c @ np.exp(1j * np.multiply.outer(js, geo.angles()))
+    spectrum = np.zeros((size, geo.m_circle), dtype=complex)
+    spectrum[:, js] = _analyze(vals, offsets)
+    y2 = np.fft.ifft(spectrum) * geo.m_circle
     # complement-family coordinates of the anti-holomorphic part, quadrature route
     proj = _analyze(y2, js)
     B, _ = basis_weights(js, R)

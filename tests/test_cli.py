@@ -14,6 +14,7 @@ import pytest
 from conftest import read_decay_csv
 
 import annulab
+from annulab import geometry
 from annulab.cli import (
     EXPERIMENTS, ConfigError, LabConfig, _resolve_boundary, load_config, main, run,
 )
@@ -354,6 +355,27 @@ def test_decay_outputs_are_byte_deterministic(tmp_path):
     _, out2 = run_lab(tmp_path, "hankel-decay", doc, name="b.json", out="o2")
     for name in ("results.csv", "decay.csv", "decay.svg", "decay-inner.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("first, second", [("gram", "toeplitz-build"), ("toeplitz-build", "gram")])
+def test_a_warm_phase_table_writes_the_cold_bytes(tmp_path, monkeypatch, first, second):
+    """gram and toeplitz-build on one window and grid ask for the same
+    phase table; the run that finds it warm writes the bytes of a cold run."""
+    files = {"gram": ["results.csv"], "toeplitz-build": ["results.csv", "section.csv"]}
+
+    def written(exp, out):
+        _, outdir = run_lab(tmp_path, exp, FAST, name=f"{out}.json", out=out)
+        return [(outdir / name).read_bytes() for name in files[exp]]
+
+    cold = {}
+    for exp in files:
+        monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
+        cold[exp] = written(exp, f"cold-{exp}")
+    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
+    assert written(first, "first") == cold[first]
+    table = geometry._PHASE_SLOT[1]
+    assert written(second, "second") == cold[second]
+    assert geometry._PHASE_SLOT[1] is table
 
 
 def test_decay_svg_is_wellformed_xml(tmp_path):

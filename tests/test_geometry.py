@@ -17,6 +17,7 @@ from annulab.geometry import (
 )
 from annulab.hardy import build_section_quadrature
 from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.reduction import conjugate_reflection_residual
 from annulab.symbols import sample_symbol
 
 R = 0.5
@@ -201,26 +202,24 @@ def test_sections_match_the_per_entry_loop(monkeypatch, defect, block):
         assert np.max(np.abs(section - want)) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "n, t",
-    [
-        (np.arange(-256, 257), AnnulusGeometry(m_circle=2048).angles()),
-        (np.array([5, -3, 0, -7, 7, 2, -2, -9]), AnnulusGeometry(m_circle=64).angles()),
-        (np.arange(-300, 40), np.random.default_rng(3).uniform(-50.0, 50.0, 999)),
-        (np.array([[1, -1], [2, -5]]), np.random.default_rng(4).uniform(-3.0, 3.0, (3, 4))),
-        (-4, AnnulusGeometry(m_circle=16).angles()),
-        (-3, 0.0),
-        (7, -0.7),
-        (0, 2.5),
-        (np.arange(-5, 6), np.array([0.0, -0.0, np.pi, -np.pi, 1e300, 1e-310])),
-    ],
-    ids=["window", "mixed", "asymmetric-offgrid", "2d", "scalar-n", "scalar-zero",
-         "scalar-negative-t", "scalar-zero-degree", "edge-angles"],
-)
-def test_on_circle_has_the_bits_of_the_direct_exp(n, t):
-    """One exp per |n|, conjugated for negative n, must give the bits of
-    exp(i n t) itself; if a platform's exp breaks the symmetry this fails
-    instead of rows moving silently."""
+#: (id, n, t); the signed-zero pair differs only in the sign of one zero
+_PHASE_CASES = [
+    ("window", np.arange(-256, 257), AnnulusGeometry(m_circle=2048).angles()),
+    ("mixed", np.array([5, -3, 0, -7, 7, 2, -2, -9]), AnnulusGeometry(m_circle=64).angles()),
+    ("asymmetric-offgrid", np.arange(-300, 40),
+     np.random.default_rng(3).uniform(-50.0, 50.0, 999)),
+    ("2d", np.array([[1, -1], [2, -5]]), np.random.default_rng(4).uniform(-3.0, 3.0, (3, 4))),
+    ("scalar-n", -4, AnnulusGeometry(m_circle=16).angles()),
+    ("scalar-zero", -3, 0.0),
+    ("scalar-negative-t", 7, -0.7),
+    ("scalar-zero-degree", 0, 2.5),
+    ("edge-angles", np.arange(-5, 6), np.array([0.0, -0.0, np.pi, -np.pi, 1e300, 1e-310])),
+    ("positive-zero", np.arange(-5, 6), np.array([1.5, 0.0, -2.0])),
+    ("negative-zero", np.arange(-5, 6), np.array([1.5, -0.0, -2.0])),
+]
+
+
+def _check_direct_exp_bits(n, t):
     w = np.random.default_rng(5).uniform(-1.0, 1.0, (2,) + np.shape(n))
     for comp, weights in (("C", w[0]), ("C0", w[1])):
         got = geometry._on_circle(n, comp, t, w[0], w[1])
@@ -229,6 +228,57 @@ def test_on_circle_has_the_bits_of_the_direct_exp(n, t):
         )
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(_PHASE_CASES)), ids=[c[0] for c in _PHASE_CASES])
+def test_on_circle_has_the_bits_of_the_direct_exp(monkeypatch, case):
+    """One exp per |n|, conjugated for negative n, must give the bits of
+    exp(i n t) itself; if a platform's exp breaks the symmetry this fails
+    instead of rows moving silently.  Each case runs cold, then after the
+    next case has taken the phase table, then warm on its own table."""
+    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
+    for i in (case, (case + 1) % len(_PHASE_CASES), case, case):
+        _check_direct_exp_bits(*_PHASE_CASES[i][1:])
+
+
+def test_samples_are_fresh_and_the_held_table_is_read_only():
+    """A caller may write into its samples: the gather copies the held
+    table, which itself refuses writes."""
+    t = AnnulusGeometry(m_circle=64).angles()
+    n = np.arange(-5, 6)
+    want = hardy_basis_eval(n, "C0", t, R).tobytes()
+    hardy_basis_eval(n, "C0", t, R)[...] = np.nan
+    complement_basis_eval(n, "C0", t, R)[...] = np.nan
+    assert hardy_basis_eval(n, "C0", t, R).tobytes() == want
+    table = geometry._PHASE_SLOT[1]
+    assert table.shape == (6, 64) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build, tables",
+    [
+        (lambda: build_section_quadrature(
+            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 1),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4),
+        (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 1),
+    ],
+    ids=["section-pair", "gram", "conjugate-reflection"],
+)
+def test_phase_tables_built_per_call(monkeypatch, build, tables):
+    """Both families on both circles share a block's table; the Gram at
+    +-256 has two blocks per circle, and the one slot keeps only the last."""
+    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
+    phases, seen = geometry._phases, []
+
+    def recorded(a, t):
+        seen.append(phases(a, t))
+        return seen[-1]
+
+    monkeypatch.setattr(geometry, "_phases", recorded)
+    build()
+    assert len({id(table) for table in seen}) == tables
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from annulab.reduction import (
     split_relation_residual,
     t_diag,
 )
-from annulab.symbols import fourier_pair, sample_symbol
+from annulab.symbols import ExactSymbol, fourier_pair, sample_symbol
 
 R = 0.5
 SIZE = 8
@@ -242,6 +242,23 @@ def test_pairing_kernel_memory_stays_bounded():
         tracemalloc.stop()
     assert gram_peak <= 56 * 2**20
     assert pair_peak < 56 * 2**20
+
+
+def test_split_relations_memory_does_not_grow_with_reach():
+    """The split resynthesizes its part by one inverse FFT per row, so its
+    largest arrays are ``size x m_circle`` whatever the inner table's
+    reach: at reach 1000 on 4096 nodes a ``(size + reach) x m_circle``
+    phase table would peak near 127 MiB traced."""
+    phi = ExactSymbol({0: 1.0}, {-1000: 0.25, 2: 1.0, 1000: 0.5j})
+    geo = AnnulusGeometry(R=R, m_circle=4096)
+    tracemalloc.start()
+    try:
+        res = split_relation_residual(phi, 10, geo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(res) <= 1e-14
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
