@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, geometry, hardy, mellin, randgen, reduction, reference, report
-from .errors import AliasingError, IllConditionedError, WindowTooSmallError
+from .errors import AliasingError, FloatRangeError, IllConditionedError, WindowTooSmallError
 from .plotting import emit_plot
 from .symbols import (
     ExactSymbol,
@@ -48,6 +48,8 @@ TRIAL_PROFILE_DEGREE = 3
 RECONSTRUCT_Z_START = -10.5
 RECONSTRUCT_Z_STEP = 4.0
 RECONSTRUCT_DEGREE = 6
+#: interval the mellin experiment scans for the witness zero at 5
+ZERO_SCAN = (-10.0, 20.0)
 #: section size of the identities experiment's transfer diagram
 DIAGRAM_SIZE = 12
 
@@ -58,7 +60,7 @@ class ConfigError(ValueError):
 
 #: configurations the computation cannot serve; like a malformed config
 #: they exit 2 with one line, while any other exception is a program fault
-DOMAIN_ERRORS = (WindowTooSmallError, AliasingError, IllConditionedError)
+DOMAIN_ERRORS = (WindowTooSmallError, AliasingError, IllConditionedError, FloatRangeError)
 
 
 @dataclass
@@ -328,10 +330,20 @@ def _run_identities(cfg: LabConfig):
 
 
 def _run_mellin(cfg: LabConfig):
-    geo = cfg.geometry()
     rng = randgen.Lcg(cfg.seed)
     profile = PolyProfile({d: rng.coefficient() for d in range(11)})
+    target = PolyProfile({d: rng.coefficient() for d in range(RECONSTRUCT_DEGREE + 1)})
+    c = 6.0 * (1.0 - cfg.R**5) / (5.0 * (1.0 - cfg.R**6))
+    witness = PolyProfile({0: 1.0, 1: -c})
     zs = np.arange(-5.0, 10.0 + 0.25, 0.5)
+    zr = RECONSTRUCT_Z_START + RECONSTRUCT_Z_STEP * np.arange(RECONSTRUCT_DEGREE + 1)
+    # each moment the run reads is at s = z + m, for a degree m of the
+    # profile read at z: |s| <= |z| + max(m)
+    mellin.check_moment_range(max(
+        max(map(abs, z)) + max(p.coeffs)
+        for p, z in ((profile, zs), (target, zr), (witness, ZERO_SCAN))
+    ), cfg.R)
+    geo = cfg.geometry()
     closed = mellin.mellin_transform(profile, zs, cfg.R).tolist()
     quad = mellin.mellin_quadrature(profile, zs, geo).tolist()
     # moments blow up like R^-|z| on thin annuli, so compare to scale; the
@@ -345,8 +357,6 @@ def _run_mellin(cfg: LabConfig):
             "mellin", "closed_form_vs_quadrature", worst, cfg.tolerance
         )
     ]
-    target = PolyProfile({d: rng.coefficient() for d in range(RECONSTRUCT_DEGREE + 1)})
-    zr = RECONSTRUCT_Z_START + RECONSTRUCT_Z_STEP * np.arange(RECONSTRUCT_DEGREE + 1)
     values = mellin.mellin_transform(target, zr, cfg.R)
     rec = mellin.mellin_poly_reconstruct(
         values, RECONSTRUCT_Z_START, RECONSTRUCT_Z_STEP, cfg.R
@@ -358,9 +368,7 @@ def _run_mellin(cfg: LabConfig):
     rows.append(report.residual_check(
         "mellin", "poly_reconstruct_roundtrip", dev, mellin.RECONSTRUCT_TOLERANCE
     ))
-    c = 6.0 * (1.0 - cfg.R**5) / (5.0 * (1.0 - cfg.R**6))
-    witness = PolyProfile({0: 1.0, 1: -c})
-    roots = mellin.mellin_zero_locate(witness, -10.0, 20.0, cfg.R)
+    roots = mellin.mellin_zero_locate(witness, *ZERO_SCAN, cfg.R)
     dev = np.min([abs(r - 5.0) for r in roots], initial=np.inf)
     rows.append(report.residual_check("mellin", "zero_locate_at_5", dev, 1e-8))
     return rows, {}, {}

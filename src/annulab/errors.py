@@ -9,6 +9,10 @@ class WindowTooSmallError(ValueError):
     """A truncation window cannot accommodate the requested bandwidth/margin."""
 
 
+class FloatRangeError(ValueError):
+    """A value the run must read lies outside the float range."""
+
+
 class ZeroProfileError(ValueError):
     """An operation that needs a nonzero profile received the zero profile."""
 

@@ -191,17 +191,27 @@ def _pair_on_grid(
 
     Parseval: the FFT of a row divided by ``m = m_circle`` gives
     coefficients with ``mean(a conj(b)) = sum_q A[q] conj(B[q])`` over the
-    ``m`` bins ``q``, exactly, on any samples.  A bin is dropped only when every
-    coefficient in it, of every row and of every weighted column, has
-    ``|c| <= tau = sqrt(eps / m)``, ``eps`` the machine epsilon (a NaN keeps
-    its bin).  A dropped set ``D`` then moves an entry by at most
-    ``sum_D |A[q]| |B[q]| <= |D| tau^2 <= eps`` per circle.  Both sides must
-    be small: a rule on the rows alone leaves ``|A[q]|`` free, and
-    Cauchy-Schwarz then bounds the move only by ``sqrt(eps) ||w h_k||``.
-    The kept bins of both circles meet in one product.  For the Gram it is
-    real: with ``V = [Re(C), Im(C)]``, ``Re(C C^H) = V V^T`` and
-    ``Im(C C^H) = K - K^T`` for ``K = Im(C) Re(C)^T``, so ``G`` is exactly
-    Hermitian.
+    ``m`` bins ``q``, exactly, on any samples.  A product is dropped only
+    when both coefficients have ``|c| <= tau = sqrt(eps / m)``, ``eps`` the
+    machine epsilon, so an entry moves by at most ``m tau^2 = eps`` per
+    circle; a rule on one side alone would bound the move only by
+    ``sqrt(eps) ||w h_k||``.  The test is ``not |c| <= tau``: a NaN counts
+    as large, and reaches its row and column even in a bin nothing else
+    holds.  With ``S`` the large coefficients (the owners), per circle the
+    Gram sums ``S C^H + C S^H - S S^H`` over all coefficients ``C``, and the
+    pairings of rows ``R`` with weighted columns ``W`` sum ``conj(S_R) W^T +
+    conj(R) S_W^T - conj(S_R) S_W^T``: both are ``Z_AB + Z_BA^H`` for
+    ``Z_AB = conj(S_A) (B - S_B / 2)^T``, which :func:`_gather` takes owner
+    by owner.  The Gram ``G = conj(Z_CC) + Z_CC^T`` equals ``G^H`` exactly.
+
+    Cost: owners times rows.  A healthy basis has at most one owner per row
+    and circle (576 per circle for the Gram at +-256 on 2048 nodes); when
+    every coefficient is large (a broken basis) that Gram gathers
+    ``(2N)^2 m`` entries without BLAS, about 15 s against 0.8 s for a dense
+    product.  Only bins holding an owner are kept, the spectra are freed
+    before the gather, and owners are gathered ``_GRAM_BLOCK`` rows at a
+    time: that Gram peaks at 52.4 MiB traced, while its second circle's
+    spectra are taken.
     """
     t, m, N = geo.angles(), geo.m_circle, len(ns)
     if np.ptp(ns) + reach >= m:
@@ -212,9 +222,9 @@ def _pair_on_grid(
     order = np.argsort(abs(ns), kind="stable")
     # hardy, complement and weighted hardy spectra, each in evaluation order
     c = np.empty((2 if weight is None else 3, N, m), dtype=complex)
+    # the spectrum row of each output row
     rows = np.argsort((order + N * np.arange(len(c))[:, None]).ravel())
     edges = [0, *range(_GRAM_BLOCK + 1, N, _GRAM_BLOCK), N]
-    tau = np.sqrt(np.finfo(float).eps / m)
     kept = []
     for comp, w in zip(COMPONENTS, weight or (None, None)):
         for lo, hi in zip(edges, edges[1:]):
@@ -224,21 +234,63 @@ def _pair_on_grid(
                 if i == 0 and w is not None:
                     np.fft.fft(np.multiply(f, w, out=f), norm="forward", out=c[2, lo:hi])
                 del f
-        flat = c.reshape(-1, m)
-        drop = np.ones(m, dtype=bool)
-        for lo in range(0, len(flat), _GRAM_BLOCK):
-            drop &= np.all(np.abs(flat[lo : lo + _GRAM_BLOCK]) <= tau, axis=0)
-        kept.append(flat[np.ix_(rows, np.flatnonzero(~drop))])
-    del c, flat
+        kept.append(_owners(c.reshape(-1, m), rows))
+    del c
     if weight is not None:
-        C = np.concatenate(kept, axis=1)
-        return C[: 2 * N].conj() @ C[2 * N :].T
-    V = np.concatenate([k.real for k in kept] + [k.imag for k in kept], axis=1)
+        # the hardy and complement rows against the weighted hardy columns
+        P, Q = np.zeros((2 * N, N), dtype=complex), np.zeros((N, 2 * N), dtype=complex)
+        for E, own in kept:
+            _gather(P, E[: 2 * N], own[: 2 * N], E[2 * N :])
+            _gather(Q, E[2 * N :], own[2 * N :], E[: 2 * N])
+        return P + Q.conj().T
+    Z = np.zeros((2 * N, 2 * N), dtype=complex)
+    for E, own in kept:
+        _gather(Z, E, own, E)
     del kept
-    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
-    G = (V @ V.T).astype(complex)
-    np.subtract(K, K.T, out=G.imag)
+    # G[k, j] has the real part of G[j, k], summed in the other order, and
+    # its imaginary part negated, so G equals G^H exactly
+    G = Z.conj()
+    G += Z.T
     return G
+
+
+def _owners(flat: np.ndarray, rows: np.ndarray):
+    """One circle's ``(E, own)`` over the bins holding an owner, one row per
+    output row: ``E = C - S / 2`` and the owner mask, packed by columns."""
+    m = flat.shape[1]
+    tau = np.sqrt(np.finfo(float).eps / m)
+    faint = np.concatenate([
+        np.abs(flat[lo : lo + _GRAM_BLOCK]) <= tau for lo in range(0, len(flat), _GRAM_BLOCK)
+    ])
+    at = np.ix_(rows, np.flatnonzero(~faint.all(axis=0)))
+    own = np.packbits(~faint[at], axis=1)
+    del faint
+    E = flat[at]
+    for lo in range(0, len(E), _GRAM_BLOCK):
+        E[lo : lo + _GRAM_BLOCK][_unpack(own[lo : lo + _GRAM_BLOCK], E.shape[1])] *= 0.5
+    return E, own
+
+
+def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` columns of a row-wise ``np.packbits`` mask."""
+    return np.unpackbits(bits, axis=1, count=n).view(bool)
+
+
+def _gather(Z: np.ndarray, A: np.ndarray, own: np.ndarray, E: np.ndarray):
+    """``Z[j] += conj(S[j]) E^T`` for the owners ``S = 2 A[own]`` of each row
+    ``j`` of ``A``, ``_GRAM_BLOCK`` rows at a time and by slot: slot ``s``
+    holds each row's ``s``-th owner, so no row repeats within a slot."""
+    for lo in range(0, len(A), _GRAM_BLOCK):
+        j, q = np.nonzero(_unpack(own[lo : lo + _GRAM_BLOCK], A.shape[1]))
+        j += lo
+        v = 2 * A[j, q].conj()
+        first = np.flatnonzero(np.diff(j, prepend=-1))
+        count = np.diff(first, append=len(j))
+        for s in range(count.max(initial=0)):
+            i = first[count > s] + s
+            p = E[:, q[i]].T
+            p *= v[i, None]
+            Z[j[i]] += p
 
 
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllConditionedError, ZeroProfileError
+from .errors import FloatRangeError, IllConditionedError, ZeroProfileError
 from .geometry import AnnulusGeometry
 from .symbols import PolyProfile
 
@@ -19,6 +19,8 @@ RECONSTRUCT_TOLERANCE = 1e-8
 #: scan step and bisection tolerance of :func:`mellin_zero_locate`
 ZERO_SCAN_STEP = 0.25
 ZERO_BISECT_TOL = 1e-10
+#: natural log of the largest float, past which ``exp`` and ``expm1`` overflow
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def monomial_moment(s, R: float):
@@ -31,6 +33,23 @@ def monomial_moment(s, R: float):
     s = np.asarray(s)
     out = np.where(s == 0, -L, -np.expm1(s * L) / np.where(s == 0, 1, s))
     return out if out.ndim else out[()]
+
+
+def check_moment_range(s_max: float, R: float) -> None:
+    """Refuse, with :class:`FloatRangeError`, moments at ``|s| <= s_max``
+    that would leave the float range.
+
+    A moment is ``-expm1(x) / s`` at ``x = s log R``, finite while ``R^s =
+    e^x`` is, that is while ``x <= log(float max)``.  Over ``|s| <= s_max``
+    the largest ``|x|`` is ``s_max |log R|``, so the rule ``s_max |log R| <=
+    log(float max)`` keeps every exponent of either sign in range.
+    """
+    x = s_max * abs(np.log(R))
+    if not x <= LOG_FLOAT_MAX:
+        raise FloatRangeError(
+            f"moments at |s| <= {s_max:g} leave the float range at R={R:g}: "
+            f"|s log R| reaches {x:.6g} > log(float max) = {LOG_FLOAT_MAX:.6g}"
+        )
 
 
 def mellin_transform(profile: PolyProfile, z, R: float):

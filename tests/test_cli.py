@@ -162,16 +162,33 @@ def test_band_one_row_off_fails_the_band_leak_rows(tmp_path, monkeypatch, experi
     assert all(rows[n][2] == "false" for n in names)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mellin_at_a_tiny_radius_is_refused_without_a_traceback(tmp_path, capsys):
-    """At R = 1e-40 the reconstruction's moments overflow; the refusal
-    exits 2 with one line before any directory exists, not with a
-    traceback.  (The overflow warning itself is ROADMAP item 3's.)"""
+    """At R = 1e-40 the moments the run reads would overflow; the range
+    rule refuses before the first one is taken, so no overflow warning
+    fires, and the run exits 2 with one line before any directory exists."""
     code, outdir = run_lab(tmp_path, "mellin", {"R": 1e-40})
     assert code == 2
     assert not outdir.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "not finite" in err[0]
+    assert len(err) == 1 and "leave the float range at R=1e-40" in err[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R, reason", [
+    (2.0e-15, "leave the float range"),
+    (2.2e-15, "reconstruction tolerance"),
+    (1e-300, "leave the float range"),
+])
+def test_mellin_moment_range_rule_meets_the_reconstruction_rule(tmp_path, capsys, R, reason):
+    """The run reads moments at |s| <= 21 (the zero scan's 20 plus the
+    witness's degree 1), so the range rule refuses R below
+    exp(-log(float max) / 21) = 2.0951e-15; just above it the run reaches
+    the reconstruction, whose conditioning rule refuses it instead."""
+    code, outdir = run_lab(tmp_path, "mellin", {"R": R})
+    assert code == 2 and not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and reason in err[0]
 
 
 @pytest.mark.parametrize("experiment", ["toeplitz-build", "gram", "zero-product-hardy"])
@@ -259,7 +276,7 @@ def test_identities_reads_the_diagram_row_from_diagram_residual(tmp_path, monkey
 
 def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
     """One NaN sample of one basis function must reach the Gram row: its
-    coefficients are NaN in every bin, and a NaN never drops a bin."""
+    coefficients are NaN in every bin, and a NaN is an owner."""
     evaluate = annulab.geometry.hardy_basis_eval
 
     def nan_sample(n, component, angles, R):
@@ -302,6 +319,24 @@ def test_toeplitz_build_nan_sample_fails_the_rows_it_reaches(
     rows = _results(outdir)
     assert sorted(k for k, v in rows.items() if v[2] == "false") == sorted(failed)
     assert all(rows[k][0] == "nan" for k in failed)
+
+
+def test_toeplitz_build_nan_symbol_sample_fails_both_rows(tmp_path, monkeypatch):
+    """One NaN sample of the symbol on the inner circle makes every weighted
+    column NaN in every bin there, so both sections carry it to their rows."""
+    sample = annulab.hardy.sample_symbol
+
+    def nan_sample(f, geo):
+        vals = sample(f, geo)
+        vals.on_C0[5] = np.nan
+        return vals
+
+    monkeypatch.setattr(annulab.hardy, "sample_symbol", nan_sample)
+    code, outdir = run_lab(tmp_path, "toeplitz-build", FAST)
+    assert code == 1
+    rows = _results(outdir)
+    for name in ("closed_form_vs_quadrature", "complement_closed_form_vs_quadrature"):
+        assert rows[name][::2] == ["nan", "false"]
 
 
 def test_toeplitz_build_sees_a_negated_hankel(tmp_path, monkeypatch):

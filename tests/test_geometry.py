@@ -127,23 +127,85 @@ def test_gram_matches_the_loop_across_row_blocks(monkeypatch, defect):
     assert np.array_equal(G, G.conj().T)
 
 
-def test_gram_is_the_real_product_of_the_unblocked_spectra(monkeypatch):
-    """Row blocks bound the buffers and change no bit: the Gram is the real
-    ``V V^T`` plus ``K - K^T`` product of all rows' kept bins at once."""
-    monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
-    g, ns = AnnulusGeometry(R=R, m_circle=256), np.arange(-20, 21)
-    kept = []
+def _owner_rule_gram(g, ns):
+    """The pair rule on all rows' unblocked spectra, as dense products:
+    ``S C^H + C S^H - S S^H`` per circle, ``S`` the coefficients ``C`` with
+    ``not |c| <= sqrt(eps / m)`` and zero elsewhere."""
+    tau, G = np.sqrt(np.finfo(float).eps / g.m_circle), 0
     for comp in ("C", "C0"):
-        rows = [ev(ns, comp, g.angles(), R) for ev in (hardy_basis_eval, complement_basis_eval)]
-        c = np.fft.fft(np.concatenate(rows), norm="forward")
-        keep = ~np.all(np.abs(c) <= np.sqrt(np.finfo(float).eps / 256), axis=0)
-        kept.append(c[:, keep])
-    # C order, as the kernel's gather gives it: BLAS rounds by layout
-    V = np.ascontiguousarray(np.concatenate([k.real for k in kept] + [k.imag for k in kept], 1))
-    K = V[:, V.shape[1] // 2 :] @ V[:, : V.shape[1] // 2].T
-    want = (V @ V.T).astype(complex)
-    want.imag = K - K.T
-    assert gram_matrix(g, 20).tobytes() == want.tobytes()
+        rows = [ev(ns, comp, g.angles(), g.R)
+                for ev in (geometry.hardy_basis_eval, geometry.complement_basis_eval)]
+        C = np.fft.fft(np.concatenate(rows), norm="forward")
+        S = np.where(np.abs(C) <= tau, 0, C)
+        G = G + S @ C.conj().T + C @ S.conj().T - S @ S.conj().T
+    return G
+
+
+def test_gram_follows_the_owner_rule_and_blocks_change_no_bit(monkeypatch):
+    """Row blocks and owner chunks bound the buffers and change no bit, and
+    the Gram is the pair rule's sum over all rows' spectra at once."""
+    g, ns = AnnulusGeometry(R=R, m_circle=256), np.arange(-20, 21)
+    G = gram_matrix(g, 20)
+    monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
+    assert gram_matrix(g, 20).tobytes() == G.tobytes()
+    assert np.max(np.abs(G - _owner_rule_gram(g, ns))) <= 1e-15
+
+
+def _faint_noise(n, component, angles, R_, degrees, m):
+    """Hardy rows 3 and 5 gain, on the unit circle only, a tone of
+    amplitude ``0.9 sqrt(eps / m)`` at each of ``degrees``: faint in every
+    bin, and summed over many bins."""
+    vals = hardy_basis_eval(n, component, angles, R_)
+    if component == "C":
+        phase = np.exp(2j * np.pi * np.random.default_rng(0).random(len(degrees)))
+        tone = phase @ np.exp(1j * np.multiply.outer(degrees, np.asarray(angles)))
+        rows = np.reshape(vals, (-1, np.size(angles)))
+        rows[np.isin(np.ravel(n), [3, 5])] += 0.9 * np.sqrt(np.finfo(float).eps / m) * tone
+    return vals
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["unowned-bins", "owned-bins"])
+def test_gram_drops_only_pairs_of_faint_coefficients(monkeypatch, owned):
+    """Rows 3 and 5 are faint in many bins.  Without owners there (+-20 on
+    256 nodes, the bins of degrees 21..235) their faint pairs are all the
+    entry holds beyond rounding; with owners there (+-31 on 64 nodes, every
+    bin but 32) row 5's tone at degree 3 also meets row 3's owner, and that
+    pair is summed.  Either way the faint pairs, and only they, are
+    dropped: the entry leaves the loop's by at most eps, visibly, and
+    keeps the pair rule's value to rounding of its own size."""
+    W, m = (31, 64) if owned else (20, 256)
+    degrees = np.arange(-W, W + 1) if owned else np.arange(W + 1, m - W)
+    monkeypatch.setattr(
+        geometry, "hardy_basis_eval",
+        lambda n, c, t, R_: _faint_noise(n, c, t, R_, degrees, m),
+    )
+    g, ns = AnnulusGeometry(R=R, m_circle=m), np.arange(-W, W + 1)
+    G, loop = gram_matrix(g, W), _per_pair_gram(g, ns)
+    j, k = W + 3, W + 5
+    assert np.max(np.abs(G - loop)) <= 1e-14
+    assert 1e-16 < abs(G[j, k] - loop[j, k]) <= np.finfo(float).eps
+    assert abs(G[j, k] - _owner_rule_gram(g, ns)[j, k]) <= 1e-24
+    assert (abs(G[j, k]) > 1e-9) == owned
+
+
+def test_gram_nan_coefficient_in_a_bin_no_row_owns_reaches_the_output(monkeypatch):
+    """A NaN is an owner (the test is ``not |c| <= tau``), so even one NaN
+    coefficient in a bin whose other coefficients are all faint keeps its
+    bin and reaches its row and column of the Gram."""
+    fft = np.fft.fft
+
+    def nan_in_bin_100(a, *args, out=None, **kwargs):
+        got = fft(a, *args, out=out, **kwargs)
+        got[0, 100] = np.nan
+        return got
+
+    monkeypatch.setattr(np.fft, "fft", nan_in_bin_100)
+    G = gram_matrix(AnnulusGeometry(R=R, m_circle=256), 20)
+    monkeypatch.undo()
+    # every FFT call marks its block's first row: the degree 0 of both families
+    full = np.isnan(G).all(axis=1)
+    assert list(np.flatnonzero(full)) == [20, 61]
+    assert np.isnan(G[:, full]).all()
 
 
 def _hardy_faint_tone(n, component, angles, R_):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulab.errors import IllConditionedError, ZeroProfileError
+from annulab.errors import FloatRangeError, IllConditionedError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry
 from annulab.mellin import (
+    LOG_FLOAT_MAX,
     RECONSTRUCT_TOLERANCE,
+    check_moment_range,
     mellin_poly_reconstruct,
     mellin_quadrature,
     mellin_transform,
@@ -194,3 +196,18 @@ def test_transform_is_linear(ca, cb, z):
     lhs = mellin_transform(both, z, R)
     rhs = mellin_transform(fa, z, R) + mellin_transform(fb, z, R)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s_max", [1.0, 10.5, 21.0, 700.0])
+def test_moment_range_rule_is_where_the_moments_overflow(s_max):
+    """Just inside the rule the moment at -s_max is finite, within a factor
+    1e-6 of the float max times 1/s_max; just outside it is refused."""
+    edge = math.exp(-LOG_FLOAT_MAX / s_max)
+    inside, outside = edge * (1 + 1e-9), edge * (1 - 1e-9)
+    check_moment_range(s_max, inside)
+    moment = monomial_moment(np.array([-s_max, s_max]), inside)
+    assert np.all(np.isfinite(moment))
+    assert moment[0] * s_max > np.finfo(float).max * (1 - 1e-6)
+    with pytest.raises(FloatRangeError, match="leave the float range"):
+        check_moment_range(s_max, outside)

@@ -227,7 +227,7 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family
 
 def test_pairing_kernel_memory_stays_bounded():
     """The kernel's row blocks bound its sample buffers: the Gram at
-    W = 256, m = 2048 peaks at 52.3 MiB traced (64.2 MiB with all rows in
+    W = 256, m = 2048 peaks at 52.4 MiB traced (66.3 MiB with all rows in
     one block), and the section pair at the benchmark's toeplitz-build
     config stays below the same cap."""
     f = symbol()

@@ -1,6 +1,8 @@
 """Check rows and the deterministic CSV/JSON writers."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +166,29 @@ def test_report_json_keeps_the_indented_content(tmp_path, monkeypatch):
     assert len(indented) == 1
     assert json.loads(text) == json.loads(indented[0])
     assert text == dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def test_moved_rows_lists_each_row_whose_bytes_differ(tmp_path):
+    """``run_all_experiments.py --against`` matches rows by check and name
+    and prints one line per changed, added or removed row."""
+    spec = importlib.util.spec_from_file_location(
+        "run_all_experiments", Path(__file__).resolve().parents[1] / "scripts/run_all_experiments.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, rows in (
+        (old, [residual_check("c", "same", 1e-16, 1e-10), residual_check("c", "moves", 0.1, 1e-10),
+               residual_check("c", "gone", 0.0, 1.0)]),
+        (new, [residual_check("c", "same", 1e-16, 1e-10), residual_check("c", "moves", 0.3, 1e-10),
+               residual_check("c", "added", 0.0, 1.0)]),
+    ):
+        (root / "cfg").mkdir(parents=True)
+        write_results_csv(root / "cfg" / "results.csv", rows)
+    assert script.moved_rows("cfg", old, new) == [
+        "moved cfg c/moves 0.10000000000000001,1e-10,false -> 0.29999999999999999,1e-10,false",
+        "moved cfg c/added absent -> 0,1,true",
+        "moved cfg c/gone 0,1,true -> absent",
+    ]
+    assert script.moved_rows("cfg", old, old) == []
+    assert script.moved_rows("other", old, new) == []
