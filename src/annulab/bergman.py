@@ -13,6 +13,7 @@ read only grid samples.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, compl
 
 
 def build_bergman_toeplitz(
-    f: PolarSymbol, window: tuple[int, int], R: float
+    f: PolarSymbol | Sequence[PolarSymbol], window: tuple[int, int], R: float
 ) -> np.ndarray:
     """Section of the symbol's action over the window's monomial degrees.
 
@@ -80,42 +81,56 @@ def build_bergman_toeplitz(
     -1, so the section compresses to the proper subspace of degrees >= -1,
     with side ``hi - max(lo, -1) + 1`` over ``[lo, hi]``.  A radial symbol
     (single band at offset zero) gives a diagonal section; a single
-    positive band gives a weighted shift.
+    positive band gives a weighted shift.  A sequence of symbols gives
+    their sections stacked along a leading axis.
 
-    Operation order: every moment the section reads comes from one
+    Operation order: every moment the sections read comes from one
     :func:`monomial_moment` call over a ``[band, degree, column]`` array of
-    arguments, each band's profile is summed over its table in the table's
-    own order, and each entry is formed as in the per-entry loop
-    ``t_m^2 M_k(k + 2n + 2) t_n / t_m``, so the section matches that loop
+    arguments, the bands of every symbol in turn; each band's profile is
+    summed over its table in the table's own order, all bands at once, and
+    each entry is formed as in the per-entry loop
+    ``t_m^2 M_k(k + 2n + 2) t_n / t_m``, so each section matches that loop
     bit for bit whatever the order of the bands and degrees.
     """
+    single = isinstance(f, PolarSymbol)
+    fs = [f] if single else list(f)
     lo, hi = _clamp_window(window)
     t = bergman_norm_const(np.arange(lo, hi + 1), R)
-    tables = [f.bands[k].coeffs for k in f.live_bands]
+    # one row per live band of each symbol: the symbol's index and the band
+    live = [(i, k) for i, sym in enumerate(fs) for k in sym.live_bands]
+    owner = np.array([i for i, _ in live], dtype=int)
+    band, n = np.array([k for _, k in live], dtype=int)[:, None], np.arange(lo, hi + 1)
+    tables = [fs[i].bands[k].coeffs for i, k in live]
     width = max(map(len, tables), default=0)
-    degree = [list(d) + [0] * (width - len(d)) for d in tables]
-    band, n = np.array(f.live_bands, dtype=int)[:, None], np.arange(lo, hi + 1)
+    pad = [[0] * (width - len(d)) for d in tables]
+    degree = np.array([[*d, *z] for d, z in zip(tables, pad)], dtype=int)
+    degree = degree.reshape(len(tables), width)  # also when there is no band
+    coeffs = np.array([[*d.values(), *z] for d, z in zip(tables, pad)], dtype=complex)
     # band k sends column n to row n + k; one sent outside reads argument 0
     inside = (n + band >= lo) & (n + band <= hi)
-    arg = (band + 2 * n + 2)[:, None] + np.array(degree, dtype=int)[..., None]
+    arg = (band + 2 * n + 2)[:, None] + degree[..., None]
     moments = monomial_moment(np.where(inside[:, None], arg, 0), R)
     profile = np.zeros(inside.shape, dtype=complex)
-    for p, table, moment in zip(profile, tables, moments):
-        for c, mom in zip(table.values(), moment):
-            p += c * mom
+    lengths = np.array([len(d) for d in tables], dtype=int)
+    for j in range(width):
+        r = np.flatnonzero(lengths > j)  # the bands with a j-th coefficient
+        profile[r] += coeffs[r, j, None] * moments[r, j]
     rows = np.where(inside, n - lo + band, 0)
     coeff = (t[rows] * t[rows]) * profile
     val = coeff * t
     # numpy divides complex by real through a reciprocal; divide each part
     val.real /= t[rows]
     val.imag /= t[rows]
-    ent = np.zeros((len(n), len(n)), dtype=complex)
-    ent[rows[inside], np.nonzero(inside)[1]] += val[inside]
-    if not np.any(coeff[inside] != 0.0) and not f.is_zero():
-        raise WindowTooSmallError(
-            f"window [{lo},{hi}] holds no image of any band of the symbol"
-        )
-    return ent
+    b, col = np.nonzero(inside)
+    ent = np.zeros((len(fs), len(n), len(n)), dtype=complex)
+    ent[owner[b], rows[b, col], col] += val[b, col]
+    hit = set(owner[b][coeff[b, col] != 0.0].tolist())
+    for i, sym in enumerate(fs):
+        if i not in hit and not sym.is_zero():
+            raise WindowTooSmallError(
+                f"window [{lo},{hi}] holds no image of any band of the symbol"
+            )
+    return ent[0] if single else ent
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +195,14 @@ def find_n0_bergman(
 
 
 def zero_product_experiment_bergman(
-    f: PolarSymbol,
-    g: PolarSymbol,
+    pairs: Sequence[tuple[PolarSymbol, PolarSymbol]],
     window: tuple[int, int],
     R: float,
     ladder_length: int = 8,
     zero_divisor_floor: float = 1e-6,
-) -> ZeroProductReport:
-    """Probe a banded pair for the zero-product mechanism.
+) -> list[ZeroProductReport]:
+    """Probe each banded pair ``(f, g)`` for the zero-product mechanism;
+    one report per pair, in order.
 
     The protocol of :func:`annulab.hardy._probe` on the Bergman sections,
     with the ladder read in the domain of ``T_g``: each basis vector of
@@ -198,8 +213,8 @@ def zero_product_experiment_bergman(
     """
     lo, hi = _clamp_window(window)
     return _probe(
-        f, g, lo, hi, R, ladder_length, zero_divisor_floor,
-        build=build_bergman_toeplitz, first_rung=lo, through_f=False,
-        n0_of=lambda N: find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi)),
+        pairs, lo, hi, R, ladder_length, zero_divisor_floor,
+        build=build_bergman_toeplitz, first_rung=lambda g: lo, through_f=False,
+        n0_of=lambda g, N: find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi)),
         edge_free=lo == -1,
     )

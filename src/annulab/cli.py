@@ -155,7 +155,12 @@ def _largest_array(cfg: LabConfig) -> tuple[str, int]:
     else the complex section, ``16 side^2`` (``side`` the window
     width, ``2(2W+1)`` for gram, ``max(sizes)`` for hankel-decay), and the
     ``side x m_circle`` sample buffers of gram and toeplitz-build.  The
-    Bergman sections start at degree -1."""
+    Bergman sections start at degree -1.  The zero-product harnesses stack
+    their trials' sections, but a stack holds as many as fit
+    ``hardy._STACK_BYTES`` (1 MiB) and at least one, so it never exceeds
+    the larger of that bound and one section: the rule refuses a window
+    only where one section is already past physical memory, and the stack
+    is then that one section."""
     (lo, hi), exp = cfg.window, cfg.experiment
     if exp == "mellin":
         return "m_radial", 8 * cfg.m_radial**2
@@ -398,15 +403,15 @@ def _run_zero_product(cfg: LabConfig):
     probe = getattr(module, name)
     check, tol = cfg.experiment, cfg.tolerance
     rng = randgen.Lcg(cfg.seed)
+    # each trial draws f, then g
+    pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
+    reps = probe(
+        pairs, cfg.window, cfg.R,
+        ladder_length=LADDER_LENGTH,
+        zero_divisor_floor=ZERO_DIVISOR_FLOOR,
+    )
     rows, verdicts, ladders, norms = [], [], [], []
-    for t in range(TRIALS):
-        f = draw_f(rng)
-        g = draw_g(rng)
-        rep = probe(
-            f, g, cfg.window, cfg.R,
-            ladder_length=LADDER_LENGTH,
-            zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-        )
+    for t, rep in enumerate(reps):
         # np.max/np.min keep a NaN, which the built-in max/min would drop
         lad = np.max(rep.ladder_residuals)
         ladders.append(lad)

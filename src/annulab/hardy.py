@@ -8,6 +8,7 @@ the complement family spans its orthogonal complement in boundary L2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,8 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
 
 
 def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
-    """Square Toeplitz or Hankel layout of ``2 size - 1`` coefficients.
+    """Square Toeplitz or Hankel layout of ``2 size - 1`` coefficients on
+    the last axis, one layout per index of the leading axes.
 
     The Toeplitz layout is ``M[a, b] = values[size - 1 - a + b]``, so with
     ``values[i]`` the coefficient of offset ``size - 1 - i`` the entry
@@ -44,25 +46,32 @@ def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     The layout is a strided copy of a sliding window, so no index array is
     formed.
     """
-    size, step = (len(values) + 1) // 2, values.strides[0]
-    win = np.lib.stride_tricks.as_strided(values, (size, size), (step, step))
-    return (win if hankel else win[::-1]).copy()
+    size, step = (values.shape[-1] + 1) // 2, values.strides[-1]
+    win = np.lib.stride_tricks.as_strided(
+        values, (*values.shape[:-1], size, size), (*values.strides[:-1], step, step)
+    )
+    return (win if hankel else win[..., ::-1, :]).copy()
 
 
-def _bounded_pairs(f: ExactSymbol, window: tuple[int, int], R: float):
+def _bounded_pairs(fs, window: tuple[int, int], R: float):
     """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
-    the :func:`_gather` layouts of both circles' coefficients at the offsets
-    ``hi - lo`` down to ``lo - hi``: fresh arrays, weighted and summed in place."""
+    the stacked :func:`_gather` layouts of both circles' coefficients of
+    each symbol of ``fs`` at the offsets ``hi - lo`` down to ``lo - hi``:
+    fresh arrays, weighted and summed in place."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    TC, TC0 = map(_gather, fourier_pair(f, np.arange(hi - lo, lo - hi - 1, -1)))
-    return B, A, TC, TC0
+    offsets = np.arange(hi - lo, lo - hi - 1, -1)
+    pairs = np.array([fourier_pair(f, offsets) for f in fs], dtype=complex)
+    return B, A, _gather(pairs[:, 0]), _gather(pairs[:, 1])
 
 
 def build_toeplitz_hardy(
-    f: ExactSymbol, window: tuple[int, int], R: float
+    f: ExactSymbol | Sequence[ExactSymbol], window: tuple[int, int], R: float
 ) -> np.ndarray:
     """Section of the compression of multiplication by ``f`` to the power family.
+
+    A sequence of symbols gives their sections stacked along a leading
+    axis; every entry has the bits of the one-symbol section.
 
     The entry is ``(fhat_C(j-k) + R^(j+k) fhat_C0(j-k)) / (norm_j norm_k)``
     with ``norm_j = sqrt(1 + R^(2j))``.  It is formed as
@@ -72,10 +81,12 @@ def build_toeplitz_hardy(
     directly overflows once ``R^|j|`` leaves the float range (R = 0.1 at
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
-    B, A, T, TC0 = _bounded_pairs(f, window, R)
+    single = isinstance(f, ExactSymbol)
+    B, A, T, TC0 = _bounded_pairs([f] if single else f, window, R)
     T *= np.outer(B, B)
     TC0 *= np.outer(A, A)
-    return np.add(T, TC0, out=T)
+    np.add(T, TC0, out=T)
+    return T[0] if single else T
 
 
 def build_hankel_annulus(
@@ -91,10 +102,10 @@ def build_hankel_annulus(
     reason.  Symbols that are traces of a single Laurent polynomial give
     the zero matrix.
     """
-    B, A, H, TC0 = _bounded_pairs(f, window, R)
+    B, A, H, TC0 = _bounded_pairs([f], window, R)
     H *= np.outer(A, B)
     TC0 *= np.outer(B, A)
-    return np.subtract(H, TC0, out=H)
+    return np.subtract(H[0], TC0[0], out=H[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +322,26 @@ class ZeroProductReport:
 
 def _ladder(
     S: np.ndarray, P: np.ndarray, G: np.ndarray, first: int, N: int, L: int
-) -> tuple[list[float], float, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals, smallest relative pivot and band leak of the proof
-    ladder, read from the columns of square sections over one window.
+    ladder of each trial of a stack, read from the columns of its sections
+    over one window.
 
-    ``first`` is the column position of the ladder's first rung and ``N``
-    the top degree of ``G``.  Rung ``l`` measures how far the target
-    ``t = S[:, first+N+l]`` lies from the span of the nonzero columns among
-    the base ``S[:, :first+N]`` and the rung columns ``P[:, first:first+l+1]``.
+    ``S``, ``P`` and ``G`` stack the trials' sections along a leading axis;
+    only their columns below ``first + max(N, 0) + L + 1`` are read, so a
+    stack may hold just those.  ``first`` is the column position of the ladder's
+    first rung and ``N`` the top degree of ``G``, shared by the stack.
+    Returns, per trial, the ``L + 1`` residuals, the smallest pivot and the
+    leak.  Rung ``l`` measures how far the target ``t = S[:, first+N+l]``
+    lies from the span of the nonzero columns among the base
+    ``S[:, :first+N]`` and the rung columns ``P[:, first:first+l+1]``.
     Each rung's set is the previous one's plus one column, so one
     Householder QR ``A = Q Rf`` of the last rung's normalized nonzero
     columns serves every rung: rung ``l`` reads the leading ``k`` columns,
-    ``k`` the nonzero ones among its set.  The misfit is the part of ``t``
+    ``k`` the nonzero ones among its set.  Trials whose nonzero columns sit
+    at the same positions share one stacked QR and one stacked solve, which
+    make the LAPACK call of a lone matrix per matrix, so a trial's values
+    do not depend on the rest of its stack.  The misfit is the part of ``t``
     outside ``range(Q[:, :k])``, formed without the certificate
     ``coef = Rf[:k, :k]^-1 (Q^H t)[:k]``: a ladder's columns grow
     ill-conditioned (1e15 at rung 8 of a Bergman ladder), where a
@@ -351,90 +370,143 @@ def _ladder(
     diagonal, and ``first + N + L`` at most the last position.
     """
     top = first + N
-    cols = np.hstack((S[:, :top], P[:, first : first + L + 1]))
-    norms = np.linalg.norm(cols, axis=0)
+    cols = np.concatenate((S[..., :top], P[..., first : first + L + 1]), axis=-1)
+    norms = np.linalg.norm(cols, axis=-2)
     live = norms != 0.0  # a NaN column stays, so its NaN reaches the rows
-    k = np.cumsum(live)[top:]
-    A = cols[:, live] / norms[live]
-    Q, Rf = np.linalg.qr(A)
-    T = S[:, top : top + L + 1]
-    # rung l keeps the first k[l] coordinates of Q^H t; as Rf is upper
-    # triangular, one solve gives every rung's leading-block certificate
-    qt = np.where(np.arange(A.shape[1])[:, None] < k, Q.conj().T @ T, 0.0)
-    misfit = np.linalg.norm(T - Q @ qt, axis=0)
-    coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=0)
-    # the columns of A are unit vectors, so norm(A[:, :k]) is sqrt(k)
-    scale = np.linalg.norm(T, axis=0) + np.sqrt(k) * coef
-    ladder = misfit / np.where(scale == 0.0, 1.0, scale)  # a zero target: 0 / 1
+    ladder = np.empty((len(cols), L + 1))
+    patterns, which = np.unique(live, axis=0, return_inverse=True)
+    for i, pattern in enumerate(patterns):
+        t = np.flatnonzero(which.ravel() == i)
+        k = np.cumsum(pattern)[top:]
+        A = cols[t][..., pattern] / norms[t][:, None, pattern]
+        Q, Rf = np.linalg.qr(A)
+        T = S[t, :, top : top + L + 1]
+        # rung l keeps the first k[l] coordinates of Q^H t; as Rf is upper
+        # triangular, one solve gives every rung's leading-block certificate
+        qt = np.where(np.arange(A.shape[-1])[:, None] < k, Q.conj().mT @ T, 0.0)
+        misfit = np.linalg.norm(T - Q @ qt, axis=-2)
+        coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=-2)
+        # the columns of A are unit vectors, so norm(A[:, :k]) is sqrt(k)
+        scale = np.linalg.norm(T, axis=-2) + np.sqrt(k) * coef
+        # a zero target reads 0 / 1
+        ladder[t] = misfit / np.where(scale == 0.0, 1.0, scale)
     rungs = np.arange(first, first + L + 1)
-    piv = G[rungs + N, rungs]
-    pivots = np.abs(piv) / np.linalg.norm(G[:, rungs], axis=0)
-    below = np.arange(G.shape[0])[:, None] > rungs + N
-    leak = float(np.max(np.where(below, np.abs(G[:, rungs]), 0.0), initial=0.0))
-    return ladder.tolist(), float(np.min(pivots)), np.inf if np.any(piv == 0) else leak
+    piv, image = G[:, rungs + N, rungs], G[..., rungs]
+    pivots = np.abs(piv) / np.linalg.norm(image, axis=-2)
+    below = np.arange(G.shape[-2])[:, None] > rungs + N
+    leak = np.max(np.where(below, np.abs(image), 0.0), axis=(-2, -1), initial=0.0)
+    leak = np.where(np.any(piv == 0, axis=-1), np.inf, leak)
+    return ladder, np.min(pivots, axis=-1), leak
+
+
+#: bytes of one stack of sections: a probe builds its trials' sections in
+#: chunks of at most this size, or of one section when a section is larger
+_STACK_BYTES = 1 << 20
 
 
 def _probe(
-    f, g, lo: int, hi: int, R: float, ladder_length: int, floor: float,
-    *, build, n0_of, first_rung: int, through_f: bool, edge_free: bool,
-) -> ZeroProductReport:
-    """The zero-product protocol of both harnesses over the window ``[lo, hi]``.
+    pairs, lo: int, hi: int, R: float, ladder_length: int, floor: float,
+    *, build, n0_of, first_rung, through_f: bool, edge_free: bool,
+) -> list[ZeroProductReport]:
+    """The zero-product protocol of both harnesses over the window
+    ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.
 
     A zero factor satisfies the dichotomy outright, and no ladder exists
     because the nonvanishing hypothesis has no top degree to anchor to, so
     only the column norms of the product of the ``build`` sections are
     reported.  Otherwise the ladder (:func:`_ladder`) starts at the larger
-    of ``n0_of(N)``, for the top degree ``N`` of ``g``, and ``first_rung``,
-    the lowest column whose image under ``T_g`` stays inside the window.
-    It is read through ``T_f`` (``S = T_f``, ``P = T_f T_g``) when
-    ``through_f``, else in the domain of ``T_g`` (``S = I``, ``P = T_g``).
-    The interior product columns keep the margin ``f.bandwidth() +
-    g.bandwidth()`` from each window edge but an ``edge_free`` lower one.
-    The verdict is ``Inconclusive`` when an interior column norm is not
-    finite, else ``Violation`` only when every one falls below ``floor``.
-    """
-    if f.is_zero() or g.is_zero():
-        prod = build(f, (lo, hi), R) @ build(g, (lo, hi), R)
-        N = None if g.is_zero() else g.top_degree()
-        norms = np.linalg.norm(prod, axis=0).tolist()
-        return ZeroProductReport(UNCONSTRAINED, lo, N, norms)
-    N, L = g.top_degree(), int(ladder_length)
-    n0 = n0_of(N)
-    n0_eff = first_rung if n0 == UNCONSTRAINED else max(int(n0), first_rung)
-    if n0_eff + N + L > hi:
-        raise WindowTooSmallError(
-            f"window top {hi} below ladder top {n0_eff + N + L}; "
-            f"raise the window or shorten the ladder"
-        )
-    size, margin = hi - lo + 1, f.bandwidth() + g.bandwidth()
-    bottom = 0 if edge_free else margin
-    if bottom >= size - margin:
-        raise WindowTooSmallError(
-            f"window [{lo}, {hi}] has no interior columns at margin {margin}"
-        )
+    of ``n0_of(g, N)``, for the top degree ``N`` of ``g``, and
+    ``first_rung(g)``, the lowest column whose image under ``T_g`` stays
+    inside the window.  It is read through ``T_f`` (``S = T_f``,
+    ``P = T_f T_g``) when ``through_f``, else in the domain of ``T_g``
+    (``S = I``, ``P = T_g``).  The interior product columns keep the
+    margin ``f.bandwidth() + g.bandwidth()`` from each window edge but an
+    ``edge_free`` lower one.  The verdict is ``Inconclusive`` when an
+    interior column norm is not finite, else ``Violation`` only when every
+    one falls below ``floor``.
 
-    tf = build(f, (lo, hi), R)
-    tg = build(g, (lo, hi), R)
-    prod = tf @ tg
-    S, P = (tf, prod) if through_f else (np.eye(size), tg)
-    ladder, pivot, leak = _ladder(S, P, tg, n0_eff - lo, N, L)
-    norms = np.linalg.norm(prod[:, bottom : size - margin], axis=0).tolist()
-    if not np.all(np.isfinite(norms)):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = VIOLATION if np.max(norms) < floor else CONSISTENT
-    return ZeroProductReport(n0, n0_eff, N, norms, ladder, pivot, leak, verdict)
+    Every pair's window checks run first, in order, so a refusal names the
+    first pair the window cannot serve.  The trials then run as stacks:
+    ``build`` takes a list of symbols and returns their sections stacked,
+    a chunk holds as many trials as one stacked section fits in
+    ``_STACK_BYTES`` (at least one), and per chunk the product, its column
+    norms and each ladder group of one ``(first, N)`` take one stacked
+    call.  A stacked call applies per matrix what a one-pair call applies
+    to its matrix, so each report has the bits of the one-pair call.
+    """
+    L, size = int(ladder_length), hi - lo + 1
+    plans = []
+    for f, g in pairs:
+        if f.is_zero() or g.is_zero():
+            plans.append(None)
+            continue
+        N, first = g.top_degree(), first_rung(g)
+        n0 = n0_of(g, N)
+        n0_eff = first if n0 == UNCONSTRAINED else max(int(n0), first)
+        if n0_eff + N + L > hi:
+            raise WindowTooSmallError(
+                f"window top {hi} below ladder top {n0_eff + N + L}; "
+                f"raise the window or shorten the ladder"
+            )
+        margin = f.bandwidth() + g.bandwidth()
+        bottom = 0 if edge_free else margin
+        if bottom >= size - margin:
+            raise WindowTooSmallError(
+                f"window [{lo}, {hi}] has no interior columns at margin {margin}"
+            )
+        plans.append((n0, n0_eff, N, slice(bottom, size - margin)))
+
+    reports = []
+    step = max(1, _STACK_BYTES // (16 * size * size))
+    for at in range(0, len(pairs), step):
+        chunk, plan = pairs[at : at + step], plans[at : at + step]
+        tf = build([f for f, _ in chunk], (lo, hi), R)
+        tg = build([g for _, g in chunk], (lo, hi), R)
+        prod = tf @ tg
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, p in enumerate(plan):
+            if p is not None:
+                groups.setdefault((p[1] - lo, p[2]), []).append(i)
+        ladders = {}
+        for (first, N), t in groups.items():
+            cut = first + max(N, 0) + L + 1  # the columns _ladder reads
+            S = (tf[t, :, :cut] if through_f
+                 else np.broadcast_to(np.eye(size)[:, :cut], (len(t), size, cut)))
+            P = (prod if through_f else tg)[t, :, :cut]
+            residuals, pivots, leaks = _ladder(S, P, tg[t, :, :cut], first, N, L)
+            ladders.update(zip(t, zip(residuals, pivots, leaks)))
+        # the norms take two temporaries the size of prod: free the factors
+        # first, and prod before the next chunk's builds
+        del tf, tg
+        norms = np.linalg.norm(prod, axis=-2)
+        del prod
+        for i, ((f, g), p) in enumerate(zip(chunk, plan)):
+            if p is None:
+                N = None if g.is_zero() else g.top_degree()
+                reports.append(ZeroProductReport(UNCONSTRAINED, lo, N, norms[i].tolist()))
+                continue
+            n0, n0_eff, N, interior = p
+            col = norms[i, interior].tolist()
+            if not np.all(np.isfinite(col)):
+                verdict = INCONCLUSIVE
+            else:
+                verdict = VIOLATION if np.max(col) < floor else CONSISTENT
+            ladder, pivot, leak = ladders[i]
+            reports.append(ZeroProductReport(
+                n0, n0_eff, N, col, ladder.tolist(), float(pivot), float(leak), verdict
+            ))
+    return reports
 
 
 def zero_product_experiment_hardy(
-    f: ExactSymbol,
-    g: ExactSymbol,
+    pairs: Sequence[tuple[ExactSymbol, ExactSymbol]],
     window: tuple[int, int],
     R: float,
     ladder_length: int = 8,
     zero_divisor_floor: float = 1e-6,
-) -> ZeroProductReport:
-    """Probe a symbol pair for a finite-window zero-divisor signature.
+) -> list[ZeroProductReport]:
+    """Probe each symbol pair ``(f, g)`` for a finite-window zero-divisor
+    signature; one report per pair, in order.
 
     The protocol of :func:`_probe` with the ladder read through ``T_f``.
     Rung ``l`` holds for every admissible pair: the image of basis vector
@@ -446,7 +518,7 @@ def zero_product_experiment_hardy(
     """
     lo, hi = _check_window(window)
     return _probe(
-        f, g, lo, hi, R, ladder_length, zero_divisor_floor,
-        build=build_toeplitz_hardy, n0_of=lambda N: find_n0_hardy(g, N, R),
-        first_rung=lo + g.neg_reach(), through_f=True, edge_free=False,
+        pairs, lo, hi, R, ladder_length, zero_divisor_floor,
+        build=build_toeplitz_hardy, n0_of=lambda g, N: find_n0_hardy(g, N, R),
+        first_rung=lambda g: lo + g.neg_reach(), through_f=True, edge_free=False,
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, FloatRangeError
 from .geometry import AnnulusGeometry, BoundaryData
 
 
@@ -84,7 +84,26 @@ def constant_symbol(value_C: complex, value_C0: complex) -> ExactSymbol:
 
 
 def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
-    """Boundary grid samples of a symbol, synthesized from its tables."""
+    """Boundary grid samples of a symbol, synthesized from its tables.
+
+    Refuses, with :class:`FloatRangeError`, a table whose samples the grid's
+    FFTs cannot take.  A sample is at most the table's absolute coefficient
+    sum ``S`` in modulus.  An FFT on ``m = m_circle`` nodes, whatever its
+    normalization, first forms unscaled partial sums of at most ``m`` terms,
+    each a sample times a unit phase, so every value it forms is at most
+    ``m S`` in modulus; the same holds for the samples times basis functions,
+    which are at most 1 in modulus.  Every such FFT therefore stays finite
+    when ``m S <= float max``, and a table past that is refused before the
+    first one is taken.
+    """
+    for table in (sym.coeffs_C, sym.coeffs_C0):
+        total = sum(abs(c) for c in table.values())
+        if not geo.m_circle * total <= np.finfo(float).max:  # NaN fails too
+            raise FloatRangeError(
+                f"samples up to {total:.6g} in modulus leave the float range in "
+                f"an FFT on m_circle={geo.m_circle} nodes: m_circle times the "
+                f"absolute coefficient sum exceeds float max"
+            )
     return BoundaryData(
         _synthesize(sym.coeffs_C, geo.m_circle),
         _synthesize(sym.coeffs_C0, geo.m_circle),

@@ -302,8 +302,8 @@ def test_criterion_10_zero_product_harnesses(request):
         for _ in range(TRIALS):
             f = random_boundary_symbol(rng, TRIAL_REACH)
             g = random_boundary_symbol(rng, TRIAL_REACH)
-            rep = zero_product_experiment_hardy(
-                f, g, (-32, 32), R, ladder_length=LADDER_LENGTH,
+            [rep] = zero_product_experiment_hardy(
+                [(f, g)], (-32, 32), R, ladder_length=LADDER_LENGTH,
                 zero_divisor_floor=ZERO_DIVISOR_FLOOR,
             )
             worst_ladder = max(worst_ladder, max(rep.ladder_residuals))
@@ -318,8 +318,8 @@ def test_criterion_10_zero_product_harnesses(request):
                 rng, TRIAL_BANDS[0], TRIAL_BANDS[1], TRIAL_PROFILE_DEGREE,
                 monomial_top=True,
             )
-            rep = zero_product_experiment_bergman(
-                f, g, (-24, 24), R, ladder_length=LADDER_LENGTH,
+            [rep] = zero_product_experiment_bergman(
+                [(f, g)], (-24, 24), R, ladder_length=LADDER_LENGTH,
                 zero_divisor_floor=ZERO_DIVISOR_FLOOR,
             )
             worst_ladder = max(worst_ladder, max(rep.ladder_residuals))

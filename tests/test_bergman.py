@@ -216,15 +216,15 @@ def test_zero_profile_has_no_column():
 
 def test_probe_zero_factor_is_trivially_consistent():
     g = PolarSymbol({1: one})
-    report = zero_product_experiment_bergman(PolarSymbol({}), g, (-1, 12), R)
+    [report] = zero_product_experiment_bergman([(PolarSymbol({}), g)], (-1, 12), R)
     assert report.verdict == "ConsistentWithTheorem"
     assert report.top_degree == 1
     assert report.min_product_column_norm == 0.0
 
 
 def test_probe_identity_times_shift():
-    report = zero_product_experiment_bergman(
-        PolarSymbol({0: one}), PolarSymbol({1: one}), (-1, 14), R
+    [report] = zero_product_experiment_bergman(
+        [(PolarSymbol({0: one}), PolarSymbol({1: one}))], (-1, 14), R
     )
     assert report.n0 == "unconstrained"
     assert report.n0_effective == -1
@@ -237,7 +237,7 @@ def test_probe_seeded_pair_reports_certificates():
     rng = Lcg(53)
     f = random_polar_symbol(rng, -2, 2, 2)
     g = random_polar_symbol(rng, -1, 2, 2, monomial_top=True)
-    report = zero_product_experiment_bergman(f, g, (-1, 20), R)
+    [report] = zero_product_experiment_bergman([(f, g)], (-1, 20), R)
     assert report.verdict == "ConsistentWithTheorem"
     assert max(report.ladder_residuals) <= 1e-10
     assert report.min_product_column_norm > 1e-6
@@ -256,7 +256,7 @@ def test_ill_conditioned_ladder_keeps_its_inclusions():
     # seed 2, trial 9: the ladder columns reach condition 1e15, where a
     # least-squares certificate gave residual 0.83 for a true inclusion
     f, g = cli_trial(2, 9)
-    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     assert max(report.ladder_residuals) <= 1e-10
 
 
@@ -264,14 +264,15 @@ def test_ladder_without_its_image_column_stays_far():
     """Negative control: the image column of ``z^(n0+l)`` is the first to
     reach degree ``n0+N+l``; without it the target is outside the span."""
     f, g = cli_trial(2, 9)
-    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     lo, hi, n0, N = -1, 24, report.n0_effective, report.top_degree
     tg = build_bergman_toeplitz(g, (lo, hi), R)
     # rung l reads the images of z^(n0) .. z^(n0+l-1): one column behind
     first = n0 - lo
     behind = np.zeros_like(tg)
     behind[:, first + 1 :] = tg[:, first:-1]
-    restricted, _, _ = _ladder(np.eye(hi - lo + 1), behind, tg, first, N, 8)
+    S = np.eye(hi - lo + 1)[None]
+    [restricted], _, _ = _ladder(S, behind[None], tg[None], first, N, 8)
     assert min(restricted) > 1e-3
 
 
@@ -284,7 +285,7 @@ def test_out_of_span_target_breaks_the_band_certificate():
     the rung columns then has no top-degree entry (condition (b)), so the
     band leak reads inf where the harness's own ladder reads 0."""
     f, g = cli_trial(2, 9)
-    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     assert report.ladder_band_leak == 0.0
     lo, hi, n0, N, L = -1, 24, report.n0_effective, report.top_degree, 8
     tg = build_bergman_toeplitz(g, (lo, hi), R)
@@ -297,7 +298,7 @@ def test_out_of_span_target_breaks_the_band_certificate():
     G = np.zeros((size, size))
     G[rungs[1:] + N - 1, rungs[1:]] = 1.0
     assert np.array_equal(P[:, rungs], (S @ G)[:, rungs])
-    residuals, _, leak = _ladder(S, P, G, first, N, L)
+    [residuals], _, [leak] = _ladder(S[None], P[None], G[None], first, N, L)
     assert residuals[-1] <= 1e-10
     assert leak == np.inf
 
@@ -306,7 +307,7 @@ def test_smallest_relative_pivot_of_the_degenerate_ladder():
     """Seed 2, trial 9: the top-degree entry of each ladder image is only
     about 1% of its column, the factor the certificate grows by."""
     f, g = cli_trial(2, 9)
-    report = zero_product_experiment_bergman(f, g, (-24, 24), R)
+    [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     assert report.min_relative_pivot == pytest.approx(1.23e-2, rel=5e-3)
 
 
@@ -321,5 +322,5 @@ def test_bergman_harness_passes_where_the_ladder_degenerates(tmp_path, seed):
 def test_probe_rejects_short_ladder_window():
     with pytest.raises(WindowTooSmallError):
         zero_product_experiment_bergman(
-            PolarSymbol({0: one}), PolarSymbol({1: one}), (-1, 4), R
+            [(PolarSymbol({0: one}), PolarSymbol({1: one}))], (-1, 4), R
         )

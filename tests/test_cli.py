@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -73,18 +74,18 @@ def test_zero_product_bergman_runs_clean(tmp_path):
 
 def test_zero_product_calls_the_probe_bound_at_run_time(tmp_path, monkeypatch):
     """A probe rebound on its module after import (as the benchmark's
-    tracer does) is the one the harness calls."""
+    tracer does) is the one the harness calls, once with all 20 pairs."""
     probe = annulab.hardy.zero_product_experiment_hardy
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args[2])
+        calls.append((len(args[0]), args[1]))
         return probe(*args, **kwargs)
 
     monkeypatch.setattr(annulab.hardy, "zero_product_experiment_hardy", spy)
     code, _ = run_lab(tmp_path, "zero-product-hardy", {"R": 0.5, "seed": 1})
     assert code == 0
-    assert calls == [(-24, 24)] * 20
+    assert calls == [(20, (-24, 24))]
 
 
 def _poison(values):
@@ -109,8 +110,10 @@ def test_zero_product_nan_fails_the_rows(tmp_path, monkeypatch, field):
     probe = annulab.hardy.zero_product_experiment_hardy
 
     def poisoned(*args, **kwargs):
-        rep = probe(*args, **kwargs)
-        return dataclasses.replace(rep, **{field: _poison(getattr(rep, field))})
+        return [
+            dataclasses.replace(rep, **{field: _poison(getattr(rep, field))})
+            for rep in probe(*args, **kwargs)
+        ]
 
     monkeypatch.setattr(annulab.hardy, "zero_product_experiment_hardy", poisoned)
     doc = {"R": 0.5, "seed": 1, "window": [-24, 24]}
@@ -123,15 +126,17 @@ def test_zero_product_nan_fails_the_rows(tmp_path, monkeypatch, field):
 
 
 def _top_band_one_row_lower(build):
-    """``build`` with the top band of every section moved one row down."""
+    """``build`` with the top band of every stacked section moved one row
+    down."""
 
-    def shifted(sym, window, R):
-        op = build(sym, window, R)
-        N, size = sym.top_degree(), op.shape[0]
-        cols = np.arange(max(0, -N), size - N - 1)
-        op[cols + N + 1, cols] = op[cols + N, cols]
-        op[cols + N, cols] = 0.0
-        return op
+    def shifted(syms, window, R):
+        ops = build(syms, window, R)
+        for sym, op in zip(syms, ops):
+            N, size = sym.top_degree(), op.shape[0]
+            cols = np.arange(max(0, -N), size - N - 1)
+            op[cols + N + 1, cols] = op[cols + N, cols]
+            op[cols + N, cols] = 0.0
+        return ops
 
     return shifted
 
@@ -160,6 +165,24 @@ def test_band_one_row_off_fails_the_band_leak_rows(tmp_path, monkeypatch, experi
     rows = _results(outdir)
     assert code == 1
     assert all(rows[n][2] == "false" for n in names)
+
+
+def test_zero_product_stacks_keep_memory_bounded(tmp_path):
+    """A zero-product-hardy run at +-48 peaks at 0.83 MiB traced with its
+    trials run one at a time.  Stacked, a chunk's T_f, T_g and product,
+    each at most 1 MiB (``hardy._STACK_BYTES``), are alive together with
+    the ladders' working arrays: 3.97 MiB.  The cap is the 0.83 MiB plus
+    four such stacks; one unbounded stack of all 20 trials peaks at
+    12.7 MiB, a 2 MiB bound at 8.4 MiB."""
+    doc = {"R": 0.5, "seed": 1, "window": [-48, 48]}
+    tracemalloc.start()
+    try:
+        code, _ = run_lab(tmp_path, "zero-product-hardy", doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= (0.83 + 4) * 2**20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -600,13 +623,26 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["gram", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+#: a symbol document whose absolute coefficient sum, 8e307 per circle, is
+#: finite, while an FFT of its samples on 64 nodes would reach 64 times that
+NEAR_FLOAT_MAX = {
+    "repr": "exact", "R": 0.5, "coeffs_C": [[0, 8e307, 0]], "coeffs_C0": [[1, 8e307, 0]],
+}
+
+
 def run_lab_process(tmp_path, experiment, doc):
+    """``lab`` in a child process that turns a numeric RuntimeWarning into
+    an error; a ``symbol`` given as a document is written to a file first."""
+    if isinstance(doc.get("symbol"), dict):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(doc["symbol"]))
+        doc = {**doc, "symbol": str(path)}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     src = str(Path(annulab.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "annulab.cli", experiment, "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "annulab.cli", experiment,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -628,6 +664,12 @@ def run_lab_process(tmp_path, experiment, doc):
         ("hankel-decay", {"sizes": [64, 64, 32]}),
         # the Bergman basis starts at degree -1, above the whole window
         ("zero-product-bergman", {"window": [-30, -5]}),
+        # 64 nodes times the absolute coefficient sum 8e307 leaves the float
+        # range, so the samples' FFTs would overflow
+        ("toeplitz-build",
+         {"R": 0.5, "window": [-4, 4], "m_circle": 64, "symbol": NEAR_FLOAT_MAX}),
+        ("identities",
+         {"R": 0.5, "window": [-4, 4], "m_circle": 64, "symbol": NEAR_FLOAT_MAX}),
     ],
 )
 def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):

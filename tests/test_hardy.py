@@ -233,8 +233,8 @@ def test_semicommutator_identity_random_pair():
 
 
 def test_zero_factor_reports_consistent():
-    rep = zero_product_experiment_hardy(
-        ExactSymbol({}, {}), ExactSymbol({0: 1.0}, {0: 1.0}), (-12, 12), R
+    [rep] = zero_product_experiment_hardy(
+        [(ExactSymbol({}, {}), ExactSymbol({0: 1.0}, {0: 1.0}))], (-12, 12), R
     )
     assert rep.verdict == CONSISTENT
     assert max(rep.product_column_norms) == 0.0
@@ -243,7 +243,7 @@ def test_zero_factor_reports_consistent():
 
 def test_analytic_pair_product_is_composition():
     z = laurent_symbol({1: 1.0}, R)
-    rep = zero_product_experiment_hardy(z, z, (-12, 12), R)
+    [rep] = zero_product_experiment_hardy([(z, z)], (-12, 12), R)
     assert rep.verdict == CONSISTENT
     assert rep.min_product_column_norm > 1e-6
     # the composed section agrees with the z^2 section in the interior
@@ -280,7 +280,7 @@ def test_harness_ladder_is_tight():
     rng = Lcg(1)
     f = random_boundary_symbol(rng, 2)
     g = random_boundary_symbol(rng, 2)
-    rep = zero_product_experiment_hardy(f, g, (-20, 20), R)
+    [rep] = zero_product_experiment_hardy([(f, g)], (-20, 20), R)
     assert rep.verdict == CONSISTENT
     assert max(rep.ladder_residuals) <= 1e-10
     # without the product columns, or with each one a column behind, the
@@ -291,7 +291,7 @@ def test_harness_ladder_is_tight():
     behind = np.zeros_like(tf)
     behind[:, first + 1 :] = (tf @ tg)[:, first:-1]
     for P in (np.zeros_like(tf), behind):
-        restricted, _, _ = _ladder(tf, P, tg, first, N, 8)
+        [restricted], _, _ = _ladder(tf[None], P[None], tg[None], first, N, 8)
         assert min(restricted) > 1e-3
         reference = per_rung_ladder(tf, P, first, N, 8)
         assert np.max(np.abs(np.subtract(restricted, reference))) <= 1e-15
@@ -306,16 +306,16 @@ def test_shared_qr_ladder_matches_per_rung_qr(experiment, monkeypatch):
 
     def compare(S, P, G, first, N, L):
         out = ladder(S, P, G, first, N, L)
-        ref = per_rung_ladder(S, P, first, N, L)
-        worst.append(float(np.max(np.abs(np.subtract(out[0], ref)))))
+        for s, p, residuals in zip(S, P, out[0]):
+            ref = per_rung_ladder(s, p, first, N, L)
+            worst.append(float(np.max(np.abs(np.subtract(residuals, ref)))))
         return out
 
     monkeypatch.setattr(hardy, "_ladder", compare)
     for seed in range(41):
         rng = Lcg(seed)
-        for _ in range(TRIALS):
-            f, g = draw_f(rng), draw_g(rng)
-            getattr(module, name)(f, g, (-24, 24), R, ladder_length=LADDER_LENGTH)
+        pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
+        getattr(module, name)(pairs, (-24, 24), R, ladder_length=LADDER_LENGTH)
     assert len(worst) == 41 * TRIALS
     assert max(worst) <= 1e-15
 
@@ -325,7 +325,7 @@ def test_harness_window_guard():
     f = random_boundary_symbol(rng, 2)
     g = random_boundary_symbol(rng, 2)
     with pytest.raises(WindowTooSmallError):
-        zero_product_experiment_hardy(f, g, (-3, 3), R)
+        zero_product_experiment_hardy([(f, g)], (-3, 3), R)
 
 
 one = PolyProfile({0: 1.0 + 0.0j})
@@ -348,8 +348,8 @@ def test_fabricated_zero_product_flags_violation():
     """A floor above every product column norm must trip the verdict rule
     of both harnesses."""
     for probe, f, g, window in NONZERO_PAIRS.values():
-        assert probe(f, g, window, R).verdict == CONSISTENT
-        rep = probe(f, g, window, R, zero_divisor_floor=1e9)
+        assert probe([(f, g)], window, R)[0].verdict == CONSISTENT
+        [rep] = probe([(f, g)], window, R, zero_divisor_floor=1e9)
         assert rep.verdict == VIOLATION
 
 
@@ -370,23 +370,91 @@ def test_nan_section_entry_reads_inconclusive(harness, monkeypatch):
     module, name = BUILDERS[harness]
     build = getattr(module, name)
 
-    def poisoned(sym, win, R):
-        op = build(sym, win, R)
-        op[5, 5] = np.nan
-        return op
+    def poisoned(syms, win, R):
+        ops = build(syms, win, R)
+        ops[:, 5, 5] = np.nan
+        return ops
 
     monkeypatch.setattr(module, name, poisoned)
-    rep = probe(f, g, window, R, zero_divisor_floor=1e9)
+    [rep] = probe([(f, g)], window, R, zero_divisor_floor=1e9)
     assert np.isnan(rep.min_product_column_norm)
     assert np.isnan(np.max(rep.ladder_residuals))
     assert rep.verdict == INCONCLUSIVE
+
+
+#: c of the profile 1 - c r, whose Mellin moment vanishes at 5 (the mellin
+#: experiment's witness); as a top band N = 1 it puts n0 at 2
+_WITNESS_C = 6.0 * (1.0 - R**5) / (5.0 * (1.0 - R**6))
+
+#: per harness: the window, a zero symbol, and g's whose ladders start at
+#: other columns, or end at other rows, than the drawn trials' ladders
+STACK_CASES = {
+    "zero-product-hardy": (
+        (-48, 48), ExactSymbol({}, {}), [
+            # -ghat_C(2) / ghat_C0(2) = R^-2: n0 = floor((2 - 2) / 2) + 1 = 1
+            ExactSymbol({-1: 0.3, 0: 0.5, 2: -1.0}, {0: 0.2j, 2: 0.25}),
+            # top degree -4: the rung columns reach past the targets
+            ExactSymbol({}, {-4: 1.0}),
+        ],
+    ),
+    "zero-product-bergman": (
+        (-24, 24), PolarSymbol({}), [
+            PolarSymbol({0: PolyProfile({0: 0.5, 2: 0.25j}),
+                         1: PolyProfile({0: 1.0, 1: -_WITNESS_C})}),
+        ],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("experiment", sorted(STACK_CASES))
+def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
+    """One list through the stacked probe gives, pair by pair, the bits of
+    a one-pair call: over drawn pairs, a zero factor on either side, g's
+    whose ladders sit elsewhere, a NaN section column, and more pairs than
+    one chunk holds."""
+    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    window, zero, other_gs = STACK_CASES[experiment]
+    # Bergman sections start at degree -1
+    lo = max(window[0], -1) if module is bergman else window[0]
+    per_chunk = hardy._STACK_BYTES // (16 * (window[1] - lo + 1) ** 2)
+    rng = Lcg(3)
+    pairs = [(draw_f(rng), draw_g(rng)) for _ in range(per_chunk + 3)]
+    nan_g = pairs[per_chunk + 1][1]
+    pairs[1] = (zero, pairs[1][1])
+    for at, g in enumerate(other_gs, start=2):
+        pairs[at] = (pairs[at][0], g)
+    pairs[per_chunk] = (pairs[per_chunk][0], zero)
+    builder = {hardy: "build_toeplitz_hardy", bergman: "build_bergman_toeplitz"}[module]
+    build = getattr(module, builder)
+
+    def nan_column(syms, win, R):
+        ops = build(syms, win, R)
+        for sym, op in zip(syms, ops):
+            if sym is nan_g:
+                op[:, 8] = np.nan  # a rung and an interior column
+        return ops
+
+    monkeypatch.setattr(module, builder, nan_column)
+    probe = getattr(module, name)
+    reports = probe(pairs, window, R, ladder_length=LADDER_LENGTH)
+    assert len(reports) == len(pairs) > per_chunk
+    for pair, rep in zip(pairs, reports):
+        [one] = probe([pair], window, R, ladder_length=LADDER_LENGTH)
+        assert repr(rep) == repr(one)
+    # the mix holds each case
+    assert reports[1].ladder_residuals == [] == reports[per_chunk].ladder_residuals
+    assert isinstance(reports[2].n0, int)
+    assert reports[2].n0_effective != reports[0].n0_effective
+    assert reports[per_chunk + 1].verdict == INCONCLUSIVE
+    assert np.isnan(np.max(reports[per_chunk + 1].ladder_residuals))
 
 
 @pytest.mark.parametrize("harness", sorted(NONZERO_PAIRS))
 def test_probe_refuses_a_ladder_above_the_window(harness):
     probe, f, g, window = NONZERO_PAIRS[harness]
     with pytest.raises(WindowTooSmallError, match="ladder top"):
-        probe(f, g, window, R, ladder_length=30)
+        probe([(f, g)], window, R, ladder_length=30)
 
 
 _rng = Lcg(1)
@@ -410,7 +478,7 @@ MARGIN_PAIRS = {
 def test_probe_refuses_a_window_without_interior_columns(harness):
     probe, f, g, window, ladder = MARGIN_PAIRS[harness]
     with pytest.raises(WindowTooSmallError, match="no interior columns"):
-        probe(f, g, window, R, ladder_length=ladder)
+        probe([(f, g)], window, R, ladder_length=ladder)
 
 
 entry_offsets = st.integers(min_value=-6, max_value=6)
