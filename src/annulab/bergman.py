@@ -198,8 +198,6 @@ def zero_product_experiment_bergman(
     pairs: Sequence[tuple[PolarSymbol, PolarSymbol]],
     window: tuple[int, int],
     R: float,
-    ladder_length: int = 8,
-    zero_divisor_floor: float = 1e-6,
 ) -> list[ZeroProductReport]:
     """Probe each banded pair ``(f, g)`` for the zero-product mechanism;
     one report per pair, in order.
@@ -208,13 +206,15 @@ def zero_product_experiment_bergman(
     with the ladder read in the domain of ``T_g``: each basis vector of
     degree n0+N+l is spanned by the images of the first l+1 ladder vectors
     under the second symbol together with all lower-degree basis vectors.
-    Sections compress to degrees >= -1: a window clamped there reads no
-    lower-edge margin, though ``T_g`` sends images below it (ROADMAP item 1).
+    A negative top band ``N`` starts the ladder ``-N`` above the window
+    floor, so that base never starts below the window.  Sections compress
+    to degrees >= -1: a window clamped there reads no lower-edge margin,
+    though ``T_g`` sends images below it (ROADMAP item 1).
     """
     lo, hi = _clamp_window(window)
     return _probe(
-        pairs, lo, hi, R, ladder_length, zero_divisor_floor,
-        build=build_bergman_toeplitz, first_rung=lambda g: lo, through_f=False,
+        pairs, lo, hi, R, build=build_bergman_toeplitz,
+        first_rung=lambda g: lo + max(0, -g.top_degree()), through_f=False,
         n0_of=lambda g, N: find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi)),
         edge_free=lo == -1,
     )

@@ -4,8 +4,8 @@ Each experiment composes module operations into check rows; then ``run``
 writes ``results.csv`` and ``report.json`` (plus experiment-specific
 CSV/SVG files) into the output directory, and the process exits 0 exactly
 when every check passes.  All numeric parameters live in the JSON config; the
-trial count and ladder length of the falsification harnesses are fixed
-constants so reports stay comparable across configurations.
+harnesses' trial count (below) and their probes' ladder length and floor (in
+:mod:`annulab.hardy`) are fixed so reports stay comparable across configurations.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .symbols import (
 
 #: fixed harness constants (documented, not configurable)
 TRIALS = 20
-LADDER_LENGTH = 8
-ZERO_DIVISOR_FLOOR = 1e-6
 #: band reach of seeded two-circle trial symbols
 TRIAL_REACH = 4
 #: band range and radial degree of seeded polar trial symbols
@@ -135,8 +133,11 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
         setattr(cfg, key, v if convert is None else convert(v))
     if out_override is not None:
         cfg.out = out_override
-    cfg.geometry()  # validates R / m_circle / m_radial jointly
-    key, need = _largest_array(cfg)
+    try:
+        cfg.geometry()  # validates R / m_circle / m_radial jointly
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _, key, need = _reads(cfg)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
@@ -146,15 +147,22 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
     return cfg
 
 
-def _largest_array(cfg: LabConfig) -> tuple[str, int]:
-    """``(field, bytes)`` of the largest dense array the experiment builds,
-    from the fields it reads: mellin's Gauss-Legendre companion matrix,
-    ``8 m_radial^2``; the identities transfer table, ``16 (DIAGRAM_SIZE + 1)
-    m_circle``, which also bounds the split relations' largest arrays,
-    ``16 size m_circle`` at their ``size`` 10, whatever the symbol's reach;
-    else the complex section, ``16 side^2`` (``side`` the window
-    width, ``2(2W+1)`` for gram, ``max(sizes)`` for hankel-decay), and the
-    ``side x m_circle`` sample buffers of gram and toeplitz-build.  The
+def _reads(cfg: LabConfig) -> tuple[int, str, int]:
+    """``(table_length, field, bytes)`` of what the run reads.
+
+    ``table_length`` covers every index a symbol table is read at: down to
+    ``-(2 max(sizes) - 1)`` in a decay sweep, ``-(2 DIAGRAM_SIZE - 1)`` in
+    the identities diagram's disc Hankel section, ``-(width - 1)`` in a
+    windowed section.  ``bytes`` is the largest dense array the experiment
+    builds and ``field`` the config field that sizes it: mellin's
+    Gauss-Legendre companion matrix, ``8 m_radial^2``; the identities
+    transfer table, ``16 (DIAGRAM_SIZE + 1) m_circle``, which also bounds
+    the split relations' largest arrays, ``16 size m_circle`` at their
+    ``size`` 10, whatever the symbol's reach; else the complex section,
+    ``16 side^2`` (``side`` the window width, ``2(2W+1)`` for gram,
+    ``max(sizes)`` for hankel-decay), and the pairing kernel's spectra of
+    ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
+    three for toeplitz-build (hardy, complement and weighted hardy).  The
     Bergman sections start at degree -1.  The zero-product harnesses stack
     their trials' sections, but a stack holds as many as fit
     ``hardy._STACK_BYTES`` (1 MiB) and at least one, so it never exceeds
@@ -162,16 +170,18 @@ def _largest_array(cfg: LabConfig) -> tuple[str, int]:
     only where one section is already past physical memory, and the stack
     is then that one section."""
     (lo, hi), exp = cfg.window, cfg.experiment
-    if exp == "mellin":
-        return "m_radial", 8 * cfg.m_radial**2
     if exp == "hankel-decay":
-        return "sizes", 16 * max(cfg.sizes) ** 2
+        return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
     if exp == "identities":
-        return "m_circle", 16 * (DIAGRAM_SIZE + 1) * cfg.m_circle
+        return 2 * DIAGRAM_SIZE, "m_circle", 16 * (DIAGRAM_SIZE + 1) * cfg.m_circle
+    width = hi - lo + 1
+    if exp == "mellin":
+        return width, "m_radial", 8 * cfg.m_radial**2
     lo = max(lo, -1) if exp == "zero-product-bergman" else lo
     side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else hi - lo + 1
-    buffers = 16 * side * cfg.m_circle * (exp in ("gram", "toeplitz-build"))
-    return max(("window", 16 * side**2), ("m_circle", buffers), key=lambda c: c[1])
+    spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
+    arrays = ("window", 16 * side**2), ("m_circle", 16 * spectra)
+    return width, *max(arrays, key=lambda c: c[1])
 
 
 def load_config(path, experiment: str, out_override: str | None = None) -> LabConfig:
@@ -183,24 +193,7 @@ def load_config(path, experiment: str, out_override: str | None = None) -> LabCo
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    try:
-        return parse_config(doc, experiment, out_override)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def _reference_count(cfg: LabConfig) -> int:
-    """Table length covering every index the run reads: a decay sweep reads
-    down to ``-(2 max(sizes) - 1)``, the identities diagram's disc Hankel
-    section to ``-(2 DIAGRAM_SIZE - 1)``, a windowed section to
-    ``-(width - 1)``."""
-    if cfg.experiment == "hankel-decay":
-        return 2 * max(cfg.sizes)
-    if cfg.experiment == "identities":
-        return 2 * DIAGRAM_SIZE
-    return cfg.window[1] - cfg.window[0] + 1
+    return parse_config(doc, experiment, out_override)
 
 
 def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
@@ -209,7 +202,7 @@ def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
     if ref.startswith("builtin:"):
         try:
             return reference.reference_symbol(
-                ref[len("builtin:"):], cfg.R, _reference_count(cfg)
+                ref[len("builtin:"):], cfg.R, _reads(cfg)[0]
             )
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
@@ -299,7 +292,7 @@ def _run_hankel_decay(cfg: LabConfig):
     if cfg.symbol in [f"builtin:{name}" for name in reference.TRUNCATED]:
         # the certificate sums the table the run reads, not the infinite one
         extra["l1_tail_table"] = (
-            f"truncated to {_reference_count(cfg)} coefficients; "
+            f"truncated to {_reads(cfg)[0]} coefficients; "
             "l1_tail_k bounds the sections of the truncation only"
         )
     return rows, artifacts, extra
@@ -405,13 +398,8 @@ def _run_zero_product(cfg: LabConfig):
     rng = randgen.Lcg(cfg.seed)
     # each trial draws f, then g
     pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
-    reps = probe(
-        pairs, cfg.window, cfg.R,
-        ladder_length=LADDER_LENGTH,
-        zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-    )
     rows, verdicts, ladders, norms = [], [], [], []
-    for t, rep in enumerate(reps):
+    for t, rep in enumerate(probe(pairs, cfg.window, cfg.R)):
         # np.max/np.min keep a NaN, which the built-in max/min would drop
         lad = np.max(rep.ladder_residuals)
         ladders.append(lad)
@@ -423,7 +411,7 @@ def _run_zero_product(cfg: LabConfig):
         rows.append(
             report.floor_check(
                 check, f"trial{t:02d}_min_product_column_norm",
-                rep.min_product_column_norm, ZERO_DIVISOR_FLOOR,
+                rep.min_product_column_norm, hardy.ZERO_DIVISOR_FLOOR,
             )
         )
         rows.append(
@@ -441,7 +429,7 @@ def _run_zero_product(cfg: LabConfig):
     )
     rows.append(
         report.floor_check(
-            check, "smallest_product_column_norm", np.min(norms), ZERO_DIVISOR_FLOOR
+            check, "smallest_product_column_norm", np.min(norms), hardy.ZERO_DIVISOR_FLOOR
         )
     )
     return rows, {}, {"verdicts": verdicts}

@@ -171,68 +171,6 @@ def apply_multiplier_to_coeffs(
 
 
 # ---------------------------------------------------------------------------
-# recovery from two columns
-
-
-def column_zero_recover(
-    section: np.ndarray, lo: int, r: int, s: int, R: float
-) -> dict[int, tuple[complex, complex]]:
-    """Recover coefficient pairs of the symbol from two section columns.
-
-    ``section`` is a square section of :func:`build_toeplitz_hardy` over the
-    window ``[lo, lo + size - 1]``; a column outside it raises
-    :class:`IndexError`.  For each offset ``n`` with both rows ``r + n``
-    and ``s + n`` inside the window, entry ``(c + n, c)`` of column ``c`` is
-    ``b fhat_C(n) + a fhat_C0(n)`` with the bounded weights
-    ``b = B_(c+n) B_c`` and ``a = A_(c+n) A_c`` of
-    :func:`build_toeplitz_hardy`, and ``a / b = R^(2c+n)``.  Each row is
-    divided by its larger weight and each unknown by its larger
-    coefficient, which leaves a 2x2 system with determinant
-    ``1 - R^(2|s-r|)`` at every offset: it is nonsingular whenever
-    ``r != s``, and no weight is inverted, so nothing overflows.  Columns
-    that are identically zero recover the zero pair at every offset where
-    both coefficients are determined.
-
-    Accuracy: with ``r < s``, ``fhat_C0`` enters both rows at most
-    ``R^(2r+n)`` times as strongly as ``fhat_C`` and is recovered only to
-    about ``eps * R^-(2r+n)`` when that exponent is positive; ``fhat_C``
-    is recovered only to about ``eps * R^(2s+n)`` when ``2s + n`` is
-    negative.  A coefficient whose weight falls below ``eps`` leaves no
-    digit in the section and comes back as ``nan``: at R = 0.1, columns
-    -150 and -149 of a +-160 window give ``fhat_C0`` to rounding at every
-    offset and ``fhat_C`` as ``nan`` at every offset below 283.  Prefer
-    columns of modest index.
-    """
-    if r == s:
-        raise ValueError("need two distinct columns")
-    r, s = sorted((r, s))
-    hi = lo + section.shape[0] - 1
-    ns = np.arange(lo - r, hi - s + 1)
-    rows = []
-    for c in (r, s):
-        if not lo <= c <= hi:
-            raise IndexError(f"column {c} outside window [{lo}, {hi}]")
-        Bm, Am = basis_weights(c + ns, R)
-        Bc, Ac = basis_weights(c, R)
-        vals = section[c + ns - lo, c - lo]
-        rows.append(vals / np.maximum(Bm * Bc, Am * Ac))
-    x1, x2 = 2 * r + ns, 2 * s + ns
-    # the scaled system is [[R^e1, 1], [1, R^e2]] with e1 + e2 = 2 (s - r)
-    e1 = np.maximum(-x1, 0) - np.maximum(-x2, 0)
-    e2 = np.maximum(x2, 0) - np.maximum(x1, 0)
-    det = 1.0 - R ** (2 * (s - r))
-    yC = (rows[1] - R**e2 * rows[0]) / det
-    y0 = (rows[0] - R**e1 * rows[1]) / det
-    # undo each unknown's largest weight; below eps it left no digit
-    eps = np.finfo(float).eps
-    pair = [
-        np.where(scale > eps, y / np.maximum(scale, eps), np.nan)
-        for y, scale in ((yC, R ** np.maximum(-x2, 0)), (y0, R ** np.maximum(x1, 0)))
-    ]
-    return {int(n): (complex(c), complex(c0)) for n, c, c0 in zip(ns, *pair)}
-
-
-# ---------------------------------------------------------------------------
 # top-coefficient threshold for the band-limited falsification harness
 
 
@@ -402,10 +340,14 @@ def _ladder(
 #: bytes of one stack of sections: a probe builds its trials' sections in
 #: chunks of at most this size, or of one section when a section is larger
 _STACK_BYTES = 1 << 20
+#: both probes' fixed protocol, read by :func:`_probe` at each call: the
+#: rungs past the first, and the column norm below which a product is zero
+LADDER_LENGTH = 8
+ZERO_DIVISOR_FLOOR = 1e-6
 
 
 def _probe(
-    pairs, lo: int, hi: int, R: float, ladder_length: int, floor: float,
+    pairs, lo: int, hi: int, R: float,
     *, build, n0_of, first_rung, through_f: bool, edge_free: bool,
 ) -> list[ZeroProductReport]:
     """The zero-product protocol of both harnesses over the window
@@ -423,7 +365,7 @@ def _probe(
     margin ``f.bandwidth() + g.bandwidth()`` from each window edge but an
     ``edge_free`` lower one.  The verdict is ``Inconclusive`` when an
     interior column norm is not finite, else ``Violation`` only when every
-    one falls below ``floor``.
+    one falls below ``ZERO_DIVISOR_FLOOR``.
 
     Every pair's window checks run first, in order, so a refusal names the
     first pair the window cannot serve.  The trials then run as stacks:
@@ -434,7 +376,7 @@ def _probe(
     call.  A stacked call applies per matrix what a one-pair call applies
     to its matrix, so each report has the bits of the one-pair call.
     """
-    L, size = int(ladder_length), hi - lo + 1
+    L, size = LADDER_LENGTH, hi - lo + 1
     plans = []
     for f, g in pairs:
         if f.is_zero() or g.is_zero():
@@ -490,7 +432,7 @@ def _probe(
             if not np.all(np.isfinite(col)):
                 verdict = INCONCLUSIVE
             else:
-                verdict = VIOLATION if np.max(col) < floor else CONSISTENT
+                verdict = VIOLATION if np.max(col) < ZERO_DIVISOR_FLOOR else CONSISTENT
             ladder, pivot, leak = ladders[i]
             reports.append(ZeroProductReport(
                 n0, n0_eff, N, col, ladder.tolist(), float(pivot), float(leak), verdict
@@ -502,8 +444,6 @@ def zero_product_experiment_hardy(
     pairs: Sequence[tuple[ExactSymbol, ExactSymbol]],
     window: tuple[int, int],
     R: float,
-    ladder_length: int = 8,
-    zero_divisor_floor: float = 1e-6,
 ) -> list[ZeroProductReport]:
     """Probe each symbol pair ``(f, g)`` for a finite-window zero-divisor
     signature; one report per pair, in order.
@@ -518,7 +458,7 @@ def zero_product_experiment_hardy(
     """
     lo, hi = _check_window(window)
     return _probe(
-        pairs, lo, hi, R, ladder_length, zero_divisor_floor,
+        pairs, lo, hi, R,
         build=build_toeplitz_hardy, n0_of=lambda g, N: find_n0_hardy(g, N, R),
         first_rung=lambda g: lo + g.neg_reach(), through_f=True, edge_free=False,
     )

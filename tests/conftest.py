@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from annulab.geometry import AnnulusGeometry
+from annulab.geometry import AnnulusGeometry, basis_weights
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,61 @@ def read_decay_csv(path):
             out[s].append([])
         out[s][-1].append(sig)
     return [(s, out[s]) for s in order]
+
+
+def column_zero_recover(
+    section: np.ndarray, lo: int, r: int, s: int, R: float
+) -> dict[int, tuple[complex, complex]]:
+    """Recover coefficient pairs of the symbol from two section columns.
+
+    ``section`` is a square section of :func:`build_toeplitz_hardy` over the
+    window ``[lo, lo + size - 1]``; a column outside it raises
+    :class:`IndexError`.  For each offset ``n`` with both rows ``r + n``
+    and ``s + n`` inside the window, entry ``(c + n, c)`` of column ``c`` is
+    ``b fhat_C(n) + a fhat_C0(n)`` with the bounded weights
+    ``b = B_(c+n) B_c`` and ``a = A_(c+n) A_c`` of
+    :func:`build_toeplitz_hardy`, and ``a / b = R^(2c+n)``.  Each row is
+    divided by its larger weight and each unknown by its larger
+    coefficient, which leaves a 2x2 system with determinant
+    ``1 - R^(2|s-r|)`` at every offset: it is nonsingular whenever
+    ``r != s``, and no weight is inverted, so nothing overflows.  Columns
+    that are identically zero recover the zero pair at every offset where
+    both coefficients are determined.
+
+    Accuracy: with ``r < s``, ``fhat_C0`` enters both rows at most
+    ``R^(2r+n)`` times as strongly as ``fhat_C`` and is recovered only to
+    about ``eps * R^-(2r+n)`` when that exponent is positive; ``fhat_C``
+    is recovered only to about ``eps * R^(2s+n)`` when ``2s + n`` is
+    negative.  A coefficient whose weight falls below ``eps`` leaves no
+    digit in the section and comes back as ``nan``: at R = 0.1, columns
+    -150 and -149 of a +-160 window give ``fhat_C0`` to rounding at every
+    offset and ``fhat_C`` as ``nan`` at every offset below 283.  Prefer
+    columns of modest index.
+    """
+    if r == s:
+        raise ValueError("need two distinct columns")
+    r, s = sorted((r, s))
+    hi = lo + section.shape[0] - 1
+    ns = np.arange(lo - r, hi - s + 1)
+    rows = []
+    for c in (r, s):
+        if not lo <= c <= hi:
+            raise IndexError(f"column {c} outside window [{lo}, {hi}]")
+        Bm, Am = basis_weights(c + ns, R)
+        Bc, Ac = basis_weights(c, R)
+        vals = section[c + ns - lo, c - lo]
+        rows.append(vals / np.maximum(Bm * Bc, Am * Ac))
+    x1, x2 = 2 * r + ns, 2 * s + ns
+    # the scaled system is [[R^e1, 1], [1, R^e2]] with e1 + e2 = 2 (s - r)
+    e1 = np.maximum(-x1, 0) - np.maximum(-x2, 0)
+    e2 = np.maximum(x2, 0) - np.maximum(x1, 0)
+    det = 1.0 - R ** (2 * (s - r))
+    yC = (rows[1] - R**e2 * rows[0]) / det
+    y0 = (rows[0] - R**e1 * rows[1]) / det
+    # undo each unknown's largest weight; below eps it left no digit
+    eps = np.finfo(float).eps
+    pair = [
+        np.where(scale > eps, y / np.maximum(scale, eps), np.nan)
+        for y, scale in ((yC, R ** np.maximum(-x2, 0)), (y0, R ** np.maximum(x1, 0)))
+    ]
+    return {int(n): (complex(c), complex(c0)) for n, c, c0 in zip(ns, *pair)}

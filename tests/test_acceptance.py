@@ -7,7 +7,7 @@ stdout) before asserting, so a red run still reports every verdict.
 
 import numpy as np
 import pytest
-from conftest import read_decay_csv
+from conftest import column_zero_recover, read_decay_csv
 
 from annulab.bergman import (
     build_bergman_section_quadrature,
@@ -15,7 +15,6 @@ from annulab.bergman import (
     zero_product_experiment_bergman,
 )
 from annulab.cli import (
-    LADDER_LENGTH,
     RECONSTRUCT_DEGREE,
     RECONSTRUCT_Z_START,
     RECONSTRUCT_Z_STEP,
@@ -23,13 +22,11 @@ from annulab.cli import (
     TRIAL_PROFILE_DEGREE,
     TRIAL_REACH,
     TRIALS,
-    ZERO_DIVISOR_FLOOR,
 )
 from annulab.geometry import AnnulusGeometry, gram_matrix
 from annulab.hardy import (
     build_section_quadrature,
     build_toeplitz_hardy,
-    column_zero_recover,
     semicommutator_residual_annulus,
     zero_product_experiment_hardy,
 )
@@ -302,10 +299,7 @@ def test_criterion_10_zero_product_harnesses(request):
         for _ in range(TRIALS):
             f = random_boundary_symbol(rng, TRIAL_REACH)
             g = random_boundary_symbol(rng, TRIAL_REACH)
-            [rep] = zero_product_experiment_hardy(
-                [(f, g)], (-32, 32), R, ladder_length=LADDER_LENGTH,
-                zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-            )
+            [rep] = zero_product_experiment_hardy([(f, g)], (-32, 32), R)
             worst_ladder = max(worst_ladder, max(rep.ladder_residuals))
             min_norm = min(min_norm, rep.min_product_column_norm)
             consistent = consistent and rep.verdict == "ConsistentWithTheorem"
@@ -318,10 +312,7 @@ def test_criterion_10_zero_product_harnesses(request):
                 rng, TRIAL_BANDS[0], TRIAL_BANDS[1], TRIAL_PROFILE_DEGREE,
                 monomial_top=True,
             )
-            [rep] = zero_product_experiment_bergman(
-                [(f, g)], (-24, 24), R, ladder_length=LADDER_LENGTH,
-                zero_divisor_floor=ZERO_DIVISOR_FLOOR,
-            )
+            [rep] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
             worst_ladder = max(worst_ladder, max(rep.ladder_residuals))
             min_norm = min(min_norm, rep.min_product_column_norm)
             consistent = consistent and rep.verdict == "ConsistentWithTheorem"

@@ -243,6 +243,31 @@ def test_probe_seeded_pair_reports_certificates():
     assert report.min_product_column_norm > 1e-6
 
 
+@pytest.mark.parametrize("radius", [0.2, 0.5])
+def test_probe_reports_on_a_negative_top_band(radius):
+    """A g whose top band N is negative puts its ladder's base below the
+    window unless the first rung sits -N above the floor; every such pair
+    must come back as a report, not a traceback."""
+    g = PolarSymbol({-2: one, -1: one})
+    [report] = zero_product_experiment_bergman(
+        [(PolarSymbol({0: one}), g)], (-1, 24), radius
+    )
+    assert report.verdict == "ConsistentWithTheorem"
+    assert report.n0_effective == 0
+    assert max(report.ladder_residuals) == 0.0 == report.ladder_band_leak
+    rng = Lcg(7)
+    pairs = [
+        (random_polar_symbol(rng, -2, 3, 3), random_polar_symbol(rng, -3, top, 3))
+        for top in (-1, -2) for _ in range(4)
+    ]
+    reports = zero_product_experiment_bergman(pairs, (-1, 24), radius)
+    assert len(reports) == len(pairs)
+    for rep in reports:
+        assert rep.n0_effective == -1 - rep.top_degree
+        assert max(rep.ladder_residuals) <= 1e-15
+        assert rep.ladder_band_leak == 0.0
+
+
 def cli_trial(seed, trial):
     """The ``f``, ``g`` that ``lab zero-product-bergman`` draws at ``trial``."""
     *_, draw_f, draw_g = _HARNESSES["zero-product-bergman"]

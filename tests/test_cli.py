@@ -17,7 +17,8 @@ from conftest import read_decay_csv
 import annulab
 from annulab import geometry
 from annulab.cli import (
-    EXPERIMENTS, ConfigError, LabConfig, _resolve_boundary, load_config, main, run,
+    EXPERIMENTS, ConfigError, LabConfig, _resolve_boundary, load_config, main,
+    parse_config, run,
 )
 from annulab.randgen import Lcg, random_boundary_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
@@ -801,6 +802,28 @@ def test_arrays_past_physical_memory_exit_2_before_any_work(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: config field '{field}'")
     assert "physical memory" in err[0]
+
+
+def test_memory_rule_counts_three_spectrum_rows_per_toeplitz_build_degree(monkeypatch):
+    """toeplitz-build's pairing kernel holds a hardy, a complement and a
+    weighted hardy spectrum row of m_circle samples per degree: a host
+    between one and three such rows per degree must refuse the run."""
+    doc = {"window": [-10, 10], "m_circle": 4096}
+    rows = 21 * 4096 * 16
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * rows}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(ConfigError, match="config field 'm_circle'.*physical memory"):
+        parse_config(doc, "toeplitz-build", None)
+    assert parse_config(doc, "semicommutator", None).m_circle == 4096
+    pages["SC_PHYS_PAGES"] = 3 * rows
+    assert parse_config(doc, "toeplitz-build", None).m_circle == 4096
+
+
+def test_parse_config_refuses_a_bad_grid_as_config_error():
+    """The geometry's own refusal reaches callers of parse_config as the
+    one config error type, not as a bare ValueError."""
+    with pytest.raises(ConfigError, match="m_circle must be a power of two >= 8, got 12"):
+        parse_config({"m_circle": 12}, "gram", None)
 
 
 def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):

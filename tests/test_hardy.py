@@ -3,22 +3,23 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import column_zero_recover
 from hypothesis import given, settings, strategies as st
 
 from annulab import bergman, hardy
 from annulab.bergman import zero_product_experiment_bergman
-from annulab.cli import _HARNESSES, LADDER_LENGTH, TRIALS
+from annulab.cli import _HARNESSES, TRIALS
 from annulab.errors import WindowTooSmallError
 from annulab.hardy import (
     CONSISTENT,
     INCONCLUSIVE,
+    LADDER_LENGTH,
     UNCONSTRAINED,
     VIOLATION,
     _ladder,
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
-    column_zero_recover,
     find_n0_hardy,
     semicommutator_residual_annulus,
     zero_product_experiment_hardy,
@@ -315,7 +316,7 @@ def test_shared_qr_ladder_matches_per_rung_qr(experiment, monkeypatch):
     for seed in range(41):
         rng = Lcg(seed)
         pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
-        getattr(module, name)(pairs, (-24, 24), R, ladder_length=LADDER_LENGTH)
+        getattr(module, name)(pairs, (-24, 24), R)
     assert len(worst) == 41 * TRIALS
     assert max(worst) <= 1e-15
 
@@ -344,12 +345,14 @@ NONZERO_PAIRS = {
 }
 
 
-def test_fabricated_zero_product_flags_violation():
+def test_fabricated_zero_product_flags_violation(monkeypatch):
     """A floor above every product column norm must trip the verdict rule
     of both harnesses."""
     for probe, f, g, window in NONZERO_PAIRS.values():
         assert probe([(f, g)], window, R)[0].verdict == CONSISTENT
-        [rep] = probe([(f, g)], window, R, zero_divisor_floor=1e9)
+    monkeypatch.setattr(hardy, "ZERO_DIVISOR_FLOOR", 1e9)
+    for probe, f, g, window in NONZERO_PAIRS.values():
+        [rep] = probe([(f, g)], window, R)
         assert rep.verdict == VIOLATION
 
 
@@ -376,7 +379,8 @@ def test_nan_section_entry_reads_inconclusive(harness, monkeypatch):
         return ops
 
     monkeypatch.setattr(module, name, poisoned)
-    [rep] = probe([(f, g)], window, R, zero_divisor_floor=1e9)
+    monkeypatch.setattr(hardy, "ZERO_DIVISOR_FLOOR", 1e9)
+    [rep] = probe([(f, g)], window, R)
     assert np.isnan(rep.min_product_column_norm)
     assert np.isnan(np.max(rep.ladder_residuals))
     assert rep.verdict == INCONCLUSIVE
@@ -437,10 +441,10 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
 
     monkeypatch.setattr(module, builder, nan_column)
     probe = getattr(module, name)
-    reports = probe(pairs, window, R, ladder_length=LADDER_LENGTH)
+    reports = probe(pairs, window, R)
     assert len(reports) == len(pairs) > per_chunk
     for pair, rep in zip(pairs, reports):
-        [one] = probe([pair], window, R, ladder_length=LADDER_LENGTH)
+        [one] = probe([pair], window, R)
         assert repr(rep) == repr(one)
     # the mix holds each case
     assert reports[1].ladder_residuals == [] == reports[per_chunk].ladder_residuals
@@ -451,10 +455,11 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
 
 
 @pytest.mark.parametrize("harness", sorted(NONZERO_PAIRS))
-def test_probe_refuses_a_ladder_above_the_window(harness):
+def test_probe_refuses_a_ladder_above_the_window(harness, monkeypatch):
     probe, f, g, window = NONZERO_PAIRS[harness]
+    monkeypatch.setattr(hardy, "LADDER_LENGTH", 30)
     with pytest.raises(WindowTooSmallError, match="ladder top"):
-        probe([(f, g)], window, R, ladder_length=30)
+        probe([(f, g)], window, R)
 
 
 _rng = Lcg(1)
@@ -469,16 +474,17 @@ MARGIN_PAIRS = {
     ),
     "bergman": (
         zero_product_experiment_bergman,
-        PolarSymbol({-3: one, 0: one}), PolarSymbol({3: one}), (0, 11), 8,
+        PolarSymbol({-3: one, 0: one}), PolarSymbol({3: one}), (0, 11), LADDER_LENGTH,
     ),
 }
 
 
 @pytest.mark.parametrize("harness", sorted(MARGIN_PAIRS))
-def test_probe_refuses_a_window_without_interior_columns(harness):
+def test_probe_refuses_a_window_without_interior_columns(harness, monkeypatch):
     probe, f, g, window, ladder = MARGIN_PAIRS[harness]
+    monkeypatch.setattr(hardy, "LADDER_LENGTH", ladder)
     with pytest.raises(WindowTooSmallError, match="no interior columns"):
-        probe([(f, g)], window, R, ladder_length=ladder)
+        probe([(f, g)], window, R)
 
 
 entry_offsets = st.integers(min_value=-6, max_value=6)
