@@ -160,7 +160,10 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     the split relations' largest arrays, ``16 size m_circle`` at their
     ``size`` 10, whatever the symbol's reach; else the complex section,
     ``16 side^2`` (``side`` the window width, ``2(2W+1)`` for gram,
-    ``max(sizes)`` for hankel-decay), and the pairing kernel's spectra of
+    ``max(sizes)`` for hankel-decay, whose sweep holds no section of its
+    own: its largest array is LAPACK's copy of the live ``L x L`` corner,
+    ``8 L^2`` for a real table and ``16 L^2`` for a complex one, with
+    ``L <= max(sizes)``), and the pairing kernel's spectra of
     ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
     three for toeplitz-build (hardy, complement and weighted hardy).  The
     Bergman sections start at degree -1.  The zero-product harnesses stack

@@ -17,8 +17,8 @@ from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, _pair_on_grid, basis_weights
 from .symbols import (
     ExactSymbol,
+    _read_band,
     conjugate_symbol,
-    fourier_pair,
     multiply_symbols,
     sample_symbol,
 )
@@ -36,33 +36,35 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _gather(values: np.ndarray, hankel: bool = False) -> np.ndarray:
+def _layout(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     """Square Toeplitz or Hankel layout of ``2 size - 1`` coefficients on
     the last axis, one layout per index of the leading axes.
 
     The Toeplitz layout is ``M[a, b] = values[size - 1 - a + b]``, so with
     ``values[i]`` the coefficient of offset ``size - 1 - i`` the entry
     carries offset ``a - b``; the Hankel layout is ``M[a, b] = values[a + b]``.
-    The layout is a strided copy of a sliding window, so no index array is
-    formed.
+    The layout is a read-only strided view of ``values``: no index array
+    is formed, and the entries that read one coefficient are one memory
+    location.  Callers that write or multiply take a ``.copy()``.
     """
     size, step = (values.shape[-1] + 1) // 2, values.strides[-1]
     win = np.lib.stride_tricks.as_strided(
-        values, (*values.shape[:-1], size, size), (*values.strides[:-1], step, step)
+        values, (*values.shape[:-1], size, size), (*values.strides[:-1], step, step),
+        writeable=False,
     )
-    return (win if hankel else win[..., ::-1, :]).copy()
+    return win if hankel else win[..., ::-1, :]
 
 
 def _bounded_pairs(fs, window: tuple[int, int], R: float):
     """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
-    the stacked :func:`_gather` layouts of both circles' coefficients of
+    the stacked :func:`_layout` copies of both circles' coefficients of
     each symbol of ``fs`` at the offsets ``hi - lo`` down to ``lo - hi``:
     fresh arrays, weighted and summed in place."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    offsets = np.arange(hi - lo, lo - hi - 1, -1)
-    pairs = np.array([fourier_pair(f, offsets) for f in fs], dtype=complex)
-    return B, A, _gather(pairs[:, 0]), _gather(pairs[:, 1])
+    C = _read_band([f.coeffs_C for f in fs], hi - lo)
+    C0 = _read_band([f.coeffs_C0 for f in fs], hi - lo)
+    return B, A, _layout(C).copy(), _layout(C0).copy()
 
 
 def build_toeplitz_hardy(

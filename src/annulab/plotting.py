@@ -92,16 +92,17 @@ def emit_plot(profile, path) -> None:
     )
     for idx, s in enumerate(sizes):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{x_px(i):.2f},{y_px(sig):.2f}"
-            for i, sig in enumerate(profile.singular_values[s])
-        )
-        if len(profile.singular_values[s]) == 1:
-            i, sig = 0, profile.singular_values[s][0]
+        sigmas = profile.singular_values[s]
+        if len(sigmas) == 1:
             parts.append(
-                f'<circle cx="{x_px(i):.2f}" cy="{y_px(sig):.2f}" r="3" fill="{color}"/>'
+                f'<circle cx="{x_px(0):.2f}" cy="{y_px(sigmas[0]):.2f}" r="3" '
+                f'fill="{color}"/>'
             )
         else:
+            # one format string per size; math.log10 stays per value, as
+            # np.log10 may round differently
+            xy = [v for i, sig in enumerate(sigmas) for v in (x_px(i), y_px(sig))]
+            pts = " ".join(["%.2f,%.2f"] * len(sigmas)) % tuple(xy)
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{pts}"/>'

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _gather
+from .hardy import INCONCLUSIVE, _layout
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -47,15 +47,26 @@ def build_disc_toeplitz(phi: ExactCircle, size: int) -> np.ndarray:
     """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
     if size < 1:
         raise ValueError("section size must be positive")
-    return _gather(phi.hat(np.arange(size - 1, -size, -1)))
+    return _layout(phi.hat(np.arange(size - 1, -size, -1))).copy()
+
+
+def disc_hankel_window(phi: ExactCircle, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients ``phihat(-1), ..., phihat(-(2 size - 1))`` and the
+    size-by-size Hankel section over them, entry ``(j, k)`` being
+    ``phihat(-(j+1) - k)``: a read-only strided view, so the entries of one
+    antidiagonal are one memory location.  The one table read of
+    :func:`build_disc_hankel` and of :func:`decay_profile_for`."""
+    if size < 1:
+        raise ValueError("section size must be positive")
+    hats = phi.hat(np.arange(-1, -2 * size, -1))
+    return hats, _layout(hats, hankel=True)
 
 
 def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
     """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
-    coefficient on ``z^-(j+1)``."""
-    if size < 1:
-        raise ValueError("section size must be positive")
-    return _gather(phi.hat(np.arange(-1, -2 * size, -1)), hankel=True)
+    coefficient on ``z^-(j+1)``.  A contiguous copy of
+    :func:`disc_hankel_window`, for callers that multiply it."""
+    return disc_hankel_window(phi, size)[1].copy()
 
 
 def semicommutator_residual_disc(
@@ -293,10 +304,12 @@ def hankel_singular_values(block: np.ndarray) -> np.ndarray:
     """Descending singular values of a square disc Hankel block.
 
     A complex block takes the SVD.  A real block is real symmetric, since
-    each entry ``(j, k)`` is gathered from ``phihat(-(j+1) - k)`` and so
-    equals entry ``(k, j)`` bit for bit; its singular values are the moduli
-    of its eigenvalues, which ``eigvalsh`` computes from one triangle by a
-    real tridiagonal reduction, several times faster than the SVD.
+    entries ``(j, k)`` and ``(k, j)`` of the :func:`disc_hankel_window`
+    view are one memory location, ``phihat(-(j+1) - k)``; its singular
+    values are the moduli of its eigenvalues, which ``eigvalsh`` computes
+    from one triangle by a real tridiagonal reduction, several times faster
+    than the SVD.  Both copy the block into their own LAPACK buffer, so a
+    strided view gives the bits of its contiguous copy.
     """
     if np.isrealobj(block):
         return np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
@@ -317,11 +330,14 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     ``s - L`` zeros, so only ``B`` is decomposed and the zeros are exact;
     an empty table (``L = 0``) is not decomposed at all.  Since an entry
     depends only on ``j + k``, the blocks of all sizes are the leading
-    blocks of one section built at the largest ``L``.
+    blocks of the one read-only :func:`disc_hankel_window` view over the
+    coefficients read, so the sweep builds no section of its own: its
+    largest dense array is LAPACK's copy of the live corner.
 
     When no coefficient read has a nonzero imaginary part (an exact test),
-    the blocks are decomposed as real symmetric matrices by
-    :func:`hankel_singular_values`; they agree with the SVD to rounding.
+    the blocks are the view's real part, decomposed as real symmetric
+    matrices by :func:`hankel_singular_values`; they agree with the SVD to
+    rounding.
     A complex table takes the SVD: where ``L = s`` (a table reaching the
     whole section) it sees the same matrix as a full-section SVD and the
     output is byte-identical to it, and where ``L < s`` the two agree in
@@ -333,24 +349,21 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     if sizes[0] < 1:
         raise ValueError("section size must be positive")
     profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=TAIL_EPSILON)
-    hats = phi_circle.hat(np.arange(-1, -2 * sizes[-1], -1))
+    hats, window = disc_hankel_window(phi_circle, sizes[-1])
     live = np.flatnonzero(hats)
     reach = int(live[-1]) + 1 if live.size else 0
     profile.rank_bound = reach
     profile.l1_tail_k, profile.certified_tail = l1_tail_certificate(
         hats, TAIL_EPSILON, reach
     )
-    corner = min(sizes[-1], reach)
-    block = build_disc_hankel(phi_circle, corner) if corner else None
-    if corner and not hats.imag.any():
-        block = block.real
+    block = window if hats.imag.any() else window.real
     for s in sizes:
         L = min(s, reach)
         sig = np.zeros(s)
         if L:
             sig[:L] = hankel_singular_values(block[:L, :L])
         profile.tail_indices[s] = tail_index(sig, TAIL_EPSILON)
-        profile.singular_values[s] = [float(x) for x in sig]
+        profile.singular_values[s] = sig.tolist()
     return profile
 
 

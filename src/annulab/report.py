@@ -60,13 +60,14 @@ def write_results_csv(path, rows: list[CheckRow]) -> None:
 def write_decay_csv(path, profiles) -> None:
     """Rows ``size,index,sigma``; per size the outer-circle block comes
     first and the index restarting at zero marks the next pullback."""
-    lines = ["size,index,sigma"]
-    sizes = profiles[0].sizes
-    for s in sizes:
+    # one % over a flat tuple, as in write_section_csv
+    flat = []
+    for s in profiles[0].sizes:
         for p in profiles:
             for i, sig in enumerate(p.singular_values[s]):
-                lines.append(f"{s},{i},{_fmt(sig)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+                flat += (s, i, sig)
+    body = ("%d,%d,%.17g\n" * (len(flat) // 3)) % tuple(flat)
+    Path(path).write_text("size,index,sigma\n" + body, encoding="ascii")
 
 
 def write_section_csv(path, entries, lo: int) -> None:

@@ -130,6 +130,19 @@ def _read(table: dict[int, complex], n):
     return vals[at][()]
 
 
+def _read_band(tables, top: int) -> np.ndarray:
+    """Each table of ``tables`` read at ``top, top - 1, ..., -top``, zero
+    off the table, stacked along a leading axis: one scatter of every
+    table's entries in that band, with the bits of :func:`_read`."""
+    rows = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    keys = np.array([n for t in tables for n in t], dtype=int)
+    vals = np.array([c for t in tables for c in t.values()], dtype=complex)
+    out = np.zeros((len(tables), 2 * top + 1), dtype=complex)
+    band = np.abs(keys) <= top
+    out[rows[band], top - keys[band]] = vals[band]
+    return out
+
+
 def _analyze(values: np.ndarray, n):
     """The one route from grid samples to coefficients: the trapezoid sums
     ``mean(values * exp(-i n t))`` over the last axis, by one FFT divided by

@@ -767,7 +767,7 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
         raise AssertionError("allocated past the preflight")
 
     monkeypatch.setattr(reference, "reference_symbol", boom)
-    monkeypatch.setattr(reduction, "build_disc_hankel", boom)
+    monkeypatch.setattr(reduction, "disc_hankel_window", boom)
     doc = {"sizes": [64, 2**22], "symbol": "builtin:conjugated-singular-inner"}
     code, outdir = run_lab(tmp_path, "hankel-decay", doc)
     assert code == 2
@@ -938,10 +938,17 @@ def test_hilbert_decay_claim_is_not_certified(tmp_path):
 def test_hankel_decay_certificate_catches_a_wrong_section(tmp_path, monkeypatch):
     """A Toeplitz section in place of the Hankel one keeps a tail that
     grows with the size, past the l1 tail bound of the table it reads,
-    and the run exits 1 on the certificate rows."""
+    and the run exits 1 on the certificate rows.  The defect is planted
+    in the sweep's one table read: the certificate keeps the Hankel
+    coefficients, the decomposed section is the Toeplitz one."""
     from annulab import reduction
 
-    monkeypatch.setattr(reduction, "build_disc_hankel", reduction.build_disc_toeplitz)
+    hankel_window = reduction.disc_hankel_window
+
+    def toeplitz_window(phi, size):
+        return hankel_window(phi, size)[0], reduction.build_disc_toeplitz(phi, size)
+
+    monkeypatch.setattr(reduction, "disc_hankel_window", toeplitz_window)
     code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]})
     assert code == 1
     rows = _results(outdir)

@@ -1,6 +1,7 @@
 """Disc-side sections, the conjugate-basis bridge, and decay verdicts."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -517,6 +518,30 @@ def test_complex_table_keeps_the_svd_bit_for_bit():
     for s in profile.sizes:
         want = full_svd(phi, s)
         assert np.array(profile.singular_values[s]).tobytes() == want.tobytes()
+
+
+def test_decay_sweep_decomposes_a_read_only_view_under_a_mebibyte(monkeypatch):
+    """The sweep builds no section of its own: it hands LAPACK read-only
+    views of the coefficients it reads, and LAPACK's copy (malloc'd by
+    numpy's linalg, so not traced) is its only dense buffer.  A complex
+    1024 section alone would trace 16 MiB."""
+    outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R))[0]
+    decompose, writeable = reduction.hankel_singular_values, []
+
+    def spy(block):
+        writeable.append(block.flags.writeable)
+        return decompose(block)
+
+    monkeypatch.setattr(reduction, "hankel_singular_values", spy)
+    tracemalloc.start()
+    try:
+        profile = decay_profile_for(outer, (128, 256, 512, 1024), "C")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert writeable == [False] * 4
+    assert profile.rank_bound == 1024
 
 
 def test_disc_hankel_blocks_are_exactly_symmetric():

@@ -2,12 +2,16 @@
 
 import importlib.util
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import read_decay_csv
 
+from annulab import cli, reduction
+from annulab.plotting import _B, _H, _L, _R, _T, _W, FLOOR, emit_plot
 from annulab.reduction import DecayProfile
 from annulab.report import (
     all_pass,
@@ -79,6 +83,90 @@ def test_decay_csv_round_trip(tmp_path):
     assert [s for s, _ in back] == [4, 8]
     assert back[0][1] == [[2.0, 1.0, 0.25], [0.5]]
     assert back[1][1] == [[2.5, 1.0], [0.125]]
+
+
+def loop_decay_csv(profiles) -> bytes:
+    """The per-row ``decay.csv`` writer that the bulk one replaced: the
+    bit-for-bit reference."""
+    lines = ["size,index,sigma"]
+    for s in profiles[0].sizes:
+        for p in profiles:
+            for i, sig in enumerate(p.singular_values[s]):
+                lines.append(f"{s},{i},{'%.17g' % sig}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def loop_marks(profile) -> list[str]:
+    """The per-point marks of each size in the SVG, formatted one f-string
+    per point as before the bulk format: a polyline's ``points``, or the
+    ``cx``/``cy`` of a one-point size's circle."""
+    sv = profile.singular_values
+    xmax = max(max(len(sv[s]) for s in profile.sizes) - 1, 1)
+    top = max(max(sv[s], default=FLOOR) for s in profile.sizes)
+    ymax, ymin = math.ceil(math.log10(max(top, FLOOR))) + 1, math.log10(FLOOR)
+
+    def xy(i, sig):
+        x = _L + (_W - _L - _R) * i / xmax
+        y = _T + (_H - _T - _B) * (ymax - math.log10(max(sig, FLOOR))) / (ymax - ymin)
+        return x, y
+
+    marks = []
+    for s in profile.sizes:
+        if len(sv[s]) == 1:
+            x, y = xy(0, sv[s][0])
+            marks.append(f'cx="{x:.2f}" cy="{y:.2f}"')
+        else:
+            marks.append(" ".join(f"{x:.2f},{y:.2f}" for x, y in
+                                  (xy(i, sig) for i, sig in enumerate(sv[s]))))
+    return marks
+
+
+def svg_marks(path) -> list[str]:
+    pattern = r'points="([^"]*)"|(cx="[^"]*" cy="[^"]*")'
+    return [a or b for a, b in re.findall(pattern, Path(path).read_text())]
+
+
+def assert_bulk_bytes(profiles, tmp_path):
+    path = tmp_path / "decay.csv"
+    write_decay_csv(path, profiles)
+    assert path.read_bytes() == loop_decay_csv(profiles)
+    for p in profiles:
+        emit_plot(p, tmp_path / "decay.svg")
+        assert svg_marks(tmp_path / "decay.svg") == loop_marks(p)
+
+
+def test_decay_artifacts_have_the_bytes_of_the_per_row_form(tmp_path):
+    """A one-point size draws a circle; an all-zero profile sits on the
+    floor; sigmas span the 17-digit and the 2-decimal rounding cases."""
+    p1 = DecayProfile(pullback="C", sizes=[1, 3, 5], epsilon=0.5)
+    p2 = DecayProfile(pullback="C0", sizes=[1, 3, 5], epsilon=0.5)
+    p1.singular_values = {
+        1: [1 / 3], 3: [2.0, 0.1 + 0.2, 5e-324], 5: [1e300, 7.0, 1e-17, 0.0, 0.0]
+    }
+    p2.singular_values = {1: [0.0], 3: [0.0] * 3, 5: [0.0] * 5}
+    assert_bulk_bytes([p1, p2], tmp_path)
+    assert_bulk_bytes([p2, p1], tmp_path)
+
+
+@pytest.mark.parametrize("config", ["hankel-decay.json", "hankel-decay-smooth.json"])
+def test_shipped_decay_artifacts_have_the_bytes_of_the_per_row_form(
+    tmp_path, monkeypatch, config
+):
+    indicator, swept = reduction.hankel_compactness_indicator, []
+
+    def spy(phi, sizes):
+        verdict, profiles = indicator(phi, sizes)
+        swept.append(profiles)
+        return verdict, profiles
+
+    monkeypatch.setattr(reduction, "hankel_compactness_indicator", spy)
+    shipped = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    assert cli.main(["hankel-decay", "--config", str(shipped), "--out", str(out)]) == 0
+    (profiles,) = swept
+    assert (out / "decay.csv").read_bytes() == loop_decay_csv(profiles)
+    for name, p in zip(("decay.svg", "decay-inner.svg"), profiles):
+        assert svg_marks(out / name) == loop_marks(p)
 
 
 def test_decay_csv_rejects_foreign_tables(tmp_path):
