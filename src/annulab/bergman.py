@@ -1,9 +1,8 @@
 """Toeplitz sections on the annulus Bergman space.
 
-Every monomial z^n, n in Z, lies in the Bergman space of the annulus.
-The sections here compress to the span of z^n, n >= -1, a proper
-subspace (ROADMAP item 1 lifts that clamp).  A symbol that is a finite
-sum of quasi-homogeneous bands (angular frequency times a radial
+Every monomial z^n, n in Z, lies in the Bergman space of the annulus,
+and a section covers its window's degrees as given.  A symbol that is a
+finite sum of quasi-homogeneous bands (angular frequency times a radial
 profile) acts band by band, sending each monomial to weighted monomials
 whose weights are radial Mellin moments.  Sections are assembled from
 these moments in the orthonormal basis; the quadrature cross-checks
@@ -19,8 +18,8 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, ZeroProductReport, _probe
-from .mellin import mellin_transform, mellin_zero_locate, monomial_moment
+from .hardy import UNCONSTRAINED, Space, ZeroProductReport, _check_window, _probe
+from .mellin import check_moment_range, mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
 
@@ -28,33 +27,30 @@ from .symbols import PolarSymbol, PolyProfile, _analyze
 # the benchmark's per-layer metric list still names both (ROADMAP item 9)
 
 
-def quasi_homogeneous_apply(
-    p: int, f1: PolyProfile, n: int, R: float
-) -> tuple[complex, int]:
+def quasi_homogeneous_apply(p: int, f1: PolyProfile, n: int, R: float) -> tuple[complex, int]:
     """Image coefficient of the n-th monomial under one band.
 
     A band with angular frequency ``p`` and radial profile ``f1`` sends
     ``z**n`` to ``coeff * z**(p+n)`` where the coefficient is the squared
     reciprocal monomial norm at ``p+n`` times the Mellin moment of the
-    profile at ``p + 2n + 2``.  Output indices below -1 lie outside the
-    span of the sections (degrees >= -1) and return a zero coefficient.
+    profile at ``p + 2n + 2``.
     """
-    if n < -1:
-        raise ValueError("domain index must be at least -1")
-    out = p + n
-    if out < -1:
-        return 0.0 + 0.0j, out
-    if f1.is_zero():
-        return 0.0 + 0.0j, out
-    t = bergman_norm_const(out, R)
-    return complex(t * t * mellin_transform(f1, p + 2 * n + 2, R)), out
+    t = bergman_norm_const(p + n, R)
+    return complex(t * t * mellin_transform(f1, p + 2 * n + 2, R)), p + n
 
 
-def _clamp_window(window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    if hi < -1:
-        raise WindowTooSmallError("window must reach index -1 or above")
-    return max(lo, -1), hi
+def _check_powers(lowest: int, R: float) -> None:
+    """Refuse, by :func:`check_moment_range`, a run whose lowest power
+    ``R^e`` overflows: ``|e log R| > log(float max)`` with ``e < 0``.
+
+    Norm constants read ``e = 2(n + 1)``, moments at ``s`` read ``e = s``; a
+    positive ``e`` only underflows, to the limits ``2(n+1)`` and ``1/s``.
+    Over ``[lo, hi]``, with ``d`` the lowest profile degree or 0, the lowest
+    ``e`` is ``2(lo + 1) + d`` for a section (moments at ``k + 2n + 2 + d``,
+    row ``n + k`` and column ``n >= lo``), ``2 lo + 1`` for the quadrature's
+    ``r^(1 + m + n)``, ``r >= R``, and ``2 lo + N + 2 + d`` for the scan.
+    """
+    check_moment_range(max(0, -lowest), R)
 
 
 def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, complex]:
@@ -77,12 +73,11 @@ def build_bergman_toeplitz(
     monomial-action coefficient rescaled by ``t_n / t_m``.  Band ``k``
     sends ``z^n`` to ``c z^(n+k)`` with ``c = t_(n+k)^2`` times the Mellin
     moment of its profile at ``k + 2n + 2``, ``t`` the reciprocal monomial
-    norms of :func:`bergman_norm_const`.  The lower edge is clamped to
-    -1, so the section compresses to the proper subspace of degrees >= -1,
-    with side ``hi - max(lo, -1) + 1`` over ``[lo, hi]``.  A radial symbol
-    (single band at offset zero) gives a diagonal section; a single
-    positive band gives a weighted shift.  A sequence of symbols gives
-    their sections stacked along a leading axis.
+    norms of :func:`bergman_norm_const`, and side ``hi - lo + 1`` (range:
+    :func:`_check_powers`).  A radial symbol (single band at offset zero)
+    gives a diagonal section; a single positive band gives a weighted
+    shift.  A sequence of symbols gives their sections stacked along a
+    leading axis.
 
     Operation order: every moment the sections read comes from one
     :func:`monomial_moment` call over a ``[band, degree, column]`` array of
@@ -94,8 +89,7 @@ def build_bergman_toeplitz(
     """
     single = isinstance(f, PolarSymbol)
     fs = [f] if single else list(f)
-    lo, hi = _clamp_window(window)
-    t = bergman_norm_const(np.arange(lo, hi + 1), R)
+    lo, hi = _check_window(window)
     # one row per live band of each symbol: the symbol's index and the band
     live = [(i, k) for i, sym in enumerate(fs) for k in sym.live_bands]
     owner = np.array([i for i, _ in live], dtype=int)
@@ -105,6 +99,8 @@ def build_bergman_toeplitz(
     pad = [[0] * (width - len(d)) for d in tables]
     degree = np.array([[*d, *z] for d, z in zip(tables, pad)], dtype=int)
     degree = degree.reshape(len(tables), width)  # also when there is no band
+    _check_powers(2 * (lo + 1) + degree.min(initial=0), R)
+    t = bergman_norm_const(n, R)
     coeffs = np.array([[*d.values(), *z] for d, z in zip(tables, pad)], dtype=complex)
     # band k sends column n to row n + k; one sent outside reads argument 0
     inside = (n + band >= lo) & (n + band <= hi)
@@ -157,7 +153,8 @@ def build_bergman_section_quadrature(
     at index ``m - n`` (one FFT per node and a gather), then the Gauss sum
     with weight ``r^(1 + n + m)``.  Only grid samples are read.
     """
-    lo, hi = _clamp_window(window)
+    lo, hi = _check_window(window)
+    _check_powers(2 * lo + 1, geo.R)
     r, w = geo.radial_nodes()
     ns = np.arange(lo, hi + 1)
     angular = _analyze(polar_symbol_grid(f, geo), np.subtract.outer(ns, ns))
@@ -179,10 +176,11 @@ def find_n0_bergman(
     ``2n + N + 2``; this scans that argument range for real zeros and
     returns one past the floor of the largest zero mapped back to n, or
     ``"unconstrained"`` when the scan finds none (monomial profiles always
-    land here since their moments never vanish on the real line).
+    land here since their moments never vanish on the real line).  Range:
+    :func:`_check_powers`.
     """
-    z_lo = 2 * n_range[0] + N + 2
-    z_hi = 2 * n_range[1] + N + 2
+    z_lo, z_hi = (2 * n + N + 2 for n in n_range)
+    _check_powers(z_lo + min([0, *gN.coeffs]), R)
     roots = mellin_zero_locate(gN, float(z_lo), float(z_hi), R)
     if not roots:
         return UNCONSTRAINED
@@ -194,10 +192,13 @@ def find_n0_bergman(
 # the zero-product probe
 
 
+#: looked up at each call, as in ``hardy.HARDY``
+BERGMAN = Space(lambda fs, w, R: build_bergman_toeplitz(fs, w, R),
+                lambda g, N, R, w: find_n0_bergman(g.bands[N], N, R, w), through_f=False)
+
+
 def zero_product_experiment_bergman(
-    pairs: Sequence[tuple[PolarSymbol, PolarSymbol]],
-    window: tuple[int, int],
-    R: float,
+    pairs: Sequence[tuple[PolarSymbol, PolarSymbol]], window: tuple[int, int], R: float
 ) -> list[ZeroProductReport]:
     """Probe each banded pair ``(f, g)`` for the zero-product mechanism;
     one report per pair, in order.
@@ -206,15 +207,5 @@ def zero_product_experiment_bergman(
     with the ladder read in the domain of ``T_g``: each basis vector of
     degree n0+N+l is spanned by the images of the first l+1 ladder vectors
     under the second symbol together with all lower-degree basis vectors.
-    A negative top band ``N`` starts the ladder ``-N`` above the window
-    floor, so that base never starts below the window.  Sections compress
-    to degrees >= -1: a window clamped there reads no lower-edge margin,
-    though ``T_g`` sends images below it (ROADMAP item 1).
     """
-    lo, hi = _clamp_window(window)
-    return _probe(
-        pairs, lo, hi, R, build=build_bergman_toeplitz,
-        first_rung=lambda g: lo + max(0, -g.top_degree()), through_f=False,
-        n0_of=lambda g, N: find_n0_bergman(g.bands[N], N, R, n_range=(lo, hi)),
-        edge_free=lo == -1,
-    )
+    return _probe(pairs, window, R, BERGMAN)

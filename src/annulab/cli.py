@@ -166,12 +166,11 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``L <= max(sizes)``), and the pairing kernel's spectra of
     ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
     three for toeplitz-build (hardy, complement and weighted hardy).  The
-    Bergman sections start at degree -1.  The zero-product harnesses stack
-    their trials' sections, but a stack holds as many as fit
-    ``hardy._STACK_BYTES`` (1 MiB) and at least one, so it never exceeds
-    the larger of that bound and one section: the rule refuses a window
-    only where one section is already past physical memory, and the stack
-    is then that one section."""
+    zero-product harnesses stack their trials' sections, but a stack holds
+    as many as fit ``hardy._STACK_BYTES`` (1 MiB) and at least one, so it
+    never exceeds the larger of that bound and one section: the rule
+    refuses a window only where one section is already past physical
+    memory, and the stack is then that one section."""
     (lo, hi), exp = cfg.window, cfg.experiment
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
@@ -180,8 +179,7 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     width = hi - lo + 1
     if exp == "mellin":
         return width, "m_radial", 8 * cfg.m_radial**2
-    lo = max(lo, -1) if exp == "zero-product-bergman" else lo
-    side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else hi - lo + 1
+    side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
     spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
     arrays = ("window", 16 * side**2), ("m_circle", 16 * spectra)
     return width, *max(arrays, key=lambda c: c[1])

@@ -8,7 +8,7 @@ the complement family spans its orthogonal complement in boundary L2.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,8 +234,7 @@ def semicommutator_residual_annulus(
 
 @dataclass(frozen=True)
 class ZeroProductReport:
-    """Outcome of one zero-product probe on a pair of symbols, Hardy or
-    Bergman.
+    """Outcome of one zero-product probe on a pair of symbols of either space.
 
     ``top_degree`` is the top degree of ``g`` (its top band on the
     Bergman side), ``None`` for a zero ``g``.  ``ladder_residuals`` are the
@@ -325,7 +324,9 @@ def _ladder(
         # triangular, one solve gives every rung's leading-block certificate
         qt = np.where(np.arange(A.shape[-1])[:, None] < k, Q.conj().mT @ T, 0.0)
         misfit = np.linalg.norm(T - Q @ qt, axis=-2)
-        coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=-2)
+        # a certificate past sqrt(float max) reads inf, and its misfit 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.linalg.norm(np.linalg.solve(Rf, qt), axis=-2)
         # the columns of A are unit vectors, so norm(A[:, :k]) is sqrt(k)
         scale = np.linalg.norm(T, axis=-2) + np.sqrt(k) * coef
         # a zero target reads 0 / 1
@@ -348,44 +349,51 @@ LADDER_LENGTH = 8
 ZERO_DIVISOR_FLOOR = 1e-6
 
 
-def _probe(
-    pairs, lo: int, hi: int, R: float,
-    *, build, n0_of, first_rung, through_f: bool, edge_free: bool,
-) -> list[ZeroProductReport]:
-    """The zero-product protocol of both harnesses over the window
-    ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.
+@dataclass(frozen=True)
+class Space:
+    """What :func:`_probe` reads of one space: its stacked section builder,
+    ``n0(g, N, R, window)``, the first column the top degree ``N`` of ``g``
+    leaves unobstructed, and whether the ladder is read through ``T_f``."""
+
+    build: Callable
+    n0: Callable
+    through_f: bool
+
+
+def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroProductReport]:
+    """The zero-product protocol of both harnesses, in ``space`` over the
+    window ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.
 
     A zero factor satisfies the dichotomy outright, and no ladder exists
     because the nonvanishing hypothesis has no top degree to anchor to, so
-    only the column norms of the product of the ``build`` sections are
-    reported.  Otherwise the ladder (:func:`_ladder`) starts at the larger
-    of ``n0_of(g, N)``, for the top degree ``N`` of ``g``, and
-    ``first_rung(g)``, the lowest column whose image under ``T_g`` stays
-    inside the window.  It is read through ``T_f`` (``S = T_f``,
-    ``P = T_f T_g``) when ``through_f``, else in the domain of ``T_g``
-    (``S = I``, ``P = T_g``).  The interior product columns keep the
-    margin ``f.bandwidth() + g.bandwidth()`` from each window edge but an
-    ``edge_free`` lower one.  The verdict is ``Inconclusive`` when an
-    interior column norm is not finite, else ``Violation`` only when every
-    one falls below ``ZERO_DIVISOR_FLOOR``.
+    only the column norms of the product of the sections are reported.
+    Otherwise the ladder (:func:`_ladder`) starts at the larger of
+    ``space.n0`` and ``lo + g.neg_reach()``, the lowest column whose image
+    under ``T_g`` stays inside the window, and is read through ``T_f``
+    (``S = T_f``, ``P = T_f T_g``) or in the domain of ``T_g`` (``S = I``,
+    ``P = T_g``).  The interior product columns keep the margin
+    ``f.bandwidth() + g.bandwidth()`` from both window edges.  The verdict
+    is ``Inconclusive`` when an interior column norm is not finite, else
+    ``Violation`` only when every one falls below ``ZERO_DIVISOR_FLOOR``.
 
     Every pair's window checks run first, in order, so a refusal names the
     first pair the window cannot serve.  The trials then run as stacks:
-    ``build`` takes a list of symbols and returns their sections stacked,
-    a chunk holds as many trials as one stacked section fits in
+    ``space.build`` takes a list of symbols and returns their sections
+    stacked, a chunk holds as many trials as one stacked section fits in
     ``_STACK_BYTES`` (at least one), and per chunk the product, its column
     norms and each ladder group of one ``(first, N)`` take one stacked
     call.  A stacked call applies per matrix what a one-pair call applies
     to its matrix, so each report has the bits of the one-pair call.
     """
+    lo, hi = _check_window(window)
     L, size = LADDER_LENGTH, hi - lo + 1
     plans = []
     for f, g in pairs:
         if f.is_zero() or g.is_zero():
             plans.append(None)
             continue
-        N, first = g.top_degree(), first_rung(g)
-        n0 = n0_of(g, N)
+        N, first = g.top_degree(), lo + g.neg_reach()
+        n0 = space.n0(g, N, R, (lo, hi))
         n0_eff = first if n0 == UNCONSTRAINED else max(int(n0), first)
         if n0_eff + N + L > hi:
             raise WindowTooSmallError(
@@ -393,19 +401,18 @@ def _probe(
                 f"raise the window or shorten the ladder"
             )
         margin = f.bandwidth() + g.bandwidth()
-        bottom = 0 if edge_free else margin
-        if bottom >= size - margin:
+        if margin >= size - margin:
             raise WindowTooSmallError(
                 f"window [{lo}, {hi}] has no interior columns at margin {margin}"
             )
-        plans.append((n0, n0_eff, N, slice(bottom, size - margin)))
+        plans.append((n0, n0_eff, N, slice(margin, size - margin)))
 
     reports = []
     step = max(1, _STACK_BYTES // (16 * size * size))
     for at in range(0, len(pairs), step):
         chunk, plan = pairs[at : at + step], plans[at : at + step]
-        tf = build([f for f, _ in chunk], (lo, hi), R)
-        tg = build([g for _, g in chunk], (lo, hi), R)
+        tf = space.build([f for f, _ in chunk], (lo, hi), R)
+        tg = space.build([g for _, g in chunk], (lo, hi), R)
         prod = tf @ tg
         groups: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(plan):
@@ -414,9 +421,9 @@ def _probe(
         ladders = {}
         for (first, N), t in groups.items():
             cut = first + max(N, 0) + L + 1  # the columns _ladder reads
-            S = (tf[t, :, :cut] if through_f
+            S = (tf[t, :, :cut] if space.through_f
                  else np.broadcast_to(np.eye(size)[:, :cut], (len(t), size, cut)))
-            P = (prod if through_f else tg)[t, :, :cut]
+            P = (prod if space.through_f else tg)[t, :, :cut]
             residuals, pivots, leaks = _ladder(S, P, tg[t, :, :cut], first, N, L)
             ladders.update(zip(t, zip(residuals, pivots, leaks)))
         # the norms take two temporaries the size of prod: free the factors
@@ -442,10 +449,13 @@ def _probe(
     return reports
 
 
+#: looked up at each call, so a module attribute rebound by a tracer is called
+HARDY = Space(lambda fs, w, R: build_toeplitz_hardy(fs, w, R),
+              lambda g, N, R, w: find_n0_hardy(g, N, R), through_f=True)
+
+
 def zero_product_experiment_hardy(
-    pairs: Sequence[tuple[ExactSymbol, ExactSymbol]],
-    window: tuple[int, int],
-    R: float,
+    pairs: Sequence[tuple[ExactSymbol, ExactSymbol]], window: tuple[int, int], R: float
 ) -> list[ZeroProductReport]:
     """Probe each symbol pair ``(f, g)`` for a finite-window zero-divisor
     signature; one report per pair, in order.
@@ -455,12 +465,6 @@ def zero_product_experiment_hardy(
     ``n0+N+l`` under ``T_f`` lies in the span of the images of the lower
     basis vectors and the product images of ``n0 .. n0+l``; under a
     genuinely zero product the latter drop out, leaving the inclusion the
-    proof iterates.  The ladder starts ``g.neg_reach()`` above the window
-    floor, so the image of every rung under ``T_g`` stays in the window.
+    proof iterates.
     """
-    lo, hi = _check_window(window)
-    return _probe(
-        pairs, lo, hi, R,
-        build=build_toeplitz_hardy, n0_of=lambda g, N: find_n0_hardy(g, N, R),
-        first_rung=lambda g: lo + g.neg_reach(), through_f=True, edge_free=False,
-    )
+    return _probe(pairs, window, R, HARDY)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from annulab.geometry import AnnulusGeometry, basis_weights
+from annulab.mellin import monomial_moment
+from annulab.symbols import PolarSymbol, PolyProfile
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +105,33 @@ def column_zero_recover(
         for y, scale in ((yC, R ** np.maximum(-x2, 0)), (y0, R ** np.maximum(x1, 0)))
     ]
     return {int(n): (complex(c), complex(c0)) for n, c, c0 in zip(ns, *pair)}
+
+
+def prescribed_zero_profile(degree: int, zeros, R: float) -> PolyProfile:
+    """Radial profile of ``degree`` whose Mellin transform vanishes at
+    ``2n + 2`` for each ``n`` of ``zeros``, so the radial Bergman Toeplitz
+    operator with this profile annihilates each ``z^n``.
+
+    The coefficients are the null vector of the row-scaled moment matrix
+    ``monomial_moment(2n + 2 + m)``, ``n`` over ``zeros`` and ``m = 0 ..
+    degree``, scaled to sup norm 1 on 4097 equispaced points of [R, 1].
+    """
+    z = 2 * np.asarray(zeros) + 2
+    A = monomial_moment(np.add.outer(z, np.arange(degree + 1)), R)
+    A = A / np.max(np.abs(A), axis=1)[:, None]
+    c = np.linalg.svd(A)[2][-1]
+    r = np.linspace(R, 1.0, 4097)
+    c = c / np.max(np.abs(np.polynomial.polynomial.polyval(r, c)))
+    return PolyProfile({m: complex(x) for m, x in enumerate(c)})
+
+
+def adversarial_radial_pair(R: float) -> tuple[PolarSymbol, PolarSymbol]:
+    """ROADMAP item 13's pair ``(f, g)`` of radial symbols: ``g`` has degree
+    7 and annihilates ``z^-1 .. z^5``, ``f`` has degree 9 and annihilates
+    ``z^6 .. z^14``.  ``T_f T_g`` is diagonal and vanishes on degrees -1 ..
+    14, yet no such pair is a zero divisor on the whole Bergman space: a
+    nonzero bounded analytic function in a half-plane cannot vanish at
+    points ``2n + 2`` whose reciprocals diverge (the Blaschke condition)."""
+    psi = prescribed_zero_profile(7, range(-1, 6), R)
+    phi = prescribed_zero_profile(9, range(6, 15), R)
+    return PolarSymbol({0: phi}), PolarSymbol({0: psi})

@@ -17,10 +17,10 @@ from conftest import read_decay_csv
 import annulab
 from annulab import geometry
 from annulab.cli import (
-    EXPERIMENTS, ConfigError, LabConfig, _resolve_boundary, load_config, main,
+    EXPERIMENTS, _HARNESSES, ConfigError, LabConfig, _resolve_boundary, load_config, main,
     parse_config, run,
 )
-from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
 
@@ -416,6 +416,43 @@ def test_decay_outputs_are_byte_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+#: prints both thread variables after ``import annulab`` and the thread
+#: count of numpy's OpenBLAS as the library reports it ("none" if not found)
+BLAS_THREADS = """\
+import ctypes, glob, os
+import annulab.cli
+import numpy
+count = "none"
+for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            fn = getattr(lib, sym)
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            count = str(fn())
+print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"], count)
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, want", [({}, ["1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1"])]
+)
+def test_package_import_pins_one_blas_thread_unless_the_caller_set_one(preset, want):
+    """Blocked LAPACK kernels split their sums by thread, so the decay
+    artifacts' bytes hold at any host's core count only when the package
+    pins one thread before numpy loads; a caller's own setting is kept."""
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pins}
+    env.update(preset, PYTHONPATH=str(Path(annulab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS], env=env, capture_output=True, text=True, check=True
+    )
+    *pinned, count = done.stdout.split()
+    assert pinned == want
+    if not preset:
+        assert count in ("1", "none")
+
+
 @pytest.mark.parametrize("first, second", [("gram", "toeplitz-build"), ("toeplitz-build", "gram")])
 def test_a_warm_phase_table_writes_the_cold_bytes(tmp_path, monkeypatch, first, second):
     """gram and toeplitz-build on one window and grid ask for the same
@@ -663,8 +700,8 @@ def run_lab_process(tmp_path, experiment, doc):
         ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
         # a repeated size would write its rows and blocks twice
         ("hankel-decay", {"sizes": [64, 64, 32]}),
-        # the Bergman basis starts at degree -1, above the whole window
-        ("zero-product-bergman", {"window": [-30, -5]}),
+        # R^(2(lo + 1)) = 0.1^-318 leaves the float range
+        ("zero-product-bergman", {"R": 0.1, "window": [-160, 24]}),
         # 64 nodes times the absolute coefficient sum 8e307 leaves the float
         # range, so the samples' FFTs would overflow
         ("toeplitz-build",
@@ -679,6 +716,50 @@ def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+#: (R, window, exit code): at R 0.1, R^(2(lo + 1)) stays finite down to lo
+#: -155 (|2(lo + 1) log R| = 709.2) and overflows from -156 (713.8); the
+#: default window's R^-46 stays finite at R 2.1e-7 (707.3), where the
+#: ladder's certificates pass sqrt(float max), and overflows at 1.9e-7
+BERGMAN_RANGE = [
+    (0.1, [-155, 24], 0),
+    (0.1, [-156, 24], 2),
+    (0.1, [-160, 24], 2),
+    (0.1, [-400, 24], 2),
+    (2.1e-7, [-24, 24], 0),
+    (1.9e-7, [-24, 24], 2),
+    (1e-10, [-24, 24], 2),
+    (1e-300, [-24, 24], 2),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R, window, code", BERGMAN_RANGE)
+def test_bergman_window_computes_or_is_refused(tmp_path, capsys, R, window, code):
+    """The whole-space Bergman sections read R^(2(lo + 1)) and moments down
+    to that exponent: a window either runs clean or is refused with one
+    line before the first power leaves the float range."""
+    got, outdir = run_lab(tmp_path, "zero-product-bergman", {"R": R, "window": window})
+    assert got == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert not outdir.exists()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bergman_negative_top_band_scan_is_range_checked(tmp_path, capsys, monkeypatch):
+    """At the threshold window the sections stay in range, but a top band
+    N = -1 starts the Mellin-zero scan of ``find_n0_bergman`` at 2 lo + N +
+    2 = -309, one power past it: the scan's own check refuses the run."""
+    module, name, draw_f, _ = _HARNESSES["zero-product-bergman"]
+    draw_g = lambda rng: random_polar_symbol(rng, -3, -1, 3)
+    monkeypatch.setitem(_HARNESSES, "zero-product-bergman", (module, name, draw_f, draw_g))
+    got, _ = run_lab(tmp_path, "zero-product-bergman", {"R": 0.1, "window": [-155, 24]})
+    assert got == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "|s| <= 309 " in line
 
 
 @pytest.mark.parametrize("half, code", [(29, 0), (30, 2)])
@@ -827,12 +908,26 @@ def test_parse_config_refuses_a_bad_grid_as_config_error():
 
 
 def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
-    """A window or grid no section of the experiment reaches is not counted."""
+    """A grid no section of the experiment reaches is not counted: neither
+    zero-product harness samples a grid."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m_circle": 2**40, "m_radial": 10**6}))
-    assert load_config(cfg, "zero-product-hardy").m_circle == 2**40
-    cfg.write_text(json.dumps({"window": [-100000, 10], "m_radial": 10**6}))
-    assert load_config(cfg, "zero-product-bergman").window == (-100000, 10)
+    for experiment in ("zero-product-hardy", "zero-product-bergman"):
+        loaded = load_config(cfg, experiment)
+        assert (loaded.m_circle, loaded.m_radial) == (2**40, 10**6)
+
+
+def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):
+    """The Bergman sections cover every degree of the window: a host that
+    holds the section over degrees -1 .. 10 but not over -20 .. 10 refuses
+    the window."""
+    doc = {"window": [-20, 10]}
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 16 * 31**2 - 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
+        parse_config(doc, "zero-product-bergman", None)
+    pages["SC_PHYS_PAGES"] = 16 * 31**2
+    assert parse_config(doc, "zero-product-bergman", None).window == (-20, 10)
 
 
 def test_identities_reads_no_window(tmp_path):

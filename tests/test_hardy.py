@@ -419,9 +419,7 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     one chunk holds."""
     module, name, draw_f, draw_g = _HARNESSES[experiment]
     window, zero, other_gs = STACK_CASES[experiment]
-    # Bergman sections start at degree -1
-    lo = max(window[0], -1) if module is bergman else window[0]
-    per_chunk = hardy._STACK_BYTES // (16 * (window[1] - lo + 1) ** 2)
+    per_chunk = hardy._STACK_BYTES // (16 * (window[1] - window[0] + 1) ** 2)
     rng = Lcg(3)
     pairs = [(draw_f(rng), draw_g(rng)) for _ in range(per_chunk + 3)]
     nan_g = pairs[per_chunk + 1][1]

@@ -162,7 +162,7 @@ def test_bergman_section_matches_loop_on_ragged_tables(size, lo, R):
 
 def contract_sections():
     """Per builder: its section over the window (-6, 6), or of size 13 on
-    the disc, and the side it must have; the Bergman basis starts at -1.
+    the disc, and the side it must have.
     The quadrature builder returns its Toeplitz and Hankel sections as a pair."""
     f, p = random_boundary_symbol(Lcg(5), 3), polar_symbol(Lcg(5))
     geo = AnnulusGeometry(R=0.5, m_circle=64, m_radial=48)
@@ -174,9 +174,9 @@ def contract_sections():
         "build_section_quadrature_hankel": (quad_hankel, 13),
         "build_disc_toeplitz": (build_disc_toeplitz(pullback_symbols(f)[0], 13), 13),
         "build_disc_hankel": (build_disc_hankel(pullback_symbols(f)[1], 13), 13),
-        "build_bergman_toeplitz": (build_bergman_toeplitz(p, (-6, 6), 0.5), 8),
+        "build_bergman_toeplitz": (build_bergman_toeplitz(p, (-6, 6), 0.5), 13),
         "build_bergman_section_quadrature": (
-            build_bergman_section_quadrature(p, (-6, 6), geo), 8
+            build_bergman_section_quadrature(p, (-6, 6), geo), 13
         ),
     }
 
