@@ -55,6 +55,34 @@ def _layout(values: np.ndarray, hankel: bool = False) -> np.ndarray:
     return win if hankel else win[..., ::-1, :]
 
 
+def band_product(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``A @ B`` for sections, or stacks of sections, whose entries are
+    zero more than ``a`` (for ``A``) or ``b`` (for ``B``) off the diagonal.
+
+    Column ``j`` of the product reads only the rows ``k`` of ``B`` within
+    ``b`` of ``j``, and those columns of ``A`` hold nothing more than ``a``
+    from ``k``.  So the product is formed in blocks of ``2 (a + b) + 1``
+    columns, the width of its own band: each block is one matmul of only
+    the rows and columns the two bands reach, written into a zero-filled
+    result.  When that width covers the window the loop runs a single,
+    dense block.  The bands are the symbols' ``bandwidth()``, never read
+    off the entries.  The result is ``A @ B`` to rounding, not bit for bit:
+    BLAS may group a shorter sum differently.  A stacked block makes the
+    matmul of a lone block per matrix, so each matrix of a stack has the
+    bits of its lone product.
+    """
+    m, n, p = A.shape[-2], A.shape[-1], B.shape[-1]
+    out = np.zeros((*np.broadcast_shapes(A.shape[:-2], B.shape[:-2]), m, p),
+                   dtype=np.result_type(A, B))
+    width = 2 * (a + b) + 1
+    for j in range(0, p, width):
+        k0, k1 = max(j - b, 0), min(j + width + b, n)
+        i0, i1 = max(k0 - a, 0), min(k1 + a, m)
+        np.matmul(A[..., i0:i1, k0:k1], B[..., k0:k1, j : j + width],
+                  out=out[..., i0:i1, j : j + width])
+    return out
+
+
 def _bounded_pairs(fs, window: tuple[int, int], R: float):
     """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
     the stacked :func:`_layout` copies of both circles' coefficients of
@@ -208,7 +236,11 @@ def semicommutator_residual_annulus(
 
     Checks, entry by entry inside the safe margin, that the section of the
     product symbol equals the product of sections plus the adjoint-Hankel
-    times Hankel correction.  Returns ``(residual, margin)``.
+    times Hankel correction.  Each section is zero more than its symbol's
+    bandwidth off the diagonal, so both products, ``T_phi T_psi`` and
+    ``H*_phibar H_psi``, are :func:`band_product` calls with the bands
+    ``phi.bandwidth()`` and ``psi.bandwidth()``.  Returns
+    ``(residual, margin)``.
     """
     lo, hi = _check_window(window)
     margin = phi.bandwidth() + psi.bandwidth()
@@ -222,8 +254,9 @@ def semicommutator_residual_annulus(
     t_psi = build_toeplitz_hardy(psi, window, R)
     h_phibar = build_hankel_annulus(conjugate_symbol(phi), window, R)
     h_psi = build_hankel_annulus(psi, window, R)
-    prod = t_phi @ t_psi
-    delta = t_prod - (prod + h_phibar.conj().T @ h_psi)
+    a, b = phi.bandwidth(), psi.bandwidth()
+    prod = band_product(t_phi, t_psi, a, b)
+    delta = t_prod - (prod + band_product(h_phibar.conj().T, h_psi, a, b))
     sl = slice(margin, hi - lo + 1 - margin)
     return float(np.max(np.abs(delta[sl, sl]))), margin
 
@@ -377,13 +410,17 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
     ``Violation`` only when every one falls below ``ZERO_DIVISOR_FLOOR``.
 
     Every pair's window checks run first, in order, so a refusal names the
-    first pair the window cannot serve.  The trials then run as stacks:
-    ``space.build`` takes a list of symbols and returns their sections
-    stacked, a chunk holds as many trials as one stacked section fits in
-    ``_STACK_BYTES`` (at least one), and per chunk the product, its column
-    norms and each ladder group of one ``(first, N)`` take one stacked
-    call.  A stacked call applies per matrix what a one-pair call applies
-    to its matrix, so each report has the bits of the one-pair call.
+    first pair the window cannot serve.  The trials then run as stacks of
+    one bandwidth pair ``(f.bandwidth(), g.bandwidth())``: ``space.build``
+    takes a list of symbols and returns their sections stacked, and a stack
+    holds as many trials as one stacked section fits in ``_STACK_BYTES``
+    (at least one).  Per stack, :func:`band_product` forms ``T_f T_g`` in
+    column blocks, each one stacked matmul of only the rows and columns
+    the two bands reach, and the column norms and each ladder group of one
+    ``(first, N)`` take one stacked call.  A stacked call, or block,
+    applies per matrix what a one-pair call applies to its matrix, and a
+    pair's own bands fix its blocks, so each report has the bits of the
+    one-pair call.
     """
     lo, hi = _check_window(window)
     L, size = LADDER_LENGTH, hi - lo + 1
@@ -407,13 +444,20 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             )
         plans.append((n0, n0_eff, N, slice(margin, size - margin)))
 
-    reports = []
+    # a stack holds pairs of one bandwidth pair, so band_product splits
+    # each of its products into the blocks of the pair's own call
+    by_bands: dict[tuple[int, int], list[int]] = {}
+    for i, (f, g) in enumerate(pairs):
+        by_bands.setdefault((f.bandwidth(), g.bandwidth()), []).append(i)
     step = max(1, _STACK_BYTES // (16 * size * size))
-    for at in range(0, len(pairs), step):
-        chunk, plan = pairs[at : at + step], plans[at : at + step]
+    stacks = [(bands, members[at : at + step])
+              for bands, members in by_bands.items() for at in range(0, len(members), step)]
+    reports: list = [None] * len(pairs)
+    for bands, idx in stacks:
+        chunk, plan = [pairs[i] for i in idx], [plans[i] for i in idx]
         tf = space.build([f for f, _ in chunk], (lo, hi), R)
         tg = space.build([g for _, g in chunk], (lo, hi), R)
-        prod = tf @ tg
+        prod = band_product(tf, tg, *bands)
         groups: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(plan):
             if p is not None:
@@ -434,7 +478,7 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
         for i, ((f, g), p) in enumerate(zip(chunk, plan)):
             if p is None:
                 N = None if g.is_zero() else g.top_degree()
-                reports.append(ZeroProductReport(UNCONSTRAINED, lo, N, norms[i].tolist()))
+                reports[idx[i]] = ZeroProductReport(UNCONSTRAINED, lo, N, norms[i].tolist())
                 continue
             n0, n0_eff, N, interior = p
             col = norms[i, interior].tolist()
@@ -443,9 +487,9 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             else:
                 verdict = VIOLATION if np.max(col) < ZERO_DIVISOR_FLOOR else CONSISTENT
             ladder, pivot, leak = ladders[i]
-            reports.append(ZeroProductReport(
+            reports[idx[i]] = ZeroProductReport(
                 n0, n0_eff, N, col, ladder.tolist(), float(pivot), float(leak), verdict
-            ))
+            )
     return reports
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _layout
+from .hardy import INCONCLUSIVE, _layout, band_product
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -72,15 +72,24 @@ def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
 def semicommutator_residual_disc(
     phi: ExactCircle, psi: ExactCircle, size: int
 ) -> tuple[float, int]:
-    """Interior deviation of the disc product identity with Hankel correction."""
+    """Interior deviation of the disc product identity with Hankel correction.
+
+    A Toeplitz section is zero more than its symbol's bandwidth off the
+    diagonal, and a Hankel section holds nothing past its corner
+    ``j + k < bandwidth``, inside that band, so both products are
+    :func:`~annulab.hardy.band_product` calls with the bands
+    ``phi.bandwidth()`` and ``psi.bandwidth()``.
+    """
     margin = phi.bandwidth() + psi.bandwidth()
     if size <= margin:
         raise ValueError(f"section size {size} must exceed bandwidth sum {margin}")
     t_prod = build_disc_toeplitz(ExactCircle(_convolve(phi.coeffs, psi.coeffs)), size)
-    combined = (
-        build_disc_toeplitz(phi, size) @ build_disc_toeplitz(psi, size)
-        + build_disc_hankel(conjugate_symbol(phi), size).conj().T
-        @ build_disc_hankel(psi, size)
+    a, b = phi.bandwidth(), psi.bandwidth()
+    combined = band_product(
+        build_disc_toeplitz(phi, size), build_disc_toeplitz(psi, size), a, b
+    ) + band_product(
+        build_disc_hankel(conjugate_symbol(phi), size).conj().T,
+        build_disc_hankel(psi, size), a, b,
     )
     delta = np.abs(t_prod - combined)
     sl = slice(0, size - margin)

@@ -398,6 +398,23 @@ def test_adversarial_radial_pair_is_not_a_zero_divisor(window, radius):
     assert report.verdict == "ConsistentWithTheorem"
 
 
+@pytest.mark.parametrize("radius", [
+    0.3,
+    pytest.param(0.5, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP items 2 and 13: n0 keeps no margin from the located root"
+    )),
+    0.8,
+])
+def test_n0_clears_the_last_annihilated_column_of_the_radial_g(radius):
+    """Item 13's g annihilates ``z^-1 .. z^5``: its Mellin transform
+    vanishes at ``2n + 2`` for those n, so the first unobstructed column is
+    6.  At R 0.5 the scan locates the zero at 12 as 11.99983, and
+    ``floor(n* + 1e-9) + 1`` puts n0 at 5, on a column where
+    ``T_g[5, 5]`` is 7.0e-10 against 1.7e-5 at n = 6."""
+    _, g = adversarial_radial_pair(radius)
+    assert find_n0_bergman(g.bands[0], 0, radius, (-10, 14)) >= 6
+
+
 def test_probe_rejects_short_ladder_window():
     with pytest.raises(WindowTooSmallError):
         zero_product_experiment_bergman(

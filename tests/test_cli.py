@@ -126,6 +126,43 @@ def test_zero_product_nan_fails_the_rows(tmp_path, monkeypatch, field):
         assert table[name][0] == "nan" and table[name][2] == "false", name
 
 
+def _nan_at_the_band_edge(monkeypatch):
+    """Rebind the seeded two-circle draw so that the first symbol drawn
+    holds a NaN outer coefficient at its top degree, the edge of its band."""
+    draw = annulab.randgen.random_boundary_symbol
+    drawn = []
+
+    def first_with_nan(rng, reach):
+        sym = draw(rng, reach)
+        if not drawn:
+            sym = type(sym)({**sym.coeffs_C, reach: complex("nan")}, sym.coeffs_C0)
+        drawn.append(sym)
+        return sym
+
+    monkeypatch.setattr(annulab.randgen, "random_boundary_symbol", first_with_nan)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_coefficient_inside_the_band_still_fails(tmp_path, monkeypatch):
+    """A dense product spread a NaN section entry over its whole product
+    row (0 x NaN is NaN); the band product keeps it inside the band, where
+    it still reaches every interior column: the trial whose ``f`` holds it
+    reads Inconclusive, the other trials of its stack keep their verdict,
+    and the run exits 1.  ``semicommutator``, whose ``phi`` holds it on
+    the unit circle, fails both residual rows."""
+    _nan_at_the_band_edge(monkeypatch)
+    code, outdir = run_lab(tmp_path, "zero-product-hardy", {"R": 0.5, "seed": 1})
+    assert code == 1
+    verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
+    assert verdicts == ["Inconclusive"] + ["ConsistentWithTheorem"] * 19
+    _nan_at_the_band_edge(monkeypatch)
+    code, outdir = run_lab(tmp_path, "semicommutator", {"R": 0.5, "seed": 1}, out="semi")
+    assert code == 1
+    rows = _results(outdir)
+    for name in ("annulus_interior_residual", "disc_interior_residual"):
+        assert rows[name][::2] == ["nan", "false"], name
+
+
 def _top_band_one_row_lower(build):
     """``build`` with the top band of every stacked section moved one row
     down."""

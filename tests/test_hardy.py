@@ -94,6 +94,50 @@ def test_banded_structure_exact_zeros():
                 assert sec[a, b] == 0.0
 
 
+def banded(rng, shape, band):
+    """Complex normal entries within ``band`` of the diagonal, zero past it."""
+    n = shape[-1]
+    keep = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= band
+    return np.where(keep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+
+
+#: (side, a, b): unequal bands both ways, a diagonal factor, two diagonal
+#: factors, and bands whose product band covers the window (one block)
+BAND_CASES = [(40, 1, 5), (40, 6, 2), (33, 0, 3), (40, 0, 0), (12, 7, 9), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("n, a, b", BAND_CASES)
+def test_band_product_is_the_dense_product_to_rounding(n, a, b):
+    """Against a dense ``A @ B`` on a random stack, entry by entry.  Each
+    complex dot product of inner length ``K`` is off its exact value by at
+    most ``gamma_(K+2) (|A| @ |B|)``, ``gamma_m = m u / (1 - m u)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.6), so two
+    orderings of one sum differ by at most twice that.  Bits are not
+    asked for: BLAS may group a shorter sum differently.  Each matrix of
+    the stack has the bits of its lone product, and a window the product
+    band covers runs one block, the dense product itself."""
+    rng = np.random.default_rng([n, a, b])
+    A, B = banded(rng, (3, n, n), a), banded(rng, (3, n, n), b)
+    got, dense = hardy.band_product(A, B, a, b), A @ B
+    u = np.finfo(float).eps / 2
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    assert np.all(np.abs(got - dense) <= 2 * gamma * (np.abs(A) @ np.abs(B)))
+    for i in range(3):
+        assert hardy.band_product(A[i], B[i], a, b).tobytes() == got[i].tobytes()
+    if 2 * (a + b) + 1 >= n:
+        assert got.tobytes() == dense.tobytes()
+
+
+def test_band_product_of_a_zero_symbols_section_is_zero():
+    """A zero symbol's section has bandwidth 0 and no nonzero entry, so its
+    product with a banded section is exactly zero, on either side."""
+    zero = build_toeplitz_hardy([ExactSymbol({}, {})] * 2, (-8, 8), R)
+    rng = Lcg(4)
+    gs = build_toeplitz_hardy([random_boundary_symbol(rng, 3) for _ in range(2)], (-8, 8), R)
+    assert not np.any(hardy.band_product(zero, gs, 0, 3))
+    assert not np.any(hardy.band_product(gs, zero, 3, 0))
+
+
 def test_section_matches_quadrature(geo):
     sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-8, 8), R)
     quad, _ = build_section_quadrature(laurent_symbol({1: 1.0}, R), (-8, 8), geo)

@@ -21,7 +21,7 @@ from annulab.hardy import (
     build_toeplitz_hardy,
 )
 from annulab.mellin import monomial_moment
-from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import build_disc_hankel, build_disc_toeplitz
 from annulab.symbols import (
     ExactCircle,
@@ -186,6 +186,54 @@ def test_builders_return_square_complex_arrays(name):
     sec, side = contract_sections()[name]
     assert type(sec) is np.ndarray
     assert sec.shape == (side, side) and sec.dtype == complex
+
+
+# ---------------------------------------------------------------------------
+# the band contract hardy.band_product relies on
+
+#: per case: the window, R, the reach of the two-circle symbol and the band
+#: range of the polar one; "narrow" windows are narrower than twice the
+#: reach, "whole-space" is a Bergman window far below degree -1 at R 0.1
+BAND_WINDOWS = {
+    "narrow": ((-4, 4), 0.5, 6, (-4, 5)),
+    "wide": ((-12, 12), 0.5, 4, (-2, 3)),
+    "whole-space": ((-24, 24), 0.1, None, (-2, 3)),
+}
+
+
+def banded_section(builder, case):
+    """The builder's section of a randgen symbol over the case's window,
+    and that symbol's ``bandwidth()``."""
+    (lo, hi), R, reach, bands = BAND_WINDOWS[case]
+    if builder == "build_bergman_toeplitz":
+        p = random_polar_symbol(Lcg(8), *bands, 3)
+        return build_bergman_toeplitz(p, (lo, hi), R), p.bandwidth()
+    f = random_boundary_symbol(Lcg(8), reach)
+    circle = pullback_symbols(f)[1]
+    return {
+        "build_toeplitz_hardy": lambda: (build_toeplitz_hardy(f, (lo, hi), R), f.bandwidth()),
+        "build_hankel_annulus": lambda: (build_hankel_annulus(f, (lo, hi), R), f.bandwidth()),
+        "build_disc_toeplitz": lambda: (build_disc_toeplitz(circle, hi - lo + 1),
+                                        circle.bandwidth()),
+        "build_disc_hankel": lambda: (build_disc_hankel(circle, hi - lo + 1),
+                                      circle.bandwidth()),
+    }[builder]()
+
+
+@pytest.mark.parametrize("builder, case", [
+    *((b, c) for b in ("build_toeplitz_hardy", "build_hankel_annulus", "build_disc_toeplitz",
+                       "build_disc_hankel", "build_bergman_toeplitz")
+      for c in ("narrow", "wide")),
+    ("build_bergman_toeplitz", "whole-space"),
+])
+def test_sections_vanish_past_the_symbol_bandwidth(builder, case):
+    """Every entry more than the symbol's ``bandwidth()`` off the diagonal
+    is exactly zero, so a product of sections may skip it."""
+    sec, band = banded_section(builder, case)
+    side = np.arange(len(sec))
+    past = np.abs(np.subtract.outer(side, side)) > band
+    assert past.any() and np.any(sec[~past] != 0.0)
+    assert np.all(sec[past] == 0.0)
 
 
 # ---------------------------------------------------------------------------
