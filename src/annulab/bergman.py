@@ -39,20 +39,6 @@ def quasi_homogeneous_apply(p: int, f1: PolyProfile, n: int, R: float) -> tuple[
     return complex(t * t * mellin_transform(f1, p + 2 * n + 2, R)), p + n
 
 
-def _check_powers(lowest: int, R: float) -> None:
-    """Refuse, by :func:`check_moment_range`, a run whose lowest power
-    ``R^e`` overflows: ``|e log R| > log(float max)`` with ``e < 0``.
-
-    Norm constants read ``e = 2(n + 1)``, moments at ``s`` read ``e = s``; a
-    positive ``e`` only underflows, to the limits ``2(n+1)`` and ``1/s``.
-    Over ``[lo, hi]``, with ``d`` the lowest profile degree or 0, the lowest
-    ``e`` is ``2(lo + 1) + d`` for a section (moments at ``k + 2n + 2 + d``,
-    row ``n + k`` and column ``n >= lo``), ``2 lo + 1`` for the quadrature's
-    ``r^(1 + m + n)``, ``r >= R``, and ``2 lo + N + 2 + d`` for the scan.
-    """
-    check_moment_range(max(0, -lowest), R)
-
-
 def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, complex]:
     """Exact image of ``z**n`` as a coefficient table over monomial degrees."""
     out: dict[int, complex] = {}
@@ -69,23 +55,39 @@ def build_bergman_toeplitz(
     """Section of the symbol's action over the window's monomial degrees.
 
     Entries are taken in the orthonormal basis (unit monomial multiples),
-    so sections compose as matrices: the entry at (row m, column n) is the
-    monomial-action coefficient rescaled by ``t_n / t_m``.  Band ``k``
-    sends ``z^n`` to ``c z^(n+k)`` with ``c = t_(n+k)^2`` times the Mellin
-    moment of its profile at ``k + 2n + 2``, ``t`` the reciprocal monomial
-    norms of :func:`bergman_norm_const`, and side ``hi - lo + 1`` (range:
-    :func:`_check_powers`).  A radial symbol (single band at offset zero)
-    gives a diagonal section; a single positive band gives a weighted
-    shift.  A sequence of symbols gives their sections stacked along a
-    leading axis.
+    so sections compose as matrices: band ``k`` sends ``z^n`` to ``t_m^2
+    M_k(k + 2n + 2) z^m``, ``m = n + k``, and entry (m, n) is that
+    coefficient times ``t_n / t_m``, i.e. ``t_m t_n sum_d c_d M(s)`` over the
+    band's profile ``sum_d c_d r^d``, with ``s = m + n + 2 + d``, ``t`` the
+    norm constants of :func:`bergman_norm_const` and ``M`` =
+    :func:`monomial_moment`.  A radial symbol gives a diagonal section, a
+    single positive band a weighted shift, and a sequence of symbols their
+    sections stacked along a leading axis.
 
-    Operation order: every moment the sections read comes from one
-    :func:`monomial_moment` call over a ``[band, degree, column]`` array of
-    arguments, the bands of every symbol in turn; each band's profile is
-    summed over its table in the table's own order, all bands at once, and
-    each entry is formed as in the per-entry loop
-    ``t_m^2 M_k(k + 2n + 2) t_n / t_m``, so each section matches that loop
-    bit for bit whatever the order of the bands and degrees.
+    Bounded form: with ``a = n + 1`` and ``b = m + 1``, ``t_n = R^(e_n)
+    tau_n`` for ``e_n = max(0, -a)`` and ``tau_n = bergman_norm_const(|a| -
+    1)`` (the log limit at ``a = 0`` included), and ``M(s) = R^min(0, s)
+    M(|s|)``.  So the entry is ``tau_m tau_n sum_d c_d R^E M(|s|)`` with
+    ``E = e_m + e_n + min(0, s)`` and ``s = a + b + d``:
+
+    - ``m, n >= -1``: ``E = min(0, s)``, which is 0 for ``d >= 0``;
+    - only ``m < -1``: ``E = -b + min(0, s) = min(-b, a + d)``, and
+      likewise ``min(-a, b + d)`` when only ``n < -1``;
+    - ``m, n < -1``: ``E = -a - b + min(0, s) = min(-a - b, d)``.
+
+    So ``E >= min(0, d)``: for degrees ``d >= 0`` every ``R^E`` lies in
+    [0, 1], ``M(|s|)`` in (0, -log R] and ``tau`` is finite, so no window
+    leaves the float range.  A negative degree, which only an API caller
+    can pass, can make ``E < 0``: :func:`check_moment_range` refuses the
+    smallest ``E`` when ``R^E`` would overflow.
+
+    Operation order: ``R^E`` from one ``np.float_power`` call and ``M(|s|)``
+    from one :func:`monomial_moment` call, each over the range of its
+    integers and gathered over a ``[band, degree, column]`` array, the bands
+    of every symbol in turn; each band's terms ``c_d (R^E M(|s|))`` summed
+    over its table in the table's own order, all bands at once; each entry
+    ``(tau_m tau_n)`` times that sum.  So each section matches the per-entry
+    loop in that order bit for bit whatever the order of bands and degrees.
     """
     single = isinstance(f, PolarSymbol)
     fs = [f] if single else list(f)
@@ -99,30 +101,30 @@ def build_bergman_toeplitz(
     pad = [[0] * (width - len(d)) for d in tables]
     degree = np.array([[*d, *z] for d, z in zip(tables, pad)], dtype=int)
     degree = degree.reshape(len(tables), width)  # also when there is no band
-    _check_powers(2 * (lo + 1) + degree.min(initial=0), R)
-    t = bergman_norm_const(n, R)
     coeffs = np.array([[*d.values(), *z] for d, z in zip(tables, pad)], dtype=complex)
-    # band k sends column n to row n + k; one sent outside reads argument 0
+    # band k sends column n to row n + k; one sent outside reads s = E = 0
     inside = (n + band >= lo) & (n + band <= hi)
-    arg = (band + 2 * n + 2)[:, None] + degree[..., None]
-    moments = monomial_moment(np.where(inside[:, None], arg, 0), R)
+    rows = np.where(inside, n - lo + band, 0)
+    e = np.maximum(0, -(n + 1))
+    s = np.where(inside[:, None], (band + 2 * n + 2)[:, None] + degree[..., None], 0)
+    E = np.where(inside[:, None], (e[rows] + e)[:, None] + np.minimum(0, s), 0)
+    low = E.min(initial=0)
+    check_moment_range(-low, R)
+    # R^E and M(|s|), each taken once per integer of its range and gathered
+    term = (np.float_power(R, np.arange(low, E.max(initial=0) + 1))[E - low]
+            * monomial_moment(np.arange(np.abs(s).max(initial=0) + 1), R)[np.abs(s)])
     profile = np.zeros(inside.shape, dtype=complex)
     lengths = np.array([len(d) for d in tables], dtype=int)
     for j in range(width):
         r = np.flatnonzero(lengths > j)  # the bands with a j-th coefficient
-        profile[r] += coeffs[r, j, None] * moments[r, j]
-    rows = np.where(inside, n - lo + band, 0)
-    coeff = (t[rows] * t[rows]) * profile
-    val = coeff * t
-    # numpy divides complex by real through a reciprocal; divide each part
-    val.real /= t[rows]
-    val.imag /= t[rows]
+        profile[r] += coeffs[r, j, None] * term[r, j]
+    tau = bergman_norm_const(np.abs(n + 1) - 1, R)
+    val = (tau[rows] * tau) * profile
     b, col = np.nonzero(inside)
     ent = np.zeros((len(fs), len(n), len(n)), dtype=complex)
     ent[owner[b], rows[b, col], col] += val[b, col]
-    hit = set(owner[b][coeff[b, col] != 0.0].tolist())
-    for i, sym in enumerate(fs):
-        if i not in hit and not sym.is_zero():
+    for sec, sym in zip(ent, fs):
+        if not sym.is_zero() and not sec.any():
             raise WindowTooSmallError(
                 f"window [{lo},{hi}] holds no image of any band of the symbol"
             )
@@ -151,16 +153,20 @@ def build_bergman_section_quadrature(
     Entry (m, n) pairs the symbol times ``t_n z^n`` with ``t_m z^m``: at
     each radial node the angular trapezoid sum of the symbol's grid samples
     at index ``m - n`` (one FFT per node and a gather), then the Gauss sum
-    with weight ``r^(1 + n + m)``.  Only grid samples are read.
+    with weight ``r^(1 + m + n) t_m t_n``, taken as ``tau_m rho_m tau_n rho_n
+    / r`` with ``tau`` of :func:`build_bergman_toeplitz` and ``rho_n = (R /
+    r)^|n+1|`` below degree -1, ``r^(n+1)`` otherwise, both in [0, 1]: no
+    window leaves the float range.  Only grid samples are read.
     """
     lo, hi = _check_window(window)
-    _check_powers(2 * lo + 1, geo.R)
     r, w = geo.radial_nodes()
     ns = np.arange(lo, hi + 1)
     angular = _analyze(polar_symbol_grid(f, geo), np.subtract.outer(ns, ns))
-    radial = w[:, None, None] * r[:, None, None] ** (1 + np.add.outer(ns, ns))
-    t = bergman_norm_const(ns, geo.R)
-    return np.outer(t, t) * np.sum(radial * angular, axis=0)
+    a = ns + 1
+    rho = np.float_power(np.where(a < 0, geo.R / r[:, None], r[:, None]), np.abs(a))
+    u = bergman_norm_const(np.abs(a) - 1, geo.R) * rho
+    radial = (w / r)[:, None, None] * u[:, :, None] * u[:, None, :]
+    return np.sum(radial * angular, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +182,13 @@ def find_n0_bergman(
     ``2n + N + 2``; this scans that argument range for real zeros and
     returns one past the floor of the largest zero mapped back to n, or
     ``"unconstrained"`` when the scan finds none (monomial profiles always
-    land here since their moments never vanish on the real line).  Range:
-    :func:`_check_powers`.
+    land here since their moments never vanish on the real line).  Its
+    plain moments read ``R^(z + d)``, so :func:`check_moment_range` refuses
+    a scan whose lowest exponent ``2 lo + N + 2 + d`` (``d`` the lowest
+    profile degree, or 0) would overflow.
     """
     z_lo, z_hi = (2 * n + N + 2 for n in n_range)
-    _check_powers(z_lo + min([0, *gN.coeffs]), R)
+    check_moment_range(max(0, -(z_lo + min([0, *gN.coeffs]))), R)
     roots = mellin_zero_locate(gN, float(z_lo), float(z_hi), R)
     if not roots:
         return UNCONSTRAINED

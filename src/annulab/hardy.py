@@ -17,7 +17,7 @@ from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, _pair_on_grid, basis_weights
 from .symbols import (
     ExactSymbol,
-    _read_band,
+    _read,
     conjugate_symbol,
     multiply_symbols,
     sample_symbol,
@@ -90,8 +90,9 @@ def _bounded_pairs(fs, window: tuple[int, int], R: float):
     fresh arrays, weighted and summed in place."""
     lo, hi = _check_window(window)
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    C = _read_band([f.coeffs_C for f in fs], hi - lo)
-    C0 = _read_band([f.coeffs_C0 for f in fs], hi - lo)
+    offsets = np.arange(hi - lo, lo - hi - 1, -1)
+    C = _read([f.coeffs_C for f in fs], offsets)
+    C0 = _read([f.coeffs_C0 for f in fs], offsets)
     return B, A, _layout(C).copy(), _layout(C0).copy()
 
 
@@ -229,36 +230,41 @@ def find_n0_hardy(g: ExactSymbol, N: int, R: float):
 # semicommutator identity on the annulus
 
 
+def _semicommutator_residual(
+    phi, psi, toeplitz: Callable, hankel: Callable, side: int, both_edges: bool
+) -> tuple[float, int]:
+    """Interior max deviation of the product identity with Hankel correction
+    over the side-``side`` sections ``toeplitz`` and ``hankel`` build: the
+    section of the product symbol against ``T_phi T_psi + H*_phibar H_psi``.
+    Each section is zero more than its symbol's bandwidth off the diagonal,
+    so both products are :func:`band_product` calls with the bands
+    ``phi.bandwidth()`` and ``psi.bandwidth()``.  The interior keeps their
+    sum, the margin, from the last row and column, and from the first ones
+    too when ``both_edges``.  Returns ``(residual, margin)``.
+    """
+    a, b = phi.bandwidth(), psi.bandwidth()
+    margin, first = a + b, (a + b if both_edges else 0)
+    if side - margin <= first:
+        raise WindowTooSmallError(
+            f"a section of side {side} has no interior at margin {margin}"
+        )
+    prod = band_product(toeplitz(phi), toeplitz(psi), a, b)
+    prod += band_product(hankel(conjugate_symbol(phi)).conj().T, hankel(psi), a, b)
+    delta = np.abs(toeplitz(multiply_symbols(phi, psi)) - prod)
+    return float(np.max(delta[first : side - margin, first : side - margin])), margin
+
+
 def semicommutator_residual_annulus(
     phi: ExactSymbol, psi: ExactSymbol, window: tuple[int, int], R: float
 ) -> tuple[float, int]:
-    """Interior max deviation of the product identity with Hankel correction.
-
-    Checks, entry by entry inside the safe margin, that the section of the
-    product symbol equals the product of sections plus the adjoint-Hankel
-    times Hankel correction.  Each section is zero more than its symbol's
-    bandwidth off the diagonal, so both products, ``T_phi T_psi`` and
-    ``H*_phibar H_psi``, are :func:`band_product` calls with the bands
-    ``phi.bandwidth()`` and ``psi.bandwidth()``.  Returns
-    ``(residual, margin)``.
-    """
+    """Interior max deviation of the product identity on the annulus window,
+    by :func:`_semicommutator_residual` over :func:`build_toeplitz_hardy`
+    and :func:`build_hankel_annulus`, the margin kept from both edges."""
     lo, hi = _check_window(window)
-    margin = phi.bandwidth() + psi.bandwidth()
-    if hi - lo + 1 <= 2 * margin:
-        raise WindowTooSmallError(
-            f"window [{lo}, {hi}] cannot hold interior margin {margin}; "
-            f"need more than {2 * margin + 1} columns"
-        )
-    t_prod = build_toeplitz_hardy(multiply_symbols(phi, psi), window, R)
-    t_phi = build_toeplitz_hardy(phi, window, R)
-    t_psi = build_toeplitz_hardy(psi, window, R)
-    h_phibar = build_hankel_annulus(conjugate_symbol(phi), window, R)
-    h_psi = build_hankel_annulus(psi, window, R)
-    a, b = phi.bandwidth(), psi.bandwidth()
-    prod = band_product(t_phi, t_psi, a, b)
-    delta = t_prod - (prod + band_product(h_phibar.conj().T, h_psi, a, b))
-    sl = slice(margin, hi - lo + 1 - margin)
-    return float(np.max(np.abs(delta[sl, sl]))), margin
+    return _semicommutator_residual(
+        phi, psi, lambda s: build_toeplitz_hardy(s, window, R),
+        lambda s: build_hankel_annulus(s, window, R), hi - lo + 1, both_edges=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _layout, band_product
+from .hardy import INCONCLUSIVE, _layout, _semicommutator_residual
 from .symbols import (
     ExactCircle,
     ExactSymbol,
     _analyze,
-    _convolve,
     _flip,
-    conjugate_symbol,
     fourier_pair,
     pullback_symbols,
     sample_symbol,
@@ -72,28 +70,14 @@ def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
 def semicommutator_residual_disc(
     phi: ExactCircle, psi: ExactCircle, size: int
 ) -> tuple[float, int]:
-    """Interior deviation of the disc product identity with Hankel correction.
-
-    A Toeplitz section is zero more than its symbol's bandwidth off the
-    diagonal, and a Hankel section holds nothing past its corner
-    ``j + k < bandwidth``, inside that band, so both products are
-    :func:`~annulab.hardy.band_product` calls with the bands
-    ``phi.bandwidth()`` and ``psi.bandwidth()``.
-    """
-    margin = phi.bandwidth() + psi.bandwidth()
-    if size <= margin:
-        raise ValueError(f"section size {size} must exceed bandwidth sum {margin}")
-    t_prod = build_disc_toeplitz(ExactCircle(_convolve(phi.coeffs, psi.coeffs)), size)
-    a, b = phi.bandwidth(), psi.bandwidth()
-    combined = band_product(
-        build_disc_toeplitz(phi, size), build_disc_toeplitz(psi, size), a, b
-    ) + band_product(
-        build_disc_hankel(conjugate_symbol(phi), size).conj().T,
-        build_disc_hankel(psi, size), a, b,
+    """Interior deviation of the disc product identity with Hankel correction,
+    by :func:`~annulab.hardy._semicommutator_residual` over disc sections of
+    side ``size``: degree 0 is a true edge of the disc, so the interior
+    keeps the margin from the last row and column only."""
+    return _semicommutator_residual(
+        phi, psi, lambda s: build_disc_toeplitz(s, size),
+        lambda s: build_disc_hankel(s, size), size, both_edges=False,
     )
-    delta = np.abs(t_prod - combined)
-    sl = slice(0, size - margin)
-    return float(np.max(delta[sl, sl])), margin
 
 
 # ---------------------------------------------------------------------------

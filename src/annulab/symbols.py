@@ -119,28 +119,20 @@ def _synthesize(coeffs: dict[int, complex], m: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * m
 
 
-def _read(table: dict[int, complex], n):
-    """Table read at the integer ``n`` (scalar or array), zero off the table:
-    a gather over the sorted keys, so no Python step runs per index."""
-    keys = np.array(sorted(table), dtype=int)
-    vals = np.array([table[k] for k in keys.tolist()] + [0.0], dtype=complex)
-    at = np.searchsorted(keys, n)
-    # an index off the table reads the appended zero
-    at = np.where(np.append(keys, 0)[at] == n, at, len(keys))
-    return vals[at][()]
-
-
-def _read_band(tables, top: int) -> np.ndarray:
-    """Each table of ``tables`` read at ``top, top - 1, ..., -top``, zero
-    off the table, stacked along a leading axis: one scatter of every
-    table's entries in that band, with the bits of :func:`_read`."""
+def _read(tables, n) -> np.ndarray:
+    """Each table of ``tables`` read at the integer ``n`` (scalar or array),
+    zero off the table, stacked along a leading axis: one scatter of every
+    table's entries between ``min(n)`` and ``max(n)``, then one gather at
+    ``n``, so no Python step runs per index."""
+    n = np.asarray(n, dtype=int)
+    low, high = (int(n.min()), int(n.max())) if n.size else (0, -1)
     rows = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
-    keys = np.array([n for t in tables for n in t], dtype=int)
+    keys = np.array([k for t in tables for k in t], dtype=int)
     vals = np.array([c for t in tables for c in t.values()], dtype=complex)
-    out = np.zeros((len(tables), 2 * top + 1), dtype=complex)
-    band = np.abs(keys) <= top
-    out[rows[band], top - keys[band]] = vals[band]
-    return out
+    out = np.zeros((len(tables), high - low + 1), dtype=complex)
+    at = (keys >= low) & (keys <= high)
+    out[rows[at], keys[at] - low] = vals[at]
+    return out[:, n - low]
 
 
 def _analyze(values: np.ndarray, n):
@@ -160,12 +152,16 @@ def _analyze(values: np.ndarray, n):
 def fourier_pair(sym: ExactSymbol, n) -> tuple:
     """The pair of n-th Fourier coefficients (unit circle, inner circle),
     read from the tables at the integer or integer array ``n``."""
-    return _read(sym.coeffs_C, n), _read(sym.coeffs_C0, n)
+    return tuple(_read([sym.coeffs_C, sym.coeffs_C0], n))
 
 
-def multiply_symbols(a: ExactSymbol, b: ExactSymbol) -> ExactSymbol:
-    """Pointwise product of two boundary symbols: the coefficient tables
-    convolve per circle."""
+def multiply_symbols(
+    a: ExactSymbol | ExactCircle, b: ExactSymbol | ExactCircle
+) -> ExactSymbol | ExactCircle:
+    """Pointwise product of two boundary or two circle symbols: the
+    coefficient tables convolve per circle."""
+    if isinstance(a, ExactCircle):
+        return ExactCircle(_convolve(a.coeffs, b.coeffs))
     return ExactSymbol(
         _convolve(a.coeffs_C, b.coeffs_C), _convolve(a.coeffs_C0, b.coeffs_C0)
     )
@@ -189,10 +185,12 @@ class ExactCircle(_Degrees):
 
     coeffs: dict[int, complex] = field(default_factory=dict)
 
-    _live = property(lambda self: sorted(n for n, c in self.coeffs.items() if c != 0.0))
+    @cached_property
+    def _live(self) -> list[int]:
+        return sorted(n for n, c in self.coeffs.items() if c != 0.0)
 
     def hat(self, n):
-        return _read(self.coeffs, n)
+        return _read([self.coeffs], n)[0]
 
 
 def _reflect_conj(coeffs: dict[int, complex]) -> dict[int, complex]:

@@ -737,7 +737,7 @@ def run_lab_process(tmp_path, experiment, doc):
         ("toeplitz-build", {"m_circle": 64, "window": [-30, 30]}),
         # a repeated size would write its rows and blocks twice
         ("hankel-decay", {"sizes": [64, 64, 32]}),
-        # R^(2(lo + 1)) = 0.1^-318 leaves the float range
+        # the Mellin-zero scan's R^(2 lo + N + 2) = 0.1^-315 leaves the float range
         ("zero-product-bergman", {"R": 0.1, "window": [-160, 24]}),
         # 64 nodes times the absolute coefficient sum 8e307 leaves the float
         # range, so the samples' FFTs would overflow
@@ -755,17 +755,19 @@ def test_domain_error_exits_2_with_one_line(tmp_path, experiment, doc):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
-#: (R, window, exit code): at R 0.1, R^(2(lo + 1)) stays finite down to lo
-#: -155 (|2(lo + 1) log R| = 709.2) and overflows from -156 (713.8); the
-#: default window's R^-46 stays finite at R 2.1e-7 (707.3), where the
-#: ladder's certificates pass sqrt(float max), and overflows at 1.9e-7
+#: (R, window, exit code): the bounded sections compute every window, so
+#: the boundary is the Mellin-zero scan's, whose plain moments read R down
+#: to the exponent 2 lo + N + 2 with the trials' top band N = 3: at R 0.1
+#: lo -156 reads R^-307 (|307 log R| = 706.9) and -157 reads R^-309
+#: (711.5); the default window's R^-43 stays finite at R 7e-8 (708.4) and
+#: overflows at 6.7e-8 (710.3)
 BERGMAN_RANGE = [
-    (0.1, [-155, 24], 0),
-    (0.1, [-156, 24], 2),
+    (0.1, [-156, 24], 0),
+    (0.1, [-157, 24], 2),
     (0.1, [-160, 24], 2),
     (0.1, [-400, 24], 2),
-    (2.1e-7, [-24, 24], 0),
-    (1.9e-7, [-24, 24], 2),
+    (7e-8, [-24, 24], 0),
+    (6.7e-8, [-24, 24], 2),
     (1e-10, [-24, 24], 2),
     (1e-300, [-24, 24], 2),
 ]
@@ -774,9 +776,10 @@ BERGMAN_RANGE = [
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("R, window, code", BERGMAN_RANGE)
 def test_bergman_window_computes_or_is_refused(tmp_path, capsys, R, window, code):
-    """The whole-space Bergman sections read R^(2(lo + 1)) and moments down
-    to that exponent: a window either runs clean or is refused with one
-    line before the first power leaves the float range."""
+    """The whole-space Bergman sections stay bounded at every window, and
+    the scan refuses one whose moments would leave the float range: a
+    window either runs clean or is refused with one line before the first
+    power leaves the float range."""
     got, outdir = run_lab(tmp_path, "zero-product-bergman", {"R": R, "window": window})
     assert got == code
     err = capsys.readouterr().err.splitlines()
@@ -787,9 +790,10 @@ def test_bergman_window_computes_or_is_refused(tmp_path, capsys, R, window, code
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bergman_negative_top_band_scan_is_range_checked(tmp_path, capsys, monkeypatch):
-    """At the threshold window the sections stay in range, but a top band
+    """At a window the trials' top band N = 3 scans in range, a top band
     N = -1 starts the Mellin-zero scan of ``find_n0_bergman`` at 2 lo + N +
-    2 = -309, one power past it: the scan's own check refuses the run."""
+    2 = -309, one power past the float range: the scan's own check refuses
+    the run."""
     module, name, draw_f, _ = _HARNESSES["zero-product-bergman"]
     draw_g = lambda rng: random_polar_symbol(rng, -3, -1, 3)
     monkeypatch.setitem(_HARNESSES, "zero-product-bergman", (module, name, draw_f, draw_g))

@@ -2,8 +2,8 @@
 
 The builders lay out one coefficient vector per circle by a strided
 gather.  Disc and area sections must equal the per-entry loop bit for
-bit; the two-circle sections use bounded weights and must stay finite
-and accurate where the unweighted formula overflows.
+bit; the two-circle and area sections use bounded weights and must stay
+finite and accurate where the unweighted formula overflows.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
 from annulab.cli import main
+from annulab.errors import FloatRangeError
 from annulab.geometry import AnnulusGeometry, bergman_norm_const
 from annulab.hardy import (
     build_hankel_annulus,
@@ -67,9 +68,32 @@ def loop_moment(profile, z, R):
 
 
 def loop_bergman(f, lo, hi, R):
-    """Band ``k`` sends ``z^n`` to ``t_m^2 M_k(k + 2n + 2) z^m``, ``m = n + k``,
-    rescaled by ``t_n / t_m`` into the orthonormal basis; degrees outside
-    the window are dropped."""
+    """Band ``k`` sends ``z^n`` to ``z^m``, ``m = n + k``, with the entry
+    ``tau_m tau_n sum_d c_d R^E M(|s|)`` in the orthonormal basis, formed
+    per entry in the builder's order: ``s = m + n + 2 + d``, ``E = e_m + e_n
+    + min(0, s)``, ``e_x = max(0, -(x + 1))`` and ``tau_x`` the norm
+    constant at ``|x + 1| - 1``; degrees outside the window are dropped."""
+    e = lambda x: max(0, -(x + 1))
+    tau = lambda x: bergman_norm_const(abs(x + 1) - 1, R)
+    ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
+    for col, n in enumerate(range(lo, hi + 1)):
+        for k in f.live_bands:
+            m = n + k
+            if lo <= m <= hi:
+                acc = np.zeros((), dtype=complex)
+                for d, c in f.bands[k].coeffs.items():
+                    s = m + n + 2 + d
+                    power = np.float_power(R, e(m) + e(n) + min(0, s))
+                    acc += c * (power * monomial_moment(abs(s), R))
+                ent[m - lo, col] += (tau(m) * tau(n)) * complex(acc)
+    return ent
+
+
+def loop_bergman_unbounded(f, lo, hi, R):
+    """The plain-float form: band ``k`` sends ``z^n`` to ``t_m^2 M_k(k + 2n +
+    2) z^m``, rescaled by ``t_n / t_m``.  Its powers of R leave the float
+    range at deep windows, so it is a to-rounding reference only near
+    degree -1."""
     ent = np.zeros((hi - lo + 1, hi - lo + 1), dtype=complex)
     for col, n in enumerate(range(lo, hi + 1)):
         tn = bergman_norm_const(n, R)
@@ -147,13 +171,75 @@ def ragged_symbol(rng):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("lo", [-1, 3])
-@pytest.mark.parametrize("R", [0.4, 1e-3])
+@pytest.mark.parametrize("lo", [-1, 3, -400])
+@pytest.mark.parametrize("R", [0.4, 1e-3, 1e-300])
 def test_bergman_section_matches_loop_on_ragged_tables(size, lo, R):
+    """Ragged tables have the per-entry loop's bits, also far below degree
+    -1 and at a radius whose every power past R^1 underflows."""
     f = ragged_symbol(Lcg(size + lo))
     assert f.live_bands == [-3, -2, 0, 4]
     hi = lo + size - 1
     assert same_bytes(build_bergman_toeplitz(f, (lo, hi), R), loop_bergman(f, lo, hi, R))
+
+
+@pytest.mark.parametrize("R", [0.4, 1e-3])
+@pytest.mark.parametrize("lo", [-9, -1, 3])
+def test_bergman_section_matches_unbounded_loop_to_rounding(R, lo):
+    """Where its powers of R stay in range, the plain-float form gives the
+    bounded entries to rounding."""
+    f = ragged_symbol(Lcg(lo + 20))
+    got = build_bergman_toeplitz(f, (lo, lo + 15), R)
+    want = loop_bergman_unbounded(f, lo, lo + 15, R)
+    assert np.all((got == 0) == (want == 0))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def exact_bergman_entry(f, m, n, R):
+    """Entry (m, n) of the Bergman section in 50-digit arithmetic:
+    ``t_m t_n sum_d c_d (1 - R^s) / s`` over band ``m - n``, ``s = m + n + 2 + d``."""
+    with mpmath.workdps(50):
+        R, log_R = mpmath.mpf(R), mpmath.log(mpmath.mpf(R))
+        t = lambda x: 1 / mpmath.sqrt(-log_R) if x == -1 else mpmath.sqrt(
+            2 * (x + 1) / (1 - R ** (2 * (x + 1))))
+        moment = lambda s: -log_R if s == 0 else (1 - R**s) / s
+        profile = f.bands[m - n].coeffs.items() if m - n in f.live_bands else []
+        terms = (mpmath.mpc(c) * moment(m + n + 2 + d) for d, c in profile)
+        return t(m) * t(n) * mpmath.fsum(terms)
+
+
+@pytest.mark.parametrize("window", [(-400, -380), (-400, 24)])
+def test_deep_bergman_sections_are_finite_and_exact(window):
+    """At R 0.1, t_n reaches 1e-398 and moments 1e795 at degree -400, past
+    the float range both ways; every bounded entry stays within 1e-13 of
+    the 50-digit value, and off its bands exactly zero."""
+    R, (lo, hi) = 0.1, window
+    f = random_polar_symbol(Lcg(4), -2, 3, 3)
+    sec = build_bergman_toeplitz(f, window, R)
+    assert np.all(np.isfinite(sec))
+    for m in range(lo, hi + 1):
+        for n in range(max(lo, m - 3), min(hi, m + 2) + 1):  # the bands -2..3
+            want = exact_bergman_entry(f, m, n, R)
+            rel = abs(mpmath.mpc(sec[m - lo, n - lo]) - want) / abs(want)
+            assert rel <= 1e-13, (m, n, float(rel))
+    side = np.arange(hi - lo + 1)
+    assert np.all(sec[np.abs(np.subtract.outer(side, side)) > f.bandwidth()] == 0.0)
+
+
+def test_bergman_section_is_finite_at_tiny_radius():
+    """At R 1e-300 every power R^E past E = 1 underflows to zero, and the
+    default window's entries stay finite with a nonzero diagonal."""
+    sec = build_bergman_toeplitz(random_polar_symbol(Lcg(4), -2, 3, 3), (-24, 24), 1e-300)
+    assert np.all(np.isfinite(sec)) and np.all(np.diag(sec) != 0.0)
+
+
+def test_negative_degree_profile_past_the_float_range_is_refused():
+    """A negative profile degree lowers E below 0: R^E = 0.1^-399 at
+    degree -400 would overflow, while degree -300 stays in range."""
+    R, window = 0.1, (-1, 5)
+    ok = PolarSymbol({0: PolyProfile({-300: 1.0})})
+    assert np.all(np.isfinite(build_bergman_toeplitz(ok, window, R)))
+    with pytest.raises(FloatRangeError, match="leave the float range at R=0.1"):
+        build_bergman_toeplitz(PolarSymbol({0: PolyProfile({-400: 1.0})}), window, R)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,9 @@ table_values = st.one_of(
 @example(table={}, n=[])
 @example(table={4: 1j, -2: 3, 0: 0.5}, n=[[-2, 4], [5, -7]])
 def test_array_read_matches_dict_read(table, n):
-    """The gather over sorted keys reads the dictionary's bits for scalar
+    """The stacked read of one table reads the dictionary's bits for scalar
     and array indices, in and off the table, whatever the insertion order."""
-    got, want = _read(table, n), dict_read(table, n)
+    got, want = _read([table], n)[0], dict_read(table, n)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -218,6 +218,12 @@ def test_support_and_live_bands_are_computed_once():
     first = pol.live_bands
     assert first == [-1, 2]
     assert pol.live_bands is first
+    circle = ExactCircle({2: 1.0, -1: 0.0, -4: 3j})
+    first = circle._live
+    assert first == [-4, 2]
+    assert circle._live is first
+    assert (circle.bandwidth(), circle.top_degree(), circle.neg_reach()) == (4, 2, 4)
+    assert circle._live is first
 
 
 def test_polar_symbol_bands():
