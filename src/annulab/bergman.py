@@ -173,19 +173,18 @@ def build_bergman_section_quadrature(
 # locating the first unobstructed column
 
 
-def find_n0_bergman(
-    gN: PolyProfile, N: int, R: float, n_range: tuple[int, int] = (-32, 32)
-) -> int | str:
+def find_n0_bergman(gN: PolyProfile, N: int, R: float, n_range: tuple[int, int]) -> int | str:
     """Smallest n beyond every real Mellin zero of the top-band profile.
 
     The top band weights column n with the profile's Mellin moment at
-    ``2n + N + 2``; this scans that argument range for real zeros and
-    returns one past the floor of the largest zero mapped back to n, or
-    ``"unconstrained"`` when the scan finds none (monomial profiles always
-    land here since their moments never vanish on the real line).  Its
-    plain moments read ``R^(z + d)``, so :func:`check_moment_range` refuses
-    a scan whose lowest exponent ``2 lo + N + 2 + d`` (``d`` the lowest
-    profile degree, or 0) would overflow.
+    ``2n + N + 2``; this scans that argument over the degrees ``n_range``
+    (the probe's window) for real zeros and returns one past the floor of
+    the largest zero mapped back to n, or ``"unconstrained"`` when the scan
+    finds none (monomial profiles always land here since their moments
+    never vanish on the real line).  Its plain moments read ``R^(z + d)``,
+    so :func:`check_moment_range` refuses a scan whose lowest exponent
+    ``2 lo + N + 2 + d`` (``d`` the lowest profile degree, or 0) would
+    overflow.
     """
     z_lo, z_hi = (2 * n + N + 2 for n in n_range)
     check_moment_range(max(0, -(z_lo + min([0, *gN.coeffs]))), R)

@@ -141,8 +141,8 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
-            f"config field '{key}': the largest array of {cfg.experiment} needs "
-            f"{need} bytes, more than the {have} bytes of physical memory"
+            f"config field '{key}': {cfg.experiment} needs {need} bytes at its "
+            f"peak, more than the {have} bytes of physical memory"
         )
     return cfg
 
@@ -154,23 +154,33 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``-(2 max(sizes) - 1)`` in a decay sweep, ``-(2 DIAGRAM_SIZE - 1)`` in
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
     windowed section.  ``bytes`` is the largest dense array the experiment
-    builds and ``field`` the config field that sizes it: mellin's
-    Gauss-Legendre companion matrix, ``8 m_radial^2``; the identities
-    transfer table, ``16 (DIAGRAM_SIZE + 1) m_circle``, which also bounds
-    the split relations' largest arrays, ``16 size m_circle`` at their
-    ``size`` 10, whatever the symbol's reach; else the complex section,
+    builds (what a zero-product probe holds at its peak, derived below)
+    and ``field`` the config field that sizes it: mellin's Gauss-Legendre
+    companion matrix, ``8 m_radial^2``; the identities transfer table,
+    ``16 (DIAGRAM_SIZE + 1) m_circle``, which also bounds the split
+    relations' largest arrays, ``16 size m_circle`` at their ``size`` 10,
+    whatever the symbol's reach; else the complex section,
     ``16 side^2`` (``side`` the window width, ``2(2W+1)`` for gram,
     ``max(sizes)`` for hankel-decay, whose sweep holds no section of its
     own: its largest array is LAPACK's copy of the live ``L x L`` corner,
     ``8 L^2`` for a real table and ``16 L^2`` for a complex one, with
     ``L <= max(sizes)``), and the pairing kernel's spectra of
     ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
-    three for toeplitz-build (hardy, complement and weighted hardy).  The
-    zero-product harnesses stack their trials' sections, but a stack holds
-    as many as fit ``hardy._STACK_BYTES`` (1 MiB) and at least one, so it
-    never exceeds the larger of that bound and one section: the rule
-    refuses a window only where one section is already past physical
-    memory, and the stack is then that one section."""
+    three for toeplitz-build (hardy, complement and weighted hardy).
+
+    A zero-product probe holds several sections at once, counted here as
+    stacks of ``16 side^2`` bytes: a stack fits ``hardy._STACK_BYTES``
+    (1 MiB) or holds one trial, so where a refusal can fall it is one
+    section.  ``T_f``, ``T_g`` and their product are alive from
+    :func:`hardy.band_product` through the ladder: 3.  While ``T_g`` is
+    built, ``T_f``, the last chunk's product and the Hardy builder's two
+    layout copies and real weights: 4.5.  The ladder over ``k <= side``
+    columns adds up to six complex ``side x k`` blocks (its column copy,
+    the normalized one, ``qr``'s copy, ``Q``, and LAPACK's copies of the
+    matrix and of ``Q``) and, in Bergman, real identity columns: 3 + 6.5.
+    Ten sections, ``160 side^2``, bound each phase with room for the
+    allocator's slack: a lone trial's full-width ladder at side 801 grew
+    the resident set by 9.6 sections in Hardy, 9.8 in Bergman."""
     (lo, hi), exp = cfg.window, cfg.experiment
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
@@ -179,6 +189,8 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     width = hi - lo + 1
     if exp == "mellin":
         return width, "m_radial", 8 * cfg.m_radial**2
+    if exp.startswith("zero-product"):
+        return width, "window", 160 * width**2
     side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
     spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
     arrays = ("window", 16 * side**2), ("m_circle", 16 * spectra)

@@ -403,9 +403,10 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
     """The zero-product protocol of both harnesses, in ``space`` over the
     window ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.
 
-    A zero factor satisfies the dichotomy outright, and no ladder exists
-    because the nonvanishing hypothesis has no top degree to anchor to, so
-    only the column norms of the product of the sections are reported.
+    A zero factor satisfies the dichotomy outright: ``T_f T_g`` is exactly
+    zero, so its report reads a zero norm for every column, and no section
+    is built for it.  No ladder exists either, because the nonvanishing
+    hypothesis has no top degree to anchor to.
     Otherwise the ladder (:func:`_ladder`) starts at the larger of
     ``space.n0`` and ``lo + g.neg_reach()``, the lowest column whose image
     under ``T_g`` stays inside the window, and is read through ``T_f``
@@ -416,24 +417,26 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
     ``Violation`` only when every one falls below ``ZERO_DIVISOR_FLOOR``.
 
     Every pair's window checks run first, in order, so a refusal names the
-    first pair the window cannot serve.  The trials then run as stacks of
-    one bandwidth pair ``(f.bandwidth(), g.bandwidth())``: ``space.build``
+    first pair the window cannot serve.  They also put each nonzero pair
+    into a stack keyed by its bandwidth pair ``(f.bandwidth(),
+    g.bandwidth())``, the ladder's first rung and ``N``: ``space.build``
     takes a list of symbols and returns their sections stacked, and a stack
-    holds as many trials as one stacked section fits in ``_STACK_BYTES``
-    (at least one).  Per stack, :func:`band_product` forms ``T_f T_g`` in
-    column blocks, each one stacked matmul of only the rows and columns
-    the two bands reach, and the column norms and each ladder group of one
-    ``(first, N)`` take one stacked call.  A stacked call, or block,
-    applies per matrix what a one-pair call applies to its matrix, and a
-    pair's own bands fix its blocks, so each report has the bits of the
-    one-pair call.
+    runs in chunks of as many trials as one stacked section fits in
+    ``_STACK_BYTES`` (at least one).  Per chunk, :func:`band_product` forms
+    ``T_f T_g`` in column blocks, each one stacked matmul of only the rows
+    and columns the two bands reach, and the ladders and the column norms
+    take one stacked call each.  A stacked call, or block, applies per
+    matrix what a one-pair call applies to its matrix, and a pair's own
+    bands fix its blocks, so each report has the bits of the one-pair call.
     """
     lo, hi = _check_window(window)
     L, size = LADDER_LENGTH, hi - lo + 1
-    plans = []
-    for f, g in pairs:
+    reports: list = [None] * len(pairs)
+    stacks: dict[tuple[int, int, int, int], list[tuple[int, int | str]]] = {}
+    for i, (f, g) in enumerate(pairs):
         if f.is_zero() or g.is_zero():
-            plans.append(None)
+            N = None if g.is_zero() else g.top_degree()
+            reports[i] = ZeroProductReport(UNCONSTRAINED, lo, N, [0.0] * size)
             continue
         N, first = g.top_degree(), lo + g.neg_reach()
         n0 = space.n0(g, N, R, (lo, hi))
@@ -448,54 +451,36 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             raise WindowTooSmallError(
                 f"window [{lo}, {hi}] has no interior columns at margin {margin}"
             )
-        plans.append((n0, n0_eff, N, slice(margin, size - margin)))
+        stacks.setdefault((f.bandwidth(), g.bandwidth(), n0_eff - lo, N), []).append((i, n0))
 
-    # a stack holds pairs of one bandwidth pair, so band_product splits
-    # each of its products into the blocks of the pair's own call
-    by_bands: dict[tuple[int, int], list[int]] = {}
-    for i, (f, g) in enumerate(pairs):
-        by_bands.setdefault((f.bandwidth(), g.bandwidth()), []).append(i)
     step = max(1, _STACK_BYTES // (16 * size * size))
-    stacks = [(bands, members[at : at + step])
-              for bands, members in by_bands.items() for at in range(0, len(members), step)]
-    reports: list = [None] * len(pairs)
-    for bands, idx in stacks:
-        chunk, plan = [pairs[i] for i in idx], [plans[i] for i in idx]
-        tf = space.build([f for f, _ in chunk], (lo, hi), R)
-        tg = space.build([g for _, g in chunk], (lo, hi), R)
-        prod = band_product(tf, tg, *bands)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(plan):
-            if p is not None:
-                groups.setdefault((p[1] - lo, p[2]), []).append(i)
-        ladders = {}
-        for (first, N), t in groups.items():
-            cut = first + max(N, 0) + L + 1  # the columns _ladder reads
-            S = (tf[t, :, :cut] if space.through_f
-                 else np.broadcast_to(np.eye(size)[:, :cut], (len(t), size, cut)))
-            P = (prod if space.through_f else tg)[t, :, :cut]
-            residuals, pivots, leaks = _ladder(S, P, tg[t, :, :cut], first, N, L)
-            ladders.update(zip(t, zip(residuals, pivots, leaks)))
-        # the norms take two temporaries the size of prod: free the factors
-        # first, and prod before the next chunk's builds
-        del tf, tg
-        norms = np.linalg.norm(prod, axis=-2)
-        del prod
-        for i, ((f, g), p) in enumerate(zip(chunk, plan)):
-            if p is None:
-                N = None if g.is_zero() else g.top_degree()
-                reports[idx[i]] = ZeroProductReport(UNCONSTRAINED, lo, N, norms[i].tolist())
-                continue
-            n0, n0_eff, N, interior = p
-            col = norms[i, interior].tolist()
-            if not np.all(np.isfinite(col)):
-                verdict = INCONCLUSIVE
-            else:
-                verdict = VIOLATION if np.max(col) < ZERO_DIVISOR_FLOOR else CONSISTENT
-            ladder, pivot, leak = ladders[i]
-            reports[idx[i]] = ZeroProductReport(
-                n0, n0_eff, N, col, ladder.tolist(), float(pivot), float(leak), verdict
-            )
+    for (a, b, first, N), members in stacks.items():
+        cut = first + max(N, 0) + L + 1  # the columns _ladder reads
+        interior = slice(a + b, size - a - b)
+        for at in range(0, len(members), step):
+            idx, n0s = zip(*members[at : at + step])
+            tf = space.build([pairs[i][0] for i in idx], (lo, hi), R)
+            tg = space.build([pairs[i][1] for i in idx], (lo, hi), R)
+            prod = band_product(tf, tg, a, b)
+            S = (tf[..., :cut] if space.through_f
+                 else np.broadcast_to(np.eye(size, cut), (len(idx), size, cut)))
+            P = (prod if space.through_f else tg)[..., :cut]
+            ladders = zip(*_ladder(S, P, tg[..., :cut], first, N, L))
+            # the norms take two temporaries the size of prod: free the
+            # factors and their views first.  prod stays bound until the next
+            # product replaces it: freed here, glibc trimmed the free stacks
+            # below it, and the next chunk faulted them back in (25% slower)
+            del tf, tg, S, P
+            norms = np.linalg.norm(prod, axis=-2)
+            for i, n0, col, (ladder, pivot, leak) in zip(idx, n0s, norms, ladders):
+                col = col[interior].tolist()
+                if not np.all(np.isfinite(col)):
+                    verdict = INCONCLUSIVE
+                else:
+                    verdict = VIOLATION if np.max(col) < ZERO_DIVISOR_FLOOR else CONSISTENT
+                reports[i] = ZeroProductReport(
+                    n0, lo + first, N, col, ladder.tolist(), float(pivot), float(leak), verdict
+                )
     return reports
 
 

@@ -60,15 +60,16 @@ def hilbert_symbol(count: int = 1025) -> ExactSymbol:
     return ExactSymbol(coeffs_C=table, coeffs_C0={})
 
 
-def smooth_decay_symbol(ratio: float = 0.75, reach: int = 25) -> ExactSymbol:
-    """Two-sided symbol with geometrically shrinking coefficient tables.
+def smooth_decay_symbol() -> ExactSymbol:
+    """Two-sided symbol with geometrically shrinking coefficient tables:
+    ``0.75^|n|`` on the outer circle and half that on the inner one, for
+    ``|n| <= 25``.
 
     Smooth on both circles, so every associated Hankel section has rapidly
     decaying singular values; serves as the positive calibration point of
     the decay indicator and as plot material.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must sit in (0, 1)")
+    ratio, reach = 0.75, 25
     cC = {n: complex(ratio ** abs(n)) for n in range(-reach, reach + 1)}
     cC0 = {n: complex(0.5 * ratio ** abs(n)) for n in range(-reach, reach + 1)}
     return ExactSymbol(coeffs_C=cC, coeffs_C0=cC0)

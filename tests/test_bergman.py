@@ -218,18 +218,18 @@ def test_window_missing_every_band_image_raises():
 
 
 def test_monomial_profile_is_unconstrained():
-    assert find_n0_bergman(PolyProfile({2: 1.0 + 0.0j}), 1, R) == "unconstrained"
+    assert find_n0_bergman(PolyProfile({2: 1.0 + 0.0j}), 1, R, (-32, 32)) == "unconstrained"
 
 
 def test_constructed_zero_pins_the_column():
     c = 6.0 * (1.0 - R**5) / (5.0 * (1.0 - R**6))
     profile = PolyProfile({0: 1.0 + 0.0j, 1: -c})
-    assert find_n0_bergman(profile, 1, R) == 2
+    assert find_n0_bergman(profile, 1, R, (-32, 32)) == 2
 
 
 def test_zero_profile_has_no_column():
     with pytest.raises(ZeroProfileError):
-        find_n0_bergman(PolyProfile({}), 1, R)
+        find_n0_bergman(PolyProfile({}), 1, R, (-32, 32))
 
 
 # ---------------------------------------------------------------------------

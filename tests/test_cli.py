@@ -209,7 +209,7 @@ def test_zero_product_stacks_keep_memory_bounded(tmp_path):
     """A zero-product-hardy run at +-48 peaks at 0.83 MiB traced with its
     trials run one at a time.  Stacked, a chunk's T_f, T_g and product,
     each at most 1 MiB (``hardy._STACK_BYTES``), are alive together with
-    the ladders' working arrays: 3.97 MiB.  The cap is the 0.83 MiB plus
+    the ladders' working arrays: 3.92 MiB.  The cap is the 0.83 MiB plus
     four such stacks; one unbounded stack of all 20 trials peaks at
     12.7 MiB, a 2 MiB bound at 8.4 MiB."""
     doc = {"R": 0.5, "seed": 1, "window": [-48, 48]}
@@ -959,16 +959,44 @@ def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
 
 
 def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):
-    """The Bergman sections cover every degree of the window: a host that
-    holds the section over degrees -1 .. 10 but not over -20 .. 10 refuses
-    the window."""
+    """The Bergman probe holds up to ten sections over every degree of the
+    window at once (``cli._reads``): a host one byte short of that over
+    -20 .. 10 refuses the window, though it holds ten sections over
+    -1 .. 10 and one over -20 .. 10 many times over."""
     doc = {"window": [-20, 10]}
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 16 * 31**2 - 1}
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 160 * 31**2 - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
         parse_config(doc, "zero-product-bergman", None)
-    pages["SC_PHYS_PAGES"] = 16 * 31**2
+    assert parse_config({"window": [-1, 10]}, "zero-product-bergman", None).window == (-1, 10)
+    pages["SC_PHYS_PAGES"] = 160 * 31**2
     assert parse_config(doc, "zero-product-bergman", None).window == (-20, 10)
+
+
+def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
+    """A host that holds the three sections of T_f, T_g and their product
+    over +-48, but not the ten of the probe's peak, refuses the window:
+    exit 2 with one line, before any section is built."""
+    doc = {"window": [-48, 48]}
+    section = 16 * 97**2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * section}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def no_build(*args):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(annulab.hardy, "build_toeplitz_hardy", no_build)
+    code, outdir = run_lab(tmp_path, "zero-product-hardy", doc)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config field 'window'")
+    assert "physical memory" in err[0]
+    pages["SC_PHYS_PAGES"] = 10 * section - 1
+    with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
+        parse_config(doc, "zero-product-hardy", None)
+    pages["SC_PHYS_PAGES"] = 10 * section
+    assert parse_config(doc, "zero-product-hardy", None).window == (-48, 48)
 
 
 def test_identities_reads_no_window(tmp_path):

@@ -458,9 +458,10 @@ STACK_CASES = {
 @pytest.mark.parametrize("experiment", sorted(STACK_CASES))
 def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     """One list through the stacked probe gives, pair by pair, the bits of
-    a one-pair call: over drawn pairs, a zero factor on either side, g's
-    whose ladders sit elsewhere, a NaN section column, and more pairs than
-    one chunk holds."""
+    a one-pair call: over drawn pairs, a zero factor on either side (whose
+    product is zero in every column, with no section built), g's whose
+    ladders sit elsewhere, a NaN section column, and more pairs than one
+    chunk holds."""
     module, name, draw_f, draw_g = _HARNESSES[experiment]
     window, zero, other_gs = STACK_CASES[experiment]
     per_chunk = hardy._STACK_BYTES // (16 * (window[1] - window[0] + 1) ** 2)
@@ -475,6 +476,7 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     build = getattr(module, builder)
 
     def nan_column(syms, win, R):
+        assert not any(sym is zero for sym in syms)  # a zero factor builds no section
         ops = build(syms, win, R)
         for sym, op in zip(syms, ops):
             if sym is nan_g:
@@ -490,6 +492,8 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
         assert repr(rep) == repr(one)
     # the mix holds each case
     assert reports[1].ladder_residuals == [] == reports[per_chunk].ladder_residuals
+    zeros = [0.0] * (window[1] - window[0] + 1)
+    assert reports[1].product_column_norms == zeros == reports[per_chunk].product_column_norms
     assert isinstance(reports[2].n0, int)
     assert reports[2].n0_effective != reports[0].n0_effective
     assert reports[per_chunk + 1].verdict == INCONCLUSIVE
