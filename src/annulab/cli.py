@@ -154,7 +154,7 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``-(2 max(sizes) - 1)`` in a decay sweep, ``-(2 DIAGRAM_SIZE - 1)`` in
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
     windowed section.  ``bytes`` is the largest dense array the experiment
-    builds (what a zero-product probe holds at its peak, derived below)
+    builds (or the sections it holds at once at its peak, derived below)
     and ``field`` the config field that sizes it: mellin's Gauss-Legendre
     companion matrix, ``8 m_radial^2``; the identities transfer table,
     ``16 (DIAGRAM_SIZE + 1) m_circle``, which also bounds the split
@@ -168,19 +168,23 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
     three for toeplitz-build (hardy, complement and weighted hardy).
 
-    A zero-product probe holds several sections at once, counted here as
-    stacks of ``16 side^2`` bytes: a stack fits ``hardy._STACK_BYTES``
-    (1 MiB) or holds one trial, so where a refusal can fall it is one
-    section.  ``T_f``, ``T_g`` and their product are alive from
-    :func:`hardy.band_product` through the ladder: 3.  While ``T_g`` is
-    built, ``T_f``, the last chunk's product and the Hardy builder's two
-    layout copies and real weights: 4.5.  The ladder over ``k <= side``
-    columns adds up to six complex ``side x k`` blocks (its column copy,
-    the normalized one, ``qr``'s copy, ``Q``, and LAPACK's copies of the
-    matrix and of ``Q``) and, in Bergman, real identity columns: 3 + 6.5.
-    Ten sections, ``160 side^2``, bound each phase with room for the
-    allocator's slack: a lone trial's full-width ladder at side 801 grew
-    the resident set by 9.6 sections in Hardy, 9.8 in Bergman."""
+    Two experiments hold several sections at once, counted in sections of
+    ``16 side^2`` bytes; every builder writes into its one result.
+    ``hardy._semicommutator_residual``, annulus and disc, holds 3 in its
+    first band product, then keeps ``T_phi T_psi`` beside the conjugated
+    Hankel section of ``phi`` (``.conj()`` frees the built one), that of
+    ``psi`` and their band product: 4, ``64 side^2``; its residual holds
+    3 (tracemalloc reads 4.0 at side 801).  A zero-product stack fits
+    ``hardy._STACK_BYTES`` (1 MiB) or holds one trial, so where a refusal
+    can fall it is one section.  ``T_f``, ``T_g`` and their product are
+    alive from the band product through the ladder: 3.  The ladder over
+    ``k <= side`` columns adds up to six complex ``side x k`` blocks (its
+    column copy, the normalized one, ``qr``'s copy, ``Q``, and LAPACK's
+    copies of the matrix and of ``Q``) and, in Bergman, real identity
+    columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound each phase with
+    room for the allocator's slack: a lone trial's full-width ladder at
+    side 801 grew the resident set by 9.6 sections in Hardy, 9.8 in
+    Bergman."""
     (lo, hi), exp = cfg.window, cfg.experiment
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
@@ -189,11 +193,10 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     width = hi - lo + 1
     if exp == "mellin":
         return width, "m_radial", 8 * cfg.m_radial**2
-    if exp.startswith("zero-product"):
-        return width, "window", 160 * width**2
     side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
     spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
-    arrays = ("window", 16 * side**2), ("m_circle", 16 * spectra)
+    sections = 4 if exp == "semicommutator" else 10 if exp.startswith("zero-product") else 1
+    arrays = ("window", 16 * sections * side**2), ("m_circle", 16 * spectra)
     return width, *max(arrays, key=lambda c: c[1])
 
 

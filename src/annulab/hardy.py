@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -34,25 +35,6 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     if hi < lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
     return lo, hi
-
-
-def _layout(values: np.ndarray, hankel: bool = False) -> np.ndarray:
-    """Square Toeplitz or Hankel layout of ``2 size - 1`` coefficients on
-    the last axis, one layout per index of the leading axes.
-
-    The Toeplitz layout is ``M[a, b] = values[size - 1 - a + b]``, so with
-    ``values[i]`` the coefficient of offset ``size - 1 - i`` the entry
-    carries offset ``a - b``; the Hankel layout is ``M[a, b] = values[a + b]``.
-    The layout is a read-only strided view of ``values``: no index array
-    is formed, and the entries that read one coefficient are one memory
-    location.  Callers that write or multiply take a ``.copy()``.
-    """
-    size, step = (values.shape[-1] + 1) // 2, values.strides[-1]
-    win = np.lib.stride_tricks.as_strided(
-        values, (*values.shape[:-1], size, size), (*values.strides[:-1], step, step),
-        writeable=False,
-    )
-    return win if hankel else win[..., ::-1, :]
 
 
 def band_product(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -83,17 +65,26 @@ def band_product(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _bounded_pairs(fs, window: tuple[int, int], R: float):
-    """Weights ``B`` and ``A`` of :func:`basis_weights` over the window, and
-    the stacked :func:`_layout` copies of both circles' coefficients of
-    each symbol of ``fs`` at the offsets ``hi - lo`` down to ``lo - hi``:
-    fresh arrays, weighted and summed in place."""
-    lo, hi = _check_window(window)
-    B, A = basis_weights(np.arange(lo, hi + 1), R)
-    offsets = np.arange(hi - lo, lo - hi - 1, -1)
-    C = _read([f.coeffs_C for f in fs], offsets)
-    C0 = _read([f.coeffs_C0 for f in fs], offsets)
-    return B, A, _layout(C).copy(), _layout(C0).copy()
+def _band_sections(tables, weights, size: int, bandwidth: int, combine=np.add) -> np.ndarray:
+    """Stacked ``size x size`` sections written only on the diagonals
+    ``|a - b| <= bandwidth``, zero elsewhere.  ``tables`` holds one list of
+    coefficient tables (one per section) per term, and ``weights`` one pair
+    ``(u, v)`` of row and column weights per term, or ``None`` for bare ones.
+    Entry ``(a, b)`` of a term is ``t(a - b) * (u[a] * v[b])``, in that
+    order: the bits of ``t * np.outer(u, v)``, signed zeros included.
+    Terms are joined by ``combine``.  One :func:`_read` takes every table
+    at the band's offsets, and each diagonal is one strided slice.
+    """
+    w = min(bandwidth, size - 1)
+    hats = _read([t for term in tables for t in term], np.arange(-w, w + 1))
+    hats = hats.reshape(len(tables), len(tables[0]), 2 * w + 1)
+    out = np.zeros((hats.shape[1], size * size), dtype=complex)
+    for d in range(-w, w + 1):
+        n, a, b = size - abs(d), max(d, 0), max(-d, 0)  # diagonal d starts at (a, b)
+        terms = [t if uv is None else t * (uv[0][a : a + n] * uv[1][b : b + n])
+                 for t, uv in zip(hats[..., d + w, None], weights)]
+        out[:, a * size + b :: size + 1][:, :n] = reduce(combine, terms)
+    return out.reshape(-1, size, size)
 
 
 def build_toeplitz_hardy(
@@ -113,10 +104,13 @@ def build_toeplitz_hardy(
     window +-160), and the entries turn into ``nan`` or collapse to zero.
     """
     single = isinstance(f, ExactSymbol)
-    B, A, T, TC0 = _bounded_pairs([f] if single else f, window, R)
-    T *= np.outer(B, B)
-    TC0 *= np.outer(A, A)
-    np.add(T, TC0, out=T)
+    fs = [f] if single else f
+    lo, hi = _check_window(window)
+    B, A = basis_weights(np.arange(lo, hi + 1), R)
+    T = _band_sections(
+        [[s.coeffs_C for s in fs], [s.coeffs_C0 for s in fs]], [(B, B), (A, A)],
+        hi - lo + 1, max((s.bandwidth() for s in fs), default=0),
+    )
     return T[0] if single else T
 
 
@@ -133,10 +127,10 @@ def build_hankel_annulus(
     reason.  Symbols that are traces of a single Laurent polynomial give
     the zero matrix.
     """
-    B, A, H, TC0 = _bounded_pairs([f], window, R)
-    H *= np.outer(A, B)
-    TC0 *= np.outer(B, A)
-    return np.subtract(H[0], TC0[0], out=H[0])
+    lo, hi = _check_window(window)
+    B, A = basis_weights(np.arange(lo, hi + 1), R)
+    return _band_sections([[f.coeffs_C], [f.coeffs_C0]], [(A, B), (B, A)],
+                          hi - lo + 1, f.bandwidth(), np.subtract)[0]
 
 
 # ---------------------------------------------------------------------------

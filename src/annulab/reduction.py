@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _layout, _semicommutator_residual
+from .hardy import INCONCLUSIVE, _band_sections, _semicommutator_residual
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -45,7 +45,7 @@ def build_disc_toeplitz(phi: ExactCircle, size: int) -> np.ndarray:
     """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
     if size < 1:
         raise ValueError("section size must be positive")
-    return _layout(phi.hat(np.arange(size - 1, -size, -1))).copy()
+    return _band_sections([[phi.coeffs]], [None], size, phi.bandwidth())[0]
 
 
 def disc_hankel_window(phi: ExactCircle, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +57,7 @@ def disc_hankel_window(phi: ExactCircle, size: int) -> tuple[np.ndarray, np.ndar
     if size < 1:
         raise ValueError("section size must be positive")
     hats = phi.hat(np.arange(-1, -2 * size, -1))
-    return hats, _layout(hats, hankel=True)
+    return hats, np.lib.stride_tricks.sliding_window_view(hats, size)
 
 
 def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:

@@ -999,6 +999,28 @@ def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
     assert parse_config(doc, "zero-product-hardy", None).window == (-48, 48)
 
 
+def test_memory_rule_sizes_the_semicommutator_peak(tmp_path, capsys, monkeypatch):
+    """The identity holds four sections at once (``cli._reads``): a host
+    one byte short of four over +-48 refuses the window with one line and
+    no output, before any section is built; four exactly are accepted."""
+    doc = {"window": [-48, 48]}
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 16 * 97**2 - 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def no_build(*args):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(annulab.hardy, "build_toeplitz_hardy", no_build)
+    code, outdir = run_lab(tmp_path, "semicommutator", doc)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config field 'window'")
+    assert "physical memory" in err[0]
+    pages["SC_PHYS_PAGES"] += 1
+    assert parse_config(doc, "semicommutator", None).window == (-48, 48)
+
+
 def test_identities_reads_no_window(tmp_path):
     """The identities rows are the size-12 diagram, the split relations and
     the transfer maps; none reads the window, so a window of two million

@@ -1,9 +1,11 @@
 """The closed-form section builders against per-entry loops and mpmath.
 
-The builders lay out one coefficient vector per circle by a strided
-gather.  Disc and area sections must equal the per-entry loop bit for
-bit; the two-circle and area sections use bounded weights and must stay
-finite and accurate where the unweighted formula overflows.
+The two-circle and disc Toeplitz builders write each section only on its
+band, the disc Hankel builder copies a strided view.  Disc and area
+sections must equal the per-entry loop bit for bit, and two-circle
+sections the dense weighted layout; the two-circle and area sections use
+bounded weights and must stay finite and accurate where the unweighted
+formula overflows.
 """
 
 import json
@@ -15,8 +17,9 @@ import pytest
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
 from annulab.cli import main
 from annulab.errors import FloatRangeError
-from annulab.geometry import AnnulusGeometry, bergman_norm_const
+from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const
 from annulab.hardy import (
+    _band_sections,
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
@@ -30,6 +33,7 @@ from annulab.symbols import (
     PolarSymbol,
     PolyProfile,
     _analyze,
+    conjugate_symbol,
     fourier_pair,
     pullback_symbols,
     sample_symbol,
@@ -240,6 +244,66 @@ def test_negative_degree_profile_past_the_float_range_is_refused():
     assert np.all(np.isfinite(build_bergman_toeplitz(ok, window, R)))
     with pytest.raises(FloatRangeError, match="leave the float range at R=0.1"):
         build_bergman_toeplitz(PolarSymbol({0: PolyProfile({-400: 1.0})}), window, R)
+
+
+# ---------------------------------------------------------------------------
+# the band kernel has the bits of the dense weighted layout
+
+
+def dense_sections(fs, window, R, hankel=False):
+    """Each symbol's section in the dense form: both circles' coefficients
+    laid out at every offset ``j - k`` of the window, each times the outer
+    product of its basis weights, then summed (Toeplitz) or subtracted
+    (Hankel) over the whole square."""
+    lo, hi = window
+    n = np.arange(lo, hi + 1)
+    B, A = basis_weights(n, R)
+    offsets = np.subtract.outer(n, n)
+    out = []
+    for f in fs:
+        C, C0 = fourier_pair(f, offsets)
+        if hankel:
+            out.append(C * np.outer(A, B) - C0 * np.outer(B, A))
+        else:
+            out.append(C * np.outer(B, B) + C0 * np.outer(A, A))
+    return np.stack(out)
+
+
+def kernel_symbols():
+    """Ragged bandwidths 1, 2 and 20 over a window of side 13, a zero
+    symbol, and one whose conjugate holds negative zeros: a negative real
+    coefficient conjugates to ``-x - 0j``, which keeps its ``-0`` through
+    a weight and, on both circles at offset 0, through their sum."""
+    exact = ExactSymbol({-2: -1.5 + 0j, 0: -2.0 + 0j, 1: 0.25j}, {0: -1.0 + 0j, 2: -0.5 + 0j})
+    return [
+        random_boundary_symbol(Lcg(31), 1),
+        conjugate_symbol(exact),
+        random_boundary_symbol(Lcg(32), 20),
+        ExactSymbol({}, {}),
+        exact,
+    ]
+
+
+@pytest.mark.parametrize("R", [0.5, 1e-300])
+@pytest.mark.parametrize("window", [(-5, 7), (-12, 0)])
+def test_two_circle_sections_have_the_dense_bits(R, window):
+    """Toeplitz and Hankel sections, one symbol at a time and stacked, have
+    the bits of the dense ``layout * np.outer(u, v)``, signed zeros
+    included, past the bandwidth as on it; at R 1e-300 every weight
+    ``R^|n|`` past ``n = 1`` underflows to zero."""
+    fs = kernel_symbols()
+    assert [f.bandwidth() for f in fs] == [1, 2, 20, 0, 2]
+    toeplitz, hankel = dense_sections(fs, window, R), dense_sections(fs, window, R, True)
+    assert np.any(np.signbit(toeplitz.imag) & (toeplitz.imag == 0))
+    assert same_bytes(build_toeplitz_hardy(fs, window, R), toeplitz)
+    lo, hi = window
+    B, A = basis_weights(np.arange(lo, hi + 1), R)
+    stacked = _band_sections([[f.coeffs_C for f in fs], [f.coeffs_C0 for f in fs]],
+                             [(A, B), (B, A)], hi - lo + 1, 20, np.subtract)
+    assert same_bytes(stacked, hankel)
+    for f, T, H in zip(fs, toeplitz, hankel):
+        assert same_bytes(build_toeplitz_hardy(f, window, R), T)
+        assert same_bytes(build_hankel_annulus(f, window, R), H)
 
 
 # ---------------------------------------------------------------------------
