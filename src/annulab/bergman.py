@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, Space, ZeroProductReport, _check_window, _probe
+from .hardy import UNCONSTRAINED, ZeroProductReport, _check_window, _probe
 from .mellin import check_moment_range, mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
@@ -113,11 +113,13 @@ def build_bergman_toeplitz(
     # R^E and M(|s|), each taken once per integer of its range and gathered
     term = (np.float_power(R, np.arange(low, E.max(initial=0) + 1))[E - low]
             * monomial_moment(np.arange(np.abs(s).max(initial=0) + 1), R)[np.abs(s)])
+    # every band adds all width columns, and a padded add keeps the bits: its
+    # coefficient is 0 and its term R^E M(|s|) finite (degree 0 gives E >= 0),
+    # so it adds a zero of either sign, and x + 0 is x for every x but -0,
+    # which a sum that starts at +0 never holds
     profile = np.zeros(inside.shape, dtype=complex)
-    lengths = np.array([len(d) for d in tables], dtype=int)
     for j in range(width):
-        r = np.flatnonzero(lengths > j)  # the bands with a j-th coefficient
-        profile[r] += coeffs[r, j, None] * term[r, j]
+        profile += coeffs[:, j, None] * term[:, j]
     tau = bergman_norm_const(np.abs(n + 1) - 1, R)
     val = (tau[rows] * tau) * profile
     b, col = np.nonzero(inside)
@@ -199,11 +201,6 @@ def find_n0_bergman(gN: PolyProfile, N: int, R: float, n_range: tuple[int, int])
 # the zero-product probe
 
 
-#: looked up at each call, as in ``hardy.HARDY``
-BERGMAN = Space(lambda fs, w, R: build_bergman_toeplitz(fs, w, R),
-                lambda g, N, R, w: find_n0_bergman(g.bands[N], N, R, w), through_f=False)
-
-
 def zero_product_experiment_bergman(
     pairs: Sequence[tuple[PolarSymbol, PolarSymbol]], window: tuple[int, int], R: float
 ) -> list[ZeroProductReport]:
@@ -215,4 +212,6 @@ def zero_product_experiment_bergman(
     degree n0+N+l is spanned by the images of the first l+1 ladder vectors
     under the second symbol together with all lower-degree basis vectors.
     """
-    return _probe(pairs, window, R, BERGMAN)
+    # looked up at each call, as in ``hardy.zero_product_experiment_hardy``
+    return _probe(pairs, window, lambda fs, w: build_bergman_toeplitz(fs, w, R),
+                  lambda g, N, w: find_n0_bergman(g.bands[N], N, R, w), through_f=False)

@@ -3,9 +3,9 @@
 Each experiment composes module operations into check rows; then ``run``
 writes ``results.csv`` and ``report.json`` (plus experiment-specific
 CSV/SVG files) into the output directory, and the process exits 0 exactly
-when every check passes.  All numeric parameters live in the JSON config; the
-harnesses' trial count (below) and their probes' ladder length and floor (in
-:mod:`annulab.hardy`) are fixed so reports stay comparable across configurations.
+when every check passes.  The JSON config sets the run's parameters; the
+residual bound and trial count (below) and the probes' ladder length and
+floor (in :mod:`annulab.hardy`) are fixed, so reports stay comparable.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .symbols import (
 
 #: fixed harness constants (documented, not configurable)
 TRIALS = 20
+#: bound of every residual row that has no bound of its own
+TOLERANCE = 1e-10
 #: band reach of seeded two-circle trial symbols
 TRIAL_REACH = 4
 #: band range and radial degree of seeded polar trial symbols
@@ -68,7 +70,6 @@ class LabConfig:
     m_circle: int = 4096
     m_radial: int = 128
     seed: int = 1
-    tolerance: float = 1e-10
     experiment: str = ""
     symbol: str | None = None
     symbol2: str | None = None
@@ -102,7 +103,6 @@ _FIELDS = {
     "m_circle": (int, lambda x: x >= 8, None),
     "m_radial": (int, lambda x: x >= 1, None),
     "seed": (int, lambda x: x >= 0, None),
-    "tolerance": ((int, float), lambda x: 0 < x <= sys.float_info.max, float),
     "experiment": (str, None, None),
     "symbol": (str, None, None),
     "symbol2": (str, None, None),
@@ -244,7 +244,7 @@ def _run_gram(cfg: LabConfig):
     half = max(-cfg.window[0], cfg.window[1])
     G = geometry.gram_matrix(geo, half)
     dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
-    rows = [report.residual_check("gram", "max_abs_deviation", dev, cfg.tolerance)]
+    rows = [report.residual_check("gram", "max_abs_deviation", dev, TOLERANCE)]
     return rows, {}, {}
 
 
@@ -263,7 +263,7 @@ def _run_toeplitz_build(cfg: LabConfig):
         hardy.build_section_quadrature(sym, cfg.window, geo),
     ):
         dev = np.max(np.abs(closed - quad))
-        rows.append(report.residual_check("toeplitz-build", name, dev, cfg.tolerance))
+        rows.append(report.residual_check("toeplitz-build", name, dev, TOLERANCE))
     artifacts = {
         "section.csv": lambda path: report.write_section_csv(path, sec, cfg.window[0])
     }
@@ -322,12 +322,12 @@ def _run_identities(cfg: LabConfig):
     rows = [
         report.residual_check(
             "identities", "diagram_residual",
-            reduction.diagram_residual(phi, geo, U0, P0), cfg.tolerance,
+            reduction.diagram_residual(phi, geo, U0, P0), TOLERANCE,
         )
     ]
     r1, r2 = reduction.split_relation_residual(phi, 10, geo)
-    rows.append(report.residual_check("identities", "split_relation_1", r1, cfg.tolerance))
-    rows.append(report.residual_check("identities", "split_relation_2", r2, cfg.tolerance))
+    rows.append(report.residual_check("identities", "split_relation_1", r1, TOLERANCE))
+    rows.append(report.residual_check("identities", "split_relation_2", r2, TOLERANCE))
     # np.max keeps a NaN in either map, which the built-in max would drop
     unit = np.max([
         np.max(np.abs(U0.conj().T @ U0 - np.eye(size))),
@@ -337,7 +337,7 @@ def _run_identities(cfg: LabConfig):
     rows.append(
         report.residual_check(
             "identities", "conjugate_reflection_residual",
-            reduction.conjugate_reflection_residual(7, geo), cfg.tolerance,
+            reduction.conjugate_reflection_residual(7, geo), TOLERANCE,
         )
     )
     return rows, {}, {}
@@ -368,7 +368,7 @@ def _run_mellin(cfg: LabConfig):
     )
     rows = [
         report.residual_check(
-            "mellin", "closed_form_vs_quadrature", worst, cfg.tolerance
+            "mellin", "closed_form_vs_quadrature", worst, TOLERANCE
         )
     ]
     values = mellin.mellin_transform(target, zr, cfg.R)
@@ -410,7 +410,7 @@ _HARNESSES = {
 def _run_zero_product(cfg: LabConfig):
     module, name, draw_f, draw_g = _HARNESSES[cfg.experiment]
     probe = getattr(module, name)
-    check, tol = cfg.experiment, cfg.tolerance
+    check, tol = cfg.experiment, TOLERANCE
     rng = randgen.Lcg(cfg.seed)
     # each trial draws f, then g
     pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
@@ -463,7 +463,7 @@ def _run_semicommutator(cfg: LabConfig):
     resid, margin = hardy.semicommutator_residual_annulus(phi, psi, cfg.window, cfg.R)
     rows.append(
         report.residual_check(
-            "semicommutator", "annulus_interior_residual", resid, cfg.tolerance
+            "semicommutator", "annulus_interior_residual", resid, TOLERANCE
         )
     )
     rows.append(report.info_check("semicommutator", "annulus_margin", margin))
@@ -473,7 +473,7 @@ def _run_semicommutator(cfg: LabConfig):
     resid_d, margin_d = reduction.semicommutator_residual_disc(phi_d, psi_d, size)
     rows.append(
         report.residual_check(
-            "semicommutator", "disc_interior_residual", resid_d, cfg.tolerance
+            "semicommutator", "disc_interior_residual", resid_d, TOLERANCE
         )
     )
     rows.append(report.info_check("semicommutator", "disc_margin", margin_d))

@@ -382,40 +382,33 @@ LADDER_LENGTH = 8
 ZERO_DIVISOR_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class Space:
-    """What :func:`_probe` reads of one space: its stacked section builder,
-    ``n0(g, N, R, window)``, the first column the top degree ``N`` of ``g``
-    leaves unobstructed, and whether the ladder is read through ``T_f``."""
-
-    build: Callable
-    n0: Callable
-    through_f: bool
-
-
-def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroProductReport]:
-    """The zero-product protocol of both harnesses, in ``space`` over the
-    window ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.
+def _probe(
+    pairs, window: tuple[int, int], build: Callable, n0: Callable, through_f: bool
+) -> list[ZeroProductReport]:
+    """The zero-product protocol of both harnesses over the window
+    ``[lo, hi]``, one report per pair ``(f, g)`` of ``pairs``.  ``build``
+    takes a list of symbols and the window and returns their sections
+    stacked; ``n0(g, N, window)`` is the first column the top degree ``N``
+    of ``g`` leaves unobstructed.
 
     A zero factor satisfies the dichotomy outright: ``T_f T_g`` is exactly
     zero, so its report reads a zero norm for every column, and no section
     is built for it.  No ladder exists either, because the nonvanishing
     hypothesis has no top degree to anchor to.
     Otherwise the ladder (:func:`_ladder`) starts at the larger of
-    ``space.n0`` and ``lo + g.neg_reach()``, the lowest column whose image
+    ``n0`` and ``lo + g.neg_reach()``, the lowest column whose image
     under ``T_g`` stays inside the window, and is read through ``T_f``
-    (``S = T_f``, ``P = T_f T_g``) or in the domain of ``T_g`` (``S = I``,
-    ``P = T_g``).  The interior product columns keep the margin
-    ``f.bandwidth() + g.bandwidth()`` from both window edges.  The verdict
-    is ``Inconclusive`` when an interior column norm is not finite, else
+    (``through_f``: ``S = T_f``, ``P = T_f T_g``) or in the domain of
+    ``T_g`` (``S = I``, ``P = T_g``).  The interior product columns keep
+    the margin ``f.bandwidth() + g.bandwidth()`` from both window edges.
+    The verdict is ``Inconclusive`` when an interior column norm is not finite, else
     ``Violation`` only when every one falls below ``ZERO_DIVISOR_FLOOR``.
 
     Every pair's window checks run first, in order, so a refusal names the
     first pair the window cannot serve.  They also put each nonzero pair
     into a stack keyed by its bandwidth pair ``(f.bandwidth(),
-    g.bandwidth())``, the ladder's first rung and ``N``: ``space.build``
-    takes a list of symbols and returns their sections stacked, and a stack
-    runs in chunks of as many trials as one stacked section fits in
+    g.bandwidth())``, the ladder's first rung and ``N``, and a stack runs
+    in chunks of as many trials as one stacked section fits in
     ``_STACK_BYTES`` (at least one).  Per chunk, :func:`band_product` forms
     ``T_f T_g`` in column blocks, each one stacked matmul of only the rows
     and columns the two bands reach, and the ladders and the column norms
@@ -433,8 +426,8 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             reports[i] = ZeroProductReport(UNCONSTRAINED, lo, N, [0.0] * size)
             continue
         N, first = g.top_degree(), lo + g.neg_reach()
-        n0 = space.n0(g, N, R, (lo, hi))
-        n0_eff = first if n0 == UNCONSTRAINED else max(int(n0), first)
+        n0_g = n0(g, N, (lo, hi))
+        n0_eff = first if n0_g == UNCONSTRAINED else max(int(n0_g), first)
         if n0_eff + N + L > hi:
             raise WindowTooSmallError(
                 f"window top {hi} below ladder top {n0_eff + N + L}; "
@@ -445,7 +438,7 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             raise WindowTooSmallError(
                 f"window [{lo}, {hi}] has no interior columns at margin {margin}"
             )
-        stacks.setdefault((f.bandwidth(), g.bandwidth(), n0_eff - lo, N), []).append((i, n0))
+        stacks.setdefault((f.bandwidth(), g.bandwidth(), n0_eff - lo, N), []).append((i, n0_g))
 
     step = max(1, _STACK_BYTES // (16 * size * size))
     for (a, b, first, N), members in stacks.items():
@@ -453,12 +446,12 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
         interior = slice(a + b, size - a - b)
         for at in range(0, len(members), step):
             idx, n0s = zip(*members[at : at + step])
-            tf = space.build([pairs[i][0] for i in idx], (lo, hi), R)
-            tg = space.build([pairs[i][1] for i in idx], (lo, hi), R)
+            tf = build([pairs[i][0] for i in idx], (lo, hi))
+            tg = build([pairs[i][1] for i in idx], (lo, hi))
             prod = band_product(tf, tg, a, b)
-            S = (tf[..., :cut] if space.through_f
+            S = (tf[..., :cut] if through_f
                  else np.broadcast_to(np.eye(size, cut), (len(idx), size, cut)))
-            P = (prod if space.through_f else tg)[..., :cut]
+            P = (prod if through_f else tg)[..., :cut]
             ladders = zip(*_ladder(S, P, tg[..., :cut], first, N, L))
             # the norms take two temporaries the size of prod: free the
             # factors and their views first.  prod stays bound until the next
@@ -466,21 +459,16 @@ def _probe(pairs, window: tuple[int, int], R: float, space: Space) -> list[ZeroP
             # below it, and the next chunk faulted them back in (25% slower)
             del tf, tg, S, P
             norms = np.linalg.norm(prod, axis=-2)
-            for i, n0, col, (ladder, pivot, leak) in zip(idx, n0s, norms, ladders):
+            for i, n0_g, col, (ladder, pivot, leak) in zip(idx, n0s, norms, ladders):
                 col = col[interior].tolist()
                 if not np.all(np.isfinite(col)):
                     verdict = INCONCLUSIVE
                 else:
                     verdict = VIOLATION if np.max(col) < ZERO_DIVISOR_FLOOR else CONSISTENT
                 reports[i] = ZeroProductReport(
-                    n0, lo + first, N, col, ladder.tolist(), float(pivot), float(leak), verdict
+                    n0_g, lo + first, N, col, ladder.tolist(), float(pivot), float(leak), verdict
                 )
     return reports
-
-
-#: looked up at each call, so a module attribute rebound by a tracer is called
-HARDY = Space(lambda fs, w, R: build_toeplitz_hardy(fs, w, R),
-              lambda g, N, R, w: find_n0_hardy(g, N, R), through_f=True)
 
 
 def zero_product_experiment_hardy(
@@ -496,4 +484,7 @@ def zero_product_experiment_hardy(
     genuinely zero product the latter drop out, leaving the inclusion the
     proof iterates.
     """
-    return _probe(pairs, window, R, HARDY)
+    # the lambdas look the builder and the n0 rule up at each call, so a
+    # module attribute rebound by a tracer or a test is the one called
+    return _probe(pairs, window, lambda fs, w: build_toeplitz_hardy(fs, w, R),
+                  lambda g, N, w: find_n0_hardy(g, N, R), through_f=True)

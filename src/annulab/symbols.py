@@ -111,11 +111,12 @@ def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
 
 
 def _synthesize(coeffs: dict[int, complex], m: int) -> np.ndarray:
-    spectrum = np.zeros(m, dtype=complex)
-    for n, c in coeffs.items():
+    for n in coeffs:
         if abs(n) >= m // 2:
             raise AliasingError(f"coefficient index {n} out of range for grid size {m}")
-        spectrum[n % m] += c
+    # the spectrum at the FFT bins' degrees; + 0.0 turns a -0.0 part into
+    # +0.0, as adding it to a zero spectrum did, and the FFT keeps that sign
+    spectrum = _read([coeffs], np.fft.fftfreq(m, 1 / m))[0] + 0.0
     return np.fft.ifft(spectrum) * m
 
 
@@ -272,28 +273,25 @@ def _coeff_rows(coeffs: dict[int, complex]) -> list[list]:
     ]
 
 
+def _keyed(pairs, what: str) -> dict:
+    """The ``(index, value)`` pairs as a dict; refuses an index that is not
+    an integer (``true`` included) or repeats, which a dict would fold."""
+    out: dict = {}
+    for n, v in pairs:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"{what} {n!r} is not an integer")
+        if n in out:
+            raise ValueError(f"{what} {n} is repeated")
+        out[n] = v
+    return out
+
+
 def _rows_to_coeffs(rows) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    for n, re, im in rows:
-        out[int(n)] = complex(float(re), float(im))
+    out = _keyed(((n, complex(float(re), float(im))) for n, re, im in rows), "index")
     # bounds every grid sample; a NaN or infinite part makes it non-finite too
     if not np.isfinite(sum(abs(c.real) + abs(c.imag) for c in out.values())):
         raise ValueError("the absolute coefficient sum is not finite")
     return out
-
-
-def boundary_symbol_to_json(sym: ExactSymbol, R: float) -> dict:
-    return {
-        "repr": "exact",
-        "R": float(R),
-        "coeffs_C": _coeff_rows(sym.coeffs_C),
-        "coeffs_C0": _coeff_rows(sym.coeffs_C0),
-    }
-
-
-def polar_symbol_to_json(sym: PolarSymbol, R: float) -> dict:
-    bands = [[int(k), _coeff_rows(sym.bands[k].coeffs)] for k in sorted(sym.bands)]
-    return {"repr": "polar", "R": float(R), "bands": bands}
 
 
 def symbol_from_json(doc: dict):
@@ -310,18 +308,21 @@ def symbol_from_json(doc: dict):
             float(doc["R"]),
         )
     if kind == "polar":
-        bands = {
-            int(k): PolyProfile(_rows_to_coeffs(rows)) for k, rows in doc.get("bands", [])
-        }
+        bands = _keyed(
+            ((k, PolyProfile(_rows_to_coeffs(rows))) for k, rows in doc.get("bands", [])),
+            "band key",
+        )
         return PolarSymbol(bands), float(doc["R"])
     raise ValueError(f"unknown symbol repr {kind!r}")
 
 
 def write_symbol(path, sym, R: float) -> None:
     if isinstance(sym, ExactSymbol):
-        doc = boundary_symbol_to_json(sym, R)
+        doc = {"repr": "exact", "R": float(R), "coeffs_C": _coeff_rows(sym.coeffs_C),
+               "coeffs_C0": _coeff_rows(sym.coeffs_C0)}
     elif isinstance(sym, PolarSymbol):
-        doc = polar_symbol_to_json(sym, R)
+        bands = [[int(k), _coeff_rows(sym.bands[k].coeffs)] for k in sorted(sym.bands)]
+        doc = {"repr": "polar", "R": float(R), "bands": bands}
     else:
         raise ValueError("only exact boundary or polar symbols can be written")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -602,6 +602,12 @@ UNREADABLE_SYMBOLS = {
     "overflowing-sum":
         '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, 1e308, 0], [1, 1e308, 0]]}',
     "overflowing-part": '{"repr": "exact", "R": 0.5, "coeffs_C": [[0, 1e308, 1e308]]}',
+    # indices a table would misread: repeated, fractional, boolean, infinite
+    "misread-indices": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1, 1, 0], [1, 2, 0], '
+                       '[1.5, 3, 0]], "coeffs_C0": [[true, 1, 0]]}',
+    "fractional-index": '{"repr": "exact", "R": 0.5, "coeffs_C": [[1.5, 3, 0]]}',
+    "boolean-index": '{"repr": "exact", "R": 0.5, "coeffs_C0": [[true, 1, 0]]}',
+    "infinite-index": '{"repr": "exact", "R": 0.5, "coeffs_C": [[Infinity, 1, 0]]}',
     "list": "[1]",
     "invalid-json": "{not json",
 }
@@ -661,7 +667,8 @@ def _field_cases():
         ("m_circle", 100, "m_circle must be a power of two >= 8, got 100"),
         ("m_radial", "64", wrong_type), ("m_radial", 0, out_of_range),
         ("seed", 1.5, wrong_type), ("seed", -1, out_of_range),
-        ("tolerance", "1e-10", wrong_type), ("tolerance", 0.0, out_of_range),
+        # here, so the generated ids of the list cases below keep their indices
+        ("R", float("nan"), out_of_range), ("symbol", None, wrong_type),
         ("experiment", 3, wrong_type),
         ("experiment", "mellin",
          "config field 'experiment' ('mellin') disagrees with the subcommand"),
@@ -670,8 +677,6 @@ def _field_cases():
         ("sizes", [64, True], sizes),
         ("sizes", [64, 64, 32], "config field 'sizes' must not repeat a size"),
         ("out", 1, wrong_type),
-        # last, so the generated ids of the cases above keep their indices
-        ("tolerance", float("inf"), out_of_range),
     ]
     cases += [(f.name, True, wrong_type) for f in fields(LabConfig)]
     return [(f, v, msg.format(f)) for f, v, msg in cases]
@@ -1062,14 +1067,14 @@ def test_empty_config_exits_0_or_2(tmp_path, capsys, experiment):
         assert len(err) == 1 and err[0].startswith("config error: ")
 
 
-def test_infinite_tolerance_exits_2(tmp_path, capsys):
-    """json reads 1e400 as inf, and inf <= inf would pass any residual."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"R": 0.5, "tolerance": 1e400}')
-    assert main(["gram", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
+def test_tolerance_is_not_a_config_field(tmp_path, capsys):
+    """The residual bound is the lab's (``cli.TOLERANCE``): a config cannot
+    loosen a check, not even to the value the lab uses."""
+    code, outdir = run_lab(tmp_path, "gram", {"tolerance": 1e-10})
+    assert code == 2
+    assert not outdir.exists()
     err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: config field 'tolerance' is out of range"]
+    assert err == ["config error: unknown config field 'tolerance'"]
 
 
 def _results(outdir):
@@ -1150,10 +1155,12 @@ def test_unknown_experiment_is_an_argparse_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_failing_check_exits_1(tmp_path, capsys):
-    code, _ = run_lab(tmp_path, "gram", dict(FAST, tolerance=1e-30))
+def test_failing_check_exits_1(tmp_path, capsys, monkeypatch):
+    build = annulab.hardy.build_toeplitz_hardy
+    monkeypatch.setattr(annulab.hardy, "build_toeplitz_hardy", lambda *a: build(*a) * 1.001)
+    code, _ = run_lab(tmp_path, "toeplitz-build", FAST)
     assert code == 1
-    assert "FAIL gram/max_abs_deviation" in capsys.readouterr().out
+    assert "FAIL toeplitz-build/closed_form_vs_quadrature" in capsys.readouterr().out
 
 
 def test_report_json_echoes_the_run(tmp_path):

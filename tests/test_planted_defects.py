@@ -1,0 +1,66 @@
+"""Planted defects that the shipped configs catch (ROADMAP item 4's table).
+
+Each row plants one mutation in the program by rebinding a module
+attribute, runs one shipped config through ``lab`` and expects exit 1: a
+check row FAILs.  The unmutated run of every config the table names exits
+0, so each FAIL is its mutation's.  A defect that no shipped config
+catches has no row here; it stays a FOUND until a check catches it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from annulab import hardy, reduction
+from annulab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _one_offset_off(phi, size):
+    """The disc Hankel section read at ``phihat(-j - k)``, not at
+    ``phihat(-(j+1) - k)``."""
+    hats = phi.hat(np.arange(0, -2 * size + 1, -1))
+    return np.lib.stride_tricks.sliding_window_view(hats, size).copy()
+
+
+#: per row: the shipped config that must FAIL, the module and attribute the
+#: mutation rebinds, and the mutation as a function of the original
+DEFECTS = {
+    "toeplitz-hardy-times-1.001": (
+        "toeplitz-build", hardy, "build_toeplitz_hardy",
+        lambda build: lambda *a: build(*a) * 1.001,
+    ),
+    "swapped-basis-weights": (
+        "toeplitz-build", hardy, "basis_weights",
+        lambda weights: lambda n, R: weights(n, R)[::-1],
+    ),
+    "negated-hankel-annulus": (
+        "toeplitz-build", hardy, "build_hankel_annulus",
+        lambda build: lambda *a: -build(*a),
+    ),
+    "disc-hankel-one-offset-off": (
+        "semicommutator", reduction, "build_disc_hankel",
+        lambda build: _one_offset_off,
+    ),
+}
+
+
+def _run_shipped(config, tmp_path):
+    return main([config, "--config", str(CONFIGS / f"{config}.json"),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("config", sorted({row[0] for row in DEFECTS.values()}))
+def test_unmutated_config_passes(config, tmp_path):
+    assert _run_shipped(config, tmp_path) == 0
+
+
+@pytest.mark.parametrize("config, module, name, mutate", DEFECTS.values(), ids=DEFECTS)
+def test_planted_defect_fails_its_config(config, module, name, mutate, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert _run_shipped(config, tmp_path) == 1
+    assert any(line.startswith(f"FAIL {config}/")
+               for line in capsys.readouterr().out.splitlines())

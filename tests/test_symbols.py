@@ -13,6 +13,7 @@ from annulab.symbols import (
     _convolve,
     _flip,
     _read,
+    _synthesize,
     conjugate_symbol,
     fourier_pair,
     laurent_symbol,
@@ -207,6 +208,33 @@ def test_array_read_matches_dict_read(table, n):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def loop_synthesize(table, m):
+    """Grid samples of one table by a per-coefficient scatter into a zero
+    spectrum, then the inverse FFT: the reference for ``_synthesize``."""
+    spectrum = np.zeros(m, dtype=complex)
+    for n, c in table.items():
+        spectrum[n % m] += c
+    return np.fft.ifft(spectrum) * m
+
+
+signed_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=st.dictionaries(
+        st.integers(-3, 3), st.builds(complex, signed_parts, signed_parts), max_size=7
+    ),
+    m=st.sampled_from([8, 16, 64]),
+)
+@example(table={0: complex(-0.0, 1.0)}, m=8)
+@example(table={0: complex(-0.0, -0.0)}, m=8)
+def test_synthesize_matches_the_coefficient_loop(table, m):
+    """One table read at the FFT bins gives the loop's sample bits, also for
+    tables whose parts are -0.0 (the FFT keeps the sign of a zero)."""
+    assert _synthesize(table, m).tobytes() == loop_synthesize(table, m).tobytes()
+
+
 def test_support_and_live_bands_are_computed_once():
     sym = ExactSymbol({3: 1.0, -2: 0.0, 0: 2j}, {-2: 0.5, 5: 0.0})
     first = sym.support
@@ -261,6 +289,29 @@ def test_polar_json_roundtrip(tmp_path):
 def test_symbol_from_json_rejects_unknown():
     with pytest.raises(ValueError):
         symbol_from_json({"repr": "mystery"})
+
+
+#: documents whose tables a dict would misread, and the refusal's message
+MISREAD_INDICES = {
+    "repeated-index": ({"repr": "exact", "R": R, "coeffs_C": [[1, 1, 0], [1, 2, 0]]},
+                       "index 1 is repeated"),
+    "fractional-index": ({"repr": "exact", "R": R, "coeffs_C": [[1.5, 3, 0]]},
+                         "index 1.5 is not an integer"),
+    "boolean-index": ({"repr": "exact", "R": R, "coeffs_C0": [[True, 1, 0]]},
+                      "index True is not an integer"),
+    "repeated-band": ({"repr": "polar", "R": R, "bands": [[2, [[0, 1, 0]]], [2, [[1, 1, 0]]]]},
+                      "band key 2 is repeated"),
+    "fractional-band": ({"repr": "polar", "R": R, "bands": [[0.5, [[0, 1, 0]]]]},
+                        "band key 0.5 is not an integer"),
+    "repeated-degree": ({"repr": "polar", "R": R, "bands": [[0, [[2, 1, 0], [2, 1, 0]]]]},
+                        "index 2 is repeated"),
+}
+
+
+@pytest.mark.parametrize("doc, message", MISREAD_INDICES.values(), ids=MISREAD_INDICES)
+def test_symbol_from_json_refuses_misread_indices(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        symbol_from_json(doc)
 
 
 coeff = st.complex_numbers(
