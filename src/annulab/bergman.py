@@ -139,11 +139,10 @@ def build_bergman_toeplitz(
 
 def polar_symbol_grid(f: PolarSymbol, geo: AnnulusGeometry) -> np.ndarray:
     """Evaluate the banded symbol on the (radial, angular) grid."""
-    t = geo.angles()
     r, _ = geo.radial_nodes()
     vals = np.zeros((geo.m_radial, geo.m_circle), dtype=complex)
-    for k in f.live_bands:
-        vals += np.outer(f.bands[k].eval(r), np.exp(1j * k * t))
+    for k, e in zip(f.live_bands, geo.phases(np.array(f.live_bands, dtype=int))):
+        vals += np.outer(f.bands[k].eval(r), e)
     return vals
 
 

@@ -156,10 +156,10 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     windowed section.  ``bytes`` is the largest dense array the experiment
     builds (or the sections it holds at once at its peak, derived below)
     and ``field`` the config field that sizes it: mellin's Gauss-Legendre
-    companion matrix, ``8 m_radial^2``; the identities transfer table,
-    ``16 (DIAGRAM_SIZE + 1) m_circle``, which also bounds the split
-    relations' largest arrays, ``16 size m_circle`` at their ``size`` 10,
-    whatever the symbol's reach; else the complex section,
+    companion matrix, ``8 m_radial^2``; for identities ``16 (DIAGRAM_SIZE +
+    1) m_circle``, over its transfer tables of ``DIAGRAM_SIZE`` rows, which
+    also bounds the split relations' largest arrays, ``16 size m_circle`` at
+    their ``size`` 10, whatever the symbol's reach; else the complex section,
     ``16 side^2`` (``side`` the window width, ``2(2W+1)`` for gram,
     ``max(sizes)`` for hankel-decay, whose sweep holds no section of its
     own: its largest array is LAPACK's copy of the live ``L x L`` corner,
@@ -243,7 +243,8 @@ def _run_gram(cfg: LabConfig):
     geo = cfg.geometry()
     half = max(-cfg.window[0], cfg.window[1])
     G = geometry.gram_matrix(geo, half)
-    dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
+    G.flat[:: len(G) + 1] -= 1.0  # G - I in place: x - 0 keeps every bit of |x|
+    dev = float(np.max(np.abs(G)))
     rows = [report.residual_check("gram", "max_abs_deviation", dev, TOLERANCE)]
     return rows, {}, {}
 

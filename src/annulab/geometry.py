@@ -21,10 +21,6 @@ from .errors import AliasingError
 COMPONENTS = ("C", "C0")
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class AnnulusGeometry:
     """Quadrature configuration for one annulus.
@@ -48,16 +44,33 @@ class AnnulusGeometry:
     def __post_init__(self):
         if not 0.0 < self.R < 1.0:
             raise ValueError(f"inner radius must satisfy 0 < R < 1, got {self.R}")
-        if self.m_circle < 8 or not _is_power_of_two(self.m_circle):
+        if self.m_circle < 8 or self.m_circle & (self.m_circle - 1):
             raise ValueError(
                 f"m_circle must be a power of two >= 8, got {self.m_circle}"
             )
         if self.m_radial < 1:
             raise ValueError(f"m_radial must be positive, got {self.m_radial}")
 
-    def angles(self) -> np.ndarray:
-        """Uniform angular grid ``t_j = 2 pi j / m_circle``."""
-        return 2.0 * np.pi * np.arange(self.m_circle) / self.m_circle
+    def phases(self, n) -> np.ndarray:
+        """Grid samples ``exp(i n t_j)``, ``t_j = 2 pi j / m``, ``m = m_circle``,
+        one fresh row per integer degree of ``n`` (scalar or array): each is
+        ``w^((n mod m) j mod m)``, ``w = exp(2 pi i / m)``, one gather from
+        the table of the ``m`` roots of unity at an exact integer index, so no
+        rounded angle ``n t_j`` is formed (as ``m`` is a power of two, ``& (m
+        - 1)`` is exact even on a product that wrapped modulo ``2^64``).  The
+        table is built per call: the first quarter from ``m / 4`` exps (within
+        2 eps of the exact roots), the second its exact rotation by ``i``, the
+        lower half the conjugate mirror.  So the axis points are exactly ``1,
+        i, -1, -i``, and the row of ``-n`` is the conjugate of the row of
+        ``n``, bit for bit but for the sign of a zero imaginary part."""
+        m, q = self.m_circle, self.m_circle // 4
+        roots = np.empty(m, dtype=complex)
+        roots[:q] = np.exp(2j * np.pi / m * np.arange(q))
+        roots[q : 2 * q] = 1j * roots[:q]  # exact: 0 a - b + (0 b + a) i
+        roots[2 * q] = -1.0
+        roots[2 * q + 1 :] = roots[2 * q - 1 : 0 : -1].conj()
+        k = np.multiply.outer(np.asarray(n, dtype=np.int64) % m, np.arange(m))
+        return roots[np.bitwise_and(k, m - 1, out=k)]
 
     def radial_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes and weights mapped from [-1, 1] to [R, 1]."""
@@ -91,36 +104,17 @@ def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(n < 0, p, 1.0) / s, np.where(n < 0, 1.0, p) / s
 
 
-#: the last phase table and its key: dtype, shape and bytes of ``a`` and
-#: ``t``, not their values (``0.0 == -0.0``, but ``sin(-0.0)`` is ``-0.0``)
-_PHASE_SLOT: list = [None, None]
-
-
-def _phases(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Read-only ``exp(i a t)`` over ``np.multiply.outer(a, t)``, built once per key."""
-    key = tuple((x.dtype.str, x.shape, x.tobytes()) for x in (a, t))
-    if _PHASE_SLOT[0] != key:
-        _PHASE_SLOT[:] = key, np.exp(1j * np.multiply.outer(a, t))
-        _PHASE_SLOT[1].flags.writeable = False
-    return _PHASE_SLOT[1]
-
-
-def _on_circle(n, component: str, angles, on_C, on_C0) -> np.ndarray:
-    """``exp(i n t)`` times the weight of ``component``; an array ``n``
-    gives one row per degree.  ``exp(i |n| t)`` is taken once per ``|n|`` and
-    conjugated for ``n < 0``: ``(-n) t = -(n t)`` exactly, so the bits agree.
-    Calls for the same ``|n|`` and angles share one :func:`_phases` table."""
+def _on_circle(n, component: str, geo: AnnulusGeometry, on_C, on_C0) -> np.ndarray:
+    """The grid samples :meth:`AnnulusGeometry.phases` of ``n`` times the
+    weight of ``component``; an array ``n`` gives one row per degree."""
     if component not in COMPONENTS:
         raise ValueError(f"unknown boundary component {component!r}")
-    n, t = np.asarray(n), np.asarray(angles, dtype=float)
-    w = np.reshape(on_C if component == "C" else on_C0, n.shape + (1,) * t.ndim)
-    a, inv = np.unique(np.abs(n), return_inverse=True)
-    e = _phases(a, t)[inv.reshape(-1)].reshape(n.shape + t.shape)
-    np.negative(e.imag, out=e.imag, where=n.reshape(w.shape) < 0)
-    return np.multiply(e, w, out=e)[()]
+    e = geo.phases(n)
+    w = on_C if component == "C" else on_C0
+    return np.multiply(e, np.reshape(w, np.shape(n) + (1,)), out=e)
 
 
-def hardy_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndarray:
+def hardy_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray:
     """Evaluate the n-th normalized power basis function on one boundary circle.
 
     The function is ``z^n / sqrt(1 + R^(2n))``; on the inner circle the
@@ -132,16 +126,14 @@ def hardy_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndar
         Fourier degree (any integer); an array gives one row per degree.
     component : str
         ``"C"`` for the unit circle or ``"C0"`` for the inner circle.
-    angles : ndarray
-        Angles at which to evaluate.
-    R : float
-        Inner radius.
+    geo : AnnulusGeometry
+        Inner radius ``geo.R`` and the grid of ``geo.m_circle`` nodes.
     """
-    B, A = basis_weights(n, R)
-    return _on_circle(n, component, angles, B, A)
+    B, A = basis_weights(n, geo.R)
+    return _on_circle(n, component, geo, B, A)
 
 
-def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np.ndarray:
+def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray:
     """Evaluate the n-th basis function of the orthogonal complement.
 
     On the unit circle this is ``R^n z^n / sqrt(1 + R^(2n))``; on the inner
@@ -150,8 +142,8 @@ def complement_basis_eval(n, component: str, angles: np.ndarray, R: float) -> np
     weights are ``A`` and ``-B``.  Together with the functions from
     :func:`hardy_basis_eval` these form an orthonormal basis of boundary L2.
     """
-    B, A = basis_weights(n, R)
-    return _on_circle(n, component, angles, A, -B)
+    B, A = basis_weights(n, geo.R)
+    return _on_circle(n, component, geo, A, -B)
 
 
 #: degrees per row block of the pairing kernel, bounding its sample buffers;
@@ -184,9 +176,9 @@ def _pair_on_grid(
     ``complement_basis_eval``, once per family, block of degrees and
     circle.  In the order 0, -1, 1, -2, 2, ... the first block holds
     ``_GRAM_BLOCK + 1`` degrees and each later one at most ``_GRAM_BLOCK``,
-    which bounds the sample buffers.  No block splits a pair ``n, -n``:
-    every block's ``|n|`` set is closed under sign, so both families on
-    both circles of a block share one phase table.  The hardy block is
+    which bounds the sample buffers; no block splits a pair ``n, -n``.  Each
+    call gathers its samples from the grid's roots of unity, ``m / 4`` exps
+    per call (:meth:`AnnulusGeometry.phases`).  The hardy block is
     multiplied by ``w`` in place once its own spectrum is taken.
 
     Parseval: the FFT of a row divided by ``m = m_circle`` gives
@@ -213,7 +205,7 @@ def _pair_on_grid(
     time: that Gram peaks at 52.4 MiB traced, while its second circle's
     spectra are taken.
     """
-    t, m, N = geo.angles(), geo.m_circle, len(ns)
+    m, N = geo.m_circle, len(ns)
     if np.ptp(ns) + reach >= m:
         raise AliasingError(
             f"degrees {ns.min()}..{ns.max()} with band reach {reach} are not "
@@ -229,7 +221,7 @@ def _pair_on_grid(
     for comp, w in zip(COMPONENTS, weight or (None, None)):
         for lo, hi in zip(edges, edges[1:]):
             for i, ev in enumerate((hardy_basis_eval, complement_basis_eval)):
-                f = ev(ns[order[lo:hi]], comp, t, geo.R)
+                f = ev(ns[order[lo:hi]], comp, geo)
                 np.fft.fft(f, norm="forward", out=c[i, lo:hi])
                 if i == 0 and w is not None:
                     np.fft.fft(np.multiply(f, w, out=f), norm="forward", out=c[2, lo:hi])

@@ -119,13 +119,12 @@ def t_diag(n, R: float):
 
 def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
     """Pointwise deviation of the conjugate-basis expansion on both circles."""
-    t = geo.angles()
     alpha, beta = conjugate_basis_coeffs(n, geo.R)
     dev = []
     for comp in ("C", "C0"):
-        lhs = np.conj(hardy_basis_eval(n, comp, t, geo.R))
-        rhs = alpha * hardy_basis_eval(-n, comp, t, geo.R) + beta * complement_basis_eval(
-            -n, comp, t, geo.R
+        lhs = np.conj(hardy_basis_eval(n, comp, geo))
+        rhs = alpha * hardy_basis_eval(-n, comp, geo) + beta * complement_basis_eval(
+            -n, comp, geo
         )
         dev.append(np.abs(lhs - rhs))
     # one np.max over both circles keeps a NaN, which the built-in max drops
@@ -149,10 +148,9 @@ def assemble_transfer_unitaries(size: int, geo: AnnulusGeometry):
     gather at the row indices; only grid samples are read.
     """
     ks = np.arange(size)
-    # columns exp(-i k t) = conj(e[k]) meet rows exp(-i j t); e[k+1] meet exp(i (j+1) t)
-    e = np.exp(1j * np.multiply.outer(np.arange(size + 1), geo.angles()))
-    P0 = _analyze(_flip(e[:size].conj()), ks).T
-    U0 = _analyze(_flip(e[1:]), -(ks + 1)).T
+    # columns exp(-i k t) meet rows exp(-i j t); exp(i (k+1) t) meet exp(i (j+1) t)
+    P0 = _analyze(_flip(geo.phases(-ks)), ks).T
+    U0 = _analyze(_flip(geo.phases(ks + 1)), -(ks + 1)).T
     return U0, P0
 
 

@@ -273,13 +273,22 @@ def _coeff_rows(coeffs: dict[int, complex]) -> list[list]:
     ]
 
 
+MAX_INDEX = 2**61 - 1  # the largest index magnitude a symbol file holds; see _keyed
+
+
 def _keyed(pairs, what: str) -> dict:
     """The ``(index, value)`` pairs as a dict; refuses an index that is not
-    an integer (``true`` included) or repeats, which a dict would fold."""
+    an integer (``true`` included), repeats (a dict would fold it) or is past
+    ``MAX_INDEX`` in magnitude.  The deepest int64 index step is one
+    :func:`_convolve` sum, at most ``2 MAX_INDEX``, less an offset as large
+    (the lowest degree :func:`_read` subtracts, or a ``hardy._band_sections``
+    offset, at most a product's bandwidth): no index passes ``2^63 - 4``."""
     out: dict = {}
     for n, v in pairs:
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"{what} {n!r} is not an integer")
+        if abs(n) > MAX_INDEX:
+            raise ValueError(f"{what} {n} is past the bound {MAX_INDEX} in magnitude")
         if n in out:
             raise ValueError(f"{what} {n} is repeated")
         out[n] = v

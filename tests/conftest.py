@@ -19,6 +19,12 @@ def small_geo():
     return AnnulusGeometry(m_circle=256)
 
 
+def grid_angles(geo):
+    """The uniform angular grid ``t_j = 2 pi j / m_circle`` of ``geo``, for
+    reference loops that form ``exp(i n t)`` directly."""
+    return 2.0 * np.pi * np.arange(geo.m_circle) / geo.m_circle
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # verdict lines recorded by the acceptance tests; emitted here so they
     # survive output capture in a plain `pytest -v` run

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import adversarial_radial_pair
+from conftest import adversarial_radial_pair, grid_angles
 
 from annulab.bergman import (
     build_bergman_section_quadrature,
@@ -38,7 +38,7 @@ def area_pairing(u, v, geo):
 
 def coeff_by_quadrature(p, profile, n, geo):
     """Image coefficient recovered from the area pairing directly."""
-    t = geo.angles()
+    t = grid_angles(geo)
     r, _ = geo.radial_nodes()
     sym = polar_symbol_grid(PolarSymbol({p: profile}), geo)
     mono = np.outer(r**n, np.exp(1j * n * t))

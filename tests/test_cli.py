@@ -15,14 +15,15 @@ import pytest
 from conftest import read_decay_csv
 
 import annulab
-from annulab import geometry
 from annulab.cli import (
     EXPERIMENTS, _HARNESSES, ConfigError, LabConfig, _resolve_boundary, load_config, main,
     parse_config, run,
 )
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
-from annulab.symbols import PolarSymbol, PolyProfile, constant_symbol, write_symbol
+from annulab.symbols import (
+    MAX_INDEX, PolarSymbol, PolyProfile, constant_symbol, write_symbol,
+)
 
 FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "m_radial": 64, "window": [-10, 10]}
 
@@ -340,8 +341,8 @@ def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
     coefficients are NaN in every bin, and a NaN is an owner."""
     evaluate = annulab.geometry.hardy_basis_eval
 
-    def nan_sample(n, component, angles, R):
-        vals = evaluate(n, component, angles, R)
+    def nan_sample(n, component, geo):
+        vals = evaluate(n, component, geo)
         if component == "C0":
             vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
         return vals
@@ -368,8 +369,8 @@ def test_toeplitz_build_nan_sample_fails_the_rows_it_reaches(
     Toeplitz section and, weighted, a column of both sections."""
     evaluate = getattr(annulab.geometry, name)
 
-    def nan_sample(n, component, angles, R):
-        vals = evaluate(n, component, angles, R)
+    def nan_sample(n, component, geo):
+        vals = evaluate(n, component, geo)
         if component == "C0":
             vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
         return vals
@@ -490,27 +491,6 @@ def test_package_import_pins_one_blas_thread_unless_the_caller_set_one(preset, w
         assert count in ("1", "none")
 
 
-@pytest.mark.parametrize("first, second", [("gram", "toeplitz-build"), ("toeplitz-build", "gram")])
-def test_a_warm_phase_table_writes_the_cold_bytes(tmp_path, monkeypatch, first, second):
-    """gram and toeplitz-build on one window and grid ask for the same
-    phase table; the run that finds it warm writes the bytes of a cold run."""
-    files = {"gram": ["results.csv"], "toeplitz-build": ["results.csv", "section.csv"]}
-
-    def written(exp, out):
-        _, outdir = run_lab(tmp_path, exp, FAST, name=f"{out}.json", out=out)
-        return [(outdir / name).read_bytes() for name in files[exp]]
-
-    cold = {}
-    for exp in files:
-        monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
-        cold[exp] = written(exp, f"cold-{exp}")
-    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
-    assert written(first, "first") == cold[first]
-    table = geometry._PHASE_SLOT[1]
-    assert written(second, "second") == cold[second]
-    assert geometry._PHASE_SLOT[1] is table
-
-
 def test_decay_svg_is_wellformed_xml(tmp_path):
     _, outdir = run_lab(
         tmp_path, "hankel-decay", {"R": 0.5, "seed": 1, "sizes": [16, 32]}
@@ -626,6 +606,47 @@ def test_unreadable_symbol_file_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert f"symbol file {str(path)!r}" in err[0]
+
+
+#: indices past ``MAX_INDEX``: one no int64 holds, and the first one past
+PAST_THE_BOUND = {"1e30": 10**30, "-1e30": -(10**30), "bound+1": MAX_INDEX + 1,
+                  "-(bound+1)": -(MAX_INDEX + 1)}
+
+
+def _index_symbol(tmp_path, index):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(
+        {"repr": "exact", "R": 0.5, "coeffs_C": [[index, 1, 0]], "coeffs_C0": [[0, 1, 0]]}
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("experiment", ["toeplitz-build", "semicommutator"])
+@pytest.mark.parametrize("index", PAST_THE_BOUND.values(), ids=PAST_THE_BOUND)
+def test_symbol_index_past_the_bound_exits_2(tmp_path, capsys, experiment, index):
+    """An index past the bound is refused as the file is read, with one
+    line, before any int64 step could overflow."""
+    path = _index_symbol(tmp_path, index)
+    code, outdir = run_lab(tmp_path, experiment, dict(FAST, symbol=path, symbol2=path))
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "past the bound" in err[0]
+
+
+@pytest.mark.parametrize("experiment", ["toeplitz-build", "semicommutator"])
+@pytest.mark.parametrize("index", [MAX_INDEX, -MAX_INDEX], ids=["bound", "-bound"])
+def test_symbol_index_at_the_bound_computes_or_exits_2(tmp_path, capsys, experiment, index):
+    """An index at the bound, in both factors of the semicommutator's
+    product, reaches the builders: the run computes or is refused with one
+    line, and no int64 step overflows into a traceback."""
+    path = _index_symbol(tmp_path, index)
+    code, _ = run_lab(tmp_path, experiment, dict(FAST, symbol=path, symbol2=path))
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_unknown_config_field_exits_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import grid_angles
+
 from annulab import geometry
 from annulab.errors import AliasingError
 from annulab.geometry import (
@@ -34,24 +36,27 @@ def test_geometry_validation():
         AnnulusGeometry(m_circle=4)  # power of two but below 8
 
 
+GRID16 = AnnulusGeometry(R=R, m_circle=16)
+
+
 def test_hardy_basis_constant():
-    assert hardy_basis_eval(0, "C", 0.3, R) == pytest.approx(1 / math.sqrt(2))
-    assert hardy_basis_eval(0, "C0", 1.7, R) == pytest.approx(1 / math.sqrt(2))
+    assert np.all(hardy_basis_eval(0, "C", GRID16) == 1 / math.sqrt(2))
+    assert np.all(hardy_basis_eval(0, "C0", GRID16) == 1 / math.sqrt(2))
 
 
 def test_hardy_basis_degree_one_at_unit_point():
-    # z = 1 on the outer circle
-    assert hardy_basis_eval(1, "C", 0.0, R) == pytest.approx(1 / math.sqrt(1.25))
+    # z = 1 on the outer circle: node 0
+    assert hardy_basis_eval(1, "C", GRID16)[0] == pytest.approx(1 / math.sqrt(1.25))
 
 
 def test_hardy_basis_inner_circle_carries_radius():
-    val = hardy_basis_eval(3, "C0", 0.0, R)
+    val = hardy_basis_eval(3, "C0", GRID16)[0]
     assert val == pytest.approx(R**3 / math.sqrt(1 + R**6))
 
 
 def test_complement_constant_signs():
-    assert complement_basis_eval(0, "C", 0.2, R) == pytest.approx(1 / math.sqrt(2))
-    assert complement_basis_eval(0, "C0", 0.2, R) == pytest.approx(-1 / math.sqrt(2))
+    assert np.all(complement_basis_eval(0, "C", GRID16) == 1 / math.sqrt(2))
+    assert np.all(complement_basis_eval(0, "C0", GRID16) == -1 / math.sqrt(2))
 
 
 def test_gram_identity(geo):
@@ -61,21 +66,24 @@ def test_gram_identity(geo):
     assert dev <= 1e-12
 
 
-def _swapped_complement(n, component, angles, R_):
-    B, A = geometry.basis_weights(n, R_)
-    return geometry._on_circle(n, component, angles, -B, A)
+def _swapped_complement(n, component, g):
+    B, A = geometry.basis_weights(n, g.R)
+    return geometry._on_circle(n, component, g, -B, A)
 
 
-def _hardy_c0_shifted(n, component, angles, R_):
-    shift = np.pi / 180 if component == "C0" else 0.0
-    return hardy_basis_eval(n, component, np.asarray(angles) + shift, R_)
+def _hardy_c0_shifted(n, component, g):
+    """The inner circle's samples taken one degree further round: the angle
+    shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi / 180)``."""
+    vals = hardy_basis_eval(n, component, g)
+    if component == "C0":
+        vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
+    return vals
 
 
 def _per_pair_gram(g, ns):
-    t = g.angles()
     rows = {
-        comp: [geometry.hardy_basis_eval(n, comp, t, g.R) for n in ns]
-        + [geometry.complement_basis_eval(n, comp, t, g.R) for n in ns]
+        comp: [geometry.hardy_basis_eval(n, comp, g) for n in ns]
+        + [geometry.complement_basis_eval(n, comp, g) for n in ns]
         for comp in ("C", "C0")
     }
     size = 2 * len(ns)
@@ -102,11 +110,11 @@ def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
     assert np.array_equal(G, G.conj().T)
 
 
-def _hardy_spread(n, component, angles, R_):
+def _hardy_spread(n, component, g):
     """Every sample scaled by 1 + noise/100: each bin of every row holds a
     coefficient far above the drop threshold, so no bin may be dropped."""
-    noise = np.random.default_rng(7).standard_normal(np.shape(angles))
-    return hardy_basis_eval(n, component, angles, R_) * (1.0 + noise / 100)
+    noise = np.random.default_rng(7).standard_normal(g.m_circle)
+    return hardy_basis_eval(n, component, g) * (1.0 + noise / 100)
 
 
 @pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread])
@@ -120,7 +128,7 @@ def test_gram_matches_the_loop_across_row_blocks(monkeypatch, defect):
     monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
     g = AnnulusGeometry(R=R, m_circle=256)
     if defect is _hardy_spread:
-        coef = np.fft.fft(defect(np.arange(-20, 21), "C", g.angles(), R), norm="forward")
+        coef = np.fft.fft(defect(np.arange(-20, 21), "C", g), norm="forward")
         assert np.all(np.abs(coef).max(axis=0) > np.sqrt(np.finfo(float).eps / 256))
     G = gram_matrix(g, 20)
     assert np.max(np.abs(G - _per_pair_gram(g, range(-20, 21)))) <= 1e-14
@@ -133,7 +141,7 @@ def _owner_rule_gram(g, ns):
     ``not |c| <= sqrt(eps / m)`` and zero elsewhere."""
     tau, G = np.sqrt(np.finfo(float).eps / g.m_circle), 0
     for comp in ("C", "C0"):
-        rows = [ev(ns, comp, g.angles(), g.R)
+        rows = [ev(ns, comp, g)
                 for ev in (geometry.hardy_basis_eval, geometry.complement_basis_eval)]
         C = np.fft.fft(np.concatenate(rows), norm="forward")
         S = np.where(np.abs(C) <= tau, 0, C)
@@ -151,15 +159,15 @@ def test_gram_follows_the_owner_rule_and_blocks_change_no_bit(monkeypatch):
     assert np.max(np.abs(G - _owner_rule_gram(g, ns))) <= 1e-15
 
 
-def _faint_noise(n, component, angles, R_, degrees, m):
+def _faint_noise(n, component, g, degrees, m):
     """Hardy rows 3 and 5 gain, on the unit circle only, a tone of
     amplitude ``0.9 sqrt(eps / m)`` at each of ``degrees``: faint in every
     bin, and summed over many bins."""
-    vals = hardy_basis_eval(n, component, angles, R_)
+    vals = hardy_basis_eval(n, component, g)
     if component == "C":
         phase = np.exp(2j * np.pi * np.random.default_rng(0).random(len(degrees)))
-        tone = phase @ np.exp(1j * np.multiply.outer(degrees, np.asarray(angles)))
-        rows = np.reshape(vals, (-1, np.size(angles)))
+        tone = phase @ np.exp(1j * np.multiply.outer(degrees, grid_angles(g)))
+        rows = np.reshape(vals, (-1, m))
         rows[np.isin(np.ravel(n), [3, 5])] += 0.9 * np.sqrt(np.finfo(float).eps / m) * tone
     return vals
 
@@ -177,7 +185,7 @@ def test_gram_drops_only_pairs_of_faint_coefficients(monkeypatch, owned):
     degrees = np.arange(-W, W + 1) if owned else np.arange(W + 1, m - W)
     monkeypatch.setattr(
         geometry, "hardy_basis_eval",
-        lambda n, c, t, R_: _faint_noise(n, c, t, R_, degrees, m),
+        lambda n, c, g_: _faint_noise(n, c, g_, degrees, m),
     )
     g, ns = AnnulusGeometry(R=R, m_circle=m), np.arange(-W, W + 1)
     G, loop = gram_matrix(g, W), _per_pair_gram(g, ns)
@@ -208,36 +216,36 @@ def test_gram_nan_coefficient_in_a_bin_no_row_owns_reaches_the_output(monkeypatc
     assert np.isnan(G[:, full]).all()
 
 
-def _hardy_faint_tone(n, component, angles, R_):
+def _hardy_faint_tone(n, component, g):
     """Every row gains a tone at degree 12, far below the drop threshold.
     The weighted columns are large in that bin, so a drop rule that read
     the rows alone would lose about 1e-10 times their coefficient."""
-    tone = 1e-10 * np.exp(12j * np.asarray(angles))
-    return hardy_basis_eval(n, component, angles, R_) + tone
+    tone = 1e-10 * np.exp(12j * grid_angles(g))
+    return hardy_basis_eval(n, component, g) + tone
 
 
-def _hardy_mid_tone(n, component, angles, R_):
+def _hardy_mid_tone(n, component, g):
     """Every row gains a tone of amplitude 5e-7 at degree 20, so rows and
     weighted columns both hold coefficients between the drop threshold
     ``sqrt(eps / 64)`` (about 1.9e-9) and 1e-6 there.  The pairs of such
     bins add about 1e-13 to an entry: a threshold of 1e-6 drops them."""
-    tone = 5e-7 * np.exp(20j * np.asarray(angles))
-    return hardy_basis_eval(n, component, angles, R_) + tone
+    tone = 5e-7 * np.exp(20j * grid_angles(g))
+    return hardy_basis_eval(n, component, g) + tone
 
 
 def _per_entry_sections(f, lo, hi, g):
     """Toeplitz and Hankel sections as one trapezoid mean per entry and
     circle: the symbol times hardy column ``k`` against row ``j`` of the
     hardy or the complement family."""
-    t, size = g.angles(), hi - lo + 1
+    size = hi - lo + 1
     T, H = np.zeros((size, size), dtype=complex), np.zeros((size, size), dtype=complex)
     for comp, vals in zip(("C", "C0"), sample_symbol(f, g)):
         for col, k in enumerate(range(lo, hi + 1)):
-            u = vals * geometry.hardy_basis_eval(k, comp, t, g.R)
+            u = vals * geometry.hardy_basis_eval(k, comp, g)
             for row, j in enumerate(range(lo, hi + 1)):
-                T[row, col] += np.mean(u * np.conj(geometry.hardy_basis_eval(j, comp, t, g.R)))
+                T[row, col] += np.mean(u * np.conj(geometry.hardy_basis_eval(j, comp, g)))
                 H[row, col] += np.mean(
-                    u * np.conj(geometry.complement_basis_eval(j, comp, t, g.R))
+                    u * np.conj(geometry.complement_basis_eval(j, comp, g))
                 )
     return T, H
 
@@ -257,90 +265,137 @@ def test_sections_match_the_per_entry_loop(monkeypatch, defect, block):
     monkeypatch.setattr(geometry, "_GRAM_BLOCK", block)
     g, f = AnnulusGeometry(R=R, m_circle=64), random_boundary_symbol(Lcg(17), 4)
     if defect is _hardy_spread:
-        coef = np.fft.fft(defect(np.arange(-5, 10), "C", g.angles(), R), norm="forward")
+        coef = np.fft.fft(defect(np.arange(-5, 10), "C", g), norm="forward")
         assert np.all(np.abs(coef).max(axis=0) > np.sqrt(np.finfo(float).eps / 64))
     got = build_section_quadrature(f, (-5, 9), g)
     for section, want in zip(got, _per_entry_sections(f, -5, 9, g)):
         assert np.max(np.abs(section - want)) <= 1e-14
 
 
-#: (id, n, t); the signed-zero pair differs only in the sign of one zero
-_PHASE_CASES = [
-    ("window", np.arange(-256, 257), AnnulusGeometry(m_circle=2048).angles()),
-    ("mixed", np.array([5, -3, 0, -7, 7, 2, -2, -9]), AnnulusGeometry(m_circle=64).angles()),
-    ("asymmetric-offgrid", np.arange(-300, 40),
-     np.random.default_rng(3).uniform(-50.0, 50.0, 999)),
-    ("2d", np.array([[1, -1], [2, -5]]), np.random.default_rng(4).uniform(-3.0, 3.0, (3, 4))),
-    ("scalar-n", -4, AnnulusGeometry(m_circle=16).angles()),
-    ("scalar-zero", -3, 0.0),
-    ("scalar-negative-t", 7, -0.7),
-    ("scalar-zero-degree", 0, 2.5),
-    ("edge-angles", np.arange(-5, 6), np.array([0.0, -0.0, np.pi, -np.pi, 1e300, 1e-310])),
-    ("positive-zero", np.arange(-5, 6), np.array([1.5, 0.0, -2.0])),
-    ("negative-zero", np.arange(-5, 6), np.array([1.5, -0.0, -2.0])),
+#: (id, n, m_circle, R); at R 0.1 the weight A of degree 400 is +0.0, and
+#: the complement's inner weight -B of degree -400 is -0.0
+_SAMPLE_CASES = [
+    ("window", np.arange(-256, 257), 2048, R),
+    ("mixed", np.array([5, -3, 0, -7, 7, 2, -2, -9]), 64, R),
+    ("2d", np.array([[1, -1], [2, -5]]), 16, R),
+    ("scalar-n", -4, 16, R),
+    ("scalar-zero-degree", 0, 64, R),
+    ("edge-angles", np.array([0, 4, -4, 8, -8, 12, 2, -6]), 16, R),
+    ("positive-zero", np.array([400, 3, -2]), 64, 0.1),
+    ("negative-zero", np.array([-400, 3, -2]), 64, 0.1),
+    ("wrapping", np.array([2**40 + 3, -(2**40) - 3, 2**62 + 5, 64 * 7 - 1]), 64, R),
 ]
 
 
-def _check_direct_exp_bits(n, t):
-    w = np.random.default_rng(5).uniform(-1.0, 1.0, (2,) + np.shape(n))
-    for comp, weights in (("C", w[0]), ("C0", w[1])):
-        got = geometry._on_circle(n, comp, t, w[0], w[1])
-        want = np.exp(1j * np.multiply.outer(n, t)) * np.reshape(
-            weights, np.shape(n) + (1,) * np.ndim(t)
+def _gather(n, g):
+    """Row ``n`` of the roots table read at ``n j mod m``, reduced in Python
+    integers: the table is the sampler's row of degree 1."""
+    m, roots = g.m_circle, g.phases(1)
+    rows = [roots[[int(a) * j % m for j in range(m)]] for a in np.ravel(n)]
+    return np.reshape(rows, np.shape(n) + (m,))
+
+
+@pytest.mark.parametrize("case", range(len(_SAMPLE_CASES)), ids=[c[0] for c in _SAMPLE_CASES])
+def test_on_circle_is_the_exact_gather_times_the_weight(case):
+    """Every sample is the weight times one root of unity, read at the index
+    ``n j mod m`` exactly, bit for bit: the reduction never rounds, however
+    large ``n``, and a weight's signed zero reaches the sample as the
+    product gives it."""
+    _, n, m, R_ = _SAMPLE_CASES[case]
+    g = AnnulusGeometry(R=R_, m_circle=m)
+    B, A = basis_weights(n, R_)
+    for ev, weights in ((hardy_basis_eval, (B, A)), (complement_basis_eval, (A, -B))):
+        for comp, w in zip(("C", "C0"), weights):
+            want = _gather(n, g) * np.reshape(w, np.shape(n) + (1,))
+            got = ev(n, comp, g)
+            assert got.shape == np.shape(n) + (m,)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [8, 64, 2048])
+def test_negated_degree_samples_the_conjugate(m):
+    """The roots table mirrors by conjugation and its axis points are
+    exact, so row ``-n`` is ``conj(row n)`` bit for bit, except that a zero
+    imaginary part (at the samples 1 and -1) keeps its sign ``+0``."""
+    g, n = AnnulusGeometry(m_circle=m), np.arange(-m, m + 1)
+    roots = g.phases(1)
+    assert roots[0] == 1 and roots[m // 4] == 1j and roots[m // 2] == -1
+    assert roots[3 * m // 4] == -1j
+    mirror = roots[(m - np.arange(m)) % m]
+    assert np.array_equal(mirror, roots.conj())
+    got, want = g.phases(-n), g.phases(n).conj()
+    assert got.real.tobytes() == want.real.tobytes()
+    zero = want.imag == 0
+    assert got.imag[~zero].tobytes() == want.imag[~zero].tobytes()
+    assert np.all(got.imag[zero] == 0)
+
+
+@pytest.mark.parametrize("m", [64, 2048])
+def test_roots_table_is_within_two_eps_of_the_exact_roots(m):
+    """Each root differs from ``exp(2 pi i k / m)``, taken to 40 digits, by
+    at most twice the machine epsilon."""
+    roots = AnnulusGeometry(m_circle=m).phases(1)
+    with mpmath.workdps(40):
+        err = max(
+            abs(mpmath.mpc(z.real, z.imag) - mpmath.expjpi(mpmath.mpf(2 * k) / m))
+            for k, z in enumerate(roots)
         )
-        assert type(got) is type(want) and np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert err <= 2 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("case", range(len(_PHASE_CASES)), ids=[c[0] for c in _PHASE_CASES])
-def test_on_circle_has_the_bits_of_the_direct_exp(monkeypatch, case):
-    """One exp per |n|, conjugated for negative n, must give the bits of
-    exp(i n t) itself; if a platform's exp breaks the symmetry this fails
-    instead of rows moving silently.  Each case runs cold, then after the
-    next case has taken the phase table, then warm on its own table."""
-    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
-    for i in (case, (case + 1) % len(_PHASE_CASES), case, case):
-        _check_direct_exp_bits(*_PHASE_CASES[i][1:])
+def test_a_huge_degree_samples_its_residue():
+    """``n = 2^40 + 3`` on 64 nodes gives the samples of degree 3, exactly,
+    times the weights of ``n`` itself."""
+    g, n = AnnulusGeometry(R=R, m_circle=64), 2**40 + 3
+    B, A = basis_weights(n, R)
+    assert g.phases(n).tobytes() == g.phases(3).tobytes()
+    for comp, w in (("C", B), ("C0", A)):
+        assert hardy_basis_eval(n, comp, g).tobytes() == (g.phases(3) * w).tobytes()
+
+
+def test_gram_at_256_is_the_identity_to_rounding():
+    """With exact index reduction no sample carries a phase error from a
+    rounded angle ``n t``: the Gram at +-256 on 2048 nodes is the identity
+    to 1e-15 (with ``exp(i n t)`` at rounded angles it was off by 1.3e-14)."""
+    G = gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256)
+    assert np.max(np.abs(G - np.eye(len(G)))) <= 1e-15
 
 
 def test_samples_are_fresh_and_the_held_table_is_read_only():
-    """A caller may write into its samples: the gather copies the held
-    table, which itself refuses writes."""
-    t = AnnulusGeometry(m_circle=64).angles()
-    n = np.arange(-5, 6)
-    want = hardy_basis_eval(n, "C0", t, R).tobytes()
-    hardy_basis_eval(n, "C0", t, R)[...] = np.nan
-    complement_basis_eval(n, "C0", t, R)[...] = np.nan
-    assert hardy_basis_eval(n, "C0", t, R).tobytes() == want
-    table = geometry._PHASE_SLOT[1]
-    assert table.shape == (6, 64) and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
+    """A caller may write into its samples: each call gathers a new array
+    from a roots table of its own, and no table is held between calls."""
+    g, n = AnnulusGeometry(R=R, m_circle=64), np.arange(-5, 6)
+    want = hardy_basis_eval(n, "C0", g).tobytes()
+    hardy_basis_eval(n, "C0", g)[...] = np.nan
+    complement_basis_eval(n, "C0", g)[...] = np.nan
+    g.phases(n)[...] = np.nan
+    assert hardy_basis_eval(n, "C0", g).tobytes() == want
 
 
 @pytest.mark.parametrize(
     "build, tables",
     [
         (lambda: build_section_quadrature(
-            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 1),
-        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4),
-        (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 1),
+            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 4),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 8),
+        (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 6),
     ],
     ids=["section-pair", "gram", "conjugate-reflection"],
 )
 def test_phase_tables_built_per_call(monkeypatch, build, tables):
-    """Both families on both circles share a block's table; the Gram at
-    +-256 has two blocks per circle, and the one slot keeps only the last."""
-    monkeypatch.setattr(geometry, "_PHASE_SLOT", [None, None])
-    phases, seen = geometry._phases, []
+    """Each evaluator call builds its own roots table, one call of the
+    sampler: per family, block and circle in the pairing kernel (the Gram
+    at +-256 has two blocks per circle), three per circle in the
+    conjugate reflection."""
+    phases, seen = AnnulusGeometry.phases, []
 
-    def recorded(a, t):
-        seen.append(phases(a, t))
+    def recorded(geo, n):
+        seen.append(phases(geo, n))
         return seen[-1]
 
-    monkeypatch.setattr(geometry, "_phases", recorded)
+    monkeypatch.setattr(AnnulusGeometry, "phases", recorded)
     build()
-    assert len({id(table) for table in seen}) == tables
+    assert len(seen) == tables
 
 
 @pytest.mark.parametrize(
@@ -371,10 +426,10 @@ def test_gram_window_guard(small_geo):
 
 def test_trapezoid_exact_on_trig_polynomials():
     geo = AnnulusGeometry(m_circle=16)
-    th = geo.angles()
     for k in range(1, 8):
-        assert abs(np.mean(np.exp(1j * k * th))) <= 1e-15
-    assert np.mean(np.exp(0j * th)) == pytest.approx(1.0)
+        assert abs(np.mean(geo.phases(k))) <= 1e-15
+        assert abs(np.mean(np.exp(1j * k * grid_angles(geo)))) <= 1e-15
+    assert np.mean(geo.phases(0)) == 1.0
 
 
 def test_bergman_norm_log_case():
@@ -450,10 +505,10 @@ def test_basis_weights_match_high_precision(n, r):
 
 @pytest.mark.parametrize("ev", [hardy_basis_eval, complement_basis_eval])
 @pytest.mark.parametrize("comp", ["C", "C0"])
-def test_array_degrees_give_the_scalar_rows(ev, comp, small_geo):
+def test_array_degrees_give_the_scalar_rows(ev, comp):
     ns = np.arange(-170, 171, 17)
-    t = small_geo.angles()
-    table = ev(ns, comp, t, 0.1)
-    assert table.shape == (len(ns), len(t))
+    g = AnnulusGeometry(R=0.1, m_circle=256)
+    table = ev(ns, comp, g)
+    assert table.shape == (len(ns), g.m_circle)
     for row, n in zip(table, ns):
-        assert np.array_equal(row, ev(int(n), comp, t, 0.1))
+        assert row.tobytes() == ev(int(n), comp, g).tobytes()

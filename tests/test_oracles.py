@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import grid_angles
 
 from annulab import bergman, geometry, hardy, reduction
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
@@ -69,7 +70,7 @@ def samples_only(monkeypatch, module, sampler, sym, geo):
 
 
 def loop_unitaries(size, geo):
-    t = geo.angles()
+    t = grid_angles(geo)
     U0 = np.zeros((size, size), dtype=complex)
     P0 = np.zeros((size, size), dtype=complex)
     for col in range(size):
@@ -83,7 +84,7 @@ def loop_unitaries(size, geo):
 
 
 def loop_inner_hankel(phi, size, geo):
-    t = geo.angles()
+    t = grid_angles(geo)
     vals = sample_symbol(phi, geo).on_C0
     H = np.zeros((size, size), dtype=complex)
     for k in range(size):
@@ -94,7 +95,7 @@ def loop_inner_hankel(phi, size, geo):
 
 
 def loop_split(phi, size, reach, geo):
-    t = geo.angles()
+    t = grid_angles(geo)
     vals = sample_symbol(phi, geo).on_C0
     js = np.arange(1, size + reach + 1)
     B, _ = basis_weights(js, geo.R)
@@ -115,7 +116,7 @@ def loop_split(phi, size, reach, geo):
 
 
 def loop_bergman(f, lo, hi, geo):
-    t = geo.angles()
+    t = grid_angles(geo)
     r, w = geo.radial_nodes()
     vals = sum(
         np.outer(f.bands[k].eval(r), np.exp(1j * k * t)) for k in f.live_bands
@@ -227,7 +228,7 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family
 
 def test_pairing_kernel_memory_stays_bounded():
     """The kernel's row blocks bound its sample buffers: the Gram at
-    W = 256, m = 2048 peaks at 52.4 MiB traced (66.3 MiB with all rows in
+    W = 256, m = 2048 peaks at 52.4 MiB traced (64.4 MiB with all rows in
     one block), and the section pair at the benchmark's toeplitz-build
     config stays below the same cap."""
     f = symbol()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulab import hardy, reduction
+from annulab import geometry, hardy, reduction
 from annulab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -23,6 +23,28 @@ def _one_offset_off(phi, size):
     ``phihat(-(j+1) - k)``."""
     hats = phi.hat(np.arange(0, -2 * size + 1, -1))
     return np.lib.stride_tricks.sliding_window_view(hats, size).copy()
+
+
+def _c0_one_degree_on(evaluate):
+    """The inner circle's hardy samples one degree further round: the angle
+    shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi / 180)``."""
+    def shifted(n, component, geo):
+        vals = evaluate(n, component, geo)
+        if component == "C0":
+            vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
+        return vals
+    return shifted
+
+
+def _lower_half_one_index_off(phases):
+    """A sampler that reads its roots table one index off on the lower
+    half-circle, as a conjugate mirror built one place off would: index
+    ``k + 1`` for every ``k`` past ``m / 2``."""
+    def sample(geo, n):
+        m = geo.m_circle
+        k = np.multiply.outer(np.asarray(n) % m, np.arange(m)) % m
+        return np.where(k > m // 2, phases(geo, 1)[(k + 1) % m], phases(geo, n))
+    return sample
 
 
 #: per row: the shipped config that must FAIL, the module and attribute the
@@ -43,6 +65,15 @@ DEFECTS = {
     "disc-hankel-one-offset-off": (
         "semicommutator", reduction, "build_disc_hankel",
         lambda build: _one_offset_off,
+    ),
+    "c0-hardy-samples-one-degree-on": (
+        "gram", geometry, "hardy_basis_eval", _c0_one_degree_on,
+    ),
+    "roots-table-one-index-off-gram": (
+        "gram", geometry.AnnulusGeometry, "phases", _lower_half_one_index_off,
+    ),
+    "roots-table-one-index-off-toeplitz-build": (
+        "toeplitz-build", geometry.AnnulusGeometry, "phases", _lower_half_one_index_off,
     ),
 }
 

@@ -164,8 +164,8 @@ def test_conjugate_reflection_identity_on_grid():
 def test_conjugate_reflection_nan_on_the_inner_circle_is_reported(monkeypatch):
     evaluate = reduction.hardy_basis_eval
 
-    def nan_on_c0(n, component, angles, R_):
-        vals = evaluate(n, component, angles, R_)
+    def nan_on_c0(n, component, geo_):
+        vals = evaluate(n, component, geo_)
         return vals * np.nan if component == "C0" else vals
 
     monkeypatch.setattr(reduction, "hardy_basis_eval", nan_on_c0)
@@ -254,15 +254,17 @@ def test_transfer_unitaries_are_identities():
 
 @pytest.mark.parametrize("size, m", [(12, 16384), (12, 64), (40, 256), (1, 16)])
 def test_transfer_unitaries_have_the_bits_of_two_exp_tables(size, m):
-    """One table over degrees 0..size, conjugated for P0, must give the
-    bits of the two tables exp(-i k t) and exp(i (k+1) t) themselves."""
+    """The two tables exp(-i k t) and exp(i (k+1) t), sampled one degree
+    at a time on the grid, give the bits of the unitaries, and both are
+    the identity to rounding."""
     geo = AnnulusGeometry(R=R, m_circle=m)
-    ks, t = np.arange(size), geo.angles()
+    ks = np.arange(size)
     analyze = reduction._analyze
-    P0 = analyze(reduction._flip(np.exp(-1j * np.multiply.outer(ks, t))), ks).T
-    U0 = analyze(reduction._flip(np.exp(1j * np.multiply.outer(ks + 1, t))), -(ks + 1)).T
+    P0 = analyze(reduction._flip(np.array([geo.phases(-k) for k in ks])), ks).T
+    U0 = analyze(reduction._flip(np.array([geo.phases(k + 1) for k in ks])), -(ks + 1)).T
     got = assemble_transfer_unitaries(size, geo)
     assert [a.tobytes() for a in got] == [U0.tobytes(), P0.tobytes()]
+    assert max(np.max(np.abs(a - np.eye(size))) for a in got) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
