@@ -138,9 +138,15 @@ def build_bergman_toeplitz(
 
 
 def polar_symbol_grid(f: PolarSymbol, geo: AnnulusGeometry) -> np.ndarray:
-    """Evaluate the banded symbol on the (radial, angular) grid."""
+    """Evaluate the banded symbol on the (radial, angular) grid.
+
+    A profile term ``r^d`` on ``[R, 1]`` reaches ``R^-|d|``: like a moment
+    at ``|s| = |d|``, :func:`check_moment_range` refuses a degree past the
+    float range, before any sample is taken."""
+    reach = max((abs(d) for k in f.live_bands for d in f.bands[k].coeffs), default=0)
+    check_moment_range(reach, geo.R)
     r, _ = geo.radial_nodes()
-    vals = np.zeros((geo.m_radial, geo.m_circle), dtype=complex)
+    vals = np.zeros((len(r), geo.m_circle), dtype=complex)
     for k, e in zip(f.live_bands, geo.phases(np.array(f.live_bands, dtype=int))):
         vals += np.outer(f.bands[k].eval(r), e)
     return vals
@@ -158,8 +164,20 @@ def build_bergman_section_quadrature(
     / r`` with ``tau`` of :func:`build_bergman_toeplitz` and ``rho_n = (R /
     r)^|n+1|`` below degree -1, ``r^(n+1)`` otherwise, both in [0, 1]: no
     window leaves the float range.  Only grid samples are read.
+
+    Resolution: with ``a = n + 1``, ``b = m + 1`` and ``dr = r ds``, a
+    profile term ``r^d`` makes the entry's radial integrand ``r^(a + b + d)
+    ds``, the exponential ``e^(lambda s)`` in ``s = log r`` at ``|lambda| <=
+    |a| + |b| + |d|`` (below degree -1 the factor ``(R / r)^|a|`` is ``r^a``
+    times the constant ``R^|a|``).  :func:`check_moment_range` keeps each
+    part within ``log(float max) / log(1/R)``: here the window's reach ``2
+    max |a|``, before any sample is read, and in :func:`polar_symbol_grid`
+    the profile's ``max |d|``.  So ``|lambda| log(1/R) <= 2 log(float max)``,
+    where the nodes' relative error bound is 4.2e-17
+    (:meth:`AnnulusGeometry.radial_nodes`).
     """
     lo, hi = _check_window(window)
+    check_moment_range(2 * max(abs(lo + 1), abs(hi + 1)), geo.R)
     r, w = geo.radial_nodes()
     ns = np.arange(lo, hi + 1)
     angular = _analyze(polar_symbol_grid(f, geo), np.subtract.outer(ns, ns))

@@ -24,6 +24,7 @@ from . import bergman, geometry, hardy, mellin, randgen, reduction, reference, r
 from .errors import AliasingError, FloatRangeError, IllConditionedError, WindowTooSmallError
 from .plotting import emit_plot
 from .symbols import (
+    MAX_INDEX,
     ExactSymbol,
     PolyProfile,
     constant_symbol,
@@ -68,7 +69,6 @@ class LabConfig:
     R: float = 0.5
     window: tuple[int, int] = (-24, 24)
     m_circle: int = 4096
-    m_radial: int = 128
     seed: int = 1
     experiment: str = ""
     symbol: str | None = None
@@ -77,13 +77,22 @@ class LabConfig:
     out: str = "lab-out"
 
     def geometry(self) -> geometry.AnnulusGeometry:
-        return geometry.AnnulusGeometry(self.R, self.m_circle, self.m_radial)
+        return geometry.AnnulusGeometry(self.R, self.m_circle)
 
 
 def _window(w) -> tuple[int, int]:
+    """The window's degrees, held to the bound ``MAX_INDEX`` of a symbol
+    file's indices.  The deepest int64 step that reads a degree ``n`` is the
+    Bergman builder's exponent ``k + 2n + 2 + d``, band ``k`` and profile
+    degree ``d`` each within ``MAX_INDEX``: at most ``4 MAX_INDEX + 2 = 2^63
+    - 2``.  Every other step takes less: the Hardy weights read ``|n|``,
+    :meth:`AnnulusGeometry.phases` reads ``n mod m_circle``, the oracles
+    differences of two degrees, and the probes add on Python ints."""
     lo, hi = w
     if any(isinstance(x, bool) or not isinstance(x, int) for x in w) or not lo < hi:
         raise ConfigError("config field 'window' must be two integers [lo, hi]")
+    if max(-lo, hi) > MAX_INDEX:
+        raise ConfigError(f"config field 'window' is past the bound {MAX_INDEX} in magnitude")
     return lo, hi
 
 
@@ -101,7 +110,6 @@ _FIELDS = {
     "R": ((int, float), lambda x: 0.0 < x < 1.0, float),
     "window": (list, lambda w: len(w) == 2, _window),
     "m_circle": (int, lambda x: x >= 8, None),
-    "m_radial": (int, lambda x: x >= 1, None),
     "seed": (int, lambda x: x >= 0, None),
     "experiment": (str, None, None),
     "symbol": (str, None, None),
@@ -134,7 +142,7 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
     if out_override is not None:
         cfg.out = out_override
     try:
-        cfg.geometry()  # validates R / m_circle / m_radial jointly
+        cfg.geometry()  # validates R / m_circle jointly
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _, key, need = _reads(cfg)
@@ -155,16 +163,17 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
     windowed section.  ``bytes`` is the largest dense array the experiment
     builds (or the sections it holds at once at its peak, derived below)
-    and ``field`` the config field that sizes it: mellin's Gauss-Legendre
-    companion matrix, ``8 m_radial^2``; for identities ``16 (DIAGRAM_SIZE +
-    1) m_circle``, over its transfer tables of ``DIAGRAM_SIZE`` rows, which
-    also bounds the split relations' largest arrays, ``16 size m_circle`` at
-    their ``size`` 10, whatever the symbol's reach; else the complex section,
-    ``16 side^2`` (``side`` the window width, ``2(2W+1)`` for gram,
-    ``max(sizes)`` for hankel-decay, whose sweep holds no section of its
-    own: its largest array is LAPACK's copy of the live ``L x L`` corner,
-    ``8 L^2`` for a real table and ``16 L^2`` for a complex one, with
-    ``L <= max(sizes)``), and the pairing kernel's spectra of
+    and ``field`` the config field that sizes it: for identities ``16
+    (DIAGRAM_SIZE + 1) m_circle``, over its transfer tables of
+    ``DIAGRAM_SIZE`` rows, which also bounds the split relations' largest
+    arrays, ``16 size m_circle`` at their ``size`` 10, whatever the symbol's
+    reach; for mellin 0, as it holds no section and no spectra (its arrays
+    grow with no field); else the complex section, ``16 side^2`` (``side``
+    the window width, ``2(2W+1)`` for gram, ``max(sizes)`` for
+    hankel-decay, whose sweep holds no section of its own: its largest
+    array is LAPACK's copy of the live ``L x L`` corner, ``8 L^2`` for a
+    real table and ``16 L^2`` for a complex one, with ``L <=
+    max(sizes)``), and the pairing kernel's spectra of
     ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
     three for toeplitz-build (hardy, complement and weighted hardy).
 
@@ -191,11 +200,9 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     if exp == "identities":
         return 2 * DIAGRAM_SIZE, "m_circle", 16 * (DIAGRAM_SIZE + 1) * cfg.m_circle
     width = hi - lo + 1
-    if exp == "mellin":
-        return width, "m_radial", 8 * cfg.m_radial**2
     side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
     spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
-    sections = 4 if exp == "semicommutator" else 10 if exp.startswith("zero-product") else 1
+    sections = {"mellin": 0, "semicommutator": 4, **dict.fromkeys(_HARNESSES, 10)}.get(exp, 1)
     arrays = ("window", 16 * sections * side**2), ("m_circle", 16 * spectra)
     return width, *max(arrays, key=lambda c: c[1])
 
@@ -358,9 +365,8 @@ def _run_mellin(cfg: LabConfig):
         max(map(abs, z)) + max(p.coeffs)
         for p, z in ((profile, zs), (target, zr), (witness, ZERO_SCAN))
     ), cfg.R)
-    geo = cfg.geometry()
     closed = mellin.mellin_transform(profile, zs, cfg.R).tolist()
-    quad = mellin.mellin_quadrature(profile, zs, geo).tolist()
+    quad = mellin.mellin_quadrature(profile, zs, cfg.geometry()).tolist()
     # moments blow up like R^-|z| on thin annuli, so compare to scale; the
     # built-in abs gives the scalar loop's bits (np.abs rounds the modulus
     # differently), and np.max keeps a NaN, which the built-in max would drop

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import AliasingError
 
 COMPONENTS = ("C", "C0")
+#: Gauss-Legendre node count, in log r, of every radial integral (see ``radial_nodes``)
+RADIAL_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,10 @@ class AnnulusGeometry:
         Number of uniform angular nodes per boundary circle.  Must be a
         power of two, at least 8, so the trapezoid rule integrates
         ``exp(i k t)`` exactly for ``|k| < m_circle``.
-    m_radial : int
-        Number of Gauss-Legendre nodes on ``[R, 1]`` for area integrals.
     """
 
     R: float = 0.5
     m_circle: int = 4096
-    m_radial: int = 128
 
     def __post_init__(self):
         if not 0.0 < self.R < 1.0:
@@ -48,8 +47,6 @@ class AnnulusGeometry:
             raise ValueError(
                 f"m_circle must be a power of two >= 8, got {self.m_circle}"
             )
-        if self.m_radial < 1:
-            raise ValueError(f"m_radial must be positive, got {self.m_radial}")
 
     def phases(self, n) -> np.ndarray:
         """Grid samples ``exp(i n t_j)``, ``t_j = 2 pi j / m``, ``m = m_circle``,
@@ -73,11 +70,30 @@ class AnnulusGeometry:
         return roots[np.bitwise_and(k, m - 1, out=k)]
 
     def radial_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes and weights mapped from [-1, 1] to [R, 1]."""
-        x, w = np.polynomial.legendre.leggauss(self.m_radial)
-        half = 0.5 * (1.0 - self.R)
-        mid = 0.5 * (1.0 + self.R)
-        return mid + half * x, half * w
+        """Nodes ``r`` on ``[R, 1]`` and weights for ``integral dr``: the
+        ``RADIAL_NODES`` Gauss-Legendre nodes ``x`` placed in ``s = log r``
+        on ``[log R, 0]``, ``r = e^s`` and weights ``(L / 2) w r`` (``dr = r
+        ds``), ``L = log(1/R)``.
+
+        On ``s`` a moment ``integral r^(lambda - 1) dr`` is ``integral
+        e^(lambda s) ds``, which maps onto ``[-1, 1]`` as ``e^(Lambda x / 2)``
+        up to a constant factor, with ``Lambda = |lambda| L``.  Gauss
+        quadrature on ``n`` nodes of an ``f`` analytic in the Bernstein
+        ellipse ``E_rho`` errs by at most ``(64/15) M rho^(-2n) / (rho^2 -
+        1)``, ``M`` the largest ``|f|`` on it (Trefethen, *Approximation
+        Theory and Approximation Practice*, Thm 19.3).  Here ``M = e^(Lambda
+        (rho + 1/rho) / 4)``, against an integral of ``e^(Lambda / 2) 2 (1 -
+        e^(-Lambda)) / Lambda`` for real ``lambda``.  At ``n = 128`` the
+        relative bound, minimized over ``rho``, is 1.4e-36 at ``Lambda =
+        log(float max) = 709.8``, the largest ``Lambda`` that
+        ``mellin.check_moment_range`` admits, whatever ``R``; it is 2.2e-17
+        at 1400, 4.2e-17 at twice 709.8 and 2.8e-12 at 1851.  So every
+        moment a run may read is resolved to rounding by this one count.
+        """
+        x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
+        half = -0.5 * np.log(self.R)
+        r = np.exp(half * (x - 1.0))
+        return r, half * w * r
 
 
 class BoundaryData(NamedTuple):

@@ -64,11 +64,15 @@ def mellin_transform(profile: PolyProfile, z, R: float):
 
 
 def mellin_quadrature(profile: PolyProfile, z, geo: AnnulusGeometry):
-    """Gauss-grid evaluation of the transform, used as an independent oracle."""
+    """Gauss-grid evaluation of the transform, used as an independent oracle,
+    on the log-radial nodes of :meth:`AnnulusGeometry.radial_nodes`.
+    ``np.float_power`` rounds each element as C ``pow`` does, so an array
+    ``z`` gives each scalar call's bits (``**`` takes a vector loop that
+    rounds otherwise)."""
     r, w = geo.radial_nodes()
     z = np.asarray(z)
     zz = z.reshape(z.shape + (1,))
-    vals = np.sum(w * profile.eval(r) * r ** (zz - 1.0), axis=-1)
+    vals = np.sum(w * profile.eval(r) * np.float_power(r, zz - 1.0), axis=-1)
     return vals if vals.ndim else complex(vals[()])
 
 

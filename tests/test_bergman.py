@@ -26,7 +26,7 @@ one = PolyProfile({0: 1.0 + 0.0j})
 
 
 def area_geo() -> AnnulusGeometry:
-    return AnnulusGeometry(R=R, m_circle=64, m_radial=48)
+    return AnnulusGeometry(R=R, m_circle=64)
 
 
 def area_pairing(u, v, geo):

@@ -25,7 +25,7 @@ from annulab.symbols import (
     MAX_INDEX, PolarSymbol, PolyProfile, constant_symbol, write_symbol,
 )
 
-FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "m_radial": 64, "window": [-10, 10]}
+FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "window": [-10, 10]}
 
 
 def run_lab(tmp_path, experiment, doc, name="cfg.json", out="out"):
@@ -272,6 +272,21 @@ def test_shipped_config_runs_clean(tmp_path, config):
     experiment = json.loads(config.read_text())["experiment"]
     code = main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R, code", [
+    (1e-40, 2), (1e-20, 2), (1e-6, 2), (0.001, 2), (0.005, 0), (0.5, 2), (0.7, 2),
+    (0.9, 2), (0.99, 2), (None, 2),
+])
+def test_mellin_passes_or_is_refused_at_every_radius(tmp_path, R, code):
+    """The log-radial nodes resolve every moment the range rule admits, so
+    no radius FAILs the closed-form row: a run passes, or the range or
+    conditioning rule refuses it (``None``: the default R).  R 0.005 is
+    where nodes linear in r would FAIL the row (1.02e-10 against 1e-10)."""
+    got, outdir = run_lab(tmp_path, "mellin", {} if R is None else {"R": R})
+    assert got == code
+    assert outdir.exists() == (code == 0)
 
 
 def test_mellin_runs_clean_on_thin_annulus(tmp_path):
@@ -649,6 +664,40 @@ def test_symbol_index_at_the_bound_computes_or_exits_2(tmp_path, capsys, experim
         assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+@pytest.mark.parametrize("window", [[10**30, 10**30 + 1], [2**63 - 2, 2**63 - 1]],
+                         ids=["1e30", "int64-top"])
+def test_window_past_the_index_bound_exits_2(tmp_path, capsys, window):
+    """A window bound past ``MAX_INDEX`` is refused as the config is read,
+    with one line: at 10^30 the degrees would form an object array, and at
+    2^63 - 1 the window's top would overflow int64."""
+    code, outdir = run_lab(tmp_path, "toeplitz-build", dict(FAST, window=window))
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config field 'window'")
+
+
+@pytest.mark.parametrize("experiment", ["toeplitz-build", "zero-product-hardy"])
+@pytest.mark.parametrize("window", [[MAX_INDEX - 20, MAX_INDEX], [-MAX_INDEX, 20 - MAX_INDEX]],
+                         ids=["bound", "-bound"])
+def test_window_at_the_index_bound_computes(tmp_path, experiment, window):
+    """A window that reaches the bound itself is read by the builders, the
+    oracle and the probe without an int64 step overflowing, and passes."""
+    code, _ = run_lab(tmp_path, experiment, dict(FAST, window=window))
+    assert code == 0
+
+
+def test_radial_node_count_is_not_a_config_field(tmp_path, capsys):
+    """The radial quadrature takes a fixed node count
+    (``geometry.RADIAL_NODES``): a config that sets ``m_radial`` is refused
+    as an unknown field, with one line, before any directory exists."""
+    code, outdir = run_lab(tmp_path, "mellin", {"R": 0.1, "m_radial": 32})
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown config field 'm_radial'"]
+
+
 def test_unknown_config_field_exits_2(tmp_path, capsys):
     code, _ = run_lab(tmp_path, "gram", {"R": 0.5, "radius": 0.5})
     assert code == 2
@@ -686,7 +735,10 @@ def _field_cases():
         ("window", [True, 2], window),
         ("m_circle", 512.0, wrong_type), ("m_circle", 4, out_of_range),
         ("m_circle", 100, "m_circle must be a power of two >= 8, got 100"),
-        ("m_radial", "64", wrong_type), ("m_radial", 0, out_of_range),
+        # the radial node count is a constant, and a window bound an index
+        ("m_radial", 32, "unknown config field 'm_radial'"),
+        ("window", [MAX_INDEX, MAX_INDEX + 1],
+         f"config field 'window' is past the bound {MAX_INDEX} in magnitude"),
         ("seed", 1.5, wrong_type), ("seed", -1, out_of_range),
         # here, so the generated ids of the list cases below keep their indices
         ("R", float("nan"), out_of_range), ("symbol", None, wrong_type),
@@ -935,8 +987,8 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
         ("zero-product-hardy", {"window": [-100000, 100000]}, "window"),
         # 2**40 samples per degree row: the angular grid alone is 8 TiB
         ("gram", {"m_circle": 2**40}, "m_circle"),
-        # the Gauss-Legendre companion matrix: 7.28 TiB
-        ("mellin", {"m_radial": 10**6}, "m_radial"),
+        # three spectrum rows of 2**40 samples for each of 49 degrees: 2.3 PiB
+        ("toeplitz-build", {"m_circle": 2**40}, "m_circle"),
         # the 13 x 2**40 transfer table: 208 TiB
         ("identities", {"m_circle": 2**40}, "m_circle"),
     ],
@@ -976,12 +1028,17 @@ def test_parse_config_refuses_a_bad_grid_as_config_error():
 
 def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
     """A grid no section of the experiment reaches is not counted: neither
-    zero-product harness samples a grid."""
+    zero-product harness samples a grid.  mellin builds no array that grows
+    with a config field, so neither its grid nor a window of 2 * 10^12 + 1
+    degrees is refused, and the run completes."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m_circle": 2**40, "m_radial": 10**6}))
+    cfg.write_text(json.dumps({"m_circle": 2**40}))
     for experiment in ("zero-product-hardy", "zero-product-bergman"):
-        loaded = load_config(cfg, experiment)
-        assert (loaded.m_circle, loaded.m_radial) == (2**40, 10**6)
+        assert load_config(cfg, experiment).m_circle == 2**40
+    doc = {"R": 0.1, "m_circle": 2**40, "window": [-10**12, 10**12]}
+    loaded = parse_config(doc, "mellin", None)
+    assert (loaded.m_circle, loaded.window) == (2**40, (-10**12, 10**12))
+    assert run_lab(tmp_path, "mellin", doc)[0] == 0
 
 
 def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):

@@ -17,6 +17,7 @@ from conftest import grid_angles
 
 from annulab import bergman, geometry, hardy, reduction
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
+from annulab.errors import FloatRangeError
 from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const, gram_matrix
 from annulab.hardy import build_section_quadrature
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
@@ -160,7 +161,7 @@ def test_split_relations_match_loop():
 
 @pytest.mark.parametrize("lo", [-1, 3])
 def test_bergman_quadrature_matches_loop(lo):
-    geo = AnnulusGeometry(R=R, m_circle=64, m_radial=16)
+    geo = AnnulusGeometry(R=R, m_circle=64)
     f = random_polar_symbol(Lcg(29), -2, 3, 3)
     hi = lo + SIZE - 1
     got = build_bergman_section_quadrature(f, (lo, hi), geo)
@@ -194,7 +195,7 @@ def area_oracle(f, geo):
     ids=["inner-hankel", "hardy-section", "bergman-section"],
 )
 def test_oracle_reads_only_grid_samples(monkeypatch, oracle, module, sampler, make):
-    geo = AnnulusGeometry(R=R, m_circle=64, m_radial=16)
+    geo = AnnulusGeometry(R=R, m_circle=64)
     f = make()
     want = oracle(f, geo)
     got = oracle(samples_only(monkeypatch, module, sampler, f, geo), geo)
@@ -275,3 +276,16 @@ def test_oracles_at_size_256():
     quad = build_bergman_section_quadrature(f, (-64, 64), AnnulusGeometry())
     sec = build_bergman_toeplitz(f, (-64, 64), R)
     assert np.max(np.abs(sec - quad)) <= 1e-10
+
+
+def test_bergman_quadrature_resolves_deep_windows_or_refuses():
+    """At R 0.1 on (-150, -130) the log-radial nodes give the builder's
+    entries (size 1) to 1.6e-12; nodes linear in r would be 7.7e-10 off.
+    On (-400, -380) the exponent reach 2 * 399 passes the moment range,
+    ``798 log(10) > log(float max)``, so the oracle refuses the window."""
+    f = random_polar_symbol(Lcg(4), -2, 3, 3)
+    geo = AnnulusGeometry(R=0.1)
+    quad = build_bergman_section_quadrature(f, (-150, -130), geo)
+    assert np.max(np.abs(quad - build_bergman_toeplitz(f, (-150, -130), 0.1))) <= 1e-10
+    with pytest.raises(FloatRangeError):
+        build_bergman_section_quadrature(f, (-400, -380), geo)

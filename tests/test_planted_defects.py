@@ -47,6 +47,15 @@ def _lower_half_one_index_off(phases):
     return sample
 
 
+def _without_jacobian(nodes):
+    """Radial weights for ``integral ds``, not ``integral dr``: the factor
+    ``r`` of ``dr = r ds`` dropped from the log-radial weights."""
+    def radial_nodes(geo):
+        r, w = nodes(geo)
+        return r, w / r
+    return radial_nodes
+
+
 #: per row: the shipped config that must FAIL, the module and attribute the
 #: mutation rebinds, and the mutation as a function of the original
 DEFECTS = {
@@ -74,6 +83,9 @@ DEFECTS = {
     ),
     "roots-table-one-index-off-toeplitz-build": (
         "toeplitz-build", geometry.AnnulusGeometry, "phases", _lower_half_one_index_off,
+    ),
+    "radial-weights-without-jacobian": (
+        "mellin", geometry.AnnulusGeometry, "radial_nodes", _without_jacobian,
     ),
 }
 

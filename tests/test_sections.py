@@ -315,7 +315,7 @@ def contract_sections():
     the disc, and the side it must have.
     The quadrature builder returns its Toeplitz and Hankel sections as a pair."""
     f, p = random_boundary_symbol(Lcg(5), 3), polar_symbol(Lcg(5))
-    geo = AnnulusGeometry(R=0.5, m_circle=64, m_radial=48)
+    geo = AnnulusGeometry(R=0.5, m_circle=64)
     quad_toeplitz, quad_hankel = build_section_quadrature(f, (-6, 6), geo)
     return {
         "build_toeplitz_hardy": (build_toeplitz_hardy(f, (-6, 6), 0.5), 13),
