@@ -79,7 +79,11 @@ def build_bergman_toeplitz(
     [0, 1], ``M(|s|)`` in (0, -log R] and ``tau`` is finite, so no window
     leaves the float range.  A negative degree, which only an API caller
     can pass, can make ``E < 0``: :func:`check_moment_range` refuses the
-    smallest ``E`` when ``R^E`` would overflow.
+    smallest ``E`` when ``R^E`` would overflow.  The cases also bound ``E``
+    above, by ``max(0, d)`` or by ``|b|`` (``|a|``) where the window holds
+    degree -1 and ``|b| <= hi - lo``, and every ``s`` lies in ``2 lo + 2 +
+    [min(0, d), 2 (hi - lo) + max(0, d)]``: both tables grow with the
+    window's width, not its magnitude.
 
     Operation order: ``R^E`` from one ``np.float_power`` call and ``M(|s|)``
     from one :func:`monomial_moment` call, each over the range of its
@@ -102,17 +106,21 @@ def build_bergman_toeplitz(
     degree = np.array([[*d, *z] for d, z in zip(tables, pad)], dtype=int)
     degree = degree.reshape(len(tables), width)  # also when there is no band
     coeffs = np.array([[*d.values(), *z] for d, z in zip(tables, pad)], dtype=complex)
-    # band k sends column n to row n + k; one sent outside reads s = E = 0
+    # band k sends column n to row n + k; one sent outside reads E = 0 and
+    # the s of m = n = lo at degree 0, within the spread of the window's s
     inside = (n + band >= lo) & (n + band <= hi)
     rows = np.where(inside, n - lo + band, 0)
     e = np.maximum(0, -(n + 1))
-    s = np.where(inside[:, None], (band + 2 * n + 2)[:, None] + degree[..., None], 0)
+    outside = 2 * lo + 2
+    s = np.where(inside[:, None], (band + 2 * n + 2)[:, None] + degree[..., None], outside)
     E = np.where(inside[:, None], (e[rows] + e)[:, None] + np.minimum(0, s), 0)
     low = E.min(initial=0)
     check_moment_range(-low, R)
     # R^E and M(|s|), each taken once per integer of its range and gathered
+    a = np.abs(s)
+    a0 = a.min(initial=abs(outside))
     term = (np.float_power(R, np.arange(low, E.max(initial=0) + 1))[E - low]
-            * monomial_moment(np.arange(np.abs(s).max(initial=0) + 1), R)[np.abs(s)])
+            * monomial_moment(np.arange(a0, a.max(initial=0) + 1), R)[a - a0])
     # every band adds all width columns, and a padded add keeps the bits: its
     # coefficient is 0 and its term R^E M(|s|) finite (degree 0 gives E >= 0),
     # so it adds a zero of either sign, and x + 0 is x for every x but -0,

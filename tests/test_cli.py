@@ -687,6 +687,16 @@ def test_window_at_the_index_bound_computes(tmp_path, experiment, window):
     assert code == 0
 
 
+@pytest.mark.parametrize("window", [[10**10, 10**10 + 30], [2**61 - 29, 2**61 - 1]],
+                         ids=["1e10", "bound"])
+def test_far_bergman_window_computes(tmp_path, window):
+    """The Bergman builder's tables of ``R^E`` and of the moments span the
+    window's width, not its magnitude (ROADMAP item 10): a far window of 31
+    or 29 degrees computes and passes."""
+    code, _ = run_lab(tmp_path, "zero-product-bergman", dict(FAST, window=window))
+    assert code == 0
+
+
 def test_radial_node_count_is_not_a_config_field(tmp_path, capsys):
     """The radial quadrature takes a fixed node count
     (``geometry.RADIAL_NODES``): a config that sets ``m_radial`` is refused

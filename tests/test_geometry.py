@@ -71,13 +71,21 @@ def _swapped_complement(n, component, g):
     return geometry._on_circle(n, component, g, -B, A)
 
 
+def _c0_shifted(evaluate):
+    """An evaluator whose inner-circle samples are taken one degree further
+    round: the angle shift ``t -> t + pi / 180`` as its phase factor ``exp(i
+    n pi / 180)``."""
+    def shifted(n, component, g):
+        vals = evaluate(n, component, g)
+        if component == "C0":
+            vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
+        return vals
+    return shifted
+
+
 def _hardy_c0_shifted(n, component, g):
-    """The inner circle's samples taken one degree further round: the angle
-    shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi / 180)``."""
-    vals = hardy_basis_eval(n, component, g)
-    if component == "C0":
-        vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
-    return vals
+    """The hardy family's inner-circle samples one degree further round."""
+    return _c0_shifted(hardy_basis_eval)(n, component, g)
 
 
 def _per_pair_gram(g, ns):
@@ -396,6 +404,62 @@ def test_phase_tables_built_per_call(monkeypatch, build, tables):
     monkeypatch.setattr(AnnulusGeometry, "phases", recorded)
     build()
     assert len(seen) == tables
+
+
+def _fft_calls(monkeypatch, build):
+    """The number of ``numpy.fft.fft`` calls ``build`` makes, and its result."""
+    fft, calls = np.fft.fft, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fft(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "fft", counted)
+        got = build()
+    return len(calls), got
+
+
+@pytest.mark.parametrize(
+    "build, ffts",
+    [
+        (lambda: build_section_quadrature(
+            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 6),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4),
+    ],
+    ids=["section-pair", "gram"],
+)
+def test_fft_count_of_the_pairing_kernel(monkeypatch, build, ffts):
+    """One FFT per family and block on each circle, and one for the weighted
+    hardy columns, in the section pair (one block, two circles); the Gram
+    transforms only the unit circle's two blocks, and reads C0's spectra
+    off C's."""
+    assert _fft_calls(monkeypatch, build)[0] == ffts
+
+
+@pytest.mark.parametrize("R_, m, W", [(R, 2048, 256), (0.1, 256, 20), (0.9, 64, 31), (0.5, 8, 3)])
+def test_gram_mirror_matches_the_per_circle_path_bit_for_bit(monkeypatch, R_, m, W):
+    """C0's ``(E, own)`` read off C's (rows swapped, the new complement half
+    negated) gives the Gram that transforming C0 itself gives, bit for bit:
+    an ``np.array_equal`` that never matches forces the per-circle path."""
+    g = AnnulusGeometry(R=R_, m_circle=m)
+    ffts, G = _fft_calls(monkeypatch, lambda: gram_matrix(g, W))
+    monkeypatch.setattr(np, "array_equal", lambda *_: False)
+    ffts_per_circle, G_per_circle = _fft_calls(monkeypatch, lambda: gram_matrix(g, W))
+    assert ffts_per_circle == 2 * ffts
+    assert G.tobytes() == G_per_circle.tobytes()
+
+
+@pytest.mark.parametrize("name", ["hardy_basis_eval", "complement_basis_eval"])
+def test_gram_falls_back_on_a_c0_only_defect(monkeypatch, name):
+    """A family's inner-circle samples one degree further round match no
+    mirror of the unit circle's: the Gram transforms C0 itself (8 FFTs at
+    +-256 on 2048 nodes) and the defect shows in its deviation (at R 0.5 it
+    moves G by 8.2e-3)."""
+    monkeypatch.setattr(geometry, name, _c0_shifted(getattr(geometry, name)))
+    ffts, G = _fft_calls(monkeypatch, lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256))
+    assert ffts == 8
+    assert np.max(np.abs(G - np.eye(len(G)))) > 5e-3
 
 
 @pytest.mark.parametrize(

@@ -229,9 +229,9 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family
 
 def test_pairing_kernel_memory_stays_bounded():
     """The kernel's row blocks bound its sample buffers: the Gram at
-    W = 256, m = 2048 peaks at 52.4 MiB traced (64.4 MiB with all rows in
-    one block), and the section pair at the benchmark's toeplitz-build
-    config stays below the same cap."""
+    W = 256, m = 2048 peaks at 52.2 MiB traced (64.4 MiB with all rows in
+    one block, before C0 was read off C's spectra), and the section pair at
+    the benchmark's toeplitz-build config stays below the same cap."""
     f = symbol()
     tracemalloc.start()
     try:

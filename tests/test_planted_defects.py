@@ -26,8 +26,9 @@ def _one_offset_off(phi, size):
 
 
 def _c0_one_degree_on(evaluate):
-    """The inner circle's hardy samples one degree further round: the angle
-    shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi / 180)``."""
+    """A basis family's inner-circle samples one degree further round: the
+    angle shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi /
+    180)``."""
     def shifted(n, component, geo):
         vals = evaluate(n, component, geo)
         if component == "C0":
@@ -77,6 +78,9 @@ DEFECTS = {
     ),
     "c0-hardy-samples-one-degree-on": (
         "gram", geometry, "hardy_basis_eval", _c0_one_degree_on,
+    ),
+    "c0-complement-samples-one-degree-on": (
+        "gram", geometry, "complement_basis_eval", _c0_one_degree_on,
     ),
     "roots-table-one-index-off-gram": (
         "gram", geometry.AnnulusGeometry, "phases", _lower_half_one_index_off,
