@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, ZeroProductReport, _check_window, _probe
+from .hardy import UNCONSTRAINED, ZeroProductReport, _band_entries, _check_window, _probe
 from .mellin import check_moment_range, mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
@@ -85,13 +85,16 @@ def build_bergman_toeplitz(
     [min(0, d), 2 (hi - lo) + max(0, d)]``: both tables grow with the
     window's width, not its magnitude.
 
-    Operation order: ``R^E`` from one ``np.float_power`` call and ``M(|s|)``
-    from one :func:`monomial_moment` call, each over the range of its
-    integers and gathered over a ``[band, degree, column]`` array, the bands
-    of every symbol in turn; each band's terms ``c_d (R^E M(|s|))`` summed
-    over its table in the table's own order, all bands at once; each entry
-    ``(tau_m tau_n)`` times that sum.  So each section matches the per-entry
-    loop in that order bit for bit whatever the order of bands and degrees.
+    Operation order: the entries are those of
+    :func:`annulab.hardy._band_entries` over the live bands of every symbol
+    in turn, so ``s``, ``E`` and ``tau`` are taken at the window's images
+    only; ``R^E`` from one ``np.float_power`` call and ``M(|s|)`` from one
+    :func:`monomial_moment` call, each over the range of its integers at
+    those entries and gathered over an ``[entry, degree]`` array; each
+    entry's terms ``c_d (R^E M(|s|))`` summed over its band's table in the
+    table's own order, all entries at once; each entry ``(tau_m tau_n)``
+    times that sum.  So each section matches the per-entry loop in that
+    order bit for bit whatever the order of bands and degrees.
     """
     single = isinstance(f, PolarSymbol)
     fs = [f] if single else list(f)
@@ -99,40 +102,35 @@ def build_bergman_toeplitz(
     # one row per live band of each symbol: the symbol's index and the band
     live = [(i, k) for i, sym in enumerate(fs) for k in sym.live_bands]
     owner = np.array([i for i, _ in live], dtype=int)
-    band, n = np.array([k for _, k in live], dtype=int)[:, None], np.arange(lo, hi + 1)
     tables = [fs[i].bands[k].coeffs for i, k in live]
     width = max(map(len, tables), default=0)
     pad = [[0] * (width - len(d)) for d in tables]
     degree = np.array([[*d, *z] for d, z in zip(tables, pad)], dtype=int)
-    degree = degree.reshape(len(tables), width)  # also when there is no band
     coeffs = np.array([[*d.values(), *z] for d, z in zip(tables, pad)], dtype=complex)
-    # band k sends column n to row n + k; one sent outside reads E = 0 and
-    # the s of m = n = lo at degree 0, within the spread of the window's s
-    inside = (n + band >= lo) & (n + band <= hi)
-    rows = np.where(inside, n - lo + band, 0)
+    # band k sends column n to row n + k: one entry per image inside the window
+    n = np.arange(lo, hi + 1)
+    band, row, col = _band_entries(np.array([k for _, k in live], dtype=int), len(n))
     e = np.maximum(0, -(n + 1))
-    outside = 2 * lo + 2
-    s = np.where(inside[:, None], (band + 2 * n + 2)[:, None] + degree[..., None], outside)
-    E = np.where(inside[:, None], (e[rows] + e)[:, None] + np.minimum(0, s), 0)
+    s = (n[row] + n[col] + 2)[:, None] + degree[band]
+    E = (e[row] + e[col])[:, None] + np.minimum(0, s)
     low = E.min(initial=0)
     check_moment_range(-low, R)
     # R^E and M(|s|), each taken once per integer of its range and gathered
     a = np.abs(s)
-    a0 = a.min(initial=abs(outside))
+    top = a.max(initial=0)
+    a0 = a.min(initial=top)
     term = (np.float_power(R, np.arange(low, E.max(initial=0) + 1))[E - low]
-            * monomial_moment(np.arange(a0, a.max(initial=0) + 1), R)[a - a0])
+            * monomial_moment(np.arange(a0, top + 1), R)[a - a0])
     # every band adds all width columns, and a padded add keeps the bits: its
     # coefficient is 0 and its term R^E M(|s|) finite (degree 0 gives E >= 0),
     # so it adds a zero of either sign, and x + 0 is x for every x but -0,
     # which a sum that starts at +0 never holds
-    profile = np.zeros(inside.shape, dtype=complex)
+    profile = np.zeros(len(band), dtype=complex)
     for j in range(width):
-        profile += coeffs[:, j, None] * term[:, j]
+        profile += coeffs[band, j] * term[:, j]
     tau = bergman_norm_const(np.abs(n + 1) - 1, R)
-    val = (tau[rows] * tau) * profile
-    b, col = np.nonzero(inside)
     ent = np.zeros((len(fs), len(n), len(n)), dtype=complex)
-    ent[owner[b], rows[b, col], col] += val[b, col]
+    ent[owner[band], row, col] += (tau[row] * tau[col]) * profile
     for sec, sym in zip(ent, fs):
         if not sym.is_zero() and not sec.any():
             raise WindowTooSmallError(

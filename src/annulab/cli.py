@@ -178,22 +178,30 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     three for toeplitz-build (hardy, complement and weighted hardy).
 
     Two experiments hold several sections at once, counted in sections of
-    ``16 side^2`` bytes; every builder writes into its one result.
+    ``16 side^2`` bytes.  A two-circle builder holds its result and, per
+    entry of :func:`hardy._band_entries`, three int64 indices, both terms'
+    gathered coefficients and weighted values, and their sum: ``1 + 6.5
+    f`` sections when its bands fill the fraction ``f`` of the section.
     ``hardy._semicommutator_residual``, annulus and disc, holds 3 in its
     first band product, then keeps ``T_phi T_psi`` beside the conjugated
     Hankel section of ``phi`` (``.conj()`` frees the built one), that of
-    ``psi`` and their band product: 4, ``64 side^2``; its residual holds
-    3 (tracemalloc reads 4.0 at side 801).  A zero-product stack fits
-    ``hardy._STACK_BYTES`` (1 MiB) or holds one trial, so where a refusal
-    can fall it is one section.  ``T_f``, ``T_g`` and their product are
-    alive from the band product through the ladder: 3.  The ladder over
-    ``k <= side`` columns adds up to six complex ``side x k`` blocks (its
-    column copy, the normalized one, ``qr``'s copy, ``Q``, and LAPACK's
-    copies of the matrix and of ``Q``) and, in Bergman, real identity
-    columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound each phase with
-    room for the allocator's slack: a lone trial's full-width ladder at
-    side 801 grew the resident set by 9.6 sections in Hardy, 9.8 in
-    Bergman."""
+    ``psi`` and their band product: 4; its residual holds 3 (tracemalloc
+    reads 4.0 at side 801 for the reach-4 symbols it draws).  Its bands
+    keep ``a + b < side / 2``, so ``f < 3/4``, and the Hankel section of
+    ``psi``, built beside the two it keeps, peaks below ``3 + 4.9``: 9,
+    ``144 side^2`` (``psi`` of reach 400 beside a constant ``phi`` read
+    7.9 traced at side 801, and grew the resident set by 8.9).  A
+    zero-product stack fits ``hardy._STACK_BYTES`` (1 MiB) or holds one
+    trial, so where a refusal can fall it is one section; its reach-4
+    trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g`` and
+    their product are alive from the band product through the ladder: 3.
+    The ladder over ``k <= side`` columns adds up to six complex ``side x
+    k`` blocks (its column copy, the normalized one, ``qr``'s copy, ``Q``,
+    and LAPACK's copies of the matrix and of ``Q``) and, in Bergman, real
+    identity columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound each
+    phase with room for the allocator's slack: a lone trial's full-width
+    ladder at side 801 grew the resident set by 9.6 sections in Hardy, 9.8
+    in Bergman."""
     (lo, hi), exp = cfg.window, cfg.experiment
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
@@ -202,7 +210,7 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     width = hi - lo + 1
     side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
     spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
-    sections = {"mellin": 0, "semicommutator": 4, **dict.fromkeys(_HARNESSES, 10)}.get(exp, 1)
+    sections = {"mellin": 0, "semicommutator": 9, **dict.fromkeys(_HARNESSES, 10)}.get(exp, 1)
     arrays = ("window", 16 * sections * side**2), ("m_circle", 16 * spectra)
     return width, *max(arrays, key=lambda c: c[1])
 

@@ -65,6 +65,21 @@ def band_product(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _band_entries(bands: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every position of a ``size x size`` section that the integer
+    ``bands`` reach, as index arrays ``(band, row, col)``: band ``bands[i]``
+    sends column ``c`` to row ``c + bands[i]``, and its entries, one per
+    column that keeps the row inside the section, carry ``band = i``.  They
+    are listed in the order of ``bands``, then by column; a band of ``|k| >=
+    size`` has none.
+    """
+    count = np.maximum(size - np.abs(bands), 0)
+    band = np.repeat(np.arange(len(bands)), count)
+    # an entry's column: its place past its band's first entry, plus that band's first column
+    col = np.arange(len(band)) - np.repeat(np.cumsum(count) - count - np.maximum(-bands, 0), count)
+    return band, col + bands[band], col
+
+
 def _band_sections(tables, weights, size: int, bandwidth: int, combine=np.add) -> np.ndarray:
     """Stacked ``size x size`` sections written only on the diagonals
     ``|a - b| <= bandwidth``, zero elsewhere.  ``tables`` holds one list of
@@ -73,18 +88,18 @@ def _band_sections(tables, weights, size: int, bandwidth: int, combine=np.add) -
     Entry ``(a, b)`` of a term is ``t(a - b) * (u[a] * v[b])``, in that
     order: the bits of ``t * np.outer(u, v)``, signed zeros included.
     Terms are joined by ``combine``.  One :func:`_read` takes every table
-    at the band's offsets, and each diagonal is one strided slice.
+    at the band's offsets; the terms are formed at the entries of
+    :func:`_band_entries` only and written into the stack in one flat
+    assignment.
     """
     w = min(bandwidth, size - 1)
-    hats = _read([t for term in tables for t in term], np.arange(-w, w + 1))
-    hats = hats.reshape(len(tables), len(tables[0]), 2 * w + 1)
-    out = np.zeros((hats.shape[1], size * size), dtype=complex)
-    for d in range(-w, w + 1):
-        n, a, b = size - abs(d), max(d, 0), max(-d, 0)  # diagonal d starts at (a, b)
-        terms = [t if uv is None else t * (uv[0][a : a + n] * uv[1][b : b + n])
-                 for t, uv in zip(hats[..., d + w, None], weights)]
-        out[:, a * size + b :: size + 1][:, :n] = reduce(combine, terms)
-    return out.reshape(-1, size, size)
+    band, row, col = _band_entries(np.arange(-w, w + 1), size)
+    hats = np.take(_read([t for term in tables for t in term], np.arange(-w, w + 1)), band, -1)
+    hats = hats.reshape(len(tables), len(tables[0]), len(band))
+    terms = [t if uv is None else t * (uv[0][row] * uv[1][col]) for t, uv in zip(hats, weights)]
+    out = np.zeros((hats.shape[1], size, size), dtype=complex)
+    out[:, row, col] = reduce(combine, terms)
+    return out
 
 
 def build_toeplitz_hardy(

@@ -1093,11 +1093,11 @@ def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_rule_sizes_the_semicommutator_peak(tmp_path, capsys, monkeypatch):
-    """The identity holds four sections at once (``cli._reads``): a host
-    one byte short of four over +-48 refuses the window with one line and
-    no output, before any section is built; four exactly are accepted."""
+    """The identity holds up to nine sections at once (``cli._reads``): a
+    host one byte short of nine over +-48 refuses the window with one line
+    and no output, before any section is built; nine exactly are accepted."""
     doc = {"window": [-48, 48]}
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 16 * 97**2 - 1}
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 16 * 97**2 - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
     def no_build(*args):

@@ -57,6 +57,17 @@ def _without_jacobian(nodes):
     return radial_nodes
 
 
+def _negative_bands_one_row_lower(entries):
+    """The section entry map with every entry of a negative band one row
+    lower, the entries that leave the section dropped."""
+    def shifted(bands, size):
+        band, row, col = entries(bands, size)
+        row = np.where(bands[band] < 0, row + 1, row)
+        keep = row < size
+        return band[keep], row[keep], col[keep]
+    return shifted
+
+
 #: per row: the shipped config that must FAIL, the module and attribute the
 #: mutation rebinds, and the mutation as a function of the original
 DEFECTS = {
@@ -90,6 +101,9 @@ DEFECTS = {
     ),
     "radial-weights-without-jacobian": (
         "mellin", geometry.AnnulusGeometry, "radial_nodes", _without_jacobian,
+    ),
+    "band-entries-one-row-off": (
+        "toeplitz-build", hardy, "_band_entries", _negative_bands_one_row_lower,
     ),
 }
 

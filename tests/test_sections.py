@@ -14,11 +14,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from annulab import bergman
 from annulab.bergman import build_bergman_section_quadrature, build_bergman_toeplitz
 from annulab.cli import main
 from annulab.errors import FloatRangeError
 from annulab.geometry import AnnulusGeometry, basis_weights, bergman_norm_const
 from annulab.hardy import (
+    _band_entries,
     _band_sections,
     build_hankel_annulus,
     build_section_quadrature,
@@ -110,6 +112,18 @@ def loop_bergman_unbounded(f, lo, hi, R):
     return ent
 
 
+def loop_band_entries(bands, size):
+    """Band ``bands[i]`` sends column ``c`` to row ``c + bands[i]``: each
+    position inside the section as ``(i, row, col)``, band by band, then
+    column by column."""
+    out = []
+    for i, k in enumerate(bands):
+        for c in range(size):
+            if 0 <= c + k < size:
+                out.append((i, c + k, c))
+    return out
+
+
 def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -127,6 +141,24 @@ def circles():
 
 # ---------------------------------------------------------------------------
 # gather equals the loop
+
+
+@pytest.mark.parametrize("bands, size", [
+    ([-2, -1, 0, 1, 2], 6),
+    ([3, -1, 0], 4),
+    ([-7, 7, 9, -10, 2], 7),
+    ([-3, -1], 5),
+    ([], 5),
+    ([0], 1),
+])
+def test_band_entries_match_the_double_loop(bands, size):
+    """Bands inside the window, bands of ``|k| >= size`` (no entries),
+    negative bands and an empty band list: every in-window position of each
+    band appears exactly once, in band order and then column order."""
+    band, row, col = _band_entries(np.array(bands, dtype=int), size)
+    entries = list(zip(band.tolist(), row.tolist(), col.tolist()))
+    assert entries == loop_band_entries(bands, size)
+    assert len(set(zip(row.tolist(), col.tolist()))) == len(entries)
 
 
 @pytest.mark.parametrize("kind", ["exact", "sampled"])
@@ -227,6 +259,24 @@ def test_deep_bergman_sections_are_finite_and_exact(window):
             assert rel <= 1e-13, (m, n, float(rel))
     side = np.arange(hi - lo + 1)
     assert np.all(sec[np.abs(np.subtract.outer(side, side)) > f.bandwidth()] == 0.0)
+
+
+def test_bergman_moment_table_spans_only_in_window_s(monkeypatch):
+    """The builder takes its moments ``M(|s|)`` at the entries inside the
+    window only: for the band ``k = 3`` with profile ``r^3`` on a far window
+    the table runs from the smallest to the largest ``|s|`` of those
+    entries, and no entry sent outside widens it."""
+    calls = []
+
+    def record(z, R):
+        calls.append(np.asarray(z).tolist())
+        return monomial_moment(z, R)
+
+    monkeypatch.setattr(bergman, "monomial_moment", record)
+    lo, hi = 10**10, 10**10 + 30
+    build_bergman_toeplitz(PolarSymbol({3: PolyProfile({3: 1.0})}), (lo, hi), 0.5)
+    s = [abs(n + 3 + n + 2 + 3) for n in range(lo, hi + 1) if lo <= n + 3 <= hi]
+    assert calls == [list(range(min(s), max(s) + 1))]
 
 
 def test_bergman_section_is_finite_at_tiny_radius():
