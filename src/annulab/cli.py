@@ -53,6 +53,8 @@ RECONSTRUCT_DEGREE = 6
 ZERO_SCAN = (-10.0, 20.0)
 #: section size of the identities experiment's transfer diagram
 DIAGRAM_SIZE = 12
+#: section size of the identities experiment's split relations
+SPLIT_SIZE = 10
 
 
 class ConfigError(ValueError):
@@ -161,58 +163,92 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``table_length`` covers every index a symbol table is read at: down to
     ``-(2 max(sizes) - 1)`` in a decay sweep, ``-(2 DIAGRAM_SIZE - 1)`` in
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
-    windowed section.  ``bytes`` is the largest dense array the experiment
-    builds (or the sections it holds at once at its peak, derived below)
-    and ``field`` the config field that sizes it: for identities ``16
-    (DIAGRAM_SIZE + 1) m_circle``, over its transfer tables of
-    ``DIAGRAM_SIZE`` rows, which also bounds the split relations' largest
-    arrays, ``16 size m_circle`` at their ``size`` 10, whatever the symbol's
-    reach; for mellin 0, as it holds no section and no spectra (its arrays
-    grow with no field); else the complex section, ``16 side^2`` (``side``
-    the window width, ``2(2W+1)`` for gram, ``max(sizes)`` for
-    hankel-decay, whose sweep holds no section of its own: its largest
-    array is LAPACK's copy of the live ``L x L`` corner, ``8 L^2`` for a
-    real table and ``16 L^2`` for a complex one, with ``L <=
-    max(sizes)``), and the pairing kernel's spectra of
-    ``m_circle`` samples, two rows per degree for gram (``side`` rows) and
-    three for toeplitz-build (hardy, complement and weighted hardy).
+    windowed section.  ``bytes`` bounds what the experiment holds at its
+    peak, counted from the arrays the code allocates: the sum of rows of
+    ``m = m_circle`` grid samples and sections, which bounds each phase of
+    the run, and ``field`` names the config field that sizes the larger
+    part (``m_circle`` or ``window``).  On the runs of
+    ``test_memory_rule_bounds_the_traced_peak`` tracemalloc reads 0.42 to
+    0.95 of the count.
 
-    Two experiments hold several sections at once, counted in sections of
-    ``16 side^2`` bytes.  A two-circle builder holds its result and, per
-    entry of :func:`hardy._band_entries`, three int64 indices, both terms'
-    gathered coefficients and weighted values, and their sum: ``1 + 6.5
-    f`` sections when its bands fill the fraction ``f`` of the section.
-    ``hardy._semicommutator_residual``, annulus and disc, holds 3 in its
-    first band product, then keeps ``T_phi T_psi`` beside the conjugated
-    Hankel section of ``phi`` (``.conj()`` frees the built one), that of
-    ``psi`` and their band product: 4; its residual holds 3 (tracemalloc
-    reads 4.0 at side 801 for the reach-4 symbols it draws).  Its bands
-    keep ``a + b < side / 2``, so ``f < 3/4``, and the Hankel section of
-    ``psi``, built beside the two it keeps, peaks below ``3 + 4.9``: 9,
-    ``144 side^2`` (``psi`` of reach 400 beside a constant ``phi`` read
-    7.9 traced at side 801, and grew the resident set by 8.9).  A
-    zero-product stack fits ``hardy._STACK_BYTES`` (1 MiB) or holds one
-    trial, so where a refusal can fall it is one section; its reach-4
-    trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g`` and
-    their product are alive from the band product through the ladder: 3.
-    The ladder over ``k <= side`` columns adds up to six complex ``side x
-    k`` blocks (its column copy, the normalized one, ``qr``'s copy, ``Q``,
-    and LAPACK's copies of the matrix and of ``Q``) and, in Bergman, real
-    identity columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound each
-    phase with room for the allocator's slack: a lone trial's full-width
-    ladder at side 801 grew the resident set by 9.6 sections in Hardy, 9.8
-    in Bergman."""
-    (lo, hi), exp = cfg.window, cfg.experiment
+    Rows, ``16 m`` bytes each.  The pairing kernel holds its spectrum rows
+    (hardy, complement and, in toeplitz-build, weighted hardy: ``3n`` over
+    ``n`` degrees).  gram, over ``n = 2W + 1`` and ``side = 2n`` rows,
+    holds besides them, per degree of a block of ``b = min(n,
+    _GRAM_BLOCK)``, the samples, their C0 mate and the mate's int64 index
+    (2.5 rows) and the roots table (one row); later the owner test holds
+    1/8 row per spectrum row (its chunks' masks and their concatenation)
+    and an ``abs`` chunk below the block's buffers: ``m (18 side + 40 b +
+    16)`` bytes.  toeplitz-build keeps each circle's kept bins, a column
+    selection of its spectra, with their packed masks, so in C0's pass it
+    holds its spectra, C's kept bins and C0's: nine rows per degree, the
+    masks below a tenth, and the symbol's two sample rows, ``m (160 n +
+    32)``; its block buffers (1.5 rows per block degree) come before C0's
+    kept bins.  A symbol of small reach keeps fewer bins: tracemalloc reads
+    0.45 of the count at +-64 on 4096 nodes.  identities holds at most ``3
+    DIAGRAM_SIZE`` rows in its transfer tables (the flipped samples, their
+    FFT and its division) and ``7 SPLIT_SIZE`` in its split relations: the
+    spectrum, the resynthesized part and its FFT are ``3 SPLIT_SIZE``, and
+    up to eight arrays of ``SPLIT_SIZE x (SPLIT_SIZE + r)`` coefficients
+    are alive at once, each half a row per unit of size at the largest
+    reach ``r`` the grid admits (62 rows traced there); two rows more hold
+    the symbol's samples.  mellin holds no rows and no section (its arrays
+    grow with no field).
+
+    Sections, ``16 side^2`` bytes (``side`` the window width, ``2(2W+1)``
+    for gram, ``max(sizes)`` for hankel-decay).  gram gathers into ``Z``
+    beside both circles' kept bins (one section: a healthy basis owns ``n``
+    bins) and two gather buffers of ``min(side, _GRAM_BLOCK)`` rows, then
+    forms ``G`` beside ``Z``; the packed masks are below ``side^2`` bytes.
+    toeplitz-build holds the closed-form pair and the kernel's ``P``,
+    ``Q``, ``Q``'s conjugate and their sum: ten sections of ``16 n^2``
+    bytes, which also cover the gather buffers (four at most, freed before
+    the sum) and the closed-form builders (below 8.5, see below).
+    hankel-decay holds no section of its own: its largest array is
+    LAPACK's copy of the live ``L x L`` corner, ``8 L^2`` for a real table
+    and ``16 L^2`` for a complex one, with ``L <= max(sizes)``.
+
+    Two experiments hold several sections at once.  A two-circle builder
+    holds its result and, per entry of :func:`hardy._band_entries`, three
+    int64 indices, both terms' gathered coefficients and weighted values,
+    and their sum: ``1 + 6.5 f`` sections when its bands fill the fraction
+    ``f`` of the section.  ``hardy._semicommutator_residual``, annulus and
+    disc, holds 3 in its first band product, then keeps ``T_phi T_psi``
+    beside the conjugated Hankel section of ``phi`` (``.conj()`` frees the
+    built one), that of ``psi`` and their band product: 4; its residual
+    holds 3 (tracemalloc reads 4.0 at side 801 for the reach-4 symbols it
+    draws).  Its bands keep ``a + b < side / 2``, so ``f < 3/4``, and the
+    Hankel section of ``psi``, built beside the two it keeps, peaks below
+    ``3 + 4.9``: 9, ``144 side^2`` (``psi`` of reach 400 beside a constant
+    ``phi`` read 7.9 traced at side 801, and grew the resident set by
+    8.9).  A zero-product stack fits ``hardy._STACK_BYTES`` (1 MiB) or
+    holds one trial, so where a refusal can fall it is one section; its
+    reach-4 trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g``
+    and their product are alive from the band product through the ladder:
+    3.  The ladder over ``k <= side`` columns adds up to six complex ``side
+    x k`` blocks (its column copy, the normalized one, ``qr``'s copy,
+    ``Q``, and LAPACK's copies of the matrix and of ``Q``) and, in Bergman,
+    real identity columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound
+    each phase with room for the allocator's slack: a lone trial's
+    full-width ladder at side 801 grew the resident set by 9.6 sections in
+    Hardy, 9.8 in Bergman."""
+    (lo, hi), exp, m = cfg.window, cfg.experiment, cfg.m_circle
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
     if exp == "identities":
-        return 2 * DIAGRAM_SIZE, "m_circle", 16 * (DIAGRAM_SIZE + 1) * cfg.m_circle
-    width = hi - lo + 1
-    side = 2 * (2 * max(-lo, hi) + 1) if exp == "gram" else width
-    spectra = {"gram": side, "toeplitz-build": 3 * side}.get(exp, 0) * cfg.m_circle
-    sections = {"mellin": 0, "semicommutator": 9, **dict.fromkeys(_HARNESSES, 10)}.get(exp, 1)
-    arrays = ("window", 16 * sections * side**2), ("m_circle", 16 * spectra)
-    return width, *max(arrays, key=lambda c: c[1])
+        return 2 * DIAGRAM_SIZE, "m_circle", 16 * m * (max(3 * DIAGRAM_SIZE, 7 * SPLIT_SIZE) + 2)
+    width, block = hi - lo + 1, geometry._GRAM_BLOCK
+    if exp == "gram":
+        side = 2 * (2 * max(-lo, hi) + 1)
+        rows = m * (18 * side + 40 * min(side // 2, block) + 16)
+        sections = 32 * side * (side + min(side, block)) + side**2
+    elif exp == "toeplitz-build":
+        rows, sections = m * (160 * width + 32), 160 * width**2
+    else:
+        count = {"mellin": 0, "semicommutator": 9, **dict.fromkeys(_HARNESSES, 10)}[exp]
+        rows, sections = 0, 16 * count * width**2
+    field = "m_circle" if rows > sections else "window"
+    return width, field, rows + sections
 
 
 def load_config(path, experiment: str, out_override: str | None = None) -> LabConfig:
@@ -341,7 +377,7 @@ def _run_identities(cfg: LabConfig):
             reduction.diagram_residual(phi, geo, U0, P0), TOLERANCE,
         )
     ]
-    r1, r2 = reduction.split_relation_residual(phi, 10, geo)
+    r1, r2 = reduction.split_relation_residual(phi, SPLIT_SIZE, geo)
     rows.append(report.residual_check("identities", "split_relation_1", r1, TOLERANCE))
     rows.append(report.residual_check("identities", "split_relation_2", r2, TOLERANCE))
     # np.max keeps a NaN in either map, which the built-in max would drop

@@ -162,9 +162,8 @@ def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray
     return _on_circle(n, component, geo, A, -B)
 
 
-#: degrees per row block of the pairing kernel, bounding its sample buffers;
-#: even, so a block holds both signs of |n|
-_GRAM_BLOCK = 256
+#: degrees per row block of the pairing kernel, bounding its sample buffers
+_GRAM_BLOCK = 257
 
 
 def _pair_on_grid(
@@ -190,12 +189,12 @@ def _pair_on_grid(
 
     Samples are read only through the module-level ``hardy_basis_eval`` and
     ``complement_basis_eval``, once per family, block of degrees and
-    circle.  In the order 0, -1, 1, -2, 2, ... the first block holds
-    ``_GRAM_BLOCK + 1`` degrees and each later one at most ``_GRAM_BLOCK``,
-    which bounds the sample buffers; no block splits a pair ``n, -n``.  Each
-    call gathers its samples from the grid's roots of unity, ``m / 4`` exps
-    per call (:meth:`AnnulusGeometry.phases`).  The hardy block is
-    multiplied by ``w`` in place once its own spectrum is taken.
+    circle.  A block is ``_GRAM_BLOCK`` consecutive degrees of ``ns`` (the
+    last one shorter), which bounds the sample buffers, and its spectra are
+    the output rows of its degrees.  Each call gathers its samples from the
+    grid's roots of unity, ``m / 4`` exps per call
+    (:meth:`AnnulusGeometry.phases`).  The hardy block is multiplied by
+    ``w`` in place once its own spectrum is taken.
 
     Mirror (the Gram only): on C0 the hardy samples are ``A e_n``, the
     complement's on C, and the complement samples are ``-B e_n``, the
@@ -246,12 +245,9 @@ def _pair_on_grid(
             f"degrees {ns.min()}..{ns.max()} with band reach {reach} are not "
             f"resolved by m_circle={m}"
         )
-    order = np.argsort(abs(ns), kind="stable")
-    # hardy, complement and weighted hardy spectra, each in evaluation order
+    # hardy, complement and weighted hardy spectra, one row per degree of ns
     c = np.empty((2 if weight is None else 3, N, m), dtype=complex)
-    # the spectrum row of each output row
-    rows = np.argsort((order + N * np.arange(len(c))[:, None]).ravel())
-    edges = [0, *range(_GRAM_BLOCK + 1, N, _GRAM_BLOCK), N]
+    edges = [*range(0, N, _GRAM_BLOCK), N]
     evals = (hardy_basis_eval, complement_basis_eval)
     kept = []
     # unweighted: whether every C0 sample so far is C's, families swapped,
@@ -261,7 +257,7 @@ def _pair_on_grid(
         if comp == "C0" and mirror:
             break
         for lo, hi in zip(edges, edges[1:]):
-            block = ns[order[lo:hi]]
+            block = ns[lo:hi]
             for i, ev in enumerate(evals):
                 f = ev(block, comp, geo)
                 np.fft.fft(f, norm="forward", out=c[i, lo:hi])
@@ -274,7 +270,7 @@ def _pair_on_grid(
                     mirror = np.array_equal(mate, f)
                     del mate
                 del f
-        kept.append(_owners(c.reshape(-1, m), rows))
+        kept.append(_owners(c.reshape(-1, m)))
     del c
     if mirror:
         # C0's rows are C's with the halves swapped, the new complement negated
@@ -291,7 +287,7 @@ def _pair_on_grid(
     Z = np.zeros((2 * N, 2 * N), dtype=complex)
     for E, own in kept:
         _gather(Z, E, own, E)
-    del kept
+    del kept, E, own
     # G[k, j] has the real part of G[j, k], summed in the other order, and
     # its imaginary part negated, so G equals G^H exactly
     G = Z.conj()
@@ -299,18 +295,19 @@ def _pair_on_grid(
     return G
 
 
-def _owners(flat: np.ndarray, rows: np.ndarray):
-    """One circle's ``(E, own)`` over the bins holding an owner, one row per
-    output row: ``E = C - S / 2`` and the owner mask, packed by columns."""
+def _owners(flat: np.ndarray):
+    """One circle's ``(E, own)`` over the bins holding an owner, for the
+    spectrum rows ``flat``: ``E = C - S / 2`` and the owner mask, packed by
+    columns."""
     m = flat.shape[1]
     tau = np.sqrt(np.finfo(float).eps / m)
     faint = np.concatenate([
         np.abs(flat[lo : lo + _GRAM_BLOCK]) <= tau for lo in range(0, len(flat), _GRAM_BLOCK)
     ])
-    at = np.ix_(rows, np.flatnonzero(~faint.all(axis=0)))
-    own = np.packbits(~faint[at], axis=1)
+    bins = np.flatnonzero(~faint.all(axis=0))
+    own = np.packbits(~faint[:, bins], axis=1)
     del faint
-    E = flat[at]
+    E = flat[:, bins]
     for lo in range(0, len(E), _GRAM_BLOCK):
         E[lo : lo + _GRAM_BLOCK][_unpack(own[lo : lo + _GRAM_BLOCK], E.shape[1])] *= 0.5
     return E, own
@@ -333,9 +330,12 @@ def _gather(Z: np.ndarray, A: np.ndarray, own: np.ndarray, E: np.ndarray):
         count = np.diff(first, append=len(j))
         for s in range(count.max(initial=0)):
             i = first[count > s] + s
-            p = E[:, q[i]].T
-            p *= v[i, None]
+            # out of place: numpy's in-place complex product of one element
+            # can round unlike the same product in a longer loop, which made
+            # a one-degree section depend on the block size
+            p = E[:, q[i]].T * v[i, None]
             Z[j[i]] += p
+            del p  # so the next slot's product is not made beside it
 
 
 def gram_matrix(geo: AnnulusGeometry, half_window: int) -> np.ndarray:

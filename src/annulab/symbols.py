@@ -39,7 +39,7 @@ class _Degrees:
         return self._live[-1]
 
     def bandwidth(self) -> int:
-        return max((abs(n) for n in self._live), default=0)
+        return max(-self._live[0], self._live[-1]) if self._live else 0
 
     def neg_reach(self) -> int:
         """How far below zero the degrees extend (0 for analytic-type support)."""

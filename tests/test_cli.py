@@ -16,8 +16,8 @@ from conftest import read_decay_csv
 
 import annulab
 from annulab.cli import (
-    EXPERIMENTS, _HARNESSES, ConfigError, LabConfig, _resolve_boundary, load_config, main,
-    parse_config, run,
+    EXPERIMENTS, _HARNESSES, ConfigError, LabConfig, _reads, _resolve_boundary, load_config,
+    main, parse_config, run,
 )
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
@@ -1014,19 +1014,80 @@ def test_arrays_past_physical_memory_exit_2_before_any_work(
     assert "physical memory" in err[0]
 
 
-def test_memory_rule_counts_three_spectrum_rows_per_toeplitz_build_degree(monkeypatch):
-    """toeplitz-build's pairing kernel holds a hardy, a complement and a
-    weighted hardy spectrum row of m_circle samples per degree: a host
-    between one and three such rows per degree must refuse the run."""
+def test_memory_rule_counts_ten_rows_per_toeplitz_build_degree(monkeypatch):
+    """toeplitz-build holds per degree its three spectrum rows of m_circle
+    samples and, in C0's pass, both circles' kept bins (at most three rows
+    each) with their packed masks: ten rows, two more of symbol samples and
+    ten sections (``cli._reads``).  A host one byte short of that refuses
+    the run; the old count of three rows per degree is far short of it."""
     doc = {"window": [-10, 10], "m_circle": 4096}
-    rows = 21 * 4096 * 16
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * rows}
+    need = 16 * 4096 * (10 * 21 + 2) + 160 * 21**2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(ConfigError, match="config field 'm_circle'.*physical memory"):
         parse_config(doc, "toeplitz-build", None)
     assert parse_config(doc, "semicommutator", None).m_circle == 4096
-    pages["SC_PHYS_PAGES"] = 3 * rows
+    pages["SC_PHYS_PAGES"] = need
     assert parse_config(doc, "toeplitz-build", None).m_circle == 4096
+
+
+#: (experiment, config): each of gram, toeplitz-build and identities at two
+#: or more sizes where the rule counts at least 32 MiB (gram +-500 on 1024
+#: nodes where its sections outweigh its rows), each probe and the
+#: semicommutator at one
+_PEAK_CASES = [
+    ("gram", {"window": [-256, 256], "m_circle": 2048}),
+    ("gram", {"window": [-24, 24], "m_circle": 65536}),
+    ("gram", {"window": [-500, 500], "m_circle": 1024}),
+    ("toeplitz-build", {"window": [-64, 64], "m_circle": 4096}),
+    ("toeplitz-build", {"window": [-24, 24], "m_circle": 65536}),
+    ("identities", {"m_circle": 65536}),
+    ("identities", {"m_circle": 131072}),
+    ("zero-product-hardy", {"window": [-100, 100]}),
+    ("zero-product-bergman", {"window": [-150, 150]}),
+    ("semicommutator", {"window": [-300, 300]}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, doc", _PEAK_CASES,
+    ids=[f"{e}-{d.get('window', [0, 0])[1]}-{d.get('m_circle', 4096)}" for e, d in _PEAK_CASES],
+)
+def test_memory_rule_bounds_the_traced_peak(tmp_path, experiment, doc):
+    """The bytes the memory rule counts (``cli._reads``) are at least the
+    traced peak of the run they admit: gram, toeplitz-build and identities
+    count what they hold at their peak, not only their largest array."""
+    cfg = parse_config({"R": 0.5, **doc}, experiment, str(tmp_path / "out"))
+    need = _reads(cfg)[2]
+    if experiment in ("gram", "toeplitz-build", "identities"):
+        assert need >= 32 * 2**20
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+
+
+def test_memory_rule_refuses_a_gram_grid_past_the_host(tmp_path, capsys, monkeypatch):
+    """The Gram at +-24 on 2^22 nodes holds its 98 spectrum rows and about
+    2.5 rows per degree of its one block, 14.6 GiB (the largest array alone,
+    6.1 GiB, fit a 7.84 GiB host): on such a host it exits 2 with one line
+    naming m_circle, before any array is built or directory created."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": round(7.84 * 2**30 / 4096)}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def no_build(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(annulab.geometry, "gram_matrix", no_build)
+    code, outdir = run_lab(tmp_path, "gram", {"m_circle": 2**22})
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config field 'm_circle'")
+    assert "physical memory" in err[0]
 
 
 def test_parse_config_refuses_a_bad_grid_as_config_error():

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import grid_angles
 
@@ -167,6 +167,63 @@ def test_gram_follows_the_owner_rule_and_blocks_change_no_bit(monkeypatch):
     assert np.max(np.abs(G - _owner_rule_gram(g, ns))) <= 1e-15
 
 
+def test_pairing_kernel_evaluates_blocks_in_output_order(monkeypatch):
+    """The kernel samples its degrees block by block in the order of ``ns``:
+    with six degrees per block, the Gram at +-20 hands the hardy evaluator
+    on C consecutive ascending slices of -20..20, so each block's spectra
+    are its output rows."""
+    seen, evaluate = [], geometry.hardy_basis_eval
+
+    def recorded(n, component, g):
+        if component == "C":
+            seen.append(list(n))
+        return evaluate(n, component, g)
+
+    monkeypatch.setattr(geometry, "hardy_basis_eval", recorded)
+    monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
+    gram_matrix(AnnulusGeometry(R=R, m_circle=256), 20)
+    ns = list(range(-20, 21))
+    assert seen == [ns[lo : lo + 6] for lo in range(0, len(ns), 6)]
+
+
+@st.composite
+def _blocked_windows(draw):
+    """A block size, a grid and a window of ``N`` degrees the grid resolves
+    beside a reach-4 symbol: one degree, ``k`` blocks plus one, or any
+    count, across degree 0 or anywhere (so mostly asymmetric)."""
+    block = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([64, 128, 256, 512]))
+    most = min(m - 4, 161)
+    N = draw(st.one_of(
+        st.just(1),
+        st.integers(1, (most - 1) // block).map(lambda k: k * block + 1),
+        st.integers(1, most),
+    ))
+    lo = draw(st.one_of(st.integers(1 - N, 0), st.integers(-m, m)))
+    return block, m, draw(st.sampled_from([0.1, 0.5, 0.9])), (lo, lo + N - 1)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_blocked_windows())
+def test_block_size_changes_no_bit_of_the_pairings(case):
+    """The Gram and both quadrature sections keep every bit whatever the
+    number of degrees per block: each row's FFT and owners are its own."""
+    block, m, R_, (lo, hi) = case
+    g, f = AnnulusGeometry(R=R_, m_circle=m), random_boundary_symbol(Lcg(lo % 97), 4)
+    W = (hi - lo) // 2
+
+    def pairings():
+        sections = build_section_quadrature(f, (lo, hi), g)
+        return gram_matrix(g, W).tobytes(), np.stack(sections).tobytes()
+
+    got = []
+    for size in (257, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_GRAM_BLOCK", size)
+            got.append(pairings())
+    assert got[0] == got[1]
+
+
 def _faint_noise(n, component, g, degrees, m):
     """Hardy rows 3 and 5 gain, on the unit circle only, a tone of
     amplitude ``0.9 sqrt(eps / m)`` at each of ``degrees``: faint in every
@@ -218,9 +275,10 @@ def test_gram_nan_coefficient_in_a_bin_no_row_owns_reaches_the_output(monkeypatc
     monkeypatch.setattr(np.fft, "fft", nan_in_bin_100)
     G = gram_matrix(AnnulusGeometry(R=R, m_circle=256), 20)
     monkeypatch.undo()
-    # every FFT call marks its block's first row: the degree 0 of both families
+    # every FFT call marks its block's first row: the window's first degree,
+    # -20, in both families
     full = np.isnan(G).all(axis=1)
-    assert list(np.flatnonzero(full)) == [20, 61]
+    assert list(np.flatnonzero(full)) == [0, 41]
     assert np.isnan(G[:, full]).all()
 
 

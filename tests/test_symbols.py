@@ -254,6 +254,23 @@ def test_support_and_live_bands_are_computed_once():
     assert circle._live is first
 
 
+@pytest.mark.parametrize(
+    "degrees",
+    [[-7, -3, -1], [2, 5], [-6, 0, 4], [-2, 9], [0], []],
+    ids=["all-negative", "all-positive", "mixed-low", "mixed-high", "zero", "empty"],
+)
+def test_bandwidth_reads_the_ends_of_the_live_degrees(degrees):
+    """``bandwidth`` is the largest ``|n|`` over the live degrees, read off
+    the two ends of the sorted list: it equals the scan over every degree,
+    for each kind of symbol; a zero coefficient at -20 is not live."""
+    table = {n: 1.0 + n * 1j for n in degrees} | {-20: 0.0}
+    bands = {k: PolyProfile({1: c}) for k, c in table.items()}
+    for sym in (ExactSymbol(table, {}), ExactSymbol({}, table), ExactCircle(table), PolarSymbol(bands)):
+        scan = max((abs(n) for n in sym._live), default=0)
+        assert sym._live == degrees
+        assert type(sym.bandwidth()) is int and sym.bandwidth() == scan
+
+
 def test_polar_symbol_bands():
     pol = PolarSymbol({2: PolyProfile({1: 1.0}), -1: PolyProfile({0: 3.0})})
     assert pol.live_bands == [-1, 2]
