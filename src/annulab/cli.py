@@ -168,7 +168,7 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``m = m_circle`` grid samples and sections, which bounds each phase of
     the run, and ``field`` names the config field that sizes the larger
     part (``m_circle`` or ``window``).  On the runs of
-    ``test_memory_rule_bounds_the_traced_peak`` tracemalloc reads 0.42 to
+    ``test_memory_rule_bounds_the_traced_peak`` tracemalloc reads 0.38 to
     0.95 of the count.
 
     Rows, ``16 m`` bytes each.  The pairing kernel holds its spectrum rows
@@ -179,31 +179,37 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     (2.5 rows) and the roots table (one row); later the owner test holds
     1/8 row per spectrum row (its chunks' masks and their concatenation)
     and an ``abs`` chunk below the block's buffers: ``m (18 side + 40 b +
-    16)`` bytes.  toeplitz-build keeps each circle's kept bins, a column
-    selection of its spectra, with their packed masks, so in C0's pass it
-    holds its spectra, C's kept bins and C0's: nine rows per degree, the
-    masks below a tenth, and the symbol's two sample rows, ``m (160 n +
-    32)``; its block buffers (1.5 rows per block degree) come before C0's
-    kept bins.  A symbol of small reach keeps fewer bins: tracemalloc reads
-    0.45 of the count at +-64 on 4096 nodes.  identities holds at most ``3
-    DIAGRAM_SIZE`` rows in its transfer tables (the flipped samples, their
-    FFT and its division) and ``7 SPLIT_SIZE`` in its split relations: the
-    spectrum, the resynthesized part and its FFT are ``3 SPLIT_SIZE``, and
-    up to eight arrays of ``SPLIT_SIZE x (SPLIT_SIZE + r)`` coefficients
-    are alive at once, each half a row per unit of size at the largest
-    reach ``r`` the grid admits (62 rows traced there); two rows more hold
-    the symbol's samples.  mellin holds no rows and no section (its arrays
-    grow with no field).
+    16)`` bytes.  With ``_GRAM_BLOCK`` at 64 the traced peak falls in the
+    owner test, spectra beside the kept bins (40.3 MiB at +-256 on 2048
+    nodes, where this counts 41.1 and the sections 35.1).  toeplitz-build
+    keeps each circle's kept bins, a column selection of its spectra, with
+    their packed masks, so in C0's pass it holds its spectra, C's kept bins
+    and C0's: nine rows per degree, the masks below a tenth, and the
+    symbol's two sample rows, ``m (160 n + 32)``; its block buffers (1.5
+    rows per block degree) come before C0's kept bins.  A symbol of small
+    reach keeps fewer bins: tracemalloc reads 0.38 of the count at +-64 on
+    4096 nodes.  identities holds at most ``3 DIAGRAM_SIZE`` rows in its
+    transfer tables (the flipped samples, their FFT and its division) and
+    ``5 SPLIT_SIZE`` in its split relations.
+    Their spectrum, the resynthesized part and its FFT (``3 SPLIT_SIZE``)
+    are freed before the coefficient arrays; then up to eight arrays of
+    ``SPLIT_SIZE x (SPLIT_SIZE + r)`` coefficients are alive at once beside
+    their int64 offsets, each half a row per unit of size at the largest
+    reach ``r`` the grid admits, the offsets a quarter: ``4.25
+    SPLIT_SIZE``, counted as 5 (42 rows traced there, 44 in the whole run
+    at 4096 nodes); two rows more hold the symbol's samples.  mellin holds
+    no rows and no section (its arrays grow with no field).
 
     Sections, ``16 side^2`` bytes (``side`` the window width, ``2(2W+1)``
     for gram, ``max(sizes)`` for hankel-decay).  gram gathers into ``Z``
     beside both circles' kept bins (one section: a healthy basis owns ``n``
     bins) and two gather buffers of ``min(side, _GRAM_BLOCK)`` rows, then
     forms ``G`` beside ``Z``; the packed masks are below ``side^2`` bytes.
-    toeplitz-build holds the closed-form pair and the kernel's ``P``,
-    ``Q``, ``Q``'s conjugate and their sum: ten sections of ``16 n^2``
-    bytes, which also cover the gather buffers (four at most, freed before
-    the sum) and the closed-form builders (below 8.5, see below).
+    toeplitz-build holds the closed-form pair and the kernel's ``P`` and
+    ``Q`` beside up to four gather buffers; once the kept bins are freed,
+    ``Q`` is conjugated in place and added into ``P``.  Ten sections of
+    ``16 n^2`` bytes cover these eight and the closed-form builders (below
+    8.5, see below).
     hankel-decay holds no section of its own: its largest array is
     LAPACK's copy of the live ``L x L`` corner, ``8 L^2`` for a real table
     and ``16 L^2`` for a complex one, with ``L <= max(sizes)``.
@@ -221,22 +227,27 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     Hankel section of ``psi``, built beside the two it keeps, peaks below
     ``3 + 4.9``: 9, ``144 side^2`` (``psi`` of reach 400 beside a constant
     ``phi`` read 7.9 traced at side 801, and grew the resident set by
-    8.9).  A zero-product stack fits ``hardy._STACK_BYTES`` (1 MiB) or
-    holds one trial, so where a refusal can fall it is one section; its
-    reach-4 trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g``
+    8.9).  The probes count stacked sections: ``hardy._probe`` builds the
+    sections of ``t = min(TRIALS, max(1, _STACK_BYTES // (16 side^2)))``
+    trials at once and applies to each what a one-trial call applies, so a
+    stack of two or more trials holds up to ``hardy._STACK_BYTES`` (1 MiB)
+    whatever the window, and where a refusal can fall it is one section.
+    Its reach-4 trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g``
     and their product are alive from the band product through the ladder:
     3.  The ladder over ``k <= side`` columns adds up to six complex ``side
     x k`` blocks (its column copy, the normalized one, ``qr``'s copy,
     ``Q``, and LAPACK's copies of the matrix and of ``Q``) and, in Bergman,
-    real identity columns: 3 + 6.5.  Ten sections, ``160 side^2``, bound
+    real identity columns: 3 + 6.5.  Ten stacks, ``160 t side^2``, bound
     each phase with room for the allocator's slack: a lone trial's
     full-width ladder at side 801 grew the resident set by 9.6 sections in
-    Hardy, 9.8 in Bergman."""
+    Hardy, 9.8 in Bergman.  On the shipped probe configs (``t`` 15 and 20)
+    tracemalloc reads 4.4 and 3.5 MiB, 0.45 and 0.48 of the count, where
+    ten single sections count 0.64 and 0.37 MiB."""
     (lo, hi), exp, m = cfg.window, cfg.experiment, cfg.m_circle
     if exp == "hankel-decay":
         return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
     if exp == "identities":
-        return 2 * DIAGRAM_SIZE, "m_circle", 16 * m * (max(3 * DIAGRAM_SIZE, 7 * SPLIT_SIZE) + 2)
+        return 2 * DIAGRAM_SIZE, "m_circle", 16 * m * (max(3 * DIAGRAM_SIZE, 5 * SPLIT_SIZE) + 2)
     width, block = hi - lo + 1, geometry._GRAM_BLOCK
     if exp == "gram":
         side = 2 * (2 * max(-lo, hi) + 1)
@@ -247,6 +258,8 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     else:
         count = {"mellin": 0, "semicommutator": 9, **dict.fromkeys(_HARNESSES, 10)}[exp]
         rows, sections = 0, 16 * count * width**2
+        if exp in _HARNESSES:  # sections stacked by hardy._probe's rule
+            sections *= min(TRIALS, max(1, hardy._STACK_BYTES // (16 * width**2)))
     field = "m_circle" if rows > sections else "window"
     return width, field, rows + sections
 

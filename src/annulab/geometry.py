@@ -162,8 +162,16 @@ def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray
     return _on_circle(n, component, geo, A, -B)
 
 
-#: degrees per row block of the pairing kernel, bounding its sample buffers
-_GRAM_BLOCK = 257
+#: degrees per row block of the pairing kernel: it sizes the sample buffers,
+#: the owner chunks and the gather chunks.  A block's samples, their C0 mate
+#: and the mate's int64 index take 40 m bytes per degree: at m = 2048, 5 MiB
+#: for 64 degrees, 20 MiB for 257.  Traced peaks, MiB, at 257 / 128 / 64 /
+#: 32 degrees: the Gram at +-256 on 2048 nodes 52.3 / 42.2 / 40.3 / 40.3
+#: (from 96 down the owner test, spectra beside the kept bins, sets it), the
+#: section pair at +-64 on 4096 nodes 37.3 / 37.2 / 31.2 / 28.2.  64 takes
+#: the Gram's floor and most of the pair's fall in few blocks.  Each row's
+#: FFT and owners are its own, so no pairing changes with the block size.
+_GRAM_BLOCK = 64
 
 
 def _pair_on_grid(
@@ -211,7 +219,8 @@ def _pair_on_grid(
     zero may differ in sign from C0's own pass; a zero is no owner, and a
     sum that starts at +0 takes the same bits whatever the sign of its zero
     terms, so the Gram keeps the per-circle path's bits.  The Gram at
-    +-256 on 2048 nodes then takes 4 FFTs and 1 owner pass, not 8 and 2.
+    +-256 on 2048 nodes then takes 18 FFTs (two per block of 64 degrees)
+    and 1 owner pass, not 36 and 2.
     If any block fails to match (a defect on one circle, a NaN sample), C0
     takes its own pass as C does.  The weighted pairings take both passes.
 
@@ -236,8 +245,12 @@ def _pair_on_grid(
     ``(2N)^2 m`` entries without BLAS, about 15 s against 0.8 s for a dense
     product.  Only bins holding an owner are kept, the spectra are freed
     before the gather, and owners are gathered ``_GRAM_BLOCK`` rows at a
-    time: that Gram peaks at 52.2 MiB traced, in C's pass, where a block's
-    C0 samples are held beside its C samples for the mirror's comparison.
+    time: that Gram peaks at 40.3 MiB traced, in the owner test, where C's
+    spectra are held beside their kept bins (a block's C0 samples, held
+    beside its C samples for the mirror's comparison, peaked at 52.2 MiB
+    with 257 degrees per block).  The weighted pairings free the kept bins
+    before ``Q``'s conjugate is added into ``P`` in place: the section pair
+    at +-500 on 1024 nodes peaks at 158.1 MiB traced, not 169.9.
     """
     m, N = geo.m_circle, len(ns)
     if np.ptp(ns) + reach >= m:
@@ -283,7 +296,9 @@ def _pair_on_grid(
         for E, own in kept:
             _gather(P, E[: 2 * N], own[: 2 * N], E[2 * N :])
             _gather(Q, E[2 * N :], own[2 * N :], E[: 2 * N])
-        return P + Q.conj().T
+        del kept, E, own
+        P += np.conjugate(Q, out=Q).T
+        return P
     Z = np.zeros((2 * N, 2 * N), dtype=complex)
     for E, own in kept:
         _gather(Z, E, own, E)

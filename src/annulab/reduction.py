@@ -214,9 +214,12 @@ def split_relation_residual(
     offsets = np.add.outer(np.arange(size), js)
     spectrum = np.zeros((size, geo.m_circle), dtype=complex)
     spectrum[:, js] = _analyze(vals, offsets)
-    y2 = np.fft.ifft(spectrum) * geo.m_circle
+    y2 = np.fft.ifft(spectrum)
+    del spectrum
+    y2 *= geo.m_circle
     # complement-family coordinates of the anti-holomorphic part, quadrature route
     proj = _analyze(y2, js)
+    del y2
     B, _ = basis_weights(js, R)
     lhs = -proj * B
     rhs = -fourier_pair(phi, offsets)[1] * B

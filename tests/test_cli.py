@@ -1033,7 +1033,8 @@ def test_memory_rule_counts_ten_rows_per_toeplitz_build_degree(monkeypatch):
 
 #: (experiment, config): each of gram, toeplitz-build and identities at two
 #: or more sizes where the rule counts at least 32 MiB (gram +-500 on 1024
-#: nodes where its sections outweigh its rows), each probe and the
+#: nodes where its sections outweigh its rows), each probe at one wide window
+#: and at its shipped config (stacks of 15 and 20 trials), and the
 #: semicommutator at one
 _PEAK_CASES = [
     ("gram", {"window": [-256, 256], "m_circle": 2048}),
@@ -1045,6 +1046,8 @@ _PEAK_CASES = [
     ("identities", {"m_circle": 131072}),
     ("zero-product-hardy", {"window": [-100, 100]}),
     ("zero-product-bergman", {"window": [-150, 150]}),
+    ("zero-product-hardy", {"window": [-32, 32]}),
+    ("zero-product-bergman", {"window": [-24, 24]}),
     ("semicommutator", {"window": [-300, 300]}),
 ]
 
@@ -1113,26 +1116,30 @@ def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
 
 
 def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):
-    """The Bergman probe holds up to ten sections over every degree of the
-    window at once (``cli._reads``): a host one byte short of that over
-    -20 .. 10 refuses the window, though it holds ten sections over
-    -1 .. 10 and one over -20 .. 10 many times over."""
+    """The Bergman probe holds up to ten stacks of its trials' sections
+    over every degree of the window at once (``cli._reads``; at this width
+    a stack holds all the trials): a host one byte short of that over
+    -20 .. 10 refuses the window, though it holds ten stacks over -1 .. 10
+    and one over -20 .. 10 many times over."""
     doc = {"window": [-20, 10]}
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 160 * 31**2 - 1}
+    need = annulab.cli.TRIALS * 160 * 31**2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
         parse_config(doc, "zero-product-bergman", None)
     assert parse_config({"window": [-1, 10]}, "zero-product-bergman", None).window == (-1, 10)
-    pages["SC_PHYS_PAGES"] = 160 * 31**2
+    pages["SC_PHYS_PAGES"] = need
     assert parse_config(doc, "zero-product-bergman", None).window == (-20, 10)
 
 
 def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
     """A host that holds the three sections of T_f, T_g and their product
-    over +-48, but not the ten of the probe's peak, refuses the window:
-    exit 2 with one line, before any section is built."""
+    over +-48, but not the ten stacks of the probe's peak (a stack holds
+    the trials whose sections fit ``hardy._STACK_BYTES``, six here), refuses
+    the window: exit 2 with one line, before any section is built."""
     doc = {"window": [-48, 48]}
     section = 16 * 97**2
+    stack = section * (annulab.hardy._STACK_BYTES // section)
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * section}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
@@ -1146,10 +1153,10 @@ def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config field 'window'")
     assert "physical memory" in err[0]
-    pages["SC_PHYS_PAGES"] = 10 * section - 1
+    pages["SC_PHYS_PAGES"] = 10 * stack - 1
     with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
         parse_config(doc, "zero-product-hardy", None)
-    pages["SC_PHYS_PAGES"] = 10 * section
+    pages["SC_PHYS_PAGES"] = 10 * stack
     assert parse_config(doc, "zero-product-hardy", None).window == (-48, 48)
 
 

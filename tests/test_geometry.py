@@ -207,7 +207,8 @@ def _blocked_windows(draw):
 @given(_blocked_windows())
 def test_block_size_changes_no_bit_of_the_pairings(case):
     """The Gram and both quadrature sections keep every bit whatever the
-    number of degrees per block: each row's FFT and owners are its own."""
+    number of degrees per block: each row's FFT and owners are its own.  The
+    default block, the old one of 257 and a drawn one give the same bytes."""
     block, m, R_, (lo, hi) = case
     g, f = AnnulusGeometry(R=R_, m_circle=m), random_boundary_symbol(Lcg(lo % 97), 4)
     W = (hi - lo) // 2
@@ -217,11 +218,11 @@ def test_block_size_changes_no_bit_of_the_pairings(case):
         return gram_matrix(g, W).tobytes(), np.stack(sections).tobytes()
 
     got = []
-    for size in (257, block):
+    for size in (257, geometry._GRAM_BLOCK, block):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "_GRAM_BLOCK", size)
             got.append(pairings())
-    assert got[0] == got[1]
+    assert got[0] == got[1] == got[2]
 
 
 def _faint_noise(n, component, g, degrees, m):
@@ -427,6 +428,11 @@ def test_gram_at_256_is_the_identity_to_rounding():
     assert np.max(np.abs(G - np.eye(len(G)))) <= 1e-15
 
 
+def _blocks(N: int) -> int:
+    """Row blocks of the pairing kernel over ``N`` degrees."""
+    return -(-N // geometry._GRAM_BLOCK)
+
+
 def test_samples_are_fresh_and_the_held_table_is_read_only():
     """A caller may write into its samples: each call gathers a new array
     from a roots table of its own, and no table is held between calls."""
@@ -442,17 +448,18 @@ def test_samples_are_fresh_and_the_held_table_is_read_only():
     "build, tables",
     [
         (lambda: build_section_quadrature(
-            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 4),
-        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 8),
+            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)),
+         2 * 2 * _blocks(129)),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4 * _blocks(513)),
         (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 6),
     ],
     ids=["section-pair", "gram", "conjugate-reflection"],
 )
 def test_phase_tables_built_per_call(monkeypatch, build, tables):
     """Each evaluator call builds its own roots table, one call of the
-    sampler: per family, block and circle in the pairing kernel (the Gram
-    at +-256 has two blocks per circle), three per circle in the
-    conjugate reflection."""
+    sampler: per family, block and circle in the pairing kernel (the
+    Gram's C pass also samples each block's C0 mate), three per circle in
+    the conjugate reflection."""
     phases, seen = AnnulusGeometry.phases, []
 
     def recorded(geo, n):
@@ -482,16 +489,16 @@ def _fft_calls(monkeypatch, build):
     "build, ffts",
     [
         (lambda: build_section_quadrature(
-            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)), 6),
-        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4),
+            random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)),
+         3 * 2 * _blocks(129)),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 2 * _blocks(513)),
     ],
     ids=["section-pair", "gram"],
 )
 def test_fft_count_of_the_pairing_kernel(monkeypatch, build, ffts):
-    """One FFT per family and block on each circle, and one for the weighted
-    hardy columns, in the section pair (one block, two circles); the Gram
-    transforms only the unit circle's two blocks, and reads C0's spectra
-    off C's."""
+    """One FFT per family, block and circle, and one for the weighted
+    hardy columns, in the section pair (two circles); the Gram transforms
+    only the unit circle's blocks, and reads C0's spectra off C's."""
     assert _fft_calls(monkeypatch, build)[0] == ffts
 
 
@@ -511,12 +518,12 @@ def test_gram_mirror_matches_the_per_circle_path_bit_for_bit(monkeypatch, R_, m,
 @pytest.mark.parametrize("name", ["hardy_basis_eval", "complement_basis_eval"])
 def test_gram_falls_back_on_a_c0_only_defect(monkeypatch, name):
     """A family's inner-circle samples one degree further round match no
-    mirror of the unit circle's: the Gram transforms C0 itself (8 FFTs at
-    +-256 on 2048 nodes) and the defect shows in its deviation (at R 0.5 it
-    moves G by 8.2e-3)."""
+    mirror of the unit circle's: the Gram transforms C0 itself (one FFT per
+    family, block and circle at +-256 on 2048 nodes) and the defect shows
+    in its deviation (at R 0.5 it moves G by 8.2e-3)."""
     monkeypatch.setattr(geometry, name, _c0_shifted(getattr(geometry, name)))
     ffts, G = _fft_calls(monkeypatch, lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256))
-    assert ffts == 8
+    assert ffts == 2 * 2 * _blocks(513)
     assert np.max(np.abs(G - np.eye(len(G)))) > 5e-3
 
 
