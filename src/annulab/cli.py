@@ -121,6 +121,24 @@ _FIELDS = {
 }
 
 
+#: the memory rule (:func:`_reads`), per experiment: the symbol fields it
+#: reads, then its phases ``(a, b, c)``, each holding ``m (a n + b) + c n^2``
+#: bytes at ``m = m_circle`` over the ``n`` degrees the run reads: the window
+#: width, ``2W + 1`` in gram (both families over the half-window ``W``),
+#: ``max(sizes)`` in hankel-decay.  A grid row of complex samples is ``16 m``
+#: bytes, a complex section ``16 n^2``.
+_PEAKS = {
+    "gram": ((), ((42, 2842, 0), (0, 0, 221))),
+    "toeplitz-build": (("symbol",), ((191, 471, 122),)),
+    "hankel-decay": (("symbol",), ((0, 0, 26),)),
+    "identities": (("symbol",), ((0, 1218, 0),)),
+    "mellin": ((), ()),
+    "zero-product-hardy": ((), ((0, 0, 160),)),
+    "zero-product-bergman": ((), ((0, 0, 160),)),
+    "semicommutator": (("symbol", "symbol2"), ((0, 0, 163),)),
+}
+
+
 def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabConfig:
     names = [f.name for f in fields(LabConfig)]
     for key in doc:
@@ -163,105 +181,51 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     ``table_length`` covers every index a symbol table is read at: down to
     ``-(2 max(sizes) - 1)`` in a decay sweep, ``-(2 DIAGRAM_SIZE - 1)`` in
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
-    windowed section.  ``bytes`` bounds what the experiment holds at its
-    peak, counted from the arrays the code allocates: the sum of rows of
-    ``m = m_circle`` grid samples and sections, which bounds each phase of
-    the run, and ``field`` names the config field that sizes the larger
-    part (``m_circle`` or ``window``).  On the runs of
-    ``test_memory_rule_bounds_the_traced_peak`` tracemalloc reads 0.38 to
-    0.95 of the count.
+    windowed section.  ``bytes`` bounds the run's resident set, measured
+    rather than derived: the largest phase of ``_PEAKS`` (times the trials
+    a probe stacks, as ``hardy._probe`` does), plus 22 bytes per byte of
+    each symbol file the run reads, its size taken before any table is
+    built; ``field`` names the largest of these parts.  Each coefficient
+    makes the count at least 1.15 times the larger of the tracemalloc peak
+    and the growth of a fresh process's peak resident set (VmHWM, after
+    ``parse_config`` against after ``run``) on every shape of this grid that
+    holds 16 MiB or more (below that, about 3 MiB of first-use growth weighs
+    most: a mellin run grows the resident set by 3.3 MiB).  ``m`` nodes, half-window
+    ``W``, symbol reach ``r``, each symbol drawn in memory or read from a
+    file in ``write_symbol``'s layout or the densest one:
 
-    Rows, ``16 m`` bytes each.  The pairing kernel holds its spectrum rows
-    (hardy, complement and, in toeplitz-build, weighted hardy: ``3n`` over
-    ``n`` degrees).  gram, over ``n = 2W + 1`` and ``side = 2n`` rows,
-    holds besides them, per degree of a block of ``b = min(n,
-    _GRAM_BLOCK)``, the samples, their C0 mate and the mate's int64 index
-    (2.5 rows) and the roots table (one row); later the owner test holds
-    1/8 row per spectrum row (its chunks' masks and their concatenation)
-    and an ``abs`` chunk below the block's buffers: ``m (18 side + 40 b +
-    16)`` bytes.  With ``_GRAM_BLOCK`` at 64 the traced peak falls in the
-    owner test, spectra beside the kept bins (40.3 MiB at +-256 on 2048
-    nodes, where this counts 41.1 and the sections 35.1).  toeplitz-build
-    keeps each circle's kept bins, a column selection of its spectra, with
-    their packed masks, so in C0's pass it holds its spectra, C's kept bins
-    and C0's: nine rows per degree, the masks below a tenth, and the
-    symbol's two sample rows, ``m (160 n + 32)``; its block buffers (1.5
-    rows per block degree) come before C0's kept bins.  A symbol of small
-    reach keeps fewer bins: tracemalloc reads 0.38 of the count at +-64 on
-    4096 nodes.  identities holds at most ``3 DIAGRAM_SIZE`` rows in its
-    transfer tables (the flipped samples, their FFT and its division) and
-    ``5 SPLIT_SIZE`` in its split relations.
-    Their spectrum, the resynthesized part and its FFT (``3 SPLIT_SIZE``)
-    are freed before the coefficient arrays; then up to eight arrays of
-    ``SPLIT_SIZE x (SPLIT_SIZE + r)`` coefficients are alive at once beside
-    their int64 offsets, each half a row per unit of size at the largest
-    reach ``r`` the grid admits, the offsets a quarter: ``4.25
-    SPLIT_SIZE``, counted as 5 (42 rows traced there, 44 in the whole run
-    at 4096 nodes); two rows more hold the symbol's samples.  mellin holds
-    no rows and no section (its arrays grow with no field).
-
-    Sections, ``16 side^2`` bytes (``side`` the window width, ``2(2W+1)``
-    for gram, ``max(sizes)`` for hankel-decay).  gram gathers into ``Z``
-    beside both circles' kept bins (one section: a healthy basis owns ``n``
-    bins) and two gather buffers of ``min(side, _GRAM_BLOCK)`` rows, then
-    forms ``G`` beside ``Z``; the packed masks are below ``side^2`` bytes.
-    toeplitz-build holds the closed-form pair and the kernel's ``P`` and
-    ``Q`` beside up to four gather buffers; once the kept bins are freed,
-    ``Q`` is conjugated in place and added into ``P``.  Ten sections of
-    ``16 n^2`` bytes cover these eight and the closed-form builders (below
-    8.5, see below).
-    hankel-decay holds no section of its own: its largest array is
-    LAPACK's copy of the live ``L x L`` corner, ``8 L^2`` for a real table
-    and ``16 L^2`` for a complex one, with ``L <= max(sizes)``.
-
-    Two experiments hold several sections at once.  A two-circle builder
-    holds its result and, per entry of :func:`hardy._band_entries`, three
-    int64 indices, both terms' gathered coefficients and weighted values,
-    and their sum: ``1 + 6.5 f`` sections when its bands fill the fraction
-    ``f`` of the section.  ``hardy._semicommutator_residual``, annulus and
-    disc, holds 3 in its first band product, then keeps ``T_phi T_psi``
-    beside the conjugated Hankel section of ``phi`` (``.conj()`` frees the
-    built one), that of ``psi`` and their band product: 4; its residual
-    holds 3 (tracemalloc reads 4.0 at side 801 for the reach-4 symbols it
-    draws).  Its bands keep ``a + b < side / 2``, so ``f < 3/4``, and the
-    Hankel section of ``psi``, built beside the two it keeps, peaks below
-    ``3 + 4.9``: 9, ``144 side^2`` (``psi`` of reach 400 beside a constant
-    ``phi`` read 7.9 traced at side 801, and grew the resident set by
-    8.9).  The probes count stacked sections: ``hardy._probe`` builds the
-    sections of ``t = min(TRIALS, max(1, _STACK_BYTES // (16 side^2)))``
-    trials at once and applies to each what a one-trial call applies, so a
-    stack of two or more trials holds up to ``hardy._STACK_BYTES`` (1 MiB)
-    whatever the window, and where a refusal can fall it is one section.
-    Its reach-4 trials fill at most ``f = 9 / side`` of it.  ``T_f``, ``T_g``
-    and their product are alive from the band product through the ladder:
-    3.  The ladder over ``k <= side`` columns adds up to six complex ``side
-    x k`` blocks (its column copy, the normalized one, ``qr``'s copy,
-    ``Q``, and LAPACK's copies of the matrix and of ``Q``) and, in Bergman,
-    real identity columns: 3 + 6.5.  Ten stacks, ``160 t side^2``, bound
-    each phase with room for the allocator's slack: a lone trial's
-    full-width ladder at side 801 grew the resident set by 9.6 sections in
-    Hardy, 9.8 in Bergman.  On the shipped probe configs (``t`` 15 and 20)
-    tracemalloc reads 4.4 and 3.5 MiB, 0.45 and 0.48 of the count, where
-    ten single sections count 0.64 and 0.37 MiB."""
+    - gram: ``W`` from 8 to 700 on 512 to 65536 nodes;
+    - toeplitz-build: widths 5 to 1601 on 1024 to 65536 nodes, ``r`` 4 and
+      up to ``min(m/2 - 1, m - width)``, bands that fill the section among
+      them;
+    - identities: 4096 to 131072 nodes, ``r`` up to ``m/2 - 20``;
+    - hankel-decay: sizes 512 to 2048, built-in tables and a complex one of
+      full reach;
+    - semicommutator: widths 201 to 801, both reaches up to a quarter of
+      the width, or a constant beside a reach of half of it;
+    - the probes: ten sections per stack, as a lone trial's full-width
+      ladder at side 801 grew the resident set by 9.6 sections in Hardy,
+      9.8 in Bergman;
+    - a symbol file: ``read_symbol`` peaks at 19 bytes per byte of the
+      densest layout it takes (``[n,0,0]`` rows, no whitespace), 4.1 of
+      ``write_symbol``'s."""
     (lo, hi), exp, m = cfg.window, cfg.experiment, cfg.m_circle
-    if exp == "hankel-decay":
-        return 2 * max(cfg.sizes), "sizes", 16 * max(cfg.sizes) ** 2
-    if exp == "identities":
-        return 2 * DIAGRAM_SIZE, "m_circle", 16 * m * (max(3 * DIAGRAM_SIZE, 5 * SPLIT_SIZE) + 2)
-    width, block = hi - lo + 1, geometry._GRAM_BLOCK
-    if exp == "gram":
-        side = 2 * (2 * max(-lo, hi) + 1)
-        rows = m * (18 * side + 40 * min(side // 2, block) + 16)
-        sections = 32 * side * (side + min(side, block)) + side**2
-    elif exp == "toeplitz-build":
-        rows, sections = m * (160 * width + 32), 160 * width**2
-    else:
-        count = {"mellin": 0, "semicommutator": 9, **dict.fromkeys(_HARNESSES, 10)}[exp]
-        rows, sections = 0, 16 * count * width**2
-        if exp in _HARNESSES:  # sections stacked by hardy._probe's rule
-            sections *= min(TRIALS, max(1, hardy._STACK_BYTES // (16 * width**2)))
-    field = "m_circle" if rows > sections else "window"
-    return width, field, rows + sections
+    n = {"gram": 2 * max(-lo, hi) + 1, "hankel-decay": max(cfg.sizes)}.get(exp, hi - lo + 1)
+    names, phases = _PEAKS[exp]
+    rows, secs = max(((m * (a * n + b), c * n * n) for a, b, c in phases), key=sum, default=(0, 0))
+    if exp in _HARNESSES:  # sections stacked by hardy._probe's rule
+        secs *= min(TRIALS, max(1, hardy._STACK_BYTES // (16 * n**2)))
+    parts = {"m_circle": rows, "sizes" if exp == "hankel-decay" else "window": secs}
+    parts |= {name: 22 * _file_bytes(getattr(cfg, name)) for name in names}
+    length = {"hankel-decay": 2 * n, "identities": 2 * DIAGRAM_SIZE}.get(exp, hi - lo + 1)
+    return length, max(parts, key=parts.get), sum(parts.values())
+
+
+def _file_bytes(path) -> int:
+    try:
+        return os.stat(path).st_size
+    except (OSError, TypeError, ValueError):  # no file: _resolve_boundary refuses it
+        return 0
 
 
 def load_config(path, experiment: str, out_override: str | None = None) -> LabConfig:
@@ -281,9 +245,7 @@ def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
         return fallback()
     if ref.startswith("builtin:"):
         try:
-            return reference.reference_symbol(
-                ref[len("builtin:"):], cfg.R, _reads(cfg)[0]
-            )
+            return reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
     try:
@@ -336,9 +298,7 @@ def _run_toeplitz_build(cfg: LabConfig):
 
 
 def _run_hankel_decay(cfg: LabConfig):
-    sym = _resolve_boundary(
-        cfg.symbol, cfg, reference.smooth_decay_symbol
-    )
+    sym = _resolve_boundary(cfg.symbol, cfg, reference.smooth_decay_symbol)
     verdict, profiles = reduction.hankel_compactness_indicator(sym, cfg.sizes)
     check = "hankel-decay"
     rows = []
@@ -430,11 +390,7 @@ def _run_mellin(cfg: LabConfig):
     worst = float(
         np.max([abs(c - q) / max(1.0, abs(c)) for c, q in zip(closed, quad)])
     )
-    rows = [
-        report.residual_check(
-            "mellin", "closed_form_vs_quadrature", worst, TOLERANCE
-        )
-    ]
+    rows = [report.residual_check("mellin", "closed_form_vs_quadrature", worst, TOLERANCE)]
     values = mellin.mellin_transform(target, zr, cfg.R)
     rec = mellin.mellin_poly_reconstruct(
         values, RECONSTRUCT_Z_START, RECONSTRUCT_Z_STEP, cfg.R

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import read_decay_csv
+from hypothesis import given, settings, strategies as st, target
 
 import annulab
 from annulab.cli import (
@@ -1015,13 +1016,14 @@ def test_arrays_past_physical_memory_exit_2_before_any_work(
 
 
 def test_memory_rule_counts_ten_rows_per_toeplitz_build_degree(monkeypatch):
-    """toeplitz-build holds per degree its three spectrum rows of m_circle
-    samples and, in C0's pass, both circles' kept bins (at most three rows
-    each) with their packed masks: ten rows, two more of symbol samples and
-    ten sections (``cli._reads``).  A host one byte short of that refuses
-    the run; the old count of three rows per degree is far short of it."""
+    """toeplitz-build counts its one phase of ``cli._PEAKS``, ``m (a n + b)
+    + c n^2`` bytes, more than ten rows of m_circle samples per degree: a
+    host one byte short of it refuses the run, naming m_circle, and one
+    that holds it exactly accepts it."""
     doc = {"window": [-10, 10], "m_circle": 4096}
-    need = 16 * 4096 * (10 * 21 + 2) + 160 * 21**2
+    ((a, b, c),) = annulab.cli._PEAKS["toeplitz-build"][1]
+    need = 4096 * (a * 21 + b) + c * 21**2
+    assert need > 16 * 4096 * 10 * 21
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(ConfigError, match="config field 'm_circle'.*physical memory"):
@@ -1073,12 +1075,160 @@ def test_memory_rule_bounds_the_traced_peak(tmp_path, experiment, doc):
     assert peak <= need
 
 
+def _traced_peak(cfg) -> int:
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: (experiment, config), each reading a symbol file of reach 4000 in
+#: write_symbol's layout: parsing it holds several times the file's bytes
+_FILE_CASES = [
+    ("toeplitz-build", {"window": [-2, 2], "m_circle": 8192}),
+    ("identities", {"m_circle": 8192}),
+]
+
+
+@pytest.mark.parametrize("experiment, doc", _FILE_CASES, ids=[e for e, _ in _FILE_CASES])
+def test_memory_rule_counts_the_symbol_file(tmp_path, experiment, doc):
+    """The bytes of each symbol file a run reads are counted (``cli._reads``)
+    before any table is built, so the traced peak, the file's parse
+    included, stays at most the count."""
+    path = tmp_path / "sym.json"
+    write_symbol(path, random_boundary_symbol(Lcg(3), 4000), 0.5)
+    cfg = parse_config({"R": 0.5, "symbol": str(path), **doc}, experiment, str(tmp_path / "out"))
+    assert _traced_peak(cfg) <= _reads(cfg)[2]
+
+
+def test_memory_rule_counts_only_the_symbol_files_read(tmp_path):
+    """identities reads ``symbol``, not ``symbol2``; a missing file adds
+    nothing, and the run's own refusal names it."""
+    path = tmp_path / "sym.json"
+    write_symbol(path, random_boundary_symbol(Lcg(3), 400), 0.5)
+    base = _reads(parse_config({}, "identities", None))[2]
+    with_file = _reads(parse_config({"symbol": str(path)}, "identities", None))[2]
+    assert with_file == base + 22 * path.stat().st_size
+    assert _reads(parse_config({"symbol2": str(path)}, "identities", None))[2] == base
+    missing = parse_config({"symbol": str(tmp_path / "none.json")}, "identities", None)
+    assert _reads(missing)[2] == base
+    assert run_lab(tmp_path, "identities", {"symbol": str(tmp_path / "none.json")})[0] == 2
+
+
+@st.composite
+def _sweep_case(draw, experiment):
+    """One config of ``experiment`` whose count is at least 1.5 MiB, so the
+    arrays that grow with its fields outweigh the fixed ones, the reaches of
+    the symbol files it reads (None: the experiment's own symbol), each up
+    to the largest the grid admits, and the seed of their coefficients."""
+    m = 2 ** draw(st.integers(11, 12))
+    lo = draw(st.integers(-64, 64))
+    doc, reaches = {"R": 0.5, "m_circle": m}, {}
+    if experiment == "gram":
+        half = draw(st.integers(1, 200))
+        other = draw(st.integers(-half + 1, half))
+        doc["window"] = draw(st.sampled_from([[-half, other], [-other, half]]))
+    elif experiment == "toeplitz-build":
+        width = draw(st.integers(2, 96))
+        doc["window"] = [lo, lo + width - 1]
+        reaches["symbol"] = draw(st.none() | st.integers(0, min(m // 2 - 1, m - width)))
+    elif experiment == "identities":
+        reaches["symbol"] = draw(st.none() | st.integers(0, m // 2 - 20))
+    elif experiment == "hankel-decay":
+        top = draw(st.integers(320, 512))
+        doc["sizes"] = sorted({draw(st.integers(1, top)), top})
+        reaches["symbol"] = draw(st.integers(0, 2 * max(doc["sizes"])))
+    elif experiment == "semicommutator":
+        width = draw(st.integers(121, 201))
+        doc["window"] = [lo, lo + width - 1]
+        a = draw(st.integers(0, (width - 1) // 2 - 1))
+        reaches = {"symbol": a, "symbol2": draw(st.integers(0, (width - 1) // 2 - 1 - a))}
+    else:
+        width = draw(st.integers(40, 160))
+        doc["window"] = [lo, lo + width - 1]
+    return doc, reaches, draw(st.integers(0, 2**31))
+
+
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "mellin"])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_memory_rule_bounds_the_traced_peak_over_a_sweep(tmp_path_factory, experiment, data):
+    """Over drawn windows, grids, sizes and symbol files (``_sweep_case``)
+    the traced peak of each run is at most the count; ``target`` records
+    the largest ratio.  mellin holds no array that grows with a field, and
+    counts none."""
+    doc, reaches, seed = data.draw(_sweep_case(experiment))
+    folder = tmp_path_factory.mktemp("sweep")
+    for name, reach in reaches.items():
+        if reach is not None:
+            doc[name] = str(folder / f"{name}.json")
+            write_symbol(doc[name], random_boundary_symbol(Lcg(seed), reach), 0.5)
+    cfg = parse_config(doc, experiment, str(folder / "out"))
+    need = _reads(cfg)[2]
+    try:
+        peak = _traced_peak(cfg)
+    except annulab.cli.DOMAIN_ERRORS:
+        return  # refused with exit 2, as a config the grid cannot serve
+    target(peak / need, label=experiment)
+    assert peak <= need
+
+
+#: one run's growth of a fresh interpreter's peak resident set (VmHWM, the
+#: peak of this process alone: ``ru_maxrss`` also takes in the parent's
+#: resident set at the exec, which hides the growth of a small run), then
+#: the count
+_RSS_RUN = """
+import json, sys
+from annulab import cli
+
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM")).split()[1])
+
+
+doc, out = json.loads(sys.argv[1]), sys.argv[2]
+cfg = cli.parse_config(doc, doc["experiment"], out)
+before = peak_kib()
+cli.run(cfg)
+print(1024 * (peak_kib() - before), cli._reads(cfg)[2])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+@pytest.mark.parametrize("case", ["gram-500-1024", "toeplitz-build-file"])
+def test_memory_rule_bounds_the_resident_set_growth(tmp_path, case):
+    """In a fresh process the resident set grows by at most the count: the
+    Gram at +-500 on 1024 nodes, whose gather grows it about a quarter past
+    its traced peak, and toeplitz-build reading a reach-4000 symbol file."""
+    if case == "gram-500-1024":
+        doc = {"experiment": "gram", "window": [-500, 500], "m_circle": 1024}
+    else:
+        path = tmp_path / "sym.json"
+        write_symbol(path, random_boundary_symbol(Lcg(3), 4000), 0.5)
+        doc = {"experiment": "toeplitz-build", "window": [-2, 2], "m_circle": 8192,
+               "symbol": str(path)}
+    src = str(Path(annulab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_RUN, json.dumps({"R": 0.5, **doc}), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    grown, need = map(int, done.stdout.split())
+    assert grown <= need
+
+
 def test_memory_rule_refuses_a_gram_grid_past_the_host(tmp_path, capsys, monkeypatch):
-    """The Gram at +-24 on 2^22 nodes holds its 98 spectrum rows and about
-    2.5 rows per degree of its one block, 14.6 GiB (the largest array alone,
-    6.1 GiB, fit a 7.84 GiB host): on such a host it exits 2 with one line
-    naming m_circle, before any array is built or directory created."""
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": round(7.84 * 2**30 / 4096)}
+    """The Gram at +-24 on 2^22 nodes counts its rows phase of
+    ``cli._PEAKS``, ``m (a n + b)`` bytes over ``n = 49`` degrees, more than
+    its 98 spectrum rows alone (6.1 GiB): a host one byte short of it exits
+    2 with one line naming m_circle, before any array is built or directory
+    created, and one that holds it exactly accepts the config."""
+    (a, b, _), _ = annulab.cli._PEAKS["gram"][1]
+    need = 2**22 * (a * 49 + b)
+    assert need > 16 * 2**22 * 98
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
     def no_build(*args):
@@ -1091,6 +1241,8 @@ def test_memory_rule_refuses_a_gram_grid_past_the_host(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config field 'm_circle'")
     assert "physical memory" in err[0]
+    pages["SC_PHYS_PAGES"] = need
+    assert parse_config({"m_circle": 2**22}, "gram", None).m_circle == 2**22
 
 
 def test_parse_config_refuses_a_bad_grid_as_config_error():
@@ -1116,13 +1268,13 @@ def test_memory_rule_counts_only_the_fields_an_experiment_reads(tmp_path):
 
 
 def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):
-    """The Bergman probe holds up to ten stacks of its trials' sections
-    over every degree of the window at once (``cli._reads``; at this width
-    a stack holds all the trials): a host one byte short of that over
-    -20 .. 10 refuses the window, though it holds ten stacks over -1 .. 10
-    and one over -20 .. 10 many times over."""
+    """The Bergman probe counts ``c`` bytes per degree squared of the window
+    (``cli._PEAKS``, ten sections) per trial it stacks, all of them at this
+    width: a host one byte short of that over -20 .. 10 refuses the window,
+    though it holds the count over -1 .. 10 many times over."""
     doc = {"window": [-20, 10]}
-    need = annulab.cli.TRIALS * 160 * 31**2
+    ((_, _, c),) = annulab.cli._PEAKS["zero-product-bergman"][1]
+    need = annulab.cli.TRIALS * c * 31**2
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
@@ -1134,12 +1286,14 @@ def test_memory_rule_sizes_the_whole_bergman_window(monkeypatch):
 
 def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
     """A host that holds the three sections of T_f, T_g and their product
-    over +-48, but not the ten stacks of the probe's peak (a stack holds
-    the trials whose sections fit ``hardy._STACK_BYTES``, six here), refuses
-    the window: exit 2 with one line, before any section is built."""
+    over +-48, but not the probe's count (``cli._PEAKS``: ``c`` bytes per
+    degree squared per stacked trial; a stack holds the trials whose
+    sections fit ``hardy._STACK_BYTES``, six here), refuses the window:
+    exit 2 with one line, before any section is built."""
     doc = {"window": [-48, 48]}
     section = 16 * 97**2
-    stack = section * (annulab.hardy._STACK_BYTES // section)
+    ((_, _, c),) = annulab.cli._PEAKS["zero-product-hardy"][1]
+    need = c * 97**2 * (annulab.hardy._STACK_BYTES // section)
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * section}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
@@ -1153,19 +1307,21 @@ def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config field 'window'")
     assert "physical memory" in err[0]
-    pages["SC_PHYS_PAGES"] = 10 * stack - 1
+    pages["SC_PHYS_PAGES"] = need - 1
     with pytest.raises(ConfigError, match="config field 'window'.*physical memory"):
         parse_config(doc, "zero-product-hardy", None)
-    pages["SC_PHYS_PAGES"] = 10 * stack
+    pages["SC_PHYS_PAGES"] = need
     assert parse_config(doc, "zero-product-hardy", None).window == (-48, 48)
 
 
 def test_memory_rule_sizes_the_semicommutator_peak(tmp_path, capsys, monkeypatch):
-    """The identity holds up to nine sections at once (``cli._reads``): a
-    host one byte short of nine over +-48 refuses the window with one line
-    and no output, before any section is built; nine exactly are accepted."""
+    """The identity counts ``c`` bytes per degree squared of the window
+    (``cli._PEAKS``, about ten sections): a host one byte short of that
+    over +-48 refuses the window with one line and no output, before any
+    section is built; the count exactly is accepted."""
     doc = {"window": [-48, 48]}
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 9 * 16 * 97**2 - 1}
+    ((_, _, c),) = annulab.cli._PEAKS["semicommutator"][1]
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": c * 97**2 - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
     def no_build(*args):
