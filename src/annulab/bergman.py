@@ -52,7 +52,9 @@ def apply_polar_to_monomial(f: PolarSymbol, n: int, R: float) -> dict[int, compl
 def build_bergman_toeplitz(
     f: PolarSymbol | Sequence[PolarSymbol], window: tuple[int, int], R: float
 ) -> np.ndarray:
-    """Section of the symbol's action over the window's monomial degrees.
+    """Section of the symbol's action over the window's monomial degrees,
+    in the band layout of :func:`annulab.hardy._band_sections` at
+    ``f.bandwidth()``.
 
     Entries are taken in the orthonormal basis (unit monomial multiples),
     so sections compose as matrices: band ``k`` sends ``z^n`` to ``t_m^2
@@ -62,7 +64,7 @@ def build_bergman_toeplitz(
     norm constants of :func:`bergman_norm_const` and ``M`` =
     :func:`monomial_moment`.  A radial symbol gives a diagonal section, a
     single positive band a weighted shift, and a sequence of symbols their
-    sections stacked along a leading axis.
+    sections stacked along a leading axis, at their largest bandwidth.
 
     Bounded form: with ``a = n + 1`` and ``b = m + 1``, ``t_n = R^(e_n)
     tau_n`` for ``e_n = max(0, -a)`` and ``tau_n = bergman_norm_const(|a| -
@@ -129,8 +131,9 @@ def build_bergman_toeplitz(
     for j in range(width):
         profile += coeffs[band, j] * term[:, j]
     tau = bergman_norm_const(np.abs(n + 1) - 1, R)
-    ent = np.zeros((len(fs), len(n), len(n)), dtype=complex)
-    ent[owner[band], row, col] += (tau[row] * tau[col]) * profile
+    w = min(max((sym.bandwidth() for sym in fs), default=0), len(n) - 1)
+    ent = np.zeros((len(fs), 2 * w + 1, len(n)), dtype=complex)
+    ent[owner[band], row - col + w, col] += (tau[row] * tau[col]) * profile
     for sec, sym in zip(ent, fs):
         if not sym.is_zero() and not sec.any():
             raise WindowTooSmallError(

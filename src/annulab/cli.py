@@ -122,11 +122,15 @@ _FIELDS = {
 
 
 #: the memory rule (:func:`_reads`), per experiment: the symbol fields it
-#: reads, then its phases ``(a, b, c)``, each holding ``m (a n + b) + c n^2``
+#: reads, then its phases ``(a, b, c)``, each holding ``m (a n + b) + c n k``
 #: bytes at ``m = m_circle`` over the ``n`` degrees the run reads: the window
-#: width, ``2W + 1`` in gram (both families over the half-window ``W``),
-#: ``max(sizes)`` in hankel-decay.  A grid row of complex samples is ``16 m``
-#: bytes, a complex section ``16 n^2``.
+#: width, ``2W + 1`` in gram (both families over the half-window ``W``).  A
+#: section holds ``k`` entries per degree: ``n`` for a square one, the
+#: ``2 min(r + s, n - 1) + 1`` diagonals of the product band in
+#: semicommutator (symbol reaches ``r`` and ``s``), and hankel-decay
+#: decomposes its live corner, ``n = k = min(max(sizes), reach)``, besides
+#: ``_DECAY_VALUE_BYTES`` per singular value it keeps.  A grid row of
+#: complex samples is ``16 m`` bytes, a complex section ``16 n^2``.
 _PEAKS = {
     "gram": ((), ((42, 2842, 0), (0, 0, 221))),
     "toeplitz-build": (("symbol",), ((191, 471, 122),)),
@@ -137,6 +141,7 @@ _PEAKS = {
     "zero-product-bergman": ((), ((0, 0, 160),)),
     "semicommutator": (("symbol", "symbol2"), ((0, 0, 163),)),
 }
+_DECAY_VALUE_BYTES = 384
 
 
 def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabConfig:
@@ -183,7 +188,7 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     the identities diagram's disc Hankel section, ``-(width - 1)`` in a
     windowed section.  ``bytes`` bounds the run's resident set, measured
     rather than derived: the largest phase of ``_PEAKS`` (times the trials
-    a probe stacks, as ``hardy._probe`` does), plus 22 bytes per byte of
+    a probe stacks at ``n^2`` bytes each), plus 22 bytes per byte of
     each symbol file the run reads, its size taken before any table is
     built; ``field`` names the largest of these parts.  Each coefficient
     makes the count at least 1.15 times the larger of the tracemalloc peak
@@ -200,25 +205,56 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
       them;
     - identities: 4096 to 131072 nodes, ``r`` up to ``m/2 - 20``;
     - hankel-decay: sizes 512 to 2048, built-in tables and a complex one of
-      full reach;
+      full reach; ``builtin:smooth-decay`` at sizes ``[4, 60000]`` and
+      ``[4, 120000]``, where its values weigh most (332 and 327 bytes each
+      by VmHWM);
     - semicommutator: widths 201 to 801, both reaches up to a quarter of
-      the width, or a constant beside a reach of half of it;
+      the width, or a constant beside a reach of half of it, and the drawn
+      reach-4 pair at +-8192 and +-16384 (0.59 of the count by VmHWM);
     - the probes: ten sections per stack, as a lone trial's full-width
       ladder at side 801 grew the resident set by 9.6 sections in Hardy,
-      9.8 in Bergman;
+      9.8 in Bergman (a chunk of trials whose ladders read fewer columns
+      holds more of them: windows +-32 to +-300 peak at 0.75 of the count
+      or less);
     - a symbol file: ``read_symbol`` peaks at 19 bytes per byte of the
       densest layout it takes (``[n,0,0]`` rows, no whitespace), 4.1 of
       ``write_symbol``'s."""
     (lo, hi), exp, m = cfg.window, cfg.experiment, cfg.m_circle
     n = {"gram": 2 * max(-lo, hi) + 1, "hankel-decay": max(cfg.sizes)}.get(exp, hi - lo + 1)
-    names, phases = _PEAKS[exp]
-    rows, secs = max(((m * (a * n + b), c * n * n) for a, b, c in phases), key=sum, default=(0, 0))
-    if exp in _HARNESSES:  # sections stacked by hardy._probe's rule
-        secs *= min(TRIALS, max(1, hardy._STACK_BYTES // (16 * n**2)))
-    parts = {"m_circle": rows, "sizes" if exp == "hankel-decay" else "window": secs}
-    parts |= {name: 22 * _file_bytes(getattr(cfg, name)) for name in names}
     length = {"hankel-decay": 2 * n, "identities": 2 * DIAGRAM_SIZE}.get(exp, hi - lo + 1)
+    names, phases = _PEAKS[exp]
+    k, extra = n, 0
+    if exp == "hankel-decay":
+        reach = _reach(cfg, "symbol", reference.smooth_decay_symbol().bandwidth())
+        n = k = n if reach is None else min(n, reach)
+        extra = _DECAY_VALUE_BYTES * sum(cfg.sizes)
+    elif exp == "semicommutator":
+        r, s = (_reach(cfg, name, TRIAL_REACH) for name in names)
+        k = 2 * (n - 1 if r is None or s is None else min(r + s, n - 1)) + 1
+    rows, secs = max(((m * (a * n + b), c * n * k) for a, b, c in phases), key=sum, default=(0, 0))
+    if exp in _HARNESSES:  # a trial's ladder may read every column
+        secs *= min(TRIALS, max(1, hardy._STACK_BYTES // (16 * n**2)))
+    parts = {"m_circle": rows, "sizes" if exp == "hankel-decay" else "window": secs + extra}
+    parts |= {name: 22 * _file_bytes(getattr(cfg, name)) for name in names}
     return length, max(parts, key=parts.get), sum(parts.values())
+
+
+def _reach(cfg: LabConfig, name: str, default: int) -> int | None:
+    """The bandwidth of the symbol field ``name`` where it is known before
+    any table is read: ``default`` (that of the experiment's own symbol)
+    when the field is unset, a fixed built-in table's.  ``None`` for a
+    symbol file or a table truncated to the run's reads, which may reach
+    as far as the run reads."""
+    ref = getattr(cfg, name)
+    if ref is None:
+        return default
+    key = ref.removeprefix("builtin:")
+    if key == ref or key in reference.TRUNCATED:
+        return None
+    try:
+        return reference.reference_symbol(key, cfg.R).bandwidth()
+    except KeyError:  # _resolve_boundary refuses the name
+        return None
 
 
 def _file_bytes(path) -> int:
@@ -281,8 +317,8 @@ def _run_toeplitz_build(cfg: LabConfig):
     sym = _resolve_boundary(
         cfg.symbol, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
     )
-    sec = hardy.build_toeplitz_hardy(sym, cfg.window, cfg.R)
-    hankel = hardy.build_hankel_annulus(sym, cfg.window, cfg.R)
+    sec = hardy.dense(hardy.build_toeplitz_hardy(sym, cfg.window, cfg.R))
+    hankel = hardy.dense(hardy.build_hankel_annulus(sym, cfg.window, cfg.R))
     rows = []
     for name, closed, quad in zip(
         ("closed_form_vs_quadrature", "complement_closed_form_vs_quadrature"),

@@ -37,31 +37,29 @@ def _check_window(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def band_product(A: np.ndarray, B: np.ndarray, a: int, b: int) -> np.ndarray:
-    """``A @ B`` for sections, or stacks of sections, whose entries are
-    zero more than ``a`` (for ``A``) or ``b`` (for ``B``) off the diagonal.
+def band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` for sections, or stacks of sections, in band layout
+    (:func:`_band_sections`), as the band of the product.
 
-    Column ``j`` of the product reads only the rows ``k`` of ``B`` within
-    ``b`` of ``j``, and those columns of ``A`` hold nothing more than ``a``
-    from ``k``.  So the product is formed in blocks of ``2 (a + b) + 1``
-    columns, the width of its own band: each block is one matmul of only
-    the rows and columns the two bands reach, written into a zero-filled
-    result.  When that width covers the window the loop runs a single,
-    dense block.  The bands are the symbols' ``bandwidth()``, never read
-    off the entries.  The result is ``A @ B`` to rounding, not bit for bit:
-    BLAS may group a shorter sum differently.  A stacked block makes the
-    matmul of a lone block per matrix, so each matrix of a stack has the
-    bits of its lone product.
+    With ``A`` of half-width ``a`` and ``B`` of ``b``, entry ``(j + d, j)``
+    of the product is the sum over ``B``'s diagonals ``q = -b .. b`` of
+    ``A[j + d, j + q] B[j + q, j]``: diagonal ``q`` of ``B`` scales the
+    ``2a + 1`` entries of ``A``'s column ``j + q``, which land on the
+    product's diagonals ``q - a .. q + a``.  So the product is ``2b + 1``
+    elementwise multiply-adds of ``A``'s columns, shifted by ``q``, into a
+    zero-filled band of half-width ``a + b`` (whose diagonals past
+    ``n - 1``, if any, hold only zeros), in ``O(n a b)``.  The sum runs in
+    ``q`` order, so it is ``A @ B`` to rounding, not bit for bit, and
+    elementwise steps give each matrix of a stack the bits of its lone
+    product.
     """
-    m, n, p = A.shape[-2], A.shape[-1], B.shape[-1]
-    out = np.zeros((*np.broadcast_shapes(A.shape[:-2], B.shape[:-2]), m, p),
+    a, b, n = A.shape[-2] // 2, B.shape[-2] // 2, A.shape[-1]
+    out = np.zeros((*np.broadcast_shapes(A.shape[:-2], B.shape[:-2]), 2 * (a + b) + 1, n),
                    dtype=np.result_type(A, B))
-    width = 2 * (a + b) + 1
-    for j in range(0, p, width):
-        k0, k1 = max(j - b, 0), min(j + width + b, n)
-        i0, i1 = max(k0 - a, 0), min(k1 + a, m)
-        np.matmul(A[..., i0:i1, k0:k1], B[..., k0:k1, j : j + width],
-                  out=out[..., i0:i1, j : j + width])
+    for q in range(-b, b + 1):
+        j0, j1 = max(0, -q), min(n, n - q)  # the columns j whose j + q is in the section
+        out[..., q + b : q + b + 2 * a + 1, j0:j1] += (A[..., j0 + q : j1 + q]
+                                                       * B[..., q + b, None, j0:j1])
     return out
 
 
@@ -81,34 +79,67 @@ def _band_entries(bands: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray,
 
 
 def _band_sections(tables, weights, size: int, bandwidth: int, combine=np.add) -> np.ndarray:
-    """Stacked ``size x size`` sections written only on the diagonals
-    ``|a - b| <= bandwidth``, zero elsewhere.  ``tables`` holds one list of
-    coefficient tables (one per section) per term, and ``weights`` one pair
-    ``(u, v)`` of row and column weights per term, or ``None`` for bare ones.
-    Entry ``(a, b)`` of a term is ``t(a - b) * (u[a] * v[b])``, in that
-    order: the bits of ``t * np.outer(u, v)``, signed zeros included.
-    Terms are joined by ``combine``.  One :func:`_read` takes every table
-    at the band's offsets; the terms are formed at the entries of
-    :func:`_band_entries` only and written into the stack in one flat
-    assignment.
+    """Stacked ``size x size`` sections that are zero more than
+    ``bandwidth`` off the diagonal, in band layout: with ``w = min(bandwidth,
+    size - 1)``, a ``(stack, 2w + 1, size)`` array whose entry ``[i, c]``
+    is the section's entry ``(c + i - w, c)``, zero where that row leaves
+    the section (LAPACK's layout, Golub–Van Loan ch. 4; :func:`dense`
+    forms the square section).  ``tables`` holds one list of coefficient
+    tables (one per section) per term, and ``weights`` one pair ``(u, v)``
+    of row and column weights per term, or ``None`` for bare ones.  Entry
+    ``(a, b)`` of a term is ``t(a - b) * (u[a] * v[b])``, in that order:
+    the bits of ``t * np.outer(u, v)``, signed zeros included.  Terms are
+    joined by ``combine``.  One :func:`_read` takes every table at the
+    band's offsets, and each term is formed on the whole band at once: row
+    ``i`` of ``u``'s sliding windows over ``w`` zeros each side is
+    ``u[c + i - w]``, so no index array is built.  The slots past the
+    section are then set to ``+0``.
     """
     w = min(bandwidth, size - 1)
-    band, row, col = _band_entries(np.arange(-w, w + 1), size)
-    hats = np.take(_read([t for term in tables for t in term], np.arange(-w, w + 1)), band, -1)
-    hats = hats.reshape(len(tables), len(tables[0]), len(band))
-    terms = [t if uv is None else t * (uv[0][row] * uv[1][col]) for t, uv in zip(hats, weights)]
-    out = np.zeros((hats.shape[1], size, size), dtype=complex)
-    out[:, row, col] = reduce(combine, terms)
+    k = np.arange(-w, w + 1)
+    hats = _read([t for term in tables for t in term], k)
+    hats = hats.reshape(len(tables), len(tables[0]), 2 * w + 1, 1)
+    windows = np.lib.stride_tricks.sliding_window_view
+    terms = [t if uv is None else t * (windows(np.pad(uv[0], w), size) * uv[1])
+             for t, uv in zip(hats, weights)]
+    row = k[:, None] + np.arange(size)
+    return np.where((0 <= row) & (row < size), reduce(combine, terms), 0)
+
+
+def dense(band: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """The square sections of a band-layout array or stack
+    (:func:`_band_sections`), or only their leading ``rows x cols`` block;
+    every entry past the band is ``+0``."""
+    w, n = band.shape[-2] // 2, band.shape[-1]
+    rows, cols = n if rows is None else rows, n if cols is None else cols
+    k, row, col = _band_entries(np.arange(-w, w + 1), n)
+    keep = (row < rows) & (col < cols)
+    out = np.zeros((*band.shape[:-2], rows, cols), dtype=band.dtype)
+    out[..., row[keep], col[keep]] = band[..., k[keep], col[keep]]
+    return out
+
+
+def _adjoint(band: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a band-layout section, in band layout:
+    entry ``(r, c)`` of ``A^H``, band ``k`` at column ``c``, is
+    ``conj(A[c, r])``, which the input holds in band ``2w - k`` at column
+    ``r``; the slots past the section stay ``+0``."""
+    w = band.shape[-2] // 2
+    k, row, col = _band_entries(np.arange(-w, w + 1), band.shape[-1])
+    out = np.zeros_like(band)
+    out[..., k, col] = band[..., 2 * w - k, row].conj()
     return out
 
 
 def build_toeplitz_hardy(
     f: ExactSymbol | Sequence[ExactSymbol], window: tuple[int, int], R: float
 ) -> np.ndarray:
-    """Section of the compression of multiplication by ``f`` to the power family.
+    """Section of the compression of multiplication by ``f`` to the power
+    family, in the band layout of :func:`_band_sections` at ``f.bandwidth()``.
 
     A sequence of symbols gives their sections stacked along a leading
-    axis; every entry has the bits of the one-symbol section.
+    axis, at their largest bandwidth; every entry has the bits of the
+    one-symbol section.
 
     The entry is ``(fhat_C(j-k) + R^(j+k) fhat_C0(j-k)) / (norm_j norm_k)``
     with ``norm_j = sqrt(1 + R^(2j))``.  It is formed as
@@ -132,7 +163,8 @@ def build_toeplitz_hardy(
 def build_hankel_annulus(
     f: ExactSymbol, window: tuple[int, int], R: float
 ) -> np.ndarray:
-    """Section of the complement-side compression of multiplication by ``f``.
+    """Section of the complement-side compression of multiplication by
+    ``f``, in the band layout of :func:`_band_sections` at ``f.bandwidth()``.
 
     Row ``j`` lives in the complement family, column ``k`` in the power
     family; the entry is
@@ -157,14 +189,15 @@ def build_section_quadrature(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble both sections entirely from boundary-grid inner products.
 
-    Returns ``(toeplitz, hankel)``: the hardy rows reproduce
+    Returns the square ``(toeplitz, hankel)``: the hardy rows reproduce
     :func:`build_toeplitz_hardy`, the complement rows
-    :func:`build_hankel_annulus`.  Used as the independent check of the
-    closed-form entries.  Both come from one call of the pairing kernel
-    :func:`geometry._pair_on_grid` on the symbol's grid samples, which
-    evaluates the hardy columns once per circle and refuses, with
-    :class:`AliasingError`, a window whose products would fold on the grid:
-    ``(hi - lo)`` plus the symbol's reach must stay below ``m_circle``.
+    :func:`build_hankel_annulus`, each through :func:`dense`.  Used as the
+    independent check of the closed-form entries.  Both come from one call
+    of the pairing kernel :func:`geometry._pair_on_grid` on the symbol's
+    grid samples, which evaluates the hardy columns once per circle and
+    refuses, with :class:`AliasingError`, a window whose products would
+    fold on the grid: ``(hi - lo)`` plus the symbol's reach must stay below
+    ``m_circle``.
     """
     lo, hi = _check_window(window)
     P = _pair_on_grid(geo, np.arange(lo, hi + 1), sample_symbol(f, geo), f.bandwidth())
@@ -243,24 +276,31 @@ def _semicommutator_residual(
     phi, psi, toeplitz: Callable, hankel: Callable, side: int, both_edges: bool
 ) -> tuple[float, int]:
     """Interior max deviation of the product identity with Hankel correction
-    over the side-``side`` sections ``toeplitz`` and ``hankel`` build: the
-    section of the product symbol against ``T_phi T_psi + H*_phibar H_psi``.
-    Each section is zero more than its symbol's bandwidth off the diagonal,
-    so both products are :func:`band_product` calls with the bands
-    ``phi.bandwidth()`` and ``psi.bandwidth()``.  The interior keeps their
-    sum, the margin, from the last row and column, and from the first ones
+    over the side-``side`` sections ``toeplitz`` and ``hankel`` build, in
+    band layout at their symbols' bandwidths: the section of the product
+    symbol against ``T_phi T_psi + H*_phibar H_psi``.  Both products are
+    :func:`band_product` calls, the adjoint is :func:`_adjoint`, and the
+    deviation is taken on the diagonals of the product's band, which holds
+    the product symbol's narrower one: every entry past it is zero on both
+    sides.  The interior keeps the margin ``phi.bandwidth() +
+    psi.bandwidth()`` from the last row and column, and from the first ones
     too when ``both_edges``.  Returns ``(residual, margin)``.
     """
-    a, b = phi.bandwidth(), psi.bandwidth()
-    margin, first = a + b, (a + b if both_edges else 0)
+    margin = phi.bandwidth() + psi.bandwidth()
+    first = margin if both_edges else 0
     if side - margin <= first:
         raise WindowTooSmallError(
             f"a section of side {side} has no interior at margin {margin}"
         )
-    prod = band_product(toeplitz(phi), toeplitz(psi), a, b)
-    prod += band_product(hankel(conjugate_symbol(phi)).conj().T, hankel(psi), a, b)
-    delta = np.abs(toeplitz(multiply_symbols(phi, psi)) - prod)
-    return float(np.max(delta[first : side - margin, first : side - margin])), margin
+    prod = band_product(toeplitz(phi), toeplitz(psi))
+    prod += band_product(_adjoint(hankel(conjugate_symbol(phi))), hankel(psi))
+    exact = toeplitz(multiply_symbols(phi, psi))
+    w, v = prod.shape[-2] // 2, exact.shape[-2] // 2
+    prod[w - v : w + v + 1] -= exact  # rounding is symmetric: |prod - exact| = |exact - prod|
+    end = side - margin
+    row = np.arange(first, end) + np.arange(-w, w + 1)[:, None]  # of each interior column
+    delta = np.abs(prod[:, first:end])
+    return float(np.max(delta, where=(first <= row) & (row < end), initial=0.0)), margin
 
 
 def semicommutator_residual_annulus(
@@ -422,14 +462,16 @@ def _probe(
     Every pair's window checks run first, in order, so a refusal names the
     first pair the window cannot serve.  They also put each nonzero pair
     into a stack keyed by its bandwidth pair ``(f.bandwidth(),
-    g.bandwidth())``, the ladder's first rung and ``N``, and a stack runs
-    in chunks of as many trials as one stacked section fits in
-    ``_STACK_BYTES`` (at least one).  Per chunk, :func:`band_product` forms
-    ``T_f T_g`` in column blocks, each one stacked matmul of only the rows
-    and columns the two bands reach, and the ladders and the column norms
-    take one stacked call each.  A stacked call, or block, applies per
-    matrix what a one-pair call applies to its matrix, and a pair's own
-    bands fix its blocks, so each report has the bits of the one-pair call.
+    g.bandwidth())``, the ladder's first rung and ``N``.  The sections are
+    built in band layout, and a stack runs in chunks of as many trials as
+    fit ``_STACK_BYTES`` (at least one), a trial counting its product's
+    ``2 (a + b) + 1`` diagonals or the block of ``cut`` columns the ladder
+    reads, whichever is more.  Per chunk, :func:`band_product` forms
+    ``T_f T_g`` on its diagonals, the column norms are taken on them, and
+    only the ladder's columns are formed dense (:func:`dense`); the
+    ladders take one stacked call.  A stacked call applies per matrix what
+    a one-pair call applies to its matrix, so each report has the bits of
+    the one-pair call.
     """
     lo, hi = _check_window(window)
     L, size = LADDER_LENGTH, hi - lo + 1
@@ -455,24 +497,22 @@ def _probe(
             )
         stacks.setdefault((f.bandwidth(), g.bandwidth(), n0_eff - lo, N), []).append((i, n0_g))
 
-    step = max(1, _STACK_BYTES // (16 * size * size))
     for (a, b, first, N), members in stacks.items():
         cut = first + max(N, 0) + L + 1  # the columns _ladder reads
         interior = slice(a + b, size - a - b)
+        rows = min(size, cut + a + b)  # the rows those columns reach
+        # a trial holds its product's band, or rows x cut dense entries per input
+        held = max((2 * (a + b) + 1) * size, rows * cut)
+        step = max(1, _STACK_BYTES // (16 * held))
         for at in range(0, len(members), step):
             idx, n0s = zip(*members[at : at + step])
             tf = build([pairs[i][0] for i in idx], (lo, hi))
             tg = build([pairs[i][1] for i in idx], (lo, hi))
-            prod = band_product(tf, tg, a, b)
-            S = (tf[..., :cut] if through_f
-                 else np.broadcast_to(np.eye(size, cut), (len(idx), size, cut)))
-            P = (prod if through_f else tg)[..., :cut]
-            ladders = zip(*_ladder(S, P, tg[..., :cut], first, N, L))
-            # the norms take two temporaries the size of prod: free the
-            # factors and their views first.  prod stays bound until the next
-            # product replaces it: freed here, glibc trimmed the free stacks
-            # below it, and the next chunk faulted them back in (25% slower)
-            del tf, tg, S, P
+            prod = band_product(tf, tg)
+            G = dense(tg, rows, cut)
+            S, P = ((dense(tf, rows, cut), dense(prod, rows, cut)) if through_f
+                    else (np.broadcast_to(np.eye(rows, cut), G.shape), G))
+            ladders = zip(*_ladder(S, P, G, first, N, L))
             norms = np.linalg.norm(prod, axis=-2)
             for i, n0_g, col, (ladder, pivot, leak) in zip(idx, n0s, norms, ladders):
                 col = col[interior].tolist()

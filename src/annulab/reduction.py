@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _band_sections, _semicommutator_residual
+from .hardy import INCONCLUSIVE, _band_entries, _band_sections, _semicommutator_residual
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -42,7 +42,9 @@ NO_DECAY_MIN_TAIL = 4
 
 
 def build_disc_toeplitz(phi: ExactCircle, size: int) -> np.ndarray:
-    """Size-by-size section with entries ``phihat(j - k)`` on the disc basis."""
+    """Size-by-size section with entries ``phihat(j - k)`` on the disc
+    basis, in the band layout of :func:`annulab.hardy._band_sections` at
+    ``phi.bandwidth()``."""
     if size < 1:
         raise ValueError("section size must be positive")
     return _band_sections([[phi.coeffs]], [None], size, phi.bandwidth())[0]
@@ -73,10 +75,23 @@ def semicommutator_residual_disc(
     """Interior deviation of the disc product identity with Hankel correction,
     by :func:`~annulab.hardy._semicommutator_residual` over disc sections of
     side ``size``: degree 0 is a true edge of the disc, so the interior
-    keeps the margin from the last row and column only."""
+    keeps the margin from the last row and column only.
+
+    The Hankel sections go in band layout at their symbol's bandwidth
+    ``b``, with ``w = min(b, size - 1)``: entry ``(j, k)`` reads
+    ``phihat(-(j+1) - k)``, zero once ``j + k >= b``, so every nonzero
+    entry lies in the leading ``(w + 1)``-square corner, and that whole
+    corner lies in the band.  Only the corner is built
+    (:func:`build_disc_hankel`) and written onto the band."""
+    def hankel(s):
+        w = min(s.bandwidth(), size - 1)
+        k, row, col = _band_entries(np.arange(-w, w + 1), w + 1)
+        out = np.zeros((2 * w + 1, size), dtype=complex)
+        out[k, col] = build_disc_hankel(s, w + 1)[row, col]
+        return out
+
     return _semicommutator_residual(
-        phi, psi, lambda s: build_disc_toeplitz(s, size),
-        lambda s: build_disc_hankel(s, size), size, both_edges=False,
+        phi, psi, lambda s: build_disc_toeplitz(s, size), hankel, size, both_edges=False,
     )
 
 

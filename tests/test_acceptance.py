@@ -27,6 +27,7 @@ from annulab.geometry import AnnulusGeometry, gram_matrix
 from annulab.hardy import (
     build_section_quadrature,
     build_toeplitz_hardy,
+    dense,
     semicommutator_residual_annulus,
     zero_product_experiment_hardy,
 )
@@ -93,7 +94,7 @@ def test_criterion_02_entry_formula_fidelity(request, geo):
         worst = 0.0
         for _ in range(20):
             sym = random_boundary_symbol(rng, 6)
-            sec = build_toeplitz_hardy(sym, (-8, 8), R)
+            sec = dense(build_toeplitz_hardy(sym, (-8, 8), R))
             quad = build_section_quadrature(sym, (-8, 8), geo)[0]
             worst = max(worst, float(np.max(np.abs(sec - quad))))
         ok = worst <= 1e-10
@@ -106,11 +107,11 @@ def test_criterion_02_entry_formula_fidelity(request, geo):
 def test_criterion_03_unit_symbol_identity(request):
     ok, detail = False, "no measurement"
     try:
-        hardy_sec = build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-32, 32), R)
+        hardy_sec = dense(build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-32, 32), R))
         dev_h = float(np.max(np.abs(hardy_sec - np.eye(65))))
-        berg_sec = build_bergman_toeplitz(
+        berg_sec = dense(build_bergman_toeplitz(
             PolarSymbol({0: PolyProfile({0: 1.0 + 0.0j})}), (-1, 32), R
-        )
+        ))
         dev_b = float(np.max(np.abs(berg_sec - np.eye(34))))
         ok = dev_h <= 1e-12 and dev_b <= 1e-12
         detail = (
@@ -194,7 +195,7 @@ def test_criterion_07_two_column_recovery(request):
         clean = True
         for _ in range(5):
             sym = random_boundary_symbol(rng, 6)
-            sec = build_toeplitz_hardy(sym, (-9, 9), R)
+            sec = dense(build_toeplitz_hardy(sym, (-9, 9), R))
             pairs = column_zero_recover(sec, -9, -2, 3, R)
             for n in range(-6, 7):
                 fC, fC0 = fourier_pair(sym, n)
@@ -255,9 +256,9 @@ def test_criterion_08_mellin_module(request, geo):
 def test_criterion_09_bergman_structure(request, geo):
     ok, detail = False, "no measurement"
     try:
-        band = build_bergman_toeplitz(
+        band = dense(build_bergman_toeplitz(
             PolarSymbol({3: PolyProfile({2: 1.0 + 0.0j})}), (-1, 8), R
-        )
+        ))
         single = True
         for a, m in enumerate(range(-1, 9)):
             for b, n in enumerate(range(-1, 9)):
@@ -267,15 +268,15 @@ def test_criterion_09_bergman_structure(request, geo):
                     single = single and abs(band[a, b]) > 0.0
         rng = Lcg(SEED)
         sym = random_polar_symbol(rng, -2, 2, 6)
-        sec = build_bergman_toeplitz(sym, (-8, 8), R)
+        sec = dense(build_bergman_toeplitz(sym, (-8, 8), R))
         quad = build_bergman_section_quadrature(sym, (-8, 8), geo)
         dev = float(np.max(np.abs(sec - quad)))
-        f = build_bergman_toeplitz(
+        f = dense(build_bergman_toeplitz(
             PolarSymbol({0: PolyProfile({1: 1.0 + 0.0j})}), (-1, 10), R
-        )
-        g = build_bergman_toeplitz(
+        ))
+        g = dense(build_bergman_toeplitz(
             PolarSymbol({0: PolyProfile({0: 0.5 + 0.0j, 3: 1.0 + 0.0j})}), (-1, 10), R
-        )
+        ))
         commute = bool(
             np.array_equal(f @ g, g @ f)
         )

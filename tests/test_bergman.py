@@ -17,7 +17,7 @@ from annulab.bergman import (
 from annulab.cli import _HARNESSES, main
 from annulab.errors import WindowTooSmallError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry, bergman_norm_const
-from annulab.hardy import ZERO_DIVISOR_FLOOR, _ladder
+from annulab.hardy import ZERO_DIVISOR_FLOOR, _ladder, dense
 from annulab.randgen import Lcg, random_polar_symbol
 from annulab.symbols import PolarSymbol, PolyProfile
 
@@ -58,12 +58,12 @@ def monomial_coeff(p, profile, n, R):
     out of the orthonormal basis."""
     m = p + n
     lo = -1
-    sec = build_bergman_toeplitz(PolarSymbol({p: profile}), (lo, max(m, n)), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({p: profile}), (lo, max(m, n)), R))
     return sec[m - lo, n - lo] * bergman_norm_const(m, R) / bergman_norm_const(n, R)
 
 
 def test_radial_constant_band_cancels_to_one():
-    sec = build_bergman_toeplitz(PolarSymbol({0: one}), (-1, 7), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({0: one}), (-1, 7), R))
     for n in (-1, 0, 3, 7):
         assert sec[n + 1, n + 1] == pytest.approx(1.0, abs=1e-14)
 
@@ -90,7 +90,7 @@ def test_band_action_matches_area_quadrature():
 def test_band_action_annihilates_below_basis():
     # z^0 would go to z^-3, below the section's basis z^-1 .. z^6: its
     # column is empty, while z^2 lands on z^-1
-    sec = build_bergman_toeplitz(PolarSymbol({-3: one}), (-1, 6), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({-3: one}), (-1, 6), R))
     assert np.all(sec[:, 0 + 1] == 0.0)
     assert sec[-1 + 1, 2 + 1] != 0.0
 
@@ -104,7 +104,7 @@ def test_builders_reject_an_empty_window():
 
 def test_apply_polar_collects_band_images():
     sym = PolarSymbol({0: one, 2: PolyProfile({1: 1.0 + 0.0j})})
-    sec = build_bergman_toeplitz(sym, (-1, 6), R)
+    sec = dense(build_bergman_toeplitz(sym, (-1, 6), R))
     column = sec[:, 1 + 1]
     assert set(np.flatnonzero(column) - 1) == {1, 3}
     assert column[1 + 1] == pytest.approx(1.0, abs=1e-14)
@@ -115,12 +115,12 @@ def test_apply_polar_collects_band_images():
 
 
 def test_constant_symbol_gives_identity_section():
-    sec = build_bergman_toeplitz(PolarSymbol({0: one}), (-1, 12), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({0: one}), (-1, 12), R))
     assert np.max(np.abs(sec - np.eye(14))) <= 1e-12
 
 
 def test_radial_symbol_is_diagonal():
-    sec = build_bergman_toeplitz(PolarSymbol({0: PolyProfile({2: 1.0 + 0.0j})}), (-1, 8), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({0: PolyProfile({2: 1.0 + 0.0j})}), (-1, 8), R))
     off = sec - np.diag(np.diag(sec))
     assert np.max(np.abs(off)) == 0.0
 
@@ -129,7 +129,7 @@ def test_band_offsets_shape_the_section():
     sym = PolarSymbol(
         {-1: one, 0: PolyProfile({1: 1.0 + 0.0j}), 2: PolyProfile({2: 1.0 + 0.0j})}
     )
-    sec = build_bergman_toeplitz(sym, (-1, 8), R)
+    sec = dense(build_bergman_toeplitz(sym, (-1, 8), R))
     for a, m in enumerate(range(-1, 9)):
         for b, n in enumerate(range(-1, 9)):
             if m - n not in (-1, 0, 2):
@@ -137,7 +137,7 @@ def test_band_offsets_shape_the_section():
 
 
 def test_single_band_is_weighted_subdiagonal():
-    sec = build_bergman_toeplitz(PolarSymbol({3: PolyProfile({3: 1.0 + 0.0j})}), (-1, 8), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({3: PolyProfile({3: 1.0 + 0.0j})}), (-1, 8), R))
     for a, m in enumerate(range(-1, 9)):
         for b, n in enumerate(range(-1, 9)):
             if m - n != 3:
@@ -149,7 +149,7 @@ def test_single_band_is_weighted_subdiagonal():
 def test_window_covers_its_degrees_as_given():
     """Every z^n, n in Z, is a basis vector: the constant symbol's section
     over (-6, 6) is the identity on all 13 degrees."""
-    sec = build_bergman_toeplitz(PolarSymbol({0: one}), (-6, 6), R)
+    sec = dense(build_bergman_toeplitz(PolarSymbol({0: one}), (-6, 6), R))
     assert sec.shape == (13, 13)
     assert np.max(np.abs(sec - np.eye(13))) <= 1e-12
 
@@ -164,8 +164,8 @@ def test_product_interior_columns_do_not_depend_on_the_window_floor():
     margin = f.bandwidth() + g.bandwidth()
     cols = np.arange(lo + margin, hi - margin + 1)
     assert {-1, 0} <= set(cols.tolist())
-    small = build_bergman_toeplitz(f, (lo, hi), R) @ build_bergman_toeplitz(g, (lo, hi), R)
-    wide = build_bergman_toeplitz(f, (lo - M, hi), R) @ build_bergman_toeplitz(g, (lo - M, hi), R)
+    small, wide = (dense(build_bergman_toeplitz(f, w, R)) @ dense(build_bergman_toeplitz(g, w, R))
+                   for w in ((lo, hi), (lo - M, hi)))
     dev = np.max(np.abs(wide[M:, cols - lo + M] - small[:, cols - lo]))
     assert dev <= 1e-13 * np.max(np.abs(small))
 
@@ -173,7 +173,7 @@ def test_product_interior_columns_do_not_depend_on_the_window_floor():
 def test_section_matches_area_quadrature():
     geo = area_geo()
     sym = PolarSymbol({3: PolyProfile({2: 1.0 + 0.0j})})
-    sec = build_bergman_toeplitz(sym, (-6, 6), R)
+    sec = dense(build_bergman_toeplitz(sym, (-6, 6), R))
     quad = build_bergman_section_quadrature(sym, (-6, 6), geo)
     assert np.max(np.abs(sec - quad)) <= 1e-10
 
@@ -182,7 +182,7 @@ def test_mixed_band_section_matches_area_quadrature():
     geo = area_geo()
     rng = Lcg(51)
     sym = random_polar_symbol(rng, -2, 2, 2)
-    sec = build_bergman_toeplitz(sym, (-1, 6), R)
+    sec = dense(build_bergman_toeplitz(sym, (-1, 6), R))
     quad = build_bergman_section_quadrature(sym, (-1, 6), geo)
     assert np.max(np.abs(sec - quad)) <= 1e-10
 
@@ -193,18 +193,18 @@ def test_holomorphic_sections_compose_on_the_interior():
     columns whose images stay inside the window."""
     zb = lambda p: PolarSymbol({p: PolyProfile({p: 1.0 + 0.0j})})
     win = (-1, 12)
-    a = build_bergman_toeplitz(zb(1), win, R)
-    b = build_bergman_toeplitz(zb(2), win, R)
-    c = build_bergman_toeplitz(zb(3), win, R)
+    a = dense(build_bergman_toeplitz(zb(1), win, R))
+    b = dense(build_bergman_toeplitz(zb(2), win, R))
+    c = dense(build_bergman_toeplitz(zb(3), win, R))
     prod = a @ b
     assert np.max(np.abs(prod[:, :-2] - c[:, :-2])) <= 1e-13
 
 
 def test_radial_sections_commute_exactly():
-    f = build_bergman_toeplitz(PolarSymbol({0: PolyProfile({1: 1.0 + 0.0j})}), (-1, 10), R)
-    g = build_bergman_toeplitz(
+    f = dense(build_bergman_toeplitz(PolarSymbol({0: PolyProfile({1: 1.0 + 0.0j})}), (-1, 10), R))
+    g = dense(build_bergman_toeplitz(
         PolarSymbol({0: PolyProfile({0: 0.5 + 0.0j, 2: 1.0 + 0.0j})}), (-1, 10), R
-    )
+    ))
     assert np.array_equal(f @ g, g @ f)
 
 
@@ -320,7 +320,7 @@ def test_ladder_without_its_image_column_stays_far():
     f, g = cli_trial(2, 9)
     [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     lo, hi, n0, N = -24, 24, report.n0_effective, report.top_degree
-    tg = build_bergman_toeplitz(g, (lo, hi), R)
+    tg = dense(build_bergman_toeplitz(g, (lo, hi), R))
     # rung l reads the images of z^(n0) .. z^(n0+l-1): one column behind
     first = n0 - lo
     behind = np.zeros_like(tg)
@@ -342,7 +342,7 @@ def test_out_of_span_target_breaks_the_band_certificate():
     [report] = zero_product_experiment_bergman([(f, g)], (-24, 24), R)
     assert report.ladder_band_leak == 0.0
     lo, hi, n0, N, L = -24, 24, report.n0_effective, report.top_degree, 8
-    tg = build_bergman_toeplitz(g, (lo, hi), R)
+    tg = dense(build_bergman_toeplitz(g, (lo, hi), R))
     first, size = n0 - lo, hi - lo + 1
     rungs = np.arange(first, first + L + 1)
     S = np.eye(size, dtype=complex)

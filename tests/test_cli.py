@@ -167,15 +167,16 @@ def test_nan_coefficient_inside_the_band_still_fails(tmp_path, monkeypatch):
 
 def _top_band_one_row_lower(build):
     """``build`` with the top band of every stacked section moved one row
-    down."""
+    down, in a band layout one diagonal wider each way."""
 
     def shifted(syms, window, R):
-        ops = build(syms, window, R)
+        ops = np.pad(build(syms, window, R), ((0, 0), (1, 1), (0, 0)))
+        w = ops.shape[1] // 2
         for sym, op in zip(syms, ops):
-            N, size = sym.top_degree(), op.shape[0]
+            N, size = sym.top_degree(), op.shape[-1]
             cols = np.arange(max(0, -N), size - N - 1)
-            op[cols + N + 1, cols] = op[cols + N, cols]
-            op[cols + N, cols] = 0.0
+            op[w + N + 1, cols] = op[w + N, cols]
+            op[w + N, cols] = 0.0
         return ops
 
     return shifted
@@ -993,8 +994,9 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
 @pytest.mark.parametrize(
     "experiment, doc, field",
     [
+        # 17 diagonals of a 2 * 10^8 + 1 wide band: 516 GiB
+        ("semicommutator", {"window": [-10**8, 10**8]}, "window"),
         # a 200001-wide section: 596 GiB
-        ("semicommutator", {"window": [-100000, 100000]}, "window"),
         ("zero-product-hardy", {"window": [-100000, 100000]}, "window"),
         # 2**40 samples per degree row: the angular grid alone is 8 TiB
         ("gram", {"m_circle": 2**40}, "m_circle"),
@@ -1036,8 +1038,8 @@ def test_memory_rule_counts_ten_rows_per_toeplitz_build_degree(monkeypatch):
 #: (experiment, config): each of gram, toeplitz-build and identities at two
 #: or more sizes where the rule counts at least 32 MiB (gram +-500 on 1024
 #: nodes where its sections outweigh its rows), each probe at one wide window
-#: and at its shipped config (stacks of 15 and 20 trials), and the
-#: semicommutator at one
+#: and at its shipped config (one chunk of 20 trials), the semicommutator at
+#: one, and hankel-decay on a fixed built-in table far past its reach
 _PEAK_CASES = [
     ("gram", {"window": [-256, 256], "m_circle": 2048}),
     ("gram", {"window": [-24, 24], "m_circle": 65536}),
@@ -1051,6 +1053,7 @@ _PEAK_CASES = [
     ("zero-product-hardy", {"window": [-32, 32]}),
     ("zero-product-bergman", {"window": [-24, 24]}),
     ("semicommutator", {"window": [-300, 300]}),
+    ("hankel-decay", {"symbol": "builtin:smooth-decay", "sizes": [4, 4000]}),
 ]
 
 
@@ -1315,13 +1318,14 @@ def test_memory_rule_sizes_the_hardy_probe_peak(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_rule_sizes_the_semicommutator_peak(tmp_path, capsys, monkeypatch):
-    """The identity counts ``c`` bytes per degree squared of the window
-    (``cli._PEAKS``, about ten sections): a host one byte short of that
-    over +-48 refuses the window with one line and no output, before any
-    section is built; the count exactly is accepted."""
+    """The identity counts ``c`` bytes per degree of the window and
+    diagonal of its product band (``cli._PEAKS``), ``2 (4 + 4) + 1`` for
+    its two drawn reach-4 symbols: a host one byte short of that over +-48
+    refuses the window with one line and no output, before any section is
+    built; the count exactly is accepted."""
     doc = {"window": [-48, 48]}
     ((_, _, c),) = annulab.cli._PEAKS["semicommutator"][1]
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": c * 97**2 - 1}
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": c * 97 * (2 * (4 + 4) + 1) - 1}
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
     def no_build(*args):
@@ -1336,6 +1340,42 @@ def test_memory_rule_sizes_the_semicommutator_peak(tmp_path, capsys, monkeypatch
     assert "physical memory" in err[0]
     pages["SC_PHYS_PAGES"] += 1
     assert parse_config(doc, "semicommutator", None).window == (-48, 48)
+
+
+def test_semicommutator_at_8192_runs_on_an_8_gib_host(tmp_path, monkeypatch):
+    """The identity holds only its sections' diagonals: at +-8192 the rule
+    counts ``c`` bytes per degree and diagonal of the product band of its
+    two drawn reach-4 symbols, which an 8 GiB host holds.  The run exits 0,
+    and its traced peak is at most the count."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    doc = {"R": 0.5, "seed": 1, "window": [-8192, 8192]}
+    cfg = parse_config(doc, "semicommutator", str(tmp_path / "traced"))
+    ((_, _, c),) = annulab.cli._PEAKS["semicommutator"][1]
+    assert _reads(cfg)[2] == c * 16385 * (2 * (4 + 4) + 1)
+    assert run_lab(tmp_path, "semicommutator", doc)[0] == 0
+    assert _traced_peak(cfg) <= _reads(cfg)[2]
+
+
+def test_memory_rule_counts_a_fixed_builtin_decay_table_at_its_reach(monkeypatch):
+    """hankel-decay decomposes the live corner of its table only, so a
+    fixed built-in table counts ``c`` bytes per entry of its reach-25
+    square (``cli._PEAKS``) besides ``cli._DECAY_VALUE_BYTES`` per singular
+    value kept, whatever the largest size: a host one byte short of that
+    refuses ``sizes [4, 18000]`` naming the field, the count exactly is
+    accepted.  A table truncated to the run's reads keeps the full square."""
+    doc = {"symbol": "builtin:smooth-decay", "sizes": [4, 18000]}
+    ((_, _, c),) = annulab.cli._PEAKS["hankel-decay"][1]
+    need = c * 25**2 + annulab.cli._DECAY_VALUE_BYTES * (4 + 18000)
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    with pytest.raises(ConfigError, match="config field 'sizes'.*physical memory"):
+        parse_config(doc, "hankel-decay", None)
+    pages["SC_PHYS_PAGES"] = need
+    assert parse_config(doc, "hankel-decay", None).sizes == (4, 18000)
+    truncated = {"symbol": "builtin:hilbert", "sizes": [4, 18000]}
+    pages["SC_PHYS_PAGES"] = 2**60
+    assert _reads(parse_config(truncated, "hankel-decay", None))[2] > c * 18000**2
 
 
 def test_identities_reads_no_window(tmp_path):
@@ -1449,7 +1489,8 @@ def test_hankel_decay_certificate_catches_a_wrong_section(tmp_path, monkeypatch)
     hankel_window = reduction.disc_hankel_window
 
     def toeplitz_window(phi, size):
-        return hankel_window(phi, size)[0], reduction.build_disc_toeplitz(phi, size)
+        toeplitz = annulab.hardy.dense(reduction.build_disc_toeplitz(phi, size))
+        return hankel_window(phi, size)[0], toeplitz
 
     monkeypatch.setattr(reduction, "disc_hankel_window", toeplitz_window)
     code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]})

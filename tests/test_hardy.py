@@ -20,6 +20,7 @@ from annulab.hardy import (
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
+    dense,
     find_n0_hardy,
     semicommutator_residual_annulus,
     zero_product_experiment_hardy,
@@ -43,7 +44,7 @@ split_sign = ExactSymbol({0: 1.0}, {0: -1.0})
 def toeplitz_entry(f, j, k, R):
     """Entry at row ``j``, column ``k`` of the closed-form section."""
     lo = min(j, k)
-    return build_toeplitz_hardy(f, (lo, max(j, k)), R)[j - lo, k - lo]
+    return dense(build_toeplitz_hardy(f, (lo, max(j, k)), R))[j - lo, k - lo]
 
 
 def test_constant_symbol_gives_identity_entries():
@@ -69,7 +70,7 @@ def test_split_sign_diagonal():
 
 
 def test_identity_section():
-    sec = build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-8, 8), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-8, 8), R))
     assert np.max(np.abs(sec - np.eye(17))) <= 1e-14
 
 
@@ -77,7 +78,7 @@ def test_negative_tail_symbol_is_lower_banded():
     """Only coefficients below the top degree exist, so entries vanish
     for row minus column above that degree."""
     sym = ExactSymbol({2: 1.0, 0: 0.5, -1: 0.25, -3: 1.0}, {2: 0.5})
-    sec = build_toeplitz_hardy(sym, (-6, 6), R)
+    sec = dense(build_toeplitz_hardy(sym, (-6, 6), R))
     for a, j in enumerate(range(-6, 7)):
         for b, k in enumerate(range(-6, 7)):
             if j - k > 2:
@@ -87,22 +88,26 @@ def test_negative_tail_symbol_is_lower_banded():
 def test_banded_structure_exact_zeros():
     rng = Lcg(21)
     sym = random_boundary_symbol(rng, 3)
-    sec = build_toeplitz_hardy(sym, (-10, 10), R)
+    sec = dense(build_toeplitz_hardy(sym, (-10, 10), R))
     for a, j in enumerate(range(-10, 11)):
         for b, k in enumerate(range(-10, 11)):
             if abs(j - k) > 3:
                 assert sec[a, b] == 0.0
 
 
-def banded(rng, shape, band):
-    """Complex normal entries within ``band`` of the diagonal, zero past it."""
-    n = shape[-1]
-    keep = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= band
-    return np.where(keep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+def banded(rng, stack, n, band):
+    """A stack of sections in band layout (``hardy._band_sections``): complex
+    normal entries within ``band`` of the diagonal, zero past the section."""
+    w = min(band, n - 1)
+    k, _, col = hardy._band_entries(np.arange(-w, w + 1), n)
+    out = np.zeros((stack, 2 * w + 1, n), dtype=complex)
+    shape = (stack, len(k))
+    out[:, k, col] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return out
 
 
 #: (side, a, b): unequal bands both ways, a diagonal factor, two diagonal
-#: factors, and bands whose product band covers the window (one block)
+#: factors, and bands whose product band covers the window
 BAND_CASES = [(40, 1, 5), (40, 6, 2), (33, 0, 3), (40, 0, 0), (12, 7, 9), (5, 2, 2)]
 
 
@@ -113,19 +118,19 @@ def test_band_product_is_the_dense_product_to_rounding(n, a, b):
     most ``gamma_(K+2) (|A| @ |B|)``, ``gamma_m = m u / (1 - m u)`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 3.6), so two
     orderings of one sum differ by at most twice that.  Bits are not
-    asked for: BLAS may group a shorter sum differently.  Each matrix of
-    the stack has the bits of its lone product, and a window the product
-    band covers runs one block, the dense product itself."""
+    asked for: the band sums in another order than BLAS.  The product's
+    band is ``a + b`` wide, and each matrix of the stack has the bits of
+    its lone product."""
     rng = np.random.default_rng([n, a, b])
-    A, B = banded(rng, (3, n, n), a), banded(rng, (3, n, n), b)
-    got, dense = hardy.band_product(A, B, a, b), A @ B
+    A, B = banded(rng, 3, n, a), banded(rng, 3, n, b)
+    got = hardy.band_product(A, B)
+    assert got.shape == (3, 2 * (min(a, n - 1) + min(b, n - 1)) + 1, n)
     u = np.finfo(float).eps / 2
     gamma = (n + 2) * u / (1 - (n + 2) * u)
-    assert np.all(np.abs(got - dense) <= 2 * gamma * (np.abs(A) @ np.abs(B)))
+    bound = 2 * gamma * (np.abs(dense(A)) @ np.abs(dense(B)))
+    assert np.all(np.abs(dense(got) - dense(A) @ dense(B)) <= bound)
     for i in range(3):
-        assert hardy.band_product(A[i], B[i], a, b).tobytes() == got[i].tobytes()
-    if 2 * (a + b) + 1 >= n:
-        assert got.tobytes() == dense.tobytes()
+        assert hardy.band_product(A[i], B[i]).tobytes() == got[i].tobytes()
 
 
 def test_band_product_of_a_zero_symbols_section_is_zero():
@@ -134,12 +139,30 @@ def test_band_product_of_a_zero_symbols_section_is_zero():
     zero = build_toeplitz_hardy([ExactSymbol({}, {})] * 2, (-8, 8), R)
     rng = Lcg(4)
     gs = build_toeplitz_hardy([random_boundary_symbol(rng, 3) for _ in range(2)], (-8, 8), R)
-    assert not np.any(hardy.band_product(zero, gs, 0, 3))
-    assert not np.any(hardy.band_product(gs, zero, 3, 0))
+    assert not np.any(hardy.band_product(zero, gs))
+    assert not np.any(hardy.band_product(gs, zero))
+
+
+def test_adjoint_is_the_dense_conjugate_transpose_bit_for_bit():
+    """``hardy._adjoint`` holds, at every entry of its band, the bits of
+    the dense ``.conj().T`` (signed zeros included, here from a zero
+    coefficient inside the band), and ``+0`` in every slot past the
+    section."""
+    sym = ExactSymbol({-3: 1.0 - 2.0j, -1: 0.0, 2: -0.5j}, {-1: 3.0, 0: -0.0, 3: 1e-300})
+    for window, R_ in (((-6, 6), R), ((-2, 1), R), ((-40, 40), 0.1)):
+        for band in (build_toeplitz_hardy(sym, window, R_), build_hankel_annulus(sym, window, R_)):
+            got, want = hardy._adjoint(band), dense(band).conj().T
+            w, n = band.shape[-2] // 2, band.shape[-1]
+            k, row, col = hardy._band_entries(np.arange(-w, w + 1), n)
+            assert got[k, col].tobytes() == want[row, col].tobytes()
+            past = np.ones(got.shape, dtype=bool)
+            past[k, col] = False
+            assert got[past].tobytes() == np.zeros(past.sum(), dtype=complex).tobytes()
+            assert np.any(np.signbit(want[row, col].imag)) and np.any(want[row, col] == 0)
 
 
 def test_section_matches_quadrature(geo):
-    sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-8, 8), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-8, 8), R))
     quad, _ = build_section_quadrature(laurent_symbol({1: 1.0}, R), (-8, 8), geo)
     assert np.max(np.abs(sec - quad)) <= 1e-10
 
@@ -147,13 +170,13 @@ def test_section_matches_quadrature(geo):
 def test_adjoint_matches_conjugate_symbol():
     rng = Lcg(23)
     sym = random_boundary_symbol(rng, 4)
-    sec = build_toeplitz_hardy(sym, (-9, 9), R)
-    conj_sec = build_toeplitz_hardy(conjugate_symbol(sym), (-9, 9), R)
+    sec = dense(build_toeplitz_hardy(sym, (-9, 9), R))
+    conj_sec = dense(build_toeplitz_hardy(conjugate_symbol(sym), (-9, 9), R))
     assert np.max(np.abs(conj_sec - sec.conj().T)) <= 1e-14
 
 
 def test_section_indexing_follows_window():
-    sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-3, 3), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-3, 3), R))
     assert sec[1 + 3, 0 + 3] == pytest.approx(
         toeplitz_entry(laurent_symbol({1: 1.0}, R), 1, 0, R), rel=1e-13
     )
@@ -161,23 +184,23 @@ def test_section_indexing_follows_window():
 
 
 def test_unit_symbol_section_is_selfadjoint_idempotent():
-    a = build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-3, 3), R)
+    a = dense(build_toeplitz_hardy(laurent_symbol({0: 1.0}, R), (-3, 3), R))
     assert np.max(np.abs(a @ a - a)) <= 1e-14
     assert np.array_equal(a.conj().T, a)
 
 
 def test_hankel_of_constant_vanishes():
-    sec = build_hankel_annulus(ExactSymbol({0: 2.0}, {0: 2.0}), (-6, 6), R)
+    sec = dense(build_hankel_annulus(ExactSymbol({0: 2.0}, {0: 2.0}), (-6, 6), R))
     assert np.max(np.abs(sec)) == 0.0
 
 
 def test_hankel_of_analytic_polynomial_vanishes():
-    sec = build_hankel_annulus(laurent_symbol({3: 1.0}, R), (-6, 6), R)
+    sec = dense(build_hankel_annulus(laurent_symbol({3: 1.0}, R), (-6, 6), R))
     assert np.max(np.abs(sec)) == 0.0
 
 
 def test_hankel_split_sign_diagonal():
-    sec = build_hankel_annulus(split_sign, (-6, 6), R)
+    sec = dense(build_hankel_annulus(split_sign, (-6, 6), R))
     for a, j in enumerate(range(-6, 7)):
         want = 2 * R**j / (1 + R ** (2 * j))
         assert sec[a, a] == pytest.approx(want)
@@ -189,13 +212,13 @@ def test_hankel_split_sign_diagonal():
 def test_hankel_matches_quadrature(geo):
     rng = Lcg(29)
     sym = random_boundary_symbol(rng, 4)
-    sec = build_hankel_annulus(sym, (-8, 8), R)
+    sec = dense(build_hankel_annulus(sym, (-8, 8), R))
     _, quad = build_section_quadrature(sym, (-8, 8), geo)
     assert np.max(np.abs(sec - quad)) <= 1e-10
 
 
 def test_recover_shift_pair():
-    sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R))
     rec = column_zero_recover(sec, -6, 0, 1, R)
     assert rec[1][0] == pytest.approx(1.0, abs=1e-12)
     assert rec[1][1] == pytest.approx(R, abs=1e-12)
@@ -204,7 +227,7 @@ def test_recover_shift_pair():
 def test_recover_full_roundtrip():
     rng = Lcg(31)
     sym = random_boundary_symbol(rng, 6)
-    sec = build_toeplitz_hardy(sym, (-16, 16), R)
+    sec = dense(build_toeplitz_hardy(sym, (-16, 16), R))
     rec = column_zero_recover(sec, -16, -2, 3, R)
     for n in range(-6, 7):
         got_c, got_c0 = rec[n]
@@ -215,7 +238,7 @@ def test_recover_full_roundtrip():
 def test_recover_zeroed_columns_certify_zero():
     rng = Lcg(37)
     sym = random_boundary_symbol(rng, 4)
-    sec = build_toeplitz_hardy(sym, (-12, 12), R)
+    sec = dense(build_toeplitz_hardy(sym, (-12, 12), R))
     entries = sec.copy()
     r, s = 0, 1
     entries[:, r + 12] = 0.0
@@ -230,7 +253,7 @@ def test_recover_deep_columns_at_small_radius():
     """Weights near R^300 overflowed the old rescaling; the inner circle is
     still determined there, the unit circle leaves no digit."""
     sym = random_boundary_symbol(Lcg(1), 4)
-    sec = build_toeplitz_hardy(sym, (-160, 160), 0.1)
+    sec = dense(build_toeplitz_hardy(sym, (-160, 160), 0.1))
     rec = column_zero_recover(sec, -160, -150, -149, 0.1)
     for n, (got_c, got_c0) in rec.items():
         assert abs(got_c0 - sym.coeffs_C0.get(n, 0.0)) <= 1e-15
@@ -239,14 +262,14 @@ def test_recover_deep_columns_at_small_radius():
 
 
 def test_recover_needs_distinct_columns():
-    sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R))
     with pytest.raises(ValueError):
         column_zero_recover(sec, -6, 2, 2, R)
 
 
 @pytest.mark.parametrize("r, s, outside", [(-7, 1, -7), (0, 7, 7)])
 def test_recover_refuses_columns_outside_window(r, s, outside):
-    sec = build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R)
+    sec = dense(build_toeplitz_hardy(laurent_symbol({1: 1.0}, R), (-6, 6), R))
     with pytest.raises(IndexError, match=rf"column {outside} outside window \[-6, 6\]"):
         column_zero_recover(sec, -6, r, s, R)
 
@@ -292,9 +315,9 @@ def test_analytic_pair_product_is_composition():
     assert rep.verdict == CONSISTENT
     assert rep.min_product_column_norm > 1e-6
     # the composed section agrees with the z^2 section in the interior
-    t_z = build_toeplitz_hardy(z, (-12, 12), R)
+    t_z = dense(build_toeplitz_hardy(z, (-12, 12), R))
     prod = t_z @ t_z
-    direct = build_toeplitz_hardy(multiply_symbols(z, z), (-12, 12), R)
+    direct = dense(build_toeplitz_hardy(multiply_symbols(z, z), (-12, 12), R))
     inner = slice(2, 25 - 2)
     assert np.max(np.abs(prod[inner, inner] - direct[inner, inner])) <= 1e-12
 
@@ -330,8 +353,8 @@ def test_harness_ladder_is_tight():
     assert max(rep.ladder_residuals) <= 1e-10
     # without the product columns, or with each one a column behind, the
     # same targets are far from the span; the per-rung reference agrees
-    tf = build_toeplitz_hardy(f, (-20, 20), R)
-    tg = build_toeplitz_hardy(g, (-20, 20), R)
+    tf = dense(build_toeplitz_hardy(f, (-20, 20), R))
+    tg = dense(build_toeplitz_hardy(g, (-20, 20), R))
     first, N = rep.n0_effective + 20, g.top_degree()
     behind = np.zeros_like(tf)
     behind[:, first + 1 :] = (tf @ tg)[:, first:-1]
@@ -419,7 +442,7 @@ def test_nan_section_entry_reads_inconclusive(harness, monkeypatch):
 
     def poisoned(syms, win, R):
         ops = build(syms, win, R)
-        ops[:, 5, 5] = np.nan
+        ops[:, ops.shape[1] // 2, 5] = np.nan  # entry (5, 5), on the main diagonal
         return ops
 
     monkeypatch.setattr(module, name, poisoned)
@@ -464,7 +487,10 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     chunk holds."""
     module, name, draw_f, draw_g = _HARNESSES[experiment]
     window, zero, other_gs = STACK_CASES[experiment]
-    per_chunk = hardy._STACK_BYTES // (16 * (window[1] - window[0] + 1) ** 2)
+    # a chunk of drawn trials holds their products' 2 (a + b) + 1 diagonals
+    rng = Lcg(3)
+    a, b = (s.bandwidth() for s in (draw_f(rng), draw_g(rng)))
+    per_chunk = hardy._STACK_BYTES // (16 * (2 * (a + b) + 1) * (window[1] - window[0] + 1))
     rng = Lcg(3)
     pairs = [(draw_f(rng), draw_g(rng)) for _ in range(per_chunk + 3)]
     nan_g = pairs[per_chunk + 1][1]
@@ -555,7 +581,7 @@ def test_multiplier_coeffs_stay_finite_at_deep_indices(r, n):
     of modest size."""
     f = random_boundary_symbol(Lcg(5), 4)
     lo = n - 4
-    column = build_toeplitz_hardy(f, (lo, n + 4), r)[:, n - lo]
+    column = dense(build_toeplitz_hardy(f, (lo, n + 4), r))[:, n - lo]
     with mpmath.workdps(50):
         rr = mpmath.mpf(r)
         for k in f.support:
@@ -564,3 +590,33 @@ def test_multiplier_coeffs_stay_finite_at_deep_indices(r, n):
                 (1 + rr ** (2 * (n + k))) * (1 + rr ** (2 * n))
             )
             assert abs(mpmath.mpc(column[n + k - lo]) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+def test_ladder_on_the_rows_its_columns_reach_has_the_full_height_bits(experiment):
+    """The probe hands ``_ladder`` only the first ``cut + a + b`` rows of
+    its ``cut`` columns, all that those columns reach: the rows below are
+    zeros, and the QR, solve and norms give the bits of the full-height
+    columns, over the trials ``lab`` draws at seeds 0-5."""
+    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    build = {hardy: build_toeplitz_hardy, bergman: bergman.build_bergman_toeplitz}[module]
+    window = (-24, 24)
+    size = window[1] - window[0] + 1
+    for seed in range(6):
+        rng = Lcg(seed)
+        for f, g in [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]:
+            [rep] = getattr(module, name)([(f, g)], window, R)
+            first, N = rep.n0_effective - window[0], g.top_degree()
+            cut = first + max(N, 0) + LADDER_LENGTH + 1
+            tf, tg = build(f, window, R), build(g, window, R)
+            prod = hardy.band_product(tf, tg)
+            rows = min(size, cut + f.bandwidth() + g.bandwidth())
+
+            def ladder(height):
+                G = dense(tg, height, cut)
+                S, P = ((dense(tf, height, cut), dense(prod, height, cut)) if module is hardy
+                        else (np.eye(height, cut), G))
+                return _ladder(S[None], P[None], G[None], first, N, LADDER_LENGTH)
+
+            assert not np.any(dense(prod, size, cut)[rows:])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(ladder(size), ladder(rows)))

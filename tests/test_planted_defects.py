@@ -68,6 +68,15 @@ def _negative_bands_one_row_lower(entries):
     return shifted
 
 
+def _adjoint_one_diagonal_off(adjoint):
+    """The band conjugate transpose reading every entry from the next
+    diagonal (band ``2w - k + 1`` for band ``k``, the last one cyclically
+    from the first)."""
+    def shifted(band):
+        return adjoint(np.roll(band, -1, axis=-2))
+    return shifted
+
+
 #: per row: the shipped config that must FAIL, the module and attribute the
 #: mutation rebinds, and the mutation as a function of the original
 DEFECTS = {
@@ -104,6 +113,9 @@ DEFECTS = {
     ),
     "band-entries-one-row-off": (
         "toeplitz-build", hardy, "_band_entries", _negative_bands_one_row_lower,
+    ),
+    "band-adjoint-one-diagonal-off": (
+        "semicommutator", hardy, "_adjoint", _adjoint_one_diagonal_off,
     ),
 }
 

@@ -25,6 +25,7 @@ from annulab.hardy import (
     build_hankel_annulus,
     build_section_quadrature,
     build_toeplitz_hardy,
+    dense,
 )
 from annulab.mellin import monomial_moment
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
@@ -165,7 +166,7 @@ def test_band_entries_match_the_double_loop(bands, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_disc_toeplitz_gather_matches_loop(kind, size):
     phi = circles()[kind]
-    assert same_bytes(build_disc_toeplitz(phi, size), loop_disc_toeplitz(phi, size))
+    assert same_bytes(dense(build_disc_toeplitz(phi, size)), loop_disc_toeplitz(phi, size))
 
 
 @pytest.mark.parametrize("kind", ["exact", "sampled"])
@@ -189,7 +190,7 @@ def test_bergman_section_matches_loop(size, lo):
     R = 0.4
     f = polar_symbol(Lcg(size + lo))
     hi = lo + size - 1
-    got = build_bergman_toeplitz(f, (lo, hi), R)
+    got = dense(build_bergman_toeplitz(f, (lo, hi), R))
     assert same_bytes(got, loop_bergman(f, lo, hi, R))
 
 
@@ -215,7 +216,7 @@ def test_bergman_section_matches_loop_on_ragged_tables(size, lo, R):
     f = ragged_symbol(Lcg(size + lo))
     assert f.live_bands == [-3, -2, 0, 4]
     hi = lo + size - 1
-    assert same_bytes(build_bergman_toeplitz(f, (lo, hi), R), loop_bergman(f, lo, hi, R))
+    assert same_bytes(dense(build_bergman_toeplitz(f, (lo, hi), R)), loop_bergman(f, lo, hi, R))
 
 
 @pytest.mark.parametrize("R", [0.4, 1e-3])
@@ -224,7 +225,7 @@ def test_bergman_section_matches_unbounded_loop_to_rounding(R, lo):
     """Where its powers of R stay in range, the plain-float form gives the
     bounded entries to rounding."""
     f = ragged_symbol(Lcg(lo + 20))
-    got = build_bergman_toeplitz(f, (lo, lo + 15), R)
+    got = dense(build_bergman_toeplitz(f, (lo, lo + 15), R))
     want = loop_bergman_unbounded(f, lo, lo + 15, R)
     assert np.all((got == 0) == (want == 0))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -250,7 +251,7 @@ def test_deep_bergman_sections_are_finite_and_exact(window):
     the 50-digit value, and off its bands exactly zero."""
     R, (lo, hi) = 0.1, window
     f = random_polar_symbol(Lcg(4), -2, 3, 3)
-    sec = build_bergman_toeplitz(f, window, R)
+    sec = dense(build_bergman_toeplitz(f, window, R))
     assert np.all(np.isfinite(sec))
     for m in range(lo, hi + 1):
         for n in range(max(lo, m - 3), min(hi, m + 2) + 1):  # the bands -2..3
@@ -282,7 +283,8 @@ def test_bergman_moment_table_spans_only_in_window_s(monkeypatch):
 def test_bergman_section_is_finite_at_tiny_radius():
     """At R 1e-300 every power R^E past E = 1 underflows to zero, and the
     default window's entries stay finite with a nonzero diagonal."""
-    sec = build_bergman_toeplitz(random_polar_symbol(Lcg(4), -2, 3, 3), (-24, 24), 1e-300)
+    f = random_polar_symbol(Lcg(4), -2, 3, 3)
+    sec = dense(build_bergman_toeplitz(f, (-24, 24), 1e-300))
     assert np.all(np.isfinite(sec)) and np.all(np.diag(sec) != 0.0)
 
 
@@ -291,7 +293,7 @@ def test_negative_degree_profile_past_the_float_range_is_refused():
     degree -400 would overflow, while degree -300 stays in range."""
     R, window = 0.1, (-1, 5)
     ok = PolarSymbol({0: PolyProfile({-300: 1.0})})
-    assert np.all(np.isfinite(build_bergman_toeplitz(ok, window, R)))
+    assert np.all(np.isfinite(dense(build_bergman_toeplitz(ok, window, R))))
     with pytest.raises(FloatRangeError, match="leave the float range at R=0.1"):
         build_bergman_toeplitz(PolarSymbol({0: PolyProfile({-400: 1.0})}), window, R)
 
@@ -345,19 +347,19 @@ def test_two_circle_sections_have_the_dense_bits(R, window):
     assert [f.bandwidth() for f in fs] == [1, 2, 20, 0, 2]
     toeplitz, hankel = dense_sections(fs, window, R), dense_sections(fs, window, R, True)
     assert np.any(np.signbit(toeplitz.imag) & (toeplitz.imag == 0))
-    assert same_bytes(build_toeplitz_hardy(fs, window, R), toeplitz)
+    assert same_bytes(dense(build_toeplitz_hardy(fs, window, R)), toeplitz)
     lo, hi = window
     B, A = basis_weights(np.arange(lo, hi + 1), R)
-    stacked = _band_sections([[f.coeffs_C for f in fs], [f.coeffs_C0 for f in fs]],
-                             [(A, B), (B, A)], hi - lo + 1, 20, np.subtract)
+    stacked = dense(_band_sections([[f.coeffs_C for f in fs], [f.coeffs_C0 for f in fs]],
+                                   [(A, B), (B, A)], hi - lo + 1, 20, np.subtract))
     assert same_bytes(stacked, hankel)
     for f, T, H in zip(fs, toeplitz, hankel):
-        assert same_bytes(build_toeplitz_hardy(f, window, R), T)
-        assert same_bytes(build_hankel_annulus(f, window, R), H)
+        assert same_bytes(dense(build_toeplitz_hardy(f, window, R)), T)
+        assert same_bytes(dense(build_hankel_annulus(f, window, R)), H)
 
 
 # ---------------------------------------------------------------------------
-# the section contract: a plain square array over the caller's window
+# the section contract: a square array, or its band, over the caller's window
 
 
 def contract_sections():
@@ -381,10 +383,21 @@ def contract_sections():
     }
 
 
+#: the builders that return the band layout of ``hardy._band_sections``
+BAND_BUILDERS = ("build_toeplitz_hardy", "build_hankel_annulus", "build_disc_toeplitz",
+                 "build_bergman_toeplitz")
+
+
 @pytest.mark.parametrize("name", sorted(contract_sections()))
 def test_builders_return_square_complex_arrays(name):
+    """The quadrature builders and the disc Hankel return a square array,
+    the others its band: ``2w + 1`` diagonals of the side, ``w`` below the
+    side, whose :func:`~annulab.hardy.dense` is the square section."""
     sec, side = contract_sections()[name]
     assert type(sec) is np.ndarray
+    if name in BAND_BUILDERS:
+        assert sec.shape[1] == side and sec.shape[0] % 2 == 1 and sec.shape[0] < 2 * side
+        sec = dense(sec)
     assert sec.shape == (side, side) and sec.dtype == complex
 
 
@@ -428,8 +441,12 @@ def banded_section(builder, case):
 ])
 def test_sections_vanish_past_the_symbol_bandwidth(builder, case):
     """Every entry more than the symbol's ``bandwidth()`` off the diagonal
-    is exactly zero, so a product of sections may skip it."""
+    is exactly zero, so a product of sections may skip it: the band
+    builders hold ``w = min(bandwidth, side - 1)`` diagonals each way."""
     sec, band = banded_section(builder, case)
+    if builder in BAND_BUILDERS:
+        assert sec.shape == (2 * min(band, sec.shape[1] - 1) + 1, sec.shape[1])
+        sec = dense(sec)
     side = np.arange(len(sec))
     past = np.abs(np.subtract.outer(side, side)) > band
     assert past.any() and np.any(sec[~past] != 0.0)
@@ -462,8 +479,8 @@ def exact_entries(sym, j, k, R):
 def test_wide_window_sections_are_finite_and_exact(R, half):
     sym = dense_symbol(2 * half)
     window = (-half, half)
-    T = build_toeplitz_hardy(sym, window, R)
-    H = build_hankel_annulus(sym, window, R)
+    T = dense(build_toeplitz_hardy(sym, window, R))
+    H = dense(build_hankel_annulus(sym, window, R))
     assert np.all(np.isfinite(T))
     assert np.all(np.isfinite(H))
     for j in window:
