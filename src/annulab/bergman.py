@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, ZeroProductReport, _band_entries, _check_window, _probe
+from .hardy import UNCONSTRAINED, ZeroProductReport, _band_entries, _check_window, _probe, _put
 from .mellin import check_moment_range, mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
@@ -133,7 +133,7 @@ def build_bergman_toeplitz(
     tau = bergman_norm_const(np.abs(n + 1) - 1, R)
     w = min(max((sym.bandwidth() for sym in fs), default=0), len(n) - 1)
     ent = np.zeros((len(fs), 2 * w + 1, len(n)), dtype=complex)
-    ent[owner[band], row - col + w, col] += (tau[row] * tau[col]) * profile
+    _put(ent, row, col, (tau[row] * tau[col]) * profile, owner[band])
     for sec, sym in zip(ent, fs):
         if not sym.is_zero() and not sec.any():
             raise WindowTooSmallError(

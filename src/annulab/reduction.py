@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _band_entries, _band_sections, _semicommutator_residual
+from .hardy import INCONCLUSIVE, _band_sections, _semicommutator_residual, _write_block
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -85,9 +85,8 @@ def semicommutator_residual_disc(
     (:func:`build_disc_hankel`) and written onto the band."""
     def hankel(s):
         w = min(s.bandwidth(), size - 1)
-        k, row, col = _band_entries(np.arange(-w, w + 1), w + 1)
         out = np.zeros((2 * w + 1, size), dtype=complex)
-        out[k, col] = build_disc_hankel(s, w + 1)[row, col]
+        _write_block(out, build_disc_hankel(s, w + 1), range(w + 1), range(w + 1))
         return out
 
     return _semicommutator_residual(

@@ -106,9 +106,12 @@ def banded(rng, stack, n, band):
     return out
 
 
-#: (side, a, b): unequal bands both ways, a diagonal factor, two diagonal
-#: factors, and bands whose product band covers the window
-BAND_CASES = [(40, 1, 5), (40, 6, 2), (33, 0, 3), (40, 0, 0), (12, 7, 9), (5, 2, 2)]
+#: (side, a, b): on diagonals (``min(a, b) <= hardy._DIAGONAL_REACH``),
+#: unequal bands both ways, a diagonal factor, two diagonal factors, and
+#: bands whose product band covers the window; in dense blocks, two blocks
+#: of unequal bands both ways, and one block that covers the window
+BAND_CASES = [(40, 1, 5), (40, 6, 2), (33, 0, 3), (40, 0, 0), (12, 7, 9), (5, 2, 2),
+              (70, 9, 12), (80, 14, 9), (30, 10, 11)]
 
 
 @pytest.mark.parametrize("n, a, b", BAND_CASES)
@@ -118,9 +121,11 @@ def test_band_product_is_the_dense_product_to_rounding(n, a, b):
     most ``gamma_(K+2) (|A| @ |B|)``, ``gamma_m = m u / (1 - m u)`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 3.6), so two
     orderings of one sum differ by at most twice that.  Bits are not
-    asked for: the band sums in another order than BLAS.  The product's
-    band is ``a + b`` wide, and each matrix of the stack has the bits of
-    its lone product."""
+    asked for: the diagonals sum in another order than BLAS, and BLAS may
+    group a block's shorter sum differently.  The product's band is ``a +
+    b`` wide, each matrix of the stack has the bits of its lone product,
+    and a window that one block covers has, on the band, the dense
+    product's bits."""
     rng = np.random.default_rng([n, a, b])
     A, B = banded(rng, 3, n, a), banded(rng, 3, n, b)
     got = hardy.band_product(A, B)
@@ -131,6 +136,9 @@ def test_band_product_is_the_dense_product_to_rounding(n, a, b):
     assert np.all(np.abs(dense(got) - dense(A) @ dense(B)) <= bound)
     for i in range(3):
         assert hardy.band_product(A[i], B[i]).tobytes() == got[i].tobytes()
+    if min(a, b) > hardy._DIAGONAL_REACH and 2 * (a + b) + 1 >= n:
+        keep = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= a + b
+        assert dense(got)[:, keep].tobytes() == (dense(A) @ dense(B))[:, keep].tobytes()
 
 
 def test_band_product_of_a_zero_symbols_section_is_zero():
@@ -159,6 +167,27 @@ def test_adjoint_is_the_dense_conjugate_transpose_bit_for_bit():
             past[k, col] = False
             assert got[past].tobytes() == np.zeros(past.sum(), dtype=complex).tobytes()
             assert np.any(np.signbit(want[row, col].imag)) and np.any(want[row, col] == 0)
+
+
+#: (w, rows, cols) of 20 x 20 sections: the whole section, blocks inside
+#: the band, a block the band crosses at a corner, and the diagonal alone
+BLOCK_CASES = [(3, range(20), range(20)), (3, range(2, 15), range(6, 11)),
+               (7, range(9, 20), range(0, 4)), (0, range(4, 9), range(2, 20))]
+
+
+@pytest.mark.parametrize("w, rows, cols", BLOCK_CASES)
+def test_write_block_puts_back_the_block_dense_reads(w, rows, cols):
+    """``dense(band, rows, cols)`` is that block of the square section, and
+    ``hardy._write_block`` puts its in-band entries back on an empty band
+    bit for bit, leaving every other entry zero."""
+    band = banded(np.random.default_rng(w), 2, 20, w)
+    block = dense(band, rows, cols)
+    want = np.zeros((2, 20, 20), dtype=complex)
+    want[:, rows.start : rows.stop, cols.start : cols.stop] = block
+    assert block.tobytes() == dense(band)[:, rows.start : rows.stop, cols.start : cols.stop].tobytes()
+    out = np.zeros_like(band)
+    hardy._write_block(out, block, rows, cols)
+    assert dense(out).tobytes() == want.tobytes()
 
 
 def test_section_matches_quadrature(geo):
@@ -483,16 +512,17 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     """One list through the stacked probe gives, pair by pair, the bits of
     a one-pair call: over drawn pairs, a zero factor on either side (whose
     product is zero in every column, with no section built), g's whose
-    ladders sit elsewhere, a NaN section column, and more pairs than one
-    chunk holds."""
+    ladders sit elsewhere, a NaN section column, and a stack that runs in
+    more than one chunk (counted by its :func:`hardy.band_product` calls)."""
     module, name, draw_f, draw_g = _HARNESSES[experiment]
     window, zero, other_gs = STACK_CASES[experiment]
-    # a chunk of drawn trials holds their products' 2 (a + b) + 1 diagonals
+    # a chunk of drawn trials holds at least their products' 2 (a + b) + 1
+    # diagonals, so at most per_chunk of them
     rng = Lcg(3)
     a, b = (s.bandwidth() for s in (draw_f(rng), draw_g(rng)))
     per_chunk = hardy._STACK_BYTES // (16 * (2 * (a + b) + 1) * (window[1] - window[0] + 1))
     rng = Lcg(3)
-    pairs = [(draw_f(rng), draw_g(rng)) for _ in range(per_chunk + 3)]
+    pairs = [(draw_f(rng), draw_g(rng)) for _ in range(2 * per_chunk + 3)]
     nan_g = pairs[per_chunk + 1][1]
     pairs[1] = (zero, pairs[1][1])
     for at, g in enumerate(other_gs, start=2):
@@ -510,9 +540,15 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
         return ops
 
     monkeypatch.setattr(module, builder, nan_column)
+    chunks = []
+    product = hardy.band_product
+    monkeypatch.setattr(hardy, "band_product", lambda A, B: chunks.append(len(A)) or product(A, B))
     probe = getattr(module, name)
     reports = probe(pairs, window, R)
-    assert len(reports) == len(pairs) > per_chunk
+    # one stack per bandwidth pair, first rung and top degree
+    stacks = {(f.bandwidth(), g.bandwidth(), rep.n0_effective, rep.top_degree)
+              for (f, g), rep in zip(pairs, reports) if rep.ladder_residuals}
+    assert len(chunks) > len(stacks) and max(chunks) > 1
     for pair, rep in zip(pairs, reports):
         [one] = probe([pair], window, R)
         assert repr(rep) == repr(one)
@@ -613,10 +649,11 @@ def test_ladder_on_the_rows_its_columns_reach_has_the_full_height_bits(experimen
             rows = min(size, cut + f.bandwidth() + g.bandwidth())
 
             def ladder(height):
-                G = dense(tg, height, cut)
-                S, P = ((dense(tf, height, cut), dense(prod, height, cut)) if module is hardy
+                block = range(height), range(cut)
+                G = dense(tg, *block)
+                S, P = ((dense(tf, *block), dense(prod, *block)) if module is hardy
                         else (np.eye(height, cut), G))
                 return _ladder(S[None], P[None], G[None], first, N, LADDER_LENGTH)
 
-            assert not np.any(dense(prod, size, cut)[rows:])
+            assert not np.any(dense(prod, range(size), range(cut))[rows:])
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ladder(size), ladder(rows)))
