@@ -129,7 +129,9 @@ _FIELDS = {
 #: ``2 min(r + s, n - 1) + 1`` diagonals of the product band in
 #: semicommutator (symbol reaches ``r`` and ``s``), and hankel-decay
 #: decomposes its live corner, ``n = k = min(max(sizes), reach)``, besides
-#: ``_DECAY_VALUE_BYTES`` per singular value it keeps.  A grid row of
+#: ``_DECAY_VALUE_BYTES`` per singular value it keeps (a corner that
+#: :func:`annulab.reduction.hankel_singular_values` sketches takes ``O(48 n)``
+#: bytes, but one whose sketch fails is copied whole).  A grid row of
 #: complex samples is ``16 m`` bytes, a complex section ``16 n^2``.
 _PEAKS = {
     "gram": ((), ((42, 2842, 0), (0, 0, 221))),
@@ -139,7 +141,7 @@ _PEAKS = {
     "mellin": ((), ()),
     "zero-product-hardy": ((), ((0, 0, 160),)),
     "zero-product-bergman": ((), ((0, 0, 160),)),
-    "semicommutator": (("symbol", "symbol2"), ((0, 0, 163),)),
+    "semicommutator": (("symbol", "symbol2"), ((0, 0, 111),)),
 }
 _DECAY_VALUE_BYTES = 384
 
@@ -209,8 +211,9 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
       ``[4, 120000]``, where its values weigh most (332 and 327 bytes each
       by VmHWM);
     - semicommutator: widths 201 to 801, both reaches up to a quarter of
-      the width, or a constant beside a reach of half of it, and the drawn
-      reach-4 pair at +-8192 and +-16384 (0.59 of the count by VmHWM);
+      the width, or a constant beside a reach of half of it (0.42 to 0.57
+      of the count by VmHWM), and the drawn reach-4 pair at +-8192 and
+      +-16384, where the count is least (0.86 by VmHWM, 0.81 traced);
     - the probes: ten sections per stack, as a lone trial's full-width
       ladder at side 801 grew the resident set by 9.6 sections in Hardy,
       9.8 in Bergman (a chunk of trials whose ladders read fewer columns
@@ -365,7 +368,11 @@ def _run_hankel_decay(cfg: LabConfig):
         "decay.svg": lambda path: emit_plot(profiles[0], path),
         "decay-inner.svg": lambda path: emit_plot(profiles[1], path),
     }
-    extra = {"verdict": verdict, "verdict_basis": reduction.decay_basis(profiles)}
+    extra = {
+        "verdict": verdict,
+        "verdict_basis": reduction.decay_basis(profiles),
+        "decay_route": {p.pullback: {str(s): p.routes[s] for s in p.sizes} for p in profiles},
+    }
     if cfg.symbol in [f"builtin:{name}" for name in reference.TRUNCATED]:
         # the certificate sums the table the run reads, not the infinite one
         extra["l1_tail_table"] = (

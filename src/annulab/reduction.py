@@ -255,7 +255,8 @@ class DecayProfile:
     with the two size-independent bounds on their tail indices: the live
     reach ``rank_bound`` (Kronecker) and the l1 tail index ``l1_tail_k``,
     and the count ``certified_tail`` that the tail indices may not exceed
-    once rounding is allowed for (see :func:`l1_tail_certificate`)."""
+    once rounding is allowed for (see :func:`l1_tail_certificate`), and
+    per size the route of its values (:func:`hankel_singular_values`)."""
 
     pullback: str
     sizes: list[int]
@@ -265,6 +266,7 @@ class DecayProfile:
     rank_bound: int = 0
     l1_tail_k: int = 0
     certified_tail: int = 0
+    routes: dict[int, str | dict] = field(default_factory=dict)
 
     def tail_fraction(self, size: int) -> float:
         return self.tail_indices[size] / size
@@ -299,7 +301,9 @@ def l1_tail_certificate(
     Householder reduction.  So a computed tail index exceeds no ``k`` with
     computed ``T_k + delta <= epsilon``, and ``certified`` is the least such
     ``k``.  Where none qualifies it is ``reach``: only the live block is
-    decomposed, so a tail index never exceeds it.
+    decomposed, so a tail index never exceeds it.  The sketch route of
+    :func:`hankel_singular_values` keeps its values only where its own
+    error bound fits the same allowance over the block's coefficients.
     """
     tails = np.append(np.cumsum(np.abs(hats)[::-1])[::-1], 0.0)
     k_star = int(np.argmax(tails <= epsilon))
@@ -308,20 +312,167 @@ def l1_tail_certificate(
     return k_star, int(ok[0]) if ok.size else reach
 
 
+#: a real block of this side or more first tries the sketch of :func:`_sketch`
+SKETCH_MIN = 384
+#: columns of the sketch's test matrix, the most singular values it keeps
+SKETCH_RANK = 48
+#: columns of the block that one step of the sketch copies and multiplies
+_SKETCH_COLUMNS = 16
+#: rows of one product of the first pass, which bound its temporary
+_SKETCH_ROWS = 256
+#: most Gram-Schmidt passes over one column of the sketch
+_SKETCH_PASSES = 4
+
+
+class SketchedValues(np.ndarray):
+    """Singular values that :func:`_sketch` certified, with its record in
+    ``route``: the rank, the residual ``rho`` and the allowance."""
+
+    route: dict
+
+
 def hankel_singular_values(block: np.ndarray) -> np.ndarray:
     """Descending singular values of a square disc Hankel block.
 
     A complex block takes the SVD.  A real block is real symmetric, since
     entries ``(j, k)`` and ``(k, j)`` of the :func:`disc_hankel_window`
     view are one memory location, ``phihat(-(j+1) - k)``; its singular
-    values are the moduli of its eigenvalues, which ``eigvalsh`` computes
-    from one triangle by a real tridiagonal reduction, several times faster
-    than the SVD.  Both copy the block into their own LAPACK buffer, so a
-    strided view gives the bits of its contiguous copy.
+    values are the moduli of its eigenvalues.  From side ``SKETCH_MIN`` on
+    they come from :func:`_sketch` where its certificate holds: the
+    ``SKETCH_RANK`` moduli of a compression, then exact zeros.  Otherwise
+    ``eigvalsh`` computes them from one triangle by a real tridiagonal
+    reduction, several times faster than the SVD.  Both LAPACK routes copy
+    the block into their own buffer, so a strided view gives the bits of
+    its contiguous copy.  Sketched values come as :class:`SketchedValues`,
+    which carry the sketch's record.
     """
-    if np.isrealobj(block):
-        return np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
-    return np.linalg.svd(block, compute_uv=False)
+    if np.iscomplexobj(block):
+        return np.linalg.svd(block, compute_uv=False)
+    sig = _sketch(block) if len(block) >= SKETCH_MIN else None
+    if sig is None:
+        sig = np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
+    return sig
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, ``u`` the unit roundoff."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1.0 - nu)
+
+
+def _sketch(H: np.ndarray):
+    """The :class:`SketchedValues` of a real disc Hankel block from a
+    certified rank-``k`` compression (Halko-Martinsson-Tropp 2011), or
+    ``None`` where the certificate fails, ``k = SKETCH_RANK``.
+
+    ``Y = H W`` with the Weyl test matrix ``W[i, j] = frac(i sqrt(p_j)) -
+    1/2`` over the first ``k`` primes; ``Q`` (``L x k``, unit columns) is
+    its Gram-Schmidt basis, made in place, each column projected again
+    while a projection still removes half of it (a column still falling
+    after ``_SKETCH_PASSES`` lies in the span so far and is zeroed); then
+    ``Z = Q^T H``, ``B = Z Q`` and ``R = H - Q Z``.  Both passes go over blocks
+    of ``_SKETCH_COLUMNS`` columns of the read-only view, scaled by the
+    power of two ``s`` that brings the largest coefficient into [1/2, 1)
+    (exact, and no square overflows), so the largest arrays are ``Q`` and
+    one copied column block: ``O(L k)`` bytes.
+
+    With ``P = Q Q^T`` a projector, ``(I - P) H = (I - P) R``, so ``||H -
+    P H P|| <= 2 ||R||`` (``H`` symmetric); ``P H P`` has the singular
+    values ``|eig(Q^T H Q)|`` and ``L - k`` zeros, and ``Q^T H Q = Z Q +
+    Q^T R Q``.  The values returned, the sorted ``|eig|`` of the computed
+    ``B``, symmetrized, then lie within ``3 ||R|| + ||dB|| + e_k`` of those
+    of ``H`` (Weyl), where the bounds are derived from the computed norms
+    (Higham, ch. 3): ``|R - fl(R)| <= gamma_(k+1) (|H| + |Q| |Z|)``
+    entrywise, and ``||Q||_F = sqrt(k)``, give ``||R||_F <= rho +
+    gamma_(k+1) (||H||_F + sqrt(k) ||Z||_F)``; ``|dB_lm| <= gamma_L
+    ||Z_l||``, by Cauchy-Schwarz over the unit column ``l`` of ``Q``, gives
+    ``||dB||_F <= gamma_L sqrt(k) ||Z||_F``; each computed Frobenius norm
+    is within ``gamma_(L^2 + 1)`` of its matrix's.  ``e_k = (6k - 4) u
+    T_0`` is the dense path's model (:func:`l1_tail_certificate`) at side
+    ``k``: the ``k x k`` eigensolver and ``Q``'s departure from
+    orthonormality, ``O(k u)`` for Gram-Schmidt repeated so (Giraud et al.,
+    2005).  The route holds where this sum fits the allowance ``(3N - 1)
+    u T_0`` the dense path gets over the block's own ``N = 2L - 1``
+    coefficients of modulus sum ``T_0``, so the ``certified_tail``
+    argument holds unchanged.  A non-finite coefficient or norm, or a last
+    Gram-Schmidt pivot ``|R_kk|`` already above the allowance (the range
+    was not captured), fails it before or without the second pass.
+    """
+    L, k, u = len(H), SKETCH_RANK, np.finfo(float).eps / 2
+    hats = np.concatenate((H[0], H[1:, -1]))
+    top = np.max(np.abs(hats))
+    if not np.isfinite(top) or top == 0.0:
+        return None
+    e = int(np.frexp(top)[1])
+    T0 = float(np.sum(np.abs(np.ldexp(hats, -e))))
+    allowance = (3 * (2 * L - 1) - 1) * u * T0
+    roots = np.sqrt(_primes(k))
+    buf = np.empty(L * _SKETCH_COLUMNS)
+
+    def column_blocks():
+        for c in range(0, L, _SKETCH_COLUMNS):
+            cols = slice(c, min(c + _SKETCH_COLUMNS, L))
+            w = cols.stop - c
+            yield cols, np.ldexp(H[:, cols], -e, out=buf[:L * w].reshape(L, w))
+
+    Q = np.zeros((k, L))  # rows: the columns of Y, then of Q
+    for cols, hc in column_blocks():
+        W = np.modf(np.arange(cols.start, cols.stop)[:, None] * roots)[0] - 0.5
+        for r in range(0, L, _SKETCH_ROWS):
+            Q[:, r:r + _SKETCH_ROWS] += W.T @ hc[r:r + _SKETCH_ROWS].T
+    for j in range(k):
+        v = Q[j]
+        pivot = np.sqrt(v @ v)
+        for _ in range(_SKETCH_PASSES):
+            v -= (Q[:j] @ v) @ Q[:j]
+            pivot, before = np.sqrt(v @ v), pivot
+            if pivot >= before / 2:
+                break
+        else:  # still falling: numerically inside the span so far
+            v[:], pivot = 0.0, 0.0
+        if pivot:
+            v /= pivot
+    if not _captured(pivot, allowance):
+        return None
+    B, squares = np.zeros((k, k)), np.zeros(3)  # of H, Z and R
+    for cols, hc in column_blocks():
+        Z = Q @ hc
+        B += Z @ Q[:, cols].T
+        squares[0] += hc.ravel() @ hc.ravel()
+        squares[1] += Z.ravel() @ Z.ravel()
+        hc -= Q.T @ Z
+        squares[2] += hc.ravel() @ hc.ravel()
+    fH, fZ, rho = np.sqrt(squares) * (1.0 + _gamma(L * L + 1))
+    bound_R = rho + _gamma(k + 1) * (fH + np.sqrt(k) * fZ)
+    error = 3.0 * bound_R + _gamma(L) * np.sqrt(k) * fZ + (6 * k - 4) * u * T0
+    if not _captured(error, allowance):
+        return None
+    sig = np.zeros(L)
+    sig[:k] = np.sort(np.abs(np.linalg.eigvalsh((B + B.T) * 0.5)))[::-1]
+    sig = np.ldexp(sig, e).view(SketchedValues)
+    sig.route = {
+        "rank": k,
+        "residual": float(np.ldexp(np.sqrt(squares[2]), e)),
+        "allowance": float(np.ldexp(allowance, e)),
+    }
+    return sig
+
+
+def _captured(evidence, allowance: float) -> bool:
+    """Whether the sketch's evidence, the last pivot or the error bound,
+    fits the allowance; a NaN fits nothing."""
+    return bool(evidence <= allowance)
+
+
+def _primes(count: int) -> np.ndarray:
+    """The first ``count`` primes, as floats."""
+    found: list[int] = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return np.array(found, dtype=float)
 
 
 def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayProfile:
@@ -340,12 +491,18 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     depends only on ``j + k``, the blocks of all sizes are the leading
     blocks of the one read-only :func:`disc_hankel_window` view over the
     coefficients read, so the sweep builds no section of its own: its
-    largest dense array is LAPACK's copy of the live corner.
+    largest dense array is LAPACK's copy of a live corner, made only where
+    a corner is decomposed densely.
 
     When no coefficient read has a nonzero imaginary part (an exact test),
     the blocks are the view's real part, decomposed as real symmetric
     matrices by :func:`hankel_singular_values`; they agree with the SVD to
-    rounding.
+    rounding.  From side ``SKETCH_MIN`` on, a block whose rank-``SKETCH_RANK``
+    sketch is certified gets its values and then exact zeros, each within
+    the decomposition allowance of :func:`l1_tail_certificate`, in ``O(L
+    SKETCH_RANK)`` bytes.  ``routes`` records per size ``"dense"`` (also
+    where no block is decomposed) or the sketch's rank, residual and
+    allowance.
     A complex table takes the SVD: where ``L = s`` (a table reaching the
     whole section) it sees the same matrix as a full-section SVD and the
     output is byte-identical to it, and where ``L < s`` the two agree in
@@ -367,9 +524,11 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     block = window if hats.imag.any() else window.real
     for s in sizes:
         L = min(s, reach)
-        sig = np.zeros(s)
+        sig, route = np.zeros(s), "dense"
         if L:
-            sig[:L] = hankel_singular_values(block[:L, :L])
+            sig[:L] = values = hankel_singular_values(block[:L, :L])
+            route = getattr(values, "route", route)
+        profile.routes[s] = route
         profile.tail_indices[s] = tail_index(sig, TAIL_EPSILON)
         profile.singular_values[s] = sig.tolist()
     return profile

@@ -1601,3 +1601,21 @@ def test_hankel_decay_records_the_verdict_basis(tmp_path, config, basis):
     assert extra["verdict_basis"] == basis
     verdict = {"growth": "NoDecay", "decay": "DecayObserved", "neither": "Inconclusive"}
     assert extra["verdict"] == verdict[basis["clause"]]
+
+
+def test_hankel_decay_records_the_decay_route(tmp_path):
+    """report.json names, per pullback and size, the route of the singular
+    values: the shipped config's outer 512 block takes the sketch, every
+    smaller block and the empty inner table stay dense; results.csv gains
+    no row for it."""
+    config = json.loads((CONFIGS / "hankel-decay.json").read_text(encoding="utf-8"))
+    run_lab(tmp_path, "hankel-decay", config)
+    extra = json.loads((tmp_path / "out" / "report.json").read_text())["extra"]
+    route = extra["decay_route"]
+    sketch = route["C"].pop("512")
+    assert sketch["rank"] == annulab.reduction.SKETCH_RANK
+    assert 0.0 < sketch["residual"] < sketch["allowance"] < 1e-11
+    assert route == {"C": dict.fromkeys(("64", "128", "256"), "dense"),
+                     "C0": dict.fromkeys(("64", "128", "256", "512"), "dense")}
+    rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    assert not any("route" in row for row in rows)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from annulab.reduction import (
     conjugate_reflection_residual,
     decay_profile_for,
     diagram_residual,
+    disc_hankel_window,
     hankel_compactness_indicator,
     l1_tail_certificate,
     semicommutator_residual_disc,
@@ -545,6 +547,90 @@ def test_decay_sweep_decomposes_a_read_only_view_under_a_mebibyte(monkeypatch):
     assert peak < 1 << 20
     assert writeable == [False] * 4
     assert profile.rank_bound == 1024
+
+
+def _dense_values(block):
+    return np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
+
+
+@pytest.mark.parametrize("name", ["conjugated-singular-inner", "hilbert"])
+def test_sketch_route_stays_within_its_allowance_of_the_dense_values(name):
+    """The table as the CLI sizes it for sizes up to 1024 (2048
+    coefficients): from ``SKETCH_MIN`` on the sweep takes the sketch, whose
+    values lie within the allowance it records of ``eigvalsh``'s, with the
+    same tail count and exact zeros past the sketch rank."""
+    phi = pullback_symbols(reference_symbol(name, R, 2048))[0]
+    profile = decay_profile_for(phi, (256, 512, 1024), "C")
+    assert profile.routes[256] == "dense"
+    k = reduction.SKETCH_RANK
+    for s in (512, 1024):
+        route = profile.routes[s]
+        assert route["rank"] == k
+        assert 0.0 < route["residual"] < route["allowance"]
+        want = _dense_values(build_disc_hankel(phi, s).real)
+        got = np.array(profile.singular_values[s])
+        assert np.max(np.abs(got - want)) <= route["allowance"]
+        assert profile.tail_indices[s] == tail_index(want, 0.5) >= 2
+        assert np.all(got[k:] == 0.0) and got[k - 1] < want[0] * 1e-12
+
+
+def _assert_falls_back(phi, size):
+    block = disc_hankel_window(phi, size)[1].real
+    got = reduction.hankel_singular_values(block)
+    assert not isinstance(got, reduction.SketchedValues)
+    assert got.tobytes() == _dense_values(block).tobytes()
+
+
+def test_sketch_falls_back_to_the_dense_bits_where_the_range_is_missed():
+    """The singular-inner table truncated to 1025 coefficients cuts off
+    sharply inside the 1024 block (the rank-48 residual is about 0.5), and a
+    real ``3/n`` table reaching the whole block has no low rank at all:
+    both take ``eigvalsh`` and keep its bytes."""
+    outer = pullback_symbols(reference_symbol("conjugated-singular-inner", R, 1025))[0]
+    _assert_falls_back(outer, 1024)
+    _assert_falls_back(_real_table(4, 2047), 1024)
+
+
+def test_sketch_falls_back_where_a_third_of_its_allowance_is_residual(monkeypatch):
+    """The Hilbert table with a perturbation of 1e-15 per coefficient: the
+    range is captured (the last pivot is small), but the residual is more
+    than a third of the allowance, and ``3 rho`` alone spends it."""
+    rng = Lcg(6)
+    phi = ExactCircle({-n: 1 / n + 1e-15 * rng.coefficient().real for n in range(1, 1024)})
+    _assert_falls_back(phi, 512)
+    monkeypatch.setattr(reduction, "_captured", lambda evidence, allowance: True)
+    route = reduction._sketch(disc_hankel_window(phi, 512)[1].real).route
+    assert route["allowance"] / 3 < route["residual"] < route["allowance"] / 2
+
+
+def test_sketch_accepting_without_its_residual_is_caught(monkeypatch):
+    """Planted defect: a sketch accepted whatever its residual returns 48
+    values and zeros for the truncated table, not the dense bytes.  No
+    shipped config reads a block where the certificate fails (the shipped
+    hankel-decay table reaches past its 512 block), so this defect has no
+    row in test_planted_defects.py."""
+    monkeypatch.setattr(reduction, "_captured", lambda evidence, allowance: True)
+    with pytest.raises(AssertionError):
+        test_sketch_falls_back_to_the_dense_bits_where_the_range_is_missed()
+
+
+def test_sketch_of_a_table_near_1e300_warns_of_nothing():
+    """The sketch scales the block by a power of two, so no square or norm
+    overflows: a Hilbert table times 1e300 keeps the sketch and its values
+    scale with it, a full-reach table times 1e300 falls back, and neither
+    raises a RuntimeWarning."""
+    full = {n: 1e300 * c for n, c in _real_table(4, 2047).coeffs.items() if n < 0}
+    hilbert_1e300 = ExactCircle({-n: 1e300 / n for n in range(1, 1024)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = decay_profile_for(hilbert_1e300, (512,), "C")
+        _assert_falls_back(ExactCircle(full), 1024)
+    hilbert = pullback_symbols(reference_symbol("hilbert", R, 1024))[0]
+    want = np.array(decay_profile_for(hilbert, (512,), "C").singular_values[512])
+    route = big.routes[512]
+    assert route["rank"] == reduction.SKETCH_RANK and route["allowance"] > 1e288
+    got = np.array(big.singular_values[512]) / 1e300
+    assert np.max(np.abs(got - want)) <= route["allowance"] / 1e300
 
 
 def test_disc_hankel_blocks_are_exactly_symmetric():
