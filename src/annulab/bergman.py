@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .geometry import AnnulusGeometry, bergman_norm_const
-from .hardy import UNCONSTRAINED, ZeroProductReport, _band_entries, _check_window, _probe, _put
+from .hardy import (UNCONSTRAINED, ZeroProductReport, _band_entries, _band_zeros, _check_window,
+                    _probe, _put)
 from .mellin import check_moment_range, mellin_transform, mellin_zero_locate, monomial_moment
 from .symbols import PolarSymbol, PolyProfile, _analyze
 
@@ -131,8 +132,7 @@ def build_bergman_toeplitz(
     for j in range(width):
         profile += coeffs[band, j] * term[:, j]
     tau = bergman_norm_const(np.abs(n + 1) - 1, R)
-    w = min(max((sym.bandwidth() for sym in fs), default=0), len(n) - 1)
-    ent = np.zeros((len(fs), 2 * w + 1, len(n)), dtype=complex)
+    ent = _band_zeros((len(fs),), max((sym.bandwidth() for sym in fs), default=0), len(n))
     _put(ent, row, col, (tau[row] * tau[col]) * profile, owner[band])
     for sec, sym in zip(ent, fs):
         if not sym.is_zero() and not sec.any():

@@ -59,10 +59,12 @@ def band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dense (:func:`dense`) and written back onto the band
     (:func:`_write_block`); a window that one block covers runs ``dense(A)
     @ dense(B)`` itself.  The loop's cost grows as ``a b``, the blocks' as
-    ``(a + b)^2`` but at BLAS's rate: with one BLAS thread, over sides 49
-    to 1601 and stacks of 1 and 20, the loop is faster up to ``min(a, b) =
-    4`` and the blocks from 24 on (3.5 times at ``a = b = 100`` over side
-    801); at 8 the loop takes 0.2 to 1.5 times as long as the blocks.
+    ``(a + b)^2`` but at BLAS's rate, and the crossover moves with the
+    stack (one BLAS thread, medians of 15-41 calls): one matrix of side 257
+    or 801 runs faster on the loop up to ``a = b = 16`` and on the blocks
+    from 24; a stack of 20 at side 49 runs within a quarter either way at
+    ``a = b`` = 6 to 10, and 1.5 times faster on the blocks from 12 on.
+    At ``a = b = 100`` over side 801 the blocks are 3.5 times faster.
     Either way the result is ``A @ B`` to rounding, not bit for bit, and
     each matrix of a stack has the bits of its lone product.
     """
@@ -125,6 +127,14 @@ def _band_sections(tables, weights, size: int, bandwidth: int, combine=np.add) -
              for t, uv in zip(hats, weights)]
     row = k[:, None] + np.arange(size)
     return np.where((0 <= row) & (row < size), reduce(combine, terms), 0)
+
+
+def _band_zeros(lead: tuple[int, ...], bandwidth: int, n: int) -> np.ndarray:
+    """Complex zero sections of side ``n``, stacked by the leading shape
+    ``lead``, in the band layout of :func:`_band_sections` at ``bandwidth``,
+    for :func:`_put` or :func:`_write_block` to fill."""
+    w = min(bandwidth, n - 1)
+    return np.zeros((*lead, 2 * w + 1, n), dtype=complex)
 
 
 def dense(band: np.ndarray, rows: range | None = None, cols: range | None = None) -> np.ndarray:

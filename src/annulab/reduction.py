@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import AnnulusGeometry, basis_weights, complement_basis_eval, hardy_basis_eval
-from .hardy import INCONCLUSIVE, _band_sections, _semicommutator_residual, _write_block
+from .hardy import INCONCLUSIVE, _band_sections, _band_zeros, _semicommutator_residual, _write_block
 from .symbols import (
     ExactCircle,
     ExactSymbol,
@@ -64,9 +64,9 @@ def disc_hankel_window(phi: ExactCircle, size: int) -> tuple[np.ndarray, np.ndar
 
 def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
     """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
-    coefficient on ``z^-(j+1)``.  A contiguous copy of
-    :func:`disc_hankel_window`, for callers that multiply it."""
-    return disc_hankel_window(phi, size)[1].copy()
+    coefficient on ``z^-(j+1)``: the read-only view of
+    :func:`disc_hankel_window`, which its callers only read."""
+    return disc_hankel_window(phi, size)[1]
 
 
 def semicommutator_residual_disc(
@@ -78,15 +78,15 @@ def semicommutator_residual_disc(
     keeps the margin from the last row and column only.
 
     The Hankel sections go in band layout at their symbol's bandwidth
-    ``b``, with ``w = min(b, size - 1)``: entry ``(j, k)`` reads
-    ``phihat(-(j+1) - k)``, zero once ``j + k >= b``, so every nonzero
-    entry lies in the leading ``(w + 1)``-square corner, and that whole
-    corner lies in the band.  Only the corner is built
+    ``b`` (:func:`~annulab.hardy._band_zeros`), of half-width ``w = min(b,
+    size - 1)``: entry ``(j, k)`` reads ``phihat(-(j+1) - k)``, zero once ``j + k >= b``, so
+    every nonzero entry lies in the leading ``(w + 1)``-square corner, and
+    that whole corner lies in the band.  Only the corner is built
     (:func:`build_disc_hankel`) and written onto the band."""
     def hankel(s):
-        w = min(s.bandwidth(), size - 1)
-        out = np.zeros((2 * w + 1, size), dtype=complex)
-        _write_block(out, build_disc_hankel(s, w + 1), range(w + 1), range(w + 1))
+        out = _band_zeros((), s.bandwidth(), size)
+        corner = range(len(out) // 2 + 1)
+        _write_block(out, build_disc_hankel(s, len(corner)), corner, corner)
         return out
 
     return _semicommutator_residual(
@@ -324,15 +324,9 @@ _SKETCH_ROWS = 256
 _SKETCH_PASSES = 4
 
 
-class SketchedValues(np.ndarray):
-    """Singular values that :func:`_sketch` certified, with its record in
-    ``route``: the rank, the residual ``rho`` and the allowance."""
-
-    route: dict
-
-
-def hankel_singular_values(block: np.ndarray) -> np.ndarray:
-    """Descending singular values of a square disc Hankel block.
+def hankel_singular_values(block: np.ndarray) -> tuple[np.ndarray, str | dict]:
+    """Descending singular values of a square disc Hankel block, and their
+    route: ``"dense"`` or the record of :func:`_sketch`.
 
     A complex block takes the SVD.  A real block is real symmetric, since
     entries ``(j, k)`` and ``(k, j)`` of the :func:`disc_hankel_window`
@@ -343,15 +337,12 @@ def hankel_singular_values(block: np.ndarray) -> np.ndarray:
     ``eigvalsh`` computes them from one triangle by a real tridiagonal
     reduction, several times faster than the SVD.  Both LAPACK routes copy
     the block into their own buffer, so a strided view gives the bits of
-    its contiguous copy.  Sketched values come as :class:`SketchedValues`,
-    which carry the sketch's record.
+    its contiguous copy.
     """
     if np.iscomplexobj(block):
-        return np.linalg.svd(block, compute_uv=False)
-    sig = _sketch(block) if len(block) >= SKETCH_MIN else None
-    if sig is None:
-        sig = np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
-    return sig
+        return np.linalg.svd(block, compute_uv=False), "dense"
+    sketched = _sketch(block) if len(block) >= SKETCH_MIN else None
+    return sketched or (np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1], "dense")
 
 
 def _gamma(n: int) -> float:
@@ -361,9 +352,10 @@ def _gamma(n: int) -> float:
 
 
 def _sketch(H: np.ndarray):
-    """The :class:`SketchedValues` of a real disc Hankel block from a
-    certified rank-``k`` compression (Halko-Martinsson-Tropp 2011), or
-    ``None`` where the certificate fails, ``k = SKETCH_RANK``.
+    """The singular values of a real disc Hankel block from a certified
+    rank-``k`` compression (Halko-Martinsson-Tropp 2011), with the record
+    ``{rank, residual, allowance}`` of the route, or ``None`` where the
+    certificate fails, ``k = SKETCH_RANK``.
 
     ``Y = H W`` with the Weyl test matrix ``W[i, j] = frac(i sqrt(p_j)) -
     1/2`` over the first ``k`` primes; ``Q`` (``L x k``, unit columns) is
@@ -449,13 +441,11 @@ def _sketch(H: np.ndarray):
         return None
     sig = np.zeros(L)
     sig[:k] = np.sort(np.abs(np.linalg.eigvalsh((B + B.T) * 0.5)))[::-1]
-    sig = np.ldexp(sig, e).view(SketchedValues)
-    sig.route = {
+    return np.ldexp(sig, e), {
         "rank": k,
         "residual": float(np.ldexp(np.sqrt(squares[2]), e)),
         "allowance": float(np.ldexp(allowance, e)),
     }
-    return sig
 
 
 def _captured(evidence, allowance: float) -> bool:
@@ -524,11 +514,9 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     block = window if hats.imag.any() else window.real
     for s in sizes:
         L = min(s, reach)
-        sig, route = np.zeros(s), "dense"
+        sig, profile.routes[s] = np.zeros(s), "dense"
         if L:
-            sig[:L] = values = hankel_singular_values(block[:L, :L])
-            route = getattr(values, "route", route)
-        profile.routes[s] = route
+            sig[:L], profile.routes[s] = hankel_singular_values(block[:L, :L])
         profile.tail_indices[s] = tail_index(sig, TAIL_EPSILON)
         profile.singular_values[s] = sig.tolist()
     return profile

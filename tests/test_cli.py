@@ -1619,3 +1619,18 @@ def test_hankel_decay_records_the_decay_route(tmp_path):
                      "C0": dict.fromkeys(("64", "128", "256", "512"), "dense")}
     rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert not any("route" in row for row in rows)
+
+
+def test_hankel_decay_route_is_the_record_hankel_singular_values_returns(tmp_path):
+    """The shipped config's outer 512 block, read from the table as the CLI
+    sizes it, returns from ``hankel_singular_values`` the very record that
+    report.json writes for it."""
+    config = json.loads((CONFIGS / "hankel-decay.json").read_text(encoding="utf-8"))
+    run_lab(tmp_path, "hankel-decay", config)
+    extra = json.loads((tmp_path / "out" / "report.json").read_text())["extra"]
+    length = 2 * max(config["sizes"])  # every index a decay sweep reads
+    table = annulab.reference.reference_symbol("conjugated-singular-inner", config["R"], length)
+    outer = annulab.symbols.pullback_symbols(table)[0]
+    block = annulab.reduction.disc_hankel_window(outer, 512)[1].real
+    _, route = annulab.reduction.hankel_singular_values(block)
+    assert isinstance(route, dict) and route == extra["decay_route"]["C"]["512"]

@@ -574,10 +574,24 @@ def test_sketch_route_stays_within_its_allowance_of_the_dense_values(name):
         assert np.all(got[k:] == 0.0) and got[k - 1] < want[0] * 1e-12
 
 
+def test_hankel_singular_values_returns_the_dense_route_with_its_bits():
+    """Below ``SKETCH_MIN`` a real block keeps ``eigvalsh``'s bits and a
+    complex block the SVD's, each with the route ``"dense"``."""
+    table = dict(_real_table(5, 40).coeffs)
+    real = disc_hankel_window(ExactCircle(table), reduction.SKETCH_MIN - 1)[1].real
+    table[-11] += 1e-300j
+    complex_ = disc_hankel_window(ExactCircle(table), 64)[1]
+    got, route = reduction.hankel_singular_values(real)
+    assert route == "dense" and got.tobytes() == _dense_values(real).tobytes()
+    got, route = reduction.hankel_singular_values(complex_)
+    want = np.linalg.svd(complex_, compute_uv=False)
+    assert route == "dense" and got.tobytes() == want.tobytes()
+
+
 def _assert_falls_back(phi, size):
     block = disc_hankel_window(phi, size)[1].real
-    got = reduction.hankel_singular_values(block)
-    assert not isinstance(got, reduction.SketchedValues)
+    got, route = reduction.hankel_singular_values(block)
+    assert route == "dense"
     assert got.tobytes() == _dense_values(block).tobytes()
 
 
@@ -599,7 +613,7 @@ def test_sketch_falls_back_where_a_third_of_its_allowance_is_residual(monkeypatc
     phi = ExactCircle({-n: 1 / n + 1e-15 * rng.coefficient().real for n in range(1, 1024)})
     _assert_falls_back(phi, 512)
     monkeypatch.setattr(reduction, "_captured", lambda evidence, allowance: True)
-    route = reduction._sketch(disc_hankel_window(phi, 512)[1].real).route
+    _, route = reduction._sketch(disc_hankel_window(phi, 512)[1].real)
     assert route["allowance"] / 3 < route["residual"] < route["allowance"] / 2
 
 
@@ -631,6 +645,22 @@ def test_sketch_of_a_table_near_1e300_warns_of_nothing():
     assert route["rank"] == reduction.SKETCH_RANK and route["allowance"] > 1e288
     got = np.array(big.singular_values[512]) / 1e300
     assert np.max(np.abs(got - want)) <= route["allowance"] / 1e300
+
+
+def test_disc_hankel_is_a_read_only_view_with_the_copy_bytes():
+    """The section is the window's view, not a copy; its bytes are those of
+    ``phihat`` read at each entry's own index ``-(j+1) - k``."""
+    rng = Lcg(13)
+    phi = ExactCircle({n: rng.coefficient() for n in range(-40, 6)})
+    for size in (1, 9, 32):
+        B = build_disc_hankel(phi, size)
+        assert not B.flags.writeable
+        with pytest.raises(ValueError):
+            B[0, 0] = 1.0
+        j = np.arange(size)
+        want = phi.hat(-(np.add.outer(j, j) + 1))
+        assert B.dtype == want.dtype and B.shape == want.shape
+        assert B.tobytes() == want.tobytes()
 
 
 def test_disc_hankel_blocks_are_exactly_symmetric():
