@@ -30,9 +30,7 @@ def emit_plot(profile, path) -> None:
         raise ValueError("nothing to plot: empty decay profile")
     xmax = max(len(profile.singular_values[s]) for s in sizes) - 1
     xmax = max(xmax, 1)
-    top_sigma = max(
-        max((sig for sig in profile.singular_values[s]), default=FLOOR) for s in sizes
-    )
+    top_sigma = max(max(profile.singular_values[s], default=FLOOR) for s in sizes)
     ymax = math.ceil(math.log10(max(top_sigma, FLOOR))) + 1
     ymin = math.log10(FLOOR)
     plot_w = _W - _L - _R
@@ -90,19 +88,21 @@ def emit_plot(profile, path) -> None:
         f'<text x="{_W - _R - 4}" y="{fy - 4:.2f}" font-size="10" fill="gray" '
         'font-family="monospace" text-anchor="end">floor 1e-16</text>'
     )
+    # each coordinate formatted once: x per index, y per distinct sigma (+0
+    # and -0 are one key and both clamp to FLOOR; a NaN matches only
+    # itself).  math.log10 stays per value, as np.log10 may round differently
+    xs = ["%.2f" % x_px(i) for i in range(xmax + 1)]
+    distinct = set().union(*(profile.singular_values[s] for s in sizes))
+    ys = {sig: "%.2f" % y_px(sig) for sig in distinct}
     for idx, s in enumerate(sizes):
         color = _PALETTE[idx % len(_PALETTE)]
         sigmas = profile.singular_values[s]
         if len(sigmas) == 1:
             parts.append(
-                f'<circle cx="{x_px(0):.2f}" cy="{y_px(sigmas[0]):.2f}" r="3" '
-                f'fill="{color}"/>'
+                f'<circle cx="{xs[0]}" cy="{ys[sigmas[0]]}" r="3" fill="{color}"/>'
             )
         else:
-            # one format string per size; math.log10 stays per value, as
-            # np.log10 may round differently
-            xy = [v for i, sig in enumerate(sigmas) for v in (x_px(i), y_px(sig))]
-            pts = " ".join(["%.2f,%.2f"] * len(sigmas)) % tuple(xy)
+            pts = " ".join([f"{x},{ys[sig]}" for x, sig in zip(xs, sigmas)])
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{pts}"/>'

@@ -316,10 +316,8 @@ def l1_tail_certificate(
 SKETCH_MIN = 384
 #: columns of the sketch's test matrix, the most singular values it keeps
 SKETCH_RANK = 48
-#: columns of the block that one step of the sketch copies and multiplies
+#: columns of the block that one step of the second pass copies and multiplies
 _SKETCH_COLUMNS = 16
-#: rows of one product of the first pass, which bound its temporary
-_SKETCH_ROWS = 256
 #: most Gram-Schmidt passes over one column of the sketch
 _SKETCH_PASSES = 4
 
@@ -357,16 +355,19 @@ def _sketch(H: np.ndarray):
     ``{rank, residual, allowance}`` of the route, or ``None`` where the
     certificate fails, ``k = SKETCH_RANK``.
 
-    ``Y = H W`` with the Weyl test matrix ``W[i, j] = frac(i sqrt(p_j)) -
-    1/2`` over the first ``k`` primes; ``Q`` (``L x k``, unit columns) is
-    its Gram-Schmidt basis, made in place, each column projected again
-    while a projection still removes half of it (a column still falling
-    after ``_SKETCH_PASSES`` lies in the span so far and is zeroed); then
-    ``Z = Q^T H``, ``B = Z Q`` and ``R = H - Q Z``.  Both passes go over blocks
-    of ``_SKETCH_COLUMNS`` columns of the read-only view, scaled by the
-    power of two ``s`` that brings the largest coefficient into [1/2, 1)
-    (exact, and no square overflows), so the largest arrays are ``Q`` and
-    one copied column block: ``O(L k)`` bytes.
+    The block is scaled by the power of two that brings the largest
+    coefficient into [1/2, 1) (exact, and no square overflows).  ``Y = H
+    W`` with the Weyl test matrix ``W[i, j] = frac(i sqrt(p_j)) - 1/2``
+    over the first ``k`` primes is one FFT correlation of the block's
+    coefficients with ``W`` (:func:`_weyl_product`); ``Q`` (``L x k``, unit
+    columns) is its Gram-Schmidt basis, made in place, each column
+    projected again while a projection still removes half of it (a column
+    still falling after ``_SKETCH_PASSES`` lies in the span so far and is
+    zeroed).  ``Y`` only picks ``Q``: the bound below is built from the
+    second pass, ``Z = Q^T H``, ``B = Z Q`` and ``R = H - Q Z`` over blocks
+    of ``_SKETCH_COLUMNS`` columns of the read-only view.  The largest
+    arrays are ``Q``, one copied column block and the correlation's
+    transforms: ``O(L k)`` bytes.
 
     With ``P = Q Q^T`` a projector, ``(I - P) H = (I - P) R``, so ``||H -
     P H P|| <= 2 ||R||`` (``H`` symmetric); ``P H P`` has the singular
@@ -396,22 +397,10 @@ def _sketch(H: np.ndarray):
     if not np.isfinite(top) or top == 0.0:
         return None
     e = int(np.frexp(top)[1])
-    T0 = float(np.sum(np.abs(np.ldexp(hats, -e))))
+    h = np.ldexp(hats, -e)
+    T0 = float(np.sum(np.abs(h)))
     allowance = (3 * (2 * L - 1) - 1) * u * T0
-    roots = np.sqrt(_primes(k))
-    buf = np.empty(L * _SKETCH_COLUMNS)
-
-    def column_blocks():
-        for c in range(0, L, _SKETCH_COLUMNS):
-            cols = slice(c, min(c + _SKETCH_COLUMNS, L))
-            w = cols.stop - c
-            yield cols, np.ldexp(H[:, cols], -e, out=buf[:L * w].reshape(L, w))
-
-    Q = np.zeros((k, L))  # rows: the columns of Y, then of Q
-    for cols, hc in column_blocks():
-        W = np.modf(np.arange(cols.start, cols.stop)[:, None] * roots)[0] - 0.5
-        for r in range(0, L, _SKETCH_ROWS):
-            Q[:, r:r + _SKETCH_ROWS] += W.T @ hc[r:r + _SKETCH_ROWS].T
+    Q = _weyl_product(h, np.sqrt(_primes(k)))  # rows: the columns of Y, then of Q
     for j in range(k):
         v = Q[j]
         pivot = np.sqrt(v @ v)
@@ -427,7 +416,10 @@ def _sketch(H: np.ndarray):
     if not _captured(pivot, allowance):
         return None
     B, squares = np.zeros((k, k)), np.zeros(3)  # of H, Z and R
-    for cols, hc in column_blocks():
+    buf = np.empty(L * _SKETCH_COLUMNS)
+    for c in range(0, L, _SKETCH_COLUMNS):
+        cols = slice(c, min(c + _SKETCH_COLUMNS, L))
+        hc = np.ldexp(H[:, cols], -e, out=buf[:L * (cols.stop - c)].reshape(L, -1))
         Z = Q @ hc
         B += Z @ Q[:, cols].T
         squares[0] += hc.ravel() @ hc.ravel()
@@ -446,6 +438,31 @@ def _sketch(H: np.ndarray):
         "residual": float(np.ldexp(np.sqrt(squares[2]), e)),
         "allowance": float(np.ldexp(allowance, e)),
     }
+
+
+def _weyl_product(h: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """``(H W)^T`` for the Hankel block ``H[i, j] = h[i + j]`` of side
+    ``L = (len(h) + 1) / 2`` and the Weyl test matrix ``W[j, c] = frac(j
+    roots[c]) - 1/2``, by one circular correlation.
+
+    ``(H W)[i, c]`` is entry ``2L - 2 - i`` of the linear convolution of
+    ``h`` reversed with column ``c`` of ``W``, whose entries reach index
+    ``3L - 3``.  At the length ``n``, the least power of two ``>= 2L - 1``,
+    the entries ``L - 1`` to ``2L - 2`` read do not wrap.  ``h`` reversed
+    is transformed once; ``W`` is formed and transformed eight columns at a
+    time, which bounds the temporaries to ``O(n)`` beside the result.
+    """
+    L = (len(h) + 1) // 2
+    n = 1 << (2 * L - 2).bit_length()
+    spectrum = np.fft.rfft(h[::-1], n)
+    j = np.arange(L)
+    out = np.empty((len(roots), L))
+    for c in range(0, len(roots), 8):
+        W = np.modf(roots[c:c + 8, None] * j)[0] - 0.5
+        F = np.fft.rfft(W, n)
+        F *= spectrum
+        out[c:c + 8] = np.fft.irfft(F, n)[:, L - 1:2 * L - 1][:, ::-1]
+    return out
 
 
 def _captured(evidence, allowance: float) -> bool:

@@ -647,6 +647,54 @@ def test_sketch_of_a_table_near_1e300_warns_of_nothing():
     assert np.max(np.abs(got - want)) <= route["allowance"] / 1e300
 
 
+@pytest.mark.parametrize("L", [384, 385, 512, 1000, 1024, 1025])
+def test_sketch_test_product_by_fft_matches_the_dense_product(L):
+    """``_weyl_product`` is ``(H W)^T``: at these sides the FFT length (the
+    least power of two ``>= 2L - 1``) is 1024, 2048 or 4096.  Every entry
+    lies within ``1e-14 ||h|| max_c ||W_c||`` of BLAS's dense ``H @ W``
+    (about 40 times what was seen; rounding of the correlation is of order
+    ``u log2(n)`` in that scale).  A table with every coefficient drawn
+    apart makes a shifted or misread output entry miss by order one."""
+    rng = Lcg(L)
+    phi = ExactCircle({-n: rng.coefficient().real for n in range(1, 2 * L)})
+    hats, H = disc_hankel_window(phi, L)
+    h = hats.real
+    roots = np.sqrt(reduction._primes(reduction.SKETCH_RANK))
+    W = np.modf(np.arange(L)[:, None] * roots)[0] - 0.5
+    want = (np.array(H.real) @ W).T
+    got = reduction._weyl_product(h, roots)
+    scale = np.linalg.norm(h) * np.max(np.linalg.norm(W, axis=0))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_sketch_refuses_a_zero_or_nan_block_before_its_product():
+    """A block with no nonzero or with a non-finite coefficient has no scale:
+    the sketch returns ``None`` at once, and a zero block keeps
+    ``eigvalsh``'s bytes on the dense route."""
+    L = reduction.SKETCH_MIN
+    zero = np.zeros((L, L))
+    assert reduction._sketch(zero) is None
+    assert reduction._sketch(np.full((L, L), np.nan)) is None
+    got, route = reduction.hankel_singular_values(zero)
+    assert route == "dense" and got.tobytes() == _dense_values(zero).tobytes()
+
+
+@pytest.mark.parametrize("size", [512, 1024])
+def test_sketch_of_a_block_with_exactly_dependent_sketch_columns(size):
+    """Three geometric terms make a rank-3 block, so in exact arithmetic
+    all 48 columns of ``Y`` lie in a 3-dimensional span.  The sketch keeps
+    the block: three values within its allowance of ``eigvalsh``'s and 45
+    at rounding level."""
+    phi = ExactCircle({-n: 0.5**n + 0.3**n - 0.9**n for n in range(1, 2 * size)})
+    block = disc_hankel_window(phi, size)[1].real
+    got, route = reduction.hankel_singular_values(block)
+    assert route["rank"] == reduction.SKETCH_RANK
+    want = _dense_values(block)
+    assert np.max(np.abs(got - want)) <= route["allowance"]
+    assert np.all(got[3:] <= route["allowance"]) and got[2] > 1e-3
+
+
 def test_disc_hankel_is_a_read_only_view_with_the_copy_bytes():
     """The section is the window's view, not a copy; its bytes are those of
     ``phihat`` read at each entry's own index ``-(j+1) - k``."""

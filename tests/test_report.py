@@ -148,6 +148,27 @@ def test_decay_artifacts_have_the_bytes_of_the_per_row_form(tmp_path):
     assert_bulk_bytes([p2, p1], tmp_path)
 
 
+def test_decay_plot_formats_repeated_and_special_sigmas_as_the_per_point_form(tmp_path):
+    """Each y string is formatted once per distinct sigma: repeated nonzero
+    values, +0 beside -0 (one key, both on the floor), NaN (one object
+    repeated and a second one), inf and a one-point size keep the per-point
+    marks.  The NaN leads its list, so the plot's top is 2.0."""
+    nan = float("nan")
+    p1 = DecayProfile(pullback="C", sizes=[1, 4, 7], epsilon=0.5)
+    p2 = DecayProfile(pullback="C0", sizes=[1, 3], epsilon=0.5)
+    p1.singular_values = {
+        1: [-0.0],
+        4: [nan, math.inf, 0.25, nan],
+        7: [2.0, 0.25, 0.25, 0.0, -0.0, float("nan"), 0.0],
+    }
+    p2.singular_values = {1: [0.25], 3: [0.25, -0.0, 0.25]}
+    for p in (p2, p1):
+        emit_plot(p, tmp_path / "decay.svg")
+        assert svg_marks(tmp_path / "decay.svg") == loop_marks(p)
+    points = svg_marks(tmp_path / "decay.svg")[1].split()
+    assert points[0].endswith(",nan") and points[1].endswith(",-inf")
+
+
 @pytest.mark.parametrize("config", ["hankel-decay.json", "hankel-decay-smooth.json"])
 def test_shipped_decay_artifacts_have_the_bytes_of_the_per_row_form(
     tmp_path, monkeypatch, config
