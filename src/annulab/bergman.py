@@ -207,10 +207,12 @@ def find_n0_bergman(gN: PolyProfile, N: int, R: float, n_range: tuple[int, int])
     The top band weights column n with the profile's Mellin moment at
     ``2n + N + 2``; this scans that argument over the degrees ``n_range``
     (the probe's window) for real zeros and returns one past the floor of
-    the largest zero mapped back to n, or ``"unconstrained"`` when the scan
-    finds none (monomial profiles always land here since their moments
-    never vanish on the real line).  Its plain moments read ``R^(z + d)``,
-    so :func:`check_moment_range` refuses a scan whose lowest exponent
+    the largest zero mapped back to n, or ``"unconstrained"`` when there is
+    none.  A profile whose real or imaginary coefficient parts share one
+    strict sign (a monomial top band among them) lands there by
+    :func:`mellin_zero_locate`'s sign certificate, with no scan.  Its
+    plain moments read ``R^(z + d)``, so :func:`check_moment_range`
+    refuses, ahead of the certificate, a window whose lowest exponent
     ``2 lo + N + 2 + d`` (``d`` the lowest profile degree, or 0) would
     overflow.
     """

@@ -92,17 +92,34 @@ def _bisect(fn, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+def _sign_certified(profile: PolyProfile) -> bool:
+    """The sign certificate of :func:`mellin_zero_locate`: True when the
+    profile has no real zero by it."""
+    c = np.array(list(profile.coeffs.values()), dtype=complex)
+    return bool(np.isfinite(c).all()) and any(
+        p.any() and (p.min() >= 0.0 or p.max() <= 0.0) for p in (c.real, c.imag)
+    )
+
+
 def mellin_zero_locate(profile: PolyProfile, lo: float, hi: float, R: float) -> list[float]:
     """Real zeros of the transform on ``[lo, hi]``.
 
-    Scans a grid of step ``ZERO_SCAN_STEP`` for sign changes and refines
-    each by bisection to ``ZERO_BISECT_TOL``.  Complex coefficient tables
-    are handled by scanning the real and imaginary parts separately and
-    keeping locations where the full value vanishes.  Zeros without a sign
-    change are outside the contract.
+    A sign certificate answers first: every monomial moment ``(1 - R^s) /
+    s`` is strictly positive for real ``s``, so if the real parts of the
+    (finite) coefficients, or their imaginary parts, are all ``>= 0`` or
+    all ``<= 0`` and not all zero, that part of the transform has one
+    strict sign on the whole real line and there is no real zero: ``[]``,
+    before any moment is taken.  Otherwise it scans a grid of step
+    ``ZERO_SCAN_STEP`` for sign changes and refines each by bisection to
+    ``ZERO_BISECT_TOL``.  Complex coefficient tables are handled by
+    scanning the real and imaginary parts separately and keeping locations
+    where the full value vanishes.  Zeros without a sign change are
+    outside the contract.
     """
     if profile.is_zero():
         raise ZeroProfileError("zero profile has no located zeros")
+    if _sign_certified(profile):
+        return []
     grid = np.arange(lo, hi + 0.5 * ZERO_SCAN_STEP, ZERO_SCAN_STEP)
     if len(grid) < 2:
         return []

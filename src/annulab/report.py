@@ -43,18 +43,13 @@ def info_check(check: str, name: str, value: float) -> CheckRow:
     return CheckRow(check, name, float(value), float("inf"), True)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def write_results_csv(path, rows: list[CheckRow]) -> None:
-    lines = ["check,name,value,tolerance,pass"]
+    # one % over a flat tuple, as in write_decay_csv
+    flat = []
     for r in rows:
-        lines.append(
-            f"{r.check},{r.name},{_fmt(r.value)},{_fmt(r.tolerance)},"
-            + ("true" if r.passed else "false")
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        flat += (r.check, r.name, r.value, r.tolerance, "true" if r.passed else "false")
+    body = ("%s,%s,%.17g,%.17g,%s\n" * len(rows)) % tuple(flat)
+    Path(path).write_text("check,name,value,tolerance,pass\n" + body, encoding="ascii")
 
 
 def write_decay_csv(path, profiles) -> None:

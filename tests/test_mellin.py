@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annulab import mellin
+from annulab.bergman import find_n0_bergman
 from annulab.errors import FloatRangeError, IllConditionedError, ZeroProfileError
 from annulab.geometry import AnnulusGeometry
 from annulab.mellin import (
@@ -19,6 +21,7 @@ from annulab.mellin import (
 )
 from annulab.randgen import Lcg
 from annulab.symbols import PolyProfile
+from conftest import adversarial_radial_pair
 
 R = 0.5
 
@@ -111,9 +114,79 @@ def test_zero_locate_constructed_root():
     assert roots[0] == pytest.approx(5.0, abs=1e-10)
 
 
-def test_zero_locate_rejects_zero_profile():
-    with pytest.raises(ZeroProfileError):
-        mellin_zero_locate(PolyProfile({}), 0.0, 1.0, R)
+def _no_moments(monkeypatch):
+    """Make any moment the locate takes fail the test."""
+    def refuse(*args):
+        raise AssertionError("a moment was taken")
+    monkeypatch.setattr(mellin, "mellin_transform", refuse)
+    monkeypatch.setattr(mellin, "monomial_moment", refuse)
+
+
+def _counted_transform(monkeypatch) -> list:
+    """Count the locate's transform calls, in the returned list's length."""
+    calls, transform = [], mellin.mellin_transform
+    def counted(*args):
+        calls.append(args)
+        return transform(*args)
+    monkeypatch.setattr(mellin, "mellin_transform", counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", [
+    # one-term profiles, whatever the coefficient's phase
+    {3: 1.0}, {0: -2.5j}, {-4: 0.3 - 0.7j}, {7: -1e-300 + 1e300j}, {2: -0.0 - 1.0j},
+    # real parts >= 0 with one > 0, imaginary parts of both signs
+    {0: 1.0 + 1.0j, 1: 0.0 - 3.0j, 2: 2.0 + 0.5j},
+    {-2: 0.5 - 4.0j, 5: 1e-12 + 9.0j},
+    # imaginary parts <= 0 with one < 0, real parts of both signs
+    {0: 1.0 - 1.0j, 1: -2.0 - 0.5j, 2: 3.0 + 0.0j},
+    {1: -7.0 + 0.0j, 4: 7.0 - 1e-9j},
+])
+def test_zero_locate_sign_certificate_takes_no_moment(coeffs, monkeypatch):
+    """Each moment ``(1 - R^s) / s`` is positive for real s, so a part whose
+    coefficients share one strict sign never vanishes: no real zero."""
+    _no_moments(monkeypatch)
+    assert mellin_zero_locate(PolyProfile(coeffs), -40.0, 40.0, R) == []
+
+
+def test_zero_locate_witnesses_of_mixed_sign_still_scan(monkeypatch):
+    """The shipped mellin run's witness ``1 - c r`` and item 13's psi have
+    mixed signs in both parts: they scan and locate the roots they did
+    before the certificate."""
+    calls = _counted_transform(monkeypatch)
+    for radius in (0.5, 0.1):
+        c = 6.0 * (1.0 - radius**5) / (5.0 * (1.0 - radius**6))
+        assert mellin_zero_locate(PolyProfile({0: 1.0, 1: -c}), -10.0, 20.0, radius) == [5.0]
+        assert calls
+        calls.clear()
+    psi = adversarial_radial_pair(R)[1].bands[0]
+    roots = mellin_zero_locate(psi, -18.0, 30.0, R)
+    assert calls
+    # psi's transform vanishes at z = 2n + 2, n = -1 .. 5, by construction;
+    # the scan reads them to within 3e-3 (11.99983 for the last)
+    assert roots == pytest.approx(range(0, 13, 2), abs=3e-3)
+
+
+def test_zero_locate_rejects_zero_profile(monkeypatch):
+    _no_moments(monkeypatch)
+    for coeffs in ({}, {0: 0.0, 3: -0.0j}):
+        with pytest.raises(ZeroProfileError):
+            mellin_zero_locate(PolyProfile(coeffs), 0.0, 1.0, R)
+
+
+def test_zero_locate_nan_coefficient_takes_the_scan(monkeypatch):
+    calls = _counted_transform(monkeypatch)
+    mellin_zero_locate(PolyProfile({0: float("nan"), 1: 1.0}), -10.0, 20.0, R)
+    assert calls
+
+
+def test_find_n0_refuses_moments_past_the_float_range_before_the_certificate(monkeypatch):
+    """A monomial top is certified, yet on R 0.1 the window's lowest
+    exponent 2 lo + N + 2 = -397 leaves the float range: still refused."""
+    _no_moments(monkeypatch)
+    with pytest.raises(FloatRangeError):
+        find_n0_bergman(PolyProfile({3: 1.0 + 0.5j}), 1, 0.1, (-200, 10))
+    assert find_n0_bergman(PolyProfile({3: 1.0 + 0.5j}), 1, 0.1, (-100, 10)) == "unconstrained"
 
 
 def test_reconstruct_zero_values_gives_zero_polynomial():

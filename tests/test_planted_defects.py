@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulab import geometry, hardy, reduction
+from annulab import geometry, hardy, mellin, reduction
 from annulab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -116,6 +116,9 @@ DEFECTS = {
     ),
     "band-adjoint-one-diagonal-off": (
         "semicommutator", hardy, "_adjoint", _adjoint_one_diagonal_off,
+    ),
+    "sign-certificate-for-every-profile": (
+        "mellin", mellin, "_sign_certified", lambda certified: lambda profile: True,
     ),
 }
 

@@ -1,5 +1,7 @@
 """Deterministic generator stream and documented draw orders."""
 
+import struct
+
 import pytest
 
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
@@ -64,6 +66,43 @@ def test_polar_symbol_monomial_top_is_single_draw():
             assert sym.bands[k].coeffs[d] == probe.coefficient()
     assert list(sym.bands[2].coeffs) == [3]
     assert sym.bands[2].coeffs[3] == probe.coefficient()
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4511, 2**64 - 1])
+def test_block_draws_are_the_scalar_stream_bit_for_bit(seed):
+    """The constructors' block draws (uint64 array arithmetic) give the
+    scalar stream's bits and leave its state, so scalar and block draws
+    continue one sequence."""
+    for reach in (0, 1, 4, 48):
+        rng, probe = Lcg(seed), Lcg(seed)
+        sym = random_boundary_symbol(rng, reach)
+        degrees = range(-reach, reach + 1)
+        want = [probe.coefficient() for _ in range(2 * len(degrees))]
+        assert list(sym.coeffs_C) == list(degrees) == list(sym.coeffs_C0)
+        assert _bits([*sym.coeffs_C.values(), *sym.coeffs_C0.values()]) == _bits(want)
+        assert rng.state == probe.state
+        assert rng.uniform() == probe.uniform()
+    for monomial_top in (False, True):
+        rng, probe = Lcg(seed), Lcg(seed)
+        sym = random_polar_symbol(rng, -2, 3, 4, monomial_top=monomial_top)
+        for k, band in sym.bands.items():
+            top = monomial_top and k == 3
+            assert list(band.coeffs) == ([4] if top else list(range(5)))
+            assert _bits(band.coeffs.values()) == _bits(
+                [probe.coefficient() for _ in band.coeffs]
+            )
+        assert rng.state == probe.state
+    for count in (0, 1, 7, 100):
+        rng, probe = Lcg(seed), Lcg(seed)
+        block = rng.coefficients(count)
+        assert all(type(c) is complex for c in block)
+        assert _bits(block) == _bits([probe.coefficient() for _ in range(count)])
+        assert rng.state == probe.state
+        assert rng.coefficient() == probe.coefficient()
 
 
 def test_generator_rejects_bad_shapes():

@@ -62,6 +62,30 @@ def test_results_csv_format(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_results_csv_has_the_bytes_of_the_per_row_form(tmp_path):
+    """One % over the flat rows gives the bytes of formatting each row,
+    also for NaN, both infinities, a negative zero and a subnormal; no
+    rows give the header alone."""
+    rows = [
+        residual_check("c", "nan", np.nan, 1e-10),
+        floor_check("c", "neg_zero", -0.0, 1e-6),
+        info_check("c", "count", 20),
+        residual_check("d", "tiny", 5e-324, -np.inf),
+        residual_check("d", "third", 1 / 3, 0.1),
+    ]
+    want = ["check,name,value,tolerance,pass"] + [
+        f"{r.check},{r.name},{'%.17g' % r.value},{'%.17g' % r.tolerance},"
+        + ("true" if r.passed else "false")
+        for r in rows
+    ]
+    path = tmp_path / "results.csv"
+    write_results_csv(path, rows)
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+    assert b"c,neg_zero_floor,-0,9.9999999999999995e-07,false\n" in path.read_bytes()
+    write_results_csv(path, [])
+    assert path.read_bytes() == b"check,name,value,tolerance,pass\n"
+
+
 def test_results_csv_seventeen_digit_round_trip(tmp_path):
     path = tmp_path / "results.csv"
     value = 0.1 + 0.2
