@@ -11,6 +11,7 @@ no complex arithmetic crosses from one component to the other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +22,15 @@ from .errors import AliasingError
 COMPONENTS = ("C", "C0")
 #: Gauss-Legendre node count, in log r, of every radial integral (see ``radial_nodes``)
 RADIAL_NODES = 128
+
+
+@functools.cache
+def _legendre() -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(RADIAL_NODES)`` on ``[-1, 1]``, built on first use (not at
+    import) and shared, read-only, by every later call."""
+    x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,9 @@ class AnnulusGeometry:
         """Nodes ``r`` on ``[R, 1]`` and weights for ``integral dr``: the
         ``RADIAL_NODES`` Gauss-Legendre nodes ``x`` placed in ``s = log r``
         on ``[log R, 0]``, ``r = e^s`` and weights ``(L / 2) w r`` (``dr = r
-        ds``), ``L = log(1/R)``.
+        ds``), ``L = log(1/R)``.  The nodes ``x`` and weights ``w`` on ``[-1,
+        1]`` are built once per process; ``r`` and the weights are formed
+        fresh on every call, so a caller may write to them.
 
         On ``s`` a moment ``integral r^(lambda - 1) dr`` is ``integral
         e^(lambda s) ds``, which maps onto ``[-1, 1]`` as ``e^(Lambda x / 2)``
@@ -90,7 +102,7 @@ class AnnulusGeometry:
         at 1400, 4.2e-17 at twice 709.8 and 2.8e-12 at 1851.  So every
         moment a run may read is resolved to rounding by this one count.
         """
-        x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
+        x, w = _legendre()
         half = -0.5 * np.log(self.R)
         r = np.exp(half * (x - 1.0))
         return r, half * w * r

@@ -55,7 +55,7 @@ def write_results_csv(path, rows: list[CheckRow]) -> None:
 def write_decay_csv(path, profiles) -> None:
     """Rows ``size,index,sigma``; per size the outer-circle block comes
     first and the index restarting at zero marks the next pullback."""
-    # one % over a flat tuple, as in write_section_csv
+    # one % over a flat tuple, as in write_results_csv
     flat = []
     for s in profiles[0].sizes:
         for p in profiles:
@@ -68,15 +68,23 @@ def write_decay_csv(path, profiles) -> None:
 def write_section_csv(path, entries, lo: int) -> None:
     """Dump of a square section over the window starting at ``lo``, with
     header ``j,k,re,im`` and the window indices in the first two columns."""
-    # one % over a flat tuple of Python floats: they format with the bits
-    # of numpy's scalars, and %d prints the integral floats of the indices
-    n, size = entries.shape[1], entries.size
-    table = np.empty((size, 4))
-    table[:, 0], table[:, 1] = np.divmod(np.arange(size), n)
-    table[:, :2] += lo
-    table[:, 2], table[:, 3] = entries.real.ravel(), entries.imag.ravel()
-    body = ("%d,%d,%.17g,%.17g\n" * size) % tuple(table.ravel().tolist())
-    Path(path).write_text("j,k,re,im\n" + body, encoding="ascii")
+    # each distinct bit pattern of the interleaved re/im parts is formatted
+    # once (most entries are exact zeros); bit patterns keep +0 apart from
+    # -0 and each NaN payload apart, so every cell has the bytes of its own
+    # %.17g.  The indices are Python ints, exact past 2^53
+    n = entries.shape[1]
+    parts = np.ascontiguousarray(entries, dtype=complex).view(np.uint64).ravel()
+    bits, inverse = np.unique(parts, return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[inverse].tolist()
+    ks = [f"{lo + k}," for k in range(n)]
+    rows, at = [], 0
+    for j in range(entries.shape[0]):
+        pj = f"{lo + j},"
+        for k in ks:
+            rows.append(f"{pj}{k}{cells[at]},{cells[at + 1]}\n")
+            at += 2
+    Path(path).write_text("j,k,re,im\n" + "".join(rows), encoding="ascii")
 
 
 def write_report_json(path, config: dict, rows: list[CheckRow], files: list[str],

@@ -138,8 +138,10 @@ def _read(tables, n) -> np.ndarray:
 
 def _analyze(values: np.ndarray, n):
     """The one route from grid samples to coefficients: the trapezoid sums
-    ``mean(values * exp(-i n t))`` over the last axis, by one FFT divided by
-    ``m`` and a gather at the integer ``n`` (scalar or array, same bits).
+    ``mean(values * exp(-i n t))`` over the last axis, by one FFT, a gather
+    at the integer ``n`` (scalar or array, same bits) and the gathered
+    values divided by ``m``: the elementwise division of the whole spectrum,
+    bit for bit, on only the bins read.
     Raises :class:`AliasingError` when any ``|n| >= m / 2``."""
     values = np.asarray(values)
     m = values.shape[-1]
@@ -147,7 +149,7 @@ def _analyze(values: np.ndarray, n):
     if n.size and np.max(np.abs(n)) >= m // 2:
         worst = int(n.flat[np.argmax(np.abs(n))])
         raise AliasingError(f"Fourier index {worst} is aliased on a grid of {m} nodes")
-    return np.take(np.fft.fft(values, axis=-1) / m, n % m, axis=-1)
+    return np.take(np.fft.fft(values, axis=-1), n % m, axis=-1) / m
 
 
 def fourier_pair(sym: ExactSymbol, n) -> tuple:

@@ -55,6 +55,33 @@ def test_toeplitz_build_runs_clean(tmp_path):
     ]
 
 
+def test_toeplitz_build_writes_exact_indices_past_2_53(tmp_path):
+    """At window ``[2^53, 2^53 + 2]``, where a float64 index rounds,
+    section.csv carries each of the nine (j, k) pairs once and exactly."""
+    lo = 2**53
+    code, outdir = run_lab(tmp_path, "toeplitz-build", dict(FAST, m_circle=64, window=[lo, lo + 2]))
+    assert code == 0
+    rows = (outdir / "section.csv").read_text().splitlines()[1:]
+    assert [tuple(map(int, r.split(",")[:2])) for r in rows] == [
+        (lo + j, lo + k) for j in range(3) for k in range(3)
+    ]
+
+
+def test_warm_mellin_run_builds_no_gauss_legendre_nodes(tmp_path, monkeypatch):
+    """The radial nodes are built once per process: after a first run, a
+    ``mellin`` run makes no ``leggauss`` call and writes the same bytes."""
+    doc = {"R": 0.1, "seed": 1}
+    assert run_lab(tmp_path, "mellin", doc, out="first")[0] == 0
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    code, outdir = run_lab(tmp_path, "mellin", doc, out="warm")
+    assert code == 0 and calls == []
+    first = tmp_path / "first" / "results.csv"
+    assert (outdir / "results.csv").read_bytes() == first.read_bytes()
+
+
 def test_identities_runs_clean(tmp_path):
     code, _ = run_lab(tmp_path, "identities", FAST)
     assert code == 0

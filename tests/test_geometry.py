@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -587,6 +591,40 @@ def test_bergman_norm_array_has_the_bits_of_the_scalar_form(R_):
     for n in (-1, 0, 7, 400):
         got = bergman_norm_const(n, R_)
         assert np.ndim(got) == 0 and got == _scalar_bergman_norm(n, R_)
+
+
+@pytest.mark.parametrize("R_", [0.1, 0.5, 0.9])
+def test_radial_nodes_have_the_bits_of_a_fresh_leggauss(R_):
+    """The nodes built once per process give the bits of a fresh
+    ``leggauss(RADIAL_NODES)`` placed on ``[log R, 0]``; the shared nodes
+    are read-only, and a caller writing to ``r`` or ``w`` changes no later
+    call."""
+    x, w = np.polynomial.legendre.leggauss(geometry.RADIAL_NODES)
+    half = -0.5 * np.log(R_)
+    want_r = np.exp(half * (x - 1.0))
+    want_w = half * w * want_r
+    geo = AnnulusGeometry(R=R_, m_circle=8)
+    r, wr = geo.radial_nodes()
+    assert r.tobytes() == want_r.tobytes() and wr.tobytes() == want_w.tobytes()
+    r[:], wr[:] = np.nan, np.nan
+    r, wr = geo.radial_nodes()
+    assert r.tobytes() == want_r.tobytes() and wr.tobytes() == want_w.tobytes()
+    for shared in geometry._legendre():
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
+def test_radial_nodes_are_not_built_at_import():
+    """Importing the CLI builds no Gauss-Legendre nodes (they would add to
+    every run's start-up); the first ``radial_nodes`` call builds them."""
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    probe = ("import annulab.cli, annulab.geometry as g; "
+             "print(g._legendre.cache_info().currsize); "
+             "g.AnnulusGeometry().radial_nodes(); "
+             "print(g._legendre.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["0", "1"]
 
 
 def bergman_monomial_norm_quadrature(n: int, geo: AnnulusGeometry) -> float:

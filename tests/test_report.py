@@ -232,22 +232,64 @@ def test_section_csv_carries_window_indices(tmp_path):
     assert lines[4].startswith("0,0,-1,")
 
 
+def _per_entry_section_csv(ent, lo):
+    """The reference form: one ``%.17g`` per numpy scalar, indices as ints."""
+    rows = ["j,k,re,im"] + [
+        f"{lo + j},{lo + k},{'%.17g' % ent[j, k].real},{'%.17g' % ent[j, k].imag}"
+        for j in range(ent.shape[0])
+        for k in range(ent.shape[1])
+    ]
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def _nan(payload):
+    return np.array(0x7FF8000000000000 | payload, dtype=np.uint64).view(np.float64)[()]
+
+
 def test_section_csv_has_the_bytes_of_the_per_entry_form(tmp_path):
-    """Formatting Python complexes gives the bytes of formatting each
-    numpy scalar, also for NaN, both infinities and a negative zero."""
+    """Formatting each distinct bit pattern once gives the bytes of
+    formatting each numpy scalar: for NaN (of any payload), both
+    infinities, both zeros, repeated values, a 1 x 1 section, a positive
+    ``lo`` and a section with no repeated value."""
     re = np.array([[np.nan, -0.0, 1 / 3], [np.inf, -np.inf, 5e-324], [0.1, -2.5, 1e300]])
     ent = np.empty((3, 3), dtype=complex)
     ent.real, ent.imag = re, re[::-1].T
-    want = ["j,k,re,im"] + [
-        f"{j - 4},{k - 4},{'%.17g' % ent[j, k].real},{'%.17g' % ent[j, k].imag}"
-        for j in range(3)
-        for k in range(3)
-    ]
     path = tmp_path / "section.csv"
     write_section_csv(path, ent, -4)
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
+    assert path.read_bytes() == _per_entry_section_csv(ent, -4)
     assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
     assert b",-0," in path.read_bytes()
+
+    repeated = np.full((4, 4), 0.25 - 1.5j)
+    repeated[::2, 1::2] = 0.0
+    payloads = np.zeros((2, 2), dtype=complex)
+    payloads.real[0] = _nan(1), _nan(2)
+    payloads.imag[1] = _nan(3), -_nan(1)
+    zeros = np.empty((2, 2), dtype=complex)
+    zeros.real, zeros.imag = [[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [-0.0, 0.0]]
+    distinct = np.arange(25).reshape(5, 5) * (1 / 7) + 1j * np.arange(25, 50).reshape(5, 5) / 3
+    for section, lo in [
+        (repeated, -2), (payloads, 0), (zeros, 5), (np.array([[complex(1 / 3, -0.0)]]), 7),
+        (np.array([[0.0j]]), -1), (distinct, 11),
+    ]:
+        write_section_csv(path, section, lo)
+        assert path.read_bytes() == _per_entry_section_csv(section, lo)
+    write_section_csv(path, zeros, 5)
+    assert path.read_text().splitlines()[3] == "6,5,-0,-0"
+    write_section_csv(path, payloads, 0)
+    assert path.read_text().count("nan") == 4
+
+
+@pytest.mark.parametrize("lo", [2**53, 2**60 - 1, -(2**61 - 1)], ids=["2^53", "2^60-1", "-(2^61-1)"])
+def test_section_csv_writes_far_window_indices_exactly(tmp_path, lo):
+    """Past 2^53 a float64 index rounds: the columns are ``lo + j`` and
+    ``lo + k`` as integers, every (j, k) pair once."""
+    path = tmp_path / "section.csv"
+    write_section_csv(path, np.zeros((3, 3), dtype=complex), lo)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(int(j), int(k)) for j, k, _, _ in rows] == [
+        (lo + j, lo + k) for j in range(3) for k in range(3)
+    ]
 
 
 def test_report_json_shape(tmp_path):
