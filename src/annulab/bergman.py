@@ -80,13 +80,14 @@ def build_bergman_toeplitz(
 
     So ``E >= min(0, d)``: for degrees ``d >= 0`` every ``R^E`` lies in
     [0, 1], ``M(|s|)`` in (0, -log R] and ``tau`` is finite, so no window
-    leaves the float range.  A negative degree, which only an API caller
-    can pass, can make ``E < 0``: :func:`check_moment_range` refuses the
-    smallest ``E`` when ``R^E`` would overflow.  The cases also bound ``E``
-    above, by ``max(0, d)`` or by ``|b|`` (``|a|``) where the window holds
-    degree -1 and ``|b| <= hi - lo``, and every ``s`` lies in ``2 lo + 2 +
-    [min(0, d), 2 (hi - lo) + max(0, d)]``: both tables grow with the
-    window's width, not its magnitude.
+    leaves the float range.  A negative degree, which an API caller can
+    pass and a polar symbol file can hold (``lab zero-product-bergman``
+    reads a file pair), can make ``E < 0``: :func:`check_moment_range`
+    refuses the smallest ``E`` when ``R^E`` would overflow.  The cases
+    also bound ``E`` above, by ``max(0, d)`` or by ``|b|`` (``|a|``) where
+    the window holds degree -1 and ``|b| <= hi - lo``, and every ``s`` lies
+    in ``2 lo + 2 + [min(0, d), 2 (hi - lo) + max(0, d)]``: both tables
+    grow with the window's width, not its magnitude.
 
     Operation order: the entries are those of
     :func:`annulab.hardy._band_entries` over the live bands of every symbol

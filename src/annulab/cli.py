@@ -26,6 +26,7 @@ from .plotting import emit_plot
 from .symbols import (
     MAX_INDEX,
     ExactSymbol,
+    PolarSymbol,
     PolyProfile,
     constant_symbol,
     pullback_symbols,
@@ -139,8 +140,8 @@ _PEAKS = {
     "hankel-decay": (("symbol",), ((0, 0, 26),)),
     "identities": (("symbol",), ((0, 1218, 0),)),
     "mellin": ((), ()),
-    "zero-product-hardy": ((), ((0, 0, 160),)),
-    "zero-product-bergman": ((), ((0, 0, 160),)),
+    "zero-product-hardy": (("symbol", "symbol2"), ((0, 0, 240),)),
+    "zero-product-bergman": (("symbol", "symbol2"), ((0, 0, 240),)),
     "semicommutator": (("symbol", "symbol2"), ((0, 0, 111),)),
 }
 _DECAY_VALUE_BYTES = 384
@@ -214,11 +215,16 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
       the width, or a constant beside a reach of half of it (0.42 to 0.57
       of the count by VmHWM), and the drawn reach-4 pair at +-8192 and
       +-16384, where the count is least (0.86 by VmHWM, 0.81 traced);
-    - the probes: ten sections per stack, as a lone trial's full-width
-      ladder at side 801 grew the resident set by 9.6 sections in Hardy,
-      9.8 in Bergman (a chunk of trials whose ladders read fewer columns
-      holds more of them: windows +-32 to +-300 peak at 0.75 of the count
-      or less);
+    - the probes: 15 sections per stack.  A file pair whose reaches ``r``
+      and ``s`` (in Bergman, bands ``-r..r`` and ``-s..s`` of cubic
+      profiles) add up to half of a width from 321 to 1201, with ``r``
+      from 0 to 16 or equal to ``s``, weighs most when one reach is 4 to 16:
+      it grew the resident set by 13 sections at width 321 (0.85 of the
+      count), 11.4 at 1201 (0.75), 0.68 of the count or less traced.  A
+      lone drawn trial's full-width ladder at side 801 grew it by 9.6
+      sections in Hardy, 9.8 in Bergman, and a chunk of drawn trials
+      whose ladders read fewer columns (windows +-32 to +-300) peaks at
+      0.5 of the count or less;
     - a symbol file: ``read_symbol`` peaks at 19 bytes per byte of the
       densest layout it takes (``[n,0,0]`` rows, no whitespace), 4.1 of
       ``write_symbol``'s."""
@@ -279,24 +285,29 @@ def load_config(path, experiment: str, out_override: str | None = None) -> LabCo
     return parse_config(doc, experiment, out_override)
 
 
-def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback) -> ExactSymbol:
+def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback, kind=ExactSymbol):
+    """The symbol the field value ``ref`` names, of the ``kind`` the
+    experiment reads: ``fallback()`` when unset, else a ``builtin:`` table
+    (a two-circle symbol) or a symbol file written for the config's R."""
     if ref is None:
         return fallback()
     if ref.startswith("builtin:"):
         try:
-            return reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
+            sym = reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
         except KeyError as exc:
             raise ConfigError(str(exc.args[0])) from exc
-    try:
-        sym, R_file = read_symbol(ref)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"symbol file {ref!r}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(sym, ExactSymbol):
-        raise ConfigError(f"symbol file {ref!r} does not hold a two-circle symbol")
-    if not abs(R_file - cfg.R) <= 1e-12:  # a NaN radius matches nothing
-        raise ConfigError(
-            f"symbol file {ref!r} was written for R={R_file}, config has R={cfg.R}"
-        )
+    else:
+        try:
+            sym, R_file = read_symbol(ref)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"symbol file {ref!r}: {type(exc).__name__}: {exc}") from exc
+        if not abs(R_file - cfg.R) <= 1e-12:  # a NaN radius matches nothing
+            raise ConfigError(
+                f"symbol file {ref!r} was written for R={R_file}, config has R={cfg.R}"
+            )
+    if not isinstance(sym, kind):
+        raise ConfigError(f"symbol {ref!r} holds {type(sym).__name__}, but "
+                          f"{cfg.experiment} reads {kind.__name__}")
     return sym
 
 
@@ -453,15 +464,15 @@ def _run_mellin(cfg: LabConfig):
 
 #: per harness: the module and name of the probe, looked up at each run so
 #: a rebound module attribute (a tracer, a test double) is the one called,
-#: then the seeded draws of ``f`` and ``g``
+#: the kind of symbol it reads, then the seeded draws of ``f`` and ``g``
 _HARNESSES = {
     "zero-product-hardy": (
-        hardy, "zero_product_experiment_hardy",
+        hardy, "zero_product_experiment_hardy", ExactSymbol,
         lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
         lambda rng: randgen.random_boundary_symbol(rng, TRIAL_REACH),
     ),
     "zero-product-bergman": (
-        bergman, "zero_product_experiment_bergman",
+        bergman, "zero_product_experiment_bergman", PolarSymbol,
         lambda rng: randgen.random_polar_symbol(rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE),
         lambda rng: randgen.random_polar_symbol(
             rng, *TRIAL_BANDS, TRIAL_PROFILE_DEGREE, monomial_top=True
@@ -471,12 +482,17 @@ _HARNESSES = {
 
 
 def _run_zero_product(cfg: LabConfig):
-    module, name, draw_f, draw_g = _HARNESSES[cfg.experiment]
+    module, name, kind, draw_f, draw_g = _HARNESSES[cfg.experiment]
     probe = getattr(module, name)
     check, tol = cfg.experiment, TOLERANCE
+    refs = (cfg.symbol, cfg.symbol2)
+    if refs.count(None) == 1:
+        raise ConfigError(f"{check} reads config fields 'symbol' as f and 'symbol2' as g: "
+                          "set both or neither")
     rng = randgen.Lcg(cfg.seed)
-    # each trial draws f, then g
-    pairs = [(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)]
+    # a file pair is one trial; without one, each of the trials draws f, then g
+    pairs = ([(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)] if refs[0] is None
+             else [tuple(_resolve_boundary(ref, cfg, None, kind) for ref in refs)])
     rows, verdicts, ladders, norms = [], [], [], []
     for t, rep in enumerate(probe(pairs, cfg.window, cfg.R)):
         # np.max/np.min keep a NaN, which the built-in max/min would drop

@@ -26,9 +26,23 @@ from .geometry import AnnulusGeometry, BoundaryData
 
 
 class _Degrees:
-    """Degree queries over a symbol's sorted live degrees ``_live``: the
+    """One view of a symbol's coefficient tables, which the degree queries
+    and the algebra (:func:`multiply_symbols`, :func:`conjugate_symbol`)
+    read for every kind: ``_tables`` holds the tables, each keyed by an
+    angular degree, or by ``(band, radial degree)`` for a polar symbol;
+    ``_of`` builds the symbol of the same kind from tables in that layout;
+    ``_band`` reads a key's angular degree and ``_reflect`` negates it.
+    ``_live`` holds the sorted degrees with a nonzero coefficient: the
     support of a boundary symbol, the live bands of a polar one.  No code
     mutates a table after construction, so each symbol computes them once."""
+
+    _band = staticmethod(lambda n: n)
+    _reflect = staticmethod(lambda n: -n)
+    _of = classmethod(lambda cls, *tables: cls(*tables))
+
+    @cached_property
+    def _live(self) -> list[int]:
+        return sorted({self._band(n) for t in self._tables for n, c in t.items() if c != 0.0})
 
     def is_zero(self) -> bool:
         return not self._live
@@ -58,12 +72,8 @@ class ExactSymbol(_Degrees):
     coeffs_C: dict[int, complex] = field(default_factory=dict)
     coeffs_C0: dict[int, complex] = field(default_factory=dict)
 
-    @cached_property
-    def support(self) -> list[int]:
-        tables = (self.coeffs_C, self.coeffs_C0)
-        return sorted({n for t in tables for n, c in t.items() if c != 0.0})
-
-    _live = property(lambda self: self.support)
+    _tables = property(lambda self: (self.coeffs_C, self.coeffs_C0))
+    support = property(lambda self: self._live)
 
 
 def laurent_symbol(coeffs: dict[int, complex], R: float) -> ExactSymbol:
@@ -96,7 +106,7 @@ def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
     when ``m S <= float max``, and a table past that is refused before the
     first one is taken.
     """
-    for table in (sym.coeffs_C, sym.coeffs_C0):
+    for table in sym._tables:
         total = sum(abs(c) for c in table.values())
         if not geo.m_circle * total <= np.finfo(float).max:  # NaN fails too
             raise FloatRangeError(
@@ -104,10 +114,7 @@ def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
                 f"an FFT on m_circle={geo.m_circle} nodes: m_circle times the "
                 f"absolute coefficient sum exceeds float max"
             )
-    return BoundaryData(
-        _synthesize(sym.coeffs_C, geo.m_circle),
-        _synthesize(sym.coeffs_C0, geo.m_circle),
-    )
+    return BoundaryData(*(_synthesize(table, geo.m_circle) for table in sym._tables))
 
 
 def _synthesize(coeffs: dict[int, complex], m: int) -> np.ndarray:
@@ -155,26 +162,24 @@ def _analyze(values: np.ndarray, n):
 def fourier_pair(sym: ExactSymbol, n) -> tuple:
     """The pair of n-th Fourier coefficients (unit circle, inner circle),
     read from the tables at the integer or integer array ``n``."""
-    return tuple(_read([sym.coeffs_C, sym.coeffs_C0], n))
+    return tuple(_read(sym._tables, n))
 
 
-def multiply_symbols(
-    a: ExactSymbol | ExactCircle, b: ExactSymbol | ExactCircle
-) -> ExactSymbol | ExactCircle:
-    """Pointwise product of two boundary or two circle symbols: the
-    coefficient tables convolve per circle."""
-    if isinstance(a, ExactCircle):
-        return ExactCircle(_convolve(a.coeffs, b.coeffs))
-    return ExactSymbol(
-        _convolve(a.coeffs_C, b.coeffs_C), _convolve(a.coeffs_C0, b.coeffs_C0)
-    )
+def multiply_symbols(a, b):
+    """Pointwise product of two symbols of one kind: their tables convolve
+    pairwise (:func:`_convolve`).  A polar key adds as a pair, so the bands
+    convolve and the radial profiles multiply as polynomials."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot multiply a {type(a).__name__} by a {type(b).__name__}")
+    return a._of(*map(_convolve, a._tables, b._tables))
 
 
-def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    out: dict[int, complex] = {}
+def _convolve(a: dict, b: dict) -> dict:
+    out: dict = {}
     for n, ca in a.items():
         for k, cb in b.items():
-            out[n + k] = out.get(n + k, 0.0) + ca * cb
+            key = (n[0] + k[0], n[1] + k[1]) if isinstance(n, tuple) else n + k
+            out[key] = out.get(key, 0.0) + ca * cb
     return {n: c for n, c in out.items() if c != 0.0}
 
 
@@ -188,24 +193,17 @@ class ExactCircle(_Degrees):
 
     coeffs: dict[int, complex] = field(default_factory=dict)
 
-    @cached_property
-    def _live(self) -> list[int]:
-        return sorted(n for n, c in self.coeffs.items() if c != 0.0)
+    _tables = property(lambda self: (self.coeffs,))
 
     def hat(self, n):
-        return _read([self.coeffs], n)[0]
+        return _read(self._tables, n)[0]
 
 
-def _reflect_conj(coeffs: dict[int, complex]) -> dict[int, complex]:
-    return {-n: np.conj(c) for n, c in coeffs.items()}
-
-
-def conjugate_symbol(sym: ExactSymbol | ExactCircle) -> ExactSymbol | ExactCircle:
-    """Complex conjugate of a boundary or circle symbol: each coefficient
-    table reflects and conjugates."""
-    if isinstance(sym, ExactCircle):
-        return ExactCircle(_reflect_conj(sym.coeffs))
-    return ExactSymbol(_reflect_conj(sym.coeffs_C), _reflect_conj(sym.coeffs_C0))
+def conjugate_symbol(sym):
+    """Complex conjugate of a symbol of any kind: each table's keys reflect
+    their angular degree (a polar key ``(k, d)`` goes to ``(-k, d)``) and
+    its coefficients conjugate."""
+    return sym._of(*({sym._reflect(n): np.conj(c) for n, c in t.items()} for t in sym._tables))
 
 
 def pullback_symbols(sym: ExactSymbol) -> tuple[ExactCircle, ExactCircle]:
@@ -252,15 +250,23 @@ class PolyProfile:
 
 @dataclass(frozen=True)
 class PolarSymbol(_Degrees):
-    """Finite sum of angular bands ``f_k(r) exp(i k theta)``."""
+    """Finite sum of angular bands ``f_k(r) exp(i k theta)``; its one table
+    holds the coefficient of ``r^d exp(i k theta)`` at ``(k, d)``."""
 
     bands: dict[int, PolyProfile] = field(default_factory=dict)
 
-    @cached_property
-    def live_bands(self) -> list[int]:
-        return sorted(k for k, p in self.bands.items() if not p.is_zero())
+    _band = staticmethod(lambda key: key[0])
+    _reflect = staticmethod(lambda key: (-key[0], key[1]))
+    _tables = property(lambda self: (
+        {(k, d): c for k, p in self.bands.items() for d, c in p.coeffs.items()},))
+    live_bands = property(lambda self: self._live)
 
-    _live = property(lambda self: self.live_bands)
+    @classmethod
+    def _of(cls, table):
+        bands: dict[int, dict] = {}
+        for (k, d), c in table.items():
+            bands.setdefault(k, {})[d] = c
+        return cls({k: PolyProfile(p) for k, p in bands.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import read_decay_csv
+from conftest import adversarial_radial_pair, read_decay_csv
 from hypothesis import given, settings, strategies as st, target
 
 import annulab
@@ -23,7 +23,7 @@ from annulab.cli import (
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.symbols import (
-    MAX_INDEX, PolarSymbol, PolyProfile, constant_symbol, write_symbol,
+    MAX_INDEX, ExactSymbol, PolarSymbol, PolyProfile, constant_symbol, write_symbol,
 )
 
 FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "window": [-10, 10]}
@@ -911,9 +911,9 @@ def test_bergman_negative_top_band_scan_is_range_checked(tmp_path, capsys, monke
     N = -1 starts the Mellin-zero scan of ``find_n0_bergman`` at 2 lo + N +
     2 = -309, one power past the float range: the scan's own check refuses
     the run."""
-    module, name, draw_f, _ = _HARNESSES["zero-product-bergman"]
+    module, name, kind, draw_f, _ = _HARNESSES["zero-product-bergman"]
     draw_g = lambda rng: random_polar_symbol(rng, -3, -1, 3)
-    monkeypatch.setitem(_HARNESSES, "zero-product-bergman", (module, name, draw_f, draw_g))
+    monkeypatch.setitem(_HARNESSES, "zero-product-bergman", (module, name, kind, draw_f, draw_g))
     got, _ = run_lab(tmp_path, "zero-product-bergman", {"R": 0.1, "window": [-155, 24]})
     assert got == 2
     [line] = capsys.readouterr().err.splitlines()
@@ -1661,3 +1661,149 @@ def test_hankel_decay_route_is_the_record_hankel_singular_values_returns(tmp_pat
     block = annulab.reduction.disc_hankel_window(outer, 512)[1].real
     _, route = annulab.reduction.hankel_singular_values(block)
     assert isinstance(route, dict) and route == extra["decay_route"]["C"]["512"]
+
+
+# ---------------------------------------------------------------------------
+# zero-product runs read a symbol file pair: 'symbol' as f, 'symbol2' as g
+
+
+def _pair_files(tmp_path, f, g, R):
+    """``f`` and ``g`` written as the symbol files ``f.json`` and ``g.json``."""
+    paths = [str(tmp_path / f"{name}.json") for name in ("f", "g")]
+    for path, sym in zip(paths, (f, g)):
+        write_symbol(path, sym, R)
+    return {"R": R, "symbol": paths[0], "symbol2": paths[1]}
+
+
+def _refused(code, outdir, capsys):
+    """Exit 2 with one ``config error`` line, before anything is written."""
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and not outdir.exists()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    return err[0]
+
+
+def _hardy_reproducer(tmp_path):
+    """ROADMAP item 2's Hardy pair: ``z^-4`` on the unit circle only, and
+    the same on the inner circle only, so ``fg`` vanishes on the boundary
+    and ``T_f T_g`` is the nonzero compact ``-H*_fbar H_g``."""
+    f, g = ExactSymbol({-4: 1.0 + 0j}, {}), ExactSymbol({}, {-4: 1.0 + 0j})
+    return dict(_pair_files(tmp_path, f, g, 0.1), window=[-24, 24])
+
+
+def _bergman_reproducer(tmp_path):
+    """ROADMAP item 13's radial pair (``conftest.adversarial_radial_pair``)
+    at R 0.5 on the window (-1, 14), where ``T_f T_g`` vanishes."""
+    return dict(_pair_files(tmp_path, *adversarial_radial_pair(0.5), 0.5), window=[-1, 14])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: an absolute floor reads a small "
+                   "product as zero, so the file pair reads Violation and exits 1")
+@pytest.mark.parametrize("experiment, pair", [
+    ("zero-product-hardy", _hardy_reproducer), ("zero-product-bergman", _bergman_reproducer),
+], ids=["hardy-item-2", "bergman-item-13"])
+def test_known_wrong_file_pair_reads_consistent_through_lab(tmp_path, experiment, pair):
+    """Neither pair is a zero divisor, so the run should exit 0 with one
+    ``ConsistentWithTheorem`` verdict; today both read ``Violation``."""
+    code, outdir = run_lab(tmp_path, experiment, pair(tmp_path))
+    verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
+    assert (code, verdicts) == (0, ["ConsistentWithTheorem"])
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+def test_file_pair_runs_as_one_trial(tmp_path, monkeypatch, experiment):
+    """A file pair is one trial: the probe gets exactly the pair the files
+    hold, once, and the run writes one trial's rows and the aggregates."""
+    module, name, _, draw_f, draw_g = _HARNESSES[experiment]
+    rng = Lcg(5)
+    f, g = draw_f(rng), draw_g(rng)
+    doc = dict(_pair_files(tmp_path, f, g, 0.5), window=[-24, 24])
+    probe, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda pairs, *a: calls.append(pairs) or probe(pairs, *a))
+    code, outdir = run_lab(tmp_path, experiment, doc)
+    assert code == 0 and calls == [[(f, g)]]
+    assert list(_results(outdir)) == [
+        "trial00_max_ladder_residual", "trial00_min_product_column_norm_floor",
+        "trial00_min_relative_pivot", "trial00_ladder_band_leak",
+        "worst_ladder_residual", "smallest_product_column_norm_floor",
+    ]
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+@pytest.mark.parametrize("field", ["symbol", "symbol2"])
+def test_one_symbol_field_alone_exits_2(tmp_path, capsys, experiment, field):
+    path = str(tmp_path / "sym.json")
+    write_symbol(path, random_boundary_symbol(Lcg(1), 4), 0.5)
+    code, outdir = run_lab(tmp_path, experiment, {"R": 0.5, field: path})
+    assert "set both or neither" in _refused(code, outdir, capsys)
+
+
+@pytest.mark.parametrize("experiment, f, g", [
+    ("zero-product-hardy", PolarSymbol({1: PolyProfile({0: 1j})}),
+     PolarSymbol({0: PolyProfile({1: 1.0 + 0j})})),
+    ("zero-product-bergman", random_boundary_symbol(Lcg(1), 2), random_boundary_symbol(Lcg(2), 2)),
+], ids=["polar-to-hardy", "exact-to-bergman"])
+def test_file_of_the_other_kind_exits_2(tmp_path, capsys, experiment, f, g):
+    code, outdir = run_lab(tmp_path, experiment, _pair_files(tmp_path, f, g, 0.5))
+    assert f"but {experiment} reads" in _refused(code, outdir, capsys)
+
+
+def test_builtin_symbol_given_to_bergman_exits_2(tmp_path, capsys):
+    """The ``builtin:`` tables are two-circle symbols, so the Bergman run
+    refuses them as of the other kind."""
+    doc = {"symbol": "builtin:hilbert", "symbol2": "builtin:split-sign"}
+    code, outdir = run_lab(tmp_path, "zero-product-bergman", doc)
+    assert "holds ExactSymbol, but zero-product-bergman reads PolarSymbol" in _refused(
+        code, outdir, capsys)
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+def test_file_pair_written_for_another_radius_exits_2(tmp_path, capsys, experiment):
+    *_, draw_f, draw_g = _HARNESSES[experiment]
+    rng = Lcg(1)
+    doc = dict(_pair_files(tmp_path, draw_f(rng), draw_g(rng), 0.5), R=0.25)
+    code, outdir = run_lab(tmp_path, experiment, doc)
+    assert "was written for R=0.5, config has R=0.25" in _refused(code, outdir, capsys)
+
+
+@pytest.mark.parametrize("experiment", sorted(_HARNESSES))
+def test_memory_rule_counts_the_zero_product_file_pair(tmp_path, experiment):
+    """``cli._PEAKS`` names both fields for both zero-product runs, so the
+    count grows by 22 bytes per byte of each file."""
+    *_, draw_f, draw_g = _HARNESSES[experiment]
+    rng = Lcg(1)
+    doc = _pair_files(tmp_path, draw_f(rng), draw_g(rng), 0.5)
+    size = sum(os.stat(doc[name]).st_size for name in ("symbol", "symbol2"))
+    base = _reads(parse_config({}, experiment, None))[2]
+    assert _reads(parse_config(doc, experiment, None))[2] == base + 22 * size
+
+
+def _negative_degree_pair(degree):
+    """A radial ``f`` whose profile holds the negative ``degree`` beside a
+    constant, and a two-band ``g`` (at R 0.5, ``R^-1100 = 2^1100`` is past
+    float max)."""
+    f = PolarSymbol({0: PolyProfile({degree: 1.0 + 0j, 0: 0.5 + 0j})})
+    g = PolarSymbol({-1: PolyProfile({1: 0.25 + 0j}), 1: PolyProfile({2: 1.0 + 0j})})
+    return f, g
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polar_file_degree_past_the_float_range_exits_2(tmp_path, capsys):
+    """A symbol file can hold a negative profile degree: one whose ``R^E``
+    leaves the float range is refused with ``FloatRangeError``, one line,
+    and nothing is written."""
+    doc = _pair_files(tmp_path, *_negative_degree_pair(-1100), 0.5)
+    with pytest.raises(annulab.errors.FloatRangeError, match="leave the float range"):
+        run(parse_config(doc, "zero-product-bergman", str(tmp_path / "direct")))
+    assert not (tmp_path / "direct").exists()
+    code, outdir = run_lab(tmp_path, "zero-product-bergman", doc)
+    assert "leave the float range at R=0.5" in _refused(code, outdir, capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polar_file_with_an_in_range_negative_degree_runs(tmp_path):
+    doc = _pair_files(tmp_path, *_negative_degree_pair(-3), 0.5)
+    code, outdir = run_lab(tmp_path, "zero-product-bergman", doc)
+    assert code == 0
+    verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
+    assert verdicts == ["ConsistentWithTheorem"]

@@ -398,7 +398,7 @@ def test_harness_ladder_is_tight():
 def test_shared_qr_ladder_matches_per_rung_qr(experiment, monkeypatch):
     """Every rung read from a leading block of the one factorization agrees
     with its own QR, over the trials `lab` draws at seeds 0-40."""
-    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    module, name, _, draw_f, draw_g = _HARNESSES[experiment]
     ladder, worst = hardy._ladder, []
 
     def compare(S, P, G, first, N, L):
@@ -514,7 +514,7 @@ def test_stacked_probe_matches_one_pair_calls(experiment, monkeypatch):
     product is zero in every column, with no section built), g's whose
     ladders sit elsewhere, a NaN section column, and a stack that runs in
     more than one chunk (counted by its :func:`hardy.band_product` calls)."""
-    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    module, name, _, draw_f, draw_g = _HARNESSES[experiment]
     window, zero, other_gs = STACK_CASES[experiment]
     # a chunk of drawn trials holds at least their products' 2 (a + b) + 1
     # diagonals, so at most per_chunk of them
@@ -634,7 +634,7 @@ def test_ladder_on_the_rows_its_columns_reach_has_the_full_height_bits(experimen
     its ``cut`` columns, all that those columns reach: the rows below are
     zeros, and the QR, solve and norms give the bits of the full-height
     columns, over the trials ``lab`` draws at seeds 0-5."""
-    module, name, draw_f, draw_g = _HARNESSES[experiment]
+    module, name, _, draw_f, draw_g = _HARNESSES[experiment]
     build = {hardy: build_toeplitz_hardy, bergman: bergman.build_bergman_toeplitz}[module]
     window = (-24, 24)
     size = window[1] - window[0] + 1

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulab import geometry, hardy, mellin, reduction
+from annulab import geometry, hardy, mellin, reduction, symbols
 from annulab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -77,6 +77,18 @@ def _adjoint_one_diagonal_off(adjoint):
     return shifted
 
 
+def _products_one_degree_off(convolve):
+    """A table product with every pair product one degree off: the sum at
+    each degree moved to the next degree of the product's support, the top
+    one's to the bottom, so the product keeps its band (a shift past the
+    band would break the residual's layout rather than fail its row)."""
+    def shifted(a, b):
+        out = convolve(a, b)
+        keys = sorted(out)
+        return {k: out[n] for n, k in zip(keys, keys[1:] + keys[:1])}
+    return shifted
+
+
 #: per row: the shipped config that must FAIL, the module and attribute the
 #: mutation rebinds, and the mutation as a function of the original
 DEFECTS = {
@@ -116,6 +128,9 @@ DEFECTS = {
     ),
     "band-adjoint-one-diagonal-off": (
         "semicommutator", hardy, "_adjoint", _adjoint_one_diagonal_off,
+    ),
+    "symbol-products-one-degree-off": (
+        "semicommutator", symbols, "_convolve", _products_one_degree_off,
     ),
     "sign-certificate-for-every-profile": (
         "mellin", mellin, "_sign_certified", lambda certified: lambda profile: True,

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from annulab.bergman import polar_symbol_grid
 from annulab.errors import AliasingError
-from annulab.randgen import Lcg, random_boundary_symbol
+from annulab.geometry import AnnulusGeometry
+from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.symbols import (
+    MAX_INDEX,
     ExactCircle,
     ExactSymbol,
     PolarSymbol,
@@ -214,6 +217,78 @@ def test_conjugate_symbol_on_circles():
 def test_convolve_exact_circle_tables():
     a = ExactCircle({1: 2.0 + 0.0j})
     assert _convolve(a.coeffs, a.coeffs) == {2: 4.0 + 0.0j}
+
+
+M2 = 2 * MAX_INDEX
+
+#: per case: two tables and their product, on the edges: exact
+#: cancellations (dropped), empty tables, keys at +-MAX_INDEX (their sums
+#: are Python ints past int64) and (band, degree) keys, added elementwise
+CONVOLVE_CASES = {
+    "cancels": ({0: 1 + 0j, 1: 1 + 0j}, {0: 1 + 0j, -1: -1 + 0j}, {-1: -1 + 0j, 1: 1 + 0j}),
+    "cancels-2d": ({(0, 1): 2j, (1, 0): 1 + 0j}, {(0, 0): 1 + 0j, (-1, 1): -2j},
+                   {(-1, 2): 4 + 0j, (1, 0): 1 + 0j}),
+    "empty-a": ({}, {0: 1j}, {}),
+    "empty-b": ({0: 1j}, {}, {}),
+    "bound": ({MAX_INDEX: 1j}, {MAX_INDEX: 1j, -MAX_INDEX: 2 + 0j}, {M2: -1 + 0j, 0: 2j}),
+    "bound-2d": ({(MAX_INDEX, -MAX_INDEX): 1j}, {(MAX_INDEX, -MAX_INDEX): 1j},
+                 {(M2, -M2): -1 + 0j}),
+}
+
+
+@pytest.mark.parametrize("a, b, product", CONVOLVE_CASES.values(), ids=CONVOLVE_CASES)
+def test_convolve_edge_cases(a, b, product):
+    assert _convolve(a, b) == product
+
+
+polar_table = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    max_size=9,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=polar_table, b=polar_table)
+def test_convolve_adds_band_degree_keys_as_their_int_encoding_does(a, b):
+    """A (band, degree) key ``(k, d)`` read as the integer ``64 k + d``:
+    the keys of a product stay apart under that encoding (``|d| <= 6``),
+    so the tuple product is the integer one, key for key and bit for bit."""
+    def encode(table):
+        return {64 * k + d: c for (k, d), c in table.items()}
+
+    def bits(table):  # repr keeps a signed zero apart from +0
+        return [(n, repr(c)) for n, c in table.items()]
+
+    assert bits(encode(_convolve(a, b))) == bits(_convolve(encode(a), encode(b)))
+
+
+def test_polar_product_and_conjugate_match_their_grid_samples():
+    """A polar product's bands convolve and its profiles multiply, and its
+    conjugate reflects the bands and conjugates the profiles: on the
+    Bergman oracle's (radial, angular) grid they sample to the product and
+    the conjugate of the factors' samples, within 1e-12 relative."""
+    geo = AnnulusGeometry(0.5, 64)
+    rng = Lcg(17)
+    f = random_polar_symbol(rng, -2, 3, 3)
+    g = random_polar_symbol(rng, -1, 2, 2, monomial_top=True)
+    F, G = polar_symbol_grid(f, geo), polar_symbol_grid(g, geo)
+    FG = polar_symbol_grid(multiply_symbols(f, g), geo)
+    assert np.max(np.abs(FG - F * G)) <= 1e-12 * np.max(np.abs(F * G))
+    Fc = polar_symbol_grid(conjugate_symbol(f), geo)
+    assert np.max(np.abs(Fc - np.conj(F))) <= 1e-12 * np.max(np.abs(F))
+    assert conjugate_symbol(f).live_bands == sorted(-k for k in f.live_bands)
+    assert conjugate_symbol(conjugate_symbol(f)) == f
+
+
+@pytest.mark.parametrize("a, b", [
+    (ExactSymbol({0: 1j}, {}), ExactCircle({0: 1j})),
+    (ExactCircle({0: 1j}), PolarSymbol({0: PolyProfile({0: 1j})})),
+    (PolarSymbol({0: PolyProfile({0: 1j})}), ExactSymbol({0: 1j}, {})),
+], ids=["exact-circle", "circle-polar", "polar-exact"])
+def test_multiplying_two_kinds_raises_type_error(a, b):
+    with pytest.raises(TypeError, match="cannot multiply"):
+        multiply_symbols(a, b)
 
 
 def dict_read(table, n):
