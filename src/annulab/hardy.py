@@ -338,11 +338,13 @@ def _semicommutator_residual(
     band layout at their symbols' bandwidths: the section of the product
     symbol against ``T_phi T_psi + H*_phibar H_psi``.  Both products are
     :func:`band_product` calls, the adjoint is :func:`_adjoint`, and the
-    deviation is taken on the diagonals of the product's band, which holds
-    the product symbol's narrower one: every entry past it is zero on both
-    sides.  The interior keeps the margin ``phi.bandwidth() +
-    psi.bandwidth()`` from the last row and column, and from the first ones
-    too when ``both_edges``.  Returns ``(residual, margin)``.
+    deviation is taken on the wider of the two bands, every entry past the
+    narrower one being zero on its side: the product's band holds the
+    product symbol's in exact arithmetic, so a product symbol reaching past
+    it counts its extra diagonals as deviation.  The interior keeps the
+    margin ``phi.bandwidth() + psi.bandwidth()`` from the last row and
+    column, and from the first ones too when ``both_edges``.  Returns
+    ``(residual, margin)``.
     """
     margin = phi.bandwidth() + psi.bandwidth()
     first = margin if both_edges else 0
@@ -354,6 +356,8 @@ def _semicommutator_residual(
     prod += band_product(_adjoint(hankel(conjugate_symbol(phi))), hankel(psi))
     exact = toeplitz(multiply_symbols(phi, psi))
     w, v = prod.shape[-2] // 2, exact.shape[-2] // 2
+    if v > w:
+        prod, w = np.pad(prod, ((v - w, v - w), (0, 0))), v
     prod[w - v : w + v + 1] -= exact  # rounding is symmetric: |prod - exact| = |exact - prod|
     end = side - margin
     row = np.arange(first, end) + np.arange(-w, w + 1)[:, None]  # of each interior column

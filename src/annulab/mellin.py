@@ -121,8 +121,6 @@ def mellin_zero_locate(profile: PolyProfile, lo: float, hi: float, R: float) -> 
     if _sign_certified(profile):
         return []
     grid = np.arange(lo, hi + 0.5 * ZERO_SCAN_STEP, ZERO_SCAN_STEP)
-    if len(grid) < 2:
-        return []
     vals = np.asarray(mellin_transform(profile, grid, R))
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
@@ -165,8 +163,6 @@ def mellin_poly_reconstruct(values, z_start: float, z_step: float, R: float) -> 
     """
     values = np.asarray(values, dtype=complex)
     d = len(values) - 1
-    if d < 0:
-        raise ValueError("need at least one transform value")
     zs = z_start + z_step * np.arange(d + 1)
     # complex: a real matrix would be scaled and solved with other roundings
     A = monomial_moment(np.add.outer(zs, np.arange(d + 1)), R).astype(complex)

@@ -26,8 +26,6 @@ def _esc(s: str) -> str:
 def emit_plot(profile, path) -> None:
     """Write the decay curves of one pullback's sweep as an SVG file."""
     sizes = list(profile.sizes)
-    if not sizes or all(len(profile.singular_values[s]) == 0 for s in sizes):
-        raise ValueError("nothing to plot: empty decay profile")
     xmax = max(len(profile.singular_values[s]) for s in sizes) - 1
     xmax = max(xmax, 1)
     top_sigma = max(max(profile.singular_values[s], default=FLOOR) for s in sizes)

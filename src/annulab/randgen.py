@@ -37,13 +37,9 @@ class Lcg:
     def __post_init__(self):
         self.state &= _MASK
 
-    def uniform(self) -> float:
-        """One draw in [-1, 1) from the top 53 bits of the next state."""
-        self.state = (self.state * _MULT + _INC) & _MASK
-        return 2.0 * ((self.state >> 11) / _UNIT) - 1.0
-
     def coefficient(self) -> complex:
-        """Two draws, real part first (:meth:`uniform` twice, inlined)."""
+        """Two draws, real part first, each in [-1, 1) from the top 53
+        bits of the next state."""
         re = self.state = (self.state * _MULT + _INC) & _MASK
         im = self.state = (re * _MULT + _INC) & _MASK
         return complex(2.0 * ((re >> 11) / _UNIT) - 1.0, 2.0 * ((im >> 11) / _UNIT) - 1.0)
@@ -55,7 +51,7 @@ class Lcg:
         multiplier's i-th power and ``C_i`` the increment ``c`` times ``1 +
         A_1 + ... + A_(i-1)``, that is ``A_i (s - c) + c (1 + A_1 + ... +
         A_i)``, formed in place on uint64 arrays, which wrap silently.  The
-        map of :meth:`uniform` is exact in float64 (``2 (x / 2**53)`` and
+        map of a draw to [-1, 1) is exact in float64 (``2 (x / 2**53)`` and
         ``x (2 / 2**53)`` are one power-of-two scaling of an integer below
         2**53), so draws and final state have the scalar stream's bits.
         """

@@ -50,23 +50,38 @@ def build_disc_toeplitz(phi: ExactCircle, size: int) -> np.ndarray:
     return _band_sections([[phi.coeffs]], [None], size, phi.bandwidth())[0]
 
 
-def disc_hankel_window(phi: ExactCircle, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients ``phihat(-1), ..., phihat(-(2 size - 1))`` and the
-    size-by-size Hankel section over them, entry ``(j, k)`` being
-    ``phihat(-(j+1) - k)``: a read-only strided view, so the entries of one
-    antidiagonal are one memory location.  The one table read of
-    :func:`build_disc_hankel` and of :func:`decay_profile_for`."""
+def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
+    """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
+    coefficient on ``z^-(j+1)``.  It is a read-only strided view over the
+    coefficients ``phihat(-1), ..., phihat(-(2 size - 1))``, so the
+    entries of one antidiagonal are one memory location, and its first row
+    and last column hold those coefficients in order.  The one table read
+    of :func:`decay_profile_for`, whose callers only read it."""
     if size < 1:
         raise ValueError("section size must be positive")
     hats = phi.hat(np.arange(-1, -2 * size, -1))
-    return hats, np.lib.stride_tricks.sliding_window_view(hats, size)
+    return np.lib.stride_tricks.sliding_window_view(hats, size)
 
 
-def build_disc_hankel(phi: ExactCircle, size: int) -> np.ndarray:
-    """Section with entries ``phihat(-(j+1) - k)``; row ``j`` is the
-    coefficient on ``z^-(j+1)``: the read-only view of
-    :func:`disc_hankel_window`, which its callers only read."""
-    return disc_hankel_window(phi, size)[1]
+def hankel_apply(h: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``X @ H`` for the Hankel matrix ``H[i, j] = h[i + j]`` of side ``L =
+    X.shape[-1]``, the vectors the rows of ``X``, by one real FFT
+    correlation; ``h`` must hold exactly ``2L - 1`` coefficients.
+
+    ``(X H)[r, i]`` is entry ``2L - 2 - i`` of the linear convolution of
+    ``h`` reversed with row ``r`` of ``X``, whose entries reach index ``3L
+    - 3``.  At the length ``n``, the least power of two ``>= 2L - 1``, the
+    entries ``L - 1`` to ``2L - 2`` read do not wrap.  The temporaries are
+    ``O(n)`` per row of ``X``; a caller bounds them by passing its vectors
+    a few rows at a time.  ``rfft`` refuses a complex ``h`` or ``X``.
+    """
+    L = X.shape[-1]
+    if len(h) != 2 * L - 1:
+        raise ValueError(f"a Hankel block of side {L} reads {2 * L - 1} coefficients, not {len(h)}")
+    n = 1 << (2 * L - 2).bit_length()
+    F = np.fft.rfft(X, n)
+    F *= np.fft.rfft(h[::-1], n)
+    return np.fft.irfft(F, n)[..., L - 1:2 * L - 1][..., ::-1]
 
 
 def semicommutator_residual_disc(
@@ -327,7 +342,7 @@ def hankel_singular_values(block: np.ndarray) -> tuple[np.ndarray, str | dict]:
     route: ``"dense"`` or the record of :func:`_sketch`.
 
     A complex block takes the SVD.  A real block is real symmetric, since
-    entries ``(j, k)`` and ``(k, j)`` of the :func:`disc_hankel_window`
+    entries ``(j, k)`` and ``(k, j)`` of the :func:`build_disc_hankel`
     view are one memory location, ``phihat(-(j+1) - k)``; its singular
     values are the moduli of its eigenvalues.  From side ``SKETCH_MIN`` on
     they come from :func:`_sketch` where its certificate holds: the
@@ -359,15 +374,15 @@ def _sketch(H: np.ndarray):
     coefficient into [1/2, 1) (exact, and no square overflows).  ``Y = H
     W`` with the Weyl test matrix ``W[i, j] = frac(i sqrt(p_j)) - 1/2``
     over the first ``k`` primes is one FFT correlation of the block's
-    coefficients with ``W`` (:func:`_weyl_product`); ``Q`` (``L x k``, unit
-    columns) is its Gram-Schmidt basis, made in place, each column
-    projected again while a projection still removes half of it (a column
-    still falling after ``_SKETCH_PASSES`` lies in the span so far and is
-    zeroed).  ``Y`` only picks ``Q``: the bound below is built from the
-    second pass, ``Z = Q^T H``, ``B = Z Q`` and ``R = H - Q Z`` over blocks
-    of ``_SKETCH_COLUMNS`` columns of the read-only view.  The largest
-    arrays are ``Q``, one copied column block and the correlation's
-    transforms: ``O(L k)`` bytes.
+    coefficients with ``W``, eight columns at a time (:func:`hankel_apply`);
+    ``Q`` (``L x k``, unit columns) is its Gram-Schmidt basis, made in
+    place, each column projected again while a projection still removes
+    half of it (a column still falling after ``_SKETCH_PASSES`` lies in the
+    span so far and is zeroed).  ``Y`` only picks ``Q``: the bound below is
+    built from the second pass, ``Z = Q^T H``, ``B = Z Q`` and ``R = H - Q
+    Z`` over blocks of ``_SKETCH_COLUMNS`` columns of the read-only view.
+    The largest arrays are ``Q``, one copied column block and the
+    correlation's transforms: ``O(L k)`` bytes.
 
     With ``P = Q Q^T`` a projector, ``(I - P) H = (I - P) R``, so ``||H -
     P H P|| <= 2 ||R||`` (``H`` symmetric); ``P H P`` has the singular
@@ -400,7 +415,10 @@ def _sketch(H: np.ndarray):
     h = np.ldexp(hats, -e)
     T0 = float(np.sum(np.abs(h)))
     allowance = (3 * (2 * L - 1) - 1) * u * T0
-    Q = _weyl_product(h, np.sqrt(_primes(k)))  # rows: the columns of Y, then of Q
+    roots, t = np.sqrt(_primes(k)), np.arange(L)
+    Q = np.empty((k, L))  # rows: the columns of Y, then of Q
+    for c in range(0, k, 8):
+        Q[c:c + 8] = hankel_apply(h, np.modf(roots[c:c + 8, None] * t)[0] - 0.5)
     for j in range(k):
         v = Q[j]
         pivot = np.sqrt(v @ v)
@@ -440,31 +458,6 @@ def _sketch(H: np.ndarray):
     }
 
 
-def _weyl_product(h: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """``(H W)^T`` for the Hankel block ``H[i, j] = h[i + j]`` of side
-    ``L = (len(h) + 1) / 2`` and the Weyl test matrix ``W[j, c] = frac(j
-    roots[c]) - 1/2``, by one circular correlation.
-
-    ``(H W)[i, c]`` is entry ``2L - 2 - i`` of the linear convolution of
-    ``h`` reversed with column ``c`` of ``W``, whose entries reach index
-    ``3L - 3``.  At the length ``n``, the least power of two ``>= 2L - 1``,
-    the entries ``L - 1`` to ``2L - 2`` read do not wrap.  ``h`` reversed
-    is transformed once; ``W`` is formed and transformed eight columns at a
-    time, which bounds the temporaries to ``O(n)`` beside the result.
-    """
-    L = (len(h) + 1) // 2
-    n = 1 << (2 * L - 2).bit_length()
-    spectrum = np.fft.rfft(h[::-1], n)
-    j = np.arange(L)
-    out = np.empty((len(roots), L))
-    for c in range(0, len(roots), 8):
-        W = np.modf(roots[c:c + 8, None] * j)[0] - 0.5
-        F = np.fft.rfft(W, n)
-        F *= spectrum
-        out[c:c + 8] = np.fft.irfft(F, n)[:, L - 1:2 * L - 1][:, ::-1]
-    return out
-
-
 def _captured(evidence, allowance: float) -> bool:
     """Whether the sketch's evidence, the last pivot or the error bound,
     fits the allowance; a NaN fits nothing."""
@@ -496,10 +489,10 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     ``s - L`` zeros, so only ``B`` is decomposed and the zeros are exact;
     an empty table (``L = 0``) is not decomposed at all.  Since an entry
     depends only on ``j + k``, the blocks of all sizes are the leading
-    blocks of the one read-only :func:`disc_hankel_window` view over the
-    coefficients read, so the sweep builds no section of its own: its
-    largest dense array is LAPACK's copy of a live corner, made only where
-    a corner is decomposed densely.
+    blocks of the one read-only :func:`build_disc_hankel` view, whose
+    first row and last column are the coefficients read, so the sweep
+    builds no section of its own: its largest dense array is LAPACK's copy
+    of a live corner, made only where a corner is decomposed densely.
 
     When no coefficient read has a nonzero imaginary part (an exact test),
     the blocks are the view's real part, decomposed as real symmetric
@@ -516,12 +509,11 @@ def decay_profile_for(phi_circle: ExactCircle, sizes, pullback: str) -> DecayPro
     exact arithmetic and differ only by rounding.
     """
     sizes = sorted(int(s) for s in sizes)
-    if not sizes:
-        raise ValueError("need at least one section size")
     if sizes[0] < 1:
         raise ValueError("section size must be positive")
     profile = DecayProfile(pullback=pullback, sizes=sizes, epsilon=TAIL_EPSILON)
-    hats, window = disc_hankel_window(phi_circle, sizes[-1])
+    window = build_disc_hankel(phi_circle, sizes[-1])
+    hats = np.concatenate((window[0], window[1:, -1]))
     live = np.flatnonzero(hats)
     reach = int(live[-1]) + 1 if live.size else 0
     profile.rank_bound = reach

@@ -48,8 +48,6 @@ class _Degrees:
         return not self._live
 
     def top_degree(self) -> int:
-        if not self._live:
-            raise ValueError("zero symbol has no top degree")
         return self._live[-1]
 
     def bandwidth(self) -> int:

@@ -811,6 +811,15 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_exits_2_and_writes_nothing(tmp_path, capsys):
+    """Valid JSON that is not an object (a list here) has no fields to
+    read: one line on stderr, exit 2, and no output directory."""
+    code, outdir = run_lab(tmp_path, "gram", [1])
+    assert code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert capsys.readouterr().err.splitlines() == ["config error: config must be a JSON object"]
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["gram", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -1006,7 +1015,7 @@ def test_decay_sizes_past_physical_memory_exit_2_before_any_work(
         raise AssertionError("allocated past the preflight")
 
     monkeypatch.setattr(reference, "reference_symbol", boom)
-    monkeypatch.setattr(reduction, "disc_hankel_window", boom)
+    monkeypatch.setattr(reduction, "build_disc_hankel", boom)
     doc = {"sizes": [64, 2**22], "symbol": "builtin:conjugated-singular-inner"}
     code, outdir = run_lab(tmp_path, "hankel-decay", doc)
     assert code == 2
@@ -1509,17 +1518,18 @@ def test_hankel_decay_certificate_catches_a_wrong_section(tmp_path, monkeypatch)
     """A Toeplitz section in place of the Hankel one keeps a tail that
     grows with the size, past the l1 tail bound of the table it reads,
     and the run exits 1 on the certificate rows.  The defect is planted
-    in the sweep's one table read: the certificate keeps the Hankel
-    coefficients, the decomposed section is the Toeplitz one."""
+    in the decomposition, since the sweep's one table read gives both the
+    coefficients and the blocks: the certificate keeps the Hankel
+    coefficients, the decomposed block is the symmetric Toeplitz one over
+    them, entry ``(j, k)`` the coefficient at ``|j - k|``."""
     from annulab import reduction
 
-    hankel_window = reduction.disc_hankel_window
+    def toeplitz_values(block):
+        hats = np.concatenate((block[0], block[1:, -1]))
+        j = np.arange(len(block))
+        return np.linalg.svd(hats[np.abs(np.subtract.outer(j, j))], compute_uv=False), "dense"
 
-    def toeplitz_window(phi, size):
-        toeplitz = annulab.hardy.dense(reduction.build_disc_toeplitz(phi, size))
-        return hankel_window(phi, size)[0], toeplitz
-
-    monkeypatch.setattr(reduction, "disc_hankel_window", toeplitz_window)
+    monkeypatch.setattr(reduction, "hankel_singular_values", toeplitz_values)
     code, outdir = run_lab(tmp_path, "hankel-decay", {"sizes": [32, 64]})
     assert code == 1
     rows = _results(outdir)
@@ -1658,7 +1668,7 @@ def test_hankel_decay_route_is_the_record_hankel_singular_values_returns(tmp_pat
     length = 2 * max(config["sizes"])  # every index a decay sweep reads
     table = annulab.reference.reference_symbol("conjugated-singular-inner", config["R"], length)
     outer = annulab.symbols.pullback_symbols(table)[0]
-    block = annulab.reduction.disc_hankel_window(outer, 512)[1].real
+    block = annulab.reduction.build_disc_hankel(outer, 512).real
     _, route = annulab.reduction.hankel_singular_values(block)
     assert isinstance(route, dict) and route == extra["decay_route"]["C"]["512"]
 

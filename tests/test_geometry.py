@@ -614,6 +614,14 @@ def test_radial_nodes_have_the_bits_of_a_fresh_leggauss(R_):
             shared[0] = 0.0
 
 
+@pytest.mark.parametrize("evaluate", [hardy_basis_eval, complement_basis_eval])
+def test_basis_samples_refuse_an_unknown_component(evaluate):
+    """Only ``"C"`` takes the outer weight: any other name would silently
+    read as the inner circle, so one outside ``COMPONENTS`` is refused."""
+    with pytest.raises(ValueError, match="unknown boundary component 'C1'"):
+        evaluate(3, "C1", AnnulusGeometry(R=0.5, m_circle=16))
+
+
 def test_radial_nodes_are_not_built_at_import():
     """Importing the CLI builds no Gauss-Legendre nodes (they would add to
     every run's start-up); the first ``radial_nodes`` call builds them."""

@@ -11,6 +11,7 @@ from annulab.errors import FloatRangeError, IllConditionedError, ZeroProfileErro
 from annulab.geometry import AnnulusGeometry
 from annulab.mellin import (
     LOG_FLOAT_MAX,
+    ZERO_BISECT_TOL,
     RECONSTRUCT_TOLERANCE,
     check_moment_range,
     mellin_poly_reconstruct,
@@ -172,6 +173,32 @@ def test_zero_locate_rejects_zero_profile(monkeypatch):
     for coeffs in ({}, {0: 0.0, 3: -0.0j}):
         with pytest.raises(ZeroProfileError):
             mellin_zero_locate(PolyProfile(coeffs), 0.0, 1.0, R)
+
+
+def test_zero_locate_refuses_a_transform_that_vanishes_on_its_grid():
+    """Subnormal coefficients of both signs (no sign certificate) make
+    every moment product underflow to zero on the scan grid: the scan has
+    no scale to find a zero against, and refuses rather than report none."""
+    profile = PolyProfile({0: 5e-324, 1: -5e-324})
+    with pytest.raises(ZeroProfileError, match="vanished identically"):
+        mellin_zero_locate(profile, 10.0, 20.0, R)
+
+
+def test_bisection_stops_at_its_step_cap_where_floats_are_coarser_than_its_tolerance():
+    """Near z = 2^21 neighbouring floats lie 2^-31 (4.7e-10) apart, more
+    than ``ZERO_BISECT_TOL``: the bracket stops shrinking at two adjacent
+    floats, and the 200-step cap ends the loop there, one float from the
+    sign change."""
+    assert math.ulp(2.0**21) > ZERO_BISECT_TOL
+    c, calls = 2.0**21 + 0.1, []
+
+    def sign(x):
+        calls.append(x)
+        return -1.0 if x <= c else 1.0
+
+    root = mellin._bisect(sign, 2.0**21, 2.0**21 + 0.25)
+    assert len(calls) == 201
+    assert c <= root <= math.nextafter(c, math.inf)
 
 
 def test_zero_locate_nan_coefficient_takes_the_scan(monkeypatch):

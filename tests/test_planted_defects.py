@@ -80,12 +80,19 @@ def _adjoint_one_diagonal_off(adjoint):
 def _products_one_degree_off(convolve):
     """A table product with every pair product one degree off: the sum at
     each degree moved to the next degree of the product's support, the top
-    one's to the bottom, so the product keeps its band (a shift past the
-    band would break the residual's layout rather than fail its row)."""
+    one's to the bottom, so the product keeps its band."""
     def shifted(a, b):
         out = convolve(a, b)
         keys = sorted(out)
         return {k: out[n] for n, k in zip(keys, keys[1:] + keys[:1])}
+    return shifted
+
+
+def _products_one_degree_up(convolve):
+    """A table product of boundary symbols with every degree one up, so the
+    product symbol reaches one diagonal past the band of ``T_phi T_psi``."""
+    def shifted(a, b):
+        return {n + 1: c for n, c in convolve(a, b).items()}
     return shifted
 
 
@@ -131,6 +138,9 @@ DEFECTS = {
     ),
     "symbol-products-one-degree-off": (
         "semicommutator", symbols, "_convolve", _products_one_degree_off,
+    ),
+    "symbol-products-one-degree-up": (
+        "semicommutator", symbols, "_convolve", _products_one_degree_up,
     ),
     "sign-certificate-for-every-profile": (
         "mellin", mellin, "_sign_certified", lambda certified: lambda profile: True,

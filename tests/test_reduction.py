@@ -1,6 +1,7 @@
 """Disc-side sections, the conjugate-basis bridge, and decay verdicts."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -33,7 +34,7 @@ from annulab.reduction import (
     conjugate_reflection_residual,
     decay_profile_for,
     diagram_residual,
-    disc_hankel_window,
+    hankel_apply,
     hankel_compactness_indicator,
     l1_tail_certificate,
     semicommutator_residual_disc,
@@ -578,9 +579,9 @@ def test_hankel_singular_values_returns_the_dense_route_with_its_bits():
     """Below ``SKETCH_MIN`` a real block keeps ``eigvalsh``'s bits and a
     complex block the SVD's, each with the route ``"dense"``."""
     table = dict(_real_table(5, 40).coeffs)
-    real = disc_hankel_window(ExactCircle(table), reduction.SKETCH_MIN - 1)[1].real
+    real = build_disc_hankel(ExactCircle(table), reduction.SKETCH_MIN - 1).real
     table[-11] += 1e-300j
-    complex_ = disc_hankel_window(ExactCircle(table), 64)[1]
+    complex_ = build_disc_hankel(ExactCircle(table), 64)
     got, route = reduction.hankel_singular_values(real)
     assert route == "dense" and got.tobytes() == _dense_values(real).tobytes()
     got, route = reduction.hankel_singular_values(complex_)
@@ -589,7 +590,7 @@ def test_hankel_singular_values_returns_the_dense_route_with_its_bits():
 
 
 def _assert_falls_back(phi, size):
-    block = disc_hankel_window(phi, size)[1].real
+    block = build_disc_hankel(phi, size).real
     got, route = reduction.hankel_singular_values(block)
     assert route == "dense"
     assert got.tobytes() == _dense_values(block).tobytes()
@@ -613,7 +614,7 @@ def test_sketch_falls_back_where_a_third_of_its_allowance_is_residual(monkeypatc
     phi = ExactCircle({-n: 1 / n + 1e-15 * rng.coefficient().real for n in range(1, 1024)})
     _assert_falls_back(phi, 512)
     monkeypatch.setattr(reduction, "_captured", lambda evidence, allowance: True)
-    _, route = reduction._sketch(disc_hankel_window(phi, 512)[1].real)
+    _, route = reduction._sketch(build_disc_hankel(phi, 512).real)
     assert route["allowance"] / 3 < route["residual"] < route["allowance"] / 2
 
 
@@ -647,25 +648,74 @@ def test_sketch_of_a_table_near_1e300_warns_of_nothing():
     assert np.max(np.abs(got - want)) <= route["allowance"] / 1e300
 
 
-@pytest.mark.parametrize("L", [384, 385, 512, 1000, 1024, 1025])
+@pytest.mark.parametrize("L", [1, 2, 3, 384, 385, 512, 1000, 1024, 1025])
 def test_sketch_test_product_by_fft_matches_the_dense_product(L):
-    """``_weyl_product`` is ``(H W)^T``: at these sides the FFT length (the
-    least power of two ``>= 2L - 1``) is 1024, 2048 or 4096.  Every entry
-    lies within ``1e-14 ||h|| max_c ||W_c||`` of BLAS's dense ``H @ W``
-    (about 40 times what was seen; rounding of the correlation is of order
-    ``u log2(n)`` in that scale).  A table with every coefficient drawn
-    apart makes a shifted or misread output entry miss by order one."""
+    """``hankel_apply(h, X)`` is ``X @ H`` for ``H[i, j] = h[i + j]``: at
+    these sides the FFT length (the least power of two ``>= 2L - 1``) runs
+    from 1 to 4096.  Every entry lies within ``1e-14 ||h|| max_r ||X_r||``
+    of BLAS's dense product (rounding of the correlation is of order ``u
+    log2(n)`` in that scale).  A table with every coefficient drawn apart
+    makes a shifted or misread output entry miss by order one.  The rows of
+    ``X`` are the sketch's 48 Weyl vectors."""
     rng = Lcg(L)
-    phi = ExactCircle({-n: rng.coefficient().real for n in range(1, 2 * L)})
-    hats, H = disc_hankel_window(phi, L)
-    h = hats.real
+    h = np.array([rng.coefficient().real for _ in range(2 * L - 1)])
+    H = h[np.add.outer(np.arange(L), np.arange(L))]
     roots = np.sqrt(reduction._primes(reduction.SKETCH_RANK))
-    W = np.modf(np.arange(L)[:, None] * roots)[0] - 0.5
-    want = (np.array(H.real) @ W).T
-    got = reduction._weyl_product(h, roots)
-    scale = np.linalg.norm(h) * np.max(np.linalg.norm(W, axis=0))
+    X = np.modf(roots[:, None] * np.arange(L))[0] - 0.5
+    got = hankel_apply(h, X)
+    want = X @ H
+    scale = np.linalg.norm(h) * np.max(np.linalg.norm(X, axis=1))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_hankel_apply_refuses_a_table_one_short_or_one_long():
+    """A side-8 block reads exactly 15 coefficients: a table one short
+    would leave the last antidiagonals to the FFT's zero padding, and one
+    long would shift every entry."""
+    X = np.ones((2, 8))
+    for count in (14, 16):
+        with pytest.raises(ValueError, match="side 8 reads 15 coefficients"):
+            hankel_apply(np.ones(count), X)
+
+
+def _power_norm(h: np.ndarray, L: int) -> float:
+    """The largest singular value of the symmetric positive Hankel block
+    ``[h[i + j]]`` of side ``L``, by power iteration through
+    :func:`hankel_apply` from the ones vector, until the estimate settles
+    to 1e-13 relative."""
+    x, nu = np.ones(L), 0.0
+    for _ in range(100):
+        y = hankel_apply(h, x / np.linalg.norm(x))
+        x, before, nu = y, nu, np.linalg.norm(y)
+        if nu - before <= 1e-13 * nu:
+            break
+    return nu
+
+
+def test_hankel_apply_reads_the_essential_norm_of_the_hilbert_matrix():
+    """``nu(k) = ||Gamma S^k||`` on the section of side ``L = 8k``, that is
+    the largest singular value of ``[phihat(-(j + l + k + 1))]``, tends to
+    ``||Gamma||_ess`` (Hartman; Power 1982).  For ``builtin:hilbert`` it
+    matches the dense value at k = 16, never decreases from k = 64 to 4096
+    (L up to 32768) and stays within 1e-5 of 1.239200.  A table that stops
+    short of the deepest index read, ``k + 2L - 1``, reads zeros past its
+    end, so the table is sized to it and the test asserts so."""
+    started = time.perf_counter()
+    ladder = []
+    for k in (16, 64, 256, 1024, 4096):
+        L = 8 * k
+        outer = pullback_symbols(reference_symbol("hilbert", R, k + 2 * L))[0]
+        assert max(-n for n in outer.coeffs) >= k + 2 * L - 1
+        h = outer.hat(np.arange(-(k + 1), -(k + 2 * L), -1)).real
+        ladder.append(_power_norm(h, L))
+        if k == 16:
+            dense = np.linalg.svd(h[np.add.outer(np.arange(L), np.arange(L))],
+                                  compute_uv=False)[0]
+            assert abs(ladder[0] - dense) <= 1e-12
+    assert all(a <= b for a, b in zip(ladder[1:], ladder[2:]))
+    assert all(abs(nu - 1.239200) <= 1e-5 for nu in ladder[1:])
+    assert time.perf_counter() - started < 1.0
 
 
 def test_sketch_refuses_a_zero_or_nan_block_before_its_product():
@@ -687,7 +737,7 @@ def test_sketch_of_a_block_with_exactly_dependent_sketch_columns(size):
     the block: three values within its allowance of ``eigvalsh``'s and 45
     at rounding level."""
     phi = ExactCircle({-n: 0.5**n + 0.3**n - 0.9**n for n in range(1, 2 * size)})
-    block = disc_hankel_window(phi, size)[1].real
+    block = build_disc_hankel(phi, size).real
     got, route = reduction.hankel_singular_values(block)
     assert route["rank"] == reduction.SKETCH_RANK
     want = _dense_values(block)
@@ -781,3 +831,39 @@ def test_singular_inner_power_is_nearly_unimodular():
 def test_singular_inner_rejects_empty_request():
     with pytest.raises(ValueError):
         singular_inner_coeffs(0)
+
+
+def test_disc_sections_and_sweeps_refuse_a_side_below_one():
+    """A side of 0 would give an empty section, and a negative one an empty
+    view read from no coefficient: both builders refuse them, and a sweep
+    refuses any such size even beside a positive one."""
+    phi = ExactCircle({-1: 1.0, 2: 0.5})
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="section size must be positive"):
+            build_disc_toeplitz(phi, size)
+        with pytest.raises(ValueError, match="section size must be positive"):
+            build_disc_hankel(phi, size)
+        with pytest.raises(ValueError, match="section size must be positive"):
+            decay_profile_for(phi, [size, 8], "C")
+
+
+def test_sketch_zeroes_a_column_that_lies_in_the_span_so_far(monkeypatch):
+    """With the test product formed exactly (the dense block times the Weyl
+    rows), a block that vanishes from row 8 on gives 48 columns of ``Y`` in
+    one 8-dimensional coordinate span, exactly.  Past the eighth, every
+    Gram-Schmidt pass removes most of what a column keeps, and the column
+    still falling after the last pass is zeroed rather than normalized from
+    rounding.  So ``Q`` stays orthonormal: the residual is at rounding level
+    and the values lie within the allowance of ``eigvalsh``'s.  (The error
+    bound itself, about 1.1 allowances here, is forced to pass: eight
+    coefficients give the allowance little room.)"""
+    L = reduction.SKETCH_MIN
+    index = np.add.outer(np.arange(L), np.arange(L))
+    h = np.zeros(2 * L - 1)
+    h[:8] = 1.0 / np.arange(1, 9)
+    monkeypatch.setattr(reduction, "hankel_apply", lambda h, X: X @ h[index])
+    monkeypatch.setattr(reduction, "_captured", lambda evidence, allowance: True)
+    got, route = reduction._sketch(h[index])
+    assert route["residual"] < 1e-3 * route["allowance"]
+    assert np.max(np.abs(got - _dense_values(h[index]))) <= route["allowance"]
+    assert got[7] > 1e-3 and np.all(got[8:] <= route["allowance"])

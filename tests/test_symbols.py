@@ -400,6 +400,15 @@ def test_polar_symbol_bands():
     assert PolarSymbol({3: PolyProfile({0: 1.0})}).live_bands == [3]
 
 
+def test_write_symbol_refuses_a_circle_symbol_before_opening_the_file(tmp_path):
+    """A file holds a two-circle or a polar symbol; a one-circle table has
+    no layout, and the refusal comes before the file exists."""
+    path = tmp_path / "sym.json"
+    with pytest.raises(ValueError, match="only exact boundary or polar symbols"):
+        write_symbol(path, ExactCircle({0: 1.0}), 0.5)
+    assert not path.exists()
+
+
 def test_boundary_json_roundtrip(tmp_path):
     rng = Lcg(11)
     sym = random_boundary_symbol(rng, 5)
