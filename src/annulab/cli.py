@@ -494,15 +494,23 @@ def _run_zero_product(cfg: LabConfig):
     pairs = ([(draw_f(rng), draw_g(rng)) for _ in range(TRIALS)] if refs[0] is None
              else [tuple(_resolve_boundary(ref, cfg, None, kind) for ref in refs)])
     rows, verdicts, ladders, norms = [], [], [], []
+
+    def ladder_row(name, value, tol):
+        # a zero factor has no ladder, and a row with none behind it (None)
+        # is an info row
+        if value is None:
+            return report.info_check(check, name, np.nan)
+        return report.residual_check(check, name, value, tol)
+
     for t, rep in enumerate(probe(pairs, cfg.window, cfg.R)):
-        # np.max/np.min keep a NaN, which the built-in max/min would drop
-        lad = np.max(rep.ladder_residuals)
-        ladders.append(lad)
+        lad = leak = None
+        if rep.ladder_residuals:
+            # np.max/np.min keep a NaN, which the built-in max/min would drop
+            lad, leak = np.max(rep.ladder_residuals), rep.ladder_band_leak
+            ladders.append(lad)
         norms.append(rep.min_product_column_norm)
         verdicts.append(rep.verdict)
-        rows.append(
-            report.residual_check(check, f"trial{t:02d}_max_ladder_residual", lad, tol)
-        )
+        rows.append(ladder_row(f"trial{t:02d}_max_ladder_residual", lad, tol))
         rows.append(
             report.floor_check(
                 check, f"trial{t:02d}_min_product_column_norm",
@@ -514,14 +522,8 @@ def _run_zero_product(cfg: LabConfig):
                 check, f"trial{t:02d}_min_relative_pivot", rep.min_relative_pivot
             )
         )
-        rows.append(
-            report.residual_check(
-                check, f"trial{t:02d}_ladder_band_leak", rep.ladder_band_leak, 0.0
-            )
-        )
-    rows.append(
-        report.residual_check(check, "worst_ladder_residual", np.max(ladders), tol)
-    )
+        rows.append(ladder_row(f"trial{t:02d}_ladder_band_leak", leak, 0.0))
+    rows.append(ladder_row("worst_ladder_residual", np.max(ladders) if ladders else None, tol))
     rows.append(
         report.floor_check(
             check, "smallest_product_column_norm", np.min(norms), hardy.ZERO_DIVISOR_FLOOR

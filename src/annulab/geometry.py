@@ -178,7 +178,7 @@ def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray
 #: the owner chunks and the gather chunks.  A block's samples, their C0 mate
 #: and the mate's int64 index take 40 m bytes per degree: at m = 2048, 5 MiB
 #: for 64 degrees, 20 MiB for 257.  Traced peaks, MiB, at 257 / 128 / 64 /
-#: 32 degrees: the Gram at +-256 on 2048 nodes 52.3 / 42.2 / 40.3 / 40.3
+#: 32 degrees: the Gram at +-256 on 2048 nodes 52.3 / 42.2 / 40.7 / 40.7
 #: (from 96 down the owner test, spectra beside the kept bins, sets it), the
 #: section pair at +-64 on 4096 nodes 37.3 / 37.2 / 31.2 / 28.2.  64 takes
 #: the Gram's floor and most of the pair's fall in few blocks.  Each row's
@@ -257,12 +257,13 @@ def _pair_on_grid(
     ``(2N)^2 m`` entries without BLAS, about 15 s against 0.8 s for a dense
     product.  Only bins holding an owner are kept, the spectra are freed
     before the gather, and owners are gathered ``_GRAM_BLOCK`` rows at a
-    time: that Gram peaks at 40.3 MiB traced, in the owner test, where C's
+    time: that Gram peaks at 40.7 MiB traced, in the owner test, where C's
     spectra are held beside their kept bins (a block's C0 samples, held
     beside its C samples for the mirror's comparison, peaked at 52.2 MiB
-    with 257 degrees per block).  The weighted pairings free the kept bins
-    before ``Q``'s conjugate is added into ``P`` in place: the section pair
-    at +-500 on 1024 nodes peaks at 158.1 MiB traced, not 169.9.
+    with 257 degrees per block).  The owner masks are boolean, one byte
+    per kept coefficient beside its sixteen.  The weighted pairings free
+    the kept bins before ``Q``'s conjugate is added into ``P`` in place:
+    the section pair at +-500 on 1024 nodes peaks at 163.2 MiB traced.
     """
     m, N = geo.m_circle, len(ns)
     if np.ptp(ns) + reach >= m:
@@ -324,25 +325,18 @@ def _pair_on_grid(
 
 def _owners(flat: np.ndarray):
     """One circle's ``(E, own)`` over the bins holding an owner, for the
-    spectrum rows ``flat``: ``E = C - S / 2`` and the owner mask, packed by
-    columns."""
+    spectrum rows ``flat``: ``E = C - S / 2`` and the boolean owner mask."""
     m = flat.shape[1]
     tau = np.sqrt(np.finfo(float).eps / m)
     faint = np.concatenate([
         np.abs(flat[lo : lo + _GRAM_BLOCK]) <= tau for lo in range(0, len(flat), _GRAM_BLOCK)
     ])
     bins = np.flatnonzero(~faint.all(axis=0))
-    own = np.packbits(~faint[:, bins], axis=1)
+    own = ~faint[:, bins]
     del faint
     E = flat[:, bins]
-    for lo in range(0, len(E), _GRAM_BLOCK):
-        E[lo : lo + _GRAM_BLOCK][_unpack(own[lo : lo + _GRAM_BLOCK], E.shape[1])] *= 0.5
+    np.multiply(E, 0.5, out=E, where=own)
     return E, own
-
-
-def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` columns of a row-wise ``np.packbits`` mask."""
-    return np.unpackbits(bits, axis=1, count=n).view(bool)
 
 
 def _gather(Z: np.ndarray, A: np.ndarray, own: np.ndarray, E: np.ndarray):
@@ -350,7 +344,7 @@ def _gather(Z: np.ndarray, A: np.ndarray, own: np.ndarray, E: np.ndarray):
     ``j`` of ``A``, ``_GRAM_BLOCK`` rows at a time and by slot: slot ``s``
     holds each row's ``s``-th owner, so no row repeats within a slot."""
     for lo in range(0, len(A), _GRAM_BLOCK):
-        j, q = np.nonzero(_unpack(own[lo : lo + _GRAM_BLOCK], A.shape[1]))
+        j, q = np.nonzero(own[lo : lo + _GRAM_BLOCK])
         j += lo
         v = 2 * A[j, q].conj()
         first = np.flatnonzero(np.diff(j, prepend=-1))

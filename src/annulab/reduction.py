@@ -230,25 +230,19 @@ def split_relation_residual(
     deviation checks that the holomorphic-family coordinates obtained
     through the conjugate-basis expansion equal the diagonal transfer
     applied to the complement-family coordinates from the same expansion.
-    Both projections are trapezoid sums over grid samples (of the symbol at
-    index ``k + j``, then of the resynthesized part), each computed with
-    one FFT and a gather, and the part is resynthesized by one inverse FFT
-    per row, so no array outgrows ``size x m_circle``; only grid samples of
-    the symbol are read, and :func:`_analyze` refuses an index ``k + j`` at
-    or past ``m_circle / 2``.
+    The complement-family coordinate at ``j`` of column ``k``'s part is the
+    trapezoid sum of the symbol's grid samples at index ``k + j``, taken by
+    one FFT of the inner-circle samples and a gather, so no array outgrows
+    those samples or the ``size x (size + reach)`` gather, ``reach`` the band
+    reach of the inner table; only grid samples of the symbol are read, and
+    :func:`_analyze` refuses an index ``k + j`` at or past ``m_circle / 2``.
     """
     R = geo.R
     vals = sample_symbol(phi, geo).on_C0
     js = np.arange(1, size + ExactCircle(phi.coeffs_C0).bandwidth() + 1)
     offsets = np.add.outer(np.arange(size), js)
-    spectrum = np.zeros((size, geo.m_circle), dtype=complex)
-    spectrum[:, js] = _analyze(vals, offsets)
-    y2 = np.fft.ifft(spectrum)
-    del spectrum
-    y2 *= geo.m_circle
     # complement-family coordinates of the anti-holomorphic part, quadrature route
-    proj = _analyze(y2, js)
-    del y2
+    proj = _analyze(vals, offsets)
     B, _ = basis_weights(js, R)
     lhs = -proj * B
     rhs = -fourier_pair(phi, offsets)[1] * B

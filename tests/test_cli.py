@@ -1739,6 +1739,35 @@ def test_file_pair_runs_as_one_trial(tmp_path, monkeypatch, experiment):
     ]
 
 
+@pytest.mark.parametrize("experiment, zero, other", [
+    ("zero-product-hardy", ExactSymbol({}, {}), random_boundary_symbol(Lcg(1), 4)),
+    ("zero-product-bergman", PolarSymbol({}),
+     random_polar_symbol(Lcg(1), -2, 3, 3, monomial_top=True)),
+], ids=["hardy", "bergman"])
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_zero_factor_file_pair_fails_only_its_floor_rows(tmp_path, experiment, zero, other, side):
+    """A zero factor, as either file of the pair, has no ladder: its three
+    ladder rows are info rows reading NaN, and the run exits 1 through its
+    two ``_floor`` rows alone, since the product is exactly zero.  The
+    probe reads a zero factor ``ConsistentWithTheorem`` (it satisfies the
+    dichotomy outright); whether the run should then exit 0 is ROADMAP
+    item 2's verdict rule."""
+    pair = (zero, other) if side == "f" else (other, zero)
+    code, outdir = run_lab(tmp_path, experiment,
+                           dict(_pair_files(tmp_path, *pair, 0.5), window=[-24, 24]))
+    rows = _results(outdir)
+    assert code == 1
+    assert {name for name, (*_, ok) in rows.items() if ok == "false"} == {
+        "trial00_min_product_column_norm_floor", "smallest_product_column_norm_floor",
+    }
+    for name in ("trial00_max_ladder_residual", "trial00_ladder_band_leak",
+                 "worst_ladder_residual"):
+        assert rows[name] == ["nan", "inf", "true"]
+    assert rows["smallest_product_column_norm_floor"][0] == "0"
+    verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
+    assert verdicts == ["ConsistentWithTheorem"]
+
+
 @pytest.mark.parametrize("experiment", sorted(_HARNESSES))
 @pytest.mark.parametrize("field", ["symbol", "symbol2"])
 def test_one_symbol_field_alone_exits_2(tmp_path, capsys, experiment, field):

@@ -229,7 +229,7 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family
 
 def test_pairing_kernel_memory_stays_bounded():
     """The kernel's row blocks bound its sample buffers: the Gram at
-    W = 256, m = 2048 peaks at 40.3 MiB traced, where the owner test holds
+    W = 256, m = 2048 peaks at 40.7 MiB traced, where the owner test holds
     C's spectra beside their kept bins (52.2 MiB with blocks of 257 degrees,
     64.4 MiB with all rows in one block, before C0 was read off C's
     spectra), and the section pair at the benchmark's toeplitz-build config
@@ -249,10 +249,11 @@ def test_pairing_kernel_memory_stays_bounded():
 
 
 def test_split_relations_memory_does_not_grow_with_reach():
-    """The split resynthesizes its part by one inverse FFT per row, so its
-    largest arrays are ``size x m_circle`` whatever the inner table's
-    reach: at reach 1000 on 4096 nodes a ``(size + reach) x m_circle``
-    phase table would peak near 127 MiB traced."""
+    """The split reads its coordinates by one FFT of the inner-circle
+    samples and a gather, so its largest arrays are the ``m_circle``
+    spectrum and the ``size x (size + reach)`` gather: at reach 1000 on
+    4096 nodes it peaks at 1.5 MiB traced, where a ``(size + reach) x
+    m_circle`` phase table would peak near 127 MiB."""
     phi = ExactSymbol({0: 1.0}, {-1000: 0.25, 2: 1.0, 1000: 0.5j})
     geo = AnnulusGeometry(R=R, m_circle=4096)
     tracemalloc.start()
