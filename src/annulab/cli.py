@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .symbols import (
     ExactSymbol,
     PolarSymbol,
     PolyProfile,
-    constant_symbol,
     pullback_symbols,
     read_symbol,
 )
@@ -107,8 +106,9 @@ def _sizes(v) -> tuple[int, ...]:
     return tuple(v)
 
 
-#: per ``LabConfig`` field: accepted JSON types (``bool`` never counts as a
-#: number), range check and conversion to the stored value (None: none)
+#: per ``LabConfig`` field a config may set (``out`` is ``--out``'s alone):
+#: accepted JSON types (``bool`` never counts as a number), range check and
+#: conversion to the stored value (None: none)
 _FIELDS = {
     "R": ((int, float), lambda x: 0.0 < x < 1.0, float),
     "window": (list, lambda w: len(w) == 2, _window),
@@ -118,7 +118,6 @@ _FIELDS = {
     "symbol": (str, None, None),
     "symbol2": (str, None, None),
     "sizes": (list, lambda s: len(s) >= 1, _sizes),
-    "out": (str, None, None),
 }
 
 
@@ -148,15 +147,16 @@ _DECAY_VALUE_BYTES = 384
 
 
 def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabConfig:
-    names = [f.name for f in fields(LabConfig)]
     for key in doc:
-        if key not in names:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config field '{key}'")
-    cfg = LabConfig(experiment=experiment)
-    for key in names:
+    # an unset symbol is the seeded draw (_resolve_boundary), save for the
+    # decay sweep's calibration table
+    cfg = LabConfig(experiment=experiment,
+                    symbol="builtin:smooth-decay" if experiment == "hankel-decay" else None)
+    for key, (kinds, in_range, convert) in _FIELDS.items():
         if key not in doc:
             continue
-        kinds, in_range, convert = _FIELDS[key]
         v = doc[key]
         if isinstance(v, bool) or not isinstance(v, kinds):
             raise ConfigError(f"config field '{key}' has the wrong type")
@@ -234,11 +234,11 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     names, phases = _PEAKS[exp]
     k, extra = n, 0
     if exp == "hankel-decay":
-        reach = _reach(cfg, "symbol", reference.smooth_decay_symbol().bandwidth())
+        reach = _reach(cfg, "symbol")
         n = k = n if reach is None else min(n, reach)
         extra = _DECAY_VALUE_BYTES * sum(cfg.sizes)
     elif exp == "semicommutator":
-        r, s = (_reach(cfg, name, TRIAL_REACH) for name in names)
+        r, s = (_reach(cfg, name) for name in names)
         k = 2 * (n - 1 if r is None or s is None else min(r + s, n - 1)) + 1
     rows, secs = max(((m * (a * n + b), c * n * k) for a, b, c in phases), key=sum, default=(0, 0))
     if exp in _HARNESSES:  # a trial's ladder may read every column
@@ -248,15 +248,14 @@ def _reads(cfg: LabConfig) -> tuple[int, str, int]:
     return length, max(parts, key=parts.get), sum(parts.values())
 
 
-def _reach(cfg: LabConfig, name: str, default: int) -> int | None:
+def _reach(cfg: LabConfig, name: str) -> int | None:
     """The bandwidth of the symbol field ``name`` where it is known before
-    any table is read: ``default`` (that of the experiment's own symbol)
-    when the field is unset, a fixed built-in table's.  ``None`` for a
-    symbol file or a table truncated to the run's reads, which may reach
-    as far as the run reads."""
+    any table is read: ``TRIAL_REACH`` (the seeded draw's) when the field is
+    unset, a fixed built-in table's.  ``None`` for a symbol file or a table
+    truncated to the run's reads, which may reach as far as the run reads."""
     ref = getattr(cfg, name)
     if ref is None:
-        return default
+        return TRIAL_REACH
     key = ref.removeprefix("builtin:")
     if key == ref or key in reference.TRUNCATED:
         return None
@@ -285,12 +284,13 @@ def load_config(path, experiment: str, out_override: str | None = None) -> LabCo
     return parse_config(doc, experiment, out_override)
 
 
-def _resolve_boundary(ref: str | None, cfg: LabConfig, fallback, kind=ExactSymbol):
+def _resolve_boundary(ref: str | None, cfg: LabConfig, rng, kind=ExactSymbol):
     """The symbol the field value ``ref`` names, of the ``kind`` the
-    experiment reads: ``fallback()`` when unset, else a ``builtin:`` table
-    (a two-circle symbol) or a symbol file written for the config's R."""
+    experiment reads: when unset, the next reach-``TRIAL_REACH`` draw of the
+    run's generator ``rng``; else a ``builtin:`` table (a two-circle symbol)
+    or a symbol file written for the config's R."""
     if ref is None:
-        return fallback()
+        return randgen.random_boundary_symbol(rng, TRIAL_REACH)
     if ref.startswith("builtin:"):
         try:
             sym = reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
@@ -328,9 +328,7 @@ def _run_gram(cfg: LabConfig):
 def _run_toeplitz_build(cfg: LabConfig):
     geo = cfg.geometry()
     rng = randgen.Lcg(cfg.seed)
-    sym = _resolve_boundary(
-        cfg.symbol, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
-    )
+    sym = _resolve_boundary(cfg.symbol, cfg, rng)
     sec = hardy.dense(hardy.build_toeplitz_hardy(sym, cfg.window, cfg.R))
     hankel = hardy.dense(hardy.build_hankel_annulus(sym, cfg.window, cfg.R))
     rows = []
@@ -348,7 +346,7 @@ def _run_toeplitz_build(cfg: LabConfig):
 
 
 def _run_hankel_decay(cfg: LabConfig):
-    sym = _resolve_boundary(cfg.symbol, cfg, reference.smooth_decay_symbol)
+    sym = _resolve_boundary(cfg.symbol, cfg, None)
     verdict, profiles = reduction.hankel_compactness_indicator(sym, cfg.sizes)
     check = "hankel-decay"
     rows = []
@@ -395,7 +393,7 @@ def _run_hankel_decay(cfg: LabConfig):
 
 def _run_identities(cfg: LabConfig):
     geo = cfg.geometry()
-    phi = _resolve_boundary(cfg.symbol, cfg, lambda: constant_symbol(1.0, 1.0))
+    phi = _resolve_boundary(cfg.symbol, cfg, randgen.Lcg(cfg.seed))
     size = DIAGRAM_SIZE
     U0, P0 = reduction.assemble_transfer_unitaries(size, geo)
     rows = [
@@ -534,12 +532,8 @@ def _run_zero_product(cfg: LabConfig):
 
 def _run_semicommutator(cfg: LabConfig):
     rng = randgen.Lcg(cfg.seed)
-    phi = _resolve_boundary(
-        cfg.symbol, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
-    )
-    psi = _resolve_boundary(
-        cfg.symbol2, cfg, lambda: randgen.random_boundary_symbol(rng, TRIAL_REACH)
-    )
+    phi = _resolve_boundary(cfg.symbol, cfg, rng)
+    psi = _resolve_boundary(cfg.symbol2, cfg, rng)
     rows = []
     resid, margin = hardy.semicommutator_residual_annulus(phi, psi, cfg.window, cfg.R)
     rows.append(
@@ -612,7 +606,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="JSON configuration path")
-    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--out", default=None, help="output directory (default: lab-out)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.experiment, args.out)

@@ -87,10 +87,6 @@ def laurent_symbol(coeffs: dict[int, complex], R: float) -> ExactSymbol:
     )
 
 
-def constant_symbol(value_C: complex, value_C0: complex) -> ExactSymbol:
-    return ExactSymbol({0: complex(value_C)}, {0: complex(value_C0)})
-
-
 def sample_symbol(sym: ExactSymbol, geo: AnnulusGeometry) -> BoundaryData:
     """Boundary grid samples of a symbol, synthesized from its tables.
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +16,13 @@ from hypothesis import given, settings, strategies as st, target
 
 import annulab
 from annulab.cli import (
-    EXPERIMENTS, _HARNESSES, ConfigError, LabConfig, _reads, _resolve_boundary, load_config,
-    main, parse_config, run,
+    _FIELDS, _HARNESSES, EXPERIMENTS, TRIAL_REACH, ConfigError, _reads,
+    _resolve_boundary, load_config, main, parse_config, run,
 )
 from annulab.randgen import Lcg, random_boundary_symbol, random_polar_symbol
 from annulab.reduction import DecayProfile, classify_decay, tail_index
 from annulab.symbols import (
-    MAX_INDEX, ExactSymbol, PolarSymbol, PolyProfile, constant_symbol, write_symbol,
+    MAX_INDEX, ExactSymbol, PolarSymbol, PolyProfile, write_symbol,
 )
 
 FAST = {"R": 0.5, "seed": 1, "m_circle": 512, "window": [-10, 10]}
@@ -498,6 +497,41 @@ def test_decay_outputs_are_byte_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _drawn_files(*names):
+    """The run's seeded reach-``TRIAL_REACH`` draws, one per field of
+    ``names`` in order, written as symbol files."""
+    def write(tmp_path):
+        rng, doc = Lcg(FAST["seed"]), {}
+        for name in names:
+            doc[name] = str(tmp_path / f"{name}.json")
+            write_symbol(doc[name], random_boundary_symbol(rng, TRIAL_REACH), FAST["R"])
+        return doc
+    return write
+
+
+@pytest.mark.parametrize("experiment, base, named, files", [
+    ("identities", FAST, _drawn_files("symbol"), ["results.csv"]),
+    ("toeplitz-build", FAST, _drawn_files("symbol"), ["results.csv", "section.csv"]),
+    ("semicommutator", FAST, _drawn_files("symbol", "symbol2"), ["results.csv"]),
+    ("hankel-decay", {"R": 0.5, "seed": 1, "sizes": [16, 32]},
+     lambda tmp_path: {"symbol": "builtin:smooth-decay"}, ["results.csv", "decay.csv"]),
+], ids=["identities", "toeplitz-build", "semicommutator", "hankel-decay"])
+def test_unset_symbol_is_the_default_it_names(tmp_path, experiment, base, named, files):
+    """An unset symbol field is the run's seeded draw, field by field in
+    order, and in hankel-decay the calibration table ``builtin:smooth-decay``:
+    a config that names the default writes the same bytes.  report.json
+    echoes the table a decay sweep read."""
+    doc = named(tmp_path)
+    code, unset = run_lab(tmp_path, experiment, base, name="unset.json", out="unset")
+    assert code == 0
+    code, given = run_lab(tmp_path, experiment, {**base, **doc}, name="given.json", out="given")
+    assert code == 0
+    for name in files:
+        assert (unset / name).read_bytes() == (given / name).read_bytes()
+    echo = json.loads((unset / "report.json").read_text())["config"]
+    assert echo["symbol"] == (doc["symbol"] if experiment == "hankel-decay" else None)
+
+
 #: prints both thread variables after ``import annulab`` and the thread
 #: count of numpy's OpenBLAS as the library reports it ("none" if not found)
 BLAS_THREADS = """\
@@ -587,11 +621,11 @@ def test_unknown_builtin_symbol_exits_2(tmp_path, capsys):
 
 def test_symbol_file_round_trip_and_R_mismatch(tmp_path):
     path = tmp_path / "sym.json"
-    write_symbol(path, constant_symbol(1.0, -1.0), 0.5)
+    write_symbol(path, ExactSymbol({0: 1}, {0: -1}), 0.5)
     doc = dict(FAST, symbol=str(path))
     code, _ = run_lab(tmp_path, "toeplitz-build", doc, name="ok.json", out="ok")
     assert code == 0
-    write_symbol(path, constant_symbol(1.0, -1.0), 0.25)
+    write_symbol(path, ExactSymbol({0: 1}, {0: -1}), 0.25)
     code, _ = run_lab(tmp_path, "toeplitz-build", doc, name="bad.json", out="bad")
     assert code == 2
 
@@ -767,6 +801,7 @@ def _field_cases():
     out_of_range = "config field '{}' is out of range"
     window = "config field 'window' must be two integers [lo, hi]"
     sizes = "config field 'sizes' must hold positive integers"
+    unknown_out = "unknown config field 'out'"
     cases = [
         ("R", "0.5", wrong_type), ("R", 1.5, out_of_range), ("R", 0, out_of_range),
         ("window", "[-3, 3]", wrong_type), ("window", [1, 2, 3], out_of_range),
@@ -788,9 +823,10 @@ def _field_cases():
         ("sizes", 64, wrong_type), ("sizes", [], out_of_range), ("sizes", [0], sizes),
         ("sizes", [64, True], sizes),
         ("sizes", [64, 64, 32], "config field 'sizes' must not repeat a size"),
-        ("out", 1, wrong_type),
+        # the output directory is --out's alone
+        ("out", 1, unknown_out), ("out", True, unknown_out), ("out", "lab-out", unknown_out),
     ]
-    cases += [(f.name, True, wrong_type) for f in fields(LabConfig)]
+    cases += [(name, True, wrong_type) for name in _FIELDS]
     return [(f, v, msg.format(f)) for f, v, msg in cases]
 
 
@@ -1566,14 +1602,20 @@ def test_report_json_echoes_the_run(tmp_path):
     assert all(row["pass"] for row in doc["checks"])
 
 
-def test_out_flag_overrides_config_out(tmp_path):
-    doc = dict(FAST, out=str(tmp_path / "from-config"))
+def test_out_flag_is_the_only_output_setter(tmp_path, capsys, monkeypatch):
+    """A config that names ``out`` is refused with the unknown-field line
+    before anything is written; ``--out`` sets the directory, and without
+    it the run writes to ``lab-out``."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    override = tmp_path / "from-flag"
-    assert main(["gram", "--config", str(cfg), "--out", str(override)]) == 0
-    assert (override / "results.csv").exists()
-    assert not (tmp_path / "from-config").exists()
+    cfg.write_text(json.dumps(dict(FAST, out=str(tmp_path / "from-config"))))
+    assert main(["gram", "--config", str(cfg), "--out", str(tmp_path / "from-flag")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: unknown config field 'out'"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    code, outdir = run_lab(tmp_path, "gram", FAST, name="flag.json", out="from-flag")
+    assert code == 0 and (outdir / "results.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(["gram", "--config", "flag.json"]) == 0
+    assert (tmp_path / "lab-out" / "results.csv").exists()
 
 
 def test_reference_table_covers_the_deepest_decay_read(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 
 from annulab import geometry, hardy, mellin, reduction, symbols
 from annulab.cli import main
+from annulab.symbols import ExactCircle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -96,6 +97,17 @@ def _products_one_degree_up(convolve):
     return shifted
 
 
+def _inner_unflipped(sym):
+    """Both pullbacks with the inner table kept at its own indices: the
+    angle negation ``n -> -n`` of the inner circle dropped."""
+    return ExactCircle(dict(sym.coeffs_C)), ExactCircle(dict(sym.coeffs_C0))
+
+
+def _inner_as_outer(sym):
+    """Both pullbacks read from the outer table."""
+    return ExactCircle(dict(sym.coeffs_C)), ExactCircle(dict(sym.coeffs_C))
+
+
 #: per row: the shipped config that must FAIL, the module and attribute the
 #: mutation rebinds, and the mutation as a function of the original
 DEFECTS = {
@@ -144,6 +156,12 @@ DEFECTS = {
     ),
     "sign-certificate-for-every-profile": (
         "mellin", mellin, "_sign_certified", lambda certified: lambda profile: True,
+    ),
+    "inner-pullback-unflipped": (
+        "identities", reduction, "pullback_symbols", lambda pullback: _inner_unflipped,
+    ),
+    "inner-pullback-outer-table": (
+        "identities", reduction, "pullback_symbols", lambda pullback: _inner_as_outer,
     ),
 }
 
