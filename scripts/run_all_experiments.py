@@ -10,7 +10,9 @@ NoDecay verdict is a recorded result, not a failure.
 After each run one ``sha256 <config>/<file> <hex>`` line is printed per
 deterministic artifact it wrote (the benchmark gate's ``DETERMINISTIC``
 files plus ``section.csv``), so byte identity between two checkouts is a
-``diff`` of two runs' output.
+``diff`` of two runs' output.  One ``time <config> <seconds>`` line follows,
+the run's ``duration_seconds`` from its ``report.json``; it is there to be
+read, not compared.
 
 With ``--against DIR``, DIR being the ``--outdir`` of an earlier run (of
 another checkout, say), one ``moved <config> <check>/<name> <old> -> <new>``
@@ -74,10 +76,11 @@ def main() -> int:
         if code != 0:
             failures.append((name, code))
         if (out / "report.json").exists():
-            written = json.loads((out / "report.json").read_text(encoding="utf-8"))["files"]
-            for file in sorted(f for f in written if f in DIGESTED):
+            doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            for file in sorted(f for f in doc["files"] if f in DIGESTED):
                 digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
                 print(f"sha256 {name}/{file} {digest}")
+            print(f"time {name} {doc['duration_seconds']:.4f}")
         if args.against is not None:
             for line in moved_rows(name, args.against, Path(args.outdir)):
                 print(line)

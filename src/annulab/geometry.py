@@ -132,17 +132,19 @@ def basis_weights(n, R: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(n < 0, p, 1.0) / s, np.where(n < 0, 1.0, p) / s
 
 
-def _on_circle(n, component: str, geo: AnnulusGeometry, on_C, on_C0) -> np.ndarray:
+def _on_circle(n, component: str, geo: AnnulusGeometry, on_C, on_C0, rows=None) -> np.ndarray:
     """The grid samples :meth:`AnnulusGeometry.phases` of ``n`` times the
-    weight of ``component``; an array ``n`` gives one row per degree."""
+    weight of ``component``; an array ``n`` gives one row per degree.  The
+    caller's ``rows``, if given, stand for ``geo.phases(n)`` and are
+    weighted out of place; the sampler's own rows are weighted in place."""
     if component not in COMPONENTS:
         raise ValueError(f"unknown boundary component {component!r}")
-    e = geo.phases(n)
+    e = geo.phases(n) if rows is None else rows
     w = on_C if component == "C" else on_C0
-    return np.multiply(e, np.reshape(w, np.shape(n) + (1,)), out=e)
+    return np.multiply(e, np.reshape(w, np.shape(n) + (1,)), out=e if rows is None else None)
 
 
-def hardy_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray:
+def hardy_basis_eval(n, component: str, geo: AnnulusGeometry, rows=None) -> np.ndarray:
     """Evaluate the n-th normalized power basis function on one boundary circle.
 
     The function is ``z^n / sqrt(1 + R^(2n))``; on the inner circle the
@@ -156,12 +158,16 @@ def hardy_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray:
         ``"C"`` for the unit circle or ``"C0"`` for the inner circle.
     geo : AnnulusGeometry
         Inner radius ``geo.R`` and the grid of ``geo.m_circle`` nodes.
+    rows : ndarray, optional
+        The caller's ``geo.phases(n)``, read and never written, so that one
+        gather serves several calls at the same degrees; without it the
+        call gathers its own.  Either way the samples have the same bits.
     """
     B, A = basis_weights(n, geo.R)
-    return _on_circle(n, component, geo, B, A)
+    return _on_circle(n, component, geo, B, A, rows)
 
 
-def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray:
+def complement_basis_eval(n, component: str, geo: AnnulusGeometry, rows=None) -> np.ndarray:
     """Evaluate the n-th basis function of the orthogonal complement.
 
     On the unit circle this is ``R^n z^n / sqrt(1 + R^(2n))``; on the inner
@@ -169,20 +175,23 @@ def complement_basis_eval(n, component: str, geo: AnnulusGeometry) -> np.ndarray
     the factor ``R^n`` from ``z = R exp(it)``, leaving a bare phase: the
     weights are ``A`` and ``-B``.  Together with the functions from
     :func:`hardy_basis_eval` these form an orthonormal basis of boundary L2.
+    The optional ``rows`` are the caller's ``geo.phases(n)``, read and never
+    written, as for :func:`hardy_basis_eval`.
     """
     B, A = basis_weights(n, geo.R)
-    return _on_circle(n, component, geo, A, -B)
+    return _on_circle(n, component, geo, A, -B, rows)
 
 
 #: degrees per row block of the pairing kernel: it sizes the sample buffers,
-#: the owner chunks and the gather chunks.  A block's samples, their C0 mate
-#: and the mate's int64 index take 40 m bytes per degree: at m = 2048, 5 MiB
-#: for 64 degrees, 20 MiB for 257.  Traced peaks, MiB, at 257 / 128 / 64 /
-#: 32 degrees: the Gram at +-256 on 2048 nodes 52.3 / 42.2 / 40.7 / 40.7
-#: (from 96 down the owner test, spectra beside the kept bins, sets it), the
-#: section pair at +-64 on 4096 nodes 37.3 / 37.2 / 31.2 / 28.2.  64 takes
-#: the Gram's floor and most of the pair's fall in few blocks.  Each row's
-#: FFT and owners are its own, so no pairing changes with the block size.
+#: the owner chunks and the gather chunks.  In the Gram's C pass a block's
+#: shared rows, its samples and their C0 mate take 48 m bytes per degree: at
+#: m = 2048, 6 MiB for 64 degrees, 24 MiB for 257.  Traced peaks, MiB, at
+#: 257 / 128 / 64 / 32 degrees: the Gram at +-256 on 2048 nodes 56.7 / 44.3
+#: / 40.6 / 40.6 (from 96 down the owner test, spectra beside the kept bins,
+#: sets it), the section pair at +-64 on 4096 nodes 37.3 / 37.2 / 31.2 /
+#: 28.2.  64 takes the Gram's floor and most of the pair's fall in few
+#: blocks.  Each row's FFT and owners are its own, so no pairing changes
+#: with the block size.
 _GRAM_BLOCK = 64
 
 
@@ -211,10 +220,13 @@ def _pair_on_grid(
     ``complement_basis_eval``, once per family, block of degrees and
     circle.  A block is ``_GRAM_BLOCK`` consecutive degrees of ``ns`` (the
     last one shorter), which bounds the sample buffers, and its spectra are
-    the output rows of its degrees.  Each call gathers its samples from the
-    grid's roots of unity, ``m / 4`` exps per call
-    (:meth:`AnnulusGeometry.phases`).  The hardy block is multiplied by
-    ``w`` in place once its own spectrum is taken.
+    the output rows of its degrees.  Samples are gathered from the grid's
+    roots of unity, ``m / 4`` exps per gather
+    (:meth:`AnnulusGeometry.phases`).  The Gram's C pass gathers each
+    block's rows once and hands them to its four calls (both families on C
+    and their C0 mates), which weight them out of place; every other call
+    gathers its own.  The hardy block is multiplied by ``w`` in place once
+    its own spectrum is taken.
 
     Mirror (the Gram only): on C0 the hardy samples are ``A e_n``, the
     complement's on C, and the complement samples are ``-B e_n``, the
@@ -259,11 +271,12 @@ def _pair_on_grid(
     before the gather, and owners are gathered ``_GRAM_BLOCK`` rows at a
     time: that Gram peaks at 40.7 MiB traced, in the owner test, where C's
     spectra are held beside their kept bins (a block's C0 samples, held
-    beside its C samples for the mirror's comparison, peaked at 52.2 MiB
-    with 257 degrees per block).  The owner masks are boolean, one byte
-    per kept coefficient beside its sixteen.  The weighted pairings free
-    the kept bins before ``Q``'s conjugate is added into ``P`` in place:
-    the section pair at +-500 on 1024 nodes peaks at 163.2 MiB traced.
+    beside its C samples and shared rows for the mirror's comparison, peak
+    at 56.7 MiB with 257 degrees per block).  The owner masks are boolean,
+    one byte per kept coefficient beside its sixteen.  The weighted
+    pairings free the kept bins before ``Q``'s conjugate is added into
+    ``P`` in place: the section pair at +-500 on 1024 nodes peaks at 163.2
+    MiB traced.
     """
     m, N = geo.m_circle, len(ns)
     if np.ptp(ns) + reach >= m:
@@ -284,18 +297,22 @@ def _pair_on_grid(
             break
         for lo, hi in zip(edges, edges[1:]):
             block = ns[lo:hi]
+            # the Gram's C pass gathers the block's rows once for its four
+            # calls, and frees them with the block
+            rows = geo.phases(block) if weight is None and comp == "C" else None
             for i, ev in enumerate(evals):
-                f = ev(block, comp, geo)
+                f = ev(block, comp, geo, rows)
                 np.fft.fft(f, norm="forward", out=c[i, lo:hi])
                 if i == 0 and w is not None:
                     np.fft.fft(np.multiply(f, w, out=f), norm="forward", out=c[2, lo:hi])
                 if mirror:  # in C's pass
-                    mate = evals[1 - i](block, "C0", geo)
+                    mate = evals[1 - i](block, "C0", geo, rows)
                     if i == 0:
                         np.negative(mate, out=mate)
                     mirror = np.array_equal(mate, f)
                     del mate
                 del f
+            del rows
         kept.append(_owners(c.reshape(-1, m)))
     del c
     if mirror:

@@ -147,13 +147,15 @@ def t_diag(n, R: float):
 
 
 def conjugate_reflection_residual(n: int, geo: AnnulusGeometry) -> float:
-    """Pointwise deviation of the conjugate-basis expansion on both circles."""
+    """Pointwise deviation of the conjugate-basis expansion on both circles.
+    The grid rows of ``n`` and ``-n`` are gathered once and serve both."""
     alpha, beta = conjugate_basis_coeffs(n, geo.R)
+    e, e_neg = geo.phases(n), geo.phases(-n)
     dev = []
     for comp in ("C", "C0"):
-        lhs = np.conj(hardy_basis_eval(n, comp, geo))
-        rhs = alpha * hardy_basis_eval(-n, comp, geo) + beta * complement_basis_eval(
-            -n, comp, geo
+        lhs = np.conj(hardy_basis_eval(n, comp, geo, e))
+        rhs = alpha * hardy_basis_eval(-n, comp, geo, e_neg) + beta * complement_basis_eval(
+            -n, comp, geo, e_neg
         )
         dev.append(np.abs(lhs - rhs))
     # one np.max over both circles keeps a NaN, which the built-in max drops

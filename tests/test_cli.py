@@ -384,8 +384,8 @@ def test_gram_nan_sample_fails_its_row(tmp_path, monkeypatch):
     coefficients are NaN in every bin, and a NaN is an owner."""
     evaluate = annulab.geometry.hardy_basis_eval
 
-    def nan_sample(n, component, geo):
-        vals = evaluate(n, component, geo)
+    def nan_sample(n, component, geo, rows=None):
+        vals = evaluate(n, component, geo, rows)
         if component == "C0":
             vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
         return vals
@@ -412,8 +412,8 @@ def test_toeplitz_build_nan_sample_fails_the_rows_it_reaches(
     Toeplitz section and, weighted, a column of both sections."""
     evaluate = getattr(annulab.geometry, name)
 
-    def nan_sample(n, component, geo):
-        vals = evaluate(n, component, geo)
+    def nan_sample(n, component, geo, rows=None):
+        vals = evaluate(n, component, geo, rows)
         if component == "C0":
             vals[np.flatnonzero(np.asarray(n) == 3)[:1], 5] = np.nan
         return vals

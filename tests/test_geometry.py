@@ -70,26 +70,26 @@ def test_gram_identity(geo):
     assert dev <= 1e-12
 
 
-def _swapped_complement(n, component, g):
+def _swapped_complement(n, component, g, rows=None):
     B, A = geometry.basis_weights(n, g.R)
-    return geometry._on_circle(n, component, g, -B, A)
+    return geometry._on_circle(n, component, g, -B, A, rows)
 
 
 def _c0_shifted(evaluate):
     """An evaluator whose inner-circle samples are taken one degree further
     round: the angle shift ``t -> t + pi / 180`` as its phase factor ``exp(i
     n pi / 180)``."""
-    def shifted(n, component, g):
-        vals = evaluate(n, component, g)
+    def shifted(n, component, g, rows=None):
+        vals = evaluate(n, component, g, rows)
         if component == "C0":
             vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
         return vals
     return shifted
 
 
-def _hardy_c0_shifted(n, component, g):
+def _hardy_c0_shifted(n, component, g, rows=None):
     """The hardy family's inner-circle samples one degree further round."""
-    return _c0_shifted(hardy_basis_eval)(n, component, g)
+    return _c0_shifted(hardy_basis_eval)(n, component, g, rows)
 
 
 def _per_pair_gram(g, ns):
@@ -122,11 +122,11 @@ def test_gram_matches_per_pair_trapezoid_loop(monkeypatch, shifted):
     assert np.array_equal(G, G.conj().T)
 
 
-def _hardy_spread(n, component, g):
+def _hardy_spread(n, component, g, rows=None):
     """Every sample scaled by 1 + noise/100: each bin of every row holds a
     coefficient far above the drop threshold, so no bin may be dropped."""
     noise = np.random.default_rng(7).standard_normal(g.m_circle)
-    return hardy_basis_eval(n, component, g) * (1.0 + noise / 100)
+    return hardy_basis_eval(n, component, g, rows) * (1.0 + noise / 100)
 
 
 @pytest.mark.parametrize("defect", [None, _hardy_c0_shifted, _hardy_spread])
@@ -178,10 +178,10 @@ def test_pairing_kernel_evaluates_blocks_in_output_order(monkeypatch):
     are its output rows."""
     seen, evaluate = [], geometry.hardy_basis_eval
 
-    def recorded(n, component, g):
+    def recorded(n, component, g, rows=None):
         if component == "C":
             seen.append(list(n))
-        return evaluate(n, component, g)
+        return evaluate(n, component, g, rows)
 
     monkeypatch.setattr(geometry, "hardy_basis_eval", recorded)
     monkeypatch.setattr(geometry, "_GRAM_BLOCK", 6)
@@ -229,11 +229,11 @@ def test_block_size_changes_no_bit_of_the_pairings(case):
     assert got[0] == got[1] == got[2]
 
 
-def _faint_noise(n, component, g, degrees, m):
+def _faint_noise(n, component, g, phases, degrees, m):
     """Hardy rows 3 and 5 gain, on the unit circle only, a tone of
     amplitude ``0.9 sqrt(eps / m)`` at each of ``degrees``: faint in every
     bin, and summed over many bins."""
-    vals = hardy_basis_eval(n, component, g)
+    vals = hardy_basis_eval(n, component, g, phases)
     if component == "C":
         phase = np.exp(2j * np.pi * np.random.default_rng(0).random(len(degrees)))
         tone = phase @ np.exp(1j * np.multiply.outer(degrees, grid_angles(g)))
@@ -255,7 +255,7 @@ def test_gram_drops_only_pairs_of_faint_coefficients(monkeypatch, owned):
     degrees = np.arange(-W, W + 1) if owned else np.arange(W + 1, m - W)
     monkeypatch.setattr(
         geometry, "hardy_basis_eval",
-        lambda n, c, g_: _faint_noise(n, c, g_, degrees, m),
+        lambda n, c, g_, phases=None: _faint_noise(n, c, g_, phases, degrees, m),
     )
     g, ns = AnnulusGeometry(R=R, m_circle=m), np.arange(-W, W + 1)
     G, loop = gram_matrix(g, W), _per_pair_gram(g, ns)
@@ -287,21 +287,21 @@ def test_gram_nan_coefficient_in_a_bin_no_row_owns_reaches_the_output(monkeypatc
     assert np.isnan(G[:, full]).all()
 
 
-def _hardy_faint_tone(n, component, g):
+def _hardy_faint_tone(n, component, g, rows=None):
     """Every row gains a tone at degree 12, far below the drop threshold.
     The weighted columns are large in that bin, so a drop rule that read
     the rows alone would lose about 1e-10 times their coefficient."""
     tone = 1e-10 * np.exp(12j * grid_angles(g))
-    return hardy_basis_eval(n, component, g) + tone
+    return hardy_basis_eval(n, component, g, rows) + tone
 
 
-def _hardy_mid_tone(n, component, g):
+def _hardy_mid_tone(n, component, g, rows=None):
     """Every row gains a tone of amplitude 5e-7 at degree 20, so rows and
     weighted columns both hold coefficients between the drop threshold
     ``sqrt(eps / 64)`` (about 1.9e-9) and 1e-6 there.  The pairs of such
     bins add about 1e-13 to an entry: a threshold of 1e-6 drops them."""
     tone = 5e-7 * np.exp(20j * grid_angles(g))
-    return hardy_basis_eval(n, component, g) + tone
+    return hardy_basis_eval(n, component, g, rows) + tone
 
 
 def _per_entry_sections(f, lo, hi, g):
@@ -371,16 +371,24 @@ def test_on_circle_is_the_exact_gather_times_the_weight(case):
     """Every sample is the weight times one root of unity, read at the index
     ``n j mod m`` exactly, bit for bit: the reduction never rounds, however
     large ``n``, and a weight's signed zero reaches the sample as the
-    product gives it."""
+    product gives it.  Handed the caller's ``geo.phases(n)``, an evaluator
+    returns the same bytes and never writes the handed rows, even when its
+    samples are written to."""
     _, n, m, R_ = _SAMPLE_CASES[case]
     g = AnnulusGeometry(R=R_, m_circle=m)
     B, A = basis_weights(n, R_)
+    rows = g.phases(n)
+    held = rows.tobytes()
     for ev, weights in ((hardy_basis_eval, (B, A)), (complement_basis_eval, (A, -B))):
         for comp, w in zip(("C", "C0"), weights):
             want = _gather(n, g) * np.reshape(w, np.shape(n) + (1,))
             got = ev(n, comp, g)
             assert got.shape == np.shape(n) + (m,)
             assert got.tobytes() == want.tobytes()
+            handed = ev(n, comp, g, rows)
+            assert handed.tobytes() == want.tobytes()
+            handed[...] = np.nan
+            assert rows.tobytes() == held
 
 
 @pytest.mark.parametrize("m", [8, 64, 2048])
@@ -454,16 +462,17 @@ def test_samples_are_fresh_and_the_held_table_is_read_only():
         (lambda: build_section_quadrature(
             random_boundary_symbol(Lcg(1), 4), (-64, 64), AnnulusGeometry(R=R, m_circle=4096)),
          2 * 2 * _blocks(129)),
-        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), 4 * _blocks(513)),
-        (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 6),
+        (lambda: gram_matrix(AnnulusGeometry(R=R, m_circle=2048), 256), _blocks(513)),
+        (lambda: conjugate_reflection_residual(5, AnnulusGeometry(R=R, m_circle=256)), 2),
     ],
     ids=["section-pair", "gram", "conjugate-reflection"],
 )
 def test_phase_tables_built_per_call(monkeypatch, build, tables):
-    """Each evaluator call builds its own roots table, one call of the
-    sampler: per family, block and circle in the pairing kernel (the
-    Gram's C pass also samples each block's C0 mate), three per circle in
-    the conjugate reflection."""
+    """Each call of the sampler builds its own roots table.  The weighted
+    pairing kernel samples once per family, block and circle; the Gram's C
+    pass once per block, for both families on C and their C0 mates; the
+    conjugate reflection once for ``n`` and once for ``-n``, on both
+    circles."""
     phases, seen = AnnulusGeometry.phases, []
 
     def recorded(geo, n):

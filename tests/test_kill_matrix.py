@@ -39,6 +39,14 @@ SURVIVORS = {
         hardy, "build_toeplitz_hardy",
         lambda build: lambda *a: build(*a) * (1 + 1e-11), "item 20",
     ),
+    "toeplitz-hardy-times-1+1e-12": (
+        hardy, "build_toeplitz_hardy",
+        lambda build: lambda *a: build(*a) * (1 + 1e-12), "item 20",
+    ),
+    "hankel-annulus-times-1+1e-12": (
+        hardy, "build_hankel_annulus",
+        lambda build: lambda *a: build(*a) * (1 + 1e-12), "item 20",
+    ),
     "bergman-norm-const-next-degree": (
         bergman, "bergman_norm_const",
         lambda norm: lambda n, R: norm(n + 1, R), "item 32",
@@ -50,6 +58,7 @@ KILLS = {
     "toeplitz-hardy-times-1.001": {"semicommutator", "toeplitz-build"},
     "swapped-basis-weights": {"toeplitz-build"},
     "negated-hankel-annulus": {"toeplitz-build"},
+    "hankel-annulus-times-1.001": {"semicommutator", "toeplitz-build"},
     "disc-hankel-one-offset-off": {"identities", "semicommutator"},
     "c0-hardy-samples-one-degree-on": {"gram", "toeplitz-build"},
     "c0-complement-samples-one-degree-on": {"gram", "toeplitz-build"},

@@ -230,7 +230,8 @@ def test_section_oracle_evaluates_each_basis_once_per_circle(monkeypatch, family
 def test_pairing_kernel_memory_stays_bounded():
     """The kernel's row blocks bound its sample buffers: the Gram at
     W = 256, m = 2048 peaks at 40.7 MiB traced, where the owner test holds
-    C's spectra beside their kept bins (52.2 MiB with blocks of 257 degrees,
+    C's spectra beside their kept bins (56.7 MiB with blocks of 257 degrees,
+    where each block's shared rows, samples and C0 mates are held together;
     64.4 MiB with all rows in one block, before C0 was read off C's
     spectra), and the section pair at the benchmark's toeplitz-build config
     at 31.2 MiB (37.3 with blocks of 257)."""

@@ -30,8 +30,8 @@ def _c0_one_degree_on(evaluate):
     """A basis family's inner-circle samples one degree further round: the
     angle shift ``t -> t + pi / 180`` as its phase factor ``exp(i n pi /
     180)``."""
-    def shifted(n, component, geo):
-        vals = evaluate(n, component, geo)
+    def shifted(n, component, geo, rows=None):
+        vals = evaluate(n, component, geo, rows)
         if component == "C0":
             vals *= np.exp(1j * np.pi / 180 * np.asarray(n))[..., None]
         return vals
@@ -122,6 +122,10 @@ DEFECTS = {
     "negated-hankel-annulus": (
         "toeplitz-build", hardy, "build_hankel_annulus",
         lambda build: lambda *a: -build(*a),
+    ),
+    "hankel-annulus-times-1.001": (
+        "toeplitz-build", hardy, "build_hankel_annulus",
+        lambda build: lambda *a: build(*a) * 1.001,
     ),
     "disc-hankel-one-offset-off": (
         "semicommutator", reduction, "build_disc_hankel",

@@ -168,8 +168,8 @@ def test_conjugate_reflection_identity_on_grid():
 def test_conjugate_reflection_nan_on_the_inner_circle_is_reported(monkeypatch):
     evaluate = reduction.hardy_basis_eval
 
-    def nan_on_c0(n, component, geo_):
-        vals = evaluate(n, component, geo_)
+    def nan_on_c0(n, component, geo_, rows=None):
+        vals = evaluate(n, component, geo_, rows)
         return vals * np.nan if component == "C0" else vals
 
     monkeypatch.setattr(reduction, "hardy_basis_eval", nan_on_c0)
