@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bergman, geometry, hardy, mellin, randgen, reduction, reference, report
-from .errors import AliasingError, FloatRangeError, IllConditionedError, WindowTooSmallError
+from .errors import ConfigError
 from .plotting import emit_plot
 from .symbols import (
     MAX_INDEX,
@@ -55,15 +55,6 @@ ZERO_SCAN = (-10.0, 20.0)
 DIAGRAM_SIZE = 12
 #: section size of the identities experiment's split relations
 SPLIT_SIZE = 10
-
-
-class ConfigError(ValueError):
-    """Raised for malformed configuration files; message names the field."""
-
-
-#: configurations the computation cannot serve; like a malformed config
-#: they exit 2 with one line, while any other exception is a program fault
-DOMAIN_ERRORS = (WindowTooSmallError, AliasingError, IllConditionedError, FloatRangeError)
 
 
 @dataclass
@@ -169,10 +160,7 @@ def parse_config(doc: dict, experiment: str, out_override: str | None) -> LabCon
         setattr(cfg, key, v if convert is None else convert(v))
     if out_override is not None:
         cfg.out = out_override
-    try:
-        cfg.geometry()  # validates R / m_circle jointly
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.geometry()  # validates R / m_circle jointly
     _, key, need = _reads(cfg)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -252,17 +240,15 @@ def _reach(cfg: LabConfig, name: str) -> int | None:
     """The bandwidth of the symbol field ``name`` where it is known before
     any table is read: ``TRIAL_REACH`` (the seeded draw's) when the field is
     unset, a fixed built-in table's.  ``None`` for a symbol file or a table
-    truncated to the run's reads, which may reach as far as the run reads."""
+    truncated to the run's reads, which may reach as far as the run reads.
+    An unknown built-in name is refused here, by the lookup."""
     ref = getattr(cfg, name)
     if ref is None:
         return TRIAL_REACH
     key = ref.removeprefix("builtin:")
     if key == ref or key in reference.TRUNCATED:
         return None
-    try:
-        return reference.reference_symbol(key, cfg.R).bandwidth()
-    except KeyError:  # _resolve_boundary refuses the name
-        return None
+    return reference.reference_symbol(key, cfg.R).bandwidth()
 
 
 def _file_bytes(path) -> int:
@@ -292,10 +278,7 @@ def _resolve_boundary(ref: str | None, cfg: LabConfig, rng, kind=ExactSymbol):
     if ref is None:
         return randgen.random_boundary_symbol(rng, TRIAL_REACH)
     if ref.startswith("builtin:"):
-        try:
-            sym = reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from exc
+        sym = reference.reference_symbol(ref[len("builtin:"):], cfg.R, _reads(cfg)[0])
     else:
         try:
             sym, R_file = read_symbol(ref)
@@ -581,7 +564,7 @@ def run(cfg: LabConfig) -> ExperimentReport:
     """Execute the configured experiment, then write its artifacts.
 
     Nothing is written before the experiment returns, so a refused run
-    (``ConfigError`` or one of ``DOMAIN_ERRORS``) creates no directory.
+    (a :class:`~annulab.errors.ConfigError`) creates no directory.
     """
     start = time.monotonic()
     rows, artifacts, extra = _RUNNERS[cfg.experiment](cfg)
@@ -611,7 +594,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.experiment, args.out)
         result = run(cfg)
-    except (ConfigError, *DOMAIN_ERRORS) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for r in result.rows:

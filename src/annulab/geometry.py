@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, ConfigError
 
 COMPONENTS = ("C", "C0")
 #: Gauss-Legendre node count, in log r, of every radial integral (see ``radial_nodes``)
@@ -52,9 +52,9 @@ class AnnulusGeometry:
 
     def __post_init__(self):
         if not 0.0 < self.R < 1.0:
-            raise ValueError(f"inner radius must satisfy 0 < R < 1, got {self.R}")
+            raise ConfigError(f"inner radius must satisfy 0 < R < 1, got {self.R}")
         if self.m_circle < 8 or self.m_circle & (self.m_circle - 1):
-            raise ValueError(
+            raise ConfigError(
                 f"m_circle must be a power of two >= 8, got {self.m_circle}"
             )
 

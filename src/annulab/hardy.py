@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import WindowTooSmallError
+from .errors import FloatRangeError, WindowTooSmallError
 from .geometry import AnnulusGeometry, _pair_on_grid, basis_weights
 from .symbols import (
     ExactSymbol,
@@ -66,8 +66,11 @@ def band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ``a = b`` = 6 to 10, and 1.5 times faster on the blocks from 12 on.
     At ``a = b = 100`` over side 801 the blocks are 3.5 times faster.
     Either way the result is ``A @ B`` to rounding, not bit for bit, and
-    each matrix of a stack has the bits of its lone product.
+    each matrix of a stack has the bits of its lone product.  A product
+    whose entries could leave the float range is refused first
+    (:func:`_refuse_past_float_range`).
     """
+    _refuse_past_float_range(A, B)
     a, b, n = A.shape[-2] // 2, B.shape[-2] // 2, A.shape[-1]
     c = a + b
     out = np.zeros((*np.broadcast_shapes(A.shape[:-2], B.shape[:-2]), 2 * c + 1, n),
@@ -84,6 +87,33 @@ def band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         rows = range(max(inner.start - a, 0), min(inner.stop + a, n))
         _write_block(out, dense(A, rows, inner) @ dense(B, inner, cols), rows, cols)
     return out
+
+
+def _refuse_past_float_range(A: np.ndarray, B: np.ndarray, norms: bool = False) -> None:
+    """Refuse, with :class:`FloatRangeError`, band-layout sections ``A``
+    and ``B`` (:func:`_band_sections`, half-widths ``a`` and ``b``) whose
+    product ``A @ B`` could form a value past float max, or, with
+    ``norms``, whose column norms or the product's could.  The bound is
+    read off the bands in hand, ``x = max |A|`` and ``y = max |B|``.  Entry
+    ``(j, k)`` of the product sums the ``2b + 1`` terms ``A[j, i] B[i, k]``
+    of ``B``'s band, each at most ``x y`` in modulus, and so is the sum of
+    the two real products behind each part of a complex term (``|p r| + |q
+    s| <= |p + q i| |r + s i|``).  So every value the product forms, partial
+    sums included, is at most ``e = (2b + 1) x y``.  A column norm sums the
+    unscaled squares of the column's entries: at most ``2 (a + b) + 1`` of
+    the product's, so at most ``(2 (a + b) + 1) e^2``, and ``2a + 1`` of
+    ``A``'s (a ``T_f`` column) or ``2b + 1`` of ``B``'s, at most ``(2a + 1)
+    x^2`` and ``(2b + 1) y^2``.  The bounds are formed in Python floats,
+    which reach ``inf`` without a warning.  A NaN entry is not refused: the
+    harnesses report it (an ``Inconclusive`` verdict, a FAIL row).  Drawn
+    trials, whose coefficients are at most ``sqrt(2)`` in modulus, stay
+    hundreds of orders of magnitude below the bound."""
+    a, b = A.shape[-2] // 2, B.shape[-2] // 2
+    x, y = (float(np.max(np.abs(M), initial=0.0)) for M in (A, B))
+    e = (2 * b + 1) * x * y
+    e = max(e, (2 * (a + b) + 1) * e * e, (2 * a + 1) * x * x, (2 * b + 1) * y * y) if norms else e
+    if e > np.finfo(float).max:
+        raise FloatRangeError(f"section entries {x:.3g} and {y:.3g} leave the float range in a product")
 
 
 def _band_entries(bands: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,6 +550,9 @@ def _probe(
     the margin ``f.bandwidth() + g.bandwidth()`` from both window edges.
     The verdict is ``Inconclusive`` when an interior column norm is not finite, else
     ``Violation`` only when every one falls below ``ZERO_DIVISOR_FLOOR``.
+    A chunk whose sections could carry the product, or a column norm that
+    the probe or its ladder takes, past the float range is refused before
+    the product is formed (:func:`_refuse_past_float_range`).
 
     Every pair's window checks run first, in order, so a refusal names the
     first pair the window cannot serve.  They also put each nonzero pair
@@ -570,6 +603,7 @@ def _probe(
             idx, n0s = zip(*members[at : at + step])
             tf = build([pairs[i][0] for i in idx], (lo, hi))
             tg = build([pairs[i][1] for i in idx], (lo, hi))
+            _refuse_past_float_range(tf, tg, norms=True)
             prod = band_product(tf, tg)
             G = dense(tg, range(rows), range(cut))
             S, P = ((dense(tf, range(rows), range(cut)), dense(prod, range(rows), range(cut)))

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .symbols import ExactSymbol, laurent_symbol
 
 
@@ -90,7 +91,8 @@ TRUNCATED = ("conjugated-singular-inner", "hilbert")
 
 
 def reference_symbol(name: str, R: float, count: int = 1025) -> ExactSymbol:
-    """Look up a built-in symbol by its registry name."""
+    """Look up a built-in symbol by its registry name; an unknown name is
+    refused with :class:`ConfigError`."""
     if name == "conjugated-singular-inner":
         return conjugated_singular_inner_symbol(count)
     if name == "hilbert":
@@ -101,4 +103,4 @@ def reference_symbol(name: str, R: float, count: int = 1025) -> ExactSymbol:
         return split_sign_symbol()
     if name == "analytic-square":
         return analytic_square_symbol(R)
-    raise KeyError(f"unknown reference symbol {name!r}")
+    raise ConfigError(f"unknown reference symbol {name!r}")

@@ -619,6 +619,14 @@ def test_unknown_builtin_symbol_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["hankel-decay", "semicommutator"])
+def test_parse_config_refuses_an_unknown_builtin(experiment):
+    """The memory rule looks each built-in table up to size the run, and
+    the lookup refuses an unknown name, so the refusal comes at parse time."""
+    with pytest.raises(ConfigError, match=r"^unknown reference symbol 'nope'$"):
+        parse_config({"symbol": "builtin:nope"}, experiment, None)
+
+
 def test_symbol_file_round_trip_and_R_mismatch(tmp_path):
     path = tmp_path / "sym.json"
     write_symbol(path, ExactSymbol({0: 1}, {0: -1}), 0.5)
@@ -1244,7 +1252,7 @@ def test_memory_rule_bounds_the_traced_peak_over_a_sweep(tmp_path_factory, exper
     need = _reads(cfg)[2]
     try:
         peak = _traced_peak(cfg)
-    except annulab.cli.DOMAIN_ERRORS:
+    except ConfigError:
         return  # refused with exit 2, as a config the grid cannot serve
     target(peak / need, label=experiment)
     assert peak <= need
@@ -1888,3 +1896,94 @@ def test_polar_file_with_an_in_range_negative_degree_runs(tmp_path):
     assert code == 0
     verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
     assert verdicts == ["ConsistentWithTheorem"]
+
+
+def _huge_pair(tmp_path, experiment, s):
+    """A symbol of size ``s`` as both factors: bands ``-1`` and ``1`` of
+    ``s`` on the unit circle beside the constant 1 on the inner one, or,
+    for the Bergman harness, the constant profiles ``s, 1, s`` on bands
+    ``-1, 0, 1`` (R 0.5, the default window)."""
+    if experiment == "zero-product-bergman":
+        f = PolarSymbol({k: PolyProfile({0: c}) for k, c in ((-1, s), (0, 1.0), (1, s))})
+    else:
+        f = ExactSymbol({-1: s, 1: s}, {0: 1.0})
+    return _pair_files(tmp_path, f, f, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "experiment, s",
+    [
+        ("zero-product-hardy", 1e90),
+        ("zero-product-hardy", 1e160),
+        ("zero-product-bergman", 1e90),
+        ("zero-product-bergman", 1e160),
+        ("semicommutator", 1e160),
+    ],
+)
+def test_products_past_the_float_range_exit_2(tmp_path, capsys, experiment, s):
+    """A section product whose entries, or in the probes whose column
+    norms, could leave the float range is refused before it is formed
+    (``hardy._refuse_past_float_range``): one line, no directory.  Without
+    the rule the probes' norms squared past float max (1e90) or their
+    ladder solve raised ``LinAlgError`` (1e160), and the semicommutator's
+    band product overflowed (1e160)."""
+    code, outdir = run_lab(tmp_path, experiment, _huge_pair(tmp_path, experiment, s))
+    assert "leave the float range in a product" in _refused(code, outdir, capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("experiment", ["zero-product-hardy", "zero-product-bergman"])
+def test_products_inside_the_float_range_run(tmp_path, experiment):
+    code, outdir = run_lab(tmp_path, experiment, _huge_pair(tmp_path, experiment, 1e50))
+    assert code == 0
+    verdicts = json.loads((outdir / "report.json").read_text())["extra"]["verdicts"]
+    assert verdicts == ["ConsistentWithTheorem"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_semicommutator_product_inside_the_float_range_computes(tmp_path):
+    """At ``s = 1e100`` the semicommutator forms entries of about 1e200,
+    which the entry bound admits (it takes no column norm), so the run
+    computes.  Its annulus row FAILs on the absolute tolerance, which does
+    not scale with the symbol (an open FOUND in CHANGES.md); the disc row
+    passes."""
+    doc = _huge_pair(tmp_path, "semicommutator", 1e100)
+    code, outdir = run_lab(tmp_path, "semicommutator", doc)
+    assert code == 1
+    failing = [name for name, row in _results(outdir).items() if row[2] == "false"]
+    assert failing == ["annulus_interior_residual"]
+
+
+#: every class of ``annulab.errors``
+ERROR_CLASSES = [c for c in vars(annulab.errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_is_a_refusal(tmp_path, capsys, monkeypatch, cls):
+    """Each class of ``annulab.errors`` is ``ConfigError`` or a subclass,
+    which ``main`` catches alone: a runner that raises it exits 2 with one
+    line and writes nothing."""
+    args = ("refused", 1.0) if cls is annulab.errors.IllConditionedError else ("refused",)
+
+    def refuse(cfg):
+        raise cls(*args)
+
+    monkeypatch.setitem(annulab.cli._RUNNERS, "gram", refuse)
+    code, outdir = run_lab(tmp_path, "gram", FAST)
+    assert _refused(code, outdir, capsys) == "config error: refused"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_identically_vanishing_mellin_scan_exits_2(tmp_path, capsys):
+    """A ``g`` whose top band ``5e-324 (1 - r)`` makes every scanned
+    Mellin value underflow to zero: ``mellin_zero_locate`` refuses it with
+    ``ZeroProfileError``, which ``lab`` reports as a refusal, not a
+    traceback."""
+    f = PolarSymbol({0: PolyProfile({0: 1.0})})
+    g = PolarSymbol({0: PolyProfile({0: 1.0}), 1: PolyProfile({0: 5e-324, 1: -5e-324})})
+    doc = dict(_pair_files(tmp_path, f, g, 0.5), window=[0, 40])
+    code, outdir = run_lab(tmp_path, "zero-product-bergman", doc)
+    message = "config error: transform vanished identically on the scan grid"
+    assert _refused(code, outdir, capsys) == message

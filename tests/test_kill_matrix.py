@@ -28,6 +28,15 @@ from annulab.cli import main
 
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
 
+
+def _one_column_early(find):
+    """The ``n0`` rule ``find`` with every column it returns one lower."""
+    def early(*args):
+        n0 = find(*args)
+        return n0 - 1 if isinstance(n0, int) else n0
+    return early
+
+
 #: plants no shipped config catches: module, attribute, mutation, and the
 #: ROADMAP item whose check should catch it
 SURVIVORS = {
@@ -51,6 +60,12 @@ SURVIVORS = {
         bergman, "bergman_norm_const",
         lambda norm: lambda n, R: norm(n + 1, R), "item 32",
     ),
+    "bergman-norm-const-times-1.01": (
+        bergman, "bergman_norm_const",
+        lambda norm: lambda n, R: norm(n, R) * 1.01, "item 32",
+    ),
+    "hardy-n0-one-column-early": (hardy, "find_n0_hardy", _one_column_early, "item 23"),
+    "bergman-n0-one-column-early": (bergman, "find_n0_bergman", _one_column_early, "item 23"),
 }
 
 #: per row: the configs it kills, as measured
